@@ -12,8 +12,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import RunConfig, config_from_mapping, load_config
 from .diagnostics import dump_alignment, dump_attention
 from .errors import CheckpointFormatError, ConfigError, ContractError, TrainingAbort

@@ -80,26 +80,7 @@ class RunConfig:
 
     def train_config(self) -> TrainConfig:
         cfg = self.resolved()
-        return TrainConfig(
-            task=cfg.task,
-            alpha=cfg.alpha,
-            lambda_mask=cfg.lambda_mask,
-            kd_form=cfg.kd_form,
-            stop_teacher_grad=cfg.stop_teacher_grad,
-            temperature=cfg.temperature,
-            use_teacher=cfg.use_teacher,
-            seed=cfg.seed,
-            steps=cfg.steps,
-            batch_size=cfg.batch_size,
-            lr=cfg.lr,
-            warmup_steps=cfg.warmup_steps,
-            d_model=cfg.d_model,
-            enc_layers=cfg.enc_layers,
-            dec_layers=cfg.dec_layers,
-            heads=cfg.heads,
-            ffn_dim=cfg.ffn_dim,
-            fusion_layers=cfg.fusion_layers,
-        )
+        return TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
 
     def task_spec(self):
         cfg = self.resolved()
@@ -130,18 +111,8 @@ class RunConfig:
             longest = max(cfg.len_max * cfg.frames_max, 2 * cfg.len_max + 1) + cfg.len_max
         else:
             longest = 2 * cfg.len_max + 8
-        return ModelConfig(
-            task=cfg.task,
-            vocab_size=cfg.vocab_size,
-            feature_dim=cfg.feature_dim,
-            d_model=cfg.d_model,
-            enc_layers=cfg.enc_layers,
-            dec_layers=cfg.dec_layers,
-            heads=cfg.heads,
-            ffn_dim=cfg.ffn_dim,
-            fusion_layers=cfg.fusion_layers,
-            max_len=max(64, longest),
-        )
+        shape = {f.name: getattr(cfg, f.name) for f in fields(ModelConfig) if f.name != "max_len"}
+        return ModelConfig(**shape, max_len=max(64, longest))
 
 
 _CASTERS = {int: int, float: float, str: str, bool: _parse_bool}

@@ -109,7 +109,7 @@ def bound_report_from_logits(student_logits, teacher_logits, y, vocab: Vocab,
 
 def _ctc_logit_pair(model: CtcModel, x, y):
     hidden = model.encode(x)
-    u_s = model._head("seq.out", hidden)
+    u_s = model.student_head(hidden)
     u_t = model.teacher_logits(hidden, y)
     return u_s.data, u_t.data
 

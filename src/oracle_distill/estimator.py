@@ -11,6 +11,7 @@ importing anything from sklearn here.
 from __future__ import annotations
 
 import inspect
+from dataclasses import fields
 
 import numpy as np
 
@@ -107,33 +108,14 @@ def check_is_fitted(estimator) -> None:
 
 
 class _DistillerBase(BaseParams):
-    task: str
-
-    def _train_config(self, vocab_size: int) -> TrainConfig:
-        p = self.get_params()
-        return TrainConfig(
-            task=self.task,
-            alpha=p["alpha"],
-            lambda_mask=p.get("lambda_mask", 0.5),
-            kd_form=p.get("kd_form", "kl"),
-            stop_teacher_grad=p["stop_teacher_grad"],
-            temperature=p.get("temperature", 1.0),
-            use_teacher=p["use_teacher"],
-            seed=p["seed"],
-            steps=p["steps"],
-            batch_size=p["batch_size"],
-            lr=p["lr"],
-            warmup_steps=p["warmup_steps"],
-            d_model=p["d_model"],
-            enc_layers=p["enc_layers"],
-            dec_layers=p.get("dec_layers", 2),
-            heads=p["heads"],
-            ffn_dim=p["ffn_dim"],
-            fusion_layers=p["fusion_layers"],
-        )
+    def _fields_of(self, schema) -> dict:
+        """The hyperparameters that are fields of the dataclass ``schema``;
+        the fields an estimator lacks keep the schema's defaults."""
+        names = {f.name for f in fields(schema)}
+        return {k: v for k, v in self.get_params().items() if k in names}
 
     def _fit_examples(self, examples: list[Example], model_cfg: ModelConfig) -> None:
-        train_cfg = self._train_config(model_cfg.vocab_size)
+        train_cfg = TrainConfig(**self._fields_of(TrainConfig))
         self.model_ = build_model(model_cfg, seed=self.seed)
         self.history_ = fit_loop(self.model_, examples, train_cfg)
         self.train_config_ = train_cfg
@@ -169,8 +151,6 @@ class CtcDistiller(_DistillerBase):
     sequences over 1..K (K inferred from the data).  predict(X) returns
     collapsed greedy decodes using only the student parameters.
     """
-
-    task = "ctc"
 
     def __init__(self, alpha: float = 2.0, kd_form: str = "l2",
                  stop_teacher_grad: bool = False, use_teacher: bool = True,
@@ -210,9 +190,7 @@ class CtcDistiller(_DistillerBase):
         max_t = max(x.shape[0] for x in X)
         model_cfg = ModelConfig(
             task="ctc", vocab_size=vocab_size, feature_dim=X[0].shape[1],
-            d_model=self.d_model, enc_layers=self.enc_layers, heads=self.heads,
-            ffn_dim=self.ffn_dim, fusion_layers=self.fusion_layers,
-            max_len=max(64, max_t + 8),
+            max_len=max(64, max_t + 8), **self._fields_of(ModelConfig),
         )
         examples = [Example(x=x, y=t, split="train") for x, t in zip(X, y)]
         self._fit_examples(examples, model_cfg)
@@ -233,8 +211,6 @@ class AedDistiller(_DistillerBase):
     fit(X, y) takes lists of token sequences over 1..V (V inferred).
     predict(X) decodes greedily from the source alone.
     """
-
-    task = "aed"
 
     def __init__(self, alpha: float = 5.0, lambda_mask: float = 0.5,
                  temperature: float = 1.0, stop_teacher_grad: bool = False,
@@ -271,10 +247,8 @@ class AedDistiller(_DistillerBase):
         vocab_size = max(max(max(t) for t in y), max(max(s) for s in X))
         max_l = max(max(len(t) for t in y), max(len(s) for s in X))
         model_cfg = ModelConfig(
-            task="aed", vocab_size=vocab_size, d_model=self.d_model,
-            enc_layers=self.enc_layers, dec_layers=self.dec_layers,
-            heads=self.heads, ffn_dim=self.ffn_dim,
-            fusion_layers=self.fusion_layers, max_len=max(64, 2 * max_l + 8),
+            task="aed", vocab_size=vocab_size, max_len=max(64, 2 * max_l + 8),
+            **self._fields_of(ModelConfig),
         )
         examples = [Example(x=x, y=t, split="train") for x, t in zip(X, y)]
         self._fit_examples(examples, model_cfg)

@@ -17,20 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, config_from_mapping, config_to_mapping
-from .ctc import Vocab, ctc_grad, ctc_loss_bruteforce, ctc_loss_dp, kd_loss_ctc, min_frames
+from .config import RunConfig, config_to_mapping
+from .ctc import Vocab, ctc_loss_bruteforce, ctc_loss_dp, kd_loss_ctc, min_frames
 from .ctc import posterior_from_enumeration, ctc_posterior
 from .diagnostics import BoundReport, check_lower_bound, bound_report_from_logits, repetition_ratio
-from .errors import ConfigError, ContractError, TrainingAbort
+from .errors import ContractError
 from .metrics import exact_match_rate, token_error_rate
-from .models import (
-    AedModel,
-    CtcModel,
-    ModelConfig,
-    build_model,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .models import CtcModel, ModelConfig, build_model, save_checkpoint
 from .objectives import Adam, TrainConfig, loss_total, mask_target
 from .tasks import batch_iter, gen_aed_dataset, gen_ctc_dataset, split_examples
 from .tensor import Tensor, backward, grad_check
@@ -203,13 +196,35 @@ def fit_loop(model, train_examples, train_cfg: TrainConfig, on_step=None) -> lis
 
 
 def _acquire_lock(out_dir: Path) -> Path:
+    """Create ``.lock`` holding this process's pid.  An existing lock is
+    reported with its holder's pid and whether that process still runs,
+    and is never taken over: only a person can tell that it is safe."""
     lock = out_dir / ".lock"
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise ContractError(f"output directory {out_dir} is owned by another run (.lock exists)")
-    os.close(fd)
+        raise ContractError(
+            f"output directory {out_dir} is owned by another run ({_lock_holder(lock)})"
+        ) from None
+    with os.fdopen(fd, "w", encoding="ascii") as fh:
+        fh.write(f"{os.getpid()}\n")
     return lock
+
+
+def _lock_holder(lock: Path) -> str:
+    try:
+        pid = int(lock.read_text(encoding="ascii"))
+    except (OSError, ValueError):
+        pid = 0
+    if pid < 1:
+        return ".lock exists, holder unknown"
+    try:
+        os.kill(pid, 0)  # signal 0 only asks whether the process exists
+    except ProcessLookupError:
+        return f".lock held by pid {pid}, which is not running: the lock is stale, remove it"
+    except PermissionError:
+        pass  # it exists, under another user
+    return f".lock held by pid {pid}, which is still running"
 
 
 def train_run(cfg: RunConfig, out_dir: Path, quiet: bool = True) -> TrainResult:
@@ -435,7 +450,7 @@ def grad_check_suite(seed: int = 0, n_ctc: int = 50, full_tol: float = 1e-4) -> 
     for _ in range(2):
         y = tuple(int(t) for t in rng.integers(1, 4, size=2))
         batch.append((rng.standard_normal((5, 4)), y))
-    train_cfg = TrainConfig(task="ctc", alpha=2.0, kd_form="l2", seed=seed)
+    train_cfg = TrainConfig(alpha=2.0, kd_form="l2", seed=seed)
     full = full_gradient_report(model, batch, train_cfg, mask_seed=seed)
 
     passed = worst_ctc <= 1e-5 and worst_kd <= 1e-5 and full["rel_err"] <= full_tol

@@ -14,6 +14,11 @@ under their block's prefix, so they belong to that block's group and the
 read counters still split student from auxiliary.  The norms only feed a
 sublayer's input, so zeroing the sublayer's output projection still turns
 it into the identity, which is what the structural reduction tests rely on.
+
+Both models map one source encoding to student logits with
+``student_head`` and to teacher logits with ``teacher_logits``, so the
+objective, the diagnostics and inference share one path per head.  The
+encoder-decoder greedy decode is one loop, run through either head.
 """
 
 from __future__ import annotations
@@ -51,6 +56,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.task not in ("ctc", "aed"):
             raise ContractError(f"unknown task {self.task!r}")
+        for name in ("d_model", "heads", "ffn_dim"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be positive")
         if self.d_model % self.heads != 0:
             raise ContractError("heads must divide d_model")
         if self.vocab_size < 1:
@@ -326,8 +334,12 @@ class CtcModel(_TransformerBase):
             x = self._encoder_block(f"seq.enc{i}", x)
         return x
 
+    def student_head(self, hidden: Tensor) -> Tensor:
+        """Student frame logits from an already-encoded representation."""
+        return self._head("seq.out", hidden)
+
     def student_logits(self, feats) -> Tensor:
-        return self._head("seq.out", self.encode(feats))
+        return self.student_head(self.encode(feats))
 
     def oracle_guidance(self, tokens) -> Tensor:
         return self.oracle_encode(tokens, self.cfg.vocab_size + 1)
@@ -405,10 +417,14 @@ class AedModel(_TransformerBase):
             x = self._cross_block(f"seq.dec{i}", x, memory, mask=mask)
         return self._head(head, x)
 
-    def student_logits(self, src_tokens, target) -> Tensor:
-        """Teacher-forced logits over len(target) + 1 positions (incl. end)."""
+    def student_head(self, memory: Tensor, target) -> Tensor:
+        """Teacher-forced student logits over len(target) + 1 positions
+        (incl. end) from an already-encoded source."""
         y = self._check_tokens(target, "target")
-        return self.decode_logits(self.encode(src_tokens), [self.bos] + y)
+        return self.decode_logits(memory, [self.bos] + y)
+
+    def student_logits(self, src_tokens, target) -> Tensor:
+        return self.student_head(self.encode(src_tokens), target)
 
     def oracle_guidance(self, tokens) -> Tensor:
         return self.oracle_encode(tokens, self.cfg.vocab_size + 1)
@@ -423,35 +439,27 @@ class AedModel(_TransformerBase):
         fused = self.fuse(memory, self.oracle_guidance(masked_target), capture=capture)
         return self.decode_logits(fused, [self.bos] + y, head="teacher_out")
 
-    def predict(self, src_tokens, max_len: int | None = None) -> tuple[int, ...]:
-        """Greedy autoregressive decode from the source alone."""
-        memory = self.encode(src_tokens)
-        limit = max_len if max_len is not None else min(self.cfg.max_len - 1, 2 * len(list(src_tokens)) + 4)
+    def _greedy(self, memory: Tensor, head: str, max_len: int | None) -> tuple[int, ...]:
+        """Greedy autoregressive decode through ``head`` until the end
+        symbol or the length limit (by default twice the source plus 4)."""
+        limit = max_len if max_len is not None else min(self.cfg.max_len - 1, 2 * memory.shape[0] + 4)
         prefix = [self.bos]
-        out = []
         for _ in range(limit):
-            logits = self.decode_logits(memory, prefix)
+            logits = self.decode_logits(memory, prefix, head=head)
             nxt = int(np.argmax(logits.data[-1]))
             if nxt == self.eos:
                 break
             prefix.append(nxt)
-            out.append(nxt)
-        return tuple(out)
+        return tuple(prefix[1:])
+
+    def predict(self, src_tokens, max_len: int | None = None) -> tuple[int, ...]:
+        """Greedy autoregressive decode from the source alone."""
+        return self._greedy(self.encode(src_tokens), "seq.out", max_len)
 
     def predict_teacher(self, src_tokens, target, masked_target, max_len: int | None = None) -> tuple[int, ...]:
         """Greedy decode with access to the (masked) target via fusion."""
         fused = self.fuse(self.encode(src_tokens), self.oracle_guidance(masked_target))
-        limit = max_len if max_len is not None else min(self.cfg.max_len - 1, 2 * len(list(src_tokens)) + 4)
-        prefix = [self.bos]
-        out = []
-        for _ in range(limit):
-            logits = self.decode_logits(fused, prefix, head="teacher_out")
-            nxt = int(np.argmax(logits.data[-1]))
-            if nxt == self.eos:
-                break
-            prefix.append(nxt)
-            out.append(nxt)
-        return tuple(out)
+        return self._greedy(fused, "teacher_out", max_len)
 
 
 def build_model(config: ModelConfig, seed: int = 0):
@@ -563,18 +571,8 @@ def load_checkpoint(path, seed: int = 0):
             raise CheckpointFormatError(f"unknown section {header!r}")
 
     try:
-        cfg = ModelConfig(
-            task=config_kv["task"],
-            vocab_size=int(config_kv["vocab_size"]),
-            feature_dim=int(config_kv["feature_dim"]),
-            d_model=int(config_kv["d_model"]),
-            enc_layers=int(config_kv["enc_layers"]),
-            dec_layers=int(config_kv["dec_layers"]),
-            heads=int(config_kv["heads"]),
-            ffn_dim=int(config_kv["ffn_dim"]),
-            fusion_layers=int(config_kv["fusion_layers"]),
-            max_len=int(config_kv["max_len"]),
-        )
+        # every field's type is that of its default (str or int)
+        cfg = ModelConfig(**{f.name: type(f.default)(config_kv[f.name]) for f in fields(ModelConfig)})
     except (KeyError, ValueError) as exc:
         raise CheckpointFormatError(f"bad [config] section: {exc}") from exc
 

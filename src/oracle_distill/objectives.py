@@ -5,30 +5,33 @@ source, the teacher's sequence loss given source plus (masked) target, and
 a distillation bridge between the two output distributions, weighted by
 ``alpha``.  The teacher is recomputed from the live parameters at every
 step; nothing is cached across steps.
+
+One per-example function builds all three terms from one source encoding.
+``loss_total`` averages them over the batch; ``loss_org``, ``loss_em`` and
+``loss_kd`` are views of it, the first with the teacher off.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as tt
 from .ctc import ctc_loss_dp, kd_loss_ctc, kl_rows
 from .errors import ContractError, TrainingAbort
-from .models import MASK, AedModel, CtcModel
+from .models import MASK, CtcModel
 from .tensor import Tensor
 
 
 @dataclass
 class TrainConfig:
-    """Every knob of a training run.
+    """Every knob of the optimization; the model's shape is a ModelConfig.
 
     ``use_teacher=False`` drops the teacher and distillation terms
     entirely, which is the plain baseline trained in the same harness.
     """
 
-    task: str = "ctc"
     alpha: float = 2.0
     lambda_mask: float = 0.5
     kd_form: str = "l2"
@@ -40,16 +43,8 @@ class TrainConfig:
     batch_size: int = 8
     lr: float = 3e-3
     warmup_steps: int = 40
-    d_model: int = 32
-    enc_layers: int = 2
-    dec_layers: int = 2
-    heads: int = 2
-    ffn_dim: int = 64
-    fusion_layers: int = 1
 
     def __post_init__(self):
-        if self.task not in ("ctc", "aed"):
-            raise ContractError(f"unknown task {self.task!r}")
         if self.alpha < 0:
             raise ContractError("alpha must be nonnegative")
         if not 0.0 <= self.lambda_mask <= 1.0:
@@ -58,7 +53,7 @@ class TrainConfig:
             raise ContractError("temperature must be positive")
         if self.kd_form not in ("l2", "kl"):
             raise ContractError(f"unknown kd_form {self.kd_form!r}")
-        for name in ("steps", "batch_size", "d_model", "heads", "ffn_dim"):
+        for name in ("steps", "batch_size"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be positive")
 
@@ -92,13 +87,18 @@ class LossBreakdown:
 
 @dataclass
 class StepOutputs:
-    """Everything a training step produced, for logging and diagnostics."""
+    """Everything a training step produced, for logging and diagnostics.
+
+    ``terms`` holds the graph tensors (l_org, l_em, l_kd) that ``total``
+    sums; l_em and l_kd are None with the teacher off.
+    """
 
     total: Tensor
     breakdown: LossBreakdown
-    student_logits: list[np.ndarray] = field(default_factory=list)
-    teacher_logits: list = field(default_factory=list)
-    masked_targets: list = field(default_factory=list)
+    terms: tuple
+    student_logits: list[np.ndarray]
+    teacher_logits: list
+    masked_targets: list
 
 
 def _xy(item):
@@ -121,31 +121,12 @@ def _mean_of(terms: list[Tensor]) -> Tensor:
     return tt.scale(acc, 1.0 / len(terms))
 
 
-def _student_item_loss(model, x, y) -> Tensor:
+def _sequence_loss(model, logits: Tensor, y) -> Tensor:
+    """CTC loss of frame logits, or cross-entropy of teacher-forced logits
+    against the target followed by the end symbol."""
     if isinstance(model, CtcModel):
-        return ctc_loss_dp(model.student_logits(x), y, model.vocab)
-    logits = model.student_logits(x, y)
+        return ctc_loss_dp(logits, y, model.vocab)
     return cross_entropy(logits, list(y) + [model.eos])
-
-
-def loss_org(model, batch) -> Tensor:
-    """Mean original sequence loss over the batch, student parameters only."""
-    return _mean_of([_student_item_loss(model, *_xy(item)) for item in batch])
-
-
-def loss_em(model, batch, config: TrainConfig, rng: np.random.Generator) -> Tensor:
-    """Mean teacher-mode sequence loss given source and (masked) target."""
-    terms = []
-    for item in batch:
-        x, y = _xy(item)
-        if isinstance(model, CtcModel):
-            u_t = model.teacher_logits(model.encode(x), y)
-            terms.append(ctc_loss_dp(u_t, y, model.vocab))
-        else:
-            masked = mask_target(y, config.lambda_mask, rng)
-            logits = model.teacher_logits(model.encode(x), y, masked.tokens)
-            terms.append(cross_entropy(logits, list(y) + [model.eos]))
-    return _mean_of(terms)
 
 
 def _kd_item_loss(model, config, u_student: Tensor, u_teacher: Tensor) -> Tensor:
@@ -163,23 +144,27 @@ def _kd_item_loss(model, config, u_student: Tensor, u_teacher: Tensor) -> Tensor
     return kl_rows(p_t, p_s)
 
 
-def loss_kd(model, batch, config: TrainConfig, rng: np.random.Generator) -> Tensor:
-    """Mean distillation loss; gradients reach both student and teacher
-    unless ``stop_teacher_grad`` is set."""
-    terms = []
-    for item in batch:
-        x, y = _xy(item)
-        if isinstance(model, CtcModel):
-            hidden = model.encode(x)
-            u_s = model._head("seq.out", hidden)
-            u_t = model.teacher_logits(hidden, y)
-        else:
-            memory = model.encode(x)
-            u_s = model.decode_logits(memory, [model.bos] + list(y))
-            masked = mask_target(y, config.lambda_mask, rng)
-            u_t = model.teacher_logits(memory, y, masked.tokens)
-        terms.append(_kd_item_loss(model, config, u_s, u_t))
-    return _mean_of(terms)
+def _example_terms(model, x, y, config: TrainConfig, rng):
+    """One example's ``(org, em, kd)`` loss tensors from one ``encode``
+    call, then its student logits, teacher logits and masked target.
+
+    With the teacher off, em, kd and the teacher logits are None; the
+    masked target is None also for CTC, whose teacher sees all of ``y``.
+    """
+    encoded = model.encode(x)
+    ctc = isinstance(model, CtcModel)
+    u_s = model.student_head(encoded) if ctc else model.student_head(encoded, y)
+    org = _sequence_loss(model, u_s, y)
+    if not config.use_teacher:
+        return (org, None, None), u_s, None, None
+    masked = None
+    if ctc:
+        u_t = model.teacher_logits(encoded, y)
+    else:
+        masked = mask_target(y, config.lambda_mask, rng)
+        u_t = model.teacher_logits(encoded, y, masked.tokens)
+    em = _sequence_loss(model, u_t, y)
+    return (org, em, _kd_item_loss(model, config, u_s, u_t)), u_s, u_t, masked
 
 
 def loss_total(model, batch, config: TrainConfig, rng: np.random.Generator) -> StepOutputs:
@@ -191,49 +176,48 @@ def loss_total(model, batch, config: TrainConfig, rng: np.random.Generator) -> S
     batch = list(batch)
     if not batch:
         raise ContractError("empty batch")
-    org_terms: list[Tensor] = []
-    em_terms: list[Tensor] = []
-    kd_terms: list[Tensor] = []
-    outputs = StepOutputs(total=None, breakdown=None)  # filled below
-
+    per_example = []
     for item in batch:
         x, y = _xy(item)
-        y = tuple(int(t) for t in y)
-        u_t = None
-        masked = None
-        if isinstance(model, CtcModel):
-            hidden = model.encode(x)
-            u_s = model._head("seq.out", hidden)
-            org_terms.append(ctc_loss_dp(u_s, y, model.vocab))
-            if config.use_teacher:
-                u_t = model.teacher_logits(hidden, y)
-                em_terms.append(ctc_loss_dp(u_t, y, model.vocab))
-                kd_terms.append(_kd_item_loss(model, config, u_s, u_t))
-        else:
-            memory = model.encode(x)
-            u_s = model.decode_logits(memory, [model.bos] + list(y))
-            org_terms.append(cross_entropy(u_s, list(y) + [model.eos]))
-            if config.use_teacher:
-                masked = mask_target(y, config.lambda_mask, rng)
-                u_t = model.teacher_logits(memory, y, masked.tokens)
-                em_terms.append(cross_entropy(u_t, list(y) + [model.eos]))
-                kd_terms.append(_kd_item_loss(model, config, u_s, u_t))
-        outputs.student_logits.append(u_s.data.copy())
-        outputs.teacher_logits.append(u_t.data.copy() if u_t is not None else None)
-        outputs.masked_targets.append(masked)
+        per_example.append(_example_terms(model, x, tuple(int(t) for t in y), config, rng))
+    orgs, ems, kds = zip(*(terms for terms, *_ in per_example))
 
-    l_org = _mean_of(org_terms)
+    l_org = _mean_of(orgs)
     if config.use_teacher:
-        l_em = _mean_of(em_terms)
-        l_kd = _mean_of(kd_terms)
+        l_em = _mean_of(ems)
+        l_kd = _mean_of(kds)
         total = tt.add(tt.add(l_org, l_em), tt.scale(l_kd, config.alpha))
         breakdown = LossBreakdown(l_org.item(), l_em.item(), l_kd.item(), total.item())
     else:
+        l_em = l_kd = None
         total = l_org
         breakdown = LossBreakdown(l_org.item(), 0.0, 0.0, total.item())
-    outputs.total = total
-    outputs.breakdown = breakdown
-    return outputs
+    return StepOutputs(
+        total=total,
+        breakdown=breakdown,
+        terms=(l_org, l_em, l_kd),
+        student_logits=[u_s.data.copy() for _, u_s, _, _ in per_example],
+        teacher_logits=[None if u_t is None else u_t.data.copy() for _, _, u_t, _ in per_example],
+        masked_targets=[masked for *_, masked in per_example],
+    )
+
+
+def loss_org(model, batch) -> Tensor:
+    """Mean original sequence loss over the batch, student parameters only:
+    ``loss_total`` with the teacher off."""
+    return loss_total(model, batch, TrainConfig(use_teacher=False), None).total
+
+
+def loss_em(model, batch, config: TrainConfig, rng: np.random.Generator) -> Tensor:
+    """Mean teacher-mode sequence loss given source and (masked) target,
+    whether or not ``config`` turns the teacher on."""
+    return loss_total(model, batch, replace(config, use_teacher=True), rng).terms[1]
+
+
+def loss_kd(model, batch, config: TrainConfig, rng: np.random.Generator) -> Tensor:
+    """Mean distillation loss; gradients reach both student and teacher
+    unless ``stop_teacher_grad`` is set."""
+    return loss_total(model, batch, replace(config, use_teacher=True), rng).terms[2]
 
 
 class Adam:
@@ -255,13 +239,19 @@ class Adam:
         return self.lr
 
     def step(self) -> None:
+        """Update every parameter, or, on a non-finite gradient, nothing:
+        all gradients are checked before any parameter, moment or ``t``
+        changes."""
+        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
+        for i, g in enumerate(grads):
+            if not np.all(np.isfinite(g)):
+                raise TrainingAbort(
+                    f"non-finite gradient for parameter {i} of shape {g.shape}; aborting the run"
+                )
         self.t += 1
         lr_t = self.rate()
         b1, b2 = self.beta1, self.beta2
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
-                raise TrainingAbort("non-finite gradient; aborting the run")
+        for p, g, m, v in zip(self.params, grads, self._m, self._v):
             m *= b1
             m += (1 - b1) * g
             v *= b2
@@ -273,7 +263,3 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-
-def train_config_to_dict(cfg: TrainConfig) -> dict[str, str]:
-    return {f.name: str(getattr(cfg, f.name)) for f in fields(TrainConfig)}

@@ -1,0 +1,84 @@
+"""Failures that leave state unchanged and say what went wrong: the
+optimizer step, the output-directory lock and target validation."""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from oracle_distill.config import RunConfig
+from oracle_distill.errors import ContractError, TrainingAbort, VocabularyError
+from oracle_distill.harness import _acquire_lock, train_run
+from oracle_distill.models import AedModel, ModelConfig
+from oracle_distill.objectives import Adam, TrainConfig, loss_em, loss_kd, loss_org, loss_total
+from oracle_distill.tensor import Tensor
+
+
+class TestAtomicAdam:
+    def test_nan_in_a_later_tensor_moves_nothing(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        a.grad = np.array([0.5, -0.5])
+        b = Tensor([[3.0, 4.0]], requires_grad=True)
+        b.grad = np.array([[0.1, np.nan]])
+        opt = Adam([a, b], lr=0.1)
+        with pytest.raises(TrainingAbort, match=r"parameter 1 of shape \(1, 2\)"):
+            opt.step()
+        np.testing.assert_array_equal(a.data, [1.0, 2.0])
+        np.testing.assert_array_equal(b.data, [[3.0, 4.0]])
+        assert opt.t == 0
+        for moment in opt._m + opt._v:
+            assert not moment.any()
+
+
+class TestLock:
+    def test_lock_holds_the_pid_and_names_a_live_holder(self, tmp_path):
+        lock = _acquire_lock(tmp_path)
+        assert lock.read_text() == f"{os.getpid()}\n"
+        with pytest.raises(ContractError, match=rf"pid {os.getpid()}, which is still running"):
+            _acquire_lock(tmp_path)
+
+    def test_lock_of_an_exited_process_is_reported_stale_and_kept(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert child.wait(timeout=60) == 0
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / ".lock").write_text(f"{child.pid}\n")
+        cfg = RunConfig(task="ctc", steps=2, n_examples=40)
+        with pytest.raises(ContractError, match=rf"pid {child.pid}, which is not running"):
+            train_run(cfg, out)
+        assert (out / ".lock").read_text() == f"{child.pid}\n"
+
+    def test_lock_without_a_pid_has_an_unknown_holder(self, tmp_path):
+        (tmp_path / ".lock").touch()
+        with pytest.raises(ContractError, match="holder unknown"):
+            _acquire_lock(tmp_path)
+
+
+def _aed():
+    model = AedModel(
+        ModelConfig(task="aed", vocab_size=4, d_model=8, enc_layers=1, dec_layers=1,
+                    heads=2, ffn_dim=16),
+        seed=0,
+    )
+    return model, TrainConfig(alpha=5.0, lambda_mask=0.5)
+
+
+def test_end_symbol_in_target_rejected_with_teacher_off():
+    model, cfg = _aed()
+    cfg.use_teacher = False
+    batch = [((1, 2), (2, model.eos))]
+    with pytest.raises(VocabularyError):
+        loss_total(model, batch, cfg, np.random.default_rng(0))
+    with pytest.raises(VocabularyError):
+        loss_org(model, batch)
+
+
+def test_term_views_equal_the_total_breakdown():
+    model, cfg = _aed()
+    batch = [((1, 2, 3), (3, 1)), ((4, 2), (2, 2, 1))]
+    b = loss_total(model, batch, cfg, np.random.default_rng(4)).breakdown
+    assert loss_org(model, batch).item() == b.l_org
+    assert loss_em(model, batch, cfg, np.random.default_rng(4)).item() == b.l_em
+    assert loss_kd(model, batch, cfg, np.random.default_rng(4)).item() == b.l_kd

@@ -27,7 +27,7 @@ from oracle_distill.tensor import Tensor, backward, grad_check
 
 
 def ctc_setup(seed=0, vocab_size=2, feature_dim=2, **model_kw):
-    cfg = TrainConfig(task="ctc", alpha=2.0, kd_form="l2", seed=seed)
+    cfg = TrainConfig(alpha=2.0, kd_form="l2", seed=seed)
     model = CtcModel(
         ModelConfig(task="ctc", vocab_size=vocab_size, feature_dim=feature_dim,
                     d_model=8, enc_layers=1, heads=2, ffn_dim=16, **model_kw),
@@ -37,7 +37,7 @@ def ctc_setup(seed=0, vocab_size=2, feature_dim=2, **model_kw):
 
 
 def aed_setup(seed=0, vocab_size=4):
-    cfg = TrainConfig(task="aed", alpha=5.0, kd_form="kl", lambda_mask=0.5, seed=seed)
+    cfg = TrainConfig(alpha=5.0, kd_form="kl", lambda_mask=0.5, seed=seed)
     model = AedModel(
         ModelConfig(task="aed", vocab_size=vocab_size, d_model=8, enc_layers=1,
                     dec_layers=1, heads=2, ffn_dim=16),

@@ -1,0 +1,154 @@
+"""One hyperparameter schema: the run config, the training config, the
+model config and the estimators agree field by field."""
+
+from dataclasses import fields
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracle_distill import AedDistiller, CtcDistiller
+from oracle_distill.config import RunConfig, config_from_mapping, config_to_mapping
+from oracle_distill.errors import ConfigError, ContractError
+from oracle_distill.models import ModelConfig
+from oracle_distill.objectives import TrainConfig
+
+
+def test_every_train_config_field_is_a_run_config_field_with_its_default():
+    run_defaults = {f.name: f.default for f in fields(RunConfig)}
+    for f in fields(TrainConfig):
+        assert f.name in run_defaults, f.name
+        assert run_defaults[f.name] == f.default, f.name
+
+
+def test_run_config_derives_train_and_model_configs_by_field_name():
+    cfg = RunConfig(task="aed", alpha=1.25, steps=9, d_model=12, heads=3, dec_layers=1).resolved()
+    train = cfg.train_config()
+    assert all(getattr(train, f.name) == getattr(cfg, f.name) for f in fields(TrainConfig))
+    model = cfg.model_config()
+    assert all(
+        getattr(model, f.name) == getattr(cfg, f.name)
+        for f in fields(ModelConfig)
+        if f.name != "max_len"
+    )
+
+
+@pytest.mark.parametrize("key", ["d_model", "heads", "ffn_dim"])
+def test_zero_model_width_is_a_config_error(key):
+    with pytest.raises(ConfigError, match=key):
+        config_from_mapping({key: "0"})
+
+
+def test_zero_heads_in_an_estimator_is_a_contract_error():
+    X = [np.zeros((4, 2))]
+    with pytest.raises(ContractError, match="heads"):
+        CtcDistiller(heads=0, steps=1).fit(X, [(1,)])
+
+
+@st.composite
+def run_configs(draw):
+    heads = draw(st.integers(1, 4))
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    len_min = draw(st.integers(1, 5))
+    frames_min = draw(st.integers(1, 3))
+    explicit_lengths = draw(st.booleans())
+    return RunConfig(
+        task=draw(st.sampled_from(["ctc", "aed"])),
+        seed=draw(st.integers(0, 2 ** 31)),
+        steps=draw(st.integers(1, 10 ** 6)),
+        batch_size=draw(st.integers(1, 64)),
+        lr=draw(st.floats(1e-9, 1.0)),
+        warmup_steps=draw(st.integers(0, 1000)),
+        alpha=draw(st.floats(0.0, 100.0)),
+        lambda_mask=draw(unit),
+        kd_form=draw(st.sampled_from(["l2", "kl"])),
+        stop_teacher_grad=draw(st.booleans()),
+        temperature=draw(st.floats(1e-3, 100.0)),
+        use_teacher=draw(st.booleans()),
+        d_model=heads * draw(st.integers(1, 16)),
+        enc_layers=draw(st.integers(0, 4)),
+        dec_layers=draw(st.integers(0, 4)),
+        heads=heads,
+        ffn_dim=draw(st.integers(1, 128)),
+        fusion_layers=draw(st.integers(0, 3)),
+        n_examples=draw(st.integers(1, 5000)),
+        data_seed=draw(st.integers(-1, 2 ** 31)),
+        vocab_size=draw(st.sampled_from([-1]) | st.integers(6, 40)),
+        len_min=len_min if explicit_lengths else -1,
+        len_max=len_min + draw(st.integers(0, 5)) if explicit_lengths else -1,
+        frames_min=frames_min,
+        frames_max=frames_min + draw(st.integers(0, 3)),
+        feature_dim=draw(st.integers(1, 16)),
+        noise=draw(st.floats(0.0, 5.0)),
+        ambiguity=draw(unit),
+        rule=draw(st.sampled_from(["reverse", "cipher", "sort"])),
+        copy_noise=draw(unit),
+        eval_every=draw(st.integers(-1, 1000)),
+        checkpoint_every=draw(st.integers(-1, 1000)),
+        out_dir=draw(st.text("abc/_-.0123", max_size=12)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_configs())
+def test_config_mapping_roundtrip_property(cfg):
+    again = config_from_mapping(config_to_mapping(cfg))
+    assert again == cfg
+
+
+# ---------------------------------------------------------------------------
+# estimators
+# ---------------------------------------------------------------------------
+
+SMALL = dict(d_model=8, heads=2, ffn_dim=16, enc_layers=1, fusion_layers=1)
+
+
+def _ctc_data():
+    rng = np.random.default_rng(0)
+    X = [rng.standard_normal((6, 3)) for _ in range(4)]
+    y = [(1, 2), (2,), (3, 1), (1,)]
+    return X, y
+
+
+def _aed_data():
+    X = [(1, 2, 3), (2, 3), (4, 1, 2), (3, 3)]
+    y = [(3, 2, 1), (3, 2), (2, 1, 4), (3, 3)]
+    return X, y
+
+
+ESTIMATORS = [
+    (CtcDistiller, _ctc_data, dict(alpha=1.5, kd_form="kl")),
+    (AedDistiller, _aed_data, dict(alpha=4.0, lambda_mask=0.25, temperature=2.0, dec_layers=1)),
+]
+
+
+@pytest.mark.parametrize("cls, _, changed", ESTIMATORS)
+def test_estimator_params_roundtrip(cls, _, changed):
+    est = cls()
+    params = est.get_params()
+    assert cls(**params).get_params() == params
+    assert est.set_params(**changed) is est
+    assert est.get_params() == {**params, **changed}
+    assert cls(**est.get_params()).get_params() == est.get_params()
+
+
+@pytest.mark.parametrize("cls, _, __", ESTIMATORS)
+def test_estimator_rejects_unknown_params(cls, _, __):
+    with pytest.raises(ValueError, match="invalid parameter 'alpha_ramp'"):
+        cls().set_params(alpha_ramp=1.0)
+    with pytest.raises(TypeError):
+        cls(alpha_ramp=1.0)
+
+
+@pytest.mark.parametrize("cls, data, changed", ESTIMATORS)
+def test_fit_stores_train_config_from_params(cls, data, changed):
+    X, y = data()
+    est = cls(steps=2, batch_size=2, **SMALL, **changed).fit(X, y)
+    params = est.get_params()
+    for f in fields(TrainConfig):
+        assert getattr(est.train_config_, f.name) == params.get(f.name, f.default), f.name
+    assert est.n_iter_ == 2
+    report = est.evaluate(X, y)
+    assert report["aux_param_reads_during_predict"] == 0
+    assert report["target_reads_during_predict"] == 0
