@@ -78,32 +78,20 @@ class RunConfig:
 
     # -- derived views ------------------------------------------------------
 
+    def _build(self, schema, **given):
+        """``schema`` with every field not in ``given`` read from here by name."""
+        return schema(
+            **{f.name: getattr(self, f.name) for f in fields(schema) if f.name not in given},
+            **given,
+        )
+
     def train_config(self) -> TrainConfig:
-        cfg = self.resolved()
-        return TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
+        return self.resolved()._build(TrainConfig)
 
     def task_spec(self):
         cfg = self.resolved()
-        if cfg.task == "ctc":
-            return CtcTaskSpec(
-                vocab_size=cfg.vocab_size,
-                len_min=cfg.len_min,
-                len_max=cfg.len_max,
-                frames_min=cfg.frames_min,
-                frames_max=cfg.frames_max,
-                feature_dim=cfg.feature_dim,
-                noise=cfg.noise,
-                ambiguity=cfg.ambiguity,
-                seed=cfg.data_seed,
-            )
-        return AedTaskSpec(
-            vocab_size=cfg.vocab_size,
-            len_min=cfg.len_min,
-            len_max=cfg.len_max,
-            rule=cfg.rule,
-            copy_noise=cfg.copy_noise,
-            seed=cfg.data_seed,
-        )
+        spec = CtcTaskSpec if cfg.task == "ctc" else AedTaskSpec
+        return cfg._build(spec, seed=cfg.data_seed)
 
     def model_config(self) -> ModelConfig:
         cfg = self.resolved()
@@ -111,8 +99,7 @@ class RunConfig:
             longest = max(cfg.len_max * cfg.frames_max, 2 * cfg.len_max + 1) + cfg.len_max
         else:
             longest = 2 * cfg.len_max + 8
-        shape = {f.name: getattr(cfg, f.name) for f in fields(ModelConfig) if f.name != "max_len"}
-        return ModelConfig(**shape, max_len=max(64, longest))
+        return cfg._build(ModelConfig, max_len=max(64, longest))
 
 
 _CASTERS = {int: int, float: float, str: str, bool: _parse_bool}

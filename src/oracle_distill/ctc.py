@@ -3,9 +3,16 @@ forward-backward loss, alignment posteriors, analytic gradients, greedy
 decoding, and the frame-level distillation losses.
 
 Two independent routes compute the same quantities: an exhaustive
-enumeration over all label paths (the trust anchor, usable only for tiny
-instances) and the dynamic-programming recursion over the blank-extended
-target (the one that scales).  Tests hold them to 1e-9 agreement.
+enumeration over all label paths, scored by ``path_log_probs`` (the trust
+anchor, usable only for tiny instances), and the dynamic-programming
+recursion over the blank-extended target (the one that scales).  Tests
+hold them to 1e-9 agreement.
+
+The recursion is written once, as the forward pass ``_forward``,
+vectorised over the lattice states with one Python loop over frames.  The
+backward variables are that same pass run on the time- and
+state-reversed lattice, whose states are the blank-extended reversed
+target, and then flipped back.
 """
 
 from __future__ import annotations
@@ -101,13 +108,17 @@ def _as_logits(u) -> np.ndarray:
     return data
 
 
-def _log_softmax_rows(u: np.ndarray) -> np.ndarray:
+def log_softmax_rows(u: np.ndarray) -> np.ndarray:
+    """Log frame posteriors: the log-softmax of each row of ``u``."""
     shifted = u - u.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _softmax_rows(u: np.ndarray) -> np.ndarray:
-    return np.exp(_log_softmax_rows(u))
+def path_log_probs(u: np.ndarray, paths) -> np.ndarray:
+    """Log-probability of each enumerated path under the logits ``u``:
+    the sum over frames, left to right, of its log frame posteriors."""
+    lp = log_softmax_rows(u)
+    return np.array([sum(lp[t, k] for t, k in enumerate(z)) for z in paths])
 
 
 def _logsumexp(values) -> float:
@@ -117,99 +128,99 @@ def _logsumexp(values) -> float:
     return m + math.log(sum(math.exp(v - m) for v in values))
 
 
-def ctc_loss_bruteforce(u, y, vocab: Vocab, cap: int = ENUMERATION_CAP) -> float:
-    """-log sum over enumerated paths of the product of frame posteriors."""
+def _inputs(u, y, vocab: Vocab) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Validated T x K logits and target, shared by the DP and the oracles."""
     data = _as_logits(u)
     y = _check_target(y, vocab)
     if data.shape[1] != vocab.size:
         raise ShapeError("logit width must equal vocab size")
+    return data, y
+
+
+def _scored_paths(u, y, vocab: Vocab, cap: int):
+    """Validated logits, every path collapsing to ``y``, and their log-probabilities."""
+    data, y = _inputs(u, y, vocab)
     paths = enumerate_alignments(y, data.shape[0], vocab, cap=cap)
     if not paths:
         raise InfeasibleTargetError(
             f"no length-{data.shape[0]} path collapses to target of length {len(y)}"
         )
-    lp = _log_softmax_rows(data)
-    path_logps = [sum(lp[t, k] for t, k in enumerate(z)) for z in paths]
-    return -_logsumexp(path_logps)
+    return data, paths, path_log_probs(data, paths)
+
+
+def ctc_loss_bruteforce(u, y, vocab: Vocab, cap: int = ENUMERATION_CAP) -> float:
+    """-log sum over enumerated paths of the product of frame posteriors."""
+    return -_logsumexp(list(_scored_paths(u, y, vocab, cap)[2]))
 
 
 def _extended(y) -> np.ndarray:
-    ext = [BLANK]
-    for t in y:
-        ext.append(t)
-        ext.append(BLANK)
-    return np.asarray(ext, dtype=np.int64)
+    """The blank-extended target: a blank before, between and after labels."""
+    ext = np.full(2 * len(y) + 1, BLANK, dtype=np.int64)
+    ext[1::2] = y
+    return ext
 
 
-def _forward_backward(lp: np.ndarray, y) -> tuple[float, np.ndarray]:
-    """Log-space recursion over the blank-extended target.
+def _skip_mask(ext: np.ndarray) -> np.ndarray:
+    """True where a path may jump from state s-2 to s: into a label that
+    differs from the label two states back."""
+    skip = np.zeros(ext.size, dtype=bool)
+    skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+    return skip
 
-    Returns (negative log-likelihood, per-frame label posterior sigma).
-    ``lp`` holds log frame posteriors, shape T x K.
+
+def _forward(lp_ext: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Forward log-variables over a blank-extended lattice.
+
+    ``lp_ext[t, s]`` is the log posterior at frame t of state s's label;
+    paths start in state 0 or 1 and move 0, 1 or (where ``skip``) 2
+    states per frame.  alpha[t, s] includes ``lp_ext[t, s]``.
     """
-    n_frames, n_labels = lp.shape
-    ext = _extended(y)
-    S = ext.size
-    NEG = -np.inf
-
-    alpha = np.full((n_frames, S), NEG)
-    alpha[0, 0] = lp[0, ext[0]]
-    if S > 1:
-        alpha[0, 1] = lp[0, ext[1]]
+    n_frames, n_states = lp_ext.shape
+    # two leading -inf columns stand for the states s-1 and s-2 of s = 0;
+    # adding skip_add (0 or -inf) to the s-2 term drops the barred jumps
+    alpha = np.full((n_frames, n_states + 2), -np.inf)
+    alpha[0, 2:4] = lp_ext[0, :2]
+    skip_add = np.where(skip, 0.0, -np.inf)
     for t in range(1, n_frames):
-        for s in range(S):
-            terms = [alpha[t - 1, s]]
-            if s >= 1:
-                terms.append(alpha[t - 1, s - 1])
-            if s >= 2 and ext[s] != BLANK and ext[s] != ext[s - 2]:
-                terms.append(alpha[t - 1, s - 2])
-            prev = _logsumexp(terms)
-            alpha[t, s] = prev + lp[t, ext[s]] if prev != NEG else NEG
-
-    tail = [alpha[n_frames - 1, S - 1]]
-    if S > 1:
-        tail.append(alpha[n_frames - 1, S - 2])
-    loglik = _logsumexp(tail)
-    if loglik == NEG:
-        raise InfeasibleTargetError("target cannot be aligned to the given frames")
-
-    beta = np.full((n_frames, S), NEG)
-    beta[n_frames - 1, S - 1] = lp[n_frames - 1, ext[S - 1]]
-    if S > 1:
-        beta[n_frames - 1, S - 2] = lp[n_frames - 1, ext[S - 2]]
-    for t in range(n_frames - 2, -1, -1):
-        for s in range(S):
-            terms = [beta[t + 1, s]]
-            if s + 1 < S:
-                terms.append(beta[t + 1, s + 1])
-            if s + 2 < S and ext[s + 2] != BLANK and ext[s + 2] != ext[s]:
-                terms.append(beta[t + 1, s + 2])
-            nxt = _logsumexp(terms)
-            beta[t, s] = nxt + lp[t, ext[s]] if nxt != NEG else NEG
-
-    # state occupancy: alpha and beta both include lp at (t, s), divide once
-    with np.errstate(invalid="ignore"):
-        log_gamma = alpha + beta - lp[:, ext] - loglik
-    log_gamma[np.isnan(log_gamma)] = NEG
-    gamma = np.exp(log_gamma)
-
-    sigma = np.zeros((n_frames, n_labels))
-    for s, k in enumerate(ext):
-        sigma[:, k] += gamma[:, s]
-    sigma /= sigma.sum(axis=1, keepdims=True)
-    return -loglik, sigma
+        prev = alpha[t - 1]
+        stay_or_step = np.logaddexp(prev[2:], prev[1:-1])
+        alpha[t, 2:] = np.logaddexp(stay_or_step, prev[:-2] + skip_add) + lp_ext[t]
+    return alpha[:, 2:]
 
 
-def _dp_inputs(u, y, vocab: Vocab):
-    data = _as_logits(u)
-    y = _check_target(y, vocab)
-    if data.shape[1] != vocab.size:
-        raise ShapeError("logit width must equal vocab size")
+def _dp(u, y, vocab: Vocab) -> tuple[float, np.ndarray, np.ndarray]:
+    """The one DP entry: validate, take the log-softmax once, run the
+    recursion forward and on the reversed lattice.
+
+    Returns (negative log-likelihood, alignment posterior sigma, analytic
+    gradient softmax(u) - sigma).
+    """
+    data, y = _inputs(u, y, vocab)
     if data.shape[0] < min_frames(y):
         raise InfeasibleTargetError(
             f"{data.shape[0]} frames cannot carry a target needing {min_frames(y)}"
         )
-    return data, y
+    lp = log_softmax_rows(data)
+    ext = _extended(y)
+    lp_ext = lp[:, ext]
+    alpha = _forward(lp_ext, _skip_mask(ext))
+    loglik = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
+    if loglik == -np.inf:
+        raise InfeasibleTargetError("target cannot be aligned to the given frames")
+    # the reversed lattice's states are the blank-extended reversed target
+    beta = _forward(lp_ext[::-1, ::-1], _skip_mask(ext[::-1]))[::-1, ::-1]
+
+    # state occupancy: alpha and beta both include lp at (t, s), divide once
+    with np.errstate(invalid="ignore"):
+        log_gamma = alpha + beta - lp_ext - loglik
+    # logits near +-1e308 can drive lp to -inf, and -inf - -inf is NaN
+    log_gamma[np.isnan(log_gamma)] = -np.inf
+    gamma = np.exp(log_gamma)
+
+    sigma = np.zeros_like(lp)
+    np.add.at(sigma, (slice(None), ext), gamma)  # per label, in state order
+    sigma /= sigma.sum(axis=1, keepdims=True)
+    return -float(loglik), sigma, np.exp(lp) - sigma
 
 
 def ctc_loss_dp(u, y, vocab: Vocab) -> Tensor:
@@ -218,40 +229,27 @@ def ctc_loss_dp(u, y, vocab: Vocab) -> Tensor:
     Differentiable: the backward rule is the analytic gradient
     softmax(u) - sigma, where sigma is the alignment posterior.
     """
-    data, y = _dp_inputs(u, y, vocab)
-    loss, sigma = _forward_backward(_log_softmax_rows(data), y)
-    u_t = as_tensor(u)
-    grad = _softmax_rows(data) - sigma
+    loss, _, grad = _dp(u, y, vocab)
 
     def bwd(g):
         return (float(g) * grad,)
 
-    return custom_op(loss, (u_t,), bwd)
+    return custom_op(loss, (as_tensor(u),), bwd)
 
 
 def ctc_posterior(u, y, vocab: Vocab) -> np.ndarray:
     """Alignment posterior sigma[t, k] = P(path label k at frame t | target)."""
-    data, y = _dp_inputs(u, y, vocab)
-    _, sigma = _forward_backward(_log_softmax_rows(data), y)
-    return sigma
+    return _dp(u, y, vocab)[1]
 
 
 def ctc_grad(u, y, vocab: Vocab) -> np.ndarray:
     """Analytic d(loss)/d(logits): frame posterior minus alignment posterior."""
-    data, y = _dp_inputs(u, y, vocab)
-    _, sigma = _forward_backward(_log_softmax_rows(data), y)
-    return _softmax_rows(data) - sigma
+    return _dp(u, y, vocab)[2]
 
 
 def posterior_from_enumeration(u, y, vocab: Vocab, cap: int = ENUMERATION_CAP) -> np.ndarray:
     """Path-weighted label frequencies; the oracle for ctc_posterior."""
-    data = _as_logits(u)
-    y = _check_target(y, vocab)
-    paths = enumerate_alignments(y, data.shape[0], vocab, cap=cap)
-    if not paths:
-        raise InfeasibleTargetError("no feasible path")
-    lp = _log_softmax_rows(data)
-    logw = np.array([sum(lp[t, k] for t, k in enumerate(z)) for z in paths])
+    data, paths, logw = _scored_paths(u, y, vocab, cap)
     w = np.exp(logw - _logsumexp(list(logw)))
     sigma = np.zeros_like(data)
     for weight, z in zip(w, paths):

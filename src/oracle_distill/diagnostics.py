@@ -25,9 +25,10 @@ import numpy as np
 from .ctc import (
     ENUMERATION_CAP,
     Vocab,
-    _log_softmax_rows,
     enumerate_alignments,
     kd_loss_ctc,
+    log_softmax_rows,
+    path_log_probs,
 )
 from .errors import ContractError
 from .models import AedModel, CtcModel
@@ -65,11 +66,6 @@ def kl_discrete(p, q) -> float:
     return total
 
 
-def _path_log_probs(logits: np.ndarray, paths) -> np.ndarray:
-    lp = _log_softmax_rows(logits)
-    return np.array([sum(lp[t, k] for t, k in enumerate(z)) for z in paths])
-
-
 def _normalized(logw: np.ndarray) -> np.ndarray:
     m = logw.max()
     w = np.exp(logw - m)
@@ -84,8 +80,8 @@ def bound_report_from_logits(student_logits, teacher_logits, y, vocab: Vocab,
     paths = enumerate_alignments(y, student_logits.shape[0], vocab, cap=cap)
     if not paths:
         raise ContractError("no feasible alignment for this instance")
-    lp_student = _path_log_probs(student_logits, paths)
-    lp_teacher = _path_log_probs(teacher_logits, paths)
+    lp_student = path_log_probs(student_logits, paths)
+    lp_teacher = path_log_probs(teacher_logits, paths)
     w = _normalized(lp_teacher)
     p_cond = _normalized(lp_student)
 
@@ -143,8 +139,8 @@ def aed_bound_report(model: AedModel, x, y, masked_tokens) -> BoundReport:
     targets = y + [model.eos]
     u_s = model.decode_logits(memory, [model.bos] + y).data
     u_t = model.teacher_logits(memory, y, masked_tokens).data
-    p_s = np.exp(_log_softmax_rows(u_s))
-    p_t = np.exp(_log_softmax_rows(u_t))
+    p_s = np.exp(log_softmax_rows(u_s))
+    p_t = np.exp(log_softmax_rows(u_t))
     loglik = float(sum(math.log(p_s[i, t]) for i, t in enumerate(targets)))
     kl = float(sum(kl_discrete(p_t[i], p_s[i]) for i in range(len(targets))))
     entropy = -float(np.sum(p_t * np.log(np.maximum(p_t, 1e-300))))
@@ -178,10 +174,10 @@ def kd_vs_q_gap(model: CtcModel, x, y) -> dict[str, float]:
 
 def frame_posteriors(model: CtcModel, x, y=None) -> dict[str, np.ndarray]:
     """Frame-level softmax grids; the teacher grid needs the target."""
-    grids = {"student": np.exp(_log_softmax_rows(model.student_logits(x).data))}
+    grids = {"student": np.exp(log_softmax_rows(model.student_logits(x).data))}
     if y is not None:
         u_t = model.teacher_logits(model.encode(x), y)
-        grids["teacher"] = np.exp(_log_softmax_rows(u_t.data))
+        grids["teacher"] = np.exp(log_softmax_rows(u_t.data))
     return grids
 
 

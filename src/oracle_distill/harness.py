@@ -23,7 +23,7 @@ from .ctc import posterior_from_enumeration, ctc_posterior
 from .diagnostics import BoundReport, check_lower_bound, bound_report_from_logits, repetition_ratio
 from .errors import ContractError
 from .metrics import exact_match_rate, token_error_rate
-from .models import CtcModel, ModelConfig, build_model, save_checkpoint
+from .models import AUX_PREFIXES, CtcModel, ModelConfig, build_model, save_checkpoint
 from .objectives import Adam, TrainConfig, loss_total, mask_target
 from .tasks import batch_iter, gen_aed_dataset, gen_ctc_dataset, split_examples
 from .tensor import Tensor, backward, grad_check
@@ -127,7 +127,7 @@ def evaluate(model, examples, mode: str, train_cfg: TrainConfig, mask_seed: int 
     if mode == "student":
         for x in sources:
             predictions.append(model.predict(x))
-        aux_reads = model.store.reads_with_prefix("oracle.", "fusion.", "teacher_out.")
+        aux_reads = model.store.reads_with_prefix(*AUX_PREFIXES)
         target_reads = counted.reads
         if aux_reads or target_reads:
             raise ContractError(
@@ -142,7 +142,7 @@ def evaluate(model, examples, mode: str, train_cfg: TrainConfig, mask_seed: int 
             else:
                 masked = mask_target(y, train_cfg.lambda_mask, rng)
                 predictions.append(model.predict_teacher(x, y, masked.tokens))
-        aux_reads = model.store.reads_with_prefix("oracle.", "fusion.", "teacher_out.")
+        aux_reads = model.store.reads_with_prefix(*AUX_PREFIXES)
         target_reads = counted.reads
 
     references = [counted.get(i) for i in range(len(counted))]

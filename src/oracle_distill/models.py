@@ -23,8 +23,10 @@ encoder-decoder greedy decode is one loop, run through either head.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass, fields
 
@@ -56,9 +58,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.task not in ("ctc", "aed"):
             raise ContractError(f"unknown task {self.task!r}")
-        for name in ("d_model", "heads", "ffn_dim"):
+        for name in ("feature_dim", "d_model", "heads", "ffn_dim"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be positive")
+        for name in ("enc_layers", "dec_layers", "fusion_layers"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"{name} must be nonnegative")
         if self.d_model % self.heads != 0:
             raise ContractError("heads must divide d_model")
         if self.vocab_size < 1:
@@ -136,7 +141,7 @@ def sinusoidal_positions(n: int, d: int) -> np.ndarray:
     angle = pos / np.power(10000.0, dim / d)
     pe = np.zeros((n, d))
     pe[:, 0::2] = np.sin(angle)
-    pe[:, 1::2] = np.cos(angle[:, : d - d // 2])
+    pe[:, 1::2] = np.cos(angle[:, : d // 2])
     pe.flags.writeable = False
     return pe
 
@@ -518,8 +523,17 @@ def save_checkpoint(model, path, run_config: dict | None = None) -> None:
         flat = t.data.reshape(-1)
         lines.append(" ".join(float.hex(float(v)) for v in flat))
     lines.append("[end]")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # written beside the target and swapped in, so a failed write leaves
+    # any checkpoint already at ``path`` as it was
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, seed: int = 0):

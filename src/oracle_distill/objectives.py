@@ -51,6 +51,8 @@ class TrainConfig:
             raise ContractError("lambda_mask must lie in [0, 1]")
         if self.temperature <= 0:
             raise ContractError("temperature must be positive")
+        if self.lr <= 0:
+            raise ContractError("lr must be positive")
         if self.kd_form not in ("l2", "kl"):
             raise ContractError(f"unknown kd_form {self.kd_form!r}")
         for name in ("steps", "batch_size"):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracle_distill import ctc
 from oracle_distill import tensor as T
 from oracle_distill.ctc import (
     BLANK,
@@ -298,3 +301,71 @@ class TestGreedyDecode:
     def test_ties_break_to_lowest_index(self):
         u = np.zeros((1, 3))
         assert greedy_decode(u) == ()  # argmax picks blank at index 0
+
+
+# ---------------------------------------------------------------------------
+# properties of the DP against the enumeration oracle
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def feasible_instances(draw, max_t=7, max_k=4):
+    """(logits, target, vocab) with T <= 7, K <= 4 and a feasible target;
+    small alphabets make repeated labels common, and T shrinks towards
+    min_frames(y)."""
+    vocab = Vocab(draw(st.integers(2, max_k)))
+    y = tuple(draw(st.lists(st.integers(1, vocab.size - 1), min_size=1, max_size=4)))
+    n_frames = min_frames(y) + draw(st.integers(0, max_t - min_frames(y)))
+    entries = st.floats(-6.0, 6.0, allow_nan=False)
+    u = np.array(draw(st.lists(entries, min_size=n_frames * vocab.size,
+                               max_size=n_frames * vocab.size)))
+    return u.reshape(n_frames, vocab.size), y, vocab
+
+
+# repeated labels at the minimum frame count: every path is forced through
+# the blank between the repeats
+REPEATS_AT_MIN_FRAMES = (np.linspace(-2.0, 2.0, 12).reshape(4, 3), (1, 1, 2), Vocab(3))
+
+
+@settings(max_examples=40, deadline=None)
+@example(REPEATS_AT_MIN_FRAMES)
+@given(feasible_instances())
+def test_dp_loss_matches_enumeration_property(case):
+    u, y, vocab = case
+    assert ctc_loss_dp(u, y, vocab).item() == pytest.approx(
+        ctc_loss_bruteforce(u, y, vocab), rel=0, abs=1e-9
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@example(REPEATS_AT_MIN_FRAMES)
+@given(feasible_instances())
+def test_dp_posterior_matches_enumeration_property(case):
+    u, y, vocab = case
+    np.testing.assert_allclose(
+        ctc_posterior(u, y, vocab), posterior_from_enumeration(u, y, vocab), rtol=0, atol=1e-9
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@example(REPEATS_AT_MIN_FRAMES)
+@given(feasible_instances())
+def test_dp_loss_is_invariant_under_time_reversal(case):
+    # a path for y read backwards is a path for y reversed, with the same
+    # probability; the backward pass runs the forward one on this lattice
+    u, y, vocab = case
+    forward = ctc_loss_dp(u, y, vocab).item()
+    assert ctc_loss_dp(u[::-1], y[::-1], vocab).item() == pytest.approx(forward, rel=0, abs=1e-12)
+
+
+def test_reversed_lattice_needs_the_skip_mask_of_the_reversed_target(monkeypatch):
+    # in (1, 1, 2) the jump into the second 1 is barred but the jump into
+    # the 2 is allowed; reversed, the 2 comes first and the barred jump
+    # moves, so a mask built from the unreversed target gives a wrong beta
+    u, y, vocab = np.linspace(-2.0, 2.0, 18).reshape(6, 3), (1, 1, 2), Vocab(3)
+    oracle = posterior_from_enumeration(u, y, vocab)
+    np.testing.assert_allclose(ctc_posterior(u, y, vocab), oracle, rtol=0, atol=1e-9)
+    unreversed = ctc._extended(y)
+    skip_mask = ctc._skip_mask
+    monkeypatch.setattr(ctc, "_skip_mask", lambda ext: skip_mask(unreversed))
+    assert np.abs(ctc_posterior(u, y, vocab) - oracle).max() > 1e-3

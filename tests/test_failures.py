@@ -1,5 +1,6 @@
 """Failures that leave state unchanged and say what went wrong: the
-optimizer step, the output-directory lock and target validation."""
+optimizer step, checkpoint writes, the output-directory lock and target
+validation."""
 
 import os
 import subprocess
@@ -10,8 +11,9 @@ import pytest
 
 from oracle_distill.config import RunConfig
 from oracle_distill.errors import ContractError, TrainingAbort, VocabularyError
+from oracle_distill import models
 from oracle_distill.harness import _acquire_lock, train_run
-from oracle_distill.models import AedModel, ModelConfig
+from oracle_distill.models import AedModel, ModelConfig, save_checkpoint
 from oracle_distill.objectives import Adam, TrainConfig, loss_em, loss_kd, loss_org, loss_total
 from oracle_distill.tensor import Tensor
 
@@ -30,6 +32,55 @@ class TestAtomicAdam:
         assert opt.t == 0
         for moment in opt._m + opt._v:
             assert not moment.any()
+
+
+class TestAtomicCheckpoint:
+    def _model(self, seed):
+        return models.CtcModel(
+            ModelConfig(task="ctc", vocab_size=3, feature_dim=4, d_model=8, enc_layers=1,
+                        heads=2, ffn_dim=16),
+            seed=seed,
+        )
+
+    def test_write_failing_mid_file_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(self._model(0), path)
+        old = path.read_bytes()
+
+        class HalfWritten:
+            """A file that takes half of what it is given, then runs out of space."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(models, "open", lambda *a, **kw: HalfWritten(open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(self._model(1), path)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+    def test_failed_swap_removes_the_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+
+        def no_replace(src, dst):
+            raise PermissionError("replace refused")
+
+        monkeypatch.setattr(models.os, "replace", no_replace)
+        with pytest.raises(PermissionError):
+            save_checkpoint(self._model(0), path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestLock:

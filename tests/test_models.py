@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle_distill import tensor as T
 from oracle_distill.errors import (
@@ -18,6 +23,7 @@ from oracle_distill.models import (
     is_student_param,
     load_checkpoint,
     save_checkpoint,
+    sinusoidal_positions,
     tie_teacher_head,
     zero_cross_attention,
     zero_fusion,
@@ -354,3 +360,49 @@ def test_build_model_dispatches_on_task():
 def test_heads_must_divide_width():
     with pytest.raises(ContractError):
         ModelConfig(d_model=9, heads=2)
+
+
+def test_odd_model_width_builds():
+    table = sinusoidal_positions(5, 3)
+    np.testing.assert_array_equal(table[:, 1], np.cos(np.arange(5.0)))
+    assert build_model(ModelConfig(d_model=3, heads=1), seed=0).cfg.d_model == 3
+
+
+@st.composite
+def checkpointed_models(draw):
+    heads = draw(st.integers(1, 2))
+    cfg = ModelConfig(
+        task=draw(st.sampled_from(["ctc", "aed"])),
+        vocab_size=draw(st.integers(1, 4)),
+        feature_dim=draw(st.integers(1, 3)),
+        d_model=heads * draw(st.integers(1, 3)),
+        enc_layers=draw(st.integers(0, 1)),
+        dec_layers=draw(st.integers(0, 1)),
+        heads=heads,
+        ffn_dim=draw(st.integers(1, 4)),
+        fusion_layers=draw(st.integers(0, 1)),
+        max_len=draw(st.integers(8, 16)),
+    )
+    model = build_model(cfg, seed=draw(st.integers(0, 2 ** 16)))
+    # overwrite one parameter with arbitrary floats: signed zeros,
+    # subnormals, huge values and infinities must survive the hex format
+    name = draw(st.sampled_from(sorted(model.store.names())))
+    target = model.store.peek(name).data
+    values = draw(st.lists(st.floats(allow_nan=False), min_size=target.size, max_size=target.size))
+    target[...] = np.reshape(values, target.shape)
+    keys = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+    run_config = draw(st.none() | st.dictionaries(keys, st.text("abc0123456789.-_/ ", max_size=10)))
+    return model, run_config
+
+
+@settings(max_examples=30, deadline=None)
+@given(checkpointed_models())
+def test_checkpoint_save_load_save_is_byte_identical(case):
+    model, run_config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.ckpt"), Path(tmp, "b.ckpt")
+        save_checkpoint(model, first, run_config=run_config)
+        loaded, run_kv = load_checkpoint(first)
+        assert run_kv == (run_config or {})
+        save_checkpoint(loaded, second, run_config=run_kv)
+        assert first.read_bytes() == second.read_bytes()

@@ -13,6 +13,7 @@ from oracle_distill.config import RunConfig, config_from_mapping, config_to_mapp
 from oracle_distill.errors import ConfigError, ContractError
 from oracle_distill.models import ModelConfig
 from oracle_distill.objectives import TrainConfig
+from oracle_distill.tasks import AedTaskSpec, CtcTaskSpec
 
 
 def test_every_train_config_field_is_a_run_config_field_with_its_default():
@@ -152,3 +153,53 @@ def test_fit_stores_train_config_from_params(cls, data, changed):
     report = est.evaluate(X, y)
     assert report["aux_param_reads_during_predict"] == 0
     assert report["target_reads_during_predict"] == 0
+
+
+@pytest.mark.parametrize("spec", [CtcTaskSpec, AedTaskSpec])
+def test_every_task_spec_field_but_seed_is_a_run_config_field(spec):
+    run_fields = {f.name for f in fields(RunConfig)}
+    assert {f.name for f in fields(spec)} - {"seed"} <= run_fields
+
+
+@pytest.mark.parametrize("task", ["ctc", "aed"])
+def test_task_spec_reads_run_config_fields_by_name(task):
+    cfg = RunConfig(task=task, seed=4, data_seed=9, len_min=2, len_max=3, vocab_size=7,
+                    frames_max=5, feature_dim=3, rule="sort", copy_noise=0.25)
+    spec = cfg.task_spec()
+    assert spec.seed == 9
+    for f in fields(spec):
+        if f.name != "seed":
+            assert getattr(spec, f.name) == getattr(cfg, f.name), f.name
+
+
+OUT_OF_RANGE = [
+    ("enc_layers", -3), ("dec_layers", -2), ("fusion_layers", -1), ("feature_dim", 0),
+    ("lr", -1.0), ("lr", 0.0),
+]
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE)
+def test_out_of_range_model_and_optimizer_values_are_config_errors(key, value):
+    with pytest.raises(ConfigError, match=key):
+        config_from_mapping({key: str(value)})
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE)
+def test_out_of_range_values_are_contract_errors_in_the_estimators(key, value):
+    if key == "dec_layers":
+        X, y = _aed_data()
+        est = AedDistiller(steps=1, **{**SMALL, key: value})
+    else:
+        X, y = _ctc_data()
+        if key == "feature_dim":  # the CTC estimator reads it from X's width
+            X = [x[:, :value] for x in X]
+            est = CtcDistiller(steps=1, **SMALL)
+        else:
+            est = CtcDistiller(steps=1, **{**SMALL, key: value})
+    with pytest.raises(ContractError, match=key):
+        est.fit(X, y)
+
+
+def test_zero_layers_stay_legal():
+    cfg = config_from_mapping({"enc_layers": "0", "dec_layers": "0", "fusion_layers": "0"})
+    assert cfg.model_config().enc_layers == 0

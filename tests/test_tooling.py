@@ -1,4 +1,5 @@
-"""Source hygiene checked with the standard library's ``ast`` alone."""
+"""Source hygiene checked with the standard library's ``ast`` alone: no
+unused imports, and no module reaching into another's private names."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,24 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names a module imports from another package module."""
+    return sorted(
+        a.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for a in node.names
+        if a.name.startswith("_") and not a.name.startswith("__")
+    )
+
+
+def test_checker_finds_a_private_import():
+    source = "from .ctc import Vocab, _extended\nfrom __future__ import annotations\n"
+    assert private_imports(source) == ["_extended"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports_between_modules(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
