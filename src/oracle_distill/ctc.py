@@ -128,8 +128,10 @@ def _logsumexp(values) -> float:
     return m + math.log(sum(math.exp(v - m) for v in values))
 
 
-def _inputs(u, y, vocab: Vocab) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Validated T x K logits and target, shared by the DP and the oracles."""
+def validated_inputs(u, y, vocab: Vocab) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Validated T x K logits and target, shared by the DP, the oracles and
+    the bound diagnostics: ``ShapeError`` unless the logits are a matrix as
+    wide as ``vocab``, ``ContractError`` unless they are finite."""
     data = _as_logits(u)
     y = _check_target(y, vocab)
     if data.shape[1] != vocab.size:
@@ -139,7 +141,7 @@ def _inputs(u, y, vocab: Vocab) -> tuple[np.ndarray, tuple[int, ...]]:
 
 def _scored_paths(u, y, vocab: Vocab, cap: int):
     """Validated logits, every path collapsing to ``y``, and their log-probabilities."""
-    data, y = _inputs(u, y, vocab)
+    data, y = validated_inputs(u, y, vocab)
     paths = enumerate_alignments(y, data.shape[0], vocab, cap=cap)
     if not paths:
         raise InfeasibleTargetError(
@@ -195,7 +197,7 @@ def _dp(u, y, vocab: Vocab) -> tuple[float, np.ndarray, np.ndarray]:
     Returns (negative log-likelihood, alignment posterior sigma, analytic
     gradient softmax(u) - sigma).
     """
-    data, y = _inputs(u, y, vocab)
+    data, y = validated_inputs(u, y, vocab)
     if data.shape[0] < min_frames(y):
         raise InfeasibleTargetError(
             f"{data.shape[0]} frames cannot carry a target needing {min_frames(y)}"

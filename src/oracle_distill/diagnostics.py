@@ -29,9 +29,10 @@ from .ctc import (
     kd_loss_ctc,
     log_softmax_rows,
     path_log_probs,
+    validated_inputs,
 )
-from .errors import ContractError
-from .models import AedModel, CtcModel
+from .errors import ContractError, ShapeError
+from .models import CtcModel
 from .tensor import Tensor
 from . import tensor as tt
 
@@ -74,9 +75,15 @@ def _normalized(logw: np.ndarray) -> np.ndarray:
 
 def bound_report_from_logits(student_logits, teacher_logits, y, vocab: Vocab,
                              cap: int = ENUMERATION_CAP) -> BoundReport:
-    """Exact bound arithmetic over the enumerated alignment set."""
-    student_logits = np.asarray(student_logits, dtype=np.float64)
-    teacher_logits = np.asarray(teacher_logits, dtype=np.float64)
+    """Exact bound arithmetic over the enumerated alignment set.
+
+    Both logit grids must be finite T x ``vocab.size`` matrices of one
+    shape (``ContractError`` / ``ShapeError`` otherwise), as for the DP.
+    """
+    student_logits, y = validated_inputs(student_logits, y, vocab)
+    teacher_logits, _ = validated_inputs(teacher_logits, y, vocab)
+    if teacher_logits.shape != student_logits.shape:
+        raise ShapeError(f"teacher logits {teacher_logits.shape} vs student {student_logits.shape}")
     paths = enumerate_alignments(y, student_logits.shape[0], vocab, cap=cap)
     if not paths:
         raise ContractError("no feasible alignment for this instance")
@@ -124,35 +131,6 @@ def alignment_kl(model: CtcModel, x, y, cap: int = ENUMERATION_CAP) -> float:
 def q_function(model: CtcModel, x, y, cap: int = ENUMERATION_CAP) -> float:
     """Expected student path log-probability under the teacher posterior."""
     return check_lower_bound(model, x, y, cap=cap).q_value
-
-
-def aed_bound_report(model: AedModel, x, y, masked_tokens) -> BoundReport:
-    """Per-position analogue for the encoder-decoder path.
-
-    Teacher-forced next-token distributions are compared position by
-    position; KL factorizes over positions for these product
-    distributions.  Unlike the alignment-set form this is a diagnostic:
-    the reported slack carries no sign guarantee.
-    """
-    y = list(y)
-    memory = model.encode(x)
-    targets = y + [model.eos]
-    u_s = model.decode_logits(memory, [model.bos] + y).data
-    u_t = model.teacher_logits(memory, y, masked_tokens).data
-    p_s = np.exp(log_softmax_rows(u_s))
-    p_t = np.exp(log_softmax_rows(u_t))
-    loglik = float(sum(math.log(p_s[i, t]) for i, t in enumerate(targets)))
-    kl = float(sum(kl_discrete(p_t[i], p_s[i]) for i in range(len(targets))))
-    entropy = -float(np.sum(p_t * np.log(np.maximum(p_t, 1e-300))))
-    q_value = float(sum(p_t[i] @ np.log(np.maximum(p_s[i], 1e-300)) for i in range(len(targets))))
-    return BoundReport(
-        log_likelihood_student=loglik,
-        neg_kl_bound=-kl,
-        slack=loglik + kl,
-        teacher_entropy=entropy,
-        conditional_kl=kl,
-        q_value=q_value,
-    )
 
 
 def kd_vs_q_gap(model: CtcModel, x, y) -> dict[str, float]:

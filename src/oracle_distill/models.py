@@ -18,7 +18,18 @@ it into the identity, which is what the structural reduction tests rely on.
 Both models map one source encoding to student logits with
 ``student_head`` and to teacher logits with ``teacher_logits``, so the
 objective, the diagnostics and inference share one path per head.  The
-encoder-decoder greedy decode is one loop, run through either head.
+encoder-decoder greedy decode is one loop, run through either head.  Every
+``predict`` and ``predict_teacher`` runs under ``tensor.no_grad``, so
+inference records no graph.
+
+The greedy loop decodes incrementally (Pope et al. 2022): it feeds
+``decode_logits`` one new token per call together with a
+:class:`DecodeCache`, which holds the memory it was built for, each decoder
+layer's cross-attention keys and values of ``ln_mem(memory)``, projected
+once per decode, and each layer's self-attention keys and values of the
+positions decoded so far.  A call then costs one position, not the whole
+prefix.  Without a cache, ``decode_logits`` runs the full prefix, which is
+what teacher-forced training does.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ import functools
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -109,6 +120,23 @@ class ParamStore:
 
 
 AUX_PREFIXES = ("oracle.", "fusion.", "teacher_out.")
+
+
+@dataclass
+class DecodeCache:
+    """What one incremental decode keeps between ``decode_logits`` calls.
+
+    Empty until its first call, which binds it to that call's ``memory``
+    and projects every decoder layer's cross-attention keys and values of
+    ``ln_mem(memory)`` into ``cross_kv``.  ``self_kv`` holds each layer's
+    self-attention keys and values of the ``length`` positions decoded so
+    far, grown by concatenation at every call.
+    """
+
+    memory: Tensor | None = None
+    length: int = 0
+    cross_kv: list = field(default_factory=list)
+    self_kv: list = field(default_factory=list)
 
 
 def is_student_param(name: str) -> bool:
@@ -209,18 +237,26 @@ class _TransformerBase:
 
     # -- forward -----------------------------------------------------------
 
-    def _positions(self, n: int) -> Tensor:
-        if n > self.cfg.max_len:
-            raise ContractError(f"sequence of length {n} exceeds max_len {self.cfg.max_len}")
-        return Tensor(self._pos[:n])
+    def _positions(self, stop: int, start: int = 0) -> Tensor:
+        """Position encodings of positions ``start`` .. ``stop - 1``."""
+        if stop > self.cfg.max_len:
+            raise ContractError(f"sequence of length {stop} exceeds max_len {self.cfg.max_len}")
+        return Tensor(self._pos[start:stop])
 
-    def _attention(self, prefix, q_in, kv_in, mask=None, capture=None):
-        d, h = self.cfg.d_model, self.cfg.heads
-        dh = d // h
+    def _project(self, prefix, x, *parts):
+        """``x`` times each of the named projections of an attention block."""
         s = self.store
-        q = tt.matmul(q_in, s.get(f"{prefix}.wq"))
-        k = tt.matmul(kv_in, s.get(f"{prefix}.wk"))
-        v = tt.matmul(kv_in, s.get(f"{prefix}.wv"))
+        return [tt.matmul(x, s.get(f"{prefix}.{part}")) for part in parts]
+
+    def _memory_kv(self, prefix, memory):
+        """Cross-attention keys and values of a layer's normed memory."""
+        return self._project(f"{prefix}.cross", self._norm(f"{prefix}.ln_mem", memory), "wk", "wv")
+
+    def _attend(self, prefix, q, k, v, mask=None, capture=None):
+        """Scaled dot-product attention of projected queries over projected
+        keys and values, one head at a time, then the output projection."""
+        h = self.cfg.heads
+        dh = self.cfg.d_model // h
         outs = []
         weights = []
         for i in range(h):
@@ -237,7 +273,7 @@ class _TransformerBase:
         if capture is not None:
             capture.append(np.mean(weights, axis=0))
         merged = tt.concat(outs, axis=1)
-        return tt.matmul(merged, s.get(f"{prefix}.wo"))
+        return tt.matmul(merged, self.store.get(f"{prefix}.wo"))
 
     def _ffn(self, prefix, x):
         s = self.store
@@ -249,22 +285,28 @@ class _TransformerBase:
         return tt.layer_norm(x, gain=s.get(f"{prefix}.g"), bias=s.get(f"{prefix}.b"))
 
     def _encoder_block(self, prefix, x, mask=None):
-        normed = self._norm(f"{prefix}.ln1", x)
-        x = tt.add(x, self._attention(f"{prefix}.attn", normed, normed, mask=mask))
+        q, k, v = self._project(f"{prefix}.attn", self._norm(f"{prefix}.ln1", x), "wq", "wk", "wv")
+        x = tt.add(x, self._attend(f"{prefix}.attn", q, k, v, mask))
         return tt.add(x, self._ffn(f"{prefix}.ffn", self._norm(f"{prefix}.ln2", x)))
 
-    def _cross_block(self, prefix, x, memory, mask=None, capture=None):
+    def _cross_block(self, prefix, x, memory, mask=None, capture=None, cache=None, layer=0):
         """One fusion or decoder layer: self-attention over ``x`` (under
-        ``mask`` if given), cross-attention into ``memory``, feed-forward."""
-        normed = self._norm(f"{prefix}.ln1", x)
-        x = tt.add(x, self._attention(f"{prefix}.self", normed, normed, mask=mask))
-        x = tt.add(
-            x,
-            self._attention(
-                f"{prefix}.cross", self._norm(f"{prefix}.ln2", x),
-                self._norm(f"{prefix}.ln_mem", memory), capture=capture,
-            ),
-        )
+        ``mask`` if given), cross-attention into ``memory``, feed-forward.
+
+        With a decode cache, ``x`` holds only the new positions: their keys
+        and values extend the ``layer``'s cached ones, and the memory's keys
+        and values are the cached projections."""
+        q, k, v = self._project(f"{prefix}.self", self._norm(f"{prefix}.ln1", x), "wq", "wk", "wv")
+        if cache is not None:
+            past = cache.self_kv[layer]
+            if past is not None:
+                k, v = tt.concat([past[0], k]), tt.concat([past[1], v])
+            cache.self_kv[layer] = (k, v)
+        x = tt.add(x, self._attend(f"{prefix}.self", q, k, v, mask))
+        query = self._norm(f"{prefix}.ln2", x)
+        k, v = self._memory_kv(prefix, memory) if cache is None else cache.cross_kv[layer]
+        (q,) = self._project(f"{prefix}.cross", query, "wq")
+        x = tt.add(x, self._attend(f"{prefix}.cross", q, k, v, capture=capture))
         return tt.add(x, self._ffn(f"{prefix}.ffn", self._norm(f"{prefix}.ln3", x)))
 
     def _head(self, prefix, x):
@@ -354,9 +396,11 @@ class CtcModel(_TransformerBase):
         fused = self.fuse(hidden, self.oracle_guidance(tokens), capture=capture)
         return self._head("teacher_out", fused)
 
+    @tt.no_grad()
     def predict(self, feats) -> tuple[int, ...]:
         return greedy_decode(self.student_logits(feats).data)
 
+    @tt.no_grad()
     def predict_teacher(self, feats, tokens) -> tuple[int, ...]:
         return greedy_decode(self.teacher_logits(self.encode(feats), tokens).data)
 
@@ -403,23 +447,50 @@ class AedModel(_TransformerBase):
             x = self._encoder_block(f"seq.enc{i}", x)
         return x
 
-    def _causal_mask(self, n: int) -> Tensor:
-        mask = np.triu(np.full((n, n), -1e9), k=1)
-        return Tensor(mask)
+    @staticmethod
+    def _causal_mask(start: int, stop: int) -> Tensor | None:
+        """Rows ``start`` .. ``stop - 1`` of the causal mask over ``stop``
+        positions, or None when those rows hide nothing."""
+        if stop - start == 1:
+            return None
+        return Tensor(np.triu(np.full((stop - start, stop), -1e9), k=start + 1))
 
-    def decode_logits(self, memory: Tensor, prefix_ids, head: str = "seq.out") -> Tensor:
-        """Logits at every prefix position; position i sees prefix_ids[:i+1]."""
+    def decode_logits(self, memory: Tensor, prefix_ids, head: str = "seq.out",
+                      cache: DecodeCache | None = None) -> Tensor:
+        """Logits at every given position; position i sees the tokens up to
+        and including its own.
+
+        Without a cache (``cache=None``), ``prefix_ids`` is the whole
+        prefix, starting with the start symbol, and the result has a row
+        per prefix position.  With a :class:`DecodeCache`, ``prefix_ids``
+        are only the new tokens, those after the ``cache.length`` already
+        decoded (so a first call's tokens start with the start symbol); the
+        result has one row per new token, and the cache takes in their
+        keys and values.  A cache serves only the ``memory`` of its first
+        call.
+        """
         ids = [int(t) for t in prefix_ids]
-        if not ids or ids[0] != self.bos:
+        start = 0 if cache is None else cache.length
+        if start == 0 and (not ids or ids[0] != self.bos):
             raise ContractError("decoder prefix must start with the start symbol")
+        if not ids:
+            raise ContractError("no new decoder tokens")
         if any(not 0 <= t <= self.eos for t in ids):
             raise VocabularyError("decoder prefix token out of range")
-        n = len(ids)
+        if cache is not None and cache.memory is not None and cache.memory is not memory:
+            raise ContractError("decode cache was built for a different memory")
+        stop = start + len(ids)
         x = tt.scale(tt.embedding_lookup(self.store.get("seq.tgt_embed"), ids), math.sqrt(self.cfg.d_model))
-        x = tt.add(x, self._positions(n))
-        mask = self._causal_mask(n)
+        x = tt.add(x, self._positions(stop, start))
+        if cache is not None and cache.memory is None:
+            cache.memory = memory
+            cache.cross_kv = [self._memory_kv(f"seq.dec{i}", memory) for i in range(self.cfg.dec_layers)]
+            cache.self_kv = [None] * self.cfg.dec_layers
+        mask = self._causal_mask(start, stop)
         for i in range(self.cfg.dec_layers):
-            x = self._cross_block(f"seq.dec{i}", x, memory, mask=mask)
+            x = self._cross_block(f"seq.dec{i}", x, memory, mask=mask, cache=cache, layer=i)
+        if cache is not None:
+            cache.length = stop
         return self._head(head, x)
 
     def student_head(self, memory: Tensor, target) -> Tensor:
@@ -446,21 +517,26 @@ class AedModel(_TransformerBase):
 
     def _greedy(self, memory: Tensor, head: str, max_len: int | None) -> tuple[int, ...]:
         """Greedy autoregressive decode through ``head`` until the end
-        symbol or the length limit (by default twice the source plus 4)."""
+        symbol or the length limit (by default twice the source plus 4),
+        one new token per cached ``decode_logits`` call."""
         limit = max_len if max_len is not None else min(self.cfg.max_len - 1, 2 * memory.shape[0] + 4)
-        prefix = [self.bos]
+        cache = DecodeCache()
+        out = []
+        nxt = self.bos
         for _ in range(limit):
-            logits = self.decode_logits(memory, prefix, head=head)
+            logits = self.decode_logits(memory, [nxt], head=head, cache=cache)
             nxt = int(np.argmax(logits.data[-1]))
             if nxt == self.eos:
                 break
-            prefix.append(nxt)
-        return tuple(prefix[1:])
+            out.append(nxt)
+        return tuple(out)
 
+    @tt.no_grad()
     def predict(self, src_tokens, max_len: int | None = None) -> tuple[int, ...]:
         """Greedy autoregressive decode from the source alone."""
         return self._greedy(self.encode(src_tokens), "seq.out", max_len)
 
+    @tt.no_grad()
     def predict_teacher(self, src_tokens, target, masked_target, max_len: int | None = None) -> tuple[int, ...]:
         """Greedy decode with access to the (masked) target via fusion."""
         fused = self.fuse(self.encode(src_tokens), self.oracle_guidance(masked_target))

@@ -92,7 +92,9 @@ class StepOutputs:
     """Everything a training step produced, for logging and diagnostics.
 
     ``terms`` holds the graph tensors (l_org, l_em, l_kd) that ``total``
-    sums; l_em and l_kd are None with the teacher off.
+    sums; l_em and l_kd are None with the teacher off.  The logits arrays
+    are the graph's own node outputs, shared rather than copied: nothing
+    writes to them.
     """
 
     total: Tensor
@@ -198,8 +200,8 @@ def loss_total(model, batch, config: TrainConfig, rng: np.random.Generator) -> S
         total=total,
         breakdown=breakdown,
         terms=(l_org, l_em, l_kd),
-        student_logits=[u_s.data.copy() for _, u_s, _, _ in per_example],
-        teacher_logits=[None if u_t is None else u_t.data.copy() for _, _, u_t, _ in per_example],
+        student_logits=[u_s.data for _, u_s, _, _ in per_example],
+        teacher_logits=[None if u_t is None else u_t.data for _, _, u_t, _ in per_example],
         masked_targets=[masked for *_, masked in per_example],
     )
 

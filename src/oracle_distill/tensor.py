@@ -8,6 +8,13 @@ created with ``requires_grad=True``.  Gradients accumulate across repeated
 backward calls until explicitly zeroed, which is what lets several loss
 terms sum their contributions into shared parameters.
 
+Inside ``with no_grad():`` no op records anything: results are plain
+untracked tensors with no parents and no backward rule, whatever their
+inputs, so inference builds no graph that nobody will replay.  The mode
+is one module flag, restored on exit even when the block raises, and
+blocks nest.  ``backward`` on a result computed under it raises
+``ContractError``, as on any loss that depends on no tracked tensor.
+
 Broadcasting is deliberately restricted to scalar-tensor arithmetic and
 adding a bias row to a matrix; everything else requires exact shape
 agreement.
@@ -15,6 +22,7 @@ agreement.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import Callable, Sequence
 
@@ -23,6 +31,21 @@ import numpy as np
 from .errors import ContractError, DomainError, ShapeError
 
 _serial = itertools.count()
+
+# False inside ``no_grad``: ops then record no graph
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Ops inside the block build untracked tensors; usable as a decorator."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -93,8 +116,11 @@ class Tensor:
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
-    """Internal graph node; tracked only if some parent is tracked."""
+    """Internal graph node; tracked only if some parent is tracked and
+    ``no_grad`` is not in force."""
     out = Tensor(data)
+    if not _grad_enabled:
+        return out
     for p in parents:  # a plain loop: a generator costs more at 1-3 parents
         if p.requires_grad:
             out.requires_grad = True
@@ -351,10 +377,12 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ShapeError("concat of zero tensors")
     out = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+    sizes = [p.data.shape[axis] for p in parts]
 
     def bwd(g):
-        return tuple(np.split(g, offsets, axis=axis))
+        # split points are worked out here, so a forward pass that is never
+        # replayed (inference) does not pay for np.cumsum
+        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
     return _node(out, tuple(parts), bwd)
 

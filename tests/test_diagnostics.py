@@ -5,7 +5,6 @@ import pytest
 
 from oracle_distill.ctc import Vocab, ctc_loss_dp, min_frames
 from oracle_distill.diagnostics import (
-    aed_bound_report,
     alignment_kl,
     bound_report_from_logits,
     check_lower_bound,
@@ -18,8 +17,8 @@ from oracle_distill.diagnostics import (
     q_function,
     repetition_ratio,
 )
-from oracle_distill.errors import ContractError
-from oracle_distill.models import AedModel, CtcModel, ModelConfig
+from oracle_distill.errors import ContractError, ShapeError
+from oracle_distill.models import CtcModel, ModelConfig
 
 
 def tiny_ctc(seed=0, d_model=8, vocab_size=3, feature_dim=4):
@@ -137,32 +136,23 @@ class TestBoundReport:
         assert set(out) == {"kd_l2", "neg_q", "gap"}
         assert all(np.isfinite(v) for v in out.values())
 
+    def test_logits_of_the_wrong_width_are_rejected(self):
+        # 5 columns for a 3-symbol vocabulary: the two extra columns must
+        # not silently take part in the normalisation
+        rng = np.random.default_rng(12)
+        u = rng.standard_normal((3, 5))
+        with pytest.raises(ShapeError):
+            bound_report_from_logits(u, u, (1,), Vocab(3))
+        with pytest.raises(ShapeError):
+            bound_report_from_logits(u[:, :3], u, (1,), Vocab(3))
 
-class TestAedBound:
-    def test_report_fields_are_finite_and_consistent(self):
-        model = AedModel(
-            ModelConfig(task="aed", vocab_size=4, d_model=8, enc_layers=1,
-                        dec_layers=1, heads=2, ffn_dim=16),
-            seed=9,
-        )
-        x, y = (1, 2, 3), (3, 1)
-        r = aed_bound_report(model, x, y, masked_tokens=(3, -1))
-        assert np.isfinite(r.slack)
-        assert r.conditional_kl >= 0.0
-        assert r.slack == pytest.approx(r.log_likelihood_student + r.conditional_kl, abs=1e-12)
-
-    def test_identical_heads_make_kl_zero(self):
-        model = AedModel(
-            ModelConfig(task="aed", vocab_size=4, d_model=8, enc_layers=1,
-                        dec_layers=1, heads=2, ffn_dim=16),
-            seed=10,
-        )
-        from oracle_distill.models import tie_teacher_head, zero_fusion
-
-        zero_fusion(model)
-        tie_teacher_head(model)
-        r = aed_bound_report(model, (1, 2), (2, 1), masked_tokens=(2, 1))
-        assert r.conditional_kl == pytest.approx(0.0, abs=1e-12)
+    def test_non_finite_logits_are_rejected(self):
+        good = np.random.default_rng(13).standard_normal((3, 3))
+        for bad in (np.full((3, 3), np.nan), np.where(np.eye(3) > 0, np.inf, good)):
+            with pytest.raises(ContractError):
+                bound_report_from_logits(bad, good, (1,), Vocab(3))
+            with pytest.raises(ContractError):
+                bound_report_from_logits(good, bad, (1,), Vocab(3))
 
 
 class TestDumps:

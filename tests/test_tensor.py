@@ -219,3 +219,50 @@ def test_tape_orders_by_execution():
     tape = T.Tape(b)
     assert [n._serial for n in tape.nodes] == sorted(n._serial for n in tape.nodes)
     assert tape.nodes[-1] is b
+
+
+class TestNoGrad:
+    def test_every_op_builds_untracked_results_with_the_same_values(self):
+        rng = np.random.default_rng(5)
+        for name, (f, x) in _fd_cases(rng).items():
+            tracked = f(x)
+            with T.no_grad():
+                out = f(x)
+            assert not out.requires_grad, name
+            assert out._parents == () and out._backward is None, name
+            np.testing.assert_array_equal(out.data, tracked.data, err_msg=name)
+
+    def test_backward_on_an_untracked_result_raises_and_leaves_grads_alone(self):
+        rng = np.random.default_rng(6)
+        a, b = rand_tensor(rng, (2, 3)), rand_tensor(rng, (3, 2))
+        with T.no_grad():
+            loss = T.sum_sq(T.softmax(T.matmul(a, b)))
+        with pytest.raises(ContractError):
+            backward(loss)
+        assert a.grad is None and b.grad is None
+
+    def test_nesting_restores_each_outer_mode(self):
+        x = Tensor([1.0], requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                assert not T.exp(x).requires_grad
+            assert not T.exp(x).requires_grad
+        assert T.exp(x).requires_grad
+
+    def test_mode_restored_after_an_exception(self):
+        x = Tensor([1.0], requires_grad=True)
+        with pytest.raises(DomainError):
+            with T.no_grad():
+                T.log(Tensor([-1.0]))
+        assert T.exp(x).requires_grad
+
+    def test_decorator_form_applies_per_call(self):
+        x = Tensor([1.0], requires_grad=True)
+
+        @T.no_grad()
+        def untracked_exp(t):
+            return T.exp(t)
+
+        for _ in range(2):
+            assert not untracked_exp(x).requires_grad
+            assert T.exp(x).requires_grad
