@@ -266,35 +266,52 @@ def _smoothed_rows(p: Tensor, n_labels: int) -> Tensor:
     return tt.scale(tt.add(p, EPS_P), 1.0 / (1.0 + n_labels * EPS_P))
 
 
-def kl_rows(teacher: Tensor, student: Tensor) -> Tensor:
-    """Mean over rows of KL(teacher || student) on floored distributions."""
+def _weighted_rows(entries: Tensor, weights) -> Tensor:
+    """Sum of ``entries`` (rows of ``(..., T, K)``) with row r weighted by
+    ``weights[r]``; by default the mean over the rows of a matrix."""
+    if weights is None:
+        if entries.data.ndim != 2:
+            raise ShapeError(f"unweighted rows must form a T x K matrix, got {entries.shape}")
+        weights = np.full(entries.shape[0], 1.0 / entries.shape[0])
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != entries.shape[:-1]:
+        raise ShapeError(f"row weights {weights.shape} for rows {entries.shape}")
+    return tt.sum_all(tt.scale(entries, weights[..., None]))
+
+
+def kl_rows(teacher: Tensor, student: Tensor, weights=None) -> Tensor:
+    """KL(teacher || student) on floored distributions, row by row, summed
+    with row weights ``weights`` (default: the mean over the rows)."""
     teacher, student = as_tensor(teacher), as_tensor(student)
     if teacher.shape != student.shape:
         raise ShapeError(f"kl rows {teacher.shape} vs {student.shape}")
-    n_rows, n_labels = teacher.shape
+    n_labels = teacher.shape[-1]
     t = _smoothed_rows(teacher, n_labels)
     s = _smoothed_rows(student, n_labels)
-    per_entry = tt.mul(t, tt.sub(tt.log(t), tt.log(s)))
-    return tt.scale(tt.sum_all(per_entry), 1.0 / n_rows)
+    return _weighted_rows(tt.mul(t, tt.sub(tt.log(t), tt.log(s))), weights)
 
 
-def kd_loss_ctc(student_posterior: Tensor, teacher_posterior: Tensor, form: str = "l2") -> Tensor:
+def kd_loss_ctc(student_posterior: Tensor, teacher_posterior: Tensor, form: str = "l2",
+                weights=None) -> Tensor:
     """Frame-level posterior transfer loss between student and teacher.
 
-    ``l2``: mean over frames of the squared Euclidean distance between
-    posterior rows.  ``kl``: mean over frames of KL(teacher || student).
+    ``l2``: the squared Euclidean distance between posterior rows.
+    ``kl``: KL(teacher || student).  Both are the mean over the frames of
+    a T x K matrix, or, with ``weights`` shaped like the posteriors without
+    their last axis, the weighted sum over the rows of a padded stack.
     Gradients flow into both arguments; detach the teacher posterior
     before calling to cut its side off.
     """
     s, t = as_tensor(student_posterior), as_tensor(teacher_posterior)
     if s.shape != t.shape:
         raise ShapeError(f"kd posteriors {s.shape} vs {t.shape}")
-    if s.data.ndim != 2:
+    if s.data.ndim < 2:
         raise ShapeError("kd posteriors must be T x K")
     if form == "l2":
-        return tt.scale(tt.sum_sq(tt.sub(s, t)), 1.0 / s.shape[0])
+        d = tt.sub(s, t)
+        return _weighted_rows(tt.mul(d, d), weights)
     if form == "kl":
-        return kl_rows(t, s)
+        return kl_rows(t, s, weights)
     raise ContractError(f"unknown kd form {form!r}")
 
 

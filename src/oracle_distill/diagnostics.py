@@ -123,16 +123,6 @@ def check_lower_bound(model: CtcModel, x, y, cap: int = ENUMERATION_CAP) -> Boun
     return bound_report_from_logits(u_s, u_t, y, model.vocab, cap=cap)
 
 
-def alignment_kl(model: CtcModel, x, y, cap: int = ENUMERATION_CAP) -> float:
-    """KL between teacher and student conditional path posteriors."""
-    return check_lower_bound(model, x, y, cap=cap).conditional_kl
-
-
-def q_function(model: CtcModel, x, y, cap: int = ENUMERATION_CAP) -> float:
-    """Expected student path log-probability under the teacher posterior."""
-    return check_lower_bound(model, x, y, cap=cap).q_value
-
-
 def kd_vs_q_gap(model: CtcModel, x, y) -> dict[str, float]:
     """Distance between the distillation surrogate and the exact
     negative expected log-likelihood it stands in for.  Reported, never

@@ -181,7 +181,7 @@ def fit_loop(model, train_examples, train_cfg: TrainConfig, on_step=None) -> lis
     while step < train_cfg.steps:
         for batch in batch_iter(train_examples, train_cfg.batch_size, shuffle_rng):
             step += 1
-            out = loss_total(model, batch.items(), train_cfg, mask_rng)
+            out = loss_total(model, batch, train_cfg, mask_rng)
             optimizer.zero_grad()
             backward(out.total)
             optimizer.step()

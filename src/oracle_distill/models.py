@@ -22,6 +22,15 @@ encoder-decoder greedy decode is one loop, run through either head.  Every
 ``predict`` and ``predict_teacher`` runs under ``tensor.no_grad``, so
 inference records no graph.
 
+Every forward function takes ``(..., T, d)`` inputs: leading axes are
+items of a batch, padded to one length, and a 2-D input is one unpadded
+item.  Batched calls give the lengths of their padded inputs (``lengths``
+for a source or memory, ``target_lengths`` for target-side tokens);
+padded cells are never read, and attention masks every padded key from
+those lengths, so each item's valid rows come out as they would alone.
+Attention runs all heads as one axis of its stacks, ``(..., heads, T,
+d / heads)``.
+
 The greedy loop decodes incrementally (Pope et al. 2022): it feeds
 ``decode_logits`` one new token per call together with a
 :class:`DecodeCache`, which holds the memory it was built for, each decoder
@@ -130,7 +139,7 @@ class DecodeCache:
     and projects every decoder layer's cross-attention keys and values of
     ``ln_mem(memory)`` into ``cross_kv``.  ``self_kv`` holds each layer's
     self-attention keys and values of the ``length`` positions decoded so
-    far, grown by concatenation at every call.
+    far, grown by concatenation at every call.  All are split into heads.
     """
 
     memory: Tensor | None = None
@@ -158,6 +167,45 @@ def count_params(model) -> dict[str, int]:
 def _xavier(rng, fan_in: int, fan_out: int) -> np.ndarray:
     a = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-a, a, size=(fan_in, fan_out))
+
+
+def _valid_cells(lengths, shape) -> np.ndarray | None:
+    """Where a padded array of ``shape`` (leading item axes, then
+    positions) holds real positions, from one length per item; None
+    without ``lengths``, for an unpadded input."""
+    if lengths is None:
+        return None
+    lengths = np.asarray(lengths)
+    if lengths.shape != tuple(shape[:-1]):
+        raise ShapeError(f"lengths of shape {lengths.shape} for a padded input of shape {tuple(shape)}")
+    if lengths.size and (lengths.min() < 1 or lengths.max() > shape[-1]):
+        raise ContractError(f"every length must lie in 1..{shape[-1]}, got {lengths.tolist()}")
+    return np.arange(shape[-1]) < lengths[..., None]
+
+
+def _key_mask(valid: np.ndarray | None) -> np.ndarray | None:
+    """Attention mask hiding padded keys, shaped to broadcast over the
+    heads and the queries, or None when nothing is padded."""
+    if valid is None or valid.all():
+        return None
+    return np.where(valid, 0.0, -np.inf)[..., None, None, :]
+
+
+def _token_ids(tokens, lengths, what: str, top: int) -> np.ndarray:
+    """Token ids that must lie in 1..``top`` at every real position, as an
+    int array; padded cells read as 1, so nothing padded reaches a lookup."""
+    ids = np.asarray(tokens, dtype=np.int64)
+    if ids.ndim < 1:
+        raise ShapeError(f"{what} tokens must be a sequence")
+    valid = _valid_cells(lengths, ids.shape)
+    if valid is not None:
+        ids = np.where(valid, ids, 1)
+    bad = (ids < 1) | (ids > top)
+    if bad.any():
+        raise VocabularyError(f"{what} token {ids[bad][0]} outside 1..{top}")
+    if ids.shape[-1] == 0:
+        raise ContractError(f"{what} must be non-empty")
+    return ids
 
 
 @functools.lru_cache(maxsize=8)
@@ -243,37 +291,26 @@ class _TransformerBase:
             raise ContractError(f"sequence of length {stop} exceeds max_len {self.cfg.max_len}")
         return Tensor(self._pos[start:stop])
 
-    def _project(self, prefix, x, *parts):
-        """``x`` times each of the named projections of an attention block."""
+    def _heads(self, prefix, x, *parts):
+        """``x`` times each of the named projections of an attention block,
+        split into heads: ``(..., heads, T, d / heads)``."""
         s = self.store
-        return [tt.matmul(x, s.get(f"{prefix}.{part}")) for part in parts]
+        return [tt.split_heads(tt.matmul(x, s.get(f"{prefix}.{part}")), self.cfg.heads) for part in parts]
 
     def _memory_kv(self, prefix, memory):
         """Cross-attention keys and values of a layer's normed memory."""
-        return self._project(f"{prefix}.cross", self._norm(f"{prefix}.ln_mem", memory), "wk", "wv")
+        return self._heads(f"{prefix}.cross", self._norm(f"{prefix}.ln_mem", memory), "wk", "wv")
 
     def _attend(self, prefix, q, k, v, mask=None, capture=None):
-        """Scaled dot-product attention of projected queries over projected
-        keys and values, one head at a time, then the output projection."""
-        h = self.cfg.heads
-        dh = self.cfg.d_model // h
-        outs = []
-        weights = []
-        for i in range(h):
-            lo, hi = i * dh, (i + 1) * dh
-            qs = tt.narrow(q, lo, hi, axis=1)
-            ks = tt.narrow(k, lo, hi, axis=1)
-            vs = tt.narrow(v, lo, hi, axis=1)
-            scores = tt.scale(tt.matmul(qs, tt.transpose(ks)), 1.0 / math.sqrt(dh))
-            if mask is not None:
-                scores = tt.add(scores, mask)
-            w = tt.softmax(scores, axis=-1)
-            weights.append(w.data)
-            outs.append(tt.matmul(w, vs))
+        """Scaled dot-product attention of head-split queries over head-split
+        keys and values, every head at once as an axis of the stacks, then
+        the merged heads' output projection.  ``mask`` is added to the
+        scores."""
+        scores = tt.scale(tt.matmul(q, tt.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
+        w = tt.softmax(scores, axis=-1, mask=mask)
         if capture is not None:
-            capture.append(np.mean(weights, axis=0))
-        merged = tt.concat(outs, axis=1)
-        return tt.matmul(merged, self.store.get(f"{prefix}.wo"))
+            capture.append(w.data.mean(axis=-3))
+        return tt.matmul(tt.merge_heads(tt.matmul(w, v)), self.store.get(f"{prefix}.wo"))
 
     def _ffn(self, prefix, x):
         s = self.store
@@ -285,67 +322,65 @@ class _TransformerBase:
         return tt.layer_norm(x, gain=s.get(f"{prefix}.g"), bias=s.get(f"{prefix}.b"))
 
     def _encoder_block(self, prefix, x, mask=None):
-        q, k, v = self._project(f"{prefix}.attn", self._norm(f"{prefix}.ln1", x), "wq", "wk", "wv")
+        q, k, v = self._heads(f"{prefix}.attn", self._norm(f"{prefix}.ln1", x), "wq", "wk", "wv")
         x = tt.add(x, self._attend(f"{prefix}.attn", q, k, v, mask))
         return tt.add(x, self._ffn(f"{prefix}.ffn", self._norm(f"{prefix}.ln2", x)))
 
-    def _cross_block(self, prefix, x, memory, mask=None, capture=None, cache=None, layer=0):
+    def _cross_block(self, prefix, x, memory, mask=None, memory_mask=None, capture=None,
+                     cache=None, layer=0):
         """One fusion or decoder layer: self-attention over ``x`` (under
-        ``mask`` if given), cross-attention into ``memory``, feed-forward.
+        ``mask`` if given), cross-attention into ``memory`` (under
+        ``memory_mask``), feed-forward.
 
         With a decode cache, ``x`` holds only the new positions: their keys
         and values extend the ``layer``'s cached ones, and the memory's keys
         and values are the cached projections."""
-        q, k, v = self._project(f"{prefix}.self", self._norm(f"{prefix}.ln1", x), "wq", "wk", "wv")
+        q, k, v = self._heads(f"{prefix}.self", self._norm(f"{prefix}.ln1", x), "wq", "wk", "wv")
         if cache is not None:
             past = cache.self_kv[layer]
             if past is not None:
-                k, v = tt.concat([past[0], k]), tt.concat([past[1], v])
+                k, v = tt.concat([past[0], k], axis=-2), tt.concat([past[1], v], axis=-2)
             cache.self_kv[layer] = (k, v)
         x = tt.add(x, self._attend(f"{prefix}.self", q, k, v, mask))
         query = self._norm(f"{prefix}.ln2", x)
         k, v = self._memory_kv(prefix, memory) if cache is None else cache.cross_kv[layer]
-        (q,) = self._project(f"{prefix}.cross", query, "wq")
-        x = tt.add(x, self._attend(f"{prefix}.cross", q, k, v, capture=capture))
+        (q,) = self._heads(f"{prefix}.cross", query, "wq")
+        x = tt.add(x, self._attend(f"{prefix}.cross", q, k, v, memory_mask, capture))
         return tt.add(x, self._ffn(f"{prefix}.ffn", self._norm(f"{prefix}.ln3", x)))
 
     def _head(self, prefix, x):
         s = self.store
         return tt.add(tt.matmul(x, s.get(f"{prefix}.w")), s.get(f"{prefix}.b"))
 
-    def oracle_encode(self, tokens, n_vocab_rows: int) -> Tensor:
+    def oracle_encode(self, tokens, n_vocab_rows: int, lengths=None) -> Tensor:
         """Target-side context vectors, one per input token.
 
         ``tokens`` may contain MASK; it is rendered as embedding row 0,
         which no real token uses.
         """
-        ids = []
-        for t in tokens:
-            t = int(t)
-            if t == MASK:
-                ids.append(0)
-            elif 0 < t < n_vocab_rows:
-                ids.append(t)
-            else:
-                raise VocabularyError(f"oracle token {t} outside 1..{n_vocab_rows - 1}")
-        if not ids:
-            raise ContractError("oracle input must be non-empty")
-        emb = tt.embedding_lookup(self.store.get("oracle.embed"), ids)
-        x = tt.add(tt.scale(emb, math.sqrt(self.cfg.d_model)), self._positions(len(ids)))
-        return self._encoder_block("oracle.enc0", x)
+        raw = np.asarray(tokens, dtype=np.int64)
+        masked = raw == MASK
+        ids = _token_ids(np.where(masked, 1, raw), lengths, "oracle", n_vocab_rows - 1)
+        emb = tt.embedding_lookup(self.store.get("oracle.embed"), np.where(masked, 0, ids))
+        x = tt.add(tt.scale(emb, math.sqrt(self.cfg.d_model)), self._positions(ids.shape[-1]))
+        return self._encoder_block("oracle.enc0", x, _key_mask(_valid_cells(lengths, ids.shape)))
 
-    def fuse(self, rep: Tensor, guidance: Tensor, capture=None) -> Tensor:
+    def fuse(self, rep: Tensor, guidance: Tensor, capture=None, lengths=None,
+             guidance_lengths=None) -> Tensor:
         """Combine the sequence model's representation with oracle guidance.
 
         Self-attention over ``rep``, whose output queries cross-attention
         into ``guidance`` (keys and values), then a feed-forward sublayer.
         The output always keeps the representation's own length.
+        ``lengths`` and ``guidance_lengths`` are those of padded stacks.
         """
-        if guidance.shape[1] != rep.shape[1]:
+        if guidance.shape[-1] != rep.shape[-1]:
             raise ShapeError(f"fuse width {rep.shape} vs {guidance.shape}")
+        mask = _key_mask(_valid_cells(lengths, rep.shape[:-1]))
+        guidance_mask = _key_mask(_valid_cells(guidance_lengths, guidance.shape[:-1]))
         x = rep
         for i in range(self.cfg.fusion_layers):
-            x = self._cross_block(f"fusion.f{i}", x, guidance, capture=capture)
+            x = self._cross_block(f"fusion.f{i}", x, guidance, mask, guidance_mask, capture)
         return x
 
 
@@ -368,17 +403,24 @@ class CtcModel(_TransformerBase):
         self._build_oracle_and_fusion(config.vocab_size + 1)
         self._build_head("teacher_out", out_dim)
 
-    def encode(self, feats: np.ndarray) -> Tensor:
+    def encode(self, feats: np.ndarray, lengths=None) -> Tensor:
+        """Hidden states ``(..., T, d)`` of source features ``(..., T,
+        feature_dim)``; ``lengths`` gives each item's frames in a padded
+        stack."""
         feats = np.asarray(feats, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] < 1:
+        if feats.ndim < 2 or feats.shape[-2] < 1:
             raise ContractError(f"source features must be non-empty T x {self.cfg.feature_dim}")
-        if feats.shape[1] != self.cfg.feature_dim:
-            raise ShapeError(f"feature width {feats.shape[1]} != {self.cfg.feature_dim}")
+        if feats.shape[-1] != self.cfg.feature_dim:
+            raise ShapeError(f"feature width {feats.shape[-1]} != {self.cfg.feature_dim}")
+        valid = _valid_cells(lengths, feats.shape[:-1])
+        if valid is not None:
+            feats = np.where(valid[..., None], feats, 0.0)
         s = self.store
         x = tt.add(tt.matmul(Tensor(feats), s.get("seq.in_proj.w")), s.get("seq.in_proj.b"))
-        x = tt.add(x, self._positions(feats.shape[0]))
+        x = tt.add(x, self._positions(feats.shape[-2]))
+        mask = _key_mask(valid)
         for i in range(self.cfg.enc_layers):
-            x = self._encoder_block(f"seq.enc{i}", x)
+            x = self._encoder_block(f"seq.enc{i}", x, mask)
         return x
 
     def student_head(self, hidden: Tensor) -> Tensor:
@@ -388,12 +430,16 @@ class CtcModel(_TransformerBase):
     def student_logits(self, feats) -> Tensor:
         return self.student_head(self.encode(feats))
 
-    def oracle_guidance(self, tokens) -> Tensor:
-        return self.oracle_encode(tokens, self.cfg.vocab_size + 1)
+    def oracle_guidance(self, tokens, lengths=None) -> Tensor:
+        return self.oracle_encode(tokens, self.cfg.vocab_size + 1, lengths)
 
-    def teacher_logits(self, hidden: Tensor, tokens, capture=None) -> Tensor:
-        """Teacher frame logits from an already-encoded representation."""
-        fused = self.fuse(hidden, self.oracle_guidance(tokens), capture=capture)
+    def teacher_logits(self, hidden: Tensor, tokens, capture=None, lengths=None,
+                       target_lengths=None) -> Tensor:
+        """Teacher frame logits from an already-encoded representation;
+        ``lengths`` are the frames of a padded ``hidden``, and
+        ``target_lengths`` those of the padded ``tokens``."""
+        guidance = self.oracle_guidance(tokens, target_lengths)
+        fused = self.fuse(hidden, guidance, capture, lengths, target_lengths)
         return self._head("teacher_out", fused)
 
     @tt.no_grad()
@@ -428,35 +474,27 @@ class AedModel(_TransformerBase):
         self._build_oracle_and_fusion(config.vocab_size + 1)
         self._build_head("teacher_out", out_dim)
 
-    def _check_tokens(self, tokens, what: str) -> list[int]:
-        out = []
-        for t in tokens:
-            t = int(t)
-            if not 0 < t <= self.cfg.vocab_size:
-                raise VocabularyError(f"{what} token {t} outside 1..{self.cfg.vocab_size}")
-            out.append(t)
-        if not out:
-            raise ContractError(f"{what} must be non-empty")
-        return out
-
-    def encode(self, src_tokens) -> Tensor:
-        ids = self._check_tokens(src_tokens, "source")
+    def encode(self, src_tokens, lengths=None) -> Tensor:
+        """Hidden states ``(..., L, d)`` of source tokens ``(..., L)``;
+        ``lengths`` gives each item's tokens in a padded stack."""
+        ids = _token_ids(src_tokens, lengths, "source", self.cfg.vocab_size)
         x = tt.scale(tt.embedding_lookup(self.store.get("seq.src_embed"), ids), math.sqrt(self.cfg.d_model))
-        x = tt.add(x, self._positions(len(ids)))
+        x = tt.add(x, self._positions(ids.shape[-1]))
+        mask = _key_mask(_valid_cells(lengths, ids.shape))
         for i in range(self.cfg.enc_layers):
-            x = self._encoder_block(f"seq.enc{i}", x)
+            x = self._encoder_block(f"seq.enc{i}", x, mask)
         return x
 
     @staticmethod
-    def _causal_mask(start: int, stop: int) -> Tensor | None:
+    def _causal_mask(start: int, stop: int) -> np.ndarray | None:
         """Rows ``start`` .. ``stop - 1`` of the causal mask over ``stop``
         positions, or None when those rows hide nothing."""
         if stop - start == 1:
             return None
-        return Tensor(np.triu(np.full((stop - start, stop), -1e9), k=start + 1))
+        return np.triu(np.full((stop - start, stop), -np.inf), k=start + 1)
 
     def decode_logits(self, memory: Tensor, prefix_ids, head: str = "seq.out",
-                      cache: DecodeCache | None = None) -> Tensor:
+                      cache: DecodeCache | None = None, lengths=None) -> Tensor:
         """Logits at every given position; position i sees the tokens up to
         and including its own.
 
@@ -467,19 +505,22 @@ class AedModel(_TransformerBase):
         decoded (so a first call's tokens start with the start symbol); the
         result has one row per new token, and the cache takes in their
         keys and values.  A cache serves only the ``memory`` of its first
-        call.
+        call.  A stack of prefixes ``(..., P)`` decodes a padded stack of
+        memories whose ``lengths`` are given.
         """
-        ids = [int(t) for t in prefix_ids]
+        ids = np.asarray(prefix_ids, dtype=np.int64)
+        if ids.ndim < 1:
+            raise ShapeError("decoder tokens must be a sequence")
         start = 0 if cache is None else cache.length
-        if start == 0 and (not ids or ids[0] != self.bos):
+        if start == 0 and (ids.size == 0 or np.any(ids[..., 0] != self.bos)):
             raise ContractError("decoder prefix must start with the start symbol")
-        if not ids:
+        if ids.size == 0:
             raise ContractError("no new decoder tokens")
-        if any(not 0 <= t <= self.eos for t in ids):
+        if np.any((ids < 0) | (ids > self.eos)):
             raise VocabularyError("decoder prefix token out of range")
         if cache is not None and cache.memory is not None and cache.memory is not memory:
             raise ContractError("decode cache was built for a different memory")
-        stop = start + len(ids)
+        stop = start + ids.shape[-1]
         x = tt.scale(tt.embedding_lookup(self.store.get("seq.tgt_embed"), ids), math.sqrt(self.cfg.d_model))
         x = tt.add(x, self._positions(stop, start))
         if cache is not None and cache.memory is None:
@@ -487,39 +528,58 @@ class AedModel(_TransformerBase):
             cache.cross_kv = [self._memory_kv(f"seq.dec{i}", memory) for i in range(self.cfg.dec_layers)]
             cache.self_kv = [None] * self.cfg.dec_layers
         mask = self._causal_mask(start, stop)
+        memory_mask = _key_mask(_valid_cells(lengths, memory.shape[:-1]))
         for i in range(self.cfg.dec_layers):
-            x = self._cross_block(f"seq.dec{i}", x, memory, mask=mask, cache=cache, layer=i)
+            x = self._cross_block(f"seq.dec{i}", x, memory, mask, memory_mask, cache=cache, layer=i)
         if cache is not None:
             cache.length = stop
         return self._head(head, x)
 
-    def student_head(self, memory: Tensor, target) -> Tensor:
+    def _teacher_forced(self, memory, target, head, lengths, target_lengths) -> Tensor:
+        """Logits through ``head`` over the start symbol then ``target``,
+        one row per target token plus one for the end."""
+        y = _token_ids(target, target_lengths, "target", self.cfg.vocab_size)
+        prefix = np.concatenate([np.full((*y.shape[:-1], 1), self.bos), y], axis=-1)
+        return self.decode_logits(memory, prefix, head=head, lengths=lengths)
+
+    def student_head(self, memory: Tensor, target, lengths=None, target_lengths=None) -> Tensor:
         """Teacher-forced student logits over len(target) + 1 positions
-        (incl. end) from an already-encoded source."""
-        y = self._check_tokens(target, "target")
-        return self.decode_logits(memory, [self.bos] + y)
+        (incl. end) from an already-encoded source; ``lengths`` are those
+        of a padded ``memory``, ``target_lengths`` those of the padded
+        ``target``."""
+        return self._teacher_forced(memory, target, "seq.out", lengths, target_lengths)
 
     def student_logits(self, src_tokens, target) -> Tensor:
         return self.student_head(self.encode(src_tokens), target)
 
-    def oracle_guidance(self, tokens) -> Tensor:
-        return self.oracle_encode(tokens, self.cfg.vocab_size + 1)
+    def oracle_guidance(self, tokens, lengths=None) -> Tensor:
+        return self.oracle_encode(tokens, self.cfg.vocab_size + 1, lengths)
 
-    def teacher_logits(self, memory: Tensor, target, masked_target, capture=None) -> Tensor:
+    def teacher_logits(self, memory: Tensor, target, masked_target, capture=None, lengths=None,
+                       target_lengths=None) -> Tensor:
         """Teacher-forced logits attending to the fused memory.
 
         The decoder body is shared with the student; only the fusion
-        modules, oracle encoder, and output head are auxiliary.
+        modules, oracle encoder, and output head are auxiliary.  The
+        lengths are as for ``student_head``; ``masked_target`` is padded
+        like ``target``.
         """
-        y = self._check_tokens(target, "target")
-        fused = self.fuse(memory, self.oracle_guidance(masked_target), capture=capture)
-        return self.decode_logits(fused, [self.bos] + y, head="teacher_out")
+        guidance = self.oracle_guidance(masked_target, target_lengths)
+        fused = self.fuse(memory, guidance, capture, lengths, target_lengths)
+        return self._teacher_forced(fused, target, "teacher_out", lengths, target_lengths)
 
     def _greedy(self, memory: Tensor, head: str, max_len: int | None) -> tuple[int, ...]:
         """Greedy autoregressive decode through ``head`` until the end
         symbol or the length limit (by default twice the source plus 4),
-        one new token per cached ``decode_logits`` call."""
-        limit = max_len if max_len is not None else min(self.cfg.max_len - 1, 2 * memory.shape[0] + 4)
+        one new token per cached ``decode_logits`` call.  An explicit
+        ``max_len`` outside 1..``cfg.max_len`` is refused before anything
+        is decoded."""
+        if max_len is None:
+            limit = min(self.cfg.max_len - 1, 2 * memory.shape[0] + 4)
+        elif 1 <= max_len <= self.cfg.max_len:
+            limit = max_len
+        else:
+            raise ContractError(f"max_len {max_len} outside 1..{self.cfg.max_len}, the model's max_len")
         cache = DecodeCache()
         out = []
         nxt = self.bos

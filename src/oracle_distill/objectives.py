@@ -6,9 +6,13 @@ a distillation bridge between the two output distributions, weighted by
 ``alpha``.  The teacher is recomputed from the live parameters at every
 step; nothing is cached across steps.
 
-One per-example function builds all three terms from one source encoding.
-``loss_total`` averages them over the batch; ``loss_org``, ``loss_em`` and
-``loss_kd`` are views of it, the first with the teacher off.
+``loss_total`` builds all three terms of a batch as one graph, from one
+encoder pass over the batch's padded sources (a :class:`tasks.Batch`).
+Each term is the mean over the items of a per-item loss: a sequence's
+rows are weighted 1/len on its real positions and 0 on padding.  The CTC
+terms run the DP once per item on that item's unpadded frames.
+``loss_org``, ``loss_em`` and ``loss_kd`` are views of ``loss_total``, the
+first with the teacher off.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from . import tensor as tt
 from .ctc import ctc_loss_dp, kd_loss_ctc, kl_rows
 from .errors import ContractError, TrainingAbort
 from .models import MASK, CtcModel
+from .tasks import Batch
 from .tensor import Tensor
 
 
@@ -92,9 +97,10 @@ class StepOutputs:
     """Everything a training step produced, for logging and diagnostics.
 
     ``terms`` holds the graph tensors (l_org, l_em, l_kd) that ``total``
-    sums; l_em and l_kd are None with the teacher off.  The logits arrays
-    are the graph's own node outputs, shared rather than copied: nothing
-    writes to them.
+    sums; l_em and l_kd are None with the teacher off.  The logits are one
+    array per item, in batch order: views of the unpadded rows of the
+    graph's own padded node outputs, shared rather than copied, since
+    nothing writes to them.
     """
 
     total: Tensor
@@ -105,104 +111,95 @@ class StepOutputs:
     masked_targets: list
 
 
-def _xy(item):
-    if hasattr(item, "x"):
-        return item.x, item.y
-    x, y = item
-    return x, y
+def cross_entropy(logits: Tensor, targets, weights) -> Tensor:
+    """-log softmax probability of the target ids, summed over the
+    positions with ``weights`` (shaped like ``targets``)."""
+    picked = tt.pick(tt.log_softmax(logits, axis=-1), targets)
+    return tt.sum_all(tt.scale(picked, -np.asarray(weights, dtype=np.float64)))
 
 
-def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean over positions of -log softmax probability of the target id."""
-    picked = tt.pick(tt.log_softmax(logits, axis=-1), list(targets))
-    return tt.scale(tt.sum_all(picked), -1.0 / len(list(targets)))
-
-
-def _mean_of(terms: list[Tensor]) -> Tensor:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = tt.add(acc, t)
-    return tt.scale(acc, 1.0 / len(terms))
-
-
-def _sequence_loss(model, logits: Tensor, y) -> Tensor:
-    """CTC loss of frame logits, or cross-entropy of teacher-forced logits
-    against the target followed by the end symbol."""
+def _sequence_loss(model, logits: Tensor, batch: Batch, rows: np.ndarray, weights) -> Tensor:
+    """Mean over the items of the CTC loss of their unpadded frame logits,
+    or of the cross-entropy of teacher-forced logits against the target
+    followed by the end symbol (row weights ``weights``)."""
     if isinstance(model, CtcModel):
-        return ctc_loss_dp(logits, y, model.vocab)
-    return cross_entropy(logits, list(y) + [model.eos])
+        return tt.mean(tt.stack([
+            ctc_loss_dp(tt.index(logits, (i, slice(0, n))), y, model.vocab)
+            for i, (n, y) in enumerate(zip(rows, batch.targets))
+        ]))
+    ids = np.zeros(logits.shape[:-1], dtype=np.int64)
+    for i, y in enumerate(batch.targets):
+        ids[i, : len(y) + 1] = (*y, model.eos)
+    return cross_entropy(logits, ids, weights)
 
 
-def _kd_item_loss(model, config, u_student: Tensor, u_teacher: Tensor) -> Tensor:
+def _kd_loss(model, config, u_student: Tensor, u_teacher: Tensor, weights) -> Tensor:
     if isinstance(model, CtcModel):
         p_s = tt.softmax(u_student, axis=-1)
         p_t = tt.softmax(u_teacher, axis=-1)
         if config.stop_teacher_grad:
             p_t = p_t.detach()
-        return kd_loss_ctc(p_s, p_t, config.kd_form)
+        return kd_loss_ctc(p_s, p_t, config.kd_form, weights)
     inv_t = 1.0 / config.temperature
     p_s = tt.softmax(tt.scale(u_student, inv_t), axis=-1)
     p_t = tt.softmax(tt.scale(u_teacher, inv_t), axis=-1)
     if config.stop_teacher_grad:
         p_t = p_t.detach()
-    return kl_rows(p_t, p_s)
-
-
-def _example_terms(model, x, y, config: TrainConfig, rng):
-    """One example's ``(org, em, kd)`` loss tensors from one ``encode``
-    call, then its student logits, teacher logits and masked target.
-
-    With the teacher off, em, kd and the teacher logits are None; the
-    masked target is None also for CTC, whose teacher sees all of ``y``.
-    """
-    encoded = model.encode(x)
-    ctc = isinstance(model, CtcModel)
-    u_s = model.student_head(encoded) if ctc else model.student_head(encoded, y)
-    org = _sequence_loss(model, u_s, y)
-    if not config.use_teacher:
-        return (org, None, None), u_s, None, None
-    masked = None
-    if ctc:
-        u_t = model.teacher_logits(encoded, y)
-    else:
-        masked = mask_target(y, config.lambda_mask, rng)
-        u_t = model.teacher_logits(encoded, y, masked.tokens)
-    em = _sequence_loss(model, u_t, y)
-    return (org, em, _kd_item_loss(model, config, u_s, u_t)), u_s, u_t, masked
+    return kl_rows(p_t, p_s, weights)
 
 
 def loss_total(model, batch, config: TrainConfig, rng: np.random.Generator) -> StepOutputs:
-    """All three loss terms from one shared encoder pass per example.
+    """All three loss terms of a batch as one graph, from one shared
+    encoder pass.
 
-    The breakdown satisfies l_total = l_org + l_em + alpha * l_kd exactly,
+    ``batch`` is a :class:`tasks.Batch`, or the examples or (source,
+    target) pairs to build one from.  The masks of the encoder-decoder
+    teacher are drawn per item, in batch order, from ``rng``.  The
+    breakdown satisfies l_total = l_org + l_em + alpha * l_kd exactly,
     because the total is assembled from the same scalars.
     """
-    batch = list(batch)
-    if not batch:
-        raise ContractError("empty batch")
-    per_example = []
-    for item in batch:
-        x, y = _xy(item)
-        per_example.append(_example_terms(model, x, tuple(int(t) for t in y), config, rng))
-    orgs, ems, kds = zip(*(terms for terms, *_ in per_example))
-
-    l_org = _mean_of(orgs)
+    if not isinstance(batch, Batch):
+        batch = Batch(batch)
+    ctc = isinstance(model, CtcModel)
+    lengths, y_ids, y_lengths = batch.lengths, batch.target_ids, batch.target_lengths
+    encoded = model.encode(batch.features if ctc else batch.src_tokens, lengths)
+    if ctc:
+        u_s = model.student_head(encoded)
+        rows = lengths
+    else:
+        u_s = model.student_head(encoded, y_ids, lengths, y_lengths)
+        rows = y_lengths + 1
+    # each item's real rows weigh 1/len, padding 0, and the items 1/B
+    valid = np.arange(u_s.shape[-2]) < rows[:, None]
+    weights = np.where(valid, 1.0 / rows[:, None], 0.0) / len(batch)
+    l_org = _sequence_loss(model, u_s, batch, rows, weights)
     if config.use_teacher:
-        l_em = _mean_of(ems)
-        l_kd = _mean_of(kds)
+        masked = [None] * len(batch)  # the CTC teacher sees all of y
+        if ctc:
+            u_t = model.teacher_logits(encoded, y_ids, lengths=lengths, target_lengths=y_lengths)
+        else:
+            masked = [mask_target(y, config.lambda_mask, rng) for y in batch.targets]
+            masked_ids = y_ids.copy()
+            for i, m in enumerate(masked):
+                masked_ids[i, : len(m.tokens)] = m.tokens
+            u_t = model.teacher_logits(encoded, y_ids, masked_ids, lengths=lengths, target_lengths=y_lengths)
+        l_em = _sequence_loss(model, u_t, batch, rows, weights)
+        l_kd = _kd_loss(model, config, u_s, u_t, weights)
         total = tt.add(tt.add(l_org, l_em), tt.scale(l_kd, config.alpha))
         breakdown = LossBreakdown(l_org.item(), l_em.item(), l_kd.item(), total.item())
+        teacher = [u_t.data[i, :n] for i, n in enumerate(rows)]
     else:
         l_em = l_kd = None
         total = l_org
         breakdown = LossBreakdown(l_org.item(), 0.0, 0.0, total.item())
+        teacher, masked = [None] * len(batch), [None] * len(batch)
     return StepOutputs(
         total=total,
         breakdown=breakdown,
         terms=(l_org, l_em, l_kd),
-        student_logits=[u_s.data for _, u_s, _, _ in per_example],
-        teacher_logits=[None if u_t is None else u_t.data for _, _, u_t, _ in per_example],
-        masked_targets=[masked for *_, masked in per_example],
+        student_logits=[u_s.data[i, :n] for i, n in enumerate(rows)],
+        teacher_logits=teacher,
+        masked_targets=masked,
     )
 
 

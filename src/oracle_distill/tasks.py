@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, ShapeError
 
 RESOLVABLE_PAIR = (1, 2)
 COINFLIP_PAIR = (3, 4)
@@ -206,24 +206,31 @@ def split_examples(dataset: list[Example], split: str) -> list[Example]:
 
 
 class Batch:
-    """Padded batch with length masks; items() strips the padding back off."""
+    """A batch as padded arrays, which the objective reads in one graph.
 
-    def __init__(self, examples: list[Example]):
+    Sources are ``features`` (B x T x D floats, frame labelling) or
+    ``src_tokens`` (B x L ints, transduction), the other None; targets
+    are ``target_ids`` (B x L ints).  Cells past an item's ``lengths`` /
+    ``target_lengths`` are zero and are never read.  ``examples`` are the
+    examples or (source, target) pairs the batch was built from, and
+    items() gives the unpadded (source, target) pairs back.
+    """
+
+    def __init__(self, examples):
+        examples = list(examples)
+        if not examples:
+            raise ContractError("empty batch")
         self.examples = examples
-        self.lengths = np.array([_source_len(ex.x) for ex in examples])
-        self.targets = [ex.y for ex in examples]
-        if isinstance(examples[0].x, np.ndarray):
-            t_max = int(self.lengths.max())
-            dim = examples[0].x.shape[1]
-            self.features = np.zeros((len(examples), t_max, dim))
-            for i, ex in enumerate(examples):
-                self.features[i, : ex.x.shape[0]] = ex.x
+        sources, targets = zip(*(_xy(ex) for ex in examples))
+        self.targets = [tuple(int(t) for t in y) for y in targets]
+        self.lengths = np.array([len(x) for x in sources])
+        self.target_lengths = np.array([len(y) for y in self.targets])
+        self.target_ids = _padded(self.targets, self.target_lengths, np.int64)
+        if np.ndim(sources[0]) == 2:
+            self.features = _padded(sources, self.lengths, np.float64)
             self.src_tokens = None
         else:
-            l_max = int(self.lengths.max())
-            self.src_tokens = np.zeros((len(examples), l_max), dtype=np.int64)
-            for i, ex in enumerate(examples):
-                self.src_tokens[i, : len(ex.x)] = ex.x
+            self.src_tokens = _padded(sources, self.lengths, np.int64)
             self.features = None
 
     def __len__(self):
@@ -240,8 +247,24 @@ class Batch:
         return out
 
 
-def _source_len(x) -> int:
-    return x.shape[0] if isinstance(x, np.ndarray) else len(x)
+def _xy(item):
+    """(source, target) of an example or of a pair."""
+    if hasattr(item, "x"):
+        return item.x, item.y
+    x, y = item
+    return x, y
+
+
+def _padded(seqs, lengths, dtype) -> np.ndarray:
+    """The sequences stacked on a new leading axis, zero-padded along their
+    first axis to the longest; every row beyond the first axis must agree."""
+    tail = np.shape(seqs[0])[1:]
+    out = np.zeros((len(seqs), int(lengths.max()), *tail), dtype=dtype)
+    for i, (seq, n) in enumerate(zip(seqs, lengths)):
+        if np.shape(seq)[1:] != tail:
+            raise ShapeError(f"item {i} has rows of shape {np.shape(seq)[1:]}, item 0 {tail}")
+        out[i, :n] = seq
+    return out
 
 
 def batch_iter(dataset: list[Example], batch_size: int, rng: np.random.Generator):

@@ -15,8 +15,13 @@ is one module flag, restored on exit even when the block raises, and
 blocks nest.  ``backward`` on a result computed under it raises
 ``ContractError``, as on any loss that depends on no tracked tensor.
 
-Broadcasting is deliberately restricted to scalar-tensor arithmetic and
-adding a bias row to a matrix; everything else requires exact shape
+Every op works on stacks: leading axes are batch axes (items, attention
+heads), and the last one or two axes are what the op is about.  Broadcasting
+is deliberately restricted: a scalar with a tensor; ``add`` of a tensor
+whose shape is a suffix of the other's (a bias row, a position table),
+repeated over the leading axes; ``matmul`` of a stack by one weight matrix;
+and ``scale`` and the ``softmax`` mask, whose constant arrays broadcast to
+the tracked operand's shape.  Everything else requires exact shape
 agreement.
 """
 
@@ -206,21 +211,55 @@ def backward(loss: Tensor) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` over a's leading axes: a stack ``(..., n, k)`` times one
+    ``k x m`` weight, run as a single matrix product over every row, or
+    times a stack ``(..., k, m)`` with the same leading axes."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    x, w = a.data, b.data
+    if (x.ndim < 2 or w.ndim < 2 or x.shape[-1] != w.shape[-2]
+            or (w.ndim > 2 and x.shape[:-2] != w.shape[:-2])):
         raise ShapeError(f"matmul {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    if x.ndim > 2 and w.ndim == 2:
+        k, m = w.shape
+        rows = x.reshape(-1, k)
+
+        def bwd(g):
+            g = g.reshape(-1, m)
+            return (g @ w.T).reshape(x.shape), rows.T @ g
+
+        return _node((rows @ w).reshape(*x.shape[:-1], m), (a, b), bwd)
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ w.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g
 
-    return _node(out, (a, b), bwd)
+    return _node(x @ w, (a, b), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a matrix, got {a.shape}")
-    return _node(a.data.T.copy(), (a,), lambda g: (g.T,))
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose needs at least a matrix, got {a.shape}")
+    return _node(a.data.swapaxes(-1, -2), (a,), lambda g: (g.swapaxes(-1, -2),))
+
+
+def split_heads(a: Tensor, heads: int) -> Tensor:
+    """``(..., T, heads * dh)`` to ``(..., heads, T, dh)``: each head's
+    columns become one slice of a new heads axis; undone by ``merge_heads``."""
+    shape = a.data.shape
+    if len(shape) < 2 or heads < 1 or shape[-1] % heads:
+        raise ShapeError(f"cannot split {shape} into {heads} heads")
+    out = a.data.reshape(*shape[:-1], heads, shape[-1] // heads).swapaxes(-3, -2)
+    return _node(out, (a,), lambda g: (g.swapaxes(-3, -2).reshape(shape),))
+
+
+def merge_heads(a: Tensor) -> Tensor:
+    """``(..., heads, T, dh)`` to ``(..., T, heads * dh)``, the inverse of
+    ``split_heads``."""
+    if a.data.ndim < 3:
+        raise ShapeError(f"merge_heads needs a heads axis, got {a.shape}")
+    *lead, h, t, dh = a.data.shape
+    out = a.data.swapaxes(-3, -2).reshape(*lead, t, h * dh)
+    return _node(out, (a,), lambda g: (g.reshape(*lead, t, h, dh).swapaxes(-3, -2),))
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -230,9 +269,13 @@ def add(a: Tensor, b) -> Tensor:
     b = as_tensor(b)
     if a.shape == b.shape:
         return _node(a.data + b.data, (a, b), lambda g: (g, g))
-    if a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        # matrix plus bias row
-        return _node(a.data + b.data, (a, b), lambda g: (g, g.sum(axis=0)))
+    n = b.data.ndim
+    if n < a.data.ndim and a.shape[a.data.ndim - n:] == b.shape:
+        # b repeats over a's leading axes: a bias row, a position table
+        def bwd(g):
+            return g, g.reshape(-1, *b.shape).sum(axis=0) if b.requires_grad else None
+
+        return _node(a.data + b.data, (a, b), bwd)
     raise ShapeError(f"add {a.shape} + {b.shape}")
 
 
@@ -256,10 +299,15 @@ def mul(a: Tensor, b) -> Tensor:
     return _node(a.data * b.data, (a, b), bwd)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
+def scale(a: Tensor, c) -> Tensor:
+    """``a`` times a constant: a number, or an untracked array that
+    broadcasts to ``a``'s shape (per-row loss weights)."""
     a = as_tensor(a)
-    c = float(c)
-    return _node(a.data * c, (a,), lambda g: (g * c,))
+    c = float(c) if np.ndim(c) == 0 else np.asarray(c, dtype=np.float64)
+    out = a.data * c
+    if out.shape != a.shape:
+        raise ShapeError(f"scale {a.shape} by {np.shape(c)}")
+    return _node(out, (a,), lambda g: (g * c,))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -281,12 +329,21 @@ def relu(a: Tensor) -> Tensor:
     return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Rows sum to one; stabilized by max subtraction along ``axis``."""
+def softmax(a: Tensor, axis: int = -1, mask=None) -> Tensor:
+    """Rows sum to one; stabilized by max subtraction along ``axis``.
+
+    ``mask`` is an untracked constant added to ``a`` first, broadcasting to
+    its shape: 0 keeps an entry, ``-inf`` gives it weight exactly 0 (an
+    attention mask).  Every row must keep at least one entry."""
     a = as_tensor(a)
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    x = a.data
+    if mask is not None:
+        if np.broadcast_shapes(np.shape(mask), a.shape) != a.shape:
+            raise ShapeError(f"softmax mask {np.shape(mask)} for shape {a.shape}")
+        x = x + mask
+    shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
 
@@ -353,11 +410,12 @@ def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Select rows ``table[ids]``; backward scatter-adds into the table."""
+    """Select rows ``table[ids]`` for ids of any shape, giving
+    ``ids.shape + (width,)``; backward scatter-adds into the table."""
     table = as_tensor(table)
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeError("embedding ids must be a 1-d sequence")
+    if ids.ndim < 1:
+        raise ShapeError("embedding ids must be at least a 1-d sequence")
     if table.data.ndim != 2:
         raise ShapeError("embedding table must be a matrix")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
@@ -387,22 +445,39 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _node(out, tuple(parts), bwd)
 
 
-def narrow(a: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
-    """Contiguous slice [start:stop) along ``axis`` (0 or 1)."""
+def stack(parts: Sequence[Tensor]) -> Tensor:
+    """Tensors of one shape stacked along a new leading axis."""
+    parts = [as_tensor(p) for p in parts]
+    if not parts or any(p.shape != parts[0].shape for p in parts):
+        raise ShapeError(f"stack of shapes {[p.shape for p in parts]}")
+    return _node(np.stack([p.data for p in parts]), tuple(parts), tuple)
+
+
+def index(a: Tensor, key) -> Tensor:
+    """``a[key]`` for a basic index: a tuple of ints and step-1 slices
+    over the leading axes, each inside its axis and selecting something;
+    backward scatters into zeros."""
     a = as_tensor(a)
-    if axis not in (0, 1) or axis >= a.data.ndim:
-        raise ShapeError(f"narrow axis {axis} invalid for shape {a.shape}")
-    if not 0 <= start < stop <= a.shape[axis]:
-        raise ShapeError(f"narrow [{start}:{stop}) out of bounds for {a.shape}")
-    idx = (slice(start, stop),) if axis == 0 else (slice(None), slice(start, stop))
-    out = a.data[idx].copy()
+    key = key if isinstance(key, tuple) else (key,)
+    if len(key) > a.data.ndim:
+        raise ShapeError(f"index {key} has more axes than shape {a.shape}")
+    for k, n in zip(key, a.shape):
+        if isinstance(k, slice):
+            if k.step not in (None, 1):
+                raise ShapeError(f"index {key}: only step-1 slices")
+            lo, hi = 0 if k.start is None else k.start, n if k.stop is None else k.stop
+        else:
+            lo = hi = int(k)
+            hi += 1
+        if not 0 <= lo < hi <= n:
+            raise ShapeError(f"index {key} out of bounds for {a.shape}")
 
     def bwd(g):
         full = np.zeros_like(a.data)
-        full[idx] = g
+        full[key] = g
         return (full,)
 
-    return _node(out, (a,), bwd)
+    return _node(a.data[key], (a,), bwd)
 
 
 def mean(a: Tensor) -> Tensor:
@@ -422,22 +497,22 @@ def sum_sq(a: Tensor) -> Tensor:
 
 
 def pick(a: Tensor, ids) -> Tensor:
-    """Row-wise gather: result[i] = a[i, ids[i]]."""
+    """Gather along the last axis: result[...] = a[..., ids[...]], with
+    ``ids`` shaped like ``a`` without its last axis."""
     a = as_tensor(a)
     ids = np.asarray(ids, dtype=np.int64)
-    if a.data.ndim != 2 or ids.ndim != 1 or ids.size != a.shape[0]:
-        raise ShapeError(f"pick over {a.shape} with {ids.size} indices")
-    if ids.size and (ids.min() < 0 or ids.max() >= a.shape[1]):
+    if a.data.ndim < 1 or ids.shape != a.shape[:-1]:
+        raise ShapeError(f"pick over {a.shape} with ids of shape {ids.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= a.shape[-1]):
         raise DomainError("pick id out of range")
-    rows = np.arange(a.shape[0])
-    out = a.data[rows, ids]
+    at = ids[..., None]
 
     def bwd(g):
         ga = np.zeros_like(a.data)
-        ga[rows, ids] = g
+        np.put_along_axis(ga, at, g[..., None], axis=-1)
         return (ga,)
 
-    return _node(out, (a,), bwd)
+    return _node(np.take_along_axis(a.data, at, axis=-1)[..., 0], (a,), bwd)
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:

@@ -273,6 +273,22 @@ class TestKdLoss:
         with pytest.raises(ContractError):
             kd_loss_ctc(p, p, "ce")
 
+    def test_weighted_rows_of_a_padded_stack_average_the_items(self):
+        rng = np.random.default_rng(61)
+        lengths = (2, 4)
+        s = T.softmax(Tensor(rng.standard_normal((2, 4, 3))), -1)
+        t = T.softmax(Tensor(rng.standard_normal((2, 4, 3))), -1)
+        weights = np.array([[1 / n if r < n else 0.0 for r in range(4)] for n in lengths]) / 2
+        for form in ("l2", "kl"):
+            items = [kd_loss_ctc(Tensor(s.data[i, :n]), Tensor(t.data[i, :n]), form).item()
+                     for i, n in enumerate(lengths)]
+            got = kd_loss_ctc(s, t, form, weights).item()
+            assert got == pytest.approx(np.mean(items), rel=1e-13)
+        with pytest.raises(ShapeError):
+            kd_loss_ctc(s, t, "l2", weights[:, :3])
+        with pytest.raises(ShapeError):
+            kd_loss_ctc(s, t, "l2")
+
 
 class TestGreedyDecode:
     def test_sharp_path_decodes_to_its_collapse(self):

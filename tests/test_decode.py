@@ -182,3 +182,32 @@ class TestCacheMisuse:
         model.decode_logits(memory, [model.bos], cache=cache)
         with pytest.raises(ContractError):
             model.decode_logits(memory, [], cache=cache)
+
+
+class TestDecodeLimit:
+    def _counting(self, model):
+        calls = [0]
+        decode = model.decode_logits
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return decode(*args, **kwargs)
+
+        model.decode_logits = counted
+        return calls
+
+    @pytest.mark.parametrize("max_len", [20, 9, 0, -3])
+    def test_a_limit_outside_the_model_is_refused_before_decoding(self, max_len):
+        model = tiny_aed(max_len=8)
+        calls = self._counting(model)
+        for predict in (lambda: model.predict((1, 2, 3), max_len=max_len),
+                        lambda: model.predict_teacher((1, 2, 3), (4, 5), (MASK, 5), max_len=max_len)):
+            with pytest.raises(ContractError, match=rf"max_len {max_len} outside 1\.\.8"):
+                predict()
+        assert calls[0] == 0
+
+    def test_the_model_limit_itself_decodes(self):
+        model = tiny_aed(max_len=8)
+        calls = self._counting(model)
+        assert len(model.predict((1, 2, 3), max_len=8)) <= 8
+        assert 1 <= calls[0] <= 8

@@ -5,7 +5,6 @@ import pytest
 
 from oracle_distill.ctc import Vocab, ctc_loss_dp, min_frames
 from oracle_distill.diagnostics import (
-    alignment_kl,
     bound_report_from_logits,
     check_lower_bound,
     dump_alignment,
@@ -14,7 +13,6 @@ from oracle_distill.diagnostics import (
     fusion_attention,
     kd_vs_q_gap,
     kl_discrete,
-    q_function,
     repetition_ratio,
 )
 from oracle_distill.errors import ContractError, ShapeError
@@ -126,8 +124,6 @@ class TestBoundReport:
         y = (1, 2)
         r = check_lower_bound(model, x, y)
         assert r.slack >= -1e-9
-        assert alignment_kl(model, x, y) == pytest.approx(r.conditional_kl, abs=1e-12)
-        assert q_function(model, x, y) == pytest.approx(r.q_value, abs=1e-12)
 
     def test_kd_vs_q_gap_is_reported_not_asserted(self):
         model = tiny_ctc(seed=8)

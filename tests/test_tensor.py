@@ -71,15 +71,68 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 1))))
 
-    def test_concat_narrow_roundtrip(self):
+    def test_concat_index_roundtrip(self):
         rng = np.random.default_rng(1)
         a = Tensor(rng.standard_normal((3, 4)))
-        parts = [T.narrow(a, 0, 2, axis=1), T.narrow(a, 2, 4, axis=1)]
+        parts = [T.index(a, (slice(None), slice(0, 2))), T.index(a, (slice(None), slice(2, 4)))]
         np.testing.assert_array_equal(T.concat(parts, axis=1).data, a.data)
 
     def test_pick(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(T.pick(a, [1, 0]).data, [2.0, 3.0])
+
+    def test_pick_nd_ids(self):
+        a = Tensor(np.arange(12.0).reshape(2, 2, 3))
+        np.testing.assert_array_equal(T.pick(a, [[2, 0], [1, 1]]).data, [[2.0, 3.0], [7.0, 10.0]])
+        with pytest.raises(ShapeError):
+            T.pick(a, [1, 0])
+
+    def test_embedding_nd_ids(self):
+        table = Tensor(np.arange(6.0).reshape(3, 2))
+        out = T.embedding_lookup(table, [[2, 0], [1, 1]])
+        np.testing.assert_array_equal(out.data, np.arange(6.0).reshape(3, 2)[[[2, 0], [1, 1]]])
+
+    def test_matmul_over_leading_axes(self):
+        rng = np.random.default_rng(3)
+        x, w, s = rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 5)), rng.standard_normal((2, 4, 5))
+        by_weight = T.matmul(Tensor(x), Tensor(w)).data
+        by_stack = T.matmul(Tensor(x), Tensor(s)).data
+        for i in range(2):
+            np.testing.assert_allclose(by_weight[i], x[i] @ w, rtol=1e-14)
+            np.testing.assert_allclose(by_stack[i], x[i] @ s[i], rtol=1e-14)
+        with pytest.raises(ShapeError):
+            T.matmul(Tensor(x), Tensor(rng.standard_normal((3, 4, 5))))
+
+    def test_heads_split_by_columns_and_merge_back(self):
+        a = Tensor(np.random.default_rng(4).standard_normal((2, 3, 6)))
+        heads = T.split_heads(a, 3)
+        assert heads.shape == (2, 3, 3, 2)
+        np.testing.assert_array_equal(heads.data[1, 2], a.data[1, :, 4:6])
+        np.testing.assert_array_equal(T.merge_heads(heads).data, a.data)
+        with pytest.raises(ShapeError):
+            T.split_heads(a, 4)
+
+    def test_add_broadcasts_a_suffix_only(self):
+        stack = Tensor(np.zeros((2, 3, 4)))
+        table = Tensor(np.arange(12.0).reshape(3, 4))
+        np.testing.assert_array_equal(T.add(stack, table).data[1], table.data)
+        with pytest.raises(ShapeError):
+            T.add(stack, Tensor(np.zeros((2, 4))))
+
+    def test_softmax_mask_gives_exact_zeros(self):
+        mask = np.array([0.0, -np.inf, 0.0])
+        out = T.softmax(Tensor(np.array([[1.0, 50.0, 1.0], [0.0, 3.0, 0.0]])), mask=mask)
+        np.testing.assert_array_equal(out.data, [[0.5, 0.0, 0.5], [0.5, 0.0, 0.5]])
+
+    def test_index_and_stack(self):
+        a = Tensor(np.arange(12.0).reshape(2, 3, 2))
+        np.testing.assert_array_equal(T.index(a, (1, slice(0, 2))).data, a.data[1, :2])
+        np.testing.assert_array_equal(T.stack([a, a]).data[1], a.data)
+        for key in ((2,), (0, slice(1, 1)), (0, slice(0, 4)), (0, 0, 0, 0)):
+            with pytest.raises(ShapeError):
+                T.index(a, key)
+        with pytest.raises(ShapeError):
+            T.stack([a, T.index(a, 0)])
 
 
 class TestBackward:
@@ -173,9 +226,12 @@ def _fd_cases(rng):
         "layer_norm": lambda t: T.sum_sq(T.mul(T.layer_norm(t), other)),
         "embedding": lambda t: T.sum_sq(T.embedding_lookup(t, ids)),
         "concat": lambda t: T.sum_sq(
-            T.concat([T.narrow(t, 0, 2, axis=1), T.narrow(t, 2, 4, axis=1)], axis=1)
+            T.concat([T.index(t, (slice(None), slice(0, 2))), T.index(t, (slice(None), slice(2, 4)))], axis=1)
         ),
-        "narrow": lambda t: T.sum_sq(T.narrow(t, 1, 3, axis=1)),
+        "index": lambda t: T.sum_sq(T.index(t, (slice(None), slice(1, 3)))),
+        "index_row": lambda t: T.sum_sq(T.mul(T.index(t, 1), T.index(other, 2))),
+        "stack": lambda t: T.sum_sq(T.mul(T.stack([t, T.relu(t)]), T.stack([other, other]))),
+        "scale_array": lambda t: T.sum_sq(T.scale(t, other.data[0])),
         "mean": lambda t: T.mul(T.mean(t), T.mean(t)),
         "sum": lambda t: T.mul(T.sum_all(t), T.mean(t)),
         "sum_sq": lambda t: T.sum_sq(t),
@@ -183,6 +239,35 @@ def _fd_cases(rng):
         "mix": lambda t: T.mean(T.relu(T.add(T.matmul(T.layer_norm(t), right), bias))),
     }
     cases = {name: (f, m) for name, f in cases.items()}
+
+    # stacks: leading item and head axes
+    s3 = rand_tensor(rng, (2, 3, 4))
+    s4 = rand_tensor(rng, (2, 2, 3, 2))
+    fixed3 = away_from_zero((2, 3, 4))
+    fixed4 = away_from_zero((2, 2, 3, 2))
+    other_stack = away_from_zero((2, 4, 2))
+    row = rand_tensor(rng, (4,))
+    nd_ids = rng.integers(0, 3, size=(2, 5))
+    nd_cols = rng.integers(0, 4, size=(2, 3))
+    mask = np.where(rng.random((2, 1, 4)) < 0.3, -np.inf, 0.0)
+    mask[..., 0] = 0.0  # every row keeps an entry
+    rows_weight = away_from_zero((2, 5, 4))
+    cases.update({
+        "matmul_stack_by_weight": (lambda t: T.sum_sq(T.matmul(t, right)), s3),
+        "matmul_stack_by_weight_w": (lambda w: T.sum_sq(T.matmul(fixed3, w)),
+                                     Tensor(right.data, requires_grad=True)),
+        "matmul_stacks_left": (lambda t: T.sum_sq(T.matmul(t, other_stack)), s3),
+        "matmul_stacks_right": (lambda t: T.sum_sq(T.matmul(fixed3, t)),
+                                Tensor(other_stack.data, requires_grad=True)),
+        "transpose_stack": (lambda t: T.sum_sq(T.mul(T.transpose(t), T.transpose(fixed3))), s3),
+        "split_heads": (lambda t: T.sum_sq(T.mul(T.split_heads(t, 2), fixed4)), s3),
+        "merge_heads": (lambda t: T.sum_sq(T.mul(T.merge_heads(t), fixed3)), s4),
+        "add_suffix_row": (lambda b: T.sum_sq(T.add(fixed3, b)), row),
+        "add_suffix_matrix": (lambda t: T.sum_sq(T.add(fixed3, t)), m),
+        "softmax_mask": (lambda t: T.sum_sq(T.mul(T.softmax(t, mask=mask), fixed3)), s3),
+        "embedding_nd": (lambda t: T.sum_sq(T.mul(T.embedding_lookup(t, nd_ids), rows_weight)), m),
+        "pick_nd": (lambda t: T.sum_sq(T.pick(t, nd_cols)), s3),
+    })
     # the affine layer norm, differentiated by its input, gain and bias
     cases["layer_norm_affine_input"] = (lambda t: affine_layer_norm(t, gain, shift), m)
     cases["layer_norm_affine_gain"] = (lambda g: affine_layer_norm(m, g, shift), gain)
