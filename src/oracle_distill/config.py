@@ -47,7 +47,7 @@ class RunConfig:
     # data
     n_examples: int = 600
     data_seed: int = -1  # -1: follow seed
-    vocab_size: int = -1  # -1: task default (6 ctc, 12 aed)
+    vocab_size: int = -1  # -1 here and below: the task spec's default
     len_min: int = -1
     len_max: int = -1
     frames_min: int = 2
@@ -66,12 +66,10 @@ class RunConfig:
         cfg = RunConfig(**{f.name: getattr(self, f.name) for f in fields(self)})
         if cfg.data_seed < 0:
             cfg.data_seed = cfg.seed
-        if cfg.vocab_size < 0:
-            cfg.vocab_size = 6 if cfg.task == "ctc" else 12
-        if cfg.len_min < 0:
-            cfg.len_min = 2 if cfg.task == "ctc" else 3
-        if cfg.len_max < 0:
-            cfg.len_max = 6 if cfg.task == "ctc" else 8
+        spec = CtcTaskSpec if cfg.task == "ctc" else AedTaskSpec
+        for name in ("vocab_size", "len_min", "len_max"):
+            if getattr(cfg, name) < 0:
+                setattr(cfg, name, getattr(spec, name))
         if cfg.checkpoint_every < 0:
             cfg.checkpoint_every = max(1, cfg.steps // 5)
         return cfg
@@ -102,7 +100,8 @@ class RunConfig:
         return cfg._build(ModelConfig, max_len=max(64, longest))
 
 
-_CASTERS = {int: int, float: float, str: str, bool: _parse_bool}
+# keyed by the field annotations, which are strings under postponed evaluation
+_CASTERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
 
 
 def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
@@ -113,7 +112,7 @@ def config_from_mapping(mapping: dict[str, str]) -> RunConfig:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     values = {}
     for key, raw in mapping.items():
-        caster = _CASTERS[{"int": int, "float": float, "str": str, "bool": bool}.get(known[key], known[key])]
+        caster = _CASTERS[known[key]]
         try:
             values[key] = caster(raw)
         except ValueError as exc:

@@ -46,13 +46,10 @@ class Vocab:
     """Label alphabet of ``size`` entries where index 0 is the blank."""
 
     size: int
-    blank_id: int = BLANK
 
     def __post_init__(self):
         if self.size < 2:
             raise ContractError("vocab needs the blank plus at least one label")
-        if self.blank_id != BLANK:
-            raise ContractError("blank is fixed at index 0")
 
     @property
     def labels(self) -> range:
@@ -80,17 +77,18 @@ def _check_target(y, vocab: Vocab) -> tuple[int, ...]:
     return y
 
 
-def enumerate_alignments(y, n_frames: int, vocab: Vocab, cap: int = ENUMERATION_CAP):
+def enumerate_alignments(y, n_frames: int, vocab: Vocab):
     """All length-``n_frames`` paths whose collapse equals ``y``.
 
     Exhaustive scan over every one of the ``vocab.size ** n_frames`` raw
     paths; this is the oracle, so it stays deliberately brute force.
-    Returns an empty list when no path can produce ``y``.
+    Returns an empty list when no path can produce ``y``, and refuses
+    (``EnumerationCapError``) more raw paths than ``ENUMERATION_CAP``.
     """
     y = _check_target(y, vocab)
-    if vocab.size ** n_frames > cap:
+    if vocab.size ** n_frames > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"{vocab.size}^{n_frames} paths exceed the cap of {cap}"
+            f"{vocab.size}^{n_frames} paths exceed the cap of {ENUMERATION_CAP}"
         )
     return [
         z
@@ -139,10 +137,10 @@ def validated_inputs(u, y, vocab: Vocab) -> tuple[np.ndarray, tuple[int, ...]]:
     return data, y
 
 
-def _scored_paths(u, y, vocab: Vocab, cap: int):
+def _scored_paths(u, y, vocab: Vocab):
     """Validated logits, every path collapsing to ``y``, and their log-probabilities."""
     data, y = validated_inputs(u, y, vocab)
-    paths = enumerate_alignments(y, data.shape[0], vocab, cap=cap)
+    paths = enumerate_alignments(y, data.shape[0], vocab)
     if not paths:
         raise InfeasibleTargetError(
             f"no length-{data.shape[0]} path collapses to target of length {len(y)}"
@@ -150,9 +148,9 @@ def _scored_paths(u, y, vocab: Vocab, cap: int):
     return data, paths, path_log_probs(data, paths)
 
 
-def ctc_loss_bruteforce(u, y, vocab: Vocab, cap: int = ENUMERATION_CAP) -> float:
+def ctc_loss_bruteforce(u, y, vocab: Vocab) -> float:
     """-log sum over enumerated paths of the product of frame posteriors."""
-    return -_logsumexp(list(_scored_paths(u, y, vocab, cap)[2]))
+    return -_logsumexp(list(_scored_paths(u, y, vocab)[2]))
 
 
 def _extended(y) -> np.ndarray:
@@ -249,9 +247,9 @@ def ctc_grad(u, y, vocab: Vocab) -> np.ndarray:
     return _dp(u, y, vocab)[2]
 
 
-def posterior_from_enumeration(u, y, vocab: Vocab, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def posterior_from_enumeration(u, y, vocab: Vocab) -> np.ndarray:
     """Path-weighted label frequencies; the oracle for ctc_posterior."""
-    data, paths, logw = _scored_paths(u, y, vocab, cap)
+    data, paths, logw = _scored_paths(u, y, vocab)
     w = np.exp(logw - _logsumexp(list(logw)))
     sigma = np.zeros_like(data)
     for weight, z in zip(w, paths):

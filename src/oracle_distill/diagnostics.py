@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctc import (
-    ENUMERATION_CAP,
     Vocab,
     enumerate_alignments,
     kd_loss_ctc,
@@ -64,7 +63,7 @@ def kl_discrete(p, q) -> float:
             if qi <= 0.0:
                 return math.inf
             total += pi * math.log(pi / qi)
-    return total
+    return float(total)
 
 
 def _normalized(logw: np.ndarray) -> np.ndarray:
@@ -73,9 +72,9 @@ def _normalized(logw: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def bound_report_from_logits(student_logits, teacher_logits, y, vocab: Vocab,
-                             cap: int = ENUMERATION_CAP) -> BoundReport:
-    """Exact bound arithmetic over the enumerated alignment set.
+def bound_report_from_logits(student_logits, teacher_logits, y, vocab: Vocab) -> BoundReport:
+    """Exact bound arithmetic over the enumerated alignment set; every
+    field is a plain float.
 
     Both logit grids must be finite T x ``vocab.size`` matrices of one
     shape (``ContractError`` / ``ShapeError`` otherwise), as for the DP.
@@ -84,7 +83,7 @@ def bound_report_from_logits(student_logits, teacher_logits, y, vocab: Vocab,
     teacher_logits, _ = validated_inputs(teacher_logits, y, vocab)
     if teacher_logits.shape != student_logits.shape:
         raise ShapeError(f"teacher logits {teacher_logits.shape} vs student {student_logits.shape}")
-    paths = enumerate_alignments(y, student_logits.shape[0], vocab, cap=cap)
+    paths = enumerate_alignments(y, student_logits.shape[0], vocab)
     if not paths:
         raise ContractError("no feasible alignment for this instance")
     lp_student = path_log_probs(student_logits, paths)
@@ -93,7 +92,7 @@ def bound_report_from_logits(student_logits, teacher_logits, y, vocab: Vocab,
     p_cond = _normalized(lp_student)
 
     m = lp_student.max()
-    loglik = m + math.log(np.exp(lp_student - m).sum())
+    loglik = float(m + math.log(np.exp(lp_student - m).sum()))
     support = w > 0.0
     logw = np.where(support, np.log(np.where(support, w, 1.0)), 0.0)
     bound = float(np.sum(w * (lp_student - logw), where=support))
@@ -117,10 +116,10 @@ def _ctc_logit_pair(model: CtcModel, x, y):
     return u_s.data, u_t.data
 
 
-def check_lower_bound(model: CtcModel, x, y, cap: int = ENUMERATION_CAP) -> BoundReport:
+def check_lower_bound(model: CtcModel, x, y) -> BoundReport:
     """Bound report for a frame-classifier model on one instance."""
     u_s, u_t = _ctc_logit_pair(model, x, y)
-    return bound_report_from_logits(u_s, u_t, y, model.vocab, cap=cap)
+    return bound_report_from_logits(u_s, u_t, y, model.vocab)
 
 
 def kd_vs_q_gap(model: CtcModel, x, y) -> dict[str, float]:
@@ -167,10 +166,7 @@ def fusion_attention(model, x, y) -> list[np.ndarray]:
     row is a distribution.
     """
     capture: list[np.ndarray] = []
-    if isinstance(model, CtcModel):
-        model.teacher_logits(model.encode(x), y, capture=capture)
-    else:
-        model.fuse(model.encode(x), model.oracle_guidance(y), capture=capture)
+    model.fuse(model.encode(x), model.oracle_guidance(y), capture=capture)
     return capture
 
 

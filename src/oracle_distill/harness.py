@@ -26,7 +26,7 @@ from .metrics import exact_match_rate, token_error_rate
 from .models import AUX_PREFIXES, CtcModel, ModelConfig, build_model, save_checkpoint
 from .objectives import Adam, TrainConfig, loss_total, mask_target
 from .tasks import batch_iter, gen_aed_dataset, gen_ctc_dataset, split_examples
-from .tensor import Tensor, backward, grad_check
+from .tensor import Tensor, backward, finite_differences, grad_check
 from . import tensor as tt
 
 METRICS_HEADER = "step,l_org,l_em,l_kd,l_total,ter_student,ter_teacher,rep_ratio"
@@ -137,11 +137,9 @@ def evaluate(model, examples, mode: str, train_cfg: TrainConfig, mask_seed: int 
         rng = np.random.default_rng(mask_seed)
         for i, x in enumerate(sources):
             y = counted.get(i)
-            if isinstance(model, CtcModel):
-                predictions.append(model.predict_teacher(x, y))
-            else:
-                masked = mask_target(y, train_cfg.lambda_mask, rng)
-                predictions.append(model.predict_teacher(x, y, masked.tokens))
+            # the CTC teacher sees all of y, the encoder-decoder one a masked y
+            tokens = y if isinstance(model, CtcModel) else mask_target(y, train_cfg.lambda_mask, rng).tokens
+            predictions.append(model.predict_teacher(x, tokens))
         aux_reads = model.store.reads_with_prefix(*AUX_PREFIXES)
         target_reads = counted.reads
 
@@ -166,7 +164,6 @@ class TrainResult:
     model: object
     records: list[MetricsRecord]
     out_dir: Path | None
-    aborted: bool = False
 
 
 def fit_loop(model, train_examples, train_cfg: TrainConfig, on_step=None) -> list[MetricsRecord]:
@@ -293,8 +290,9 @@ def _write_timings(path, timings, total):
         fh.write(f"total,{total:.3f}\n")
 
 
-def loss_curve_svg(records, width: int = 640, height: int = 400) -> str:
-    """Static polyline plot of the three loss terms against the step."""
+def loss_curve_svg(records) -> str:
+    """Static 640 x 400 polyline plot of the three loss terms against the step."""
+    width, height = 640, 400
     series = {
         "l_org": ([r.l_org for r in records], "#1f77b4"),
         "l_em": ([r.l_em for r in records], "#d62728"),
@@ -365,15 +363,15 @@ def _random_ctc_instance(rng, max_t=8, max_l=4, max_k=4):
     return rng.standard_normal((t, k)) * 2.0, y, vocab
 
 
-def check_ctc_suite(n_instances: int = 100, seed: int = 0, max_t: int = 8,
-                    max_l: int = 4, max_k: int = 4, corrupt: float = 0.0) -> SuiteReport:
+def check_ctc_suite(n_instances: int = 100, seed: int = 0, corrupt: float = 0.0) -> SuiteReport:
     """Dynamic-programming loss and posterior against exhaustive
-    enumeration.  ``corrupt`` shifts the DP value, as a negative control."""
+    enumeration on instances of up to 8 frames, 4 labels and 4 symbols.
+    ``corrupt`` shifts the DP value, as a negative control."""
     rng = np.random.default_rng(seed)
     max_loss_dev = 0.0
     max_post_dev = 0.0
     for _ in range(n_instances):
-        u, y, vocab = _random_ctc_instance(rng, max_t=max_t, max_l=max_l, max_k=max_k)
+        u, y, vocab = _random_ctc_instance(rng)
         dp = ctc_loss_dp(u, y, vocab).item() + corrupt
         bf = ctc_loss_bruteforce(u, y, vocab)
         max_loss_dev = max(max_loss_dev, abs(dp - bf))
@@ -389,42 +387,21 @@ def check_ctc_suite(n_instances: int = 100, seed: int = 0, max_t: int = 8,
     )
 
 
-def full_gradient_report(model, batch, train_cfg: TrainConfig, mask_seed: int = 0,
-                         h: float = 1e-5) -> dict:
+def full_gradient_report(model, batch, train_cfg: TrainConfig, mask_seed: int = 0) -> dict:
     """Finite-difference check of the combined objective over every
-    parameter coordinate of the model."""
-
-    def objective():
-        return loss_total(model, batch, train_cfg, np.random.default_rng(mask_seed)).total
-
-    for t in model.store.tensors():
-        t.zero_grad()
-    backward(objective())
-    worst = {"rel_err": 0.0, "param": None, "index": None}
-    checked = 0
-    for name, tensor in model.store.items():
-        analytic = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-        flat = tensor.data.reshape(-1)
-        aflat = analytic.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = objective().item()
-            flat[i] = orig - h
-            fm = objective().item()
-            flat[i] = orig
-            numeric = (fp - fm) / (2 * h)
-            rel = abs(aflat[i] - numeric) / max(1e-8, abs(numeric))
-            checked += 1
-            if rel > worst["rel_err"]:
-                worst = {"rel_err": rel, "param": name, "index": i}
-    worst["coordinates"] = checked
-    return worst
+    parameter coordinate of the model, by ``tensor.finite_differences``."""
+    names, tensors = zip(*model.store.items())
+    rel_err, pos, index, checked = finite_differences(
+        lambda: loss_total(model, batch, train_cfg, np.random.default_rng(mask_seed)).total, tensors
+    )
+    return {"rel_err": rel_err, "param": None if pos is None else names[pos], "index": index,
+            "coordinates": checked}
 
 
-def grad_check_suite(seed: int = 0, n_ctc: int = 50, full_tol: float = 1e-4) -> SuiteReport:
+def grad_check_suite(seed: int = 0, n_ctc: int = 50) -> SuiteReport:
     """Analytic gradients against central differences at three levels:
-    the CTC loss rule, both distillation forms, and the full objective."""
+    the CTC loss rule, both distillation forms, and the full objective,
+    whose worst relative error may reach 1e-4."""
     rng = np.random.default_rng(seed)
     worst_ctc = 0.0
     for _ in range(n_ctc):
@@ -453,7 +430,7 @@ def grad_check_suite(seed: int = 0, n_ctc: int = 50, full_tol: float = 1e-4) -> 
     train_cfg = TrainConfig(alpha=2.0, kd_form="l2", seed=seed)
     full = full_gradient_report(model, batch, train_cfg, mask_seed=seed)
 
-    passed = worst_ctc <= 1e-5 and worst_kd <= 1e-5 and full["rel_err"] <= full_tol
+    passed = worst_ctc <= 1e-5 and worst_kd <= 1e-5 and full["rel_err"] <= 1e-4
     return SuiteReport(
         "gradient vs finite differences",
         passed,

@@ -276,9 +276,10 @@ class _TransformerBase:
         self.store.create(f"{prefix}.w", _xavier(self._rng, self.cfg.d_model, out_dim))
         self.store.create(f"{prefix}.b", np.zeros(out_dim))
 
-    def _build_oracle_and_fusion(self, oracle_rows: int):
+    def _build_oracle_and_fusion(self):
+        # row 0 stands for MASK, rows 1..vocab_size for the target tokens
         d = self.cfg.d_model
-        self.store.create("oracle.embed", _xavier(self._rng, oracle_rows, d))
+        self.store.create("oracle.embed", _xavier(self._rng, self.cfg.vocab_size + 1, d))
         self._build_encoder_block("oracle.enc0")
         for i in range(self.cfg.fusion_layers):
             self._build_cross_block(f"fusion.f{i}")
@@ -352,15 +353,16 @@ class _TransformerBase:
         s = self.store
         return tt.add(tt.matmul(x, s.get(f"{prefix}.w")), s.get(f"{prefix}.b"))
 
-    def oracle_encode(self, tokens, n_vocab_rows: int, lengths=None) -> Tensor:
-        """Target-side context vectors, one per input token.
+    def oracle_guidance(self, tokens, lengths=None) -> Tensor:
+        """Target-side context vectors, one per input token; ``lengths``
+        are those of padded ``tokens``.
 
         ``tokens`` may contain MASK; it is rendered as embedding row 0,
         which no real token uses.
         """
         raw = np.asarray(tokens, dtype=np.int64)
         masked = raw == MASK
-        ids = _token_ids(np.where(masked, 1, raw), lengths, "oracle", n_vocab_rows - 1)
+        ids = _token_ids(np.where(masked, 1, raw), lengths, "oracle", self.cfg.vocab_size)
         emb = tt.embedding_lookup(self.store.get("oracle.embed"), np.where(masked, 0, ids))
         x = tt.add(tt.scale(emb, math.sqrt(self.cfg.d_model)), self._positions(ids.shape[-1]))
         return self._encoder_block("oracle.enc0", x, _key_mask(_valid_cells(lengths, ids.shape)))
@@ -400,7 +402,7 @@ class CtcModel(_TransformerBase):
         for i in range(config.enc_layers):
             self._build_encoder_block(f"seq.enc{i}")
         self._build_head("seq.out", out_dim)
-        self._build_oracle_and_fusion(config.vocab_size + 1)
+        self._build_oracle_and_fusion()
         self._build_head("teacher_out", out_dim)
 
     def encode(self, feats: np.ndarray, lengths=None) -> Tensor:
@@ -430,16 +432,12 @@ class CtcModel(_TransformerBase):
     def student_logits(self, feats) -> Tensor:
         return self.student_head(self.encode(feats))
 
-    def oracle_guidance(self, tokens, lengths=None) -> Tensor:
-        return self.oracle_encode(tokens, self.cfg.vocab_size + 1, lengths)
-
-    def teacher_logits(self, hidden: Tensor, tokens, capture=None, lengths=None,
-                       target_lengths=None) -> Tensor:
+    def teacher_logits(self, hidden: Tensor, tokens, lengths=None, target_lengths=None) -> Tensor:
         """Teacher frame logits from an already-encoded representation;
         ``lengths`` are the frames of a padded ``hidden``, and
         ``target_lengths`` those of the padded ``tokens``."""
         guidance = self.oracle_guidance(tokens, target_lengths)
-        fused = self.fuse(hidden, guidance, capture, lengths, target_lengths)
+        fused = self.fuse(hidden, guidance, lengths=lengths, guidance_lengths=target_lengths)
         return self._head("teacher_out", fused)
 
     @tt.no_grad()
@@ -471,7 +469,7 @@ class AedModel(_TransformerBase):
         for i in range(config.dec_layers):
             self._build_cross_block(f"seq.dec{i}")
         self._build_head("seq.out", out_dim)
-        self._build_oracle_and_fusion(config.vocab_size + 1)
+        self._build_oracle_and_fusion()
         self._build_head("teacher_out", out_dim)
 
     def encode(self, src_tokens, lengths=None) -> Tensor:
@@ -552,10 +550,7 @@ class AedModel(_TransformerBase):
     def student_logits(self, src_tokens, target) -> Tensor:
         return self.student_head(self.encode(src_tokens), target)
 
-    def oracle_guidance(self, tokens, lengths=None) -> Tensor:
-        return self.oracle_encode(tokens, self.cfg.vocab_size + 1, lengths)
-
-    def teacher_logits(self, memory: Tensor, target, masked_target, capture=None, lengths=None,
+    def teacher_logits(self, memory: Tensor, target, masked_target, lengths=None,
                        target_lengths=None) -> Tensor:
         """Teacher-forced logits attending to the fused memory.
 
@@ -565,7 +560,7 @@ class AedModel(_TransformerBase):
         like ``target``.
         """
         guidance = self.oracle_guidance(masked_target, target_lengths)
-        fused = self.fuse(memory, guidance, capture, lengths, target_lengths)
+        fused = self.fuse(memory, guidance, lengths=lengths, guidance_lengths=target_lengths)
         return self._teacher_forced(fused, target, "teacher_out", lengths, target_lengths)
 
     def _greedy(self, memory: Tensor, head: str, max_len: int | None) -> tuple[int, ...]:
@@ -597,7 +592,7 @@ class AedModel(_TransformerBase):
         return self._greedy(self.encode(src_tokens), "seq.out", max_len)
 
     @tt.no_grad()
-    def predict_teacher(self, src_tokens, target, masked_target, max_len: int | None = None) -> tuple[int, ...]:
+    def predict_teacher(self, src_tokens, masked_target, max_len: int | None = None) -> tuple[int, ...]:
         """Greedy decode with access to the (masked) target via fusion."""
         fused = self.fuse(self.encode(src_tokens), self.oracle_guidance(masked_target))
         return self._greedy(fused, "teacher_out", max_len)
@@ -672,7 +667,7 @@ def save_checkpoint(model, path, run_config: dict | None = None) -> None:
         raise
 
 
-def load_checkpoint(path, seed: int = 0):
+def load_checkpoint(path):
     """Rebuild the model from a checkpoint; returns (model, run_config)."""
     with open(path, encoding="ascii") as fh:
         lines = fh.read().splitlines()
@@ -714,9 +709,11 @@ def load_checkpoint(path, seed: int = 0):
             name = header[len("param "):]
             if len(body) != 2:
                 raise CheckpointFormatError(f"param {name}: expected shape and data lines")
-            shape = tuple(int(n) for n in body[0].split()) if body[0] != "scalar" else ()
-            values = np.array([float.fromhex(v) for v in body[1].split()])
-            params[name] = values.reshape(shape)
+            try:
+                shape = tuple(int(n) for n in body[0].split()) if body[0] != "scalar" else ()
+                params[name] = np.array([float.fromhex(v) for v in body[1].split()]).reshape(shape)
+            except ValueError as exc:  # a bad shape token or hex value, or a count off the shape
+                raise CheckpointFormatError(f"param {name}: {exc}") from exc
         else:
             raise CheckpointFormatError(f"unknown section {header!r}")
 
@@ -726,7 +723,7 @@ def load_checkpoint(path, seed: int = 0):
     except (KeyError, ValueError) as exc:
         raise CheckpointFormatError(f"bad [config] section: {exc}") from exc
 
-    model = build_model(cfg, seed=seed)
+    model = build_model(cfg)  # every parameter is overwritten below
     expected = set(model.store.names())
     if set(params) != expected:
         missing = sorted(expected - set(params))

@@ -221,15 +221,17 @@ def loss_kd(model, batch, config: TrainConfig, rng: np.random.Generator) -> Tens
     return loss_total(model, batch, replace(config, use_teacher=True), rng).terms[2]
 
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba 2015)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adaptive-moment optimizer with linear warmup then a constant rate."""
 
-    def __init__(self, params, lr: float, warmup_steps: int = 0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float, warmup_steps: int = 0):
         self.params = list(params)
         self.lr = lr
         self.warmup_steps = warmup_steps
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -251,7 +253,7 @@ class Adam:
                 )
         self.t += 1
         lr_t = self.rate()
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for p, g, m, v in zip(self.params, grads, self._m, self._v):
             m *= b1
             m += (1 - b1) * g
@@ -259,7 +261,7 @@ class Adam:
             v += (1 - b2) * g * g
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
-            p.data -= lr_t * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -17,12 +17,13 @@ blocks nest.  ``backward`` on a result computed under it raises
 
 Every op works on stacks: leading axes are batch axes (items, attention
 heads), and the last one or two axes are what the op is about.  Broadcasting
-is deliberately restricted: a scalar with a tensor; ``add`` of a tensor
-whose shape is a suffix of the other's (a bias row, a position table),
-repeated over the leading axes; ``matmul`` of a stack by one weight matrix;
-and ``scale`` and the ``softmax`` mask, whose constant arrays broadcast to
-the tracked operand's shape.  Everything else requires exact shape
-agreement.
+is deliberately restricted: a number with a tensor, in ``add`` only; ``add``
+of a tensor whose shape is a suffix of the other's (a bias row, a position
+table), repeated over the leading axes; ``matmul`` of a stack by one weight
+matrix; and ``scale`` and the ``softmax`` mask, whose constant arrays
+broadcast to the tracked operand's shape.  Everything else requires exact
+shape agreement.  ``layer_norm`` adds ``LAYER_NORM_EPS`` = 1e-5 to the
+variance.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ _serial = itertools.count()
 
 # False inside ``no_grad``: ops then record no graph
 _grad_enabled = True
+
+LAYER_NORM_EPS = 1e-5
+
+# central-difference step of ``finite_differences``
+FD_STEP = 1e-5
 
 
 @contextlib.contextmanager
@@ -96,28 +102,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # operator sugar; scalars only on the non-tensor side
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
@@ -279,17 +263,12 @@ def add(a: Tensor, b) -> Tensor:
     raise ShapeError(f"add {a.shape} + {b.shape}")
 
 
-def sub(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float, np.floating, np.integer)):
-        return add(a, -float(b))
+def sub(a: Tensor, b: Tensor) -> Tensor:
     return add(a, scale(as_tensor(b), -1.0))
 
 
-def mul(a: Tensor, b) -> Tensor:
-    a = as_tensor(a)
-    if isinstance(b, (int, float, np.floating, np.integer)):
-        return scale(a, float(b))
-    b = as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"mul {a.shape} * {b.shape}")
 
@@ -367,9 +346,9 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None,
-               eps: float = 1e-5) -> Tensor:
-    """``gain * (a - mean) / sqrt(var + eps) + bias`` along the last axis.
+def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
+    """``gain * (a - mean) / sqrt(var + LAYER_NORM_EPS) + bias`` along the
+    last axis.
 
     ``gain`` and ``bias`` are vectors as wide as the last axis, shared by
     every row (Ba et al. 2016).  Either may be omitted, standing for ones
@@ -388,7 +367,7 @@ def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
     n = width[0]
     rowsum = np.add.reduce
     centered = a.data - rowsum(a.data, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(rowsum(centered * centered, axis=-1, keepdims=True) / n + eps)
+    inv = 1.0 / np.sqrt(rowsum(centered * centered, axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
     normed = centered * inv
     out = normed if gain is None else normed * gain.data
     if bias is not None:
@@ -515,31 +494,48 @@ def pick(a: Tensor, ids) -> Tensor:
     return _node(np.take_along_axis(a.data, at, axis=-1)[..., 0], (a,), bwd)
 
 
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """Max relative error of the analytic gradient of f at x.
+def finite_differences(f: Callable[[], Tensor], tensors: Sequence[Tensor]):
+    """Worst relative error of the analytic gradient of the deterministic
+    scalar ``f()`` over every coordinate of ``tensors``, whose ``grad`` is
+    cleared before and after.
 
-    Central differences per coordinate; the relative error of coordinate i
-    is |analytic_i - numeric_i| / max(1e-8, |numeric_i|).  ``f`` must be a
-    deterministic function producing a scalar tensor.
+    A coordinate's error is |analytic - numeric| / max(1e-8, |numeric|),
+    numeric by central differences.  The scan goes tensor by tensor, and
+    only a strictly larger error (or a NaN) replaces the worst.  Returns
+    (worst error, position of its tensor, its flat index, coordinates
+    checked); position and index are None when no error exceeds 0.
     """
+    for x in tensors:
+        x.grad = None
+    backward(f())
+    analytic = [np.zeros_like(x.data) if x.grad is None else x.grad for x in tensors]
+    for x in tensors:
+        x.grad = None
+    worst, at, checked = 0.0, (None, None), 0
+    for pos, (x, a) in enumerate(zip(tensors, analytic)):
+        flat = x.data.reshape(-1)
+        numeric = np.empty(flat.size)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + FD_STEP
+            fp = f().item()
+            flat[i] = orig - FD_STEP
+            fm = f().item()
+            flat[i] = orig
+            numeric[i] = (fp - fm) / (2.0 * FD_STEP)
+        rel = np.abs(a.reshape(-1) - numeric) / np.maximum(1e-8, np.abs(numeric))
+        checked += flat.size
+        if rel.size:
+            i = int(np.argmax(rel))  # the first of the largest, or the first NaN
+            if rel[i] > worst or np.isnan(rel[i]):
+                worst, at = float(rel[i]), (pos, i)
+    return worst, *at, checked
+
+
+def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:
+    """Max relative error of the analytic gradient of f at x, by
+    ``finite_differences``.  ``f`` must be a deterministic function
+    producing a scalar tensor."""
     if not x.requires_grad:
         raise ContractError("grad_check target must require gradients")
-    x.grad = None
-    out = f(x)
-    backward(out)
-    analytic = x.grad.copy() if x.grad is not None else np.zeros_like(x.data)
-    x.grad = None
-
-    flat = x.data.reshape(-1)
-    numeric = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x).item()
-        flat[i] = orig - h
-        fm = f(x).item()
-        flat[i] = orig
-        numeric[i] = (fp - fm) / (2.0 * h)
-    numeric = numeric.reshape(x.data.shape)
-    rel = np.abs(analytic - numeric) / np.maximum(1e-8, np.abs(numeric))
-    return float(rel.max()) if rel.size else 0.0
+    return finite_differences(lambda: f(x), [x])[0]

@@ -3,7 +3,7 @@ inert padding, and a tape that does not grow with the batch."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle_distill import tensor as T
@@ -66,6 +66,45 @@ def models_and_batches(draw):
     return model, train, batch, draw(st.integers(0, 2 ** 16))
 
 
+def _singles(model, batch, train, mask_seed):
+    # the batch draws each item's mask in batch order from one stream, so
+    # single-item calls sharing one generator draw the same masks
+    rng = np.random.default_rng(mask_seed)
+    return [loss_total(model, [item], train, rng) for item in batch]
+
+
+def _mean_grads(model, singles):
+    want = {name: np.zeros_like(t.data) for name, t in model.store.items()}
+    for single in singles:
+        for name, g in _grads(model, single).items():
+            want[name] += g / len(singles)
+    return want
+
+
+def _ulp_movement(model, batch, train, mask_seed, want):
+    """Largest change of the mean single-item gradient ``want`` when every
+    parameter moves up by one ulp: how much this model amplifies round-off."""
+    saved = [(t, t.data.copy()) for t in model.store.tensors()]
+    for t, data in saved:
+        t.data[...] = np.nextafter(data, np.inf)
+    nudged = _mean_grads(model, _singles(model, batch, train, mask_seed))
+    for t, data in saved:
+        t.data[...] = data
+    return max(np.abs(nudged[name] - want[name]).max() for name in want)
+
+
+def _tiny_aed(seed, **layers):
+    cfg = ModelConfig(task="aed", vocab_size=2, d_model=2, heads=1, fusion_layers=0, **layers)
+    return AedModel(cfg, seed=seed)
+
+
+# Round-off cases: the gradient gap was 3.0e-10 against 1e-12 x max|g| =
+# 1.06e-10, and 2.4e-11 against 1.6e-11; a 1-ulp nudge of the parameters
+# moves the reference gradient by 3.0e-10 and 6.0e-12.
+@example((_tiny_aed(1, enc_layers=1, dec_layers=1, ffn_dim=2), TrainConfig(use_teacher=False),
+          [((1,) * 8, (1,)), ((1, 2, 1, 1, 1, 1), (1, 1))], 0))
+@example((_tiny_aed(87, enc_layers=2, dec_layers=2, ffn_dim=8), TrainConfig(use_teacher=False),
+          [((1, 1, 1, 2, 1, 1), (1, 2, 2)), ((1,) * 8, (1,))], 0))
 @settings(max_examples=100, deadline=None)
 @given(models_and_batches())
 def test_batched_objective_equals_the_mean_of_single_items(case):
@@ -73,10 +112,7 @@ def test_batched_objective_equals_the_mean_of_single_items(case):
     out = loss_total(model, batch, train, np.random.default_rng(mask_seed))
     grads = _grads(model, out)
 
-    # the batch draws each item's mask in batch order from one stream, so
-    # single-item calls sharing one generator draw the same masks
-    rng = np.random.default_rng(mask_seed)
-    singles = [loss_total(model, [item], train, rng) for item in batch]
+    singles = _singles(model, batch, train, mask_seed)
     for name in TERMS:
         got = getattr(out.breakdown, name)
         want = float(np.mean([getattr(s.breakdown, name) for s in singles]))
@@ -85,13 +121,16 @@ def test_batched_objective_equals_the_mean_of_single_items(case):
         np.testing.assert_allclose(out.student_logits[i], single.student_logits[0], rtol=0, atol=1e-12)
         assert out.masked_targets[i] == single.masked_targets[0]
 
-    want = {name: np.zeros_like(g) for name, g in grads.items()}
-    for single in singles:
-        for name, g in _grads(model, single).items():
-            want[name] += g / len(batch)
+    # The batch sums attention over its padded keys in another order than
+    # a single item does.  Width-2 layer norms can amplify that round-off
+    # past 1e-12 x max|g|, so the bound also allows 16 times the gradient's
+    # measured movement under a 1-ulp nudge; over 1600 drawn cases the
+    # gap never exceeded 4.9 times that movement.
+    want = _mean_grads(model, singles)
     scale = max(np.abs(g).max() for g in want.values())
+    tol = max(1e-12 * scale, 16 * _ulp_movement(model, batch, train, mask_seed, want))
     for name, g in grads.items():
-        assert np.abs(g - want[name]).max() <= 1e-12 * scale, name
+        assert np.abs(g - want[name]).max() <= tol, name
 
 
 def _garbage(batch, rng):

@@ -94,7 +94,7 @@ def test_predictions_equal_a_full_recompute(case):
     memory = model.encode(src)
     assert model.predict(src) == reference_greedy(model, memory, "seq.out", limit)
     fused = model.fuse(memory, model.oracle_guidance(masked))
-    assert model.predict_teacher(src, target, masked) == reference_greedy(model, fused, "teacher_out", limit)
+    assert model.predict_teacher(src, masked) == reference_greedy(model, fused, "teacher_out", limit)
 
 
 def tracked_nodes_during(monkeypatch, fn):
@@ -124,7 +124,7 @@ class TestInferenceWithoutTape:
 
     def test_teacher_and_ctc_predicts_build_no_node(self, monkeypatch):
         aed = tiny_aed(seed=4)
-        assert tracked_nodes_during(monkeypatch, lambda: aed.predict_teacher((1, 2), (3, 4), (3, MASK))) == 0
+        assert tracked_nodes_during(monkeypatch, lambda: aed.predict_teacher((1, 2), (3, MASK))) == 0
         ctc = CtcModel(ModelConfig(task="ctc", vocab_size=3, feature_dim=4, d_model=8,
                                    enc_layers=1, heads=2, ffn_dim=16), seed=4)
         feats = np.random.default_rng(4).standard_normal((5, 4))
@@ -138,7 +138,7 @@ class TestInferenceWithoutTape:
         if mode == "student":
             pred = model.predict((1, 2, 3))
         else:
-            pred = model.predict_teacher((1, 2, 3), (4, 5), (MASK, 5))
+            pred = model.predict_teacher((1, 2, 3), (MASK, 5))
         reads = model.store.reads
         calls = reads["seq.tgt_embed"]
         assert calls == min(len(pred) + 1, 2 * 3 + 4) and calls > 2
@@ -201,7 +201,7 @@ class TestDecodeLimit:
         model = tiny_aed(max_len=8)
         calls = self._counting(model)
         for predict in (lambda: model.predict((1, 2, 3), max_len=max_len),
-                        lambda: model.predict_teacher((1, 2, 3), (4, 5), (MASK, 5), max_len=max_len)):
+                        lambda: model.predict_teacher((1, 2, 3), (MASK, 5), max_len=max_len)):
             with pytest.raises(ContractError, match=rf"max_len {max_len} outside 1\.\.8"):
                 predict()
         assert calls[0] == 0

@@ -95,6 +95,11 @@ class TestBoundReport:
                 -r.conditional_kl - r.teacher_entropy + r.log_likelihood_student, abs=1e-9
             )
 
+    def test_every_field_is_a_plain_float(self):
+        u_s, u_t, y, vocab = random_ctc_instance(np.random.default_rng(6))
+        r = bound_report_from_logits(u_s, u_t, y, vocab)
+        assert all(type(v) is float for v in vars(r).values()), vars(r)
+
     def test_loglik_agrees_with_dp_loss(self):
         rng = np.random.default_rng(5)
         u_s, u_t, y, vocab = random_ctc_instance(rng)

@@ -182,6 +182,13 @@ class TestSuites:
         assert lines[0] == "loglik,bound,slack,entropy"
         assert len(lines) == 21
 
+    def test_bound_csv_cells_are_plain_numbers(self, tmp_path):
+        csv = tmp_path / "bound.csv"
+        bound_check_suite(n_instances=5, seed=2, csv_path=csv)
+        for line in csv.read_text().splitlines()[1:]:
+            for cell in line.split(","):
+                float(cell)  # a repr such as np.float64(-3.2) raises here
+
     def test_grad_suite_small(self):
         report = grad_check_suite(seed=3, n_ctc=5)
         assert report.passed

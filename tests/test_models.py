@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_distill import tensor as T
+from oracle_distill.cli import main
 from oracle_distill.errors import (
     CheckpointFormatError,
     ContractError,
@@ -341,6 +342,33 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="seq.dec0.ln_mem.g") as info:
             load_checkpoint(path)
         assert "before layer norms had a learned gain and bias" in str(info.value)
+
+    @staticmethod
+    def _damaged(tmp_path, damage):
+        """A checkpoint whose ``[param seq.out.b]`` section is damaged."""
+        path = tmp_path / "damaged.ckpt"
+        save_checkpoint(tiny_ctc(), path)
+        lines = path.read_text().splitlines()
+        at = lines.index("[param seq.out.b]")
+        values = lines[at + 2].split()
+        if damage == "shape token":
+            lines[at + 1] = "four"
+        elif damage == "hex value":
+            lines[at + 2] = " ".join(["0x1.zp+0"] + values[1:])
+        else:
+            lines[at + 2] = " ".join(values[:-1])
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("damage", ["shape token", "hex value", "value count"])
+    def test_damaged_param_section_names_the_param(self, tmp_path, damage):
+        with pytest.raises(CheckpointFormatError, match=r"param seq\.out\.b"):
+            load_checkpoint(self._damaged(tmp_path, damage))
+
+    def test_cli_reports_a_damaged_param_section(self, tmp_path, capsys):
+        path = self._damaged(tmp_path, "value count")
+        assert main(["eval", "--checkpoint", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: param seq.out.b: ")
 
     def test_truncated_file_rejected(self, tmp_path):
         model = tiny_ctc()

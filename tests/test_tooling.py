@@ -1,12 +1,14 @@
 """Source hygiene checked with the standard library's ``ast`` alone: no
-unused imports, and no module reaching into another's private names."""
+unused imports, no module reaching into another's private names, and no
+defaulted parameter that no call ever sets."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "oracle_distill"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "oracle_distill"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -58,3 +60,70 @@ def test_checker_finds_a_private_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports_between_modules(path):
     assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unset_defaults(package_sources: list[str], caller_sources: list[str]) -> list[str]:
+    """``name(param)`` for each defaulted parameter of a function or method
+    in ``package_sources``, other than ``__init__``, that no call in
+    ``caller_sources`` passes.
+
+    Calls match by the called name alone.  A call passes a parameter by its
+    keyword or by enough positional arguments (a method's ``self`` or
+    ``cls`` is not counted); a ``*`` argument passes every positional one
+    and a ``**`` argument every one."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in caller_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def passed(call: ast.Call, name: str, position: int | None) -> bool:
+        keywords = {k.arg for k in call.keywords}
+        if name in keywords or None in keywords:  # None: a ** argument
+            return True
+        if position is None:
+            return False
+        return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > position
+
+    unset = []
+    for source in package_sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name == "__init__":
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            defaulted = [(a.arg, i - skip) for i, a in enumerate(positional)][len(positional) - len(args.defaults):]
+            defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for param, position in defaulted:
+                if not any(passed(call, param, position) for call in calls.get(node.name, [])):
+                    unset.append(f"{node.name}({param})")
+    return sorted(unset)
+
+
+def test_checker_finds_a_parameter_no_call_sets():
+    package = (
+        "def f(a, b=1, *, c=2):\n    pass\n"
+        "def k(*, t=0):\n    pass\n"
+        "def g(p=0, q=0):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, z=0):\n        pass\n"
+        "    def m(self, x, y=0):\n        pass\n"
+    )
+    callers = "f(1, c=3)\nk()\ng(*xs)\ng(**kw)\nK().m(1, 2)\n"
+    assert unset_defaults([package], [callers]) == ["f(b)", "k(t)"]
+
+
+# the sklearn parameter protocol, and the console entry point (argv from sys.argv)
+UNSET_ALLOWED = {"get_params(deep)", "main(argv)"}
+
+
+def test_every_defaulted_parameter_has_a_caller_that_sets_it():
+    callers = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    unset = unset_defaults(
+        [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))],
+        [p.read_text(encoding="utf-8") for p in callers],
+    )
+    assert sorted(set(unset) - UNSET_ALLOWED) == []
