@@ -196,14 +196,6 @@ class CtcDistiller(_DistillerBase):
         self._fit_examples(examples, model_cfg)
         return self
 
-    def predict_with_target(self, X, y) -> list[tuple[int, ...]]:
-        """Teacher-mode decodes; diagnostic only, never the inference path."""
-        check_is_fitted(self)
-        X = self._check_X(X)
-        y = check_token_sequences(y, "y", vocab_size=self.model_.cfg.vocab_size)
-        check_paired(X, y)
-        return [self.model_.predict_teacher(x, t) for x, t in zip(X, y)]
-
 
 class AedDistiller(_DistillerBase):
     """Token-sequence transducer trained with masked-target guidance.

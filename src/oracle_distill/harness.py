@@ -25,7 +25,7 @@ from .errors import ContractError
 from .metrics import exact_match_rate, token_error_rate
 from .models import AUX_PREFIXES, CtcModel, ModelConfig, build_model, save_checkpoint
 from .objectives import Adam, TrainConfig, loss_total, mask_target
-from .tasks import batch_iter, gen_aed_dataset, gen_ctc_dataset, split_examples
+from .tasks import Batch, batch_iter, gen_aed_dataset, gen_ctc_dataset, split_examples
 from .tensor import Tensor, backward, finite_differences, grad_check
 from . import tensor as tt
 
@@ -391,6 +391,7 @@ def full_gradient_report(model, batch, train_cfg: TrainConfig, mask_seed: int = 
     """Finite-difference check of the combined objective over every
     parameter coordinate of the model, by ``tensor.finite_differences``."""
     names, tensors = zip(*model.store.items())
+    batch = Batch(batch)
     rel_err, pos, index, checked = finite_differences(
         lambda: loss_total(model, batch, train_cfg, np.random.default_rng(mask_seed)).total, tensors
     )

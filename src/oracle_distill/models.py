@@ -45,10 +45,11 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -59,7 +60,7 @@ from .tensor import Tensor
 
 MASK = -1  # sentinel for masked target tokens; rendered as the oracle's row 0
 
-CHECKPOINT_MAGIC = "oracle-distill-checkpoint v1"
+CHECKPOINT_MAGIC = "oracle-distill-checkpoint v2"
 
 
 @dataclass
@@ -635,24 +636,18 @@ def tie_teacher_head(model) -> None:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: versioned text with hex floats, byte-exact round trip
+# checkpoint format v2: ASCII text, byte-exact round trip.  Line 1 is the
+# magic, line 2 one JSON object {"model": ModelConfig fields, "run": the
+# str -> str run config} with sorted keys, then one line per parameter,
+# ``name d0 d1 ... hex``, the hex being its little-endian float64 bytes,
+# and last ``[end]``.  Any other version is refused at the header.
 # ---------------------------------------------------------------------------
 
 
 def save_checkpoint(model, path, run_config: dict | None = None) -> None:
-    lines = [CHECKPOINT_MAGIC, "[config]"]
-    for f in fields(ModelConfig):
-        lines.append(f"{f.name} = {getattr(model.cfg, f.name)}")
-    if run_config:
-        lines.append("[run]")
-        for key in sorted(run_config):
-            lines.append(f"{key} = {run_config[key]}")
+    lines = [CHECKPOINT_MAGIC, json.dumps({"model": asdict(model.cfg), "run": run_config or {}}, sort_keys=True)]
     for name, t in model.store.items():
-        shape = " ".join(str(n) for n in t.data.shape)
-        lines.append(f"[param {name}]")
-        lines.append(shape if shape else "scalar")
-        flat = t.data.reshape(-1)
-        lines.append(" ".join(float.hex(float(v)) for v in flat))
+        lines.append(" ".join([name, *map(str, t.data.shape), t.data.astype("<f8").tobytes().hex()]))
     lines.append("[end]")
     # written beside the target and swapped in, so a failed write leaves
     # any checkpoint already at ``path`` as it was
@@ -669,8 +664,11 @@ def save_checkpoint(model, path, run_config: dict | None = None) -> None:
 
 def load_checkpoint(path):
     """Rebuild the model from a checkpoint; returns (model, run_config)."""
-    with open(path, encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CheckpointFormatError(f"not an ASCII checkpoint: {exc}") from exc
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(
             f"bad or missing header; expected {CHECKPOINT_MAGIC!r}, "
@@ -679,60 +677,40 @@ def load_checkpoint(path):
     if lines[-1] != "[end]":
         raise CheckpointFormatError("truncated checkpoint: missing [end]")
 
-    sections: list[tuple[str, list[str]]] = []
-    current = None
-    for line in lines[1:-1]:
-        if line.startswith("["):
-            current = (line.strip("[]"), [])
-            sections.append(current)
-        elif current is not None:
-            current[1].append(line)
-        else:
-            raise CheckpointFormatError(f"content before first section: {line!r}")
-
-    def parse_kv(body):
-        out = {}
-        for line in body:
-            key, _, value = line.partition(" = ")
-            out[key] = value
-        return out
-
-    config_kv = {}
-    run_kv: dict[str, str] = {}
-    params: dict[str, np.ndarray] = {}
-    for header, body in sections:
-        if header == "config":
-            config_kv = parse_kv(body)
-        elif header == "run":
-            run_kv = parse_kv(body)
-        elif header.startswith("param "):
-            name = header[len("param "):]
-            if len(body) != 2:
-                raise CheckpointFormatError(f"param {name}: expected shape and data lines")
-            try:
-                shape = tuple(int(n) for n in body[0].split()) if body[0] != "scalar" else ()
-                params[name] = np.array([float.fromhex(v) for v in body[1].split()]).reshape(shape)
-            except ValueError as exc:  # a bad shape token or hex value, or a count off the shape
-                raise CheckpointFormatError(f"param {name}: {exc}") from exc
-        else:
-            raise CheckpointFormatError(f"unknown section {header!r}")
-
     try:
-        # every field's type is that of its default (str or int)
-        cfg = ModelConfig(**{f.name: type(f.default)(config_kv[f.name]) for f in fields(ModelConfig)})
-    except (KeyError, ValueError) as exc:
-        raise CheckpointFormatError(f"bad [config] section: {exc}") from exc
+        header = json.loads(lines[1])
+        model_kv, run_kv = header["model"], header["run"]
+        # each ModelConfig field and no other, of the type of its default (str or int)
+        want = {f.name: type(f.default) for f in fields(ModelConfig)}
+        bad = sorted(k for k in want.keys() | model_kv.keys() if type(model_kv.get(k)) is not want.get(k))
+        if bad:
+            raise ValueError(f"missing, extra or mistyped model fields {bad}")
+        if not all(isinstance(v, str) for v in run_kv.values()):
+            raise ValueError("run values must be strings")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # not JSON, or not this layout
+        raise CheckpointFormatError(f"bad config line: {exc}") from exc
 
-    model = build_model(cfg)  # every parameter is overwritten below
+    params: dict[str, np.ndarray] = {}
+    for line in lines[2:-1]:
+        name, _, rest = line.partition(" ")
+        *dims, digits = rest.split(" ")
+        try:
+            if name in params:
+                raise ValueError("repeated line")
+            shape = tuple(int(n) for n in dims)
+            raw = bytes.fromhex(digits)
+            if len(raw) != 8 * math.prod(shape):
+                raise ValueError(f"{len(raw)} bytes for shape {shape}")
+            params[name] = np.frombuffer(raw, "<f8").reshape(shape)
+        except ValueError as exc:  # a bad dimension or hex digit, or a count off the shape
+            raise CheckpointFormatError(f"param {name}: {exc}") from exc
+
+    model = build_model(ModelConfig(**model_kv))  # every parameter is overwritten below
     expected = set(model.store.names())
     if set(params) != expected:
         missing = sorted(expected - set(params))
         extra = sorted(set(params) - expected)
-        hint = ""
-        if any(".ln" in name for name in missing):
-            hint = ("; checkpoints written before layer norms had a learned "
-                    "gain and bias lack the *.ln*.g/.b params and cannot be loaded")
-        raise CheckpointFormatError(f"parameter set mismatch: missing {missing}, extra {extra}{hint}")
+        raise CheckpointFormatError(f"parameter set mismatch: missing {missing}, extra {extra}")
     for name, values in params.items():
         t = model.store.peek(name)
         if t.data.shape != values.shape:

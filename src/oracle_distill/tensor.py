@@ -1,8 +1,10 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Every value that participates in training is a :class:`Tensor` wrapping a
-row-major numpy float64 array.  Operations build an implicit computation
-graph; :func:`backward` replays it in reverse execution order and
+numpy float64 array.  An op's result owns the array the op computed, or
+is a view of its input (``transpose``, ``split_heads``, ``index``), with
+no copy of either; only ``Tensor(...)`` and ``custom_op`` copy what they
+are given.  Operations build an implicit computation graph; :func:`backward` replays it in reverse execution order and
 accumulates gradients into the ``grad`` field of every leaf that was
 created with ``requires_grad=True``.  Gradients accumulate across repeated
 backward calls until explicitly zeroed, which is what lets several loss
@@ -90,14 +92,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Same values, cut off from the graph.  Data is shared, not copied."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.requires_grad = False
-        out.grad = None
-        out._parents = ()
-        out._backward = None
-        out._serial = next(_serial)
-        return out
+        return _node(self.data, (), None)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -106,8 +101,15 @@ class Tensor:
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     """Internal graph node; tracked only if some parent is tracked and
-    ``no_grad`` is not in force."""
-    out = Tensor(data)
+    ``no_grad`` is not in force.  The node takes ``data`` without a copy;
+    ``asarray`` only turns the numpy scalar of a 0-d op into an array."""
+    out = Tensor.__new__(Tensor)
+    out.data = np.asarray(data)
+    out.requires_grad = False
+    out.grad = None
+    out._parents = ()
+    out._backward = None
+    out._serial = next(_serial)
     if not _grad_enabled:
         return out
     for p in parents:  # a plain loop: a generator costs more at 1-3 parents
@@ -127,8 +129,9 @@ def custom_op(data, parents: Sequence[Tensor], backward) -> Tensor:
     """Build a graph node whose backward rule is supplied analytically.
 
     ``backward(g)`` must return one gradient array (or None) per parent.
+    ``data`` is copied, since it may be an array the caller keeps.
     """
-    return _node(np.asarray(data, dtype=np.float64), parents, backward)
+    return _node(np.array(data, dtype=np.float64), parents, backward)
 
 
 class Tape:
@@ -517,10 +520,11 @@ def finite_differences(f: Callable[[], Tensor], tensors: Sequence[Tensor]):
         numeric = np.empty(flat.size)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + FD_STEP
-            fp = f().item()
-            flat[i] = orig - FD_STEP
-            fm = f().item()
+            with no_grad():  # only the analytic pass above is replayed
+                flat[i] = orig + FD_STEP
+                fp = f().item()
+                flat[i] = orig - FD_STEP
+                fm = f().item()
             flat[i] = orig
             numeric[i] = (fp - fm) / (2.0 * FD_STEP)
         rel = np.abs(a.reshape(-1) - numeric) / np.maximum(1e-8, np.abs(numeric))

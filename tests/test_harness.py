@@ -128,6 +128,14 @@ class TestTrainRun:
         cfg = config_from_mapping(run_kv)
         assert cfg.steps == 12
 
+    def test_non_ascii_run_config_round_trips_through_the_checkpoint(self, tmp_path):
+        out = tmp_path / "ré"
+        cfg = tiny_cfg(out_dir=str(out))
+        train_run(cfg, out)
+        _, run_kv = load_checkpoint(out / "checkpoint_final.txt")
+        assert run_kv == config_to_mapping(cfg.resolved())
+        assert run_kv["out_dir"].endswith("ré")
+
     def test_alpha_zero_without_teacher_is_plain_baseline(self, tmp_path):
         res = train_run(tiny_cfg(use_teacher=False, alpha=0.0), tmp_path / "run")
         for r in res.records:

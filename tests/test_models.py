@@ -1,3 +1,4 @@
+import json
 import tempfile
 from pathlib import Path
 
@@ -328,39 +329,52 @@ class TestCheckpoint:
     def test_corrupt_header_reports_version(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_text("something else\n[end]\n")
-        with pytest.raises(CheckpointFormatError, match="oracle-distill-checkpoint v1"):
+        with pytest.raises(CheckpointFormatError, match="oracle-distill-checkpoint v2"):
+            load_checkpoint(path)
+
+    def test_v1_file_is_refused_at_the_header(self, tmp_path):
+        path = tmp_path / "v1.ckpt"
+        path.write_text("oracle-distill-checkpoint v1\n[config]\ntask = ctc\n[end]\n")
+        with pytest.raises(CheckpointFormatError,
+                           match="expected 'oracle-distill-checkpoint v2', got 'oracle-distill-checkpoint v1'"):
             load_checkpoint(path)
 
     def test_missing_layer_norm_param_is_named(self, tmp_path):
-        # checkpoints written before layer norms had a learned affine lack
-        # the *.ln*.g/.b params; loading one must fail and say why
-        path = tmp_path / "old.ckpt"
+        path = tmp_path / "short.ckpt"
         save_checkpoint(tiny_aed(), path)
-        lines = path.read_text().splitlines()
-        at = lines.index("[param seq.dec0.ln_mem.g]")
-        path.write_text("\n".join(lines[:at] + lines[at + 3:]) + "\n")
-        with pytest.raises(CheckpointFormatError, match="seq.dec0.ln_mem.g") as info:
+        lines = [line for line in path.read_text().splitlines()
+                 if not line.startswith("seq.dec0.ln_mem.g ")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointFormatError, match=r"missing \['seq\.dec0\.ln_mem\.g'\]"):
             load_checkpoint(path)
-        assert "before layer norms had a learned gain and bias" in str(info.value)
 
     @staticmethod
-    def _damaged(tmp_path, damage):
-        """A checkpoint whose ``[param seq.out.b]`` section is damaged."""
+    def _rewritten(tmp_path, edit):
+        """A checkpoint of ``tiny_ctc`` whose lines went through ``edit``."""
         path = tmp_path / "damaged.ckpt"
         save_checkpoint(tiny_ctc(), path)
-        lines = path.read_text().splitlines()
-        at = lines.index("[param seq.out.b]")
-        values = lines[at + 2].split()
-        if damage == "shape token":
-            lines[at + 1] = "four"
-        elif damage == "hex value":
-            lines[at + 2] = " ".join(["0x1.zp+0"] + values[1:])
-        else:
-            lines[at + 2] = " ".join(values[:-1])
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
         return path
 
-    @pytest.mark.parametrize("damage", ["shape token", "hex value", "value count"])
+    @classmethod
+    def _damaged(cls, tmp_path, damage):
+        """A checkpoint whose ``seq.out.b`` line (``seq.out.b 4 HEX``) is damaged."""
+
+        def edit(lines):
+            at = next(i for i, line in enumerate(lines) if line.startswith("seq.out.b "))
+            name, dim, digits = lines[at].split(" ")
+            lines[at] = {
+                "shape token": f"{name} four {digits}",
+                "hex value": f"{name} {dim} zz{digits[2:]}",
+                "value count": f"{name} {dim} {digits[:-16]}",
+                "no data": f"{name} {dim}",
+                "repeated": lines[at] + "\n" + lines[at],
+            }[damage]
+            return lines
+
+        return cls._rewritten(tmp_path, edit)
+
+    @pytest.mark.parametrize("damage", ["shape token", "hex value", "value count", "no data", "repeated"])
     def test_damaged_param_section_names_the_param(self, tmp_path, damage):
         with pytest.raises(CheckpointFormatError, match=r"param seq\.out\.b"):
             load_checkpoint(self._damaged(tmp_path, damage))
@@ -369,6 +383,30 @@ class TestCheckpoint:
         path = self._damaged(tmp_path, "value count")
         assert main(["eval", "--checkpoint", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: param seq.out.b: ")
+
+    @pytest.mark.parametrize("damage", ["not json", "missing field", "mistyped field", "run value"])
+    def test_damaged_config_line_is_a_format_error(self, tmp_path, damage):
+        def edit(lines):
+            header = json.loads(lines[1])
+            if damage == "not json":
+                lines[1] = lines[1][:-1]
+                return lines
+            if damage == "missing field":
+                del header["model"]["ffn_dim"]
+            elif damage == "mistyped field":
+                header["model"]["d_model"] = str(header["model"]["d_model"])
+            else:
+                header["run"] = {"steps": 10}
+            lines[1] = json.dumps(header, sort_keys=True)
+            return lines
+
+        with pytest.raises(CheckpointFormatError, match="bad config line"):
+            load_checkpoint(self._rewritten(tmp_path, edit))
+
+    def test_non_ascii_byte_is_a_format_error(self, tmp_path):
+        path = self._rewritten(tmp_path, lambda lines: [lines[0], lines[1].replace("ctc", "ctç"), *lines[2:]])
+        with pytest.raises(CheckpointFormatError, match="not an ASCII checkpoint"):
+            load_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         model = tiny_ctc()
@@ -418,8 +456,9 @@ def checkpointed_models(draw):
     target = model.store.peek(name).data
     values = draw(st.lists(st.floats(allow_nan=False), min_size=target.size, max_size=target.size))
     target[...] = np.reshape(values, target.shape)
-    keys = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
-    run_config = draw(st.none() | st.dictionaries(keys, st.text("abc0123456789.-_/ ", max_size=10)))
+    # any text: non-ASCII, line breaks and " = " must survive the config line
+    text = st.text(max_size=10) | st.sampled_from(["out_dir", "/tmp/ré", "a = b", "two\nlines"])
+    run_config = draw(st.none() | st.dictionaries(text, text))
     return model, run_config
 
 

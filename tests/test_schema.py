@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracle_distill import AedDistiller, CtcDistiller
 from oracle_distill.config import RunConfig, config_from_mapping, config_to_mapping
 from oracle_distill.errors import ConfigError, ContractError
+from oracle_distill.metrics import token_error_rate
 from oracle_distill.models import ModelConfig
 from oracle_distill.objectives import TrainConfig
 from oracle_distill.tasks import AedTaskSpec, CtcTaskSpec
@@ -153,6 +154,13 @@ def test_fit_stores_train_config_from_params(cls, data, changed):
     report = est.evaluate(X, y)
     assert report["aux_param_reads_during_predict"] == 0
     assert report["target_reads_during_predict"] == 0
+
+
+@pytest.mark.parametrize("cls, data, changed", ESTIMATORS)
+def test_score_is_one_minus_the_token_error_rate(cls, data, changed):
+    X, y = data()
+    est = cls(steps=2, batch_size=2, **SMALL, **changed).fit(X, y)
+    assert est.score(X, y) == 1.0 - token_error_rate(est.predict(X), y)
 
 
 @pytest.mark.parametrize("spec", [CtcTaskSpec, AedTaskSpec])

@@ -1,8 +1,10 @@
 """Source hygiene checked with the standard library's ``ast`` alone: no
-unused imports, no module reaching into another's private names, and no
-defaulted parameter that no call ever sets."""
+unused imports, no module reaching into another's private names, no
+defaulted parameter that no call ever sets, and no function that nothing
+names."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -127,3 +129,59 @@ def test_every_defaulted_parameter_has_a_caller_that_sets_it():
         [p.read_text(encoding="utf-8") for p in callers],
     )
     assert sorted(set(unset) - UNSET_ALLOWED) == []
+
+
+def unreferenced_functions(package_sources: list[str], all_sources: list[str]) -> list[str]:
+    """Qualified names of the functions and methods in ``package_sources``
+    that no source in ``all_sources`` reads by name outside the function's
+    own definition.
+
+    A read is a loaded name or attribute with the function's name, so a
+    call, a callback or a function handed to a tracer all count; dunder
+    methods, which Python calls itself, are skipped."""
+
+    def reads(tree) -> Counter:
+        return Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        )
+
+    def definitions(node, prefix=""):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(child, ast.ClassDef):
+                    yield prefix + child.name, child
+                yield from definitions(child, f"{prefix}{child.name}.")
+            else:
+                yield from definitions(child, prefix)
+
+    everywhere = sum((reads(ast.parse(source)) for source in all_sources), Counter())
+    return sorted(
+        qualified
+        for source in package_sources
+        for qualified, node in definitions(ast.parse(source))
+        if not node.name.startswith("__") and everywhere[node.name] == reads(node)[node.name]
+    )
+
+
+def test_checker_finds_a_function_nothing_names():
+    package = (
+        "def used():\n    pass\n"
+        "def recursive(n):\n    return recursive(n - 1)\n"
+        "def callback():\n    pass\n"
+        "class K:\n"
+        "    def __len__(self):\n        return 0\n"
+        "    def method(self):\n        def inner():\n            pass\n        return 1\n"
+        "    def dead(self):\n        self.dead = 1\n"
+    )
+    callers = "used()\nK().method()\nrun(on_step=callback)\n"
+    assert unreferenced_functions([package], [package, callers]) == ["K.dead", "K.method.inner", "recursive"]
+
+
+def test_every_function_is_named_somewhere_outside_its_definition():
+    sources = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unreferenced_functions(
+        [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))],
+        [p.read_text(encoding="utf-8") for p in sources],
+    ) == []
