@@ -28,9 +28,15 @@ from .models import count_params, load_checkpoint
 from .tasks import export_dataset, split_examples
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="run configuration file")
-    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--seed", type=_nonnegative_int, help="override the config seed")
     parser.add_argument("--out", type=Path, help="output directory")
 
 
@@ -160,6 +166,8 @@ def cmd_bound_check(args) -> int:
 
 def cmd_dump(args) -> int:
     model, run_kv = load_checkpoint(args.checkpoint)
+    if args.what == "alignment" and model.cfg.task != "ctc":
+        raise ContractError("alignment dumps need a ctc checkpoint")
     cfg = _checkpoint_run_config(run_kv, args.seed)
     dataset = generate_dataset(cfg)
     examples = split_examples(dataset, "dev")

@@ -1,6 +1,8 @@
 """Exact CTC machinery: collapse mapping, alignment enumeration, log-space
-forward-backward loss, alignment posteriors, analytic gradients, greedy
-decoding, and the frame-level distillation losses.
+forward-backward loss, alignment posteriors, greedy decoding, and the
+frame-level distillation losses.  The analytic gradient is reached only
+through the backward rule of ``ctc_loss_dp``: read ``u.grad`` after
+``tensor.backward``.
 
 Two independent routes compute the same quantities: an exhaustive
 enumeration over all label paths, scored by ``path_log_probs`` (the trust
@@ -50,12 +52,6 @@ class Vocab:
     def __post_init__(self):
         if self.size < 2:
             raise ContractError("vocab needs the blank plus at least one label")
-
-    @property
-    def labels(self) -> range:
-        """Non-blank label ids."""
-        return range(1, self.size)
-
 
 def collapse(path) -> tuple[int, ...]:
     """Merge repeated labels, then drop blanks."""
@@ -240,11 +236,6 @@ def ctc_loss_dp(u, y, vocab: Vocab) -> Tensor:
 def ctc_posterior(u, y, vocab: Vocab) -> np.ndarray:
     """Alignment posterior sigma[t, k] = P(path label k at frame t | target)."""
     return _dp(u, y, vocab)[1]
-
-
-def ctc_grad(u, y, vocab: Vocab) -> np.ndarray:
-    """Analytic d(loss)/d(logits): frame posterior minus alignment posterior."""
-    return _dp(u, y, vocab)[2]
 
 
 def posterior_from_enumeration(u, y, vocab: Vocab) -> np.ndarray:

@@ -25,15 +25,12 @@ import numpy as np
 from .ctc import (
     Vocab,
     enumerate_alignments,
-    kd_loss_ctc,
     log_softmax_rows,
     path_log_probs,
     validated_inputs,
 )
 from .errors import ContractError, ShapeError
 from .models import CtcModel
-from .tensor import Tensor
-from . import tensor as tt
 
 
 @dataclass
@@ -109,29 +106,12 @@ def bound_report_from_logits(student_logits, teacher_logits, y, vocab: Vocab) ->
     )
 
 
-def _ctc_logit_pair(model: CtcModel, x, y):
+def check_lower_bound(model: CtcModel, x, y) -> BoundReport:
+    """Bound report for a frame-classifier model on one instance."""
     hidden = model.encode(x)
     u_s = model.student_head(hidden)
     u_t = model.teacher_logits(hidden, y)
-    return u_s.data, u_t.data
-
-
-def check_lower_bound(model: CtcModel, x, y) -> BoundReport:
-    """Bound report for a frame-classifier model on one instance."""
-    u_s, u_t = _ctc_logit_pair(model, x, y)
-    return bound_report_from_logits(u_s, u_t, y, model.vocab)
-
-
-def kd_vs_q_gap(model: CtcModel, x, y) -> dict[str, float]:
-    """Distance between the distillation surrogate and the exact
-    negative expected log-likelihood it stands in for.  Reported, never
-    asserted: the surrogate is an approximation by design."""
-    u_s, u_t = _ctc_logit_pair(model, x, y)
-    report = bound_report_from_logits(u_s, u_t, y, model.vocab)
-    l2 = kd_loss_ctc(
-        tt.softmax(Tensor(u_s), axis=-1), tt.softmax(Tensor(u_t), axis=-1), "l2"
-    ).item()
-    return {"kd_l2": l2, "neg_q": -report.q_value, "gap": abs(l2 - (-report.q_value))}
+    return bound_report_from_logits(u_s.data, u_t.data, y, model.vocab)
 
 
 # ---------------------------------------------------------------------------

@@ -564,18 +564,12 @@ class AedModel(_TransformerBase):
         fused = self.fuse(memory, guidance, lengths=lengths, guidance_lengths=target_lengths)
         return self._teacher_forced(fused, target, "teacher_out", lengths, target_lengths)
 
-    def _greedy(self, memory: Tensor, head: str, max_len: int | None) -> tuple[int, ...]:
+    def _greedy(self, memory: Tensor, head: str) -> tuple[int, ...]:
         """Greedy autoregressive decode through ``head`` until the end
-        symbol or the length limit (by default twice the source plus 4),
-        one new token per cached ``decode_logits`` call.  An explicit
-        ``max_len`` outside 1..``cfg.max_len`` is refused before anything
-        is decoded."""
-        if max_len is None:
-            limit = min(self.cfg.max_len - 1, 2 * memory.shape[0] + 4)
-        elif 1 <= max_len <= self.cfg.max_len:
-            limit = max_len
-        else:
-            raise ContractError(f"max_len {max_len} outside 1..{self.cfg.max_len}, the model's max_len")
+        symbol or the length limit, twice the source plus 4 tokens but at
+        most ``cfg.max_len - 1``, one new token per cached
+        ``decode_logits`` call."""
+        limit = min(self.cfg.max_len - 1, 2 * memory.shape[0] + 4)
         cache = DecodeCache()
         out = []
         nxt = self.bos
@@ -588,51 +582,19 @@ class AedModel(_TransformerBase):
         return tuple(out)
 
     @tt.no_grad()
-    def predict(self, src_tokens, max_len: int | None = None) -> tuple[int, ...]:
+    def predict(self, src_tokens) -> tuple[int, ...]:
         """Greedy autoregressive decode from the source alone."""
-        return self._greedy(self.encode(src_tokens), "seq.out", max_len)
+        return self._greedy(self.encode(src_tokens), "seq.out")
 
     @tt.no_grad()
-    def predict_teacher(self, src_tokens, masked_target, max_len: int | None = None) -> tuple[int, ...]:
+    def predict_teacher(self, src_tokens, masked_target) -> tuple[int, ...]:
         """Greedy decode with access to the (masked) target via fusion."""
         fused = self.fuse(self.encode(src_tokens), self.oracle_guidance(masked_target))
-        return self._greedy(fused, "teacher_out", max_len)
+        return self._greedy(fused, "teacher_out")
 
 
 def build_model(config: ModelConfig, seed: int = 0):
     return CtcModel(config, seed) if config.task == "ctc" else AedModel(config, seed)
-
-
-# ---------------------------------------------------------------------------
-# ablation helpers used by the structural reduction checks
-# ---------------------------------------------------------------------------
-
-
-def zero_fusion(model) -> None:
-    """Zero every fusion output projection so fuse() becomes the identity."""
-    for i in range(model.cfg.fusion_layers):
-        for name in (
-            f"fusion.f{i}.self.wo",
-            f"fusion.f{i}.cross.wo",
-            f"fusion.f{i}.ffn.w2",
-            f"fusion.f{i}.ffn.b2",
-        ):
-            t = model.store.peek(name)
-            t.data[...] = 0.0
-
-
-def zero_cross_attention(model) -> None:
-    """Zero only the cross-attention output projection; fuse() then ignores
-    the oracle guidance but keeps its self-attention and feed-forward parts."""
-    for i in range(model.cfg.fusion_layers):
-        t = model.store.peek(f"fusion.f{i}.cross.wo")
-        t.data[...] = 0.0
-
-
-def tie_teacher_head(model) -> None:
-    """Copy the student head weights into the teacher head."""
-    model.store.peek("teacher_out.w").data[...] = model.store.peek("seq.out.w").data
-    model.store.peek("teacher_out.b").data[...] = model.store.peek("seq.out.b").data
 
 
 # ---------------------------------------------------------------------------

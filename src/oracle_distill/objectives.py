@@ -10,14 +10,14 @@ step; nothing is cached across steps.
 encoder pass over the batch's padded sources (a :class:`tasks.Batch`).
 Each term is the mean over the items of a per-item loss: a sequence's
 rows are weighted 1/len on its real positions and 0 on padding.  The CTC
-terms run the DP once per item on that item's unpadded frames.
-``loss_org``, ``loss_em`` and ``loss_kd`` are views of ``loss_total``, the
-first with the teacher off.
+terms run the DP once per item on that item's unpadded frames.  A single
+term is read from the result: ``.terms`` holds (l_org, l_em, l_kd), and
+with ``use_teacher=False`` ``.total`` is l_org alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,6 +63,8 @@ class TrainConfig:
         for name in ("steps", "batch_size"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ContractError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -201,24 +203,6 @@ def loss_total(model, batch, config: TrainConfig, rng: np.random.Generator) -> S
         teacher_logits=teacher,
         masked_targets=masked,
     )
-
-
-def loss_org(model, batch) -> Tensor:
-    """Mean original sequence loss over the batch, student parameters only:
-    ``loss_total`` with the teacher off."""
-    return loss_total(model, batch, TrainConfig(use_teacher=False), None).total
-
-
-def loss_em(model, batch, config: TrainConfig, rng: np.random.Generator) -> Tensor:
-    """Mean teacher-mode sequence loss given source and (masked) target,
-    whether or not ``config`` turns the teacher on."""
-    return loss_total(model, batch, replace(config, use_teacher=True), rng).terms[1]
-
-
-def loss_kd(model, batch, config: TrainConfig, rng: np.random.Generator) -> Tensor:
-    """Mean distillation loss; gradients reach both student and teacher
-    unless ``stop_teacher_grad`` is set."""
-    return loss_total(model, batch, replace(config, use_teacher=True), rng).terms[2]
 
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba 2015)

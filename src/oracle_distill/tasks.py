@@ -49,6 +49,8 @@ class CtcTaskSpec:
             raise ContractError("confusable pairs need vocab_size >= 6")
         if self.vocab_size < 2:
             raise ContractError("vocab_size must be at least 2")
+        if self.seed < 0:
+            raise ContractError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,8 @@ class AedTaskSpec:
             raise ContractError("copy_noise must lie in [0, 1]")
         if self.vocab_size < 2:
             raise ContractError("vocab_size must be at least 2")
+        if self.seed < 0:
+            raise ContractError("seed must be nonnegative")
 
 
 @dataclass
@@ -212,8 +216,8 @@ class Batch:
     ``src_tokens`` (B x L ints, transduction), the other None; targets
     are ``target_ids`` (B x L ints).  Cells past an item's ``lengths`` /
     ``target_lengths`` are zero and are never read.  ``examples`` are the
-    examples or (source, target) pairs the batch was built from, and
-    items() gives the unpadded (source, target) pairs back.
+    examples or (source, target) pairs the batch was built from, kept as
+    given.
     """
 
     def __init__(self, examples):
@@ -235,16 +239,6 @@ class Batch:
 
     def __len__(self):
         return len(self.examples)
-
-    def items(self):
-        """(source, target) pairs with padding removed, in batch order."""
-        out = []
-        for i, n in enumerate(self.lengths):
-            if self.features is not None:
-                out.append((self.features[i, :n], self.targets[i]))
-            else:
-                out.append((tuple(int(t) for t in self.src_tokens[i, :n]), self.targets[i]))
-        return out
 
 
 def _xy(item):
@@ -283,12 +277,14 @@ def batch_iter(dataset: list[Example], batch_size: int, rng: np.random.Generator
 
 
 # ---------------------------------------------------------------------------
-# text export / import for reproducibility audits
+# text export for reproducibility audits
 # ---------------------------------------------------------------------------
 
 
 def export_dataset(dataset: list[Example], path, task: str) -> None:
-    """One example per line: split, source, target, tab-separated."""
+    """A header line naming the task, then one example per line: split,
+    source, target, tab-separated; floats are written by ``repr``, so the
+    file reads back exactly."""
     with open(path, "w", encoding="ascii") as fh:
         if task == "ctc":
             dim = dataset[0].x.shape[1]
@@ -303,22 +299,3 @@ def export_dataset(dataset: list[Example], path, task: str) -> None:
             tgt = " ".join(str(t) for t in ex.y)
             fh.write(f"{ex.split}\t{src}\t{tgt}\n")
 
-
-def import_dataset(path) -> tuple[str, list[Example]]:
-    with open(path, encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# oracle-distill dataset v1"):
-            raise ContractError(f"unrecognized dataset header: {header!r}")
-        task = "ctc" if "task=ctc" in header else "aed"
-        dim = int(header.split("feature_dim=")[1]) if task == "ctc" else None
-        examples = []
-        for line in fh:
-            split, src, tgt = line.rstrip("\n").split("\t")
-            y = tuple(int(t) for t in tgt.split())
-            if task == "ctc":
-                values = np.array([float(v) for v in src.split()])
-                x = values.reshape(-1, dim)
-            else:
-                x = tuple(int(t) for t in src.split())
-            examples.append(Example(x=x, y=y, split=split))
-    return task, examples

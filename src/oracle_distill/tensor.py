@@ -473,11 +473,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _node(np.asarray(a.data.sum()), (a,), lambda g: (np.full_like(a.data, float(g)),))
 
 
-def sum_sq(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    return _node(np.asarray((a.data ** 2).sum()), (a,), lambda g: (2.0 * float(g) * a.data,))
-
-
 def pick(a: Tensor, ids) -> Tensor:
     """Gather along the last axis: result[...] = a[..., ids[...]], with
     ``ids`` shaped like ``a`` without its last axis."""

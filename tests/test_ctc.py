@@ -11,13 +11,13 @@ from oracle_distill.ctc import (
     BLANK,
     Vocab,
     collapse,
-    ctc_grad,
     ctc_loss_bruteforce,
     ctc_loss_dp,
     ctc_posterior,
     enumerate_alignments,
     greedy_decode,
     kd_loss_ctc,
+    log_softmax_rows,
     min_frames,
     posterior_from_enumeration,
 )
@@ -168,9 +168,16 @@ class TestPosterior:
             sigma = ctc_posterior(u, y, vocab)
             np.testing.assert_allclose(sigma.sum(axis=1), 1.0, atol=1e-9)
             assert sigma.min() >= 0.0
-            absent = set(vocab.labels) - set(y)
+            absent = set(range(1, vocab.size)) - set(y)
             for k in absent:
                 np.testing.assert_allclose(sigma[:, k], 0.0, atol=1e-15)
+
+
+def dp_grad(u, y, vocab):
+    """d(loss)/d(logits) as ``ctc_loss_dp``'s backward rule leaves it in ``grad``."""
+    x = Tensor(u, requires_grad=True)
+    T.backward(ctc_loss_dp(x, y, vocab))
+    return x.grad
 
 
 class TestGradient:
@@ -186,21 +193,21 @@ class TestGradient:
         rng = np.random.default_rng(29)
         for _ in range(20):
             u, y, vocab = random_instance(rng)
-            g = ctc_grad(u, y, vocab)
+            g = dp_grad(u, y, vocab)
             np.testing.assert_allclose(g.sum(axis=1), 0.0, atol=1e-10)
 
     def test_near_zero_at_a_saturated_forced_path(self):
         # single frame, softmax pinned to the forced label: both terms match
         u = np.array([[-40.0, 40.0, -40.0]])
-        g = ctc_grad(u, (1,), V3)
+        g = dp_grad(u, (1,), V3)
         np.testing.assert_allclose(g, 0.0, atol=1e-10)
 
     def test_backward_registration(self):
+        # the rule is the frame posterior minus the alignment posterior
         rng = np.random.default_rng(31)
         u, y, vocab = random_instance(rng)
-        x = Tensor(u, requires_grad=True)
-        T.backward(ctc_loss_dp(x, y, vocab))
-        np.testing.assert_allclose(x.grad, ctc_grad(u, y, vocab), atol=1e-12)
+        expected = np.exp(log_softmax_rows(u)) - ctc_posterior(u, y, vocab)
+        np.testing.assert_allclose(dp_grad(u, y, vocab), expected, atol=1e-12)
 
 
 class TestKdLoss:

@@ -11,12 +11,13 @@ from oracle_distill.diagnostics import (
     dump_attention,
     frame_posteriors,
     fusion_attention,
-    kd_vs_q_gap,
     kl_discrete,
     repetition_ratio,
 )
 from oracle_distill.errors import ContractError, ShapeError
 from oracle_distill.models import CtcModel, ModelConfig
+
+from helpers import kd_vs_q_gap
 
 
 def tiny_ctc(seed=0, d_model=8, vocab_size=3, feature_dim=4):

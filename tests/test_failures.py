@@ -9,12 +9,13 @@ import sys
 import numpy as np
 import pytest
 
-from oracle_distill.config import RunConfig
+from oracle_distill import cli
+from oracle_distill.config import RunConfig, config_to_mapping
 from oracle_distill.errors import ContractError, TrainingAbort, VocabularyError
 from oracle_distill import models
 from oracle_distill.harness import _acquire_lock, train_run
 from oracle_distill.models import AedModel, ModelConfig, save_checkpoint
-from oracle_distill.objectives import Adam, TrainConfig, loss_em, loss_kd, loss_org, loss_total
+from oracle_distill.objectives import Adam, TrainConfig, loss_total
 from oracle_distill.tensor import Tensor
 
 
@@ -123,13 +124,64 @@ def test_end_symbol_in_target_rejected_with_teacher_off():
     with pytest.raises(VocabularyError):
         loss_total(model, batch, cfg, np.random.default_rng(0))
     with pytest.raises(VocabularyError):
-        loss_org(model, batch)
+        loss_total(model, batch, cfg, None)
 
 
 def test_term_views_equal_the_total_breakdown():
     model, cfg = _aed()
     batch = [((1, 2, 3), (3, 1)), ((4, 2), (2, 2, 1))]
-    b = loss_total(model, batch, cfg, np.random.default_rng(4)).breakdown
-    assert loss_org(model, batch).item() == b.l_org
-    assert loss_em(model, batch, cfg, np.random.default_rng(4)).item() == b.l_em
-    assert loss_kd(model, batch, cfg, np.random.default_rng(4)).item() == b.l_kd
+    out = loss_total(model, batch, cfg, np.random.default_rng(4))
+    b = out.breakdown
+    assert [t.item() for t in out.terms] == [b.l_org, b.l_em, b.l_kd]
+    assert out.total.item() == b.l_total
+    # the teacher-off total is l_org alone
+    assert loss_total(model, batch, TrainConfig(use_teacher=False), None).total.item() == b.l_org
+
+
+def _aed_checkpoint(tmp_path):
+    path = tmp_path / "aed.txt"
+    save_checkpoint(_aed()[0], path, run_config=config_to_mapping(RunConfig(task="aed")))
+    return path
+
+
+def _seed_config(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = -1\nsteps = 2\n")
+    return path
+
+
+# argv (given a scratch directory), exit code, and a line the message contains
+BAD_CLI_INPUTS = {
+    "check-ctc over no instance": (lambda d: ["check-ctc", "--instances", "0"], 1,
+                                   "error: a suite needs at least one instance, got 0"),
+    "check-ctc over -3 instances": (lambda d: ["check-ctc", "--instances", "-3"], 1,
+                                    "error: a suite needs at least one instance, got -3"),
+    "bound-check over no instance": (lambda d: ["bound-check", "--instances", "0", "--out", str(d / "bc")], 1,
+                                     "error: a suite needs at least one instance, got 0"),
+    "train --seed -1": (lambda d: ["train", "--seed", "-1", "--out", str(d / "run")], 2,
+                        "argument --seed: expected a nonnegative integer, got '-1'"),
+    "check-ctc --seed -1": (lambda d: ["check-ctc", "--seed", "-1"], 2,
+                            "argument --seed: expected a nonnegative integer, got '-1'"),
+    "seed -1 in a config file": (lambda d: ["train", "--config", str(_seed_config(d)), "--out", str(d / "run")], 2,
+                                 "configuration error: seed must be nonnegative"),
+    "alignment dump of an aed checkpoint": (
+        lambda d: ["dump", "--checkpoint", str(_aed_checkpoint(d)), "--example-id", "0",
+                   "--what", "alignment", "--out", str(d / "dump")], 1,
+        "error: alignment dumps need a ctc checkpoint"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CLI_INPUTS)
+def test_bad_cli_input_exits_with_a_message(case, tmp_path, capsys):
+    argv, code, message = BAD_CLI_INPUTS[case]
+    argv = argv(tmp_path)
+    try:
+        returned = cli.main(argv)
+    except SystemExit as exc:  # argparse refuses an argument with a usage message
+        returned = exc.code
+    err = capsys.readouterr().err
+    assert returned == code
+    assert message in err
+    assert "Traceback" not in err
+    # nothing was trained or dumped
+    assert not (tmp_path / "run" / "metrics.csv").exists() and not (tmp_path / "dump").exists()

@@ -8,6 +8,8 @@ from oracle_distill.config import (
     load_config,
     parse_config_text,
 )
+from oracle_distill import harness
+from oracle_distill import tensor as T
 from oracle_distill.errors import ConfigError, ContractError
 from oracle_distill.harness import (
     METRICS_HEADER,
@@ -178,8 +180,11 @@ class TestSuites:
         assert "max_loss_dev" in report.details
         assert float(report.details["max_loss_dev"]) <= 1e-9
 
-    def test_corrupted_dp_fails(self):
-        report = check_ctc_suite(n_instances=5, seed=1, corrupt=1e-6)
+    def test_corrupted_dp_fails(self, monkeypatch):
+        # a DP value off by 1e-6 must fail the 1e-9 comparison
+        dp = harness.ctc_loss_dp
+        monkeypatch.setattr(harness, "ctc_loss_dp", lambda u, y, vocab: T.add(dp(u, y, vocab), 1e-6))
+        report = check_ctc_suite(n_instances=5, seed=1)
         assert not report.passed
 
     def test_bound_suite_small(self, tmp_path):
@@ -198,7 +203,7 @@ class TestSuites:
                 float(cell)  # a repr such as np.float64(-3.2) raises here
 
     def test_grad_suite_small(self):
-        report = grad_check_suite(seed=3, n_ctc=5)
+        report = grad_check_suite(seed=3)
         assert report.passed
         assert "worst_param" in report.details
 

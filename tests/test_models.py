@@ -26,11 +26,10 @@ from oracle_distill.models import (
     load_checkpoint,
     save_checkpoint,
     sinusoidal_positions,
-    tie_teacher_head,
-    zero_cross_attention,
-    zero_fusion,
 )
 from oracle_distill.tensor import Tensor, grad_check
+
+from helpers import sum_sq, zero_cross_attention, zero_fusion
 
 
 def tiny_ctc(seed=0, **kw):
@@ -123,7 +122,7 @@ class TestOracleEncoder:
         table = model.store.peek("oracle.embed")
 
         def f(_):
-            return T.sum_sq(model.oracle_guidance((1, 2, 1)))
+            return sum_sq(model.oracle_guidance((1, 2, 1)))
 
         assert grad_check(f, table) <= 1e-5
 
@@ -167,7 +166,7 @@ class TestFusion:
         r = Tensor(rng.standard_normal((2, 8)))
         for name in ("fusion.f0.self.wq", "fusion.f0.cross.wq", "fusion.f0.ffn.w1"):
             w = model.store.peek(name)
-            assert grad_check(lambda _: T.sum_sq(model.fuse(h, r)), w) <= 1e-5
+            assert grad_check(lambda _: sum_sq(model.fuse(h, r)), w) <= 1e-5
 
     def test_capture_rows_are_stochastic(self):
         model = tiny_ctc()
@@ -200,7 +199,7 @@ class TestTeacherHead:
         rng = np.random.default_rng(12)
         x = rng.standard_normal((3, 4))
         w = model.store.peek("teacher_out.w")
-        assert grad_check(lambda _: T.sum_sq(model.teacher_logits(model.encode(x), (1, 2))), w) <= 1e-5
+        assert grad_check(lambda _: sum_sq(model.teacher_logits(model.encode(x), (1, 2))), w) <= 1e-5
 
 
 class TestAedDecoder:
@@ -232,7 +231,7 @@ class TestAedDecoder:
         w = model.store.peek("seq.dec0.cross.wq")
 
         def f(_):
-            return T.sum_sq(model.student_logits((1, 2, 3), (3, 1)))
+            return sum_sq(model.student_logits((1, 2, 3), (3, 1)))
 
         assert grad_check(f, w) <= 1e-5
 

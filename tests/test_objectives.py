@@ -11,19 +11,14 @@ from oracle_distill.models import (
     AedModel,
     CtcModel,
     ModelConfig,
-    tie_teacher_head,
-    zero_fusion,
 )
-from oracle_distill.objectives import (
-    Adam,
-    TrainConfig,
-    loss_em,
-    loss_kd,
-    loss_org,
-    loss_total,
-    mask_target,
-)
+from oracle_distill.objectives import Adam, TrainConfig, loss_total, mask_target
 from oracle_distill.tensor import Tensor, backward, grad_check
+
+from helpers import sum_sq, tie_teacher_head, zero_fusion
+
+# loss_total with the teacher off: its total is l_org alone
+NO_TEACHER = TrainConfig(use_teacher=False)
 
 
 def ctc_setup(seed=0, vocab_size=2, feature_dim=2, **model_kw):
@@ -112,7 +107,7 @@ class TestLossOrg:
         model.store.peek("seq.out.b").data[...] = 0.0
         # encoder output is irrelevant once the head is zeroed: logits are 0
         x = np.random.default_rng(0).standard_normal((3, 2))
-        got = loss_org(model, [(x, (1, 2))]).item()
+        got = loss_total(model, [(x, (1, 2))], NO_TEACHER, None).total.item()
         oracle = ctc_loss_bruteforce(np.zeros((3, 3)), (1, 2), model.vocab)
         assert got == pytest.approx(oracle, abs=1e-12)
         assert got == pytest.approx(-math.log(5 / 27), abs=1e-12)
@@ -122,7 +117,7 @@ class TestLossOrg:
         model.store.peek("seq.out.w").data[...] = 0.0
         model.store.peek("seq.out.b").data[...] = 0.0
         out_dim = model.cfg.vocab_size + 2
-        got = loss_org(model, [((1, 2), (2, 1, 3))]).item()
+        got = loss_total(model, [((1, 2), (2, 1, 3))], NO_TEACHER, None).total.item()
         assert got == pytest.approx(math.log(out_dim), abs=1e-12)
 
     def test_gradient_wrt_student_params(self):
@@ -131,7 +126,7 @@ class TestLossOrg:
         batch = ctc_batch(rng, model)
         for name in ("seq.in_proj.w", "seq.enc0.attn.wv", "seq.enc0.ffn.w1", "seq.out.w"):
             p = model.store.peek(name)
-            assert grad_check(lambda _: loss_org(model, batch), p) <= 1e-4, name
+            assert grad_check(lambda _: loss_total(model, batch, NO_TEACHER, None).total, p) <= 1e-4, name
 
 
 class TestLossEm:
@@ -141,8 +136,8 @@ class TestLossEm:
         tie_teacher_head(model)
         rng = np.random.default_rng(4)
         batch = ctc_batch(rng, model)
-        a = loss_org(model, batch).item()
-        b = loss_em(model, batch, cfg, np.random.default_rng(0)).item()
+        a = loss_total(model, batch, NO_TEACHER, None).total.item()
+        b = loss_total(model, batch, cfg, np.random.default_rng(0)).terms[1].item()
         assert a == b  # bit-for-bit
 
     def test_aed_full_masking_feeds_only_mask_tokens(self):
@@ -162,7 +157,7 @@ class TestLossEm:
         for name in ("oracle.embed", "fusion.f0.cross.wk", "teacher_out.w"):
             p = model.store.peek(name)
             assert (
-                grad_check(lambda _: loss_em(model, batch, cfg, np.random.default_rng(0)), p)
+                grad_check(lambda _: loss_total(model, batch, cfg, np.random.default_rng(0)).terms[1], p)
                 <= 1e-4
             ), name
 
@@ -174,7 +169,7 @@ class TestLossKd:
         tie_teacher_head(model)
         rng = np.random.default_rng(7)
         batch = ctc_batch(rng, model)
-        assert loss_kd(model, batch, cfg, np.random.default_rng(0)).item() == 0.0
+        assert loss_total(model, batch, cfg, np.random.default_rng(0)).terms[2].item() == 0.0
 
     def test_alpha_zero_removes_term_exactly(self):
         model, cfg = ctc_setup(seed=7)
@@ -191,7 +186,7 @@ class TestLossKd:
         for name in ("seq.out.w", "teacher_out.w"):
             p = model.store.peek(name)
             assert (
-                grad_check(lambda _: loss_kd(model, batch, cfg, np.random.default_rng(0)), p)
+                grad_check(lambda _: loss_total(model, batch, cfg, np.random.default_rng(0)).terms[2], p)
                 <= 1e-4
             ), name
 
@@ -202,7 +197,7 @@ class TestLossKd:
         batch = ctc_batch(rng, model)
         head = model.store.peek("teacher_out.w")
         head.zero_grad()
-        backward(loss_kd(model, batch, cfg, np.random.default_rng(0)))
+        backward(loss_total(model, batch, cfg, np.random.default_rng(0)).terms[2])
         assert head.grad is None or np.abs(head.grad).max() == 0.0
 
     def test_aed_kd_gradient(self):
@@ -211,7 +206,7 @@ class TestLossKd:
         batch = aed_batch(rng, model)
         p = model.store.peek("seq.dec0.cross.wv")
         assert (
-            grad_check(lambda _: loss_kd(model, batch, cfg, np.random.default_rng(2)), p)
+            grad_check(lambda _: loss_total(model, batch, cfg, np.random.default_rng(2)).terms[2], p)
             <= 1e-4
         )
 
@@ -245,7 +240,7 @@ class TestLossTotal:
         batch = ctc_batch(rng, model)
         out = loss_total(model, batch, cfg, np.random.default_rng(0))
         assert out.breakdown.l_em == 0.0 and out.breakdown.l_kd == 0.0
-        assert out.breakdown.l_total == loss_org(model, batch).item()
+        assert out.breakdown.l_total == loss_total(model, batch, NO_TEACHER, None).total.item()
 
     def test_teacher_recomputed_each_step_from_live_params(self):
         model, cfg = aed_setup(seed=10)
@@ -297,7 +292,7 @@ class TestAdam:
     def test_single_step_moves_toward_optimum(self):
         p = Tensor([4.0], requires_grad=True)
         opt = Adam([p], lr=0.1)
-        backward(T.scale(T.sum_sq(p), 0.5))
+        backward(T.scale(sum_sq(p), 0.5))
         opt.step()
         assert 0.0 < p.data[0] < 4.0
 

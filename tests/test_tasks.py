@@ -4,7 +4,7 @@ import pytest
 from oracle_distill.ctc import collapse, min_frames
 from oracle_distill.errors import ContractError
 from oracle_distill.models import CtcModel, ModelConfig
-from oracle_distill.objectives import TrainConfig, loss_org
+from oracle_distill.objectives import TrainConfig, loss_total
 from oracle_distill.tasks import (
     AedTaskSpec,
     Batch,
@@ -17,10 +17,11 @@ from oracle_distill.tasks import (
     feature_class,
     gen_aed_dataset,
     gen_ctc_dataset,
-    import_dataset,
     split_examples,
     token_embeddings,
 )
+
+from helpers import import_dataset
 
 
 class TestCtcGeneration:
@@ -120,8 +121,9 @@ class TestBatching:
         )
         batch = Batch(data)
         assert batch.features.shape[0] == len(data)
-        batched = loss_org(model, batch.items()).item()
-        singles = [loss_org(model, [(ex.x, ex.y)]).item() for ex in data]
+        no_teacher = TrainConfig(use_teacher=False)
+        batched = loss_total(model, batch, no_teacher, None).total.item()
+        singles = [loss_total(model, [(ex.x, ex.y)], no_teacher, None).total.item() for ex in data]
         assert abs(batched - float(np.mean(singles))) <= 1e-10
 
     def test_epoch_permutation_is_seeded(self):
@@ -147,8 +149,9 @@ class TestBatching:
     def test_aed_items_roundtrip_through_padding(self):
         data = gen_aed_dataset(AedTaskSpec(seed=37), 7)
         batch = Batch(data)
-        for (x, y), ex in zip(batch.items(), data):
-            assert x == ex.x and y == ex.y
+        for i, ex in enumerate(data):
+            assert tuple(batch.src_tokens[i, : batch.lengths[i]]) == ex.x
+            assert tuple(batch.target_ids[i, : batch.target_lengths[i]]) == ex.y == batch.targets[i]
 
 
 class TestExport:

@@ -5,6 +5,8 @@ from oracle_distill import tensor as T
 from oracle_distill.errors import ContractError, DomainError, ShapeError
 from oracle_distill.tensor import Tensor, backward, grad_check
 
+from helpers import sum_sq
+
 
 def rand_tensor(rng, shape, scale=1.0):
     return Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
@@ -41,7 +43,7 @@ class TestForwardValues:
             assert abs(out.data.sum() - 1.0) <= 1e-12
 
     def test_sum_sq_hand_value(self):
-        assert T.sum_sq(Tensor([3.0, 4.0])).item() == 25.0
+        assert sum_sq(Tensor([3.0, 4.0])).item() == 25.0
 
     def test_layer_norm_constant_vector_is_zero(self):
         out = T.layer_norm(Tensor([2.5, 2.5, 2.5, 2.5]))
@@ -143,7 +145,7 @@ class TestBackward:
 
     def test_half_sum_sq_gives_x(self):
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        backward(T.scale(T.sum_sq(x), 0.5))
+        backward(T.scale(sum_sq(x), 0.5))
         np.testing.assert_allclose(x.grad, x.data, rtol=1e-15)
 
     def test_accumulation_until_zeroed(self):
@@ -183,10 +185,10 @@ class TestBackward:
         x = Tensor(rng.standard_normal((2, 4)))
 
         def loss_of_w1(w):
-            return T.sum_sq(T.softmax(T.matmul(T.relu(T.matmul(x, w)), w2), axis=-1))
+            return sum_sq(T.softmax(T.matmul(T.relu(T.matmul(x, w)), w2), axis=-1))
 
         def loss_of_w2(w):
-            return T.sum_sq(T.softmax(T.matmul(T.relu(T.matmul(x, w1)), w), axis=-1))
+            return sum_sq(T.softmax(T.matmul(T.relu(T.matmul(x, w1)), w), axis=-1))
 
         assert grad_check(loss_of_w1, w1) <= 1e-5
         assert grad_check(loss_of_w2, w2) <= 1e-5
@@ -210,32 +212,32 @@ def _fd_cases(rng):
     shift = Tensor(away_from_zero(4).data, requires_grad=True)
 
     def affine_layer_norm(t, g, b):
-        return T.sum_sq(T.mul(T.layer_norm(t, gain=g, bias=b), other))
+        return sum_sq(T.mul(T.layer_norm(t, gain=g, bias=b), other))
 
     cases = {
-        "matmul": lambda t: T.sum_sq(T.matmul(t, right)),
-        "transpose": lambda t: T.sum_sq(T.matmul(T.transpose(t), other)),
-        "add": lambda t: T.sum_sq(T.add(t, other)),
-        "mul": lambda t: T.sum_sq(T.mul(t, other)),
-        "scale": lambda t: T.sum_sq(T.scale(t, -1.7)),
-        "exp": lambda t: T.sum_sq(T.exp(T.scale(t, 0.3))),
-        "log": lambda t: T.sum_sq(T.log(T.add(T.mul(t, t), 0.5))),
-        "relu": lambda t: T.sum_sq(T.relu(t)),
-        "softmax": lambda t: T.sum_sq(T.softmax(t, axis=-1)),
-        "log_softmax": lambda t: T.sum_sq(T.log_softmax(t, axis=-1)),
-        "layer_norm": lambda t: T.sum_sq(T.mul(T.layer_norm(t), other)),
-        "embedding": lambda t: T.sum_sq(T.embedding_lookup(t, ids)),
-        "concat": lambda t: T.sum_sq(
+        "matmul": lambda t: sum_sq(T.matmul(t, right)),
+        "transpose": lambda t: sum_sq(T.matmul(T.transpose(t), other)),
+        "add": lambda t: sum_sq(T.add(t, other)),
+        "mul": lambda t: sum_sq(T.mul(t, other)),
+        "scale": lambda t: sum_sq(T.scale(t, -1.7)),
+        "exp": lambda t: sum_sq(T.exp(T.scale(t, 0.3))),
+        "log": lambda t: sum_sq(T.log(T.add(T.mul(t, t), 0.5))),
+        "relu": lambda t: sum_sq(T.relu(t)),
+        "softmax": lambda t: sum_sq(T.softmax(t, axis=-1)),
+        "log_softmax": lambda t: sum_sq(T.log_softmax(t, axis=-1)),
+        "layer_norm": lambda t: sum_sq(T.mul(T.layer_norm(t), other)),
+        "embedding": lambda t: sum_sq(T.embedding_lookup(t, ids)),
+        "concat": lambda t: sum_sq(
             T.concat([T.index(t, (slice(None), slice(0, 2))), T.index(t, (slice(None), slice(2, 4)))], axis=1)
         ),
-        "index": lambda t: T.sum_sq(T.index(t, (slice(None), slice(1, 3)))),
-        "index_row": lambda t: T.sum_sq(T.mul(T.index(t, 1), T.index(other, 2))),
-        "stack": lambda t: T.sum_sq(T.mul(T.stack([t, T.relu(t)]), T.stack([other, other]))),
-        "scale_array": lambda t: T.sum_sq(T.scale(t, other.data[0])),
+        "index": lambda t: sum_sq(T.index(t, (slice(None), slice(1, 3)))),
+        "index_row": lambda t: sum_sq(T.mul(T.index(t, 1), T.index(other, 2))),
+        "stack": lambda t: sum_sq(T.mul(T.stack([t, T.relu(t)]), T.stack([other, other]))),
+        "scale_array": lambda t: sum_sq(T.scale(t, other.data[0])),
         "mean": lambda t: T.mul(T.mean(t), T.mean(t)),
         "sum": lambda t: T.mul(T.sum_all(t), T.mean(t)),
-        "sum_sq": lambda t: T.sum_sq(t),
-        "pick": lambda t: T.sum_sq(T.pick(t, cols)),
+        "mul_self": lambda t: sum_sq(t),
+        "pick": lambda t: sum_sq(T.pick(t, cols)),
         "mix": lambda t: T.mean(T.relu(T.add(T.matmul(T.layer_norm(t), right), bias))),
     }
     cases = {name: (f, m) for name, f in cases.items()}
@@ -253,20 +255,20 @@ def _fd_cases(rng):
     mask[..., 0] = 0.0  # every row keeps an entry
     rows_weight = away_from_zero((2, 5, 4))
     cases.update({
-        "matmul_stack_by_weight": (lambda t: T.sum_sq(T.matmul(t, right)), s3),
-        "matmul_stack_by_weight_w": (lambda w: T.sum_sq(T.matmul(fixed3, w)),
+        "matmul_stack_by_weight": (lambda t: sum_sq(T.matmul(t, right)), s3),
+        "matmul_stack_by_weight_w": (lambda w: sum_sq(T.matmul(fixed3, w)),
                                      Tensor(right.data, requires_grad=True)),
-        "matmul_stacks_left": (lambda t: T.sum_sq(T.matmul(t, other_stack)), s3),
-        "matmul_stacks_right": (lambda t: T.sum_sq(T.matmul(fixed3, t)),
+        "matmul_stacks_left": (lambda t: sum_sq(T.matmul(t, other_stack)), s3),
+        "matmul_stacks_right": (lambda t: sum_sq(T.matmul(fixed3, t)),
                                 Tensor(other_stack.data, requires_grad=True)),
-        "transpose_stack": (lambda t: T.sum_sq(T.mul(T.transpose(t), T.transpose(fixed3))), s3),
-        "split_heads": (lambda t: T.sum_sq(T.mul(T.split_heads(t, 2), fixed4)), s3),
-        "merge_heads": (lambda t: T.sum_sq(T.mul(T.merge_heads(t), fixed3)), s4),
-        "add_suffix_row": (lambda b: T.sum_sq(T.add(fixed3, b)), row),
-        "add_suffix_matrix": (lambda t: T.sum_sq(T.add(fixed3, t)), m),
-        "softmax_mask": (lambda t: T.sum_sq(T.mul(T.softmax(t, mask=mask), fixed3)), s3),
-        "embedding_nd": (lambda t: T.sum_sq(T.mul(T.embedding_lookup(t, nd_ids), rows_weight)), m),
-        "pick_nd": (lambda t: T.sum_sq(T.pick(t, nd_cols)), s3),
+        "transpose_stack": (lambda t: sum_sq(T.mul(T.transpose(t), T.transpose(fixed3))), s3),
+        "split_heads": (lambda t: sum_sq(T.mul(T.split_heads(t, 2), fixed4)), s3),
+        "merge_heads": (lambda t: sum_sq(T.mul(T.merge_heads(t), fixed3)), s4),
+        "add_suffix_row": (lambda b: sum_sq(T.add(fixed3, b)), row),
+        "add_suffix_matrix": (lambda t: sum_sq(T.add(fixed3, t)), m),
+        "softmax_mask": (lambda t: sum_sq(T.mul(T.softmax(t, mask=mask), fixed3)), s3),
+        "embedding_nd": (lambda t: sum_sq(T.mul(T.embedding_lookup(t, nd_ids), rows_weight)), m),
+        "pick_nd": (lambda t: sum_sq(T.pick(t, nd_cols)), s3),
     })
     # the affine layer norm, differentiated by its input, gain and bias
     cases["layer_norm_affine_input"] = (lambda t: affine_layer_norm(t, gain, shift), m)
@@ -288,7 +290,7 @@ def test_bias_row_gradient(seed):
     rng = np.random.default_rng(seed)
     mat = Tensor(rng.standard_normal((3, 4)))
     bias = rand_tensor(rng, (4,))
-    assert grad_check(lambda b: T.sum_sq(T.add(mat, b)), bias) <= 1e-5
+    assert grad_check(lambda b: sum_sq(T.add(mat, b)), bias) <= 1e-5
 
 
 def test_grad_check_exact_for_linear():
@@ -321,7 +323,7 @@ class TestNoGrad:
         rng = np.random.default_rng(6)
         a, b = rand_tensor(rng, (2, 3)), rand_tensor(rng, (3, 2))
         with T.no_grad():
-            loss = T.sum_sq(T.softmax(T.matmul(a, b)))
+            loss = sum_sq(T.softmax(T.matmul(a, b)))
         with pytest.raises(ContractError):
             backward(loss)
         assert a.grad is None and b.grad is None

@@ -1,7 +1,7 @@
 """Source hygiene checked with the standard library's ``ast`` alone: no
 unused imports, no module reaching into another's private names, no
 defaulted parameter that no call ever sets, and no function that nothing
-names."""
+names; the last two also with the tests left out of the callers."""
 
 import ast
 from collections import Counter
@@ -185,3 +185,29 @@ def test_every_function_is_named_somewhere_outside_its_definition():
         [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))],
         [p.read_text(encoding="utf-8") for p in sources],
     ) == []
+
+
+# the code that ships and the benchmark, without any test file
+SHIPPED = [p for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))
+           if not p.name.startswith("test_")]
+
+# reached from outside the repo alone: the sklearn estimator protocol
+# (fit, score, set_params, get_params), which sklearn's own tools call,
+# and the console entry point, whose argv comes from sys.argv
+STRICT_ALLOWED = {"fit", "score", "set_params", "get_params(deep)", "main(argv)"}
+
+
+def test_every_defaulted_parameter_is_set_outside_the_tests():
+    unset = unset_defaults(
+        [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))],
+        [p.read_text(encoding="utf-8") for p in SHIPPED],
+    )
+    assert sorted(set(unset) - STRICT_ALLOWED) == []
+
+
+def test_every_function_is_named_outside_the_tests():
+    unnamed = unreferenced_functions(
+        [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))],
+        [p.read_text(encoding="utf-8") for p in SHIPPED],
+    )
+    assert [q for q in unnamed if q.rsplit(".", 1)[-1] not in STRICT_ALLOWED] == []
