@@ -1,8 +1,18 @@
 """Command-line interface.
 
-Subcommands: train, eval, check-ctc, grad-check, bound-check, dump,
-gen-data.  Exit codes: 0 success, 1 suite or run failure, 2 configuration
-error.
+Each subcommand accepts exactly the flags it reads:
+
+    train        --config --seed --out
+    eval         --checkpoint --split --mode --seed
+    check-ctc    --instances --seed
+    grad-check   --seed
+    bound-check  --instances --seed --out
+    dump         --checkpoint --example-id --what --seed --out
+    gen-data     --config --seed --out
+
+``--seed`` overrides the run config's seed; a suite draws its instances
+from it, 0 by default.  Exit codes: 0 success, 1 suite or run failure,
+2 configuration error.
 """
 
 from __future__ import annotations
@@ -34,10 +44,9 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="run configuration file")
-    parser.add_argument("--seed", type=_nonnegative_int, help="override the config seed")
-    parser.add_argument("--out", type=Path, help="output directory")
+# --seed of train, eval, dump and gen-data, and of the three suites
+SEED_OVERRIDE = {"type": _nonnegative_int, "help": "override the run config's seed"}
+SUITE_SEED = {"type": _nonnegative_int, "default": 0, "help": "seed of the random instances"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,46 +56,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_train = sub.add_parser("train", help="train a model and emit metrics/checkpoints")
-    _add_common(p_train)
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_common(p_eval)
+    p_train = command("train", cmd_train, "train a model and emit metrics/checkpoints")
+    p_train.add_argument("--config", type=Path, help="run configuration file")
+    p_train.add_argument("--seed", **SEED_OVERRIDE)
+    p_train.add_argument("--out", type=Path, help="output directory")
+
+    p_eval = command("eval", cmd_eval, "evaluate a checkpoint")
     p_eval.add_argument("--checkpoint", type=Path, required=True)
     p_eval.add_argument("--split", choices=("train", "dev", "test"), default="test")
     p_eval.add_argument("--mode", choices=("student", "teacher"), default="student")
+    p_eval.add_argument("--seed", **SEED_OVERRIDE)
 
-    p_check = sub.add_parser("check-ctc", help="loss/posterior vs exhaustive enumeration")
-    _add_common(p_check)
+    p_check = command("check-ctc", cmd_check_ctc, "loss/posterior vs exhaustive enumeration")
     p_check.add_argument("--instances", type=int, default=100)
+    p_check.add_argument("--seed", **SUITE_SEED)
 
-    p_grad = sub.add_parser("grad-check", help="gradients vs central finite differences")
-    _add_common(p_grad)
+    p_grad = command("grad-check", cmd_grad_check, "gradients vs central finite differences")
+    p_grad.add_argument("--seed", **SUITE_SEED)
 
-    p_bound = sub.add_parser("bound-check", help="likelihood lower-bound verification")
-    _add_common(p_bound)
+    p_bound = command("bound-check", cmd_bound_check, "likelihood lower-bound verification")
     p_bound.add_argument("--instances", type=int, default=200)
+    p_bound.add_argument("--seed", **SUITE_SEED)
+    p_bound.add_argument("--out", type=Path, help="output directory")
 
-    p_dump = sub.add_parser("dump", help="posterior or attention CSV for one example")
-    _add_common(p_dump)
+    p_dump = command("dump", cmd_dump, "posterior or attention CSV for one example")
     p_dump.add_argument("--checkpoint", type=Path, required=True)
     p_dump.add_argument("--example-id", type=int, required=True)
     p_dump.add_argument("--what", choices=("alignment", "attention"), required=True)
+    p_dump.add_argument("--seed", **SEED_OVERRIDE)
+    p_dump.add_argument("--out", type=Path, help="output directory")
 
-    p_gen = sub.add_parser("gen-data", help="export the synthetic dataset as text")
-    _add_common(p_gen)
+    p_gen = command("gen-data", cmd_gen_data, "export the synthetic dataset as text")
+    p_gen.add_argument("--config", type=Path, help="run configuration file")
+    p_gen.add_argument("--seed", **SEED_OVERRIDE)
+    p_gen.add_argument("--out", type=Path, help="output directory")
 
     return parser
 
 
-def _load_run_config(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
+def _run_config(cfg: RunConfig, seed: int | None) -> RunConfig:
+    """``cfg`` with the command line's seed, if one was given, resolved."""
+    if seed is not None:
+        cfg.seed = seed
     return cfg.resolved()
 
 
-def _out_dir(args, cfg: RunConfig | None = None, default_name: str = "run") -> Path:
+def _out_dir(args, cfg: RunConfig | None, default_name: str) -> Path:
     if args.out is not None:
         return Path(args.out)
     if cfg is not None and cfg.out_dir:
@@ -95,16 +115,15 @@ def _out_dir(args, cfg: RunConfig | None = None, default_name: str = "run") -> P
     return Path(root) / default_name
 
 
-def _checkpoint_run_config(run_kv: dict, seed_override) -> RunConfig:
-    cfg = config_from_mapping(run_kv)
-    if seed_override is not None:
-        cfg.seed = seed_override
-    return cfg.resolved()
+def _print_report(report, *notes: str) -> int:
+    for line in (*report.lines(), *notes):
+        print(line)
+    return 0 if report.passed else 1
 
 
 def cmd_train(args) -> int:
-    cfg = _load_run_config(args)
-    out = _out_dir(args, cfg, default_name=f"run-{cfg.task}-seed{cfg.seed}")
+    cfg = _run_config(load_config(args.config) if args.config else RunConfig(), args.seed)
+    out = _out_dir(args, cfg, f"run-{cfg.task}-seed{cfg.seed}")
     result = train_run(cfg, out, quiet=False)
     model = result.model
     counts = count_params(model)
@@ -122,7 +141,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, run_kv = load_checkpoint(args.checkpoint)
-    cfg = _checkpoint_run_config(run_kv, args.seed)
+    cfg = _run_config(config_from_mapping(run_kv), args.seed)
     dataset = generate_dataset(cfg)
     examples = split_examples(dataset, args.split)
     report = evaluate(model, examples, args.mode, cfg.train_config(), mask_seed=cfg.seed)
@@ -137,38 +156,24 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check_ctc(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    report = check_ctc_suite(n_instances=args.instances, seed=seed)
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 1
+    return _print_report(check_ctc_suite(n_instances=args.instances, seed=args.seed))
 
 
 def cmd_grad_check(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    report = grad_check_suite(seed=seed)
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 1
+    return _print_report(grad_check_suite(seed=args.seed))
 
 
 def cmd_bound_check(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    out = _out_dir(args, None, default_name="bound-check")
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "bound_report.csv"
-    report = bound_check_suite(n_instances=args.instances, seed=seed, csv_path=csv_path)
-    for line in report.lines():
-        print(line)
-    print(f"report: {csv_path}")
-    return 0 if report.passed else 1
+    csv_path = _out_dir(args, None, "bound-check") / "bound_report.csv"
+    report = bound_check_suite(n_instances=args.instances, seed=args.seed, csv_path=csv_path)
+    return _print_report(report, f"report: {csv_path}")
 
 
 def cmd_dump(args) -> int:
     model, run_kv = load_checkpoint(args.checkpoint)
     if args.what == "alignment" and model.cfg.task != "ctc":
         raise ContractError("alignment dumps need a ctc checkpoint")
-    cfg = _checkpoint_run_config(run_kv, args.seed)
+    cfg = _run_config(config_from_mapping(run_kv), args.seed)
     dataset = generate_dataset(cfg)
     examples = split_examples(dataset, "dev")
     if not 0 <= args.example_id < len(examples):
@@ -176,7 +181,7 @@ def cmd_dump(args) -> int:
             f"example id {args.example_id} outside the dev split (size {len(examples)})"
         )
     ex = examples[args.example_id]
-    out = _out_dir(args, cfg, default_name="dump")
+    out = _out_dir(args, cfg, "dump")
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{args.what}_{args.example_id}.csv"
     if args.what == "alignment":
@@ -188,9 +193,9 @@ def cmd_dump(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = _run_config(load_config(args.config) if args.config else RunConfig(), args.seed)
     dataset = generate_dataset(cfg)
-    out = _out_dir(args, cfg, default_name="data")
+    out = _out_dir(args, cfg, "data")
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"dataset-{cfg.task}-seed{cfg.data_seed}.txt"
     export_dataset(dataset, path, task=cfg.task)
@@ -199,21 +204,10 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "check-ctc": cmd_check_ctc,
-    "grad-check": cmd_grad_check,
-    "bound-check": cmd_bound_check,
-    "dump": cmd_dump,
-    "gen-data": cmd_gen_data,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +29,13 @@ from .tasks import Batch, batch_iter, gen_aed_dataset, gen_ctc_dataset, split_ex
 from .tensor import Tensor, backward, finite_differences, grad_check
 from . import tensor as tt
 
-METRICS_HEADER = "step,l_org,l_em,l_kd,l_total,ter_student,ter_teacher,rep_ratio"
-
 OUT_ROOT_ENV = "ORACLE_DISTILL_OUT"
 
 
 @dataclass
 class MetricsRecord:
+    """One row of metrics.csv; the columns are the fields, in order."""
+
     step: int
     l_org: float
     l_em: float
@@ -46,13 +46,11 @@ class MetricsRecord:
     rep_ratio: float | None = None
 
     def csv_row(self) -> str:
-        def opt(v):
-            return "" if v is None else repr(float(v))
+        step, *values = (getattr(self, f.name) for f in fields(self))
+        return ",".join([str(step), *("" if v is None else repr(float(v)) for v in values)])
 
-        return (
-            f"{self.step},{self.l_org!r},{self.l_em!r},{self.l_kd!r},{self.l_total!r},"
-            f"{opt(self.ter_student)},{opt(self.ter_teacher)},{opt(self.rep_ratio)}"
-        )
+
+METRICS_HEADER = ",".join(f.name for f in fields(MetricsRecord))
 
 
 def parse_metrics_csv(path) -> list[MetricsRecord]:
@@ -61,19 +59,10 @@ def parse_metrics_csv(path) -> list[MetricsRecord]:
         raise ContractError(f"unexpected metrics header in {path}")
     rows = []
     for line in lines[1:]:
-        parts = line.split(",")
-        rows.append(
-            MetricsRecord(
-                step=int(parts[0]),
-                l_org=float(parts[1]),
-                l_em=float(parts[2]),
-                l_kd=float(parts[3]),
-                l_total=float(parts[4]),
-                ter_student=float(parts[5]) if parts[5] else None,
-                ter_teacher=float(parts[6]) if parts[6] else None,
-                rep_ratio=float(parts[7]) if parts[7] else None,
-            )
-        )
+        step, *values = line.split(",")
+        if len(values) != len(fields(MetricsRecord)) - 1:
+            raise ContractError(f"metrics row {line!r} in {path} does not match the header")
+        rows.append(MetricsRecord(int(step), *(float(v) if v else None for v in values)))
     return rows
 
 
@@ -477,6 +466,7 @@ def bound_check_suite(n_instances: int = 200, seed: int = 0, csv_path=None) -> S
     passed = min_slack >= -1e-9 and abs(tight.slack) <= 1e-9
 
     if csv_path is not None:
+        Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
         with open(csv_path, "w", encoding="ascii") as fh:
             fh.write("loglik,bound,slack,entropy\n")
             for r in reports:

@@ -548,9 +548,6 @@ class AedModel(_TransformerBase):
         ``target``."""
         return self._teacher_forced(memory, target, "seq.out", lengths, target_lengths)
 
-    def student_logits(self, src_tokens, target) -> Tensor:
-        return self.student_head(self.encode(src_tokens), target)
-
     def teacher_logits(self, memory: Tensor, target, masked_target, lengths=None,
                        target_lengths=None) -> Tensor:
         """Teacher-forced logits attending to the fused memory.

@@ -164,7 +164,7 @@ def loss_total(model, batch, config: TrainConfig, rng: np.random.Generator) -> S
         batch = Batch(batch)
     ctc = isinstance(model, CtcModel)
     lengths, y_ids, y_lengths = batch.lengths, batch.target_ids, batch.target_lengths
-    encoded = model.encode(batch.features if ctc else batch.src_tokens, lengths)
+    encoded = model.encode(batch.sources, lengths)
     if ctc:
         u_s = model.student_head(encoded)
         rows = lengths

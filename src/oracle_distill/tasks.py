@@ -212,9 +212,9 @@ def split_examples(dataset: list[Example], split: str) -> list[Example]:
 class Batch:
     """A batch as padded arrays, which the objective reads in one graph.
 
-    Sources are ``features`` (B x T x D floats, frame labelling) or
-    ``src_tokens`` (B x L ints, transduction), the other None; targets
-    are ``target_ids`` (B x L ints).  Cells past an item's ``lengths`` /
+    ``sources`` are B x T x D floats for frame matrices (frame labelling)
+    or B x L ints for token tuples (transduction); targets are
+    ``target_ids`` (B x L ints).  Cells past an item's ``lengths`` /
     ``target_lengths`` are zero and are never read.  ``examples`` are the
     examples or (source, target) pairs the batch was built from, kept as
     given.
@@ -230,12 +230,8 @@ class Batch:
         self.lengths = np.array([len(x) for x in sources])
         self.target_lengths = np.array([len(y) for y in self.targets])
         self.target_ids = _padded(self.targets, self.target_lengths, np.int64)
-        if np.ndim(sources[0]) == 2:
-            self.features = _padded(sources, self.lengths, np.float64)
-            self.src_tokens = None
-        else:
-            self.src_tokens = _padded(sources, self.lengths, np.int64)
-            self.features = None
+        dtype = np.float64 if np.ndim(sources[0]) == 2 else np.int64
+        self.sources = _padded(sources, self.lengths, dtype)
 
     def __len__(self):
         return len(self.examples)

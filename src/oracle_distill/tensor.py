@@ -292,12 +292,6 @@ def scale(a: Tensor, c) -> Tensor:
     return _node(out, (a,), lambda g: (g * c,))
 
 
-def exp(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return _node(out, (a,), lambda g: (g * out,))
-
-
 def log(a: Tensor) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data <= 0.0):
@@ -349,20 +343,18 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """``gain * (a - mean) / sqrt(var + LAYER_NORM_EPS) + bias`` along the
     last axis.
 
     ``gain`` and ``bias`` are vectors as wide as the last axis, shared by
-    every row (Ba et al. 2016).  Either may be omitted, standing for ones
-    or zeros; a gain of ones and a bias of zeros give output bit-identical
-    to the plain normalisation.  The affine is part of this one node, so
+    every row (Ba et al. 2016).  The affine is part of this one node, so
     it adds no mul/add nodes to the tape.
     """
     a = as_tensor(a)
     width = a.shape[-1:]
     for name, p in (("gain", gain), ("bias", bias)):
-        if p is not None and p.shape != width:
+        if p.shape != width:
             raise ShapeError(f"layer_norm {name} {p.shape} for input {a.shape}")
     # np.add.reduce(...) / n is what ndarray.mean and .var compute, bit
     # for bit, without their Python-level wrappers, which cost a visible
@@ -372,23 +364,19 @@ def layer_norm(a: Tensor, gain: Tensor | None = None, bias: Tensor | None = None
     centered = a.data - rowsum(a.data, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(rowsum(centered * centered, axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
     normed = centered * inv
-    out = normed if gain is None else normed * gain.data
-    if bias is not None:
-        out = out + bias.data
-    affine = tuple(p for p in (gain, bias) if p is not None)
+    out = normed * gain.data + bias.data
 
     def bwd(g):
-        param_grads = []
-        if gain is not None:
-            param_grads.append(rowsum((g * normed).reshape(-1, n), axis=0))
-        if bias is not None:
-            param_grads.append(rowsum(g.reshape(-1, n), axis=0))
-        gn = g if gain is None else g * gain.data
+        gn = g * gain.data
         gm = rowsum(gn, axis=-1, keepdims=True) / n
         gy = rowsum(gn * normed, axis=-1, keepdims=True) / n
-        return ((gn - gm - normed * gy) * inv, *param_grads)
+        return (
+            (gn - gm - normed * gy) * inv,
+            rowsum((g * normed).reshape(-1, n), axis=0),
+            rowsum(g.reshape(-1, n), axis=0),
+        )
 
-    return _node(out, (a, *affine), bwd)
+    return _node(out, (a, gain, bias), bwd)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:

@@ -136,12 +136,8 @@ def test_batched_objective_equals_the_mean_of_single_items(case):
 def _garbage(batch, rng):
     """A copy of ``batch`` whose padded cells hold garbage."""
     dirty = Batch(batch.examples)
-    arrays = [(dirty.target_ids, dirty.target_lengths)]
-    if dirty.features is not None:
-        arrays.append((dirty.features, dirty.lengths))
-    else:
-        arrays.append((dirty.src_tokens, dirty.lengths))
-    for array, lengths in arrays:
+    for array, lengths in ((dirty.target_ids, dirty.target_lengths),
+                           (dirty.sources, dirty.lengths)):
         for i, n in enumerate(lengths):
             pad = array[i, n:]
             if array.dtype.kind == "f":

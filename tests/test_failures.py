@@ -170,6 +170,23 @@ BAD_CLI_INPUTS = {
         "error: alignment dumps need a ctc checkpoint"),
 }
 
+# a flag that a command does not read is refused, not ignored
+_UNREAD_FLAGS = [
+    (["eval", "--checkpoint", "m.txt"], "--config"),
+    (["eval", "--checkpoint", "m.txt"], "--out"),
+    (["check-ctc"], "--config"),
+    (["check-ctc"], "--out"),
+    (["grad-check"], "--config"),
+    (["grad-check"], "--out"),
+    (["bound-check"], "--config"),
+    (["dump", "--checkpoint", "m.txt", "--example-id", "0", "--what", "attention"], "--config"),
+]
+BAD_CLI_INPUTS.update({
+    f"{argv[0]} {flag}": (lambda d, argv=argv, flag=flag: [*argv, flag, str(d / "x")], 2,
+                          f"unrecognized arguments: {flag}")
+    for argv, flag in _UNREAD_FLAGS
+})
+
 
 @pytest.mark.parametrize("case", BAD_CLI_INPUTS)
 def test_bad_cli_input_exits_with_a_message(case, tmp_path, capsys):
@@ -183,5 +200,14 @@ def test_bad_cli_input_exits_with_a_message(case, tmp_path, capsys):
     assert returned == code
     assert message in err
     assert "Traceback" not in err
-    # nothing was trained or dumped
+    # nothing was trained, dumped or reported
     assert not (tmp_path / "run" / "metrics.csv").exists() and not (tmp_path / "dump").exists()
+    assert not (tmp_path / "bc").exists() and not (tmp_path / "x").exists()
+
+
+def test_suite_seed_defaults_to_zero(capsys):
+    printed = []
+    for seed in ([], ["--seed", "0"]):
+        assert cli.main(["check-ctc", "--instances", "3", *seed]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1] and printed[0].startswith("[PASS]")

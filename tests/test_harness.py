@@ -224,3 +224,10 @@ class TestSvg:
 
 def test_metrics_header_is_versioned_contract():
     assert METRICS_HEADER == "step,l_org,l_em,l_kd,l_total,ter_student,ter_teacher,rep_ratio"
+
+
+def test_metrics_row_of_the_wrong_width_is_refused(tmp_path):
+    path = tmp_path / "metrics.csv"
+    path.write_text(f"{METRICS_HEADER}\n1,0.5,0.5,0.5,1.5,,\n")
+    with pytest.raises(ContractError, match="does not match the header"):
+        parse_metrics_csv(path)

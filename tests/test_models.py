@@ -231,7 +231,7 @@ class TestAedDecoder:
         w = model.store.peek("seq.dec0.cross.wq")
 
         def f(_):
-            return sum_sq(model.student_logits((1, 2, 3), (3, 1)))
+            return sum_sq(model.student_head(model.encode((1, 2, 3)), (3, 1)))
 
         assert grad_check(f, w) <= 1e-5
 
@@ -322,7 +322,8 @@ class TestCheckpoint:
         src = (2, 4, 1)
         assert loaded.predict(src) == model.predict(src)
         np.testing.assert_array_equal(
-            loaded.student_logits(src, (1, 2)).data, model.student_logits(src, (1, 2)).data
+            loaded.student_head(loaded.encode(src), (1, 2)).data,
+            model.student_head(model.encode(src), (1, 2)).data,
         )
 
     def test_corrupt_header_reports_version(self, tmp_path):

@@ -120,7 +120,7 @@ class TestBatching:
             seed=0,
         )
         batch = Batch(data)
-        assert batch.features.shape[0] == len(data)
+        assert batch.sources.shape[0] == len(data) and batch.sources.dtype == np.float64
         no_teacher = TrainConfig(use_teacher=False)
         batched = loss_total(model, batch, no_teacher, None).total.item()
         singles = [loss_total(model, [(ex.x, ex.y)], no_teacher, None).total.item() for ex in data]
@@ -149,8 +149,9 @@ class TestBatching:
     def test_aed_items_roundtrip_through_padding(self):
         data = gen_aed_dataset(AedTaskSpec(seed=37), 7)
         batch = Batch(data)
+        assert batch.sources.dtype == np.int64
         for i, ex in enumerate(data):
-            assert tuple(batch.src_tokens[i, : batch.lengths[i]]) == ex.x
+            assert tuple(batch.sources[i, : batch.lengths[i]]) == ex.x
             assert tuple(batch.target_ids[i, : batch.target_lengths[i]]) == ex.y == batch.targets[i]
 
 

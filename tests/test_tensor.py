@@ -46,20 +46,14 @@ class TestForwardValues:
         assert sum_sq(Tensor([3.0, 4.0])).item() == 25.0
 
     def test_layer_norm_constant_vector_is_zero(self):
-        out = T.layer_norm(Tensor([2.5, 2.5, 2.5, 2.5]))
+        out = T.layer_norm(Tensor([2.5, 2.5, 2.5, 2.5]), gain=Tensor(np.ones(4)),
+                           bias=Tensor(np.zeros(4)))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
-
-    def test_layer_norm_default_affine_is_bit_identical(self):
-        x = Tensor(np.random.default_rng(2).standard_normal((3, 5)))
-        plain = T.layer_norm(x).data
-        ones, zeros = Tensor(np.ones(5)), Tensor(np.zeros(5))
-        np.testing.assert_array_equal(T.layer_norm(x, gain=ones, bias=zeros).data, plain)
-        np.testing.assert_array_equal(T.layer_norm(x, gain=ones).data, plain)
-        np.testing.assert_array_equal(T.layer_norm(x, bias=zeros).data, plain)
 
     def test_layer_norm_affine_width_mismatch(self):
         with pytest.raises(ShapeError):
-            T.layer_norm(Tensor(np.zeros((2, 3))), gain=Tensor(np.ones(4)))
+            T.layer_norm(Tensor(np.zeros((2, 3))), gain=Tensor(np.ones(4)),
+                         bias=Tensor(np.zeros(3)))
 
     def test_log_domain_error(self):
         with pytest.raises(DomainError):
@@ -214,18 +208,20 @@ def _fd_cases(rng):
     def affine_layer_norm(t, g, b):
         return sum_sq(T.mul(T.layer_norm(t, gain=g, bias=b), other))
 
+    def unit_layer_norm(t):
+        return T.layer_norm(t, gain=Tensor(np.ones(4)), bias=Tensor(np.zeros(4)))
+
     cases = {
         "matmul": lambda t: sum_sq(T.matmul(t, right)),
         "transpose": lambda t: sum_sq(T.matmul(T.transpose(t), other)),
         "add": lambda t: sum_sq(T.add(t, other)),
         "mul": lambda t: sum_sq(T.mul(t, other)),
         "scale": lambda t: sum_sq(T.scale(t, -1.7)),
-        "exp": lambda t: sum_sq(T.exp(T.scale(t, 0.3))),
         "log": lambda t: sum_sq(T.log(T.add(T.mul(t, t), 0.5))),
         "relu": lambda t: sum_sq(T.relu(t)),
         "softmax": lambda t: sum_sq(T.softmax(t, axis=-1)),
         "log_softmax": lambda t: sum_sq(T.log_softmax(t, axis=-1)),
-        "layer_norm": lambda t: sum_sq(T.mul(T.layer_norm(t), other)),
+        "layer_norm": lambda t: sum_sq(T.mul(unit_layer_norm(t), other)),
         "embedding": lambda t: sum_sq(T.embedding_lookup(t, ids)),
         "concat": lambda t: sum_sq(
             T.concat([T.index(t, (slice(None), slice(0, 2))), T.index(t, (slice(None), slice(2, 4)))], axis=1)
@@ -238,7 +234,7 @@ def _fd_cases(rng):
         "sum": lambda t: T.mul(T.sum_all(t), T.mean(t)),
         "mul_self": lambda t: sum_sq(t),
         "pick": lambda t: sum_sq(T.pick(t, cols)),
-        "mix": lambda t: T.mean(T.relu(T.add(T.matmul(T.layer_norm(t), right), bias))),
+        "mix": lambda t: T.mean(T.relu(T.add(T.matmul(unit_layer_norm(t), right), bias))),
     }
     cases = {name: (f, m) for name, f in cases.items()}
 
@@ -302,7 +298,7 @@ def test_grad_check_exact_for_linear():
 def test_tape_orders_by_execution():
     x = Tensor([1.0], requires_grad=True)
     a = T.scale(x, 2.0)
-    b = T.exp(a)
+    b = T.relu(a)
     tape = T.Tape(b)
     assert [n._serial for n in tape.nodes] == sorted(n._serial for n in tape.nodes)
     assert tape.nodes[-1] is b
@@ -332,24 +328,24 @@ class TestNoGrad:
         x = Tensor([1.0], requires_grad=True)
         with T.no_grad():
             with T.no_grad():
-                assert not T.exp(x).requires_grad
-            assert not T.exp(x).requires_grad
-        assert T.exp(x).requires_grad
+                assert not T.relu(x).requires_grad
+            assert not T.relu(x).requires_grad
+        assert T.relu(x).requires_grad
 
     def test_mode_restored_after_an_exception(self):
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(DomainError):
             with T.no_grad():
                 T.log(Tensor([-1.0]))
-        assert T.exp(x).requires_grad
+        assert T.relu(x).requires_grad
 
     def test_decorator_form_applies_per_call(self):
         x = Tensor([1.0], requires_grad=True)
 
         @T.no_grad()
-        def untracked_exp(t):
-            return T.exp(t)
+        def untracked_relu(t):
+            return T.relu(t)
 
         for _ in range(2):
-            assert not untracked_exp(x).requires_grad
-            assert T.exp(x).requires_grad
+            assert not untracked_relu(x).requires_grad
+            assert T.relu(x).requires_grad

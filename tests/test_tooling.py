@@ -11,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "oracle_distill"
+MODULES = {p.stem for p in PACKAGE.glob("*.py")}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -131,21 +132,49 @@ def test_every_defaulted_parameter_has_a_caller_that_sets_it():
     assert sorted(set(unset) - UNSET_ALLOWED) == []
 
 
-def unreferenced_functions(package_sources: list[str], all_sources: list[str]) -> list[str]:
+def unreferenced_functions(package_sources: list[str], all_sources: list[str],
+                           modules: set[str]) -> list[str]:
     """Qualified names of the functions and methods in ``package_sources``
     that no source in ``all_sources`` reads by name outside the function's
     own definition.
 
     A read is a loaded name or attribute with the function's name, so a
     call, a callback or a function handed to a tracer all count; dunder
-    methods, which Python calls itself, are skipped."""
+    methods, which Python calls itself, are skipped.  A module-level
+    function is read only by its bare name, by an import of it from the
+    package, or as an attribute of a name that a ``from`` import binds to
+    one of the package's ``modules`` (``tt.exp``, not ``np.exp``).  A method is read by any
+    attribute of its name, so one that shares its name with another
+    class's method or a builtin's (``student_logits``, ``items``, ``get``)
+    can hide there."""
 
-    def reads(tree) -> Counter:
-        return Counter(
-            node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-        )
+    def package_imports(tree):
+        """The ``from`` imports in ``tree`` of the package or its modules."""
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "oracle_distill"
+            ):
+                yield node
+
+    def module_aliases(tree) -> set[str]:
+        """The names that imports in ``tree`` bind to a package module."""
+        return {a.asname or a.name for node in package_imports(tree) for a in node.names
+                if a.name in modules}
+
+    def reads(tree, aliases) -> tuple[Counter, Counter]:
+        """Reads of a name by any attribute or name, and the reads that
+        reach a module-level function of that name."""
+        anywhere = Counter()
+        module_level = Counter(a.name for node in package_imports(tree) for a in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                anywhere[node.id] += 1
+                module_level[node.id] += 1
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                anywhere[node.attr] += 1
+                if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                    module_level[node.attr] += 1
+        return anywhere, module_level
 
     def definitions(node, prefix=""):
         for child in ast.iter_child_nodes(node):
@@ -156,13 +185,22 @@ def unreferenced_functions(package_sources: list[str], all_sources: list[str]) -
             else:
                 yield from definitions(child, prefix)
 
-    everywhere = sum((reads(ast.parse(source)) for source in all_sources), Counter())
-    return sorted(
-        qualified
-        for source in package_sources
-        for qualified, node in definitions(ast.parse(source))
-        if not node.name.startswith("__") and everywhere[node.name] == reads(node)[node.name]
-    )
+    everywhere = [Counter(), Counter()]
+    for source in all_sources:
+        tree = ast.parse(source)
+        for total, counted in zip(everywhere, reads(tree, module_aliases(tree))):
+            total.update(counted)
+    unread = []
+    for source in package_sources:
+        tree = ast.parse(source)
+        aliases = module_aliases(tree)
+        for qualified, node in definitions(tree):
+            kind = int("." not in qualified)  # 1: a module-level function
+            if not node.name.startswith("__") and (
+                everywhere[kind][node.name] == reads(node, aliases)[kind][node.name]
+            ):
+                unread.append(qualified)
+    return sorted(unread)
 
 
 def test_checker_finds_a_function_nothing_names():
@@ -176,7 +214,27 @@ def test_checker_finds_a_function_nothing_names():
         "    def dead(self):\n        self.dead = 1\n"
     )
     callers = "used()\nK().method()\nrun(on_step=callback)\n"
-    assert unreferenced_functions([package], [package, callers]) == ["K.dead", "K.method.inner", "recursive"]
+    assert unreferenced_functions([package], [package, callers], MODULES) == [
+        "K.dead", "K.method.inner", "recursive"]
+
+
+def test_checker_reads_a_module_function_only_through_the_package():
+    package = (
+        "def exp(a):\n    pass\n"
+        "def log(a):\n    pass\n"
+        "def relu(a):\n    pass\n"
+        "def pick(a):\n    pass\n"
+        "class K:\n"
+        "    def get(self):\n        pass\n"
+    )
+    callers = (
+        "import numpy as np\n"
+        "from oracle_distill import tensor as tt\n"
+        "from oracle_distill.tensor import relu\n"
+        "np.exp(1)\ntt.log(2)\nother.pick(3)\n{}.get(0)\n"
+    )
+    # K.get hides behind dict.get: methods are read by their bare name
+    assert unreferenced_functions([package], [package, callers], {"tensor"}) == ["exp", "pick"]
 
 
 def test_every_function_is_named_somewhere_outside_its_definition():
@@ -184,6 +242,7 @@ def test_every_function_is_named_somewhere_outside_its_definition():
     assert unreferenced_functions(
         [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))],
         [p.read_text(encoding="utf-8") for p in sources],
+        MODULES,
     ) == []
 
 
@@ -209,5 +268,6 @@ def test_every_function_is_named_outside_the_tests():
     unnamed = unreferenced_functions(
         [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))],
         [p.read_text(encoding="utf-8") for p in SHIPPED],
+        MODULES,
     )
     assert [q for q in unnamed if q.rsplit(".", 1)[-1] not in STRICT_ALLOWED] == []
