@@ -124,7 +124,7 @@ class _DistillerBase(BaseParams):
     def predict(self, X) -> list[tuple[int, ...]]:
         check_is_fitted(self)
         X = self._check_X(X)
-        return [self.model_.predict(x) for x in X]
+        return self.model_.predict(X)
 
     def score(self, X, y) -> float:
         """Token accuracy, 1 - token error rate (can be negative)."""

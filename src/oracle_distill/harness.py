@@ -80,28 +80,30 @@ def generate_dataset(cfg: RunConfig):
 
 
 class _CountedTargets:
-    """Reference targets behind a read counter, to prove the student
-    prediction phase never looks at them."""
+    """The examples' reference targets behind a read counter, to prove the
+    student prediction phase never looks at them: ``.y`` is read only
+    through ``get``."""
 
-    def __init__(self, targets):
-        self._targets = list(targets)
+    def __init__(self, examples):
+        self._examples = examples
         self.reads = 0
-
-    def __len__(self):
-        return len(self._targets)
 
     def get(self, i):
         self.reads += 1
-        return self._targets[i]
+        return self._examples[i].y
 
 
 def evaluate(model, examples, mode: str, train_cfg: TrainConfig, mask_seed: int = 0) -> dict:
-    """TER, exact match, and repetition ratio for one split.
+    """TER, exact match, and repetition ratio for one split, whose
+    predictions come from one ``predict`` or ``predict_teacher`` call over
+    the whole split.
 
-    ``student`` mode predicts from the source alone and asserts that no
-    auxiliary parameter and no target token was read while predicting.
-    ``teacher`` mode additionally consumes the target (masked for the
-    encoder-decoder task), as a diagnostic upper bound.
+    ``student`` mode predicts from the sources alone and asserts that no
+    auxiliary parameter and no target token was read while predicting; the
+    targets are read only afterwards, as references.  ``teacher`` mode
+    additionally consumes the targets (masked for the encoder-decoder task,
+    each item's mask drawn in split order from one generator seeded by
+    ``mask_seed``), as a diagnostic upper bound.
     """
     if mode not in ("student", "teacher"):
         raise ContractError(f"unknown eval mode {mode!r}")
@@ -109,13 +111,11 @@ def evaluate(model, examples, mode: str, train_cfg: TrainConfig, mask_seed: int 
     if not examples:
         raise ContractError("empty evaluation split")
     sources = [ex.x for ex in examples]
-    counted = _CountedTargets([ex.y for ex in examples])
+    counted = _CountedTargets(examples)
 
     model.store.reset_reads()
-    predictions = []
     if mode == "student":
-        for x in sources:
-            predictions.append(model.predict(x))
+        predictions = model.predict(sources)
         aux_reads = model.store.reads_with_prefix(*AUX_PREFIXES)
         target_reads = counted.reads
         if aux_reads or target_reads:
@@ -123,16 +123,15 @@ def evaluate(model, examples, mode: str, train_cfg: TrainConfig, mask_seed: int 
                 f"student evaluation touched {aux_reads} aux params, {target_reads} targets"
             )
     else:
-        rng = np.random.default_rng(mask_seed)
-        for i, x in enumerate(sources):
-            y = counted.get(i)
-            # the CTC teacher sees all of y, the encoder-decoder one a masked y
-            tokens = y if isinstance(model, CtcModel) else mask_target(y, train_cfg.lambda_mask, rng).tokens
-            predictions.append(model.predict_teacher(x, tokens))
+        targets = [counted.get(i) for i in range(len(examples))]
+        if not isinstance(model, CtcModel):  # the CTC teacher sees all of y
+            rng = np.random.default_rng(mask_seed)
+            targets = [mask_target(y, train_cfg.lambda_mask, rng).tokens for y in targets]
+        predictions = model.predict_teacher(sources, targets)
         aux_reads = model.store.reads_with_prefix(*AUX_PREFIXES)
         target_reads = counted.reads
 
-    references = [counted.get(i) for i in range(len(counted))]
+    references = [counted.get(i) for i in range(len(examples))]
     return {
         "ter": token_error_rate(predictions, references),
         "exact_match": exact_match_rate(predictions, references),

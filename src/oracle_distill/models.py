@@ -17,10 +17,12 @@ it into the identity, which is what the structural reduction tests rely on.
 
 Both models map one source encoding to student logits with
 ``student_head`` and to teacher logits with ``teacher_logits``, so the
-objective, the diagnostics and inference share one path per head.  The
-encoder-decoder greedy decode is one loop, run through either head.  Every
-``predict`` and ``predict_teacher`` runs under ``tensor.no_grad``, so
-inference records no graph.
+objective, the diagnostics and inference share one path per head.
+``predict`` and ``predict_teacher`` take a list of items and decode them
+all from one padded stack (``tasks.padded_stack``); the encoder-decoder
+greedy decode is one loop over the whole stack, run through either head.
+Every ``predict`` and ``predict_teacher`` runs under ``tensor.no_grad``,
+so inference records no graph.
 
 Every forward function takes ``(..., T, d)`` inputs: leading axes are
 items of a batch, padded to one length, and a 2-D input is one unpadded
@@ -31,14 +33,17 @@ those lengths, so each item's valid rows come out as they would alone.
 Attention runs all heads as one axis of its stacks, ``(..., heads, T,
 d / heads)``.
 
-The greedy loop decodes incrementally (Pope et al. 2022): it feeds
-``decode_logits`` one new token per call together with a
-:class:`DecodeCache`, which holds the memory it was built for, each decoder
-layer's cross-attention keys and values of ``ln_mem(memory)``, projected
-once per decode, and each layer's self-attention keys and values of the
-positions decoded so far.  A call then costs one position, not the whole
-prefix.  Without a cache, ``decode_logits`` runs the full prefix, which is
-what teacher-forced training does.
+The greedy loop decodes a batch incrementally and in lockstep (Pope et
+al. 2022): it feeds ``decode_logits`` a ``(B, 1)`` stack of one new token
+per row together with the memory ``lengths`` and a :class:`DecodeCache`,
+which holds the memory it was built for, each decoder layer's
+cross-attention keys and values of ``ln_mem(memory)``, projected once per
+decode, and each layer's self-attention keys and values of the positions
+decoded so far.  A call then costs one position per row, not the whole
+prefix.  Each row stops at its own end symbol or length cap; a stopped row
+is still fed until every row has stopped, and its later tokens are
+dropped.  Without a cache, ``decode_logits`` runs the full prefix, which
+is what teacher-forced training does.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ import numpy as np
 from . import tensor as tt
 from .ctc import Vocab, greedy_decode
 from .errors import CheckpointFormatError, ContractError, ShapeError, VocabularyError
+from .tasks import padded_stack
 from .tensor import Tensor
 
 MASK = -1  # sentinel for masked target tokens; rendered as the oracle's row 0
@@ -137,13 +143,17 @@ class DecodeCache:
     """What one incremental decode keeps between ``decode_logits`` calls.
 
     Empty until its first call, which binds it to that call's ``memory``
-    and projects every decoder layer's cross-attention keys and values of
-    ``ln_mem(memory)`` into ``cross_kv``.  ``self_kv`` holds each layer's
-    self-attention keys and values of the ``length`` positions decoded so
-    far, grown by concatenation at every call.  All are split into heads.
+    and memory ``lengths``, keeps the key mask they give in
+    ``memory_mask``, and projects every decoder layer's cross-attention
+    keys and values of ``ln_mem(memory)`` into ``cross_kv``.  ``self_kv``
+    holds each layer's self-attention keys and values of the ``length``
+    positions decoded so far, grown by concatenation at every call.  All
+    are split into heads.
     """
 
     memory: Tensor | None = None
+    lengths: np.ndarray | None = None
+    memory_mask: np.ndarray | None = None
     length: int = 0
     cross_kv: list = field(default_factory=list)
     self_kv: list = field(default_factory=list)
@@ -442,12 +452,31 @@ class CtcModel(_TransformerBase):
         return self._head("teacher_out", fused)
 
     @tt.no_grad()
-    def predict(self, feats) -> tuple[int, ...]:
-        return greedy_decode(self.student_logits(feats).data)
+    def predict(self, sources) -> list[tuple[int, ...]]:
+        """Collapsed greedy decodes of a list of frame matrices, from one
+        padded encode."""
+        feats, lengths = padded_stack(sources, "sources")
+        return _collapsed_rows(self.student_head(self.encode(feats, lengths)), lengths)
 
     @tt.no_grad()
-    def predict_teacher(self, feats, tokens) -> tuple[int, ...]:
-        return greedy_decode(self.teacher_logits(self.encode(feats), tokens).data)
+    def predict_teacher(self, sources, targets) -> list[tuple[int, ...]]:
+        """Collapsed greedy decodes of frame matrices with their targets."""
+        feats, lengths, tokens, target_lengths = _padded_pairs(sources, targets)
+        logits = self.teacher_logits(self.encode(feats, lengths), tokens, lengths, target_lengths)
+        return _collapsed_rows(logits, lengths)
+
+
+def _padded_pairs(sources, targets) -> tuple[np.ndarray, ...]:
+    """Paired lists of sources and targets as two padded stacks, each
+    followed by its lengths."""
+    if len(sources) != len(targets):
+        raise ContractError(f"{len(sources)} sources but {len(targets)} targets")
+    return (*padded_stack(sources, "sources"), *padded_stack(targets, "targets"))
+
+
+def _collapsed_rows(logits: Tensor, lengths) -> list[tuple[int, ...]]:
+    """``ctc.greedy_decode`` of each item's own frames of padded logits."""
+    return [greedy_decode(u[:n]) for u, n in zip(logits.data, lengths)]
 
 
 class AedModel(_TransformerBase):
@@ -503,9 +532,9 @@ class AedModel(_TransformerBase):
         are only the new tokens, those after the ``cache.length`` already
         decoded (so a first call's tokens start with the start symbol); the
         result has one row per new token, and the cache takes in their
-        keys and values.  A cache serves only the ``memory`` of its first
-        call.  A stack of prefixes ``(..., P)`` decodes a padded stack of
-        memories whose ``lengths`` are given.
+        keys and values.  A cache serves only the ``memory`` and ``lengths``
+        objects of its first call.  A stack of prefixes ``(..., P)``
+        decodes a padded stack of memories whose ``lengths`` are given.
         """
         ids = np.asarray(prefix_ids, dtype=np.int64)
         if ids.ndim < 1:
@@ -517,17 +546,20 @@ class AedModel(_TransformerBase):
             raise ContractError("no new decoder tokens")
         if np.any((ids < 0) | (ids > self.eos)):
             raise VocabularyError("decoder prefix token out of range")
-        if cache is not None and cache.memory is not None and cache.memory is not memory:
-            raise ContractError("decode cache was built for a different memory")
+        if cache is not None and cache.memory is not None:
+            if cache.memory is not memory or cache.lengths is not lengths:
+                raise ContractError("decode cache was built for a different memory")
+            memory_mask = cache.memory_mask
+        else:
+            memory_mask = _key_mask(_valid_cells(lengths, memory.shape[:-1]))
         stop = start + ids.shape[-1]
         x = tt.scale(tt.embedding_lookup(self.store.get("seq.tgt_embed"), ids), math.sqrt(self.cfg.d_model))
         x = tt.add(x, self._positions(stop, start))
         if cache is not None and cache.memory is None:
-            cache.memory = memory
+            cache.memory, cache.lengths, cache.memory_mask = memory, lengths, memory_mask
             cache.cross_kv = [self._memory_kv(f"seq.dec{i}", memory) for i in range(self.cfg.dec_layers)]
             cache.self_kv = [None] * self.cfg.dec_layers
         mask = self._causal_mask(start, stop)
-        memory_mask = _key_mask(_valid_cells(lengths, memory.shape[:-1]))
         for i in range(self.cfg.dec_layers):
             x = self._cross_block(f"seq.dec{i}", x, memory, mask, memory_mask, cache=cache, layer=i)
         if cache is not None:
@@ -561,33 +593,45 @@ class AedModel(_TransformerBase):
         fused = self.fuse(memory, guidance, lengths=lengths, guidance_lengths=target_lengths)
         return self._teacher_forced(fused, target, "teacher_out", lengths, target_lengths)
 
-    def _greedy(self, memory: Tensor, head: str) -> tuple[int, ...]:
-        """Greedy autoregressive decode through ``head`` until the end
-        symbol or the length limit, twice the source plus 4 tokens but at
-        most ``cfg.max_len - 1``, one new token per cached
-        ``decode_logits`` call."""
-        limit = min(self.cfg.max_len - 1, 2 * memory.shape[0] + 4)
+    def _greedy(self, memory: Tensor, lengths, head: str) -> list[tuple[int, ...]]:
+        """Greedy autoregressive decode through ``head`` of every row of a
+        padded ``memory`` in lockstep, one new token per row per cached
+        ``decode_logits`` call.  Row i stops at the end symbol or at its
+        own length limit, twice its source ``lengths[i]`` plus 4 tokens but
+        at most ``cfg.max_len - 1``; a stopped row is still fed until every
+        row has stopped, and its later tokens are dropped."""
+        limits = np.minimum(self.cfg.max_len - 1, 2 * lengths + 4).tolist()
         cache = DecodeCache()
-        out = []
-        nxt = self.bos
-        for _ in range(limit):
-            logits = self.decode_logits(memory, [nxt], head=head, cache=cache)
-            nxt = int(np.argmax(logits.data[-1]))
-            if nxt == self.eos:
+        rows = [[] for _ in limits]
+        live = range(len(limits))  # the rows still decoding
+        nxt = np.full((len(limits), 1), self.bos)
+        for _ in range(max(limits)):
+            logits = self.decode_logits(memory, nxt, head=head, cache=cache, lengths=lengths)
+            nxt = logits.data.argmax(axis=-1)
+            tokens = nxt.ravel().tolist()
+            live = [i for i in live if tokens[i] != self.eos]
+            for i in live:
+                rows[i].append(tokens[i])
+            live = [i for i in live if len(rows[i]) < limits[i]]
+            if not live:
                 break
-            out.append(nxt)
-        return tuple(out)
+        return [tuple(row) for row in rows]
 
     @tt.no_grad()
-    def predict(self, src_tokens) -> tuple[int, ...]:
-        """Greedy autoregressive decode from the source alone."""
-        return self._greedy(self.encode(src_tokens), "seq.out")
+    def predict(self, sources) -> list[tuple[int, ...]]:
+        """Greedy autoregressive decodes of a list of sources, from the
+        sources alone."""
+        ids, lengths = padded_stack(sources, "sources")
+        return self._greedy(self.encode(ids, lengths), lengths, "seq.out")
 
     @tt.no_grad()
-    def predict_teacher(self, src_tokens, masked_target) -> tuple[int, ...]:
-        """Greedy decode with access to the (masked) target via fusion."""
-        fused = self.fuse(self.encode(src_tokens), self.oracle_guidance(masked_target))
-        return self._greedy(fused, "teacher_out")
+    def predict_teacher(self, sources, masked_targets) -> list[tuple[int, ...]]:
+        """Greedy decodes of a list of sources with access to their
+        (masked) targets via fusion."""
+        ids, lengths, tokens, target_lengths = _padded_pairs(sources, masked_targets)
+        fused = self.fuse(self.encode(ids, lengths), self.oracle_guidance(tokens, target_lengths),
+                          lengths=lengths, guidance_lengths=target_lengths)
+        return self._greedy(fused, lengths, "teacher_out")
 
 
 def build_model(config: ModelConfig, seed: int = 0):

@@ -227,11 +227,8 @@ class Batch:
         self.examples = examples
         sources, targets = zip(*(_xy(ex) for ex in examples))
         self.targets = [tuple(int(t) for t in y) for y in targets]
-        self.lengths = np.array([len(x) for x in sources])
-        self.target_lengths = np.array([len(y) for y in self.targets])
-        self.target_ids = _padded(self.targets, self.target_lengths, np.int64)
-        dtype = np.float64 if np.ndim(sources[0]) == 2 else np.int64
-        self.sources = _padded(sources, self.lengths, dtype)
+        self.sources, self.lengths = padded_stack(sources, "sources")
+        self.target_ids, self.target_lengths = padded_stack(self.targets, "targets")
 
     def __len__(self):
         return len(self.examples)
@@ -245,16 +242,23 @@ def _xy(item):
     return x, y
 
 
-def _padded(seqs, lengths, dtype) -> np.ndarray:
+def padded_stack(seqs, what: str) -> tuple[np.ndarray, np.ndarray]:
     """The sequences stacked on a new leading axis, zero-padded along their
-    first axis to the longest; every row beyond the first axis must agree."""
+    first axis to the longest, and the length of each: floats for frame
+    matrices, ints for token sequences.  Every row beyond the first axis
+    must agree; ``what`` names the sequences in errors."""
+    seqs = list(seqs)
+    if not seqs:
+        raise ContractError(f"no {what} given")
+    lengths = np.array([len(seq) for seq in seqs])
     tail = np.shape(seqs[0])[1:]
+    dtype = np.float64 if tail else np.int64
     out = np.zeros((len(seqs), int(lengths.max()), *tail), dtype=dtype)
     for i, (seq, n) in enumerate(zip(seqs, lengths)):
         if np.shape(seq)[1:] != tail:
-            raise ShapeError(f"item {i} has rows of shape {np.shape(seq)[1:]}, item 0 {tail}")
+            raise ShapeError(f"{what} item {i} has rows of shape {np.shape(seq)[1:]}, item 0 {tail}")
         out[i, :n] = seq
-    return out
+    return out, lengths
 
 
 def batch_iter(dataset: list[Example], batch_size: int, rng: np.random.Generator):

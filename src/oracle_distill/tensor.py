@@ -208,13 +208,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul {a.shape} @ {b.shape}")
     if x.ndim > 2 and w.ndim == 2:
         k, m = w.shape
-        rows = x.reshape(-1, k)
 
         def bwd(g):
             g = g.reshape(-1, m)
-            return (g @ w.T).reshape(x.shape), rows.T @ g
+            return (g @ w.T).reshape(x.shape), x.reshape(-1, k).T @ g
 
-        return _node((rows @ w).reshape(*x.shape[:-1], m), (a, b), bwd)
+        # a stack of one matrix is multiplied as that matrix, by the same
+        # BLAS call, without the two reshapes that cost more than the
+        # product of one decoded row
+        if x.size == x.shape[-2] * k:
+            return _node(x @ w, (a, b), bwd)
+        return _node((x.reshape(-1, k) @ w).reshape(*x.shape[:-1], m), (a, b), bwd)
 
     def bwd(g):
         return g @ w.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g

@@ -1,17 +1,27 @@
-"""One graph per batch: the batched objective against single-item calls,
-inert padding, and a tape that does not grow with the batch."""
+"""One graph per batch: the batched objective and batched predictions
+against single-item calls, inert padding, and a tape that does not grow
+with the batch."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracle_distill import models
 from oracle_distill import tensor as T
 from oracle_distill.config import RunConfig
 from oracle_distill.ctc import min_frames
-from oracle_distill.models import AedModel, CtcModel, ModelConfig
+from oracle_distill.errors import ContractError
+from oracle_distill.models import MASK, AedModel, CtcModel, ModelConfig
 from oracle_distill.objectives import TrainConfig, loss_total
-from oracle_distill.tasks import Batch, batch_iter, gen_aed_dataset, gen_ctc_dataset, split_examples
+from oracle_distill.tasks import (
+    Batch,
+    batch_iter,
+    gen_aed_dataset,
+    gen_ctc_dataset,
+    padded_stack,
+    split_examples,
+)
 
 TERMS = ("l_org", "l_em", "l_kd", "l_total")
 
@@ -133,17 +143,21 @@ def test_batched_objective_equals_the_mean_of_single_items(case):
         assert np.abs(g - want[name]).max() <= tol, name
 
 
+def _fill_padding(array, lengths, rng):
+    """Write garbage into every cell of ``array`` past its item's length."""
+    for i, n in enumerate(lengths):
+        pad = array[i, n:]
+        if array.dtype.kind == "f":
+            pad[...] = rng.standard_normal(pad.shape) * 1e6
+        else:
+            pad[...] = rng.integers(-10 ** 6, 10 ** 6, size=pad.shape)
+
+
 def _garbage(batch, rng):
     """A copy of ``batch`` whose padded cells hold garbage."""
     dirty = Batch(batch.examples)
-    for array, lengths in ((dirty.target_ids, dirty.target_lengths),
-                           (dirty.sources, dirty.lengths)):
-        for i, n in enumerate(lengths):
-            pad = array[i, n:]
-            if array.dtype.kind == "f":
-                pad[...] = rng.standard_normal(pad.shape) * 1e6
-            else:
-                pad[...] = rng.integers(-10 ** 6, 10 ** 6, size=pad.shape)
+    _fill_padding(dirty.target_ids, dirty.target_lengths, rng)
+    _fill_padding(dirty.sources, dirty.lengths, rng)
     return dirty
 
 
@@ -183,3 +197,87 @@ def test_tape_grows_by_a_small_constant_per_item(task):
     assert nodes == [nodes[0] + per_item * b for b in range(8)]
     if task == "aed":
         assert nodes[-1] < 400
+
+
+# ---------------------------------------------------------------------------
+# batched prediction
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def models_and_items(draw):
+    """A small untrained model of either task and up to five items of mixed
+    lengths, each a source and a target (masked in places for the
+    encoder-decoder teacher)."""
+    task = draw(st.sampled_from(("ctc", "aed")))
+    heads = draw(st.integers(1, 2))
+    cfg = ModelConfig(
+        task=task,
+        vocab_size=draw(st.integers(2, 4)),
+        feature_dim=draw(st.integers(1, 3)),
+        d_model=heads * draw(st.integers(2, 4)),
+        enc_layers=draw(st.integers(0, 2)),
+        dec_layers=draw(st.integers(0, 2)),
+        heads=heads,
+        ffn_dim=draw(st.integers(1, 8)),
+        fusion_layers=draw(st.integers(0, 1)),
+        max_len=draw(st.integers(8, 20)),
+    )
+    model = (CtcModel if task == "ctc" else AedModel)(cfg, seed=draw(st.integers(0, 2 ** 16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    label = st.integers(1, cfg.vocab_size)
+    items = []
+    for _ in range(draw(st.integers(1, 5))):
+        y = draw(st.lists(label, min_size=1, max_size=4))
+        length = draw(st.integers(1, 8))
+        if task == "ctc":
+            x = rng.standard_normal((length, cfg.feature_dim))
+        else:
+            x = tuple(draw(st.lists(label, min_size=length, max_size=length)))
+            y = [draw(st.sampled_from((t, MASK))) for t in y]
+        items.append((x, tuple(y)))
+    return model, items
+
+
+def _dirty_padded_stack(rng):
+    """``tasks.padded_stack`` with garbage in every padded cell."""
+
+    def padded(seqs, what):
+        out, lengths = padded_stack(seqs, what)
+        _fill_padding(out, lengths, rng)
+        return out, lengths
+
+    return padded
+
+
+@settings(max_examples=80, deadline=None)
+@given(models_and_items(), st.sampled_from(("student", "teacher")), st.data())
+def test_batched_predictions_equal_single_items(case, mode, data):
+    model, items = case
+    order = data.draw(st.permutations(range(len(items))))
+    chosen = [items[i] for i in order[: data.draw(st.integers(1, len(items)))]]
+    sources, targets = [x for x, _ in chosen], [y for _, y in chosen]
+    if mode == "student":
+        predict, args = model.predict, (sources,)
+        singles = [model.predict([x])[0] for x in sources]
+    else:
+        predict, args = model.predict_teacher, (sources, targets)
+        singles = [model.predict_teacher([x], [y])[0] for x, y in chosen]
+    assert predict(*args) == singles
+    # the padded cells of the sources and targets are never read
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "padded_stack", _dirty_padded_stack(np.random.default_rng(len(chosen))))
+        assert predict(*args) == singles
+
+
+@pytest.mark.parametrize("model", [
+    CtcModel(ModelConfig(task="ctc", vocab_size=2, feature_dim=2, d_model=4), seed=0),
+    AedModel(ModelConfig(task="aed", vocab_size=2, d_model=4), seed=0),
+], ids=["ctc", "aed"])
+def test_an_empty_list_is_refused_by_name(model):
+    with pytest.raises(ContractError, match="no sources"):
+        model.predict([])
+    with pytest.raises(ContractError, match="no sources"):
+        model.predict_teacher([], [])
+    with pytest.raises(ContractError, match="1 sources but 0 targets"):
+        model.predict_teacher([(1, 2)], [])

@@ -1,5 +1,6 @@
 """Incremental greedy decoding with a DecodeCache, checked against the full
-recompute it replaces, and inference without a tape."""
+recompute it replaces, per-row stopping in a batch, and inference without
+a tape."""
 
 import numpy as np
 import pytest
@@ -92,9 +93,33 @@ def test_predictions_equal_a_full_recompute(case):
     model, src, target, masked = case
     limit = min(model.cfg.max_len - 1, 2 * len(src) + 4)
     memory = model.encode(src)
-    assert model.predict(src) == reference_greedy(model, memory, "seq.out", limit)
+    assert model.predict([src])[0] == reference_greedy(model, memory, "seq.out", limit)
     fused = model.fuse(memory, model.oracle_guidance(masked))
-    assert model.predict_teacher(src, masked) == reference_greedy(model, fused, "teacher_out", limit)
+    assert model.predict_teacher([src], [masked])[0] == reference_greedy(model, fused, "teacher_out", limit)
+
+
+@pytest.mark.parametrize("mode", ["student", "teacher"])
+def test_every_row_of_a_batch_stops_at_its_own_cap(mode):
+    model = tiny_aed(seed=7, max_len=16)
+    # no row may end early, so each decodes to its own cap
+    for head in HEADS:
+        model.store.peek(f"{head}.b").data[model.eos] = -1e3
+    sources = [(1,), (1, 2, 3, 4, 5, 1, 2), (3, 2), (5, 4, 3, 2, 1)]
+    masked = [(MASK,), (2, MASK, 4), (1, 1), (MASK, 3, MASK, 2, 5)]
+    caps = [min(model.cfg.max_len - 1, 2 * len(src) + 4) for src in sources]
+    assert caps == [6, 15, 8, 14]
+    if mode == "student":
+        batch = model.predict(sources)
+        solo = [model.predict([src])[0] for src in sources]
+        memories = [model.encode(src) for src in sources]
+    else:
+        batch = model.predict_teacher(sources, masked)
+        solo = [model.predict_teacher([src], [m])[0] for src, m in zip(sources, masked)]
+        memories = [model.fuse(model.encode(src), model.oracle_guidance(m)) for src, m in zip(sources, masked)]
+    assert [len(row) for row in batch] == caps
+    assert batch == solo
+    head = HEADS[mode == "teacher"]
+    assert batch == [reference_greedy(model, mem, head, cap) for mem, cap in zip(memories, caps)]
 
 
 def tracked_nodes_during(monkeypatch, fn):
@@ -117,28 +142,28 @@ class TestInferenceWithoutTape:
     def test_student_predict_builds_no_node_and_reads_no_aux_param(self, monkeypatch):
         model = tiny_aed(seed=3)
         model.store.reset_reads()
-        assert tracked_nodes_during(monkeypatch, lambda: model.predict((1, 2, 3))) == 0
+        assert tracked_nodes_during(monkeypatch, lambda: model.predict([(1, 2, 3)])) == 0
         assert model.store.reads_with_prefix(*AUX_PREFIXES) == 0
         # the same calls outside predict do build a graph
         assert tracked_nodes_during(monkeypatch, lambda: model.decode_logits(model.encode((1, 2)), [model.bos])) > 0
 
     def test_teacher_and_ctc_predicts_build_no_node(self, monkeypatch):
         aed = tiny_aed(seed=4)
-        assert tracked_nodes_during(monkeypatch, lambda: aed.predict_teacher((1, 2), (3, MASK))) == 0
+        assert tracked_nodes_during(monkeypatch, lambda: aed.predict_teacher([(1, 2)], [(3, MASK)])) == 0
         ctc = CtcModel(ModelConfig(task="ctc", vocab_size=3, feature_dim=4, d_model=8,
                                    enc_layers=1, heads=2, ffn_dim=16), seed=4)
         feats = np.random.default_rng(4).standard_normal((5, 4))
-        assert tracked_nodes_during(monkeypatch, lambda: ctc.predict(feats)) == 0
-        assert tracked_nodes_during(monkeypatch, lambda: ctc.predict_teacher(feats, (1, 2))) == 0
+        assert tracked_nodes_during(monkeypatch, lambda: ctc.predict([feats])) == 0
+        assert tracked_nodes_during(monkeypatch, lambda: ctc.predict_teacher([feats], [(1, 2)])) == 0
 
     @pytest.mark.parametrize("mode", ["student", "teacher"])
     def test_memory_projections_are_read_once_per_decode(self, mode):
         model = tiny_aed(seed=5)
         model.store.reset_reads()
         if mode == "student":
-            pred = model.predict((1, 2, 3))
+            (pred,) = model.predict([(1, 2, 3)])
         else:
-            pred = model.predict_teacher((1, 2, 3), (MASK, 5))
+            (pred,) = model.predict_teacher([(1, 2, 3)], [(MASK, 5)])
         reads = model.store.reads
         calls = reads["seq.tgt_embed"]
         assert calls == min(len(pred) + 1, 2 * 3 + 4) and calls > 2
@@ -157,6 +182,17 @@ class TestCacheMisuse:
         with pytest.raises(ContractError, match="different memory"):
             model.decode_logits(model.encode((1, 2)), [3], cache=cache)
         assert cache.length == 1
+
+    def test_a_cache_serves_only_the_lengths_of_its_memory(self):
+        # the cache keeps the key mask of its first call's lengths
+        model = tiny_aed()
+        memory, lengths = model.encode([(1, 2), (3, 0)], [2, 1]), np.array([2, 1])
+        cache = DecodeCache()
+        model.decode_logits(memory, [[model.bos]] * 2, cache=cache, lengths=lengths)
+        with pytest.raises(ContractError, match="different memory"):
+            model.decode_logits(memory, [[3]] * 2, cache=cache, lengths=np.array([2, 2]))
+        model.decode_logits(memory, [[3]] * 2, cache=cache, lengths=lengths)
+        assert cache.length == 2
 
     def test_an_empty_cache_needs_the_start_symbol_first(self):
         model = tiny_aed()
@@ -201,8 +237,8 @@ class TestDecodeLimit:
         # a max_len of 8 leaves after the start symbol
         model = tiny_aed(max_len=8)
         calls = self._counting(model)
-        for predict in (lambda: model.predict((1, 2, 3)),
-                        lambda: model.predict_teacher((1, 2, 3), (MASK, 5))):
+        for predict in (lambda: model.predict([(1, 2, 3)])[0],
+                        lambda: model.predict_teacher([(1, 2, 3)], [(MASK, 5)])[0]):
             calls[0] = 0
             assert len(predict()) <= 7
             assert 1 <= calls[0] <= 7

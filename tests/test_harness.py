@@ -22,8 +22,8 @@ from oracle_distill.harness import (
     parse_metrics_csv,
     train_run,
 )
-from oracle_distill.models import load_checkpoint
-from oracle_distill.objectives import TrainConfig
+from oracle_distill.models import build_model, load_checkpoint
+from oracle_distill.objectives import TrainConfig, mask_target
 from oracle_distill.tasks import split_examples
 
 
@@ -171,6 +171,57 @@ class TestEvaluate:
         model, dataset, cfg = trained
         with pytest.raises(ContractError):
             evaluate(model, split_examples(dataset, "dev"), "oracle", cfg.train_config())
+
+
+class _TargetGuard:
+    """An example whose target cannot be read until ``released`` is set."""
+
+    def __init__(self, ex, released):
+        self.x, self._y, self._released = ex.x, ex.y, released
+
+    @property
+    def y(self):
+        if not self._released:
+            raise AssertionError("target read before the predictions were made")
+        return self._y
+
+
+@pytest.mark.parametrize("task", ["ctc", "aed"])
+def test_student_evaluate_reads_no_target_before_its_one_predict(task, monkeypatch):
+    cfg = tiny_cfg(task=task).resolved()
+    dev = split_examples(generate_dataset(cfg), "dev")
+    assert len(dev) > 1
+    model = build_model(cfg.model_config(), seed=0)
+    released = []
+    predict = model.predict
+
+    def predict_then_release(sources):
+        out = predict(sources)
+        released.append(len(sources))
+        return out
+
+    monkeypatch.setattr(model, "predict", predict_then_release)
+    report = evaluate(model, [_TargetGuard(ex, released) for ex in dev], "student", cfg.train_config())
+    assert released == [len(dev)]
+    assert report["aux_param_reads_during_predict"] == 0
+    assert report["target_reads_during_predict"] == 0
+    assert report["predictions"] == [predict([ex.x])[0] for ex in dev]
+
+
+@pytest.mark.parametrize("task", ["ctc", "aed"])
+def test_teacher_evaluate_draws_each_mask_in_split_order(task):
+    cfg = tiny_cfg(task=task).resolved()
+    dev = split_examples(generate_dataset(cfg), "dev")
+    model = build_model(cfg.model_config(), seed=0)
+    train_cfg = cfg.train_config()
+    report = evaluate(model, dev, "teacher", train_cfg, mask_seed=7)
+    rng = np.random.default_rng(7)
+    want = []
+    for ex in dev:
+        tokens = ex.y if task == "ctc" else mask_target(ex.y, train_cfg.lambda_mask, rng).tokens
+        want.append(model.predict_teacher([ex.x], [tokens])[0])
+    assert report["predictions"] == want
+    assert report["target_reads_during_predict"] == len(dev)
 
 
 class TestSuites:

@@ -237,7 +237,7 @@ class TestAedDecoder:
 
     def test_greedy_decode_stops_and_stays_in_vocab(self):
         model = tiny_aed()
-        pred = model.predict((1, 2, 3, 4))
+        pred = model.predict([(1, 2, 3, 4)])[0]
         assert len(pred) <= 2 * 4 + 4
         assert all(0 <= t <= model.eos for t in pred)
 
@@ -292,14 +292,14 @@ class TestParamAccounting:
         model = tiny_ctc()
         rng = np.random.default_rng(14)
         model.store.reset_reads()
-        model.predict(rng.standard_normal((4, 4)))
+        model.predict([rng.standard_normal((4, 4))])
         assert model.store.reads_with_prefix("oracle.", "fusion.", "teacher_out.") == 0
         assert model.store.reads_with_prefix("seq.") > 0
 
     def test_aed_student_decode_reads_no_aux_parameter(self):
         model = tiny_aed()
         model.store.reset_reads()
-        model.predict((1, 2, 3))
+        model.predict([(1, 2, 3)])
         assert model.store.reads_with_prefix("oracle.", "fusion.", "teacher_out.") == 0
 
 
@@ -320,7 +320,7 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         loaded, _ = load_checkpoint(path)
         src = (2, 4, 1)
-        assert loaded.predict(src) == model.predict(src)
+        assert loaded.predict([src]) == model.predict([src])
         np.testing.assert_array_equal(
             loaded.student_head(loaded.encode(src), (1, 2)).data,
             model.student_head(model.encode(src), (1, 2)).data,

@@ -163,6 +163,23 @@ def test_score_is_one_minus_the_token_error_rate(cls, data, changed):
     assert est.score(X, y) == 1.0 - token_error_rate(est.predict(X), y)
 
 
+@pytest.mark.parametrize("cls, data, changed", ESTIMATORS)
+def test_predict_is_one_model_call_per_X(cls, data, changed):
+    X, y = data()
+    est = cls(steps=2, batch_size=2, **SMALL, **changed).fit(X, y)
+    calls = []
+    predict = est.model_.predict
+
+    def counted(sources):
+        calls.append(len(sources))
+        return predict(sources)
+
+    est.model_.predict = counted
+    got = est.predict(X)
+    assert calls == [len(X)]
+    assert got == [predict([x])[0] for x in X]
+
+
 @pytest.mark.parametrize("spec", [CtcTaskSpec, AedTaskSpec])
 def test_every_task_spec_field_but_seed_is_a_run_config_field(spec):
     run_fields = {f.name for f in fields(RunConfig)}
