@@ -13,6 +13,13 @@ rows are weighted 1/len on its real positions and 0 on padding.  The CTC
 terms run the DP once per item on that item's unpadded frames.  A single
 term is read from the result: ``.terms`` holds (l_org, l_em, l_kd), and
 with ``use_teacher=False`` ``.total`` is l_org alone.
+
+One optimizer updates the student (``seq.``) and the auxiliary
+(``oracle.``, ``fusion.``, ``teacher_out.``) parameters together.
+:class:`Adam` packs them, in the order given, into one flat parameter
+vector and one flat gradient vector, which the tensors' ``.data`` and
+``.grad`` are views of, and updates all of them with one fused sequence of
+in-place vector operations, bit-identical to a per-tensor Adam.
 """
 
 from __future__ import annotations
@@ -210,43 +217,108 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adaptive-moment optimizer with linear warmup then a constant rate."""
+    """Adaptive-moment optimizer with linear warmup then a constant rate,
+    over one flat buffer.
+
+    Construction packs the given tensors, in the given order, into one
+    float64 vector ``data``: each tensor's ``.data`` becomes a reshaped view
+    of its slice, holding the same values bit for bit, and its ``.grad`` a
+    view of the same slice of the flat ``grad`` (zeros where it was None).
+    ``backward`` accumulates into those views, so the whole gradient is one
+    vector, and the moments ``m`` and ``v`` are flat vectors of the same
+    layout.  The tensors belong to this optimizer from then on: writing
+    into ``.data`` in place is seen by the next step, but rebinding it, as
+    packing the same tensors into a second optimizer does, makes ``step``
+    refuse.
+    """
 
     def __init__(self, params, lr: float, warmup_steps: int = 0):
         self.params = list(params)
         self.lr = lr
         self.warmup_steps = warmup_steps
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        n = sum(p.data.size for p in self.params)
+        self.data = np.empty(n)
+        self.grad = np.zeros(n)
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
+        # the update's in-place scratch, so a step allocates no n-sized array
+        self._scratch = (np.empty(n), np.empty(n))
+        self._views, self._grad_views = [], []
+        offset = 0
+        for p in self.params:
+            shape, end = p.data.shape, offset + p.data.size
+            view = self.data[offset:end].reshape(shape)
+            view[...] = p.data
+            p.data = view
+            self._views.append(view)
+            self._grad_views.append(self.grad[offset:end].reshape(shape))
+            offset = end
+        self._bind_grads()
 
     def rate(self) -> float:
         if self.warmup_steps > 0:
             return self.lr * min(1.0, self.t / self.warmup_steps)
         return self.lr
 
+    def _bind_grads(self) -> None:
+        """Copy into the flat gradient each ``.grad`` that is not its view
+        (None as zeros), then bind it to its view."""
+        for p, view in zip(self.params, self._grad_views):
+            if p.grad is view:
+                continue
+            if p.grad is None:
+                view.fill(0.0)
+            else:
+                view[...] = p.grad
+            p.grad = view
+
     def step(self) -> None:
         """Update every parameter, or, on a non-finite gradient, nothing:
-        all gradients are checked before any parameter, moment or ``t``
-        changes."""
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
-        for i, g in enumerate(grads):
-            if not np.all(np.isfinite(g)):
-                raise TrainingAbort(
-                    f"non-finite gradient for parameter {i} of shape {g.shape}; aborting the run"
+        the whole gradient is checked before any parameter, moment or ``t``
+        changes.  A parameter whose ``.data`` was rebound is refused first.
+
+        The update runs over the flat vectors with the per-element operation
+        order of a per-tensor Adam, so its results are bit-identical to it:
+        ``m*b1 + (1-b1)*g``, ``v*b2 + ((1-b2)*g)*g`` and
+        ``(lr_t*m_hat) / (sqrt(v_hat) + eps)``.
+        """
+        for i, (p, view) in enumerate(zip(self.params, self._views)):
+            if p.data is not view:
+                raise ContractError(
+                    f"parameter {i} of shape {view.shape} no longer holds its slice of this "
+                    "optimizer's buffer: its .data was rebound or packed by another optimizer"
                 )
+        self._bind_grads()
+        g = self.grad
+        if not np.isfinite(g).all():
+            for i, view in enumerate(self._grad_views):
+                if not np.isfinite(view).all():
+                    raise TrainingAbort(
+                        f"non-finite gradient for parameter {i} of shape {view.shape}; aborting the run"
+                    )
         self.t += 1
         lr_t = self.rate()
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        for p, g, m, v in zip(self.params, grads, self._m, self._v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p.data -= lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v = self.m, self.v
+        s, u = self._scratch
+        m *= b1
+        np.multiply(g, 1 - b1, out=s)
+        m += s
+        v *= b2
+        np.multiply(g, 1 - b2, out=s)
+        s *= g
+        v += s
+        np.divide(v, 1 - b2 ** self.t, out=s)
+        np.sqrt(s, out=s)
+        s += ADAM_EPS
+        np.divide(m, 1 - b1 ** self.t, out=u)
+        u *= lr_t
+        u /= s
+        self.data -= u
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        """Zero the flat gradient and bind every ``.grad`` to its view."""
+        self.grad.fill(0.0)
+        for p, view in zip(self.params, self._grad_views):
+            p.grad = view

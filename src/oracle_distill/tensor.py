@@ -87,9 +87,6 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def detach(self) -> "Tensor":
         """Same values, cut off from the graph.  Data is shared, not copied."""
         return _node(self.data, (), None)
@@ -160,8 +157,10 @@ class Tape:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf.
 
-    ``loss`` must be scalar.  Repeated calls keep adding into ``grad``;
-    call ``zero_grad`` on the leaves between optimization steps.
+    ``loss`` must be scalar.  Repeated calls keep adding into ``grad``, in
+    place once it exists (so into an optimizer's flat gradient when the
+    leaf's ``grad`` is a view of it); between optimization steps, set the
+    leaves' ``grad`` to None or call the optimizer's ``zero_grad``.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward() needs a scalar loss, got shape {loss.shape}")

@@ -1,6 +1,7 @@
 """Helpers that only the tests use: the ablations behind the paper's
-structural reduction checks, the distillation-surrogate audit, and the
-reader for the dataset files that ``gen-data`` writes."""
+structural reduction checks, the per-tensor Adam that the fused one is
+checked against, the distillation-surrogate audit, and the reader for the
+dataset files that ``gen-data`` writes."""
 
 import numpy as np
 
@@ -9,6 +10,7 @@ from oracle_distill.ctc import kd_loss_ctc
 from oracle_distill.diagnostics import bound_report_from_logits
 from oracle_distill.errors import ContractError
 from oracle_distill.models import CtcModel
+from oracle_distill.objectives import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from oracle_distill.tasks import Example
 from oracle_distill.tensor import Tensor
 
@@ -48,6 +50,49 @@ def tie_teacher_head(model) -> None:
     """Copy the student head weights into the teacher head."""
     model.store.peek("teacher_out.w").data[...] = model.store.peek("seq.out.w").data
     model.store.peek("teacher_out.b").data[...] = model.store.peek("seq.out.b").data
+
+
+# ---------------------------------------------------------------------------
+# reference optimizer
+# ---------------------------------------------------------------------------
+
+
+class ReferenceAdam:
+    """Adam one tensor at a time, with its own moment arrays per tensor:
+    the oracle that ``objectives.Adam``'s fused step must match bit for
+    bit on finite gradients.  It leaves ``.data`` and ``.grad`` where they
+    are."""
+
+    def __init__(self, params, lr: float, warmup_steps: int = 0):
+        self.params = list(params)
+        self.lr = lr
+        self.warmup_steps = warmup_steps
+        self.t = 0
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
+
+    def rate(self) -> float:
+        if self.warmup_steps > 0:
+            return self.lr * min(1.0, self.t / self.warmup_steps)
+        return self.lr
+
+    def step(self) -> None:
+        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
+        self.t += 1
+        lr_t = self.rate()
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        for p, g, m, v in zip(self.params, grads, self._m, self._v):
+            m *= b1
+            m += (1 - b1) * g
+            v *= b2
+            v += (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** self.t)
+            v_hat = v / (1 - b2 ** self.t)
+            p.data -= lr_t * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ TERMS = ("l_org", "l_em", "l_kd", "l_total")
 
 def _grads(model, out):
     for t in model.store.tensors():
-        t.zero_grad()
+        t.grad = None
     T.backward(out.total)
     return {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
             for name, t in model.store.items()}

@@ -22,17 +22,30 @@ from oracle_distill.tensor import Tensor
 class TestAtomicAdam:
     def test_nan_in_a_later_tensor_moves_nothing(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
-        a.grad = np.array([0.5, -0.5])
         b = Tensor([[3.0, 4.0]], requires_grad=True)
-        b.grad = np.array([[0.1, np.nan]])
-        opt = Adam([a, b], lr=0.1)
-        with pytest.raises(TrainingAbort, match=r"parameter 1 of shape \(1, 2\)"):
+        c = Tensor([5.0], requires_grad=True)
+        opt = Adam([a, b, c], lr=0.1)
+        for _ in range(2):  # moments and t away from zero
+            opt.zero_grad()
+            a.grad += [0.5, -0.5]
+            b.grad += [[0.1, 0.2]]
+            c.grad += [0.3]
             opt.step()
-        np.testing.assert_array_equal(a.data, [1.0, 2.0])
-        np.testing.assert_array_equal(b.data, [[3.0, 4.0]])
-        assert opt.t == 0
-        for moment in opt._m + opt._v:
-            assert not moment.any()
+        state = lambda: (opt.t, [x.tobytes() for x in (a.data, b.data, c.data, opt.m, opt.v)])
+        before = state()
+        # the middle tensor's gradient, written into the flat gradient or
+        # rebound to a foreign array
+        for bad in (np.nan, np.inf):
+            for foreign in (False, True):
+                opt.zero_grad()
+                a.grad += [0.5, -0.5]
+                if foreign:
+                    b.grad = np.array([[0.1, bad]])
+                else:
+                    b.grad[0, 1] = bad
+                with pytest.raises(TrainingAbort, match=r"parameter 1 of shape \(1, 2\)"):
+                    opt.step()
+                assert state() == before
 
 
 class TestAtomicCheckpoint:

@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle_distill import tensor as T
+from oracle_distill.config import RunConfig
 from oracle_distill.ctc import ctc_loss_bruteforce
 from oracle_distill.errors import ContractError, TrainingAbort
 from oracle_distill.models import (
@@ -11,11 +15,12 @@ from oracle_distill.models import (
     AedModel,
     CtcModel,
     ModelConfig,
+    build_model,
 )
 from oracle_distill.objectives import Adam, TrainConfig, loss_total, mask_target
 from oracle_distill.tensor import Tensor, backward, grad_check
 
-from helpers import sum_sq, tie_teacher_head, zero_fusion
+from helpers import ReferenceAdam, sum_sq, tie_teacher_head, zero_cross_attention, zero_fusion
 
 # loss_total with the teacher off: its total is l_org alone
 NO_TEACHER = TrainConfig(use_teacher=False)
@@ -196,7 +201,7 @@ class TestLossKd:
         rng = np.random.default_rng(10)
         batch = ctc_batch(rng, model)
         head = model.store.peek("teacher_out.w")
-        head.zero_grad()
+        head.grad = None
         backward(loss_total(model, batch, cfg, np.random.default_rng(0)).terms[2])
         assert head.grad is None or np.abs(head.grad).max() == 0.0
 
@@ -309,9 +314,17 @@ class TestAdam:
 
     def test_nan_gradient_aborts(self):
         p = Tensor([1.0], requires_grad=True)
-        p.grad = np.array([np.nan])
-        with pytest.raises(TrainingAbort):
-            Adam([p], lr=0.1).step()
+        p.grad = np.array([np.nan])  # packed by the constructor
+        opt = Adam([p], lr=0.1)
+        with pytest.raises(TrainingAbort, match=r"parameter 0 of shape \(1,\)"):
+            opt.step()
+        for bad in (np.inf, -np.inf):  # written into the flat gradient
+            opt.zero_grad()
+            p.grad[0] = bad
+            with pytest.raises(TrainingAbort, match=r"parameter 0 of shape \(1,\)"):
+                opt.step()
+        np.testing.assert_array_equal(p.data, [1.0])
+        assert opt.t == 0 and not opt.m.any() and not opt.v.any()
 
     def test_hundred_steps_bit_identical_across_runs(self):
         def run():
@@ -333,3 +346,145 @@ class TestAdam:
         assert l1 == l2
         for a, b in zip(p1, p2):
             np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the flat buffers of Adam
+# ---------------------------------------------------------------------------
+
+
+def _state(opt):
+    """Every value a refused or aborted step must leave as it was."""
+    return (opt.data.tobytes(), opt.m.tobytes(), opt.v.tobytes(), opt.t,
+            [p.data.tobytes() for p in opt.params])
+
+
+def _assert_views(opt):
+    for i, p in enumerate(opt.params):
+        assert np.shares_memory(p.data, opt.data), i
+        assert np.shares_memory(p.grad, opt.grad), i
+
+
+def _train_steps(model, cfg, opt, batch, steps):
+    for step in range(steps):
+        out = loss_total(model, batch, cfg, np.random.default_rng(step))
+        opt.zero_grad()
+        backward(out.total)
+        opt.step()
+
+
+class TestFlatAdam:
+    def test_parameters_stay_views_and_in_place_writes_reach_the_step(self):
+        """Two same-seed models, one under the fused Adam and one under the
+        per-tensor reference, stay bit-identical through 10 steps, the
+        in-place ablations and one step after them."""
+        (model, cfg), (ref_model, _) = aed_setup(seed=3), aed_setup(seed=3)
+        batch = aed_batch(np.random.default_rng(21), model)
+        opt = Adam(model.store.tensors(), lr=1e-2, warmup_steps=3)
+        ref = ReferenceAdam(ref_model.store.tensors(), lr=1e-2, warmup_steps=3)
+        _assert_views(opt)
+        for steps in (10, 1):
+            _train_steps(model, cfg, opt, batch, steps)
+            _train_steps(ref_model, cfg, ref, batch, steps)
+            _assert_views(opt)
+            for m in (model, ref_model):
+                zero_fusion(m)
+                zero_cross_attention(m)
+                tie_teacher_head(m)
+            _assert_views(opt)
+        assert opt.t == ref.t == 11
+        for (name, p), q in zip(model.store.items(), ref_model.store.tensors()):
+            assert p.data.tobytes() == q.data.tobytes(), name
+
+    def test_rebound_data_is_refused_and_changes_nothing(self):
+        model, cfg = ctc_setup(seed=4)
+        batch = ctc_batch(np.random.default_rng(22), model)
+        opt = Adam(model.store.tensors(), lr=1e-2)
+        _train_steps(model, cfg, opt, batch, 2)
+        before = _state(opt)
+        p = opt.params[3]
+        p.data = p.data.copy()
+        with pytest.raises(ContractError, match=r"parameter 3 of shape .* rebound"):
+            opt.step()
+        assert _state(opt) == before
+
+    def test_a_second_optimizer_over_the_same_tensors_makes_the_first_refuse(self):
+        model, cfg = ctc_setup(seed=5)
+        batch = ctc_batch(np.random.default_rng(23), model)
+        opt = Adam(model.store.tensors(), lr=1e-2)
+        _train_steps(model, cfg, opt, batch, 2)
+        before = _state(opt)
+        Adam(model.store.tensors(), lr=1e-2)
+        with pytest.raises(ContractError, match="parameter 0 "):
+            opt.step()
+        assert _state(opt) == before
+
+    def test_a_steady_step_allocates_no_parameter_sized_array(self):
+        """The update runs in place: one step of the default encoder-decoder
+        allocates less than one float64 vector of its parameter count."""
+        model = build_model(RunConfig(task="aed").resolved().model_config(), seed=0)
+        opt = Adam(model.store.tensors(), lr=3e-3, warmup_steps=40)
+        rng = np.random.default_rng(24)
+        for _ in range(2):
+            opt.zero_grad()
+            opt.grad[:] = rng.standard_normal(opt.grad.size)
+            opt.step()
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < opt.data.nbytes
+
+
+@st.composite
+def adam_runs(draw):
+    """Parameter shapes, a schedule, and per step and tensor how its
+    gradient arrives: left None, assigned as a foreign array, or
+    accumulated by ``backward``."""
+    shapes = draw(st.lists(st.lists(st.integers(1, 4), max_size=3).map(tuple), min_size=1, max_size=5))
+    lr = draw(st.floats(1e-4, 1.0))
+    warmup = draw(st.one_of(st.just(0), st.integers(1, 6)))
+    steps = draw(st.integers(1, 12))
+    kinds = st.sampled_from(("none", "foreign", "backward"))
+    plan = draw(st.lists(st.lists(kinds, min_size=len(shapes), max_size=len(shapes)),
+                         min_size=steps, max_size=steps))
+    return shapes, lr, warmup, plan, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(adam_runs())
+def test_fused_step_is_bit_identical_to_the_per_tensor_reference(run):
+    shapes, lr, warmup, plan, seed = run
+    rng = np.random.default_rng(seed)
+    values = [rng.standard_normal(s) for s in shapes]
+    fused = [Tensor(v, requires_grad=True) for v in values]
+    plain = [Tensor(v, requires_grad=True) for v in values]
+    opt, ref = Adam(fused, lr, warmup), ReferenceAdam(plain, lr, warmup)
+    for kinds in plan:
+        opt.zero_grad()
+        ref.zero_grad()
+        terms = ([], [])
+        for kind, s, p, q in zip(kinds, shapes, fused, plain):
+            g = rng.standard_normal(s) * 10.0 ** rng.integers(-3, 4)
+            if kind == "none":
+                p.grad = None
+            elif kind == "foreign":
+                p.grad, q.grad = g.copy(), g.copy()
+            else:
+                terms[0].append(T.sum_all(T.scale(p, g)))
+                terms[1].append(T.sum_all(T.scale(q, g)))
+        for ts in terms:
+            if ts:
+                loss = ts[0]
+                for term in ts[1:]:
+                    loss = T.add(loss, term)
+                backward(loss)
+        opt.step()
+        ref.step()
+    assert opt.t == ref.t == len(plan)
+    for p, q in zip(fused, plain):
+        assert p.data.tobytes() == q.data.tobytes()
+    for flat, per_tensor in ((opt.data, [q.data for q in plain]), (opt.m, ref._m), (opt.v, ref._v)):
+        assert flat.tobytes() == np.concatenate([a.reshape(-1) for a in per_tensor]).tobytes()

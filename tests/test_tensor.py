@@ -147,7 +147,7 @@ class TestBackward:
         backward(T.sum_all(x))
         backward(T.sum_all(x))
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
-        x.zero_grad()
+        x.grad = None
         backward(T.sum_all(x))
         np.testing.assert_array_equal(x.grad, [1.0, 1.0])
 
