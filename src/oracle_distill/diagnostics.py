@@ -121,9 +121,10 @@ def check_lower_bound(model: CtcModel, x, y) -> BoundReport:
 
 def frame_posteriors(model: CtcModel, x, y=None) -> dict[str, np.ndarray]:
     """Frame-level softmax grids; the teacher grid needs the target."""
-    grids = {"student": np.exp(log_softmax_rows(model.student_logits(x).data))}
+    hidden = model.encode(x)
+    grids = {"student": np.exp(log_softmax_rows(model.student_head(hidden).data))}
     if y is not None:
-        u_t = model.teacher_logits(model.encode(x), y)
+        u_t = model.teacher_logits(hidden, y)
         grids["teacher"] = np.exp(log_softmax_rows(u_t.data))
     return grids
 

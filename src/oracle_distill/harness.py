@@ -126,7 +126,7 @@ def evaluate(model, examples, mode: str, train_cfg: TrainConfig, mask_seed: int 
         targets = [counted.get(i) for i in range(len(examples))]
         if not isinstance(model, CtcModel):  # the CTC teacher sees all of y
             rng = np.random.default_rng(mask_seed)
-            targets = [mask_target(y, train_cfg.lambda_mask, rng).tokens for y in targets]
+            targets = [mask_target(y, train_cfg.lambda_mask, rng) for y in targets]
         predictions = model.predict_teacher(sources, targets)
         aux_reads = model.store.reads_with_prefix(*AUX_PREFIXES)
         target_reads = counted.reads

@@ -440,9 +440,6 @@ class CtcModel(_TransformerBase):
         """Student frame logits from an already-encoded representation."""
         return self._head("seq.out", hidden)
 
-    def student_logits(self, feats) -> Tensor:
-        return self.student_head(self.encode(feats))
-
     def teacher_logits(self, hidden: Tensor, tokens, lengths=None, target_lengths=None) -> Tensor:
         """Teacher frame logits from an already-encoded representation;
         ``lengths`` are the frames of a padded ``hidden``, and

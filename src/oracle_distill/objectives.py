@@ -74,23 +74,14 @@ class TrainConfig:
             raise ContractError("seed must be nonnegative")
 
 
-@dataclass(frozen=True)
-class MaskedTarget:
-    """A target with some tokens replaced by MASK."""
-
-    tokens: tuple[int, ...]
-    mask_positions: tuple[int, ...]
-
-
-def mask_target(y, lambda_mask: float, rng: np.random.Generator) -> MaskedTarget:
-    """Independently replace each token by MASK with probability lambda."""
+def mask_target(y, lambda_mask: float, rng: np.random.Generator) -> tuple[int, ...]:
+    """``y`` with each token independently replaced by MASK with
+    probability lambda."""
     if not 0.0 <= lambda_mask <= 1.0:
         raise ContractError("lambda_mask must lie in [0, 1]")
     y = tuple(int(t) for t in y)
     draws = rng.random(len(y))
-    masked = tuple(MASK if d < lambda_mask else t for t, d in zip(y, draws))
-    positions = tuple(i for i, t in enumerate(masked) if t == MASK)
-    return MaskedTarget(masked, positions)
+    return tuple(MASK if d < lambda_mask else t for t, d in zip(y, draws))
 
 
 @dataclass
@@ -190,7 +181,7 @@ def loss_total(model, batch, config: TrainConfig, rng: np.random.Generator) -> S
             masked = [mask_target(y, config.lambda_mask, rng) for y in batch.targets]
             masked_ids = y_ids.copy()
             for i, m in enumerate(masked):
-                masked_ids[i, : len(m.tokens)] = m.tokens
+                masked_ids[i, : len(m)] = m
             u_t = model.teacher_logits(encoded, y_ids, masked_ids, lengths=lengths, target_lengths=y_lengths)
         l_em = _sequence_loss(model, u_t, batch, rows, weights)
         l_kd = _kd_loss(model, config, u_s, u_t, weights)

@@ -218,7 +218,7 @@ def test_teacher_evaluate_draws_each_mask_in_split_order(task):
     rng = np.random.default_rng(7)
     want = []
     for ex in dev:
-        tokens = ex.y if task == "ctc" else mask_target(ex.y, train_cfg.lambda_mask, rng).tokens
+        tokens = ex.y if task == "ctc" else mask_target(ex.y, train_cfg.lambda_mask, rng)
         want.append(model.predict_teacher([ex.x], [tokens])[0])
     assert report["predictions"] == want
     assert report["target_reads_during_predict"] == len(dev)

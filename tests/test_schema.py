@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_distill import AedDistiller, CtcDistiller
+from oracle_distill import AedDistiller, CtcDistiller, estimator
 from oracle_distill.config import RunConfig, config_from_mapping, config_to_mapping
 from oracle_distill.errors import ConfigError, ContractError
 from oracle_distill.metrics import token_error_rate
@@ -22,6 +22,26 @@ def test_every_train_config_field_is_a_run_config_field_with_its_default():
     for f in fields(TrainConfig):
         assert f.name in run_defaults, f.name
         assert run_defaults[f.name] == f.default, f.name
+
+
+SCHEMAS = [RunConfig, TrainConfig, ModelConfig, CtcTaskSpec, AedTaskSpec, CtcDistiller, AedDistiller]
+
+
+def test_every_shared_hyperparameter_has_one_default():
+    table = {}
+    for schema in SCHEMAS:
+        for f in fields(schema):
+            table.setdefault(f.name, {})[schema.__name__] = f.default
+    split = {name: by for name, by in table.items() if len(set(by.values())) > 1}
+    # the only exceptions: the AED estimator weighs distillation higher, and
+    # the run config's -1 stands for the task spec's default, which differs
+    # by task (ModelConfig's vocab_size is the CTC spec's)
+    assert split == {
+        "alpha": {"RunConfig": 2.0, "TrainConfig": 2.0, "CtcDistiller": 2.0, "AedDistiller": 5.0},
+        "vocab_size": {"RunConfig": -1, "ModelConfig": 6, "CtcTaskSpec": 6, "AedTaskSpec": 12},
+        "len_min": {"RunConfig": -1, "CtcTaskSpec": 2, "AedTaskSpec": 3},
+        "len_max": {"RunConfig": -1, "CtcTaskSpec": 6, "AedTaskSpec": 8},
+    }
 
 
 def test_run_config_derives_train_and_model_configs_by_field_name():
@@ -141,6 +161,81 @@ def test_estimator_rejects_unknown_params(cls, _, __):
         cls().set_params(alpha_ramp=1.0)
     with pytest.raises(TypeError):
         cls(alpha_ramp=1.0)
+
+
+@pytest.mark.parametrize("cls, _, changed", ESTIMATORS)
+def test_a_rebuilt_estimator_holds_the_same_objects(cls, _, changed):
+    est = cls(lr=float("0.01"), **changed)
+    params = est.get_params(deep=False)
+    again = type(est)(**params).get_params(deep=False)
+    assert list(again) == list(params)
+    assert all(again[name] is value for name, value in params.items())
+
+
+# the repr of the estimators before they became dataclasses
+REPRS = [
+    "CtcDistiller(alpha=1.5, kd_form='kl', stop_teacher_grad=False, use_teacher=True, steps=12, "
+    "batch_size=2, lr=0.003, warmup_steps=40, d_model=8, enc_layers=1, heads=2, ffn_dim=16, "
+    "fusion_layers=1, seed=3)",
+    "AedDistiller(alpha=4.0, lambda_mask=0.25, temperature=2.0, stop_teacher_grad=False, "
+    "use_teacher=True, steps=12, batch_size=2, lr=0.003, warmup_steps=40, d_model=8, "
+    "enc_layers=1, dec_layers=1, heads=2, ffn_dim=16, fusion_layers=1, seed=3)",
+]
+
+
+@pytest.mark.parametrize("case, want", zip(ESTIMATORS, REPRS), ids=["ctc", "aed"])
+def test_repr_lists_the_hyperparameters_in_order(case, want):
+    cls, _, changed = case
+    assert repr(cls(steps=12, batch_size=2, seed=3, **SMALL, **changed)) == want
+
+
+@pytest.mark.parametrize("cls, _, changed", ESTIMATORS)
+def test_estimators_compare_by_identity(cls, _, changed):
+    a, b = cls(**changed), cls(**changed)
+    assert a != b
+    assert len({a, b}) == 2
+
+
+def _infeasible_ctc_data():
+    """15 pairs with frames to spare, then 2 frames for a 3-token target."""
+    rng = np.random.default_rng(1)
+    X = [rng.standard_normal((6, 3)) for _ in range(15)] + [rng.standard_normal((2, 3))]
+    y = [(1, 2), (2,), (3, 1)] * 5 + [(1, 2, 3)]
+    return X, y
+
+
+def test_ctc_fit_refuses_a_pair_no_path_can_carry_before_building_a_model(monkeypatch):
+    X, y = _infeasible_ctc_data()
+    built = []
+    monkeypatch.setattr(estimator, "build_model", lambda *a, **kw: built.append(a))
+    with pytest.raises(ContractError, match=r"X\[15\] has 2 frames; y\[15\] needs 3"):
+        CtcDistiller(steps=5, batch_size=4, **SMALL).fit(X, y)
+    assert built == []
+
+
+def test_a_refused_refit_keeps_the_earlier_fit():
+    X, y = _infeasible_ctc_data()
+    est = CtcDistiller(steps=5, batch_size=4, **SMALL).fit(X[:15], y[:15])
+    fitted = dict(vars(est))
+    with pytest.raises(ContractError, match=r"X\[15\]"):
+        est.fit(X, y)
+    assert all(vars(est)[name] is value for name, value in fitted.items())
+    assert est.model_ is fitted["model_"] and est.history_ is fitted["history_"]
+
+
+@pytest.mark.parametrize("cls, data, changed", ESTIMATORS)
+def test_a_failed_fit_leaves_an_unfitted_estimator_unfitted(cls, data, changed, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("training stopped")
+
+    monkeypatch.setattr(estimator, "fit_loop", broken)
+    est = cls(steps=2, batch_size=2, **SMALL, **changed)
+    with pytest.raises(RuntimeError, match="training stopped"):
+        est.fit(*data())
+    assert est.model_ is None
+    assert [name for name in vars(est) if name.endswith("_")] == []
+    with pytest.raises(ContractError, match="not fitted"):
+        est.predict(data()[0])
 
 
 @pytest.mark.parametrize("cls, data, changed", ESTIMATORS)

@@ -145,7 +145,7 @@ def unreferenced_functions(package_sources: list[str], all_sources: list[str],
     package, or as an attribute of a name that a ``from`` import binds to
     one of the package's ``modules`` (``tt.exp``, not ``np.exp``).  A method is read by any
     attribute of its name, so one that shares its name with another
-    class's method or a builtin's (``student_logits``, ``items``, ``get``)
+    class's method or a builtin's (``predict``, ``items``, ``get``)
     can hide there."""
 
     def package_imports(tree):
