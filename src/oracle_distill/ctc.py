@@ -10,18 +10,25 @@ anchor, usable only for tiny instances), and the dynamic-programming
 recursion over the blank-extended target (the one that scales).  Tests
 hold them to 1e-9 agreement.
 
-The recursion is written once, as the forward pass ``_forward``,
-vectorised over the lattice states with one Python loop over frames.  The
-backward variables are that same pass run on the time- and
-state-reversed lattice, whose states are the blank-extended reversed
-target, and then flipped back.
+The DP, ``ctc_forward_backward``, runs over a stack of instances padded to
+the longest frame count and the longest blank-extended target; a single
+instance is a stack of one.  The recursion is written once, as the
+forward pass ``_forward``, vectorised over the items and lattice states
+with one Python loop over frames; each item's likelihood is read at its
+own last frame and last two states.  The backward variables are that same
+pass run on each item's own time- and state-reversed lattice, whose states
+are the blank-extended reversed target, and then mapped back.  The
+reversal is per item, not over the padded array, so padding stays behind
+every item's real cells in both passes and never feeds them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,8 +111,8 @@ def _as_logits(u) -> np.ndarray:
 
 def log_softmax_rows(u: np.ndarray) -> np.ndarray:
     """Log frame posteriors: the log-softmax of each row of ``u``."""
-    shifted = u - u.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = u - u.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def path_log_probs(u: np.ndarray, paths) -> np.ndarray:
@@ -123,9 +130,10 @@ def _logsumexp(values) -> float:
 
 
 def validated_inputs(u, y, vocab: Vocab) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Validated T x K logits and target, shared by the DP, the oracles and
-    the bound diagnostics: ``ShapeError`` unless the logits are a matrix as
-    wide as ``vocab``, ``ContractError`` unless they are finite."""
+    """Validated T x K logits and target, shared by the oracles and the
+    bound diagnostics: ``ShapeError`` unless the logits are a matrix as
+    wide as ``vocab``, ``ContractError`` unless they are finite.  The DP
+    checks its stacks the same way, in the same order."""
     data = _as_logits(u)
     y = _check_target(y, vocab)
     if data.shape[1] != vocab.size:
@@ -149,105 +157,189 @@ def ctc_loss_bruteforce(u, y, vocab: Vocab) -> float:
     return -_logsumexp(list(_scored_paths(u, y, vocab)[2]))
 
 
-def _extended(y) -> np.ndarray:
-    """The blank-extended target: a blank before, between and after labels."""
-    ext = np.full(2 * len(y) + 1, BLANK, dtype=np.int64)
-    ext[1::2] = y
-    return ext
-
-
 def _skip_mask(ext: np.ndarray) -> np.ndarray:
     """True where a path may jump from state s-2 to s: into a label that
-    differs from the label two states back."""
-    skip = np.zeros(ext.size, dtype=bool)
-    skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+    differs from the label two states back (per row of a stack)."""
+    skip = np.zeros(ext.shape, dtype=bool)
+    skip[..., 2:] = (ext[..., 2:] != BLANK) & (ext[..., 2:] != ext[..., :-2])
     return skip
 
 
 def _forward(lp_ext: np.ndarray, skip: np.ndarray) -> np.ndarray:
-    """Forward log-variables over a blank-extended lattice.
+    """Forward log-variables over a stack of blank-extended lattices.
 
-    ``lp_ext[t, s]`` is the log posterior at frame t of state s's label;
-    paths start in state 0 or 1 and move 0, 1 or (where ``skip``) 2
-    states per frame.  alpha[t, s] includes ``lp_ext[t, s]``.
+    ``lp_ext[b, t, s]`` is item b's log posterior at frame t of state s's
+    label; paths start in state 0 or 1 and move 0, 1 or (where ``skip``)
+    2 states per frame.  alpha[b, t, s] includes ``lp_ext[b, t, s]``.
+    Padding past an item's last frame or state never feeds its real cells,
+    since paths only move forward in both.
     """
-    n_frames, n_states = lp_ext.shape
+    n_items, n_frames, n_states = lp_ext.shape
     # two leading -inf columns stand for the states s-1 and s-2 of s = 0;
     # adding skip_add (0 or -inf) to the s-2 term drops the barred jumps
-    alpha = np.full((n_frames, n_states + 2), -np.inf)
-    alpha[0, 2:4] = lp_ext[0, :2]
+    alpha = np.full((n_frames, n_items, n_states + 2), -np.inf)
+    alpha[0, :, 2:4] = lp_ext[:, 0, :2]
+    stay, step, jump = alpha[..., 2:], alpha[..., 1:-1], alpha[..., :-2]
+    emit = lp_ext.transpose(1, 0, 2)
     skip_add = np.where(skip, 0.0, -np.inf)
+    jumped = np.empty((n_items, n_states))
     for t in range(1, n_frames):
-        prev = alpha[t - 1]
-        stay_or_step = np.logaddexp(prev[2:], prev[1:-1])
-        alpha[t, 2:] = np.logaddexp(stay_or_step, prev[:-2] + skip_add) + lp_ext[t]
-    return alpha[:, 2:]
+        cur = stay[t]
+        np.logaddexp(stay[t - 1], step[t - 1], out=cur)
+        np.add(jump[t - 1], skip_add, out=jumped)
+        np.logaddexp(cur, jumped, out=cur)
+        cur += emit[t]
+    return stay.transpose(1, 0, 2)
 
 
-def _dp(u, y, vocab: Vocab) -> tuple[float, np.ndarray, np.ndarray]:
-    """The one DP entry: validate, take the log-softmax once, run the
-    recursion forward and on the reversed lattice.
+class _Lattice(NamedTuple):
+    """Where a stack's lattices sit in its padded arrays; it depends on the
+    targets and frame counts alone, not on the logits."""
 
-    Returns (negative log-likelihood, alignment posterior sigma, analytic
-    gradient softmax(u) - sigma).
+    labels: np.ndarray  # (B, T, S) flat index into the (B, T, K) logits of each cell's label
+    skip: np.ndarray  # (B, S) skip masks of the lattices
+    reversed_skip: np.ndarray  # (B, S) skip masks of the reversed lattices
+    reversal: np.ndarray  # (B, T, S) flat index of each cell's mirror in its reversed lattice
+    final: np.ndarray  # (2, B) flat index of the last two states at the last frame
+    real: np.ndarray  # (B, T, 1) True on an item's own frames
+    cells: np.ndarray  # (B, T, S) True on an item's own frames and states
+
+
+@functools.lru_cache(maxsize=1)
+def _lattice(targets: tuple, frames: tuple, n_frames: int, n_labels: int) -> _Lattice:
+    """The stack's lattices, kept while the same targets and frame counts
+    come back, as they do call after call in a finite-difference check."""
+    for n, y in zip(frames, targets):
+        if n < min_frames(y):
+            raise InfeasibleTargetError(f"{n} frames cannot carry a target needing {min_frames(y)}")
+    n_items, lengths = len(targets), np.array([len(y) for y in targets])
+    states, width = 2 * lengths + 1, 2 * int(lengths.max()) + 1
+    # the blank-extended targets: a blank before, between and after labels
+    ext = np.full((n_items, width), BLANK, dtype=np.int64)
+    ext[:, 1::2][np.arange(width // 2) < lengths[:, None]] = list(itertools.chain(*targets))
+    items, steps, frames = np.arange(n_items), np.arange(n_frames), np.array(frames)
+    starts = items[:, None] * n_frames  # each item's first row in the (B * T) rows
+    real = steps < frames[:, None]
+    # each item's lattice reversed in its own frames and states, padding
+    # onto padding: the reversal is its own inverse, and the reversed
+    # lattice's states are the blank-extended reversed target
+    s_rev = (states[:, None] - 1 - np.arange(width)) % width
+    t_rev = (frames[:, None] - 1 - steps) % n_frames
+    last = (items * n_frames + frames - 1) * width + states - 1
+    lattice = _Lattice(
+        labels=((starts + steps) * n_labels)[:, :, None] + ext[:, None, :],
+        skip=_skip_mask(ext),
+        reversed_skip=_skip_mask(ext[items[:, None], s_rev]),
+        reversal=((starts + t_rev) * width)[:, :, None] + s_rev[:, None, :],
+        final=np.stack([last, last - 1]),
+        real=real[..., None],
+        cells=real[..., None] & (np.arange(width) < states[:, None])[:, None, :],
+    )
+    for array in lattice:
+        array.flags.writeable = False  # shared by every call that hits the cache
+    return lattice
+
+
+class ForwardBackward(NamedTuple):
+    """The DP's outputs: negative log-likelihood, alignment posterior
+    sigma[t, k] = P(path label k at frame t | target), and the gradient
+    of the first with respect to the logits, softmax(u) - sigma."""
+
+    nll: float | np.ndarray
+    posterior: np.ndarray
+    grad: np.ndarray
+
+
+def ctc_forward_backward(u, y, vocab: Vocab, frames=None) -> ForwardBackward:
+    """The one DP: validate, take the log-softmax once, run the recursion
+    forward and on each item's reversed lattice.
+
+    ``u`` is one T x K instance with target ``y``, or a B x T x K stack of
+    instances padded in time, with ``y`` their B targets and ``frames``
+    their frame counts (default: all T).  Only an item's own frames are
+    read: padded rows may hold anything, and their posterior and gradient
+    rows are zero.  A single instance is a stack of one, returned without
+    the stack axis.
     """
-    data, y = validated_inputs(u, y, vocab)
-    if data.shape[0] < min_frames(y):
-        raise InfeasibleTargetError(
-            f"{data.shape[0]} frames cannot carry a target needing {min_frames(y)}"
-        )
+    data = u.data if isinstance(u, Tensor) else np.asarray(u, dtype=np.float64)
+    single = data.ndim == 2
+    if single:
+        data, targets = data[None], [y]
+    elif data.ndim == 3:
+        targets = list(y)
+    else:
+        raise ShapeError(f"frame logits must be T x K or a B x T x K stack, got {data.shape}")
+    n_items, n_frames, _ = data.shape
+    if len(targets) != n_items:
+        raise ShapeError(f"{len(targets)} targets for a stack of {n_items}")
+    if frames is None:
+        frames = (n_frames,) * n_items
+    else:
+        frames = tuple(int(n) for n in frames)
+        if len(frames) != n_items or not all(1 <= n <= n_frames for n in frames):
+            raise ShapeError(f"frame counts {frames} for a stack of shape {data.shape}")
+        # only the real rows are read; zeros keep the padded ones finite
+        data = np.where((np.arange(n_frames) < np.array(frames)[:, None])[..., None], data, 0.0)
+    if not np.isfinite(data).all():
+        raise ContractError("frame logits must be finite")
+    targets = tuple(_check_target(t, vocab) for t in targets)
+    if data.shape[2] != vocab.size:
+        raise ShapeError("logit width must equal vocab size")
+    lattice = _lattice(targets, frames, n_frames, vocab.size)
+
     lp = log_softmax_rows(data)
-    ext = _extended(y)
-    lp_ext = lp[:, ext]
-    alpha = _forward(lp_ext, _skip_mask(ext))
-    loglik = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
-    if loglik == -np.inf:
+    lp_ext = lp.take(lattice.labels)
+    alpha = _forward(lp_ext, lattice.skip)
+    loglik = np.logaddexp(*alpha.take(lattice.final))
+    if (loglik == -np.inf).any():
         raise InfeasibleTargetError("target cannot be aligned to the given frames")
-    # the reversed lattice's states are the blank-extended reversed target
-    beta = _forward(lp_ext[::-1, ::-1], _skip_mask(ext[::-1]))[::-1, ::-1]
+    reversal = lattice.reversal
+    beta = _forward(lp_ext.take(reversal), lattice.reversed_skip).take(reversal)
 
     # state occupancy: alpha and beta both include lp at (t, s), divide once
     with np.errstate(invalid="ignore"):
-        log_gamma = alpha + beta - lp_ext - loglik
+        log_gamma = alpha + beta - lp_ext - loglik[:, None, None]
     # logits near +-1e308 can drive lp to -inf, and -inf - -inf is NaN
-    log_gamma[np.isnan(log_gamma)] = -np.inf
-    gamma = np.exp(log_gamma)
+    gamma = np.exp(log_gamma, out=np.zeros_like(log_gamma), where=lattice.cells & ~np.isnan(log_gamma))
 
     sigma = np.zeros_like(lp)
-    np.add.at(sigma, (slice(None), ext), gamma)  # per label, in state order
-    sigma /= sigma.sum(axis=1, keepdims=True)
-    return -float(loglik), sigma, np.exp(lp) - sigma
+    np.add.at(sigma.reshape(-1), lattice.labels, gamma)  # per label, in state order
+    np.divide(sigma, sigma.sum(axis=2, keepdims=True), out=sigma, where=lattice.real)
+    grad = np.subtract(np.exp(lp), sigma, out=np.zeros_like(lp), where=lattice.real)
+    if single:
+        return ForwardBackward(-float(loglik[0]), sigma[0], grad[0])
+    return ForwardBackward(-loglik, sigma, grad)
 
 
-def ctc_loss_dp(u, y, vocab: Vocab) -> Tensor:
-    """CTC negative log-likelihood via forward recursion.
+def ctc_loss_dp(u, y, vocab: Vocab, frames=None) -> Tensor:
+    """CTC negative log-likelihood via forward recursion: a scalar for one
+    instance, one loss per item for a stack (see ``ctc_forward_backward``).
 
     Differentiable: the backward rule is the analytic gradient
-    softmax(u) - sigma, where sigma is the alignment posterior.
+    softmax(u) - sigma, where sigma is the alignment posterior, scaled per
+    item by the incoming gradient.
     """
-    loss, _, grad = _dp(u, y, vocab)
+    loss, _, grad = ctc_forward_backward(u, y, vocab, frames)
 
     def bwd(g):
-        return (float(g) * grad,)
+        return (g[..., None, None] * grad,)
 
     return custom_op(loss, (as_tensor(u),), bwd)
 
 
-def ctc_posterior(u, y, vocab: Vocab) -> np.ndarray:
-    """Alignment posterior sigma[t, k] = P(path label k at frame t | target)."""
-    return _dp(u, y, vocab)[1]
-
-
-def posterior_from_enumeration(u, y, vocab: Vocab) -> np.ndarray:
-    """Path-weighted label frequencies; the oracle for ctc_posterior."""
+def ctc_bruteforce(u, y, vocab: Vocab) -> tuple[float, np.ndarray]:
+    """The enumeration oracle from one scoring of the paths: -log of the
+    summed path probabilities, and the path-weighted label frequencies
+    (the oracle for the DP's posterior)."""
     data, paths, logw = _scored_paths(u, y, vocab)
-    w = np.exp(logw - _logsumexp(list(logw)))
+    total = _logsumexp(list(logw))
+    w = np.exp(logw - total)
     sigma = np.zeros_like(data)
     for weight, z in zip(w, paths):
         for t, k in enumerate(z):
             sigma[t, k] += weight
     sigma /= sigma.sum(axis=1, keepdims=True)
-    return sigma
+    return -total, sigma
 
 
 def _smoothed_rows(p: Tensor, n_labels: int) -> Tensor:

@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, config_to_mapping
-from .ctc import Vocab, ctc_loss_bruteforce, ctc_loss_dp, kd_loss_ctc, min_frames
-from .ctc import posterior_from_enumeration, ctc_posterior
+from .ctc import Vocab, ctc_bruteforce, ctc_forward_backward, ctc_loss_dp, kd_loss_ctc, min_frames
 from .diagnostics import BoundReport, check_lower_bound, bound_report_from_logits, repetition_ratio
 from .errors import ContractError
 from .metrics import exact_match_rate, token_error_rate
@@ -359,18 +358,17 @@ def _check_instance_count(n_instances: int) -> None:
 
 def check_ctc_suite(n_instances: int = 100, seed: int = 0) -> SuiteReport:
     """Dynamic-programming loss and posterior against exhaustive
-    enumeration on instances of up to 8 frames, 4 labels and 4 symbols."""
+    enumeration on instances of up to 8 frames, 4 labels and 4 symbols:
+    one DP run and one scoring of the enumerated paths per instance."""
     _check_instance_count(n_instances)
     rng = np.random.default_rng(seed)
     max_loss_dev = 0.0
     max_post_dev = 0.0
     for _ in range(n_instances):
         u, y, vocab = _random_ctc_instance(rng)
-        dp = ctc_loss_dp(u, y, vocab).item()
-        bf = ctc_loss_bruteforce(u, y, vocab)
+        dp, post_dp, _ = ctc_forward_backward(u, y, vocab)
+        bf, post_enum = ctc_bruteforce(u, y, vocab)
         max_loss_dev = max(max_loss_dev, abs(dp - bf))
-        post_dp = ctc_posterior(u, y, vocab)
-        post_enum = posterior_from_enumeration(u, y, vocab)
         max_post_dev = max(max_post_dev, float(np.abs(post_dp - post_enum).max()))
     passed = max_loss_dev <= 1e-9 and max_post_dev <= 1e-9
     return SuiteReport(

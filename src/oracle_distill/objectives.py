@@ -9,10 +9,12 @@ step; nothing is cached across steps.
 ``loss_total`` builds all three terms of a batch as one graph, from one
 encoder pass over the batch's padded sources (a :class:`tasks.Batch`).
 Each term is the mean over the items of a per-item loss: a sequence's
-rows are weighted 1/len on its real positions and 0 on padding.  The CTC
-terms run the DP once per item on that item's unpadded frames.  A single
-term is read from the result: ``.terms`` holds (l_org, l_em, l_kd), and
-with ``use_teacher=False`` ``.total`` is l_org alone.
+rows are weighted 1/len on its real positions and 0 on padding.  The two
+CTC terms share one DP call over the stack of the student's and the
+teacher's padded frame logits, which reads each item's own frames only;
+l_org and l_em are the means of its two halves.  A single term is read
+from the result: ``.terms`` holds (l_org, l_em, l_kd), and with
+``use_teacher=False`` ``.total`` is l_org alone.
 
 One optimizer updates the student (``seq.``) and the auxiliary
 (``oracle.``, ``fusion.``, ``teacher_out.``) parameters together.
@@ -118,19 +120,27 @@ def cross_entropy(logits: Tensor, targets, weights) -> Tensor:
     return tt.sum_all(tt.scale(picked, -np.asarray(weights, dtype=np.float64)))
 
 
-def _sequence_loss(model, logits: Tensor, batch: Batch, rows: np.ndarray, weights) -> Tensor:
-    """Mean over the items of the CTC loss of their unpadded frame logits,
-    or of the cross-entropy of teacher-forced logits against the target
-    followed by the end symbol (row weights ``weights``)."""
+def _sequence_losses(model, u_s: Tensor, u_t, batch: Batch, weights) -> tuple:
+    """l_org and l_em (None without the teacher's logits ``u_t``).
+
+    CTC: one DP call over the stack of the student's and the teacher's
+    padded frame logits, which reads each item's own frames; each term is
+    the mean of its half of the per-item losses.  Encoder-decoder: the
+    cross-entropy of each side's teacher-forced logits against the target
+    followed by the end symbol (row weights ``weights``).
+    """
+    n = len(batch)
     if isinstance(model, CtcModel):
-        return tt.mean(tt.stack([
-            ctc_loss_dp(tt.index(logits, (i, slice(0, n))), y, model.vocab)
-            for i, (n, y) in enumerate(zip(rows, batch.targets))
-        ]))
-    ids = np.zeros(logits.shape[:-1], dtype=np.int64)
+        if u_t is None:
+            return tt.mean(ctc_loss_dp(u_s, batch.targets, model.vocab, batch.lengths)), None
+        losses = ctc_loss_dp(tt.concat([u_s, u_t]), batch.targets * 2, model.vocab,
+                             np.concatenate([batch.lengths, batch.lengths]))
+        return tt.mean(tt.index(losses, slice(0, n))), tt.mean(tt.index(losses, slice(n, 2 * n)))
+    ids = np.zeros(u_s.shape[:-1], dtype=np.int64)
     for i, y in enumerate(batch.targets):
         ids[i, : len(y) + 1] = (*y, model.eos)
-    return cross_entropy(logits, ids, weights)
+    l_org = cross_entropy(u_s, ids, weights)
+    return l_org, None if u_t is None else cross_entropy(u_t, ids, weights)
 
 
 def _kd_loss(model, config, u_student: Tensor, u_teacher: Tensor, weights) -> Tensor:
@@ -156,7 +166,10 @@ def loss_total(model, batch, config: TrainConfig, rng: np.random.Generator) -> S
     target) pairs to build one from.  The masks of the encoder-decoder
     teacher are drawn per item, in batch order, from ``rng``.  The
     breakdown satisfies l_total = l_org + l_em + alpha * l_kd exactly,
-    because the total is assembled from the same scalars.
+    because the total is assembled from the same scalars.  For CTC, l_org
+    and l_em come from one ``ctc_loss_dp`` call over the ``(2B, T, K)``
+    stack of student and teacher logits (``(B, T, K)``, the student's
+    alone, with the teacher off).
     """
     if not isinstance(batch, Batch):
         batch = Batch(batch)
@@ -172,7 +185,7 @@ def loss_total(model, batch, config: TrainConfig, rng: np.random.Generator) -> S
     # each item's real rows weigh 1/len, padding 0, and the items 1/B
     valid = np.arange(u_s.shape[-2]) < rows[:, None]
     weights = np.where(valid, 1.0 / rows[:, None], 0.0) / len(batch)
-    l_org = _sequence_loss(model, u_s, batch, rows, weights)
+    u_t = None
     if config.use_teacher:
         masked = [None] * len(batch)  # the CTC teacher sees all of y
         if ctc:
@@ -183,13 +196,14 @@ def loss_total(model, batch, config: TrainConfig, rng: np.random.Generator) -> S
             for i, m in enumerate(masked):
                 masked_ids[i, : len(m)] = m
             u_t = model.teacher_logits(encoded, y_ids, masked_ids, lengths=lengths, target_lengths=y_lengths)
-        l_em = _sequence_loss(model, u_t, batch, rows, weights)
+    l_org, l_em = _sequence_losses(model, u_s, u_t, batch, weights)
+    if config.use_teacher:
         l_kd = _kd_loss(model, config, u_s, u_t, weights)
         total = tt.add(tt.add(l_org, l_em), tt.scale(l_kd, config.alpha))
         breakdown = LossBreakdown(l_org.item(), l_em.item(), l_kd.item(), total.item())
         teacher = [u_t.data[i, :n] for i, n in enumerate(rows)]
     else:
-        l_em = l_kd = None
+        l_kd = None
         total = l_org
         breakdown = LossBreakdown(l_org.item(), 0.0, 0.0, total.item())
         teacher, masked = [None] * len(batch), [None] * len(batch)

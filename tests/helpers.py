@@ -1,14 +1,15 @@
 """Helpers that only the tests use: the ablations behind the paper's
 structural reduction checks, the per-tensor Adam that the fused one is
-checked against, the distillation-surrogate audit, and the reader for the
-dataset files that ``gen-data`` writes."""
+checked against, the one-instance CTC DP that the stacked one is checked
+against, the distillation-surrogate audit, and the reader for the dataset
+files that ``gen-data`` writes."""
 
 import numpy as np
 
 from oracle_distill import tensor as T
-from oracle_distill.ctc import kd_loss_ctc
+from oracle_distill.ctc import BLANK, kd_loss_ctc, log_softmax_rows, min_frames, validated_inputs
 from oracle_distill.diagnostics import bound_report_from_logits
-from oracle_distill.errors import ContractError
+from oracle_distill.errors import ContractError, InfeasibleTargetError
 from oracle_distill.models import CtcModel
 from oracle_distill.objectives import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 from oracle_distill.tasks import Example
@@ -93,6 +94,57 @@ class ReferenceAdam:
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
+
+
+# ---------------------------------------------------------------------------
+# reference CTC DP
+# ---------------------------------------------------------------------------
+
+
+def _reference_forward(lp_ext: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Forward log-variables over one T x S blank-extended lattice."""
+    n_frames, n_states = lp_ext.shape
+    alpha = np.full((n_frames, n_states + 2), -np.inf)
+    alpha[0, 2:4] = lp_ext[0, :2]
+    skip_add = np.where(skip, 0.0, -np.inf)
+    for t in range(1, n_frames):
+        prev = alpha[t - 1]
+        stay_or_step = np.logaddexp(prev[2:], prev[1:-1])
+        alpha[t, 2:] = np.logaddexp(stay_or_step, prev[:-2] + skip_add) + lp_ext[t]
+    return alpha[:, 2:]
+
+
+def _reference_skip(ext: np.ndarray) -> np.ndarray:
+    skip = np.zeros(ext.size, dtype=bool)
+    skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+    return skip
+
+
+def reference_ctc_dp(u, y, vocab) -> tuple[float, np.ndarray, np.ndarray]:
+    """The CTC DP one instance at a time, the oracle that the stacked
+    ``ctc.ctc_forward_backward`` must match bit for bit, item by item:
+    (negative log-likelihood, alignment posterior, softmax(u) - posterior),
+    with beta as the forward pass on the time- and state-reversed lattice."""
+    data, y = validated_inputs(u, y, vocab)
+    if data.shape[0] < min_frames(y):
+        raise InfeasibleTargetError("too few frames for the target")
+    lp = log_softmax_rows(data)
+    ext = np.full(2 * len(y) + 1, BLANK, dtype=np.int64)
+    ext[1::2] = y
+    lp_ext = lp[:, ext]
+    alpha = _reference_forward(lp_ext, _reference_skip(ext))
+    loglik = np.logaddexp(alpha[-1, -1], alpha[-1, -2])
+    if loglik == -np.inf:
+        raise InfeasibleTargetError("target cannot be aligned to the given frames")
+    beta = _reference_forward(lp_ext[::-1, ::-1], _reference_skip(ext[::-1]))[::-1, ::-1]
+    with np.errstate(invalid="ignore"):
+        log_gamma = alpha + beta - lp_ext - loglik
+    log_gamma[np.isnan(log_gamma)] = -np.inf
+    gamma = np.exp(log_gamma)
+    sigma = np.zeros_like(lp)
+    np.add.at(sigma, (slice(None), ext), gamma)
+    sigma /= sigma.sum(axis=1, keepdims=True)
+    return -float(loglik), sigma, np.exp(lp) - sigma
 
 
 # ---------------------------------------------------------------------------

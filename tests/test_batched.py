@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle_distill import models
+from oracle_distill import models, objectives
 from oracle_distill import tensor as T
 from oracle_distill.config import RunConfig
 from oracle_distill.ctc import min_frames
@@ -191,12 +191,32 @@ def test_tape_grows_by_a_small_constant_per_item(task):
         len(T.Tape(loss_total(model, data[:b], train, np.random.default_rng(0)).total).nodes)
         for b in range(1, 9)
     ]
-    # the CTC terms slice each item's frames and run its DP: two nodes per
-    # item for each of l_org and l_em; everything else is one graph
-    per_item = 4 if task == "ctc" else 0
-    assert nodes == [nodes[0] + per_item * b for b in range(8)]
+    # one graph whatever the batch: the CTC terms share one DP node
+    assert nodes == [nodes[0]] * 8
     if task == "aed":
         assert nodes[-1] < 400
+
+
+@pytest.mark.parametrize("use_teacher", [True, False])
+def test_ctc_objective_makes_one_dp_call(monkeypatch, use_teacher):
+    cfg = RunConfig(task="ctc", seed=1).resolved()
+    data = gen_ctc_dataset(cfg.task_spec(), 20)
+    model = CtcModel(cfg.model_config(), seed=1)
+    train = TrainConfig(use_teacher=use_teacher)
+    calls = []
+    dp = objectives.ctc_loss_dp
+
+    def counted(u, y, vocab, frames):
+        calls.append((u.shape, len(y), tuple(frames)))
+        return dp(u, y, vocab, frames)
+
+    monkeypatch.setattr(objectives, "ctc_loss_dp", counted)
+    batch = Batch(data[:8])
+    out = loss_total(model, batch, train, np.random.default_rng(0))
+    stack = 2 * len(batch) if use_teacher else len(batch)
+    assert calls == [((stack, max(batch.lengths), model.vocab.size), stack,
+                      tuple(batch.lengths) * (stack // len(batch)))]
+    assert (out.terms[1] is not None) == use_teacher
 
 
 # ---------------------------------------------------------------------------

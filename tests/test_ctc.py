@@ -11,15 +11,15 @@ from oracle_distill.ctc import (
     BLANK,
     Vocab,
     collapse,
+    ctc_bruteforce,
+    ctc_forward_backward,
     ctc_loss_bruteforce,
     ctc_loss_dp,
-    ctc_posterior,
     enumerate_alignments,
     greedy_decode,
     kd_loss_ctc,
     log_softmax_rows,
     min_frames,
-    posterior_from_enumeration,
 )
 from oracle_distill.errors import (
     ContractError,
@@ -28,6 +28,8 @@ from oracle_distill.errors import (
     ShapeError,
 )
 from oracle_distill.tensor import Tensor, grad_check
+
+from helpers import reference_ctc_dp
 
 V3 = Vocab(3)  # blank + labels {1, 2}
 
@@ -145,27 +147,27 @@ class TestDpLoss:
 
 class TestPosterior:
     def test_forced_path_is_one_hot(self):
-        sigma = ctc_posterior(np.zeros((1, 3)), (1,), V3)
+        sigma = ctc_forward_backward(np.zeros((1, 3)), (1,), V3).posterior
         np.testing.assert_allclose(sigma, [[0.0, 1.0, 0.0]], atol=1e-15)
 
     def test_uniform_first_frame_marginals(self):
         # 4 of the 5 equally likely paths start with label 1, one with blank
-        sigma = ctc_posterior(np.zeros((3, 3)), (1, 2), V3)
+        sigma = ctc_forward_backward(np.zeros((3, 3)), (1, 2), V3).posterior
         np.testing.assert_allclose(sigma[0], [0.2, 0.8, 0.0], atol=1e-12)
 
     def test_matches_enumeration_marginals(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
             u, y, vocab = random_instance(rng)
-            dp = ctc_posterior(u, y, vocab)
-            enum = posterior_from_enumeration(u, y, vocab)
+            dp = ctc_forward_backward(u, y, vocab).posterior
+            enum = ctc_bruteforce(u, y, vocab)[1]
             np.testing.assert_allclose(dp, enum, atol=1e-9)
 
     def test_rows_are_distributions_supported_on_target_labels(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
             u, y, vocab = random_instance(rng)
-            sigma = ctc_posterior(u, y, vocab)
+            sigma = ctc_forward_backward(u, y, vocab).posterior
             np.testing.assert_allclose(sigma.sum(axis=1), 1.0, atol=1e-9)
             assert sigma.min() >= 0.0
             absent = set(range(1, vocab.size)) - set(y)
@@ -206,7 +208,7 @@ class TestGradient:
         # the rule is the frame posterior minus the alignment posterior
         rng = np.random.default_rng(31)
         u, y, vocab = random_instance(rng)
-        expected = np.exp(log_softmax_rows(u)) - ctc_posterior(u, y, vocab)
+        expected = np.exp(log_softmax_rows(u)) - ctc_forward_backward(u, y, vocab).posterior
         np.testing.assert_allclose(dp_grad(u, y, vocab), expected, atol=1e-12)
 
 
@@ -366,7 +368,7 @@ def test_dp_loss_matches_enumeration_property(case):
 def test_dp_posterior_matches_enumeration_property(case):
     u, y, vocab = case
     np.testing.assert_allclose(
-        ctc_posterior(u, y, vocab), posterior_from_enumeration(u, y, vocab), rtol=0, atol=1e-9
+        ctc_forward_backward(u, y, vocab).posterior, ctc_bruteforce(u, y, vocab)[1], rtol=0, atol=1e-9
     )
 
 
@@ -386,9 +388,76 @@ def test_reversed_lattice_needs_the_skip_mask_of_the_reversed_target(monkeypatch
     # the 2 is allowed; reversed, the 2 comes first and the barred jump
     # moves, so a mask built from the unreversed target gives a wrong beta
     u, y, vocab = np.linspace(-2.0, 2.0, 18).reshape(6, 3), (1, 1, 2), Vocab(3)
-    oracle = posterior_from_enumeration(u, y, vocab)
-    np.testing.assert_allclose(ctc_posterior(u, y, vocab), oracle, rtol=0, atol=1e-9)
-    unreversed = ctc._extended(y)
+    oracle = ctc_bruteforce(u, y, vocab)[1]
+    np.testing.assert_allclose(ctc_forward_backward(u, y, vocab).posterior, oracle, rtol=0, atol=1e-9)
+    unreversed = np.array([BLANK, 1, BLANK, 1, BLANK, 2, BLANK])
     skip_mask = ctc._skip_mask
     monkeypatch.setattr(ctc, "_skip_mask", lambda ext: skip_mask(unreversed))
-    assert np.abs(ctc_posterior(u, y, vocab) - oracle).max() > 1e-3
+    # build the lattice again rather than reuse the one cached above
+    monkeypatch.setattr(ctc, "_lattice", ctc._lattice.__wrapped__)
+    assert np.abs(ctc_forward_backward(u, y, vocab).posterior - oracle).max() > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the stacked DP against the one-instance reference, bit for bit
+# ---------------------------------------------------------------------------
+
+
+GARBAGE = (1e300, -1e300, math.nan, math.inf, -math.inf, 0.0, 7.5)
+
+
+@st.composite
+def padded_stacks(draw):
+    """A B x T x K stack of up to 6 feasible instances with their own target
+    lengths (repeats common at K <= 3) and frame counts, padded to T, with
+    garbage in every padded cell."""
+    vocab = Vocab(draw(st.integers(2, 5)))
+    n_items = draw(st.integers(1, 6))
+    targets, frames = [], []
+    for _ in range(n_items):
+        y = tuple(draw(st.lists(st.integers(1, vocab.size - 1), min_size=1, max_size=4)))
+        targets.append(y)
+        frames.append(min_frames(y) + draw(st.integers(0, 3)))
+    n_frames = max(frames) + draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = rng.standard_normal((n_items, n_frames, vocab.size)) * draw(st.sampled_from((0.5, 3.0, 30.0)))
+    for i, n in enumerate(frames):
+        u[i, n:] = rng.choice(GARBAGE, size=(n_frames - n, vocab.size))
+    return u, targets, frames, vocab
+
+
+@settings(max_examples=60, deadline=None)
+@given(padded_stacks())
+def test_stacked_dp_equals_the_one_instance_reference_bit_for_bit(case):
+    u, targets, frames, vocab = case
+    nll, sigma, grad = ctc_forward_backward(u, targets, vocab, frames)
+    x = Tensor(u, requires_grad=True)
+    losses = ctc_loss_dp(x, targets, vocab, frames)
+    T.backward(T.sum_all(losses))
+    assert losses.data.tobytes() == nll.tobytes()
+    for i, (y, n) in enumerate(zip(targets, frames)):
+        ref_nll, ref_sigma, ref_grad = reference_ctc_dp(u[i, :n], y, vocab)
+        assert np.float64(ref_nll).tobytes() == nll[i].tobytes()
+        assert ref_sigma.tobytes() == sigma[i, :n].tobytes()
+        assert ref_grad.tobytes() == grad[i, :n].tobytes() == x.grad[i, :n].tobytes()
+        single = ctc_forward_backward(u[i, :n], y, vocab)
+        assert np.float64(single.nll).tobytes() == nll[i].tobytes()
+        assert single.posterior.tobytes() == ref_sigma.tobytes()
+        assert single.grad.tobytes() == ref_grad.tobytes()
+        for padded in (sigma, grad, x.grad):
+            assert not padded[i, n:].any()
+
+
+def test_stack_refuses_bad_frame_counts_and_garbage_in_real_rows():
+    u = np.zeros((2, 4, 3))
+    for frames in ([4], [4, 0], [4, 5]):
+        with pytest.raises(ShapeError):
+            ctc_forward_backward(u, [(1,), (2,)], V3, frames)
+    with pytest.raises(ShapeError):
+        ctc_forward_backward(u, [(1,)], V3, [4, 4])
+    with pytest.raises(InfeasibleTargetError):
+        ctc_forward_backward(u, [(1,), (2, 2)], V3, [4, 2])
+    u[1, 1, 0] = math.nan
+    ctc_forward_backward(u, [(1,), (2,)], V3, [4, 1])  # NaN on a padded row
+    with pytest.raises(ContractError):
+        ctc_forward_backward(u, [(1,), (2,)], V3, [4, 2])
