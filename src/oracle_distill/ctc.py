@@ -8,18 +8,23 @@ Two independent routes compute the same quantities: an exhaustive
 enumeration over all label paths, scored by ``path_log_probs`` (the trust
 anchor, usable only for tiny instances), and the dynamic-programming
 recursion over the blank-extended target (the one that scales).  Tests
-hold them to 1e-9 agreement.
+hold them to 1e-9 agreement.  The enumeration generates and tests every
+one of the V^T raw paths, as one pass over an array of a byte per path
+frame, not a Python loop over the paths.
 
-The DP, ``ctc_forward_backward``, runs over a stack of instances padded to
-the longest frame count and the longest blank-extended target; a single
-instance is a stack of one.  The recursion is written once, as the
-forward pass ``_forward``, vectorised over the items and lattice states
-with one Python loop over frames; each item's likelihood is read at its
-own last frame and last two states.  The backward variables are that same
-pass run on each item's own time- and state-reversed lattice, whose states
-are the blank-extended reversed target, and then mapped back.  The
-reversal is per item, not over the padded array, so padding stays behind
-every item's real cells in both passes and never feeds them.
+The DP runs over a stack of instances padded to the longest frame count
+and the longest blank-extended target; a single instance is a stack of
+one.  The recursion is written once, as the forward pass ``_forward``,
+vectorised over the items and lattice states with one Python loop over
+frames; each item's likelihood is read at its own last frame and last two
+states.  The backward variables are that same pass run on each item's own
+time- and state-reversed lattice, whose states are the blank-extended
+reversed target, and then mapped back.  The reversal is per item, not over
+the padded array, so padding stays behind every item's real cells in both
+passes and never feeds them.  The DP runs in two halves: the forward one
+gives the likelihoods, and the backward one gives the posteriors and the
+gradient.  ``ctc_forward_backward`` runs both; ``ctc_loss_dp``, the one
+that takes padded stacks, defers the backward half to its backward rule.
 """
 
 from __future__ import annotations
@@ -81,23 +86,36 @@ def _check_target(y, vocab: Vocab) -> tuple[int, ...]:
 
 
 def enumerate_alignments(y, n_frames: int, vocab: Vocab):
-    """All length-``n_frames`` paths whose collapse equals ``y``.
+    """All length-``n_frames`` paths whose collapse equals ``y``, as tuples
+    in ``itertools.product`` order.
 
     Exhaustive scan over every one of the ``vocab.size ** n_frames`` raw
-    paths; this is the oracle, so it stays deliberately brute force.
-    Returns an empty list when no path can produce ``y``, and refuses
+    paths; this is the oracle, so it stays deliberately brute force.  The
+    paths are generated as one array, a byte per frame while the labels
+    fit, and tested in one pass over it: a frame emits its label when that
+    is not the blank and differs from the frame before, and a path is kept
+    when it emits exactly the labels of ``y``, in order.  Returns an empty
+    list when no path can produce ``y``, and refuses
     (``EnumerationCapError``) more raw paths than ``ENUMERATION_CAP``.
     """
     y = _check_target(y, vocab)
-    if vocab.size ** n_frames > ENUMERATION_CAP:
+    n_paths = vocab.size ** n_frames
+    if n_paths > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"{vocab.size}^{n_frames} paths exceed the cap of {ENUMERATION_CAP}"
         )
-    return [
-        z
-        for z in itertools.product(range(vocab.size), repeat=n_frames)
-        if collapse(z) == y
-    ]
+    # frame-major: paths[t, i] is the label of raw path i at frame t
+    paths = np.indices((vocab.size,) * n_frames, dtype=np.min_scalar_type(vocab.size - 1))
+    paths = paths.reshape(n_frames, n_paths)
+    emits = paths != BLANK
+    emits[1:] &= paths[1:] != paths[:-1]
+    # at most 19 frames fit under the cap, so the counts fit a byte
+    hits = emits.sum(axis=0, dtype=np.int8) == len(y)
+    candidates = paths[:, hits].T
+    # each candidate emits len(y) labels; row by row they must read y
+    emitted = candidates[emits[:, hits].T].reshape(-1, len(y))
+    kept = candidates[(emitted == np.array(y)).all(axis=1)]
+    return [tuple(z) for z in kept.tolist()]
 
 
 def _as_logits(u) -> np.ndarray:
@@ -250,17 +268,24 @@ class ForwardBackward(NamedTuple):
     grad: np.ndarray
 
 
-def ctc_forward_backward(u, y, vocab: Vocab, frames=None) -> ForwardBackward:
-    """The one DP: validate, take the log-softmax once, run the recursion
-    forward and on each item's reversed lattice.
+class _ForwardPass(NamedTuple):
+    """The first half of the DP and all that the second half reads."""
 
-    ``u`` is one T x K instance with target ``y``, or a B x T x K stack of
-    instances padded in time, with ``y`` their B targets and ``frames``
-    their frame counts (default: all T).  Only an item's own frames are
-    read: padded rows may hold anything, and their posterior and gradient
-    rows are zero.  A single instance is a stack of one, returned without
-    the stack axis.
-    """
+    single: bool  # one T x K instance, returned without the stack axis
+    lattice: _Lattice
+    lp: np.ndarray  # (B, T, K) log frame posteriors
+    lp_ext: np.ndarray  # (B, T, S) the same on the lattice cells
+    alpha: np.ndarray  # (B, T, S) forward variables
+    loglik: np.ndarray  # (B,) log-likelihood per item
+
+    def nll(self) -> float | np.ndarray:
+        return -float(self.loglik[0]) if self.single else -self.loglik
+
+
+def _forward_pass(u, y, vocab: Vocab, frames) -> _ForwardPass:
+    """Validate, take the log-softmax once, run the recursion forward and
+    read each item's likelihood; the arguments are those of
+    ``ctc_loss_dp``."""
     data = u.data if isinstance(u, Tensor) else np.asarray(u, dtype=np.float64)
     single = data.ndim == 2
     if single:
@@ -293,6 +318,13 @@ def ctc_forward_backward(u, y, vocab: Vocab, frames=None) -> ForwardBackward:
     loglik = np.logaddexp(*alpha.take(lattice.final))
     if (loglik == -np.inf).any():
         raise InfeasibleTargetError("target cannot be aligned to the given frames")
+    return _ForwardPass(single, lattice, lp, lp_ext, alpha, loglik)
+
+
+def _backward_pass(fwd: _ForwardPass) -> tuple[np.ndarray, np.ndarray]:
+    """The second half of the DP: the recursion on each item's reversed
+    lattice, then the alignment posterior and the gradient."""
+    _, lattice, lp, lp_ext, alpha, loglik = fwd
     reversal = lattice.reversal
     beta = _forward(lp_ext.take(reversal), lattice.reversed_skip).take(reversal)
 
@@ -306,25 +338,41 @@ def ctc_forward_backward(u, y, vocab: Vocab, frames=None) -> ForwardBackward:
     np.add.at(sigma.reshape(-1), lattice.labels, gamma)  # per label, in state order
     np.divide(sigma, sigma.sum(axis=2, keepdims=True), out=sigma, where=lattice.real)
     grad = np.subtract(np.exp(lp), sigma, out=np.zeros_like(lp), where=lattice.real)
-    if single:
-        return ForwardBackward(-float(loglik[0]), sigma[0], grad[0])
-    return ForwardBackward(-loglik, sigma, grad)
+    if fwd.single:
+        return sigma[0], grad[0]
+    return sigma, grad
+
+
+def ctc_forward_backward(u, y, vocab: Vocab) -> ForwardBackward:
+    """Both halves of the DP on one T x K instance with target ``y`` (or
+    on a B x T x K stack with its B targets, every frame real): the
+    recursion forward and on the reversed lattice, then the posterior and
+    the gradient."""
+    fwd = _forward_pass(u, y, vocab, None)
+    return ForwardBackward(fwd.nll(), *_backward_pass(fwd))
 
 
 def ctc_loss_dp(u, y, vocab: Vocab, frames=None) -> Tensor:
     """CTC negative log-likelihood via forward recursion: a scalar for one
-    instance, one loss per item for a stack (see ``ctc_forward_backward``).
+    T x K instance with target ``y``, or one loss per item of a B x T x K
+    stack of instances padded in time, with ``y`` their B targets and
+    ``frames`` their frame counts (default: all T).  Only an item's own
+    frames are read: padded rows may hold anything, and their gradient
+    rows are zero.  A single instance is a stack of one, returned without
+    the stack axis.
 
     Differentiable: the backward rule is the analytic gradient
     softmax(u) - sigma, where sigma is the alignment posterior, scaled per
-    item by the incoming gradient.
+    item by the incoming gradient.  Only the rule runs the backward half
+    of the DP, so a loss that is never differentiated costs the forward
+    half alone.
     """
-    loss, _, grad = ctc_forward_backward(u, y, vocab, frames)
+    fwd = _forward_pass(u, y, vocab, frames)
 
     def bwd(g):
-        return (g[..., None, None] * grad,)
+        return (g[..., None, None] * _backward_pass(fwd)[1],)
 
-    return custom_op(loss, (as_tensor(u),), bwd)
+    return custom_op(fwd.nll(), (as_tensor(u),), bwd)
 
 
 def ctc_bruteforce(u, y, vocab: Vocab) -> tuple[float, np.ndarray]:

@@ -9,7 +9,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, field, fields
@@ -362,14 +361,15 @@ def check_ctc_suite(n_instances: int = 100, seed: int = 0) -> SuiteReport:
     one DP run and one scoring of the enumerated paths per instance."""
     _check_instance_count(n_instances)
     rng = np.random.default_rng(seed)
-    max_loss_dev = 0.0
-    max_post_dev = 0.0
+    loss_devs, post_devs = [], []
     for _ in range(n_instances):
         u, y, vocab = _random_ctc_instance(rng)
         dp, post_dp, _ = ctc_forward_backward(u, y, vocab)
         bf, post_enum = ctc_bruteforce(u, y, vocab)
-        max_loss_dev = max(max_loss_dev, abs(dp - bf))
-        max_post_dev = max(max_post_dev, float(np.abs(post_dp - post_enum).max()))
+        loss_devs.append(abs(dp - bf))
+        post_devs.append(np.abs(post_dp - post_enum).max())
+    # np.max keeps a NaN where the builtin max would drop it and pass
+    max_loss_dev, max_post_dev = float(np.max(loss_devs)), float(np.max(post_devs))
     passed = max_loss_dev <= 1e-9 and max_post_dev <= 1e-9
     return SuiteReport(
         "ctc dp vs enumeration",
@@ -396,20 +396,21 @@ def grad_check_suite(seed: int = 0) -> SuiteReport:
     the CTC loss rule on 50 random instances, both distillation forms, and
     the full objective, whose worst relative error may reach 1e-4."""
     rng = np.random.default_rng(seed)
-    worst_ctc = 0.0
+    ctc_errs = []
     for _ in range(50):
         u, y, vocab = _random_ctc_instance(rng, max_t=6, max_l=3, max_k=4)
         x = Tensor(u, requires_grad=True)
-        worst_ctc = max(worst_ctc, grad_check(lambda t: ctc_loss_dp(t, y, vocab), x))
+        ctc_errs.append(grad_check(lambda t: ctc_loss_dp(t, y, vocab), x))
 
-    worst_kd = 0.0
+    kd_errs = []
     for form in ("l2", "kl"):
         teacher = tt.softmax(Tensor(rng.standard_normal((4, 3))), axis=-1)
         logits = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        worst_kd = max(
-            worst_kd,
-            grad_check(lambda t: kd_loss_ctc(tt.softmax(t, axis=-1), teacher, form), logits),
+        kd_errs.append(
+            grad_check(lambda t: kd_loss_ctc(tt.softmax(t, axis=-1), teacher, form), logits)
         )
+    # np.max keeps a NaN where the builtin max would drop it and pass
+    worst_ctc, worst_kd = float(np.max(ctc_errs)), float(np.max(kd_errs))
 
     model = CtcModel(
         ModelConfig(task="ctc", vocab_size=3, feature_dim=4, d_model=8,
@@ -443,7 +444,6 @@ def bound_check_suite(n_instances: int = 200, seed: int = 0, csv_path=None) -> S
     _check_instance_count(n_instances)
     rng = np.random.default_rng(seed)
     reports: list[BoundReport] = []
-    min_slack = math.inf
     for i in range(n_instances):
         vocab_size = int(rng.integers(2, 4))
         model = CtcModel(
@@ -456,7 +456,8 @@ def bound_check_suite(n_instances: int = 200, seed: int = 0, csv_path=None) -> S
         t = int(rng.integers(min_frames(y), 7))
         x = rng.standard_normal((t, 3))
         reports.append(check_lower_bound(model, x, y))
-        min_slack = min(min_slack, reports[-1].slack)
+    # np.min keeps a NaN where the builtin min would drop it and pass
+    min_slack = float(np.min([r.slack for r in reports]))
 
     u = rng.standard_normal((5, 3)) * 2.0
     tight = bound_report_from_logits(u, u, (1, 2), Vocab(3))

@@ -1,13 +1,23 @@
 """Helpers that only the tests use: the ablations behind the paper's
 structural reduction checks, the per-tensor Adam that the fused one is
 checked against, the one-instance CTC DP that the stacked one is checked
-against, the distillation-surrogate audit, and the reader for the dataset
-files that ``gen-data`` writes."""
+against, the path-by-path alignment scan that the vectorised one is
+checked against, the distillation-surrogate audit, and the reader for the
+dataset files that ``gen-data`` writes."""
+
+import itertools
 
 import numpy as np
 
 from oracle_distill import tensor as T
-from oracle_distill.ctc import BLANK, kd_loss_ctc, log_softmax_rows, min_frames, validated_inputs
+from oracle_distill.ctc import (
+    BLANK,
+    collapse,
+    kd_loss_ctc,
+    log_softmax_rows,
+    min_frames,
+    validated_inputs,
+)
 from oracle_distill.diagnostics import bound_report_from_logits
 from oracle_distill.errors import ContractError, InfeasibleTargetError
 from oracle_distill.models import CtcModel
@@ -145,6 +155,23 @@ def reference_ctc_dp(u, y, vocab) -> tuple[float, np.ndarray, np.ndarray]:
     np.add.at(sigma, (slice(None), ext), gamma)
     sigma /= sigma.sum(axis=1, keepdims=True)
     return -float(loglik), sigma, np.exp(lp) - sigma
+
+
+# ---------------------------------------------------------------------------
+# reference alignment scan
+# ---------------------------------------------------------------------------
+
+
+def reference_alignments(y, n_frames: int, vocab) -> list[tuple[int, ...]]:
+    """Every raw path collapsed one at a time, in ``itertools.product``
+    order: the oracle that ``ctc.enumerate_alignments`` must match list
+    for list, in order."""
+    y = tuple(int(t) for t in y)
+    return [
+        z
+        for z in itertools.product(range(vocab.size), repeat=n_frames)
+        if collapse(z) == y
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from oracle_distill.errors import (
 )
 from oracle_distill.tensor import Tensor, grad_check
 
-from helpers import reference_ctc_dp
+from helpers import reference_alignments, reference_ctc_dp
 
 V3 = Vocab(3)  # blank + labels {1, 2}
 
@@ -78,8 +79,27 @@ class TestEnumeration:
         assert enumerate_alignments((1,), 1, V3) == [(1,)]
 
     def test_cap_refusal(self):
-        with pytest.raises(EnumerationCapError):
-            enumerate_alignments((1,), 10, Vocab(5))
+        # the second is 10^7 raw paths, one frame past the edge tested below
+        for n_frames, vocab in ((10, Vocab(5)), (7, Vocab(10))):
+            with pytest.raises(EnumerationCapError):
+                enumerate_alignments((1,), n_frames, vocab)
+
+    def test_the_scan_at_the_cap_returns_every_path_in_a_few_bytes_per_frame(self):
+        # 10^6 raw paths, exactly the cap; at zero logits every path has
+        # probability 10^-6, so the DP counts the paths
+        y, n_frames, vocab = (1,), 6, Vocab(10)
+        tracemalloc.start()
+        try:
+            paths = enumerate_alignments(y, n_frames, vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nll = ctc_loss_dp(np.zeros((n_frames, vocab.size)), y, vocab).item()
+        assert len(paths) == round(math.exp(-nll) * vocab.size ** n_frames) == 21
+        assert paths == sorted(paths) and all(collapse(z) == y for z in paths)
+        # a byte per raw-path frame for the paths and for each mask over
+        # them; the paths alone would take 8 as int64
+        assert peak < 6 * ctc.ENUMERATION_CAP * n_frames
 
     def test_blank_in_target_rejected(self):
         with pytest.raises(ContractError):
@@ -92,6 +112,26 @@ class TestEnumeration:
             t = min_frames(y) + 1
             for z in enumerate_alignments(y, t, vocab):
                 assert collapse(z) == y
+
+
+@st.composite
+def scan_cases(draw):
+    """(target, frames, vocab) with V**T under the cap, repeated labels
+    common at small V, and targets longer than the frames can carry."""
+    vocab = Vocab(draw(st.integers(2, 5)))
+    n_frames = draw(st.integers(0, 8))
+    y = tuple(draw(st.lists(st.integers(1, vocab.size - 1), min_size=1, max_size=n_frames + 2)))
+    return y, n_frames, vocab
+
+
+@settings(max_examples=50, deadline=None)
+@example(((1, 1, 2), 4, V3))
+@example(((1, 1), 2, V3))
+@given(scan_cases())
+def test_the_vectorised_scan_equals_the_path_by_path_one(case):
+    y, n_frames, vocab = case
+    assert vocab.size ** n_frames <= ctc.ENUMERATION_CAP
+    assert enumerate_alignments(y, n_frames, vocab) == reference_alignments(y, n_frames, vocab)
 
 
 class TestBruteForceLoss:
@@ -430,7 +470,8 @@ def padded_stacks(draw):
 @given(padded_stacks())
 def test_stacked_dp_equals_the_one_instance_reference_bit_for_bit(case):
     u, targets, frames, vocab = case
-    nll, sigma, grad = ctc_forward_backward(u, targets, vocab, frames)
+    fwd = ctc._forward_pass(u, targets, vocab, frames)
+    nll, (sigma, grad) = fwd.nll(), ctc._backward_pass(fwd)
     x = Tensor(u, requires_grad=True)
     losses = ctc_loss_dp(x, targets, vocab, frames)
     T.backward(T.sum_all(losses))
@@ -452,12 +493,12 @@ def test_stack_refuses_bad_frame_counts_and_garbage_in_real_rows():
     u = np.zeros((2, 4, 3))
     for frames in ([4], [4, 0], [4, 5]):
         with pytest.raises(ShapeError):
-            ctc_forward_backward(u, [(1,), (2,)], V3, frames)
+            ctc_loss_dp(u, [(1,), (2,)], V3, frames)
     with pytest.raises(ShapeError):
-        ctc_forward_backward(u, [(1,)], V3, [4, 4])
+        ctc_loss_dp(u, [(1,)], V3, [4, 4])
     with pytest.raises(InfeasibleTargetError):
-        ctc_forward_backward(u, [(1,), (2, 2)], V3, [4, 2])
+        ctc_loss_dp(u, [(1,), (2, 2)], V3, [4, 2])
     u[1, 1, 0] = math.nan
-    ctc_forward_backward(u, [(1,), (2,)], V3, [4, 1])  # NaN on a padded row
+    ctc_loss_dp(u, [(1,), (2,)], V3, [4, 1])  # NaN on a padded row
     with pytest.raises(ContractError):
-        ctc_forward_backward(u, [(1,), (2,)], V3, [4, 2])
+        ctc_loss_dp(u, [(1,), (2,)], V3, [4, 2])

@@ -1,3 +1,7 @@
+import hashlib
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -239,6 +243,54 @@ class TestSuites:
         report = check_ctc_suite(n_instances=5, seed=1)
         assert not report.passed
 
+    @pytest.mark.parametrize("field", ["nll", "posterior"])
+    def test_ctc_suite_fails_on_a_nan_deviation_after_the_first_instance(self, monkeypatch, field):
+        dp = harness.ctc_forward_backward
+        calls = []
+
+        def nan_on_the_fifth(u, y, vocab):
+            calls.append(1)
+            out = dp(u, y, vocab)
+            if len(calls) == 5:
+                out = out._replace(**{field: getattr(out, field) * math.nan})
+            return out
+
+        monkeypatch.setattr(harness, "ctc_forward_backward", nan_on_the_fifth)
+        report = check_ctc_suite(n_instances=6, seed=1)
+        assert len(calls) == 6
+        assert not report.passed
+
+    def test_bound_suite_fails_on_a_nan_slack_after_the_first_instance(self, monkeypatch):
+        check = harness.check_lower_bound
+        calls = []
+
+        def nan_on_the_third(model, x, y):
+            calls.append(1)
+            report = check(model, x, y)
+            return replace(report, slack=math.nan) if len(calls) == 3 else report
+
+        monkeypatch.setattr(harness, "check_lower_bound", nan_on_the_third)
+        report = bound_check_suite(n_instances=5, seed=2)
+        assert len(calls) == 5
+        assert not report.passed
+
+    # calls 1-50 check the CTC rule, 51 and 52 the two distillation forms
+    @pytest.mark.parametrize("nan_call", [3, 52])
+    def test_grad_suite_fails_on_a_nan_error_after_the_first_check(self, monkeypatch, nan_call):
+        calls = []
+
+        def nan_on_one_call(f, x):
+            calls.append(1)
+            return math.nan if len(calls) == nan_call else 0.0
+
+        monkeypatch.setattr(harness, "grad_check", nan_on_one_call)
+        monkeypatch.setattr(harness, "full_gradient_report",
+                            lambda *args, **kw: {"rel_err": 0.0, "param": None, "index": None,
+                                                 "coordinates": 0})
+        report = grad_check_suite(seed=0)
+        assert len(calls) == 52
+        assert not report.passed
+
     def test_bound_suite_small(self, tmp_path):
         csv = tmp_path / "bound.csv"
         report = bound_check_suite(n_instances=20, seed=2, csv_path=csv)
@@ -254,10 +306,37 @@ class TestSuites:
             for cell in line.split(","):
                 float(cell)  # a repr such as np.float64(-3.2) raises here
 
+    # The suites' details, pinned to the printed digit: a change to the
+    # enumeration, the DP or a suite's reduction that moves one shows here.
+
     def test_grad_suite_small(self):
         report = grad_check_suite(seed=3)
         assert report.passed
-        assert "worst_param" in report.details
+        assert report.details == {
+            "ctc_rel_err": "1.589e-07",
+            "kd_rel_err": "3.306e-09",
+            "objective_rel_err": "2.524e-07",
+            "worst_param": "oracle.enc0.ffn.w1[101]",
+            "coordinates": 2136,
+        }
+
+    def test_ctc_suite_details_at_the_cli_defaults(self):
+        report = check_ctc_suite()
+        assert report.lines() == [
+            "[PASS] ctc dp vs enumeration: instances=100, "
+            "max_loss_dev=1.776e-15, max_posterior_dev=1.110e-15"
+        ]
+
+    def test_bound_suite_details_and_csv_at_the_cli_defaults(self, tmp_path):
+        csv = tmp_path / "bound_report.csv"
+        report = bound_check_suite(csv_path=csv)
+        assert report.lines() == [
+            "[PASS] jensen lower bound: instances=200, "
+            "min_slack=0.000e+00, tight_slack=-4.441e-16"
+        ]
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+            "3fb282757e89aaa0272645df439864396b1dbdd9b4cbd592f9ba28ff07aabf6b"
+        )
 
 
 class TestSvg:
