@@ -17,7 +17,11 @@ it into the identity, which is what the structural reduction tests rely on.
 
 Both models map one source encoding to student logits with
 ``student_head`` and to teacher logits with ``teacher_logits``, so the
-objective, the diagnostics and inference share one path per head.
+objective, the diagnostics and inference share one path per head.  In
+training, the encoder-decoder runs both heads from one teacher-forced
+decoder pass (``student_and_teacher_logits``): the decoder body is shared,
+so it runs once over the ``(2B, ...)`` stack of the encoded sources and
+the fused memory, and each head reads its own B rows.
 ``predict`` and ``predict_teacher`` take a list of items and decode them
 all from one padded stack (``tasks.padded_stack``); the encoder-decoder
 greedy decode is one loop over the whole stack, run through either head.
@@ -31,7 +35,9 @@ for a source or memory, ``target_lengths`` for target-side tokens);
 padded cells are never read, and attention masks every padded key from
 those lengths, so each item's valid rows come out as they would alone.
 Attention runs all heads as one axis of its stacks, ``(..., heads, T,
-d / heads)``.
+d / heads)``: a sublayer is one ``tensor.project_heads`` node per
+projection and one ``tensor.attention`` node for the rest, with the
+weights still separate store entries read through ``ParamStore.get``.
 
 The greedy loop decodes a batch incrementally and in lockstep (Pope et
 al. 2022): it feeds ``decode_logits`` a ``(B, 1)`` stack of one new token
@@ -60,7 +66,7 @@ import numpy as np
 
 from . import tensor as tt
 from .ctc import Vocab, greedy_decode
-from .errors import CheckpointFormatError, ContractError, ShapeError, VocabularyError
+from .errors import CheckpointFormatError, ContractError, DomainError, ShapeError, VocabularyError
 from .tasks import padded_stack
 from .tensor import Tensor
 
@@ -307,7 +313,7 @@ class _TransformerBase:
         """``x`` times each of the named projections of an attention block,
         split into heads: ``(..., heads, T, d / heads)``."""
         s = self.store
-        return [tt.split_heads(tt.matmul(x, s.get(f"{prefix}.{part}")), self.cfg.heads) for part in parts]
+        return [tt.project_heads(x, s.get(f"{prefix}.{part}"), self.cfg.heads) for part in parts]
 
     def _memory_kv(self, prefix, memory):
         """Cross-attention keys and values of a layer's normed memory."""
@@ -316,13 +322,13 @@ class _TransformerBase:
     def _attend(self, prefix, q, k, v, mask=None, capture=None):
         """Scaled dot-product attention of head-split queries over head-split
         keys and values, every head at once as an axis of the stacks, then
-        the merged heads' output projection.  ``mask`` is added to the
-        scores."""
-        scores = tt.scale(tt.matmul(q, tt.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
-        w = tt.softmax(scores, axis=-1, mask=mask)
+        the merged heads' output projection: one ``tensor.attention`` node.
+        ``mask`` is added to the scores; ``capture`` takes the attention
+        weights averaged over the heads."""
+        out, weights = tt.attention(q, k, v, self.store.get(f"{prefix}.wo"), mask)
         if capture is not None:
-            capture.append(w.data.mean(axis=-3))
-        return tt.matmul(tt.merge_heads(tt.matmul(w, v)), self.store.get(f"{prefix}.wo"))
+            capture.append(weights.mean(axis=-3))
+        return out
 
     def _ffn(self, prefix, x):
         s = self.store
@@ -377,6 +383,12 @@ class _TransformerBase:
         emb = tt.embedding_lookup(self.store.get("oracle.embed"), np.where(masked, 0, ids))
         x = tt.add(tt.scale(emb, math.sqrt(self.cfg.d_model)), self._positions(ids.shape[-1]))
         return self._encoder_block("oracle.enc0", x, _key_mask(_valid_cells(lengths, ids.shape)))
+
+    def _guided(self, rep: Tensor, tokens, lengths, token_lengths) -> Tensor:
+        """``fuse`` of ``rep`` with the oracle guidance of ``tokens``;
+        ``lengths`` and ``token_lengths`` are those of padded stacks."""
+        guidance = self.oracle_guidance(tokens, token_lengths)
+        return self.fuse(rep, guidance, lengths=lengths, guidance_lengths=token_lengths)
 
     def fuse(self, rep: Tensor, guidance: Tensor, capture=None, lengths=None,
              guidance_lengths=None) -> Tensor:
@@ -444,9 +456,7 @@ class CtcModel(_TransformerBase):
         """Teacher frame logits from an already-encoded representation;
         ``lengths`` are the frames of a padded ``hidden``, and
         ``target_lengths`` those of the padded ``tokens``."""
-        guidance = self.oracle_guidance(tokens, target_lengths)
-        fused = self.fuse(hidden, guidance, lengths=lengths, guidance_lengths=target_lengths)
-        return self._head("teacher_out", fused)
+        return self._head("teacher_out", self._guided(hidden, tokens, lengths, target_lengths))
 
     @tt.no_grad()
     def predict(self, sources) -> list[tuple[int, ...]]:
@@ -532,6 +542,12 @@ class AedModel(_TransformerBase):
         keys and values.  A cache serves only the ``memory`` and ``lengths``
         objects of its first call.  A stack of prefixes ``(..., P)``
         decodes a padded stack of memories whose ``lengths`` are given.
+
+        ``head`` names the output head.  A tuple of n heads instead splits
+        the stack into n blocks of rows along its first axis, head i
+        reading block i, and the result is the tuple of their logits.  A
+        token outside 0..end raises ``VocabularyError`` before the cache
+        changes.
         """
         ids = np.asarray(prefix_ids, dtype=np.int64)
         if ids.ndim < 1:
@@ -541,8 +557,10 @@ class AedModel(_TransformerBase):
             raise ContractError("decoder prefix must start with the start symbol")
         if ids.size == 0:
             raise ContractError("no new decoder tokens")
-        if np.any((ids < 0) | (ids > self.eos)):
-            raise VocabularyError("decoder prefix token out of range")
+        try:  # the lookup's own range check is the only one
+            emb = tt.embedding_lookup(self.store.get("seq.tgt_embed"), ids)
+        except DomainError:
+            raise VocabularyError("decoder prefix token out of range") from None
         if cache is not None and cache.memory is not None:
             if cache.memory is not memory or cache.lengths is not lengths:
                 raise ContractError("decode cache was built for a different memory")
@@ -550,8 +568,7 @@ class AedModel(_TransformerBase):
         else:
             memory_mask = _key_mask(_valid_cells(lengths, memory.shape[:-1]))
         stop = start + ids.shape[-1]
-        x = tt.scale(tt.embedding_lookup(self.store.get("seq.tgt_embed"), ids), math.sqrt(self.cfg.d_model))
-        x = tt.add(x, self._positions(stop, start))
+        x = tt.add(tt.scale(emb, math.sqrt(self.cfg.d_model)), self._positions(stop, start))
         if cache is not None and cache.memory is None:
             cache.memory, cache.lengths, cache.memory_mask = memory, lengths, memory_mask
             cache.cross_kv = [self._memory_kv(f"seq.dec{i}", memory) for i in range(self.cfg.dec_layers)]
@@ -561,21 +578,34 @@ class AedModel(_TransformerBase):
             x = self._cross_block(f"seq.dec{i}", x, memory, mask, memory_mask, cache=cache, layer=i)
         if cache is not None:
             cache.length = stop
-        return self._head(head, x)
+        if isinstance(head, str):
+            return self._head(head, x)
+        if len(head) == 1:
+            return (self._head(head[0], x),)
+        n = x.shape[0] // len(head)
+        return tuple(self._head(h, tt.index(x, slice(i * n, i * n + n))) for i, h in enumerate(head))
 
-    def _teacher_forced(self, memory, target, head, lengths, target_lengths) -> Tensor:
-        """Logits through ``head`` over the start symbol then ``target``,
-        one row per target token plus one for the end."""
+    def _teacher_forced(self, memory, target, heads, lengths, target_lengths) -> tuple:
+        """Logits through each of ``heads`` over the start symbol then
+        ``target``, one row per target token plus one for the end, from
+        one decoder pass.
+
+        ``memory`` stacks one block of items per head along its first axis,
+        each block as many items as ``target``, and head i reads block i.
+        The target ids are validated once, and the prefix and the memory
+        ``lengths`` are tiled once per head."""
         y = _token_ids(target, target_lengths, "target", self.cfg.vocab_size)
         prefix = np.concatenate([np.full((*y.shape[:-1], 1), self.bos), y], axis=-1)
-        return self.decode_logits(memory, prefix, head=head, lengths=lengths)
+        if len(heads) > 1:
+            prefix, lengths = np.concatenate([prefix] * len(heads)), np.concatenate([lengths] * len(heads))
+        return self.decode_logits(memory, prefix, head=heads, lengths=lengths)
 
     def student_head(self, memory: Tensor, target, lengths=None, target_lengths=None) -> Tensor:
         """Teacher-forced student logits over len(target) + 1 positions
         (incl. end) from an already-encoded source; ``lengths`` are those
         of a padded ``memory``, ``target_lengths`` those of the padded
         ``target``."""
-        return self._teacher_forced(memory, target, "seq.out", lengths, target_lengths)
+        return self._teacher_forced(memory, target, ("seq.out",), lengths, target_lengths)[0]
 
     def teacher_logits(self, memory: Tensor, target, masked_target, lengths=None,
                        target_lengths=None) -> Tensor:
@@ -586,9 +616,20 @@ class AedModel(_TransformerBase):
         lengths are as for ``student_head``; ``masked_target`` is padded
         like ``target``.
         """
-        guidance = self.oracle_guidance(masked_target, target_lengths)
-        fused = self.fuse(memory, guidance, lengths=lengths, guidance_lengths=target_lengths)
-        return self._teacher_forced(fused, target, "teacher_out", lengths, target_lengths)
+        fused = self._guided(memory, masked_target, lengths, target_lengths)
+        return self._teacher_forced(fused, target, ("teacher_out",), lengths, target_lengths)[0]
+
+    def student_and_teacher_logits(self, memory: Tensor, target, masked_target, lengths,
+                                   target_lengths) -> tuple[Tensor, Tensor]:
+        """``student_head`` and ``teacher_logits`` of a padded batch, from
+        one decoder pass over the ``(2B, ...)`` stack of ``memory`` and the
+        fused memory.  Each row is that of the two calls, up to the order
+        in which a matrix product over the doubled row count sums."""
+        if memory.data.ndim < 3 or lengths is None:
+            raise ShapeError(f"a joint decoder pass needs a padded batch and its lengths, got {memory.shape}")
+        fused = self._guided(memory, masked_target, lengths, target_lengths)
+        return self._teacher_forced(tt.concat([memory, fused]), target, ("seq.out", "teacher_out"),
+                                    lengths, target_lengths)
 
     def _greedy(self, memory: Tensor, lengths, head: str) -> list[tuple[int, ...]]:
         """Greedy autoregressive decode through ``head`` of every row of a
@@ -626,8 +667,7 @@ class AedModel(_TransformerBase):
         """Greedy decodes of a list of sources with access to their
         (masked) targets via fusion."""
         ids, lengths, tokens, target_lengths = _padded_pairs(sources, masked_targets)
-        fused = self.fuse(self.encode(ids, lengths), self.oracle_guidance(tokens, target_lengths),
-                          lengths=lengths, guidance_lengths=target_lengths)
+        fused = self._guided(self.encode(ids, lengths), tokens, lengths, target_lengths)
         return self._greedy(fused, lengths, "teacher_out")
 
 

@@ -169,33 +169,38 @@ def loss_total(model, batch, config: TrainConfig, rng: np.random.Generator) -> S
     because the total is assembled from the same scalars.  For CTC, l_org
     and l_em come from one ``ctc_loss_dp`` call over the ``(2B, T, K)``
     stack of student and teacher logits (``(B, T, K)``, the student's
-    alone, with the teacher off).
+    alone, with the teacher off).  For the encoder-decoder, the student
+    and the teacher logits come from one teacher-forced decoder pass over
+    the ``(2B, L, d)`` stack of the encoded sources and the fused memory
+    (``AedModel.student_and_teacher_logits``), each head reading its own
+    B rows; with the teacher off the pass is over the encoded sources
+    alone.
     """
     if not isinstance(batch, Batch):
         batch = Batch(batch)
     ctc = isinstance(model, CtcModel)
     lengths, y_ids, y_lengths = batch.lengths, batch.target_ids, batch.target_lengths
     encoded = model.encode(batch.sources, lengths)
-    if ctc:
-        u_s = model.student_head(encoded)
-        rows = lengths
-    else:
-        u_s = model.student_head(encoded, y_ids, lengths, y_lengths)
-        rows = y_lengths + 1
-    # each item's real rows weigh 1/len, padding 0, and the items 1/B
-    valid = np.arange(u_s.shape[-2]) < rows[:, None]
-    weights = np.where(valid, 1.0 / rows[:, None], 0.0) / len(batch)
+    masked = [None] * len(batch)  # the CTC teacher sees all of y
     u_t = None
-    if config.use_teacher:
-        masked = [None] * len(batch)  # the CTC teacher sees all of y
-        if ctc:
+    if ctc:
+        rows = lengths
+        u_s = model.student_head(encoded)
+        if config.use_teacher:
             u_t = model.teacher_logits(encoded, y_ids, lengths=lengths, target_lengths=y_lengths)
-        else:
+    else:
+        rows = y_lengths + 1
+        if config.use_teacher:
             masked = [mask_target(y, config.lambda_mask, rng) for y in batch.targets]
             masked_ids = y_ids.copy()
             for i, m in enumerate(masked):
                 masked_ids[i, : len(m)] = m
-            u_t = model.teacher_logits(encoded, y_ids, masked_ids, lengths=lengths, target_lengths=y_lengths)
+            u_s, u_t = model.student_and_teacher_logits(encoded, y_ids, masked_ids, lengths, y_lengths)
+        else:
+            u_s = model.student_head(encoded, y_ids, lengths, y_lengths)
+    # each item's real rows weigh 1/len, padding 0, and the items 1/B
+    valid = np.arange(u_s.shape[-2]) < rows[:, None]
+    weights = np.where(valid, 1.0 / rows[:, None], 0.0) / len(batch)
     l_org, l_em = _sequence_losses(model, u_s, u_t, batch, weights)
     if config.use_teacher:
         l_kd = _kd_loss(model, config, u_s, u_t, weights)

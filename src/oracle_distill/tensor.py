@@ -2,11 +2,12 @@
 
 Every value that participates in training is a :class:`Tensor` wrapping a
 numpy float64 array.  An op's result owns the array the op computed, or
-is a view of its input (``transpose``, ``split_heads``, ``index``), with
-no copy of either; only ``Tensor(...)`` and ``custom_op`` copy what they
-are given.  Operations build an implicit computation graph; :func:`backward` replays it in reverse execution order and
-accumulates gradients into the ``grad`` field of every leaf that was
-created with ``requires_grad=True``.  Gradients accumulate across repeated
+is a view of it (the heads of ``project_heads``) or of its input
+(``index``), with no copy; only ``Tensor(...)`` and ``custom_op`` copy
+what they are given.  Operations build an implicit computation graph;
+:func:`backward` replays it in reverse execution order and accumulates
+gradients into the ``grad`` field of every leaf that was created with
+``requires_grad=True``.  Gradients accumulate across repeated
 backward calls until explicitly zeroed, which is what lets several loss
 terms sum their contributions into shared parameters.
 
@@ -21,17 +22,23 @@ Every op works on stacks: leading axes are batch axes (items, attention
 heads), and the last one or two axes are what the op is about.  Broadcasting
 is deliberately restricted: a number with a tensor, in ``add`` only; ``add``
 of a tensor whose shape is a suffix of the other's (a bias row, a position
-table), repeated over the leading axes; ``matmul`` of a stack by one weight
-matrix; and ``scale`` and the ``softmax`` mask, whose constant arrays
-broadcast to the tracked operand's shape.  Everything else requires exact
-shape agreement.  ``layer_norm`` adds ``LAYER_NORM_EPS`` = 1e-5 to the
-variance.
+table), repeated over the leading axes; ``matmul`` and ``project_heads`` of
+a stack by one weight matrix; and the constant arrays of ``scale`` and of
+the ``attention`` mask, which broadcast to the shape of the tracked
+operand (the attention scores).  Everything else requires exact shape
+agreement.  ``layer_norm`` adds ``LAYER_NORM_EPS`` = 1e-5 to the variance.
+
+Attention is two fused ops, each one tape node: ``project_heads`` is a
+projection split into heads, and ``attention`` takes head-split queries,
+keys and values through the masked softmax to the merged heads' output
+projection.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -196,6 +203,23 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _by_weight(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for a stack ``(..., n, k)`` and one ``k x m`` weight, as a
+    single matrix product over every row."""
+    # one matrix, alone or as a stack of one, is multiplied as that matrix,
+    # without the two reshapes that cost more than the product of one
+    # decoded row
+    if x.size == x.shape[-2] * x.shape[-1]:
+        return x @ w
+    return (x.reshape(-1, w.shape[0]) @ w).reshape(*x.shape[:-1], w.shape[1])
+
+
+def _by_weight_grads(x: np.ndarray, w: np.ndarray, g: np.ndarray) -> tuple:
+    """The gradients of ``_by_weight(x, w)`` with respect to x and w."""
+    g = g.reshape(-1, w.shape[1])
+    return (g @ w.T).reshape(x.shape), x.reshape(-1, w.shape[0]).T @ g
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """``a @ b`` over a's leading axes: a stack ``(..., n, k)`` times one
     ``k x m`` weight, run as a single matrix product over every row, or
@@ -205,19 +229,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if (x.ndim < 2 or w.ndim < 2 or x.shape[-1] != w.shape[-2]
             or (w.ndim > 2 and x.shape[:-2] != w.shape[:-2])):
         raise ShapeError(f"matmul {a.shape} @ {b.shape}")
-    if x.ndim > 2 and w.ndim == 2:
-        k, m = w.shape
-
-        def bwd(g):
-            g = g.reshape(-1, m)
-            return (g @ w.T).reshape(x.shape), x.reshape(-1, k).T @ g
-
-        # a stack of one matrix is multiplied as that matrix, by the same
-        # BLAS call, without the two reshapes that cost more than the
-        # product of one decoded row
-        if x.size == x.shape[-2] * k:
-            return _node(x @ w, (a, b), bwd)
-        return _node((x.reshape(-1, k) @ w).reshape(*x.shape[:-1], m), (a, b), bwd)
+    if w.ndim == 2:
+        return _node(_by_weight(x, w), (a, b), lambda g: _by_weight_grads(x, w, g))
 
     def bwd(g):
         return g @ w.swapaxes(-1, -2), x.swapaxes(-1, -2) @ g
@@ -225,31 +238,72 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(x @ w, (a, b), bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose needs at least a matrix, got {a.shape}")
-    return _node(a.data.swapaxes(-1, -2), (a,), lambda g: (g.swapaxes(-1, -2),))
+def project_heads(x: Tensor, w: Tensor, heads: int) -> Tensor:
+    """``x @ w`` split into heads: ``(..., T, k)`` times one ``k x m``
+    weight gives ``(..., heads, T, m / heads)``, each head's columns one
+    slice of the new heads axis.  The split result is a view of the
+    product."""
+    x, w = as_tensor(x), as_tensor(w)
+    xd, wd = x.data, w.data
+    if xd.ndim < 2 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0]:
+        raise ShapeError(f"project_heads {x.shape} @ {w.shape}")
+    if heads < 1 or wd.shape[1] % heads:
+        raise ShapeError(f"cannot split {wd.shape[1]} columns into {heads} heads")
+    y = _by_weight(xd, wd)
+    shape = y.shape
+    out = y.reshape(*shape[:-1], heads, shape[-1] // heads).swapaxes(-3, -2)
+    return _node(out, (x, w), lambda g: _by_weight_grads(xd, wd, g.swapaxes(-3, -2).reshape(shape)))
 
 
-def split_heads(a: Tensor, heads: int) -> Tensor:
-    """``(..., T, heads * dh)`` to ``(..., heads, T, dh)``: each head's
-    columns become one slice of a new heads axis; undone by ``merge_heads``."""
-    shape = a.data.shape
-    if len(shape) < 2 or heads < 1 or shape[-1] % heads:
-        raise ShapeError(f"cannot split {shape} into {heads} heads")
-    out = a.data.reshape(*shape[:-1], heads, shape[-1] // heads).swapaxes(-3, -2)
-    return _node(out, (a,), lambda g: (g.swapaxes(-3, -2).reshape(shape),))
+def attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, mask=None) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product attention over head-split stacks, then the merged
+    heads' output projection, as one node:
+    ``merge(softmax(q kᵀ / sqrt(dh) + mask) v) @ wo``.
 
+    ``q`` is ``(..., heads, Tq, dh)``, ``k`` and ``v`` are ``(..., heads,
+    Tk, dh)`` with the same leading axes, and ``wo`` is ``heads * dh x m``;
+    the output is ``(..., Tq, m)``.  ``mask`` is an untracked constant added
+    to the scores, broadcasting to ``(..., heads, Tq, Tk)``: 0 keeps a key,
+    ``-inf`` gives it weight exactly 0.  Every query must keep a key.
+    Returns the output and the attention weights P, an array.
 
-def merge_heads(a: Tensor) -> Tensor:
-    """``(..., heads, T, dh)`` to ``(..., T, heads * dh)``, the inverse of
-    ``split_heads``."""
-    if a.data.ndim < 3:
-        raise ShapeError(f"merge_heads needs a heads axis, got {a.shape}")
-    *lead, h, t, dh = a.data.shape
-    out = a.data.swapaxes(-3, -2).reshape(*lead, t, h * dh)
-    return _node(out, (a,), lambda g: (g.reshape(*lead, t, h, dh).swapaxes(-3, -2),))
+    The backward rule is the softmax one, ``dS = P * (dP - rowsum(dP * P))``
+    (Dao et al. 2022), evaluated with the same numpy expressions, in the
+    same order, as the chain of single-op nodes it fuses (transpose,
+    matmul, scale, softmax, matmul, head merge, matmul), so both give the
+    same bits.
+    """
+    q, k, v, wo = (as_tensor(t) for t in (q, k, v, wo))
+    qd, kd, vd, w = q.data, k.data, v.data, wo.data
+    if (qd.ndim < 3 or kd.shape != vd.shape or kd.shape[:-2] != qd.shape[:-2]
+            or kd.shape[-1] != qd.shape[-1] or w.shape[0] != qd.shape[-3] * qd.shape[-1]):
+        raise ShapeError(f"attention of q {q.shape}, k {k.shape}, v {v.shape}, wo {wo.shape}")
+    c = 1.0 / math.sqrt(qd.shape[-1])
+    kt = kd.swapaxes(-1, -2)
+    scores = (qd @ kt) * c
+    if mask is not None:
+        try:
+            fits = np.broadcast_shapes(np.shape(mask), scores.shape) == scores.shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ShapeError(f"attention mask {np.shape(mask)} for scores {scores.shape}")
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    o = p @ vd
+    *lead, h, t, dh = o.shape
+    merged = o.swapaxes(-3, -2).reshape(*lead, t, h * dh)
+
+    def bwd(g):
+        d_merged, d_wo = _by_weight_grads(merged, w, g)
+        d_o = d_merged.reshape(*lead, t, h, dh).swapaxes(-3, -2)
+        d_p = d_o @ vd.swapaxes(-1, -2)
+        d_v = p.swapaxes(-1, -2) @ d_o
+        d_s = (p * (d_p - (d_p * p).sum(axis=-1, keepdims=True))) * c
+        return d_s @ kt.swapaxes(-1, -2), (qd.swapaxes(-1, -2) @ d_s).swapaxes(-1, -2), d_v, d_wo
+
+    return _node(_by_weight(merged, w), (q, k, v, wo), bwd), p
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -308,22 +362,12 @@ def relu(a: Tensor) -> Tensor:
     return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
-def softmax(a: Tensor, axis: int = -1, mask=None) -> Tensor:
-    """Rows sum to one; stabilized by max subtraction along ``axis``.
-
-    ``mask`` is an untracked constant added to ``a`` first, broadcasting to
-    its shape: 0 keeps an entry, ``-inf`` gives it weight exactly 0 (an
-    attention mask).  Every row must keep at least one entry."""
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """Rows sum to one; stabilized by max subtraction along ``axis``."""
     a = as_tensor(a)
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    x = a.data
-    if mask is not None:
-        if np.broadcast_shapes(np.shape(mask), a.shape) != a.shape:
-            raise ShapeError(f"softmax mask {np.shape(mask)} for shape {a.shape}")
-        x = x + mask
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
     out = e / e.sum(axis=axis, keepdims=True)
 
     def bwd(g):

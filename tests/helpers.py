@@ -1,11 +1,13 @@
 """Helpers that only the tests use: the ablations behind the paper's
-structural reduction checks, the per-tensor Adam that the fused one is
-checked against, the one-instance CTC DP that the stacked one is checked
-against, the path-by-path alignment scan that the vectorised one is
-checked against, the distillation-surrogate audit, and the reader for the
-dataset files that ``gen-data`` writes."""
+structural reduction checks, the chain of single ops that the fused
+attention ops are checked against, the per-tensor Adam that the fused one
+is checked against, the one-instance CTC DP that the stacked one is
+checked against, the path-by-path alignment scan that the vectorised one
+is checked against, the distillation-surrogate audit, and the reader for
+the dataset files that ``gen-data`` writes."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -61,6 +63,53 @@ def tie_teacher_head(model) -> None:
     """Copy the student head weights into the teacher head."""
     model.store.peek("teacher_out.w").data[...] = model.store.peek("seq.out.w").data
     model.store.peek("teacher_out.b").data[...] = model.store.peek("seq.out.b").data
+
+
+# ---------------------------------------------------------------------------
+# reference attention
+# ---------------------------------------------------------------------------
+
+
+def _split_heads(a: Tensor, heads: int) -> Tensor:
+    """``(..., T, heads * dh)`` to ``(..., heads, T, dh)``, a view."""
+    shape = a.data.shape
+    out = a.data.reshape(*shape[:-1], heads, shape[-1] // heads).swapaxes(-3, -2)
+    return T._node(out, (a,), lambda g: (g.swapaxes(-3, -2).reshape(shape),))
+
+
+def _merge_heads(a: Tensor) -> Tensor:
+    """``(..., heads, T, dh)`` to ``(..., T, heads * dh)``."""
+    *lead, h, t, dh = a.data.shape
+    out = a.data.swapaxes(-3, -2).reshape(*lead, t, h * dh)
+    return T._node(out, (a,), lambda g: (g.reshape(*lead, t, h, dh).swapaxes(-3, -2),))
+
+
+def _transpose(a: Tensor) -> Tensor:
+    return T._node(a.data.swapaxes(-1, -2), (a,), lambda g: (g.swapaxes(-1, -2),))
+
+
+def _masked_softmax(a: Tensor, mask) -> Tensor:
+    """Softmax over the last axis of ``a + mask``."""
+    x = a.data if mask is None else a.data + mask
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
+    return T._node(out, (a,), lambda g: (out * (g - (g * out).sum(axis=-1, keepdims=True)),))
+
+
+def reference_attention(x: Tensor, memory: Tensor, wq, wk, wv, wo, heads: int, mask=None):
+    """An attention sublayer as the chain of single-op nodes that
+    ``tensor.project_heads`` and ``tensor.attention`` replace: the oracle
+    they must match bit for bit, forward and backward.
+
+    Queries are ``x`` projected by ``wq``, keys and values ``memory`` by
+    ``wk`` and ``wv`` (in that order), each split into heads; then
+    ``transpose``, ``matmul``, ``scale``, the masked softmax, ``matmul``
+    with the values, the head merge and the output ``matmul``.  Returns the
+    output and the attention weights."""
+    q, k, v = (_split_heads(T.matmul(src, w), heads) for src, w in ((x, wq), (memory, wk), (memory, wv)))
+    scores = T.scale(T.matmul(q, _transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
+    weights = _masked_softmax(scores, mask)
+    return T.matmul(_merge_heads(T.matmul(weights, v)), wo), weights.data
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from oracle_distill import models, objectives
 from oracle_distill import tensor as T
 from oracle_distill.config import RunConfig
 from oracle_distill.ctc import min_frames
-from oracle_distill.errors import ContractError
+from oracle_distill.errors import ContractError, ShapeError
 from oracle_distill.models import MASK, AedModel, CtcModel, ModelConfig
 from oracle_distill.objectives import TrainConfig, loss_total
 from oracle_distill.tasks import (
@@ -35,8 +35,11 @@ def _grads(model, out):
 
 
 @st.composite
-def models_and_batches(draw):
-    task = draw(st.sampled_from(("ctc", "aed")))
+def models_and_batches(draw, aed_teacher_only=False):
+    """A small model of either task, a training config, a batch and a mask
+    seed; encoder-decoder models with the teacher on alone if
+    ``aed_teacher_only``."""
+    task = "aed" if aed_teacher_only else draw(st.sampled_from(("ctc", "aed")))
     heads = draw(st.integers(1, 2))
     cfg = ModelConfig(
         task=task,
@@ -57,7 +60,7 @@ def models_and_batches(draw):
         kd_form=draw(st.sampled_from(("l2", "kl"))),
         stop_teacher_grad=draw(st.booleans()),
         temperature=draw(st.sampled_from((1.0, 2.0))),
-        use_teacher=draw(st.booleans()),
+        use_teacher=aed_teacher_only or draw(st.booleans()),
     )
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     n = draw(st.integers(1, 4))
@@ -91,13 +94,14 @@ def _mean_grads(model, singles):
     return want
 
 
-def _ulp_movement(model, batch, train, mask_seed, want):
-    """Largest change of the mean single-item gradient ``want`` when every
-    parameter moves up by one ulp: how much this model amplifies round-off."""
+def _ulp_movement(model, gradient, want):
+    """Largest change of the gradient ``want`` that ``gradient()`` computes
+    when every parameter moves up by one ulp: how much this model amplifies
+    round-off."""
     saved = [(t, t.data.copy()) for t in model.store.tensors()]
     for t, data in saved:
         t.data[...] = np.nextafter(data, np.inf)
-    nudged = _mean_grads(model, _singles(model, batch, train, mask_seed))
+    nudged = gradient()
     for t, data in saved:
         t.data[...] = data
     return max(np.abs(nudged[name] - want[name]).max() for name in want)
@@ -138,7 +142,8 @@ def test_batched_objective_equals_the_mean_of_single_items(case):
     # gap never exceeded 4.9 times that movement.
     want = _mean_grads(model, singles)
     scale = max(np.abs(g).max() for g in want.values())
-    tol = max(1e-12 * scale, 16 * _ulp_movement(model, batch, train, mask_seed, want))
+    movement = _ulp_movement(model, lambda: _mean_grads(model, _singles(model, batch, train, mask_seed)), want)
+    tol = max(1e-12 * scale, 16 * movement)
     for name, g in grads.items():
         assert np.abs(g - want[name]).max() <= tol, name
 
@@ -191,10 +196,77 @@ def test_tape_grows_by_a_small_constant_per_item(task):
         len(T.Tape(loss_total(model, data[:b], train, np.random.default_rng(0)).total).nodes)
         for b in range(1, 9)
     ]
-    # one graph whatever the batch: the CTC terms share one DP node
+    # one graph whatever the batch: the CTC terms share one DP node, and
+    # the encoder-decoder's two heads one decoder pass
     assert nodes == [nodes[0]] * 8
-    if task == "aed":
-        assert nodes[-1] < 400
+    # an attention sublayer is four nodes: three projections and the core
+    assert nodes[0] == {"ctc": 85, "aed": 141}[task]
+
+
+def _two_pass(model):
+    """``model.student_and_teacher_logits`` as separate ``student_head`` and
+    ``teacher_logits`` calls, two decoder passes in that order."""
+
+    def two_pass(memory, target, masked_target, lengths, target_lengths):
+        return (model.student_head(memory, target, lengths, target_lengths),
+                model.teacher_logits(memory, target, masked_target, lengths, target_lengths))
+
+    return two_pass
+
+
+def _check_joint_pass(model, train, batch, mask_seed, exact):
+    """The joint decoder pass of ``loss_total`` against two passes.
+
+    ``exact``: logits and terms bit for bit, gradients within 1e-12 of the
+    largest.  Otherwise within round-off: BLAS picks its kernel for a
+    product by the row count, which the stack doubles, and for a product
+    with at most 3 output columns whose row count is not a multiple of 4
+    the kernels sum in different orders."""
+    joint = loss_total(model, batch, train, np.random.default_rng(mask_seed))
+    grads = _grads(model, joint)
+
+    def apart():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "student_and_teacher_logits", _two_pass(model))
+            return loss_total(model, batch, train, np.random.default_rng(mask_seed))
+
+    ref = apart()
+    want = _grads(model, ref)
+    pairs = [(a.data, b.data) for a, b in zip(joint.terms, ref.terms)]
+    for side in ("student_logits", "teacher_logits"):
+        pairs += list(zip(getattr(joint, side), getattr(ref, side)))
+    scale = max(np.abs(g).max() for g in want.values())
+    if exact:
+        assert joint.breakdown == ref.breakdown
+        assert all(a.tobytes() == b.tobytes() for a, b in pairs)
+        tol = 1e-12 * scale
+    else:
+        for a, b in pairs:
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
+        tol = max(1e-12 * scale, 16 * _ulp_movement(model, lambda: _grads(model, apart()), want))
+    for name, g in grads.items():
+        assert np.abs(g - want[name]).max() <= tol, name
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_decoder_pass_serves_both_heads(seed):
+    cfg = RunConfig(task="aed", seed=seed).resolved()
+    data = split_examples(gen_aed_dataset(cfg.task_spec(), 80), "train")
+    model = AedModel(cfg.model_config(), seed=seed)
+    _check_joint_pass(model, cfg.train_config(), Batch(data[:8]), seed, exact=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(models_and_batches(aed_teacher_only=True))
+def test_one_decoder_pass_serves_both_heads_of_any_model(case):
+    model, train, batch, mask_seed = case
+    _check_joint_pass(model, train, batch, mask_seed, exact=False)
+
+
+def test_a_joint_pass_needs_a_batch():
+    model = AedModel(ModelConfig(task="aed", vocab_size=2, d_model=4), seed=0)
+    with pytest.raises(ShapeError, match="padded batch"):
+        model.student_and_teacher_logits(model.encode((1, 2)), (1,), (MASK,), None, None)
 
 
 @pytest.mark.parametrize("use_teacher", [True, False])

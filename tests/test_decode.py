@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_distill import tensor as T
-from oracle_distill.errors import ContractError
+from oracle_distill.errors import ContractError, VocabularyError
 from oracle_distill.models import (
     AUX_PREFIXES,
     MASK,
@@ -210,6 +210,23 @@ class TestCacheMisuse:
         with pytest.raises(ContractError, match="max_len"):
             model.decode_logits(memory, [4], cache=cache)
         assert cache.length == 4
+
+    def test_a_token_out_of_range_is_refused_before_the_cache_changes(self):
+        model = tiny_aed()
+        memory = model.encode((1, 2))
+        cache = DecodeCache()
+        with pytest.raises(VocabularyError, match="decoder prefix token out of range"):
+            model.decode_logits(memory, [model.bos, model.eos + 1], cache=cache)
+        assert cache.memory is None and cache.length == 0
+        model.decode_logits(memory, [model.bos], cache=cache)
+        cross_kv, self_kv = list(cache.cross_kv), list(cache.self_kv)
+        for bad in (-1, model.eos + 1):
+            with pytest.raises(VocabularyError, match="decoder prefix token out of range"):
+                model.decode_logits(memory, [bad], cache=cache)
+            assert cache.length == 1 and cache.memory is memory
+            assert all(a is b for a, b in zip(cache.cross_kv + cache.self_kv, cross_kv + self_kv))
+        model.decode_logits(memory, [model.eos], cache=cache)
+        assert cache.length == 2
 
     def test_a_call_needs_new_tokens(self):
         model = tiny_aed()

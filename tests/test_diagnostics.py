@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from oracle_distill.cli import main
 from oracle_distill.ctc import Vocab, ctc_loss_dp, min_frames
 from oracle_distill.diagnostics import (
     bound_report_from_logits,
@@ -213,6 +215,22 @@ class TestDumps:
         assert mat.max() < 0.6
         entropy = -(mat * np.log(mat)).sum(axis=1).mean()
         assert entropy >= 0.85 * math.log(len(y))
+
+
+def test_attention_dump_of_a_short_aed_run_is_pinned(tmp_path):
+    # A 20-step student-only run: the checkpoint depends on no teacher-side
+    # gradient, so the digest pins the dump and its capture of the fusion
+    # attention weights, not how the teacher trains.
+    (tmp_path / "run.cfg").write_text("task = aed\nsteps = 20\nn_examples = 80\nuse_teacher = false\n")
+    assert main(["train", "--config", str(tmp_path / "run.cfg"), "--seed", "2",
+                 "--out", str(tmp_path / "run")]) == 0
+    assert main(["dump", "--checkpoint", str(tmp_path / "run" / "checkpoint_final.txt"),
+                 "--example-id", "1", "--what", "attention", "--out", str(tmp_path / "dump")]) == 0
+    csv = (tmp_path / "dump" / "attention_1.csv").read_bytes()
+    assert len(csv.splitlines()) == 50
+    assert hashlib.sha256(csv).hexdigest() == (
+        "8ac7cf5b188320fb27eed07d6cc80155ef443ed3346ef2a0419f183e9fe32f76"
+    )
 
 
 class TestRepetitionRatio:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle_distill import tensor as T
 from oracle_distill.errors import ContractError, DomainError, ShapeError
 from oracle_distill.tensor import Tensor, backward, grad_check
 
-from helpers import sum_sq
+from helpers import reference_attention, sum_sq
 
 
 def rand_tensor(rng, shape, scale=1.0):
@@ -99,14 +101,15 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             T.matmul(Tensor(x), Tensor(rng.standard_normal((3, 4, 5))))
 
-    def test_heads_split_by_columns_and_merge_back(self):
-        a = Tensor(np.random.default_rng(4).standard_normal((2, 3, 6)))
-        heads = T.split_heads(a, 3)
+    def test_project_heads_split_by_columns(self):
+        rng = np.random.default_rng(4)
+        a, w = Tensor(rng.standard_normal((2, 3, 5))), Tensor(rng.standard_normal((5, 6)))
+        heads = T.project_heads(a, w, 3)
         assert heads.shape == (2, 3, 3, 2)
-        np.testing.assert_array_equal(heads.data[1, 2], a.data[1, :, 4:6])
-        np.testing.assert_array_equal(T.merge_heads(heads).data, a.data)
-        with pytest.raises(ShapeError):
-            T.split_heads(a, 4)
+        np.testing.assert_array_equal(heads.data[1, 2], T.matmul(a, w).data[1, :, 4:6])
+        for bad in ((a, w, 4), (a, Tensor(np.zeros((4, 6))), 3), (Tensor(np.zeros(5)), w, 3)):
+            with pytest.raises(ShapeError):
+                T.project_heads(*bad)
 
     def test_add_broadcasts_a_suffix_only(self):
         stack = Tensor(np.zeros((2, 3, 4)))
@@ -115,10 +118,18 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             T.add(stack, Tensor(np.zeros((2, 4))))
 
-    def test_softmax_mask_gives_exact_zeros(self):
-        mask = np.array([0.0, -np.inf, 0.0])
-        out = T.softmax(Tensor(np.array([[1.0, 50.0, 1.0], [0.0, 3.0, 0.0]])), mask=mask)
-        np.testing.assert_array_equal(out.data, [[0.5, 0.0, 0.5], [0.5, 0.0, 0.5]])
+    def test_attention_mask_gives_exact_zeros(self):
+        # one head, two queries that score keys 0 and 2 alike; key 1 masked
+        q = Tensor(np.array([[[1.0], [0.0]]]))
+        k = Tensor(np.array([[[1.0], [50.0], [1.0]]]))
+        v = Tensor(np.array([[[2.0], [9.0], [4.0]]]))
+        out, weights = T.attention(q, k, v, Tensor(np.eye(1)), mask=np.array([0.0, -np.inf, 0.0]))
+        np.testing.assert_array_equal(weights, [[[0.5, 0.0, 0.5], [0.5, 0.0, 0.5]]])
+        np.testing.assert_array_equal(out.data, [[3.0], [3.0]])
+        with pytest.raises(ShapeError):
+            T.attention(q, k, v, Tensor(np.eye(1)), mask=np.zeros(2))
+        with pytest.raises(ShapeError):
+            T.attention(q, k, T.index(v, (slice(None), slice(0, 2))), Tensor(np.eye(1)))
 
     def test_index_and_stack(self):
         a = Tensor(np.arange(12.0).reshape(2, 3, 2))
@@ -213,7 +224,6 @@ def _fd_cases(rng):
 
     cases = {
         "matmul": lambda t: sum_sq(T.matmul(t, right)),
-        "transpose": lambda t: sum_sq(T.matmul(T.transpose(t), other)),
         "add": lambda t: sum_sq(T.add(t, other)),
         "mul": lambda t: sum_sq(T.mul(t, other)),
         "scale": lambda t: sum_sq(T.scale(t, -1.7)),
@@ -240,15 +250,11 @@ def _fd_cases(rng):
 
     # stacks: leading item and head axes
     s3 = rand_tensor(rng, (2, 3, 4))
-    s4 = rand_tensor(rng, (2, 2, 3, 2))
     fixed3 = away_from_zero((2, 3, 4))
-    fixed4 = away_from_zero((2, 2, 3, 2))
     other_stack = away_from_zero((2, 4, 2))
     row = rand_tensor(rng, (4,))
     nd_ids = rng.integers(0, 3, size=(2, 5))
     nd_cols = rng.integers(0, 4, size=(2, 3))
-    mask = np.where(rng.random((2, 1, 4)) < 0.3, -np.inf, 0.0)
-    mask[..., 0] = 0.0  # every row keeps an entry
     rows_weight = away_from_zero((2, 5, 4))
     cases.update({
         "matmul_stack_by_weight": (lambda t: sum_sq(T.matmul(t, right)), s3),
@@ -257,19 +263,57 @@ def _fd_cases(rng):
         "matmul_stacks_left": (lambda t: sum_sq(T.matmul(t, other_stack)), s3),
         "matmul_stacks_right": (lambda t: sum_sq(T.matmul(fixed3, t)),
                                 Tensor(other_stack.data, requires_grad=True)),
-        "transpose_stack": (lambda t: sum_sq(T.mul(T.transpose(t), T.transpose(fixed3))), s3),
-        "split_heads": (lambda t: sum_sq(T.mul(T.split_heads(t, 2), fixed4)), s3),
-        "merge_heads": (lambda t: sum_sq(T.mul(T.merge_heads(t), fixed3)), s4),
         "add_suffix_row": (lambda b: sum_sq(T.add(fixed3, b)), row),
         "add_suffix_matrix": (lambda t: sum_sq(T.add(fixed3, t)), m),
-        "softmax_mask": (lambda t: sum_sq(T.mul(T.softmax(t, mask=mask), fixed3)), s3),
         "embedding_nd": (lambda t: sum_sq(T.mul(T.embedding_lookup(t, nd_ids), rows_weight)), m),
         "pick_nd": (lambda t: sum_sq(T.pick(t, nd_cols)), s3),
     })
+    cases.update(_attention_fd_cases(rng, away_from_zero))
     # the affine layer norm, differentiated by its input, gain and bias
     cases["layer_norm_affine_input"] = (lambda t: affine_layer_norm(t, gain, shift), m)
     cases["layer_norm_affine_gain"] = (lambda g: affine_layer_norm(m, g, shift), gain)
     cases["layer_norm_affine_bias"] = (lambda b: affine_layer_norm(m, gain, b), shift)
+    return cases
+
+
+def _attention_fd_cases(rng, away_from_zero):
+    """``project_heads`` and ``attention``, each differentiated by every
+    input: a padded stack of two items under a key mask with padded query
+    rows, a one-row ``(1, 1)`` decode step, and unbatched 3-D heads."""
+    def fused(q, k, v, wo, mask, weight):
+        return sum_sq(T.mul(T.attention(q, k, v, wo, mask)[0], weight))
+
+    cases = {}
+    x, w = rand_tensor(rng, (2, 3, 4)), rand_tensor(rng, (4, 4))
+    heads_weight = away_from_zero((2, 2, 3, 2))
+    cases["project_heads"] = (lambda t: sum_sq(T.mul(T.project_heads(t, w, 2), heads_weight)), x)
+    cases["project_heads_w"] = (lambda t: sum_sq(T.mul(T.project_heads(x, t, 2), heads_weight)), w)
+    row = rand_tensor(rng, (1, 1, 4))
+    row_weight = away_from_zero((1, 2, 1, 2))
+    cases["project_heads_decode_row"] = (lambda t: sum_sq(T.mul(T.project_heads(row, t, 2), row_weight)), w)
+    flat, flat_weight = rand_tensor(rng, (3, 4)), away_from_zero((2, 3, 2))
+    cases["project_heads_unbatched"] = (lambda t: sum_sq(T.mul(T.project_heads(t, w, 2), flat_weight)), flat)
+
+    # (items, heads, positions, dh): item 1's last query row is padding,
+    # weighted 0 like a padded row of a loss
+    key_mask = np.where(rng.random((2, 1, 1, 4)) < 0.3, -np.inf, 0.0)
+    key_mask[..., 0] = 0.0  # every query keeps a key
+    key_mask[1, ..., -1] = -np.inf  # item 1 is padded by a key
+    shapes = {"": ((2, 2, 3, 2), (2, 2, 4, 2), key_mask),
+              "_decode": ((1, 2, 1, 2), (1, 2, 4, 2), None),
+              "_unbatched": ((2, 3, 2), (2, 4, 2), None)}
+    for tag, (q_shape, kv_shape, mask) in shapes.items():
+        args = [rand_tensor(rng, q_shape), rand_tensor(rng, kv_shape), rand_tensor(rng, kv_shape),
+                rand_tensor(rng, (4, 4))]
+        out_shape = (*q_shape[:-3], q_shape[-2], 4)
+        weight = away_from_zero(out_shape)
+        if tag == "":
+            weight.data[1, -1] = 0.0
+        for i, name in enumerate(("q", "k", "v", "wo")):
+            def f(t, i=i, args=args, mask=mask, weight=weight):
+                return fused(*args[:i], t, *args[i + 1:], mask, weight)
+
+            cases[f"attention{tag}_{name}"] = (f, args[i])
     return cases
 
 
@@ -279,6 +323,59 @@ def test_every_op_gradient_matches_finite_differences(seed):
     for name, (f, x) in _fd_cases(rng).items():
         err = grad_check(f, x)
         assert err <= 1e-5, f"{name}: rel err {err:.3e}"
+
+
+@st.composite
+def attention_cases(draw):
+    """Inputs of one attention sublayer: self-attention or cross-attention
+    into a memory, over a padded stack of items or one unbatched item,
+    under no mask, a key mask or a causal mask, with a cotangent for the
+    output."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    heads, dh = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    d, width = heads * dh, draw(st.integers(1, 4))
+    lead = draw(st.sampled_from(((), (1,), (2,), (3,))))
+    t_q = draw(st.integers(1, 4))
+    cross = draw(st.booleans())
+    t_k = draw(st.integers(1, 5)) if cross else t_q
+    x = Tensor(rng.standard_normal((*lead, t_q, width)), requires_grad=True)
+    memory = Tensor(rng.standard_normal((*lead, t_k, width)), requires_grad=True) if cross else x
+    w = [Tensor(rng.standard_normal(shape), requires_grad=True)
+         for shape in ((width, d), (width, d), (width, d), (d, width))]
+    mask = None
+    kind = draw(st.sampled_from(("none", "keys", "causal")))
+    if kind == "keys" and lead:
+        lengths = rng.integers(1, t_k + 1, size=lead)
+        mask = np.where(np.arange(t_k) < lengths[:, None], 0.0, -np.inf)[:, None, None, :]
+    elif kind == "causal" and not cross:
+        mask = np.triu(np.full((t_q, t_k), -np.inf), k=1)
+    return x, memory, w, heads, mask, rng.standard_normal((*lead, t_q, width))
+
+
+def _attention_grads(build, x, memory, w, cotangent):
+    """The output, weights and input gradients of one sublayer."""
+    inputs = [x, memory, *w] if memory is not x else [x, *w]
+    for t in inputs:
+        t.grad = None
+    out, weights = build()
+    backward(T.sum_all(T.mul(out, Tensor(cotangent))))
+    return [out.data, weights] + [t.grad for t in inputs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(attention_cases())
+def test_fused_attention_equals_the_single_op_chain_bit_for_bit(case):
+    x, memory, w, heads, mask, cotangent = case
+    wq, wk, wv, wo = w
+
+    def fused():
+        q, k, v = (T.project_heads(src, p, heads) for src, p in ((x, wq), (memory, wk), (memory, wv)))
+        return T.attention(q, k, v, wo, mask)
+
+    got = _attention_grads(fused, x, memory, w, cotangent)
+    want = _attention_grads(lambda: reference_attention(x, memory, *w, heads, mask), x, memory, w, cotangent)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(20))
