@@ -279,8 +279,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, mask=None) -> tuple[T
             or kd.shape[-1] != qd.shape[-1] or w.shape[0] != qd.shape[-3] * qd.shape[-1]):
         raise ShapeError(f"attention of q {q.shape}, k {k.shape}, v {v.shape}, wo {wo.shape}")
     c = 1.0 / math.sqrt(qd.shape[-1])
-    kt = kd.swapaxes(-1, -2)
-    scores = (qd @ kt) * c
+    scores = (qd @ kd.swapaxes(-1, -2)) * c
     if mask is not None:
         try:
             fits = np.broadcast_shapes(np.shape(mask), scores.shape) == scores.shape
@@ -301,7 +300,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, mask=None) -> tuple[T
         d_p = d_o @ vd.swapaxes(-1, -2)
         d_v = p.swapaxes(-1, -2) @ d_o
         d_s = (p * (d_p - (d_p * p).sum(axis=-1, keepdims=True))) * c
-        return d_s @ kt.swapaxes(-1, -2), (qd.swapaxes(-1, -2) @ d_s).swapaxes(-1, -2), d_v, d_wo
+        return d_s @ kd, (qd.swapaxes(-1, -2) @ d_s).swapaxes(-1, -2), d_v, d_wo
 
     return _node(_by_weight(merged, w), (q, k, v, wo), bwd), p
 
