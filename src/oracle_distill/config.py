@@ -92,12 +92,7 @@ class RunConfig:
         return cfg._build(spec, seed=cfg.data_seed)
 
     def model_config(self) -> ModelConfig:
-        cfg = self.resolved()
-        if cfg.task == "ctc":
-            longest = max(cfg.len_max * cfg.frames_max, 2 * cfg.len_max + 1) + cfg.len_max
-        else:
-            longest = 2 * cfg.len_max + 8
-        return cfg._build(ModelConfig, max_len=max(64, longest))
+        return self.resolved()._build(ModelConfig)
 
 
 # keyed by the field annotations, which are strings under postponed evaluation

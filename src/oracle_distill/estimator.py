@@ -167,8 +167,7 @@ class CtcDistiller(_DistillerBase):
         for i, (x, t) in enumerate(zip(X, y)):
             if x.shape[0] < min_frames(t):
                 raise ContractError(f"X[{i}] has {x.shape[0]} frames; y[{i}] needs {min_frames(t)}")
-        return dict(task="ctc", vocab_size=max(max(t) for t in y), feature_dim=X[0].shape[1],
-                    max_len=max(64, max(x.shape[0] for x in X) + 8))
+        return dict(task="ctc", vocab_size=max(max(t) for t in y), feature_dim=X[0].shape[1])
 
 
 @dataclass(eq=False)
@@ -200,6 +199,5 @@ class AedDistiller(_DistillerBase):
         return check_token_sequences(X, "X", vocab_size=fitted and fitted.vocab_size)
 
     def _shape(self, X, y) -> dict:
-        longest = max(max(len(t) for t in y), max(len(s) for s in X))
         vocab_size = max(max(max(t) for t in y), max(max(s) for s in X))
-        return dict(task="aed", vocab_size=vocab_size, max_len=max(64, 2 * longest + 8))
+        return dict(task="aed", vocab_size=vocab_size)

@@ -72,7 +72,7 @@ from .tensor import Tensor
 
 MASK = -1  # sentinel for masked target tokens; rendered as the oracle's row 0
 
-CHECKPOINT_MAGIC = "oracle-distill-checkpoint v2"
+CHECKPOINT_MAGIC = "oracle-distill-checkpoint v3"
 
 
 @dataclass
@@ -86,7 +86,6 @@ class ModelConfig:
     heads: int = 2
     ffn_dim: int = 64
     fusion_layers: int = 1
-    max_len: int = 128
 
     def __post_init__(self):
         if self.task not in ("ctc", "aed"):
@@ -228,7 +227,8 @@ def _token_ids(tokens, lengths, what: str, top: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def sinusoidal_positions(n: int, d: int) -> np.ndarray:
     """The ``n x d`` sinusoidal position table, read-only: it is computed
-    once per shape and shared by every model built with that shape."""
+    once per ``(n, d)`` and shared by every model.  A row does not depend
+    on ``n``, so models read one table per power-of-two ``n``."""
     pos = np.arange(n)[:, None]
     dim = np.arange(0, d, 2)[None, :]
     angle = pos / np.power(10000.0, dim / d)
@@ -246,7 +246,6 @@ class _TransformerBase:
         self.cfg = config
         self.store = ParamStore()
         self._rng = np.random.default_rng(seed)
-        self._pos = sinusoidal_positions(config.max_len, config.d_model)
 
     # -- building ----------------------------------------------------------
 
@@ -304,10 +303,12 @@ class _TransformerBase:
     # -- forward -----------------------------------------------------------
 
     def _positions(self, stop: int, start: int = 0) -> Tensor:
-        """Position encodings of positions ``start`` .. ``stop - 1``."""
-        if stop > self.cfg.max_len:
-            raise ContractError(f"sequence of length {stop} exceeds max_len {self.cfg.max_len}")
-        return Tensor(self._pos[start:stop])
+        """Position encodings of positions ``start`` .. ``stop - 1``, for any
+        ``stop``: rows of the shared ``(rows, d_model)`` table, ``rows`` the
+        least power of two at least 64 and ``stop``.  Tables grow by powers
+        of two, so a decode that adds a position per step reuses one table."""
+        rows = 64 if stop <= 64 else 1 << (stop - 1).bit_length()
+        return Tensor(sinusoidal_positions(rows, self.cfg.d_model)[start:stop])
 
     def _heads(self, prefix, x, *parts):
         """``x`` times each of the named projections of an attention block,
@@ -635,10 +636,11 @@ class AedModel(_TransformerBase):
         """Greedy autoregressive decode through ``head`` of every row of a
         padded ``memory`` in lockstep, one new token per row per cached
         ``decode_logits`` call.  Row i stops at the end symbol or at its
-        own length limit, twice its source ``lengths[i]`` plus 4 tokens but
-        at most ``cfg.max_len - 1``; a stopped row is still fed until every
-        row has stopped, and its later tokens are dropped."""
-        limits = np.minimum(self.cfg.max_len - 1, 2 * lengths + 4).tolist()
+        own length limit, twice its source ``lengths[i]`` plus 4 tokens, for
+        any length: positions come from the shared table of ``_positions``.
+        A stopped row is still fed until every row has stopped, and its
+        later tokens are dropped."""
+        limits = (2 * lengths + 4).tolist()
         cache = DecodeCache()
         rows = [[] for _ in limits]
         live = range(len(limits))  # the rows still decoding
@@ -676,7 +678,7 @@ def build_model(config: ModelConfig, seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format v2: ASCII text, byte-exact round trip.  Line 1 is the
+# checkpoint format v3: ASCII text, byte-exact round trip.  Line 1 is the
 # magic, line 2 one JSON object {"model": ModelConfig fields, "run": the
 # str -> str run config} with sorted keys, then one line per parameter,
 # ``name d0 d1 ... hex``, the hex being its little-endian float64 bytes,

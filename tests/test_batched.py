@@ -313,7 +313,6 @@ def models_and_items(draw):
         heads=heads,
         ffn_dim=draw(st.integers(1, 8)),
         fusion_layers=draw(st.integers(0, 1)),
-        max_len=draw(st.integers(8, 20)),
     )
     model = (CtcModel if task == "ctc" else AedModel)(cfg, seed=draw(st.integers(0, 2 ** 16)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))

@@ -52,7 +52,6 @@ def decode_cases(draw):
         heads=heads,
         ffn_dim=draw(st.integers(1, 8)),
         fusion_layers=draw(st.integers(0, 1)),
-        max_len=draw(st.integers(8, 12)),
     )
     model = AedModel(cfg, seed=draw(st.integers(0, 2 ** 16)))
     content = st.integers(1, cfg.vocab_size)
@@ -71,7 +70,7 @@ def test_cached_rows_equal_the_full_prefix_rows(case, data):
     memory = model.encode(src)
     if head == "teacher_out":
         memory = model.fuse(memory, model.oracle_guidance(masked))
-    n = data.draw(st.integers(1, model.cfg.max_len))
+    n = data.draw(st.integers(1, 12))
     prefix = [model.bos] + data.draw(st.lists(st.integers(0, model.eos), min_size=n - 1, max_size=n - 1))
     full = model.decode_logits(memory, prefix, head=head).data
     # feed the prefix in chunks: one token at a time, as greedy decoding
@@ -91,7 +90,7 @@ def test_cached_rows_equal_the_full_prefix_rows(case, data):
 @given(decode_cases())
 def test_predictions_equal_a_full_recompute(case):
     model, src, target, masked = case
-    limit = min(model.cfg.max_len - 1, 2 * len(src) + 4)
+    limit = 2 * len(src) + 4
     memory = model.encode(src)
     assert model.predict([src])[0] == reference_greedy(model, memory, "seq.out", limit)
     fused = model.fuse(memory, model.oracle_guidance(masked))
@@ -100,14 +99,15 @@ def test_predictions_equal_a_full_recompute(case):
 
 @pytest.mark.parametrize("mode", ["student", "teacher"])
 def test_every_row_of_a_batch_stops_at_its_own_cap(mode):
-    model = tiny_aed(seed=7, max_len=16)
-    # no row may end early, so each decodes to its own cap
+    model = tiny_aed(seed=7)
+    # no row may end early, so each decodes to its own cap; the last one
+    # decodes past the 64 rows of the smallest position table
     for head in HEADS:
         model.store.peek(f"{head}.b").data[model.eos] = -1e3
-    sources = [(1,), (1, 2, 3, 4, 5, 1, 2), (3, 2), (5, 4, 3, 2, 1)]
-    masked = [(MASK,), (2, MASK, 4), (1, 1), (MASK, 3, MASK, 2, 5)]
-    caps = [min(model.cfg.max_len - 1, 2 * len(src) + 4) for src in sources]
-    assert caps == [6, 15, 8, 14]
+    sources = [(1,), (1, 2, 3, 4, 5, 1, 2), (3, 2), (5, 4, 3, 2, 1), (1, 2, 3, 4, 5) * 6 + (1,)]
+    masked = [(MASK,), (2, MASK, 4), (1, 1), (MASK, 3, MASK, 2, 5), (4, MASK)]
+    caps = [2 * len(src) + 4 for src in sources]
+    assert caps == [6, 18, 8, 14, 66]
     if mode == "student":
         batch = model.predict(sources)
         solo = [model.predict([src])[0] for src in sources]
@@ -201,16 +201,6 @@ class TestCacheMisuse:
             model.decode_logits(model.encode((1, 2)), [3], cache=cache)
         assert cache.memory is None and cache.length == 0
 
-    def test_no_position_past_max_len(self):
-        model = tiny_aed(max_len=4)
-        memory = model.encode((1, 2))
-        cache = DecodeCache()
-        model.decode_logits(memory, [model.bos, 1, 2], cache=cache)
-        model.decode_logits(memory, [3], cache=cache)
-        with pytest.raises(ContractError, match="max_len"):
-            model.decode_logits(memory, [4], cache=cache)
-        assert cache.length == 4
-
     def test_a_token_out_of_range_is_refused_before_the_cache_changes(self):
         model = tiny_aed()
         memory = model.encode((1, 2))
@@ -235,27 +225,3 @@ class TestCacheMisuse:
         model.decode_logits(memory, [model.bos], cache=cache)
         with pytest.raises(ContractError):
             model.decode_logits(memory, [], cache=cache)
-
-
-class TestDecodeLimit:
-    def _counting(self, model):
-        calls = [0]
-        decode = model.decode_logits
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return decode(*args, **kwargs)
-
-        model.decode_logits = counted
-        return calls
-
-    def test_the_model_limit_itself_decodes(self):
-        # a 3-token source allows 2 * 3 + 4 = 10 tokens, past the 7 that
-        # a max_len of 8 leaves after the start symbol
-        model = tiny_aed(max_len=8)
-        calls = self._counting(model)
-        for predict in (lambda: model.predict([(1, 2, 3)])[0],
-                        lambda: model.predict_teacher([(1, 2, 3)], [(MASK, 5)])[0]):
-            calls[0] = 0
-            assert len(predict()) <= 7
-            assert 1 <= calls[0] <= 7

@@ -71,7 +71,7 @@ class TestEncoderForward:
         h = model.encode(x)
         w = model.store.peek("seq.in_proj.w").data
         b = model.store.peek("seq.in_proj.b").data
-        expected = x @ w + b + model._pos[:5]
+        expected = x @ w + b + sinusoidal_positions(5, model.cfg.d_model)
         np.testing.assert_array_equal(h.data, expected)
 
     def test_empty_input_rejected(self):
@@ -328,15 +328,20 @@ class TestCheckpoint:
     def test_corrupt_header_reports_version(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_text("something else\n[end]\n")
-        with pytest.raises(CheckpointFormatError, match="oracle-distill-checkpoint v2"):
+        with pytest.raises(CheckpointFormatError, match="oracle-distill-checkpoint v3"):
             load_checkpoint(path)
 
     def test_v1_file_is_refused_at_the_header(self, tmp_path):
-        path = tmp_path / "v1.ckpt"
-        path.write_text("oracle-distill-checkpoint v1\n[config]\ntask = ctc\n[end]\n")
-        with pytest.raises(CheckpointFormatError,
-                           match="expected 'oracle-distill-checkpoint v2', got 'oracle-distill-checkpoint v1'"):
-            load_checkpoint(path)
+        # and a v2 file, whose config line has a max_len field that v3 lacks
+        v2_config = ('{"model": {"d_model": 32, "dec_layers": 2, "enc_layers": 2, "feature_dim": 8, '
+                     '"ffn_dim": 64, "fusion_layers": 1, "heads": 2, "max_len": 128, "task": "ctc", '
+                     '"vocab_size": 6}, "run": {}}')
+        for version, body in (("v1", "[config]\ntask = ctc"), ("v2", v2_config)):
+            path = tmp_path / f"{version}.ckpt"
+            path.write_text(f"oracle-distill-checkpoint {version}\n{body}\n[end]\n")
+            with pytest.raises(CheckpointFormatError, match=f"expected 'oracle-distill-checkpoint v3', "
+                                                            f"got 'oracle-distill-checkpoint {version}'"):
+                load_checkpoint(path)
 
     def test_missing_layer_norm_param_is_named(self, tmp_path):
         path = tmp_path / "short.ckpt"
@@ -433,6 +438,16 @@ def test_odd_model_width_builds():
     assert build_model(ModelConfig(d_model=3, heads=1), seed=0).cfg.d_model == 3
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.sampled_from([64, 65, 128, 129]) | st.integers(1, 300), st.data())
+def test_positions_of_any_span_are_the_rows_of_a_table_that_long(d, stop, data):
+    # the oracle is a table of exactly ``stop`` rows, computed afresh
+    start = data.draw(st.integers(0, stop - 1))
+    model = CtcModel(ModelConfig(d_model=d, heads=1, enc_layers=0, fusion_layers=0), seed=0)
+    want = sinusoidal_positions.__wrapped__(stop, d)[start:stop]
+    assert model._positions(stop, start).data.tobytes() == want.tobytes()
+
+
 @st.composite
 def checkpointed_models(draw):
     heads = draw(st.integers(1, 2))
@@ -446,7 +461,6 @@ def checkpointed_models(draw):
         heads=heads,
         ffn_dim=draw(st.integers(1, 4)),
         fusion_layers=draw(st.integers(0, 1)),
-        max_len=draw(st.integers(8, 16)),
     )
     model = build_model(cfg, seed=draw(st.integers(0, 2 ** 16)))
     # overwrite one parameter with arbitrary floats: signed zeros,

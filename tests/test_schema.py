@@ -49,11 +49,7 @@ def test_run_config_derives_train_and_model_configs_by_field_name():
     train = cfg.train_config()
     assert all(getattr(train, f.name) == getattr(cfg, f.name) for f in fields(TrainConfig))
     model = cfg.model_config()
-    assert all(
-        getattr(model, f.name) == getattr(cfg, f.name)
-        for f in fields(ModelConfig)
-        if f.name != "max_len"
-    )
+    assert all(getattr(model, f.name) == getattr(cfg, f.name) for f in fields(ModelConfig))
 
 
 @pytest.mark.parametrize("key", ["d_model", "heads", "ffn_dim"])
@@ -221,6 +217,17 @@ def test_a_refused_refit_keeps_the_earlier_fit():
         est.fit(X, y)
     assert all(vars(est)[name] is value for name, value in fitted.items())
     assert est.model_ is fitted["model_"] and est.history_ is fitted["history_"]
+
+
+@pytest.mark.parametrize("cls, data, source", [
+    (CtcDistiller, _ctc_data, np.random.default_rng(1).standard_normal((80, 3))),
+    (AedDistiller, _aed_data, (1, 2, 3, 4) * 22 + (1, 2)),
+], ids=["ctc", "aed"])
+def test_a_fitted_estimator_predicts_a_source_longer_than_any_it_saw(cls, data, source):
+    est = cls(steps=2).fit(*data())  # sources of at most 6 frames or 3 tokens
+    (out,) = est.predict([source])
+    assert len(out) <= 2 * len(source) + 4
+    assert set(out) <= set(range(1, est.model_.cfg.vocab_size + 1))
 
 
 @pytest.mark.parametrize("cls, data, changed", ESTIMATORS)
