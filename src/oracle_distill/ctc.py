@@ -445,6 +445,7 @@ def kd_loss_ctc(student_posterior: Tensor, teacher_posterior: Tensor, form: str 
 
 
 def greedy_decode(u) -> tuple[int, ...]:
-    """Per-frame argmax then collapse; ties go to the lowest label index."""
+    """Per-frame argmax then collapse, as Python ints; ties go to the
+    lowest label index."""
     data = _as_logits(u)
-    return collapse(np.argmax(data, axis=1))
+    return collapse(np.argmax(data, axis=1).tolist())

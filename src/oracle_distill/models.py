@@ -36,8 +36,12 @@ padded cells are never read, and attention masks every padded key from
 those lengths, so each item's valid rows come out as they would alone.
 Attention runs all heads as one axis of its stacks, ``(..., heads, T,
 d / heads)``: a sublayer is one ``tensor.project_heads`` node per
-projection and one ``tensor.attention`` node for the rest, with the
-weights still separate store entries read through ``ParamStore.get``.
+projection and one ``tensor.attention`` node for the rest.  A
+feed-forward sublayer is one ``tensor.feed_forward`` node.  A sublayer's
+input is one ``tensor.layer_norm`` node (cross-attention has a second
+one, over the memory), and its output joins the residual stream through
+one ``tensor.add``.  The weights stay separate store entries read through
+``ParamStore.get``.
 
 The greedy loop decodes a batch incrementally and in lockstep (Pope et
 al. 2022): it feeds ``decode_logits`` a ``(B, 1)`` stack of one new token
@@ -333,8 +337,7 @@ class _TransformerBase:
 
     def _ffn(self, prefix, x):
         s = self.store
-        hidden = tt.relu(tt.add(tt.matmul(x, s.get(f"{prefix}.w1")), s.get(f"{prefix}.b1")))
-        return tt.add(tt.matmul(hidden, s.get(f"{prefix}.w2")), s.get(f"{prefix}.b2"))
+        return tt.feed_forward(x, *(s.get(f"{prefix}.{part}") for part in ("w1", "b1", "w2", "b2")))
 
     def _norm(self, prefix, x):
         s = self.store

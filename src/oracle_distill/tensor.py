@@ -22,16 +22,18 @@ Every op works on stacks: leading axes are batch axes (items, attention
 heads), and the last one or two axes are what the op is about.  Broadcasting
 is deliberately restricted: a number with a tensor, in ``add`` only; ``add``
 of a tensor whose shape is a suffix of the other's (a bias row, a position
-table), repeated over the leading axes; ``matmul`` and ``project_heads`` of
-a stack by one weight matrix; and the constant arrays of ``scale`` and of
-the ``attention`` mask, which broadcast to the shape of the tracked
-operand (the attention scores).  Everything else requires exact shape
-agreement.  ``layer_norm`` adds ``LAYER_NORM_EPS`` = 1e-5 to the variance.
+table), repeated over the leading axes; ``matmul``, ``project_heads`` and
+``feed_forward`` of a stack by weight matrices; and the constant arrays of
+``scale`` and of the ``attention`` mask, which broadcast to the shape of
+the tracked operand (the attention scores).  Everything else requires
+exact shape agreement.  ``layer_norm`` adds ``LAYER_NORM_EPS`` = 1e-5 to
+the variance.
 
-Attention is two fused ops, each one tape node: ``project_heads`` is a
-projection split into heads, and ``attention`` takes head-split queries,
-keys and values through the masked softmax to the merged heads' output
-projection.
+A transformer's sublayers are fused ops, each one tape node.  Attention is
+two of them: ``project_heads`` is a projection split into heads, and
+``attention`` takes head-split queries, keys and values through the masked
+softmax to the merged heads' output projection.  ``feed_forward`` is the
+whole position-wise feed-forward sublayer, ``relu(x @ w1 + b1) @ w2 + b2``.
 """
 
 from __future__ import annotations
@@ -305,6 +307,47 @@ def attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, mask=None) -> tuple[T
     return _node(_by_weight(merged, w), (q, k, v, wo), bwd), p
 
 
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """A position-wise feed-forward sublayer as one node:
+    ``relu(x @ w1 + b1) @ w2 + b2``.
+
+    ``x`` is ``(..., T, d)``, ``w1`` is ``d x f``, ``b1`` has ``f``
+    entries, ``w2`` is ``f x m`` and ``b2`` has ``m`` entries; the output
+    is ``(..., T, m)``.  Forward and backward do the same arithmetic, in
+    the same order, as the chain of single-op nodes it fuses (matmul, add,
+    relu, matmul, add), so both give the same bits.  The relu is
+    ``np.where(pre > 0.0, pre, 0.0)``, NaN and -0.0 included, and its rule
+    is ``g * (pre > 0.0)``.
+    """
+    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
+    xd, w, v = x.data, w1.data, w2.data
+    if (xd.ndim < 2 or w.ndim != 2 or v.ndim != 2 or xd.shape[-1] != w.shape[0]
+            or b1.shape != w.shape[1:] or v.shape[0] != w.shape[1] or b2.shape != v.shape[1:]):
+        raise ShapeError(f"feed_forward of x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, "
+                         f"w2 {w2.shape}, b2 {b2.shape}")
+    # every array written in place below is a fresh product of this op
+    pre = _by_weight(xd, w)
+    pre += b1.data
+    mask = pre > 0.0
+    # np.where(mask, pre, 0.0) bit for bit: fmax maps NaN to 0.0, and
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it
+    # is; the two branch-free passes cost a fifth of one select by a
+    # random mask
+    hidden = np.fmax(pre, 0.0, out=pre)
+    hidden += 0.0
+
+    def bwd(g):
+        d_pre, d_w2 = _by_weight_grads(hidden, v, g)
+        d_pre *= mask
+        d_x, d_w1 = _by_weight_grads(xd, w, d_pre)
+        return (d_x, d_w1, d_pre.reshape(-1, *b1.shape).sum(axis=0), d_w2,
+                g.reshape(-1, *b2.shape).sum(axis=0))
+
+    out = _by_weight(hidden, v)
+    out += b2.data
+    return _node(out, (x, w1, b1, w2, b2), bwd)
+
+
 def add(a: Tensor, b) -> Tensor:
     a = as_tensor(a)
     if isinstance(b, (int, float, np.floating, np.integer)):
@@ -353,12 +396,6 @@ def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise DomainError("log of non-positive value")
     return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def relu(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    mask = a.data > 0.0
-    return _node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

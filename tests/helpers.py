@@ -1,10 +1,10 @@
 """Helpers that only the tests use: the ablations behind the paper's
-structural reduction checks, the chain of single ops that the fused
-attention ops are checked against, the per-tensor Adam that the fused one
-is checked against, the one-instance CTC DP that the stacked one is
-checked against, the path-by-path alignment scan that the vectorised one
-is checked against, the distillation-surrogate audit, and the reader for
-the dataset files that ``gen-data`` writes."""
+structural reduction checks, the chains of single ops that the fused
+attention and feed-forward ops are checked against, the per-tensor Adam
+that the fused one is checked against, the one-instance CTC DP that the
+stacked one is checked against, the path-by-path alignment scan that the
+vectorised one is checked against, the distillation-surrogate audit, and
+the reader for the dataset files that ``gen-data`` writes."""
 
 import itertools
 import math
@@ -110,6 +110,26 @@ def reference_attention(x: Tensor, memory: Tensor, wq, wk, wv, wo, heads: int, m
     scores = T.scale(T.matmul(q, _transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
     weights = _masked_softmax(scores, mask)
     return T.matmul(_merge_heads(T.matmul(weights, v)), wo), weights.data
+
+
+# ---------------------------------------------------------------------------
+# reference feed-forward
+# ---------------------------------------------------------------------------
+
+
+def relu(a: Tensor) -> Tensor:
+    """``max(a, 0)`` elementwise; its rule passes ``g`` where ``a > 0``."""
+    a = T.as_tensor(a)
+    mask = a.data > 0.0
+    return T._node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
+
+
+def reference_feed_forward(x: Tensor, w1, b1, w2, b2) -> Tensor:
+    """A feed-forward sublayer as the chain of single-op nodes that
+    ``tensor.feed_forward`` replaces: ``matmul``, ``add``, ``relu``,
+    ``matmul``, ``add``, the oracle it must match bit for bit, forward
+    and backward."""
+    return T.add(T.matmul(relu(T.add(T.matmul(x, w1), b1)), w2), b2)
 
 
 # ---------------------------------------------------------------------------

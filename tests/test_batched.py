@@ -199,8 +199,9 @@ def test_tape_grows_by_a_small_constant_per_item(task):
     # one graph whatever the batch: the CTC terms share one DP node, and
     # the encoder-decoder's two heads one decoder pass
     assert nodes == [nodes[0]] * 8
-    # an attention sublayer is four nodes: three projections and the core
-    assert nodes[0] == {"ctc": 85, "aed": 141}[task]
+    # an attention sublayer is four nodes, three projections and the core,
+    # and a feed-forward sublayer is one
+    assert nodes[0] == {"ctc": 69, "aed": 117}[task]
 
 
 def _two_pass(model):

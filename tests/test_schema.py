@@ -230,6 +230,15 @@ def test_a_fitted_estimator_predicts_a_source_longer_than_any_it_saw(cls, data, 
     assert set(out) <= set(range(1, est.model_.cfg.vocab_size + 1))
 
 
+@pytest.mark.parametrize("cls, data, _", ESTIMATORS, ids=["ctc", "aed"])
+def test_every_predicted_label_is_a_python_int(cls, data, _):
+    X, y = data()
+    est = cls(steps=3).fit(X, y)
+    calls = [est.predict(X), est.model_.predict(X), est.model_.predict_teacher(X, y)]
+    labels = [t for predictions in calls for p in predictions for t in p]
+    assert labels and {type(t) for t in labels} == {int}
+
+
 @pytest.mark.parametrize("cls, data, changed", ESTIMATORS)
 def test_a_failed_fit_leaves_an_unfitted_estimator_unfitted(cls, data, changed, monkeypatch):
     def broken(*args, **kwargs):

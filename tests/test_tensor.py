@@ -7,7 +7,7 @@ from oracle_distill import tensor as T
 from oracle_distill.errors import ContractError, DomainError, ShapeError
 from oracle_distill.tensor import Tensor, backward, grad_check
 
-from helpers import reference_attention, sum_sq
+from helpers import reference_attention, reference_feed_forward, relu, sum_sq
 
 
 def rand_tensor(rng, shape, scale=1.0):
@@ -190,10 +190,10 @@ class TestBackward:
         x = Tensor(rng.standard_normal((2, 4)))
 
         def loss_of_w1(w):
-            return sum_sq(T.softmax(T.matmul(T.relu(T.matmul(x, w)), w2), axis=-1))
+            return sum_sq(T.softmax(T.matmul(relu(T.matmul(x, w)), w2), axis=-1))
 
         def loss_of_w2(w):
-            return sum_sq(T.softmax(T.matmul(T.relu(T.matmul(x, w1)), w), axis=-1))
+            return sum_sq(T.softmax(T.matmul(relu(T.matmul(x, w1)), w), axis=-1))
 
         assert grad_check(loss_of_w1, w1) <= 1e-5
         assert grad_check(loss_of_w2, w2) <= 1e-5
@@ -228,7 +228,7 @@ def _fd_cases(rng):
         "mul": lambda t: sum_sq(T.mul(t, other)),
         "scale": lambda t: sum_sq(T.scale(t, -1.7)),
         "log": lambda t: sum_sq(T.log(T.add(T.mul(t, t), 0.5))),
-        "relu": lambda t: sum_sq(T.relu(t)),
+        "relu": lambda t: sum_sq(relu(t)),
         "softmax": lambda t: sum_sq(T.softmax(t, axis=-1)),
         "log_softmax": lambda t: sum_sq(T.log_softmax(t, axis=-1)),
         "layer_norm": lambda t: sum_sq(T.mul(unit_layer_norm(t), other)),
@@ -238,13 +238,13 @@ def _fd_cases(rng):
         ),
         "index": lambda t: sum_sq(T.index(t, (slice(None), slice(1, 3)))),
         "index_row": lambda t: sum_sq(T.mul(T.index(t, 1), T.index(other, 2))),
-        "stack": lambda t: sum_sq(T.mul(T.stack([t, T.relu(t)]), T.stack([other, other]))),
+        "stack": lambda t: sum_sq(T.mul(T.stack([t, relu(t)]), T.stack([other, other]))),
         "scale_array": lambda t: sum_sq(T.scale(t, other.data[0])),
         "mean": lambda t: T.mul(T.mean(t), T.mean(t)),
         "sum": lambda t: T.mul(T.sum_all(t), T.mean(t)),
         "mul_self": lambda t: sum_sq(t),
         "pick": lambda t: sum_sq(T.pick(t, cols)),
-        "mix": lambda t: T.mean(T.relu(T.add(T.matmul(unit_layer_norm(t), right), bias))),
+        "mix": lambda t: T.mean(relu(T.add(T.matmul(unit_layer_norm(t), right), bias))),
     }
     cases = {name: (f, m) for name, f in cases.items()}
 
@@ -273,6 +273,21 @@ def _fd_cases(rng):
     cases["layer_norm_affine_input"] = (lambda t: affine_layer_norm(t, gain, shift), m)
     cases["layer_norm_affine_gain"] = (lambda g: affine_layer_norm(m, g, shift), gain)
     cases["layer_norm_affine_bias"] = (lambda b: affine_layer_norm(m, gain, b), shift)
+    # the feed-forward sublayer of one item and of a stack of two, each
+    # differentiated by its input, its first weight and its last bias;
+    # weights scaled by about 1/sqrt(fan-in) and a loss linear in the
+    # output keep the loss O(1), so the round-off of a central difference
+    # stays far below a gradient coordinate
+    ffn = [rand_tensor(rng, shape, scale) for shape, scale in (((4, 5), 0.5), ((5,), 1.0),
+                                                               ((5, 3), 0.5), ((3,), 1.0))]
+    for tag, x in (("", rand_tensor(rng, (3, 4))), ("_stack", rand_tensor(rng, (2, 3, 4)))):
+        args = [x, *ffn]
+        weight = away_from_zero((*x.shape[:-1], 3))
+        for i, name in ((0, "x"), (1, "w1"), (4, "b2")):
+            def f(t, i=i, args=args, weight=weight):
+                return T.sum_all(T.mul(T.feed_forward(*args[:i], t, *args[i + 1:]), weight))
+
+            cases[f"feed_forward{tag}_{name}"] = (f, args[i])
     return cases
 
 
@@ -378,6 +393,72 @@ def test_fused_attention_equals_the_single_op_chain_bit_for_bit(case):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@st.composite
+def feed_forward_cases(draw):
+    """Inputs of one feed-forward sublayer: one item, a stack of items or
+    a one-row decode step, with some hidden units whose pre-activation is
+    exactly zero (a zero column of ``w1`` and a bias of 0.0 or -0.0),
+    maybe a NaN input, a cotangent for the output, and whether the weight
+    products give their zeros as -0.0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    lead = draw(st.sampled_from(((), (1,), (2,), (3,))))
+    t = draw(st.integers(1, 4))
+    d, f, m = (draw(st.integers(1, 4)) for _ in range(3))
+    x = rng.standard_normal((*lead, t, d))
+    w1, b1 = rng.standard_normal((d, f)), rng.standard_normal(f)
+    for j in draw(st.sets(st.integers(0, f - 1))):
+        w1[:, j] = 0.0
+        b1[j] = draw(st.sampled_from((0.0, -0.0)))
+    if draw(st.booleans()):
+        x.reshape(-1)[draw(st.integers(0, x.size - 1))] = np.nan
+    params = (x, w1, b1, rng.standard_normal((f, m)), rng.standard_normal(m))
+    inputs = [Tensor(p, requires_grad=True) for p in params]
+    return inputs, rng.standard_normal((*lead, t, m)), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(feed_forward_cases())
+def test_fused_feed_forward_equals_the_single_op_chain_bit_for_bit(case):
+    inputs, cotangent, negative_zeros = case
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        if negative_zeros:
+            # numpy's matmul sums from +0.0, so x @ w1 + b1 is never -0.0;
+            # a product whose zeros are -0.0 makes the -0.0 biases reach
+            # the relu as -0.0 pre-activations, in both paths alike
+            by_weight = T._by_weight
+
+            def negative_zero_product(a, w):
+                y = by_weight(a, w)
+                return np.where(y == 0.0, -0.0, y)
+
+            mp.setattr(T, "_by_weight", negative_zero_product)
+        for build in (T.feed_forward, reference_feed_forward):
+            for p in inputs:
+                p.grad = None
+            out = build(*inputs)
+            backward(T.sum_all(T.mul(out, Tensor(cotangent))))
+            results.append([out.data] + [p.grad for p in inputs])
+    for a, b in zip(*results):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("operand, shape", [
+    ("x", (3,)), ("w1", (3, 5)), ("b1", (4,)), ("b1", (1, 5)),
+    ("w2", (4, 3)), ("b2", (2,)), ("b2", (1, 3)),
+])
+def test_feed_forward_refuses_a_mismatched_operand_before_any_product(operand, shape, monkeypatch):
+    shapes = {"x": (2, 3, 4), "w1": (4, 5), "b1": (5,), "w2": (5, 3), "b2": (3,)}
+    shapes[operand] = shape
+
+    def no_product(*args):
+        raise AssertionError("a product ran before the shapes were checked")
+
+    monkeypatch.setattr(T, "_by_weight", no_product)
+    with pytest.raises(ShapeError, match="feed_forward"):
+        T.feed_forward(*(Tensor(np.ones(s)) for s in shapes.values()))
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_bias_row_gradient(seed):
     rng = np.random.default_rng(seed)
@@ -395,7 +476,7 @@ def test_grad_check_exact_for_linear():
 def test_tape_orders_by_execution():
     x = Tensor([1.0], requires_grad=True)
     a = T.scale(x, 2.0)
-    b = T.relu(a)
+    b = relu(a)
     tape = T.Tape(b)
     assert [n._serial for n in tape.nodes] == sorted(n._serial for n in tape.nodes)
     assert tape.nodes[-1] is b
@@ -425,24 +506,24 @@ class TestNoGrad:
         x = Tensor([1.0], requires_grad=True)
         with T.no_grad():
             with T.no_grad():
-                assert not T.relu(x).requires_grad
-            assert not T.relu(x).requires_grad
-        assert T.relu(x).requires_grad
+                assert not relu(x).requires_grad
+            assert not relu(x).requires_grad
+        assert relu(x).requires_grad
 
     def test_mode_restored_after_an_exception(self):
         x = Tensor([1.0], requires_grad=True)
         with pytest.raises(DomainError):
             with T.no_grad():
                 T.log(Tensor([-1.0]))
-        assert T.relu(x).requires_grad
+        assert relu(x).requires_grad
 
     def test_decorator_form_applies_per_call(self):
         x = Tensor([1.0], requires_grad=True)
 
         @T.no_grad()
         def untracked_relu(t):
-            return T.relu(t)
+            return relu(t)
 
         for _ in range(2):
             assert not untracked_relu(x).requires_grad
-            assert T.relu(x).requires_grad
+            assert relu(x).requires_grad

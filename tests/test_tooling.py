@@ -1,7 +1,8 @@
 """Source hygiene checked with the standard library's ``ast`` alone: no
 unused imports, no module reaching into another's private names, no
-defaulted parameter that no call ever sets, and no function that nothing
-names; the last two also with the tests left out of the callers."""
+defaulted parameter that no call ever sets, no function that nothing
+names, the last two also with the tests left out of the callers, and no
+differentiable op without a finite-difference row."""
 
 import ast
 from collections import Counter
@@ -271,3 +272,55 @@ def test_every_function_is_named_outside_the_tests():
         MODULES,
     )
     assert [q for q in unnamed if q.rsplit(".", 1)[-1] not in STRICT_ALLOWED] == []
+
+
+def ops_without_fd_rows(tensor_source: str, test_source: str, tables: set[str]) -> list[str]:
+    """The module-level functions of ``tensor_source`` that call ``_node``,
+    other than ``custom_op``, that no function named in ``tables`` names
+    in ``test_source``.
+
+    ``custom_op`` takes its backward rule from its caller, so its rules are
+    checked where they are supplied.  A name counts by any read of it, as
+    a bare name or as an attribute (``T.attention``)."""
+    named = set()
+    for node in ast.parse(test_source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in tables:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    named.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    named.add(sub.attr)
+    ops = [
+        node.name
+        for node in ast.parse(tensor_source).body
+        if isinstance(node, ast.FunctionDef) and node.name != "custom_op"
+        and any(isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "_node"
+                for sub in ast.walk(node))
+    ]
+    return sorted(set(ops) - named)
+
+
+def test_checker_finds_an_op_without_a_gradient_row():
+    tensor = (
+        "def _node(d, p, b):\n    pass\n"
+        "def custom_op(d, p, b):\n    return _node(d, p, b)\n"
+        "def exp(a):\n    return _node(a, (a,), lambda g: (g,))\n"
+        "def log(a):\n    return _node(a, (a,), None)\n"
+        "def pick(a):\n    return _node(a, (a,), None)\n"
+        "def sub(a, b):\n    return exp(a)\n"
+        "class K:\n    def detach(self):\n        return _node(1, (), None)\n"
+    )
+    tests = (
+        "def cases():\n    return {'exp': lambda t: T.exp(t)}\n"
+        "def more():\n    return log\n"
+        "def other():\n    return T.pick\n"
+    )
+    assert ops_without_fd_rows(tensor, tests, {"cases", "more"}) == ["pick"]
+
+
+def test_every_op_has_a_finite_difference_row():
+    assert ops_without_fd_rows(
+        (PACKAGE / "tensor.py").read_text(encoding="utf-8"),
+        (ROOT / "tests" / "test_tensor.py").read_text(encoding="utf-8"),
+        {"_fd_cases", "_attention_fd_cases"},
+    ) == []
