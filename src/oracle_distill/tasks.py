@@ -9,6 +9,17 @@ the property that makes oracle guidance genuinely informative.
 
 The transduction task maps token strings through a deterministic rule
 (reverse, substitution cipher, or sort) with optional copy noise.
+
+A dataset is one RNG stream seeded by its spec, and the order of its draws
+is part of the dataset's definition: drawing a block of values at once is
+allowed only where it yields the same stream as the draws one at a time
+(one ``random(n)`` for n scalar ``random()`` calls, one
+``standard_normal`` block for an example's frames), so a change here must
+leave every generated dataset byte-identical.  What a dataset derives from
+its spec alone (the cipher table, the feature centers, the label lists a
+target is drawn from) is built once per ``gen_*`` call and never cached
+across calls.  The benchmark wraps ``gen_ctc_dataset`` and
+``gen_aed_dataset`` by name to time dataset generation.
 """
 
 from __future__ import annotations
@@ -113,38 +124,42 @@ def feature_class(spec: CtcTaskSpec, label: int) -> int:
     return label
 
 
-def _resolve_member(spec: CtcTaskSpec, prev_label: int) -> int:
-    # deterministic function of the previous token's observable class
-    return RESOLVABLE_PAIR[feature_class(spec, prev_label) % 2]
-
-
-def _sample_ctc_target(spec: CtcTaskSpec, rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw a target with no two adjacent tokens in the same feature class.
+def _target_sampler(spec: CtcTaskSpec):
+    """A function of the generator that draws one target with no two
+    adjacent tokens in the same feature class; the label lists it draws
+    from are built here, once.
 
     Class-adjacent repeats would merge into one feature block the collapse
     mapping cannot split, so forbidding them keeps the task solvable.
     """
-    plain = [k for k in range(1, spec.vocab_size + 1)
+    labels = range(1, spec.vocab_size + 1)
+    plain = [k for k in labels
              if spec.ambiguity == 0 or k not in RESOLVABLE_PAIR + COINFLIP_PAIR]
-    length = int(rng.integers(spec.len_min, spec.len_max + 1))
-    y = [int(plain[rng.integers(len(plain))])]
-    for _ in range(length - 1):
-        prev_class = feature_class(spec, y[-1])
-        if rng.random() < spec.ambiguity:
-            kinds = []
-            if prev_class != RESOLVABLE_PAIR[0]:
-                kinds.append("resolvable")
-            if prev_class != COINFLIP_PAIR[0]:
-                kinds.append("coinflip")
-            kind = kinds[rng.integers(len(kinds))]
-            if kind == "resolvable":
-                y.append(_resolve_member(spec, y[-1]))
+    # by the previous label: the labels a plain draw may pick, the kinds of
+    # confusable token that may follow, and the resolvable pair's member
+    # that follows, a deterministic function of the label's observable class
+    follow = {}
+    for prev in labels:
+        c = feature_class(spec, prev)
+        kinds = [kind for kind, pair in (("resolvable", RESOLVABLE_PAIR), ("coinflip", COINFLIP_PAIR))
+                 if c != pair[0]]
+        follow[prev] = ([k for k in plain if feature_class(spec, k) != c], kinds, RESOLVABLE_PAIR[c % 2])
+
+    def sample(rng: np.random.Generator) -> tuple[int, ...]:
+        length = int(rng.integers(spec.len_min, spec.len_max + 1))
+        y = [plain[rng.integers(len(plain))]]
+        for _ in range(length - 1):
+            allowed, kinds, member = follow[y[-1]]
+            if rng.random() < spec.ambiguity:
+                if kinds[rng.integers(len(kinds))] == "resolvable":
+                    y.append(member)
+                else:
+                    y.append(COINFLIP_PAIR[rng.integers(2)])
             else:
-                y.append(int(COINFLIP_PAIR[rng.integers(2)]))
-        else:
-            allowed = [k for k in plain if feature_class(spec, k) != prev_class]
-            y.append(int(allowed[rng.integers(len(allowed))]))
-    return tuple(y)
+                y.append(allowed[rng.integers(len(allowed))])
+        return tuple(y)
+
+    return sample
 
 
 def gen_ctc_dataset(spec: CtcTaskSpec, n: int) -> list[Example]:
@@ -152,28 +167,31 @@ def gen_ctc_dataset(spec: CtcTaskSpec, n: int) -> list[Example]:
     if n < 1:
         raise ContractError("need at least one example")
     rng = np.random.default_rng(spec.seed)
+    # pair members share a row, so a label's row is its feature class's
     emb = token_embeddings(spec)
+    sample_target = _target_sampler(spec)
     examples = []
     for idx in range(n):
-        y = _sample_ctc_target(spec, rng)
+        y = sample_target(rng)
         durations = rng.integers(spec.frames_min, spec.frames_max + 1, size=len(y))
         while durations.sum() < 2 * len(y) + 1:
             durations[rng.integers(len(y))] += 1
-        rows = []
-        for token, dur in zip(y, durations):
-            block = emb[feature_class(spec, token)][None, :].repeat(dur, axis=0)
-            rows.append(block + spec.noise * rng.standard_normal((dur, spec.feature_dim)))
-        x = np.concatenate(rows, axis=0)
+        frames = emb[list(y)].repeat(durations, axis=0)
+        x = frames + spec.noise * rng.standard_normal((frames.shape[0], spec.feature_dim))
         examples.append(Example(x=x, y=y, split=_split_of(str(idx), spec.seed)))
     return examples
 
 
-def apply_rule(x: tuple[int, ...], spec: AedTaskSpec) -> tuple[int, ...]:
+def apply_rule(x: tuple[int, ...], spec: AedTaskSpec, table: dict[int, int] | None = None) -> tuple[int, ...]:
+    """``x`` mapped by the spec's rule; ``table`` is ``cipher_table(spec)``,
+    built here if the rule needs it and it is not given."""
     if spec.rule == "reverse":
         return tuple(reversed(x))
     if spec.rule == "sort":
         return tuple(sorted(x))
-    return tuple(cipher_table(spec)[t] for t in x)
+    if table is None:
+        table = cipher_table(spec)
+    return tuple(table[t] for t in x)
 
 
 def cipher_table(spec: AedTaskSpec) -> dict[int, int]:
@@ -187,16 +205,15 @@ def gen_aed_dataset(spec: AedTaskSpec, n: int) -> list[Example]:
     if n < 1:
         raise ContractError("need at least one example")
     rng = np.random.default_rng(spec.seed)
+    table = cipher_table(spec) if spec.rule == "cipher" else None
     examples = []
     for _ in range(n):
         length = int(rng.integers(spec.len_min, spec.len_max + 1))
-        x = tuple(int(v) for v in rng.integers(1, spec.vocab_size + 1, size=length))
-        y = list(apply_rule(x, spec))
-        for i in range(length):
-            if rng.random() < spec.copy_noise:
-                y[i] = x[i]
+        x = tuple(rng.integers(1, spec.vocab_size + 1, size=length).tolist())
+        copied = (rng.random(length) < spec.copy_noise).tolist()
+        y = tuple(s if c else t for s, t, c in zip(x, apply_rule(x, spec, table), copied))
         key = " ".join(map(str, x))
-        examples.append(Example(x=x, y=tuple(y), split=_split_of(key, spec.seed)))
+        examples.append(Example(x=x, y=y, split=_split_of(key, spec.seed)))
     return examples
 
 
@@ -284,7 +301,13 @@ def batch_iter(dataset: list[Example], batch_size: int, rng: np.random.Generator
 def export_dataset(dataset: list[Example], path, task: str) -> None:
     """A header line naming the task, then one example per line: split,
     source, target, tab-separated; floats are written by ``repr``, so the
-    file reads back exactly."""
+    file reads back exactly.  An empty dataset or an unknown task is
+    refused before the file is opened, so an existing file stays as it
+    was."""
+    if task not in ("ctc", "aed"):
+        raise ContractError(f"unknown task {task!r}")
+    if not dataset:
+        raise ContractError("empty dataset")
     with open(path, "w", encoding="ascii") as fh:
         if task == "ctc":
             dim = dataset[0].x.shape[1]

@@ -498,14 +498,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _node(out, tuple(parts), bwd)
 
 
-def stack(parts: Sequence[Tensor]) -> Tensor:
-    """Tensors of one shape stacked along a new leading axis."""
-    parts = [as_tensor(p) for p in parts]
-    if not parts or any(p.shape != parts[0].shape for p in parts):
-        raise ShapeError(f"stack of shapes {[p.shape for p in parts]}")
-    return _node(np.stack([p.data for p in parts]), tuple(parts), tuple)
-
-
 def index(a: Tensor, key) -> Tensor:
     """``a[key]`` for a basic index: a tuple of ints and step-1 slices
     over the leading axes, each inside its axis and selecting something;

@@ -3,8 +3,9 @@ structural reduction checks, the chains of single ops that the fused
 attention and feed-forward ops are checked against, the per-tensor Adam
 that the fused one is checked against, the one-instance CTC DP that the
 stacked one is checked against, the path-by-path alignment scan that the
-vectorised one is checked against, the distillation-surrogate audit, and
-the reader for the dataset files that ``gen-data`` writes."""
+vectorised one is checked against, the token-by-token dataset generators
+that the one-pass ones are checked against, the distillation-surrogate
+audit, and the reader for the dataset files that ``gen-data`` writes."""
 
 import itertools
 import math
@@ -24,7 +25,17 @@ from oracle_distill.diagnostics import bound_report_from_logits
 from oracle_distill.errors import ContractError, InfeasibleTargetError
 from oracle_distill.models import CtcModel
 from oracle_distill.objectives import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-from oracle_distill.tasks import Example
+from oracle_distill.tasks import (
+    COINFLIP_PAIR,
+    RESOLVABLE_PAIR,
+    AedTaskSpec,
+    CtcTaskSpec,
+    Example,
+    _split_of,
+    cipher_table,
+    feature_class,
+    token_embeddings,
+)
 from oracle_distill.tensor import Tensor
 
 
@@ -241,6 +252,92 @@ def reference_alignments(y, n_frames: int, vocab) -> list[tuple[int, ...]]:
         for z in itertools.product(range(vocab.size), repeat=n_frames)
         if collapse(z) == y
     ]
+
+
+# ---------------------------------------------------------------------------
+# reference dataset generators
+# ---------------------------------------------------------------------------
+
+
+def _resolve_member(spec: CtcTaskSpec, prev_label: int) -> int:
+    # deterministic function of the previous token's observable class
+    return RESOLVABLE_PAIR[feature_class(spec, prev_label) % 2]
+
+
+def _sample_ctc_target(spec: CtcTaskSpec, rng: np.random.Generator) -> tuple[int, ...]:
+    """Draw a target with no two adjacent tokens in the same feature class,
+    building the label lists afresh for each token."""
+    plain = [k for k in range(1, spec.vocab_size + 1)
+             if spec.ambiguity == 0 or k not in RESOLVABLE_PAIR + COINFLIP_PAIR]
+    length = int(rng.integers(spec.len_min, spec.len_max + 1))
+    y = [int(plain[rng.integers(len(plain))])]
+    for _ in range(length - 1):
+        prev_class = feature_class(spec, y[-1])
+        if rng.random() < spec.ambiguity:
+            kinds = []
+            if prev_class != RESOLVABLE_PAIR[0]:
+                kinds.append("resolvable")
+            if prev_class != COINFLIP_PAIR[0]:
+                kinds.append("coinflip")
+            kind = kinds[rng.integers(len(kinds))]
+            if kind == "resolvable":
+                y.append(_resolve_member(spec, y[-1]))
+            else:
+                y.append(int(COINFLIP_PAIR[rng.integers(2)]))
+        else:
+            allowed = [k for k in plain if feature_class(spec, k) != prev_class]
+            y.append(int(allowed[rng.integers(len(allowed))]))
+    return tuple(y)
+
+
+def reference_ctc_dataset(spec: CtcTaskSpec, n: int) -> list[Example]:
+    """``tasks.gen_ctc_dataset`` token by token: each token's frames are a
+    block of their own, with their own noise draw."""
+    if n < 1:
+        raise ContractError("need at least one example")
+    rng = np.random.default_rng(spec.seed)
+    emb = token_embeddings(spec)
+    examples = []
+    for idx in range(n):
+        y = _sample_ctc_target(spec, rng)
+        durations = rng.integers(spec.frames_min, spec.frames_max + 1, size=len(y))
+        while durations.sum() < 2 * len(y) + 1:
+            durations[rng.integers(len(y))] += 1
+        rows = []
+        for token, dur in zip(y, durations):
+            block = emb[feature_class(spec, token)][None, :].repeat(dur, axis=0)
+            rows.append(block + spec.noise * rng.standard_normal((dur, spec.feature_dim)))
+        x = np.concatenate(rows, axis=0)
+        examples.append(Example(x=x, y=y, split=_split_of(str(idx), spec.seed)))
+    return examples
+
+
+def reference_apply_rule(x: tuple[int, ...], spec: AedTaskSpec) -> tuple[int, ...]:
+    """``tasks.apply_rule``, building the cipher table on every call."""
+    if spec.rule == "reverse":
+        return tuple(reversed(x))
+    if spec.rule == "sort":
+        return tuple(sorted(x))
+    return tuple(cipher_table(spec)[t] for t in x)
+
+
+def reference_aed_dataset(spec: AedTaskSpec, n: int) -> list[Example]:
+    """``tasks.gen_aed_dataset`` token by token: one cipher table and one
+    copy-noise draw per source token."""
+    if n < 1:
+        raise ContractError("need at least one example")
+    rng = np.random.default_rng(spec.seed)
+    examples = []
+    for _ in range(n):
+        length = int(rng.integers(spec.len_min, spec.len_max + 1))
+        x = tuple(int(v) for v in rng.integers(1, spec.vocab_size + 1, size=length))
+        y = list(reference_apply_rule(x, spec))
+        for i in range(length):
+            if rng.random() < spec.copy_noise:
+                y[i] = x[i]
+        key = " ".join(map(str, x))
+        examples.append(Example(x=x, y=tuple(y), split=_split_of(key, spec.seed)))
+    return examples
 
 
 # ---------------------------------------------------------------------------

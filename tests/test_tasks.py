@@ -1,8 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle_distill import tasks
+from oracle_distill.config import RunConfig
 from oracle_distill.ctc import collapse, min_frames
 from oracle_distill.errors import ContractError
+from oracle_distill.harness import generate_dataset
 from oracle_distill.models import CtcModel, ModelConfig
 from oracle_distill.objectives import TrainConfig, loss_total
 from oracle_distill.tasks import (
@@ -21,7 +28,7 @@ from oracle_distill.tasks import (
     token_embeddings,
 )
 
-from helpers import import_dataset
+from helpers import import_dataset, reference_aed_dataset, reference_ctc_dataset
 
 
 class TestCtcGeneration:
@@ -110,6 +117,90 @@ class TestAedGeneration:
         assert splits == {"train", "dev", "test"}
 
 
+class TestOnePassGeneration:
+    """The generators draw once per example what the references draw once
+    per token, from the same stream, so both give the same bytes."""
+
+    # sha256 of the gen-data file of the default config of each task at
+    # seeds 0 and 1, as the token-by-token generators wrote it
+    GOLDEN = {
+        ("ctc", "cipher", 0): "84e5a8b3fbfe6d8e99864c4bb0bb8556704219f6ff7b4d1fcbd9521e18fb47d3",
+        ("ctc", "cipher", 1): "fa40d9601fc0d5c45cac6de64b816be8cff6c4b26594111dd3690525b7c263f3",
+        ("aed", "cipher", 0): "e1ae4d0ab88dfcef01ac9486b70de7b5dd29a439b6d6869ee7d1fbbb10c4ac85",
+        ("aed", "cipher", 1): "b03b6067cd110d1db760878625382934b1d021c2d7cf1eb50f601d415110f7ec",
+        ("aed", "reverse", 0): "aeb3ecec3d684118cf528103f337b7eb6d072661e11c88371b4570766d19ed91",
+        ("aed", "reverse", 1): "c2608f1fdb0b18b7b6d7e502012341e188bf9cb8f56716831d4eab4b15c3c824",
+        ("aed", "sort", 0): "d875f2c42363a7804a7f7901963125b76cbf15e7c4da0c95c5a4dbaf2fe150fb",
+        ("aed", "sort", 1): "d66aab961f9d877720d99e6f336bd1abb44962972e5ed9294b73623034238b76",
+    }
+
+    @pytest.mark.parametrize("task, rule, seed", sorted(GOLDEN))
+    def test_the_exported_file_is_pinned(self, tmp_path, task, rule, seed):
+        path = tmp_path / "data.txt"
+        export_dataset(generate_dataset(RunConfig(task=task, seed=seed, rule=rule)), path, task=task)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN[task, rule, seed]
+
+    @pytest.mark.parametrize("n", [1, 600])
+    @pytest.mark.parametrize("rule, tables", [("cipher", 1), ("reverse", 0), ("sort", 0)])
+    def test_one_cipher_table_per_dataset(self, monkeypatch, rule, tables, n):
+        calls = []
+        built = tasks.cipher_table
+
+        def counted(spec):
+            calls.append(spec)
+            return built(spec)
+
+        monkeypatch.setattr(tasks, "cipher_table", counted)
+        gen_aed_dataset(AedTaskSpec(rule=rule, seed=5), n)
+        assert len(calls) == tables
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_ctc_examples_equal_the_token_by_token_reference(self, data):
+        ambiguity = data.draw(st.sampled_from((0.0, 0.3, 1.0)))
+        len_min = data.draw(st.integers(1, 4))
+        frames_min = data.draw(st.integers(1, 3))
+        spec = CtcTaskSpec(
+            vocab_size=data.draw(st.integers(6 if ambiguity else 2, 10)),
+            len_min=len_min,
+            len_max=data.draw(st.integers(len_min, 7)),
+            frames_min=frames_min,
+            frames_max=data.draw(st.integers(frames_min, 5)),
+            feature_dim=data.draw(st.integers(1, 5)),
+            noise=data.draw(st.sampled_from((0.0, 0.3)) | st.floats(0.0, 2.0)),
+            ambiguity=ambiguity,
+            seed=data.draw(st.integers(0, 2 ** 32)),
+        )
+        n = data.draw(st.integers(1, 50))
+        assert _fingerprints(gen_ctc_dataset(spec, n)) == _fingerprints(reference_ctc_dataset(spec, n))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_aed_examples_equal_the_token_by_token_reference(self, data):
+        len_min = data.draw(st.integers(1, 5))
+        spec = AedTaskSpec(
+            vocab_size=data.draw(st.integers(2, 15)),
+            len_min=len_min,
+            len_max=data.draw(st.integers(len_min, 10)),
+            rule=data.draw(st.sampled_from(("reverse", "cipher", "sort"))),
+            copy_noise=data.draw(st.sampled_from((0.0, 0.1, 1.0)) | st.floats(0.0, 1.0)),
+            seed=data.draw(st.integers(0, 2 ** 32)),
+        )
+        n = data.draw(st.integers(1, 50))
+        assert _fingerprints(gen_aed_dataset(spec, n)) == _fingerprints(reference_aed_dataset(spec, n))
+
+
+def _fingerprints(dataset):
+    """Each example by bytes: a frame matrix by its dtype, shape and
+    buffer, a token tuple and a target by ``repr`` (so a numpy integer
+    shows), and the split."""
+    return [
+        ((ex.x.dtype.str, ex.x.shape, ex.x.tobytes()) if isinstance(ex.x, np.ndarray) else repr(ex.x),
+         repr(ex.y), ex.split)
+        for ex in dataset
+    ]
+
+
 class TestBatching:
     def test_padding_never_reaches_the_loss(self):
         spec = CtcTaskSpec(seed=23)
@@ -179,3 +270,18 @@ class TestExport:
         path.write_text("something\n")
         with pytest.raises(ContractError):
             import_dataset(path)
+
+    @pytest.mark.parametrize("task", ["ctc", "aed"])
+    def test_an_empty_dataset_is_refused_before_the_file_is_opened(self, tmp_path, task):
+        path = tmp_path / "data.txt"
+        path.write_text("kept\n")
+        with pytest.raises(ContractError, match="empty dataset"):
+            export_dataset([], path, task=task)
+        assert path.read_text() == "kept\n"
+
+    def test_an_unknown_task_is_refused_before_the_file_is_opened(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("kept\n")
+        with pytest.raises(ContractError, match="unknown task 'aedx'"):
+            export_dataset(gen_ctc_dataset(CtcTaskSpec(seed=41), 3), path, task="aedx")
+        assert path.read_text() == "kept\n"

@@ -131,15 +131,12 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             T.attention(q, k, T.index(v, (slice(None), slice(0, 2))), Tensor(np.eye(1)))
 
-    def test_index_and_stack(self):
+    def test_index(self):
         a = Tensor(np.arange(12.0).reshape(2, 3, 2))
         np.testing.assert_array_equal(T.index(a, (1, slice(0, 2))).data, a.data[1, :2])
-        np.testing.assert_array_equal(T.stack([a, a]).data[1], a.data)
         for key in ((2,), (0, slice(1, 1)), (0, slice(0, 4)), (0, 0, 0, 0)):
             with pytest.raises(ShapeError):
                 T.index(a, key)
-        with pytest.raises(ShapeError):
-            T.stack([a, T.index(a, 0)])
 
 
 class TestBackward:
@@ -238,7 +235,6 @@ def _fd_cases(rng):
         ),
         "index": lambda t: sum_sq(T.index(t, (slice(None), slice(1, 3)))),
         "index_row": lambda t: sum_sq(T.mul(T.index(t, 1), T.index(other, 2))),
-        "stack": lambda t: sum_sq(T.mul(T.stack([t, relu(t)]), T.stack([other, other]))),
         "scale_array": lambda t: sum_sq(T.scale(t, other.data[0])),
         "mean": lambda t: T.mul(T.mean(t), T.mean(t)),
         "sum": lambda t: T.mul(T.sum_all(t), T.mean(t)),

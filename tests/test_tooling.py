@@ -133,6 +133,41 @@ def test_every_defaulted_parameter_has_a_caller_that_sets_it():
     assert sorted(set(unset) - UNSET_ALLOWED) == []
 
 
+SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+          ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def own_nodes(scope):
+    """The nodes of ``scope`` outside the scopes nested in it; a nested
+    scope is yielded itself, but not entered."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def free_names(scope, outer: frozenset = frozenset()):
+    """The bare names loaded in ``scope`` and the scopes nested in it where
+    no enclosing scope binds them as an assignment, argument, loop or
+    comprehension target.  A class body's names reach none of its
+    methods, as in Python."""
+    bound = set(outer)
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = scope.args
+        bound |= {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg)
+                  if a is not None}
+    nodes = list(own_nodes(scope))
+    bound |= {n.id for n in nodes if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+    inner = outer if isinstance(scope, ast.ClassDef) else frozenset(bound)
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+            yield node.id
+        elif isinstance(node, SCOPES):
+            yield from free_names(node, inner)
+
+
 def unreferenced_functions(package_sources: list[str], all_sources: list[str],
                            modules: set[str]) -> list[str]:
     """Qualified names of the functions and methods in ``package_sources``
@@ -140,7 +175,9 @@ def unreferenced_functions(package_sources: list[str], all_sources: list[str],
     own definition.
 
     A read is a loaded name or attribute with the function's name, so a
-    call, a callback or a function handed to a tracer all count; dunder
+    call, a callback or a function handed to a tracer all count, but a
+    bare name counts only where no enclosing scope binds it (a local
+    ``stack`` list is not the function ``stack``); dunder
     methods, which Python calls itself, are skipped.  A module-level
     function is read only by its bare name, by an import of it from the
     package, or as an attribute of a name that a ``from`` import binds to
@@ -167,11 +204,11 @@ def unreferenced_functions(package_sources: list[str], all_sources: list[str],
         reach a module-level function of that name."""
         anywhere = Counter()
         module_level = Counter(a.name for node in package_imports(tree) for a in node.names)
+        for name in free_names(tree):
+            anywhere[name] += 1
+            module_level[name] += 1
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                anywhere[node.id] += 1
-                module_level[node.id] += 1
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 anywhere[node.attr] += 1
                 if isinstance(node.value, ast.Name) and node.value.id in aliases:
                     module_level[node.attr] += 1
@@ -217,6 +254,31 @@ def test_checker_finds_a_function_nothing_names():
     callers = "used()\nK().method()\nrun(on_step=callback)\n"
     assert unreferenced_functions([package], [package, callers], MODULES) == [
         "K.dead", "K.method.inner", "recursive"]
+
+
+def test_checker_ignores_a_bare_name_its_scope_binds():
+    package = (
+        "def stack(parts):\n    pass\n"
+        "def walk(n):\n    pass\n"
+        "def item(i):\n    pass\n"
+        "def row(i):\n    pass\n"
+        "def kept():\n    pass\n"
+        "class Tape:\n"
+        "    kept = 1\n"
+        "    def build(self, root, walk):\n"
+        "        stack = [root]\n"
+        "        items = [item for item in walk]\n"
+        "        f = lambda row: row\n"
+        "        def inner():\n            return stack\n"
+        "        return inner, items, f\n"
+        "    def count(self):\n        return kept()\n"
+    )
+    callers = "Tape().build(1, [])\nTape().count()\n"
+    # a local list, an argument, a comprehension target and a lambda's
+    # argument each hide the function of their name, also from a nested
+    # scope; a class attribute does not reach the class's methods
+    assert unreferenced_functions([package], [package, callers], MODULES) == [
+        "item", "row", "stack", "walk"]
 
 
 def test_checker_reads_a_module_function_only_through_the_package():
