@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .models import ModelConfig
 from .objectives import TrainConfig
 from .tasks import AedTaskSpec, CtcTaskSpec
@@ -64,13 +64,16 @@ class RunConfig:
 
     def resolved(self) -> "RunConfig":
         cfg = RunConfig(**{f.name: getattr(self, f.name) for f in fields(self)})
-        if cfg.data_seed < 0:
+        for name in ("data_seed", "vocab_size", "len_min", "len_max", "checkpoint_every"):
+            if getattr(cfg, name) < -1:
+                raise ContractError(f"{name} must be -1 or nonnegative, got {getattr(cfg, name)}")
+        if cfg.data_seed == -1:
             cfg.data_seed = cfg.seed
         spec = CtcTaskSpec if cfg.task == "ctc" else AedTaskSpec
         for name in ("vocab_size", "len_min", "len_max"):
-            if getattr(cfg, name) < 0:
+            if getattr(cfg, name) == -1:
                 setattr(cfg, name, getattr(spec, name))
-        if cfg.checkpoint_every < 0:
+        if cfg.checkpoint_every == -1:
             cfg.checkpoint_every = max(1, cfg.steps // 5)
         return cfg
 

@@ -22,7 +22,7 @@ from .diagnostics import BoundReport, check_lower_bound, bound_report_from_logit
 from .errors import ContractError
 from .metrics import exact_match_rate, token_error_rate
 from .models import AUX_PREFIXES, CtcModel, ModelConfig, build_model, save_checkpoint
-from .objectives import Adam, TrainConfig, loss_total, mask_target
+from .objectives import Adam, TrainConfig, loss_total, teacher_targets
 from .tasks import Batch, batch_iter, gen_aed_dataset, gen_ctc_dataset, split_examples
 from .tensor import Tensor, backward, finite_differences, grad_check
 from . import tensor as tt
@@ -122,9 +122,8 @@ def evaluate(model, examples, mode: str, train_cfg: TrainConfig, mask_seed: int 
             )
     else:
         targets = [counted.get(i) for i in range(len(examples))]
-        if not isinstance(model, CtcModel):  # the CTC teacher sees all of y
-            rng = np.random.default_rng(mask_seed)
-            targets = [mask_target(y, train_cfg.lambda_mask, rng) for y in targets]
+        rng = np.random.default_rng(mask_seed)
+        targets = teacher_targets(model, targets, train_cfg.lambda_mask, rng)
         predictions = model.predict_teacher(sources, targets)
         aux_reads = model.store.reads_with_prefix(*AUX_PREFIXES)
         target_reads = counted.reads
@@ -168,8 +167,8 @@ def fit_loop(model, train_examples, train_cfg: TrainConfig, on_step=None) -> lis
             optimizer.zero_grad()
             backward(out.total)
             optimizer.step()
-            b = out.breakdown
-            record = MetricsRecord(step, b.l_org, b.l_em, b.l_kd, b.l_total)
+            terms = (0.0 if t is None else t.item() for t in out.terms)
+            record = MetricsRecord(step, *terms, out.total.item())
             records.append(record)
             if on_step is not None:
                 on_step(step, record, model)

@@ -619,6 +619,11 @@ class AedModel(_TransformerBase):
         modules, oracle encoder, and output head are auxiliary.  The
         lengths are as for ``student_head``; ``masked_target`` is padded
         like ``target``.
+
+        No package code calls it: training runs both heads through
+        ``student_and_teacher_logits``.  It stays as the two-pass reference
+        that ``tests/test_batched.py`` checks the joint pass against, and
+        ``perfbench/tracing.py`` wraps it by name.
         """
         fused = self._guided(memory, masked_target, lengths, target_lengths)
         return self._teacher_forced(fused, target, ("teacher_out",), lengths, target_lengths)[0]

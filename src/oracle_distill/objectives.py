@@ -7,14 +7,19 @@ a distillation bridge between the two output distributions, weighted by
 step; nothing is cached across steps.
 
 ``loss_total`` builds all three terms of a batch as one graph, from one
-encoder pass over the batch's padded sources (a :class:`tasks.Batch`).
+encoder pass over the batch's padded sources (a :class:`tasks.Batch`),
+and returns that graph alone: ``.total`` and ``.terms`` = (l_org, l_em,
+l_kd), whose ``item()`` values are the loss columns of a metrics row.
 Each term is the mean over the items of a per-item loss: a sequence's
 rows are weighted 1/len on its real positions and 0 on padding.  The two
 CTC terms share one DP call over the stack of the student's and the
 teacher's padded frame logits, which reads each item's own frames only;
-l_org and l_em are the means of its two halves.  A single term is read
-from the result: ``.terms`` holds (l_org, l_em, l_kd), and with
-``use_teacher=False`` ``.total`` is l_org alone.
+l_org and l_em are the means of its two halves.  With
+``use_teacher=False`` l_em and l_kd are None and ``.total`` is l_org.
+
+``teacher_targets`` alone decides what the teacher sees of a target, in
+training and in the teacher-mode evaluation: all of y for CTC, y masked
+by ``mask_target`` for the encoder-decoder.
 
 One optimizer updates the student (``seq.``) and the auxiliary
 (``oracle.``, ``fusion.``, ``teacher_out.``) parameters together.
@@ -26,6 +31,7 @@ in-place vector operations, bit-identical to a per-tensor Adam.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +65,9 @@ class TrainConfig:
     warmup_steps: int = 40
 
     def __post_init__(self):
+        for name in ("alpha", "temperature", "lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ContractError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0:
             raise ContractError("alpha must be nonnegative")
         if not 0.0 <= self.lambda_mask <= 1.0:
@@ -72,6 +81,8 @@ class TrainConfig:
         for name in ("steps", "batch_size"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be positive")
+        if self.warmup_steps < 0:
+            raise ContractError("warmup_steps must be nonnegative")
         if self.seed < 0:
             raise ContractError("seed must be nonnegative")
 
@@ -86,31 +97,22 @@ def mask_target(y, lambda_mask: float, rng: np.random.Generator) -> tuple[int, .
     return tuple(MASK if d < lambda_mask else t for t, d in zip(y, draws))
 
 
-@dataclass
-class LossBreakdown:
-    l_org: float
-    l_em: float
-    l_kd: float
-    l_total: float
+def teacher_targets(model, targets, lambda_mask: float, rng: np.random.Generator) -> list:
+    """The targets as the teacher sees them: unchanged for a CTC model,
+    whose teacher reads all of y, and for the encoder-decoder
+    ``mask_target`` of each item, drawn in order from ``rng``."""
+    if isinstance(model, CtcModel):
+        return list(targets)
+    return [mask_target(y, lambda_mask, rng) for y in targets]
 
 
 @dataclass
 class StepOutputs:
-    """Everything a training step produced, for logging and diagnostics.
-
-    ``terms`` holds the graph tensors (l_org, l_em, l_kd) that ``total``
-    sums; l_em and l_kd are None with the teacher off.  The logits are one
-    array per item, in batch order: views of the unpadded rows of the
-    graph's own padded node outputs, shared rather than copied, since
-    nothing writes to them.
-    """
+    """The graph of a training step: ``total`` and the terms (l_org, l_em,
+    l_kd) it sums; l_em and l_kd are None with the teacher off."""
 
     total: Tensor
-    breakdown: LossBreakdown
     terms: tuple
-    student_logits: list[np.ndarray]
-    teacher_logits: list
-    masked_targets: list
 
 
 def cross_entropy(logits: Tensor, targets, weights) -> Tensor:
@@ -136,9 +138,11 @@ def _sequence_losses(model, u_s: Tensor, u_t, batch: Batch, weights) -> tuple:
         losses = ctc_loss_dp(tt.concat([u_s, u_t]), batch.targets * 2, model.vocab,
                              np.concatenate([batch.lengths, batch.lengths]))
         return tt.mean(tt.index(losses, slice(0, n))), tt.mean(tt.index(losses, slice(n, 2 * n)))
+    # each target then the end symbol; padded cells, whatever they hold, read as 0
+    y_ids, y_lengths = batch.target_ids, batch.target_lengths
     ids = np.zeros(u_s.shape[:-1], dtype=np.int64)
-    for i, y in enumerate(batch.targets):
-        ids[i, : len(y) + 1] = (*y, model.eos)
+    np.copyto(ids[:, :-1], y_ids, where=np.arange(y_ids.shape[1]) < y_lengths[:, None])
+    ids[np.arange(n), y_lengths] = model.eos
     l_org = cross_entropy(u_s, ids, weights)
     return l_org, None if u_t is None else cross_entropy(u_t, ids, weights)
 
@@ -163,63 +167,51 @@ def loss_total(model, batch, config: TrainConfig, rng: np.random.Generator) -> S
     encoder pass.
 
     ``batch`` is a :class:`tasks.Batch`, or the examples or (source,
-    target) pairs to build one from.  The masks of the encoder-decoder
-    teacher are drawn per item, in batch order, from ``rng``.  The
-    breakdown satisfies l_total = l_org + l_em + alpha * l_kd exactly,
-    because the total is assembled from the same scalars.  For CTC, l_org
-    and l_em come from one ``ctc_loss_dp`` call over the ``(2B, T, K)``
-    stack of student and teacher logits (``(B, T, K)``, the student's
-    alone, with the teacher off).  For the encoder-decoder, the student
-    and the teacher logits come from one teacher-forced decoder pass over
-    the ``(2B, L, d)`` stack of the encoded sources and the fused memory
+    target) pairs to build one from.  The teacher sees each target as
+    ``teacher_targets`` gives it, so the encoder-decoder's masks are drawn
+    per item, in batch order, from ``rng``.  The total is l_org + l_em +
+    alpha * l_kd, assembled from the terms' own scalars, so the ``item()``
+    values of ``.total`` and ``.terms`` satisfy that sum exactly in float
+    arithmetic.  For CTC, l_org and l_em come from one ``ctc_loss_dp``
+    call over the ``(2B, T, K)`` stack of student and teacher logits
+    (``(B, T, K)``, the student's alone, with the teacher off).  For the
+    encoder-decoder, the student and the teacher logits come from one
+    teacher-forced decoder pass over the ``(2B, L, d)`` stack of the
+    encoded sources and the fused memory
     (``AedModel.student_and_teacher_logits``), each head reading its own
     B rows; with the teacher off the pass is over the encoded sources
     alone.
     """
     if not isinstance(batch, Batch):
         batch = Batch(batch)
-    ctc = isinstance(model, CtcModel)
     lengths, y_ids, y_lengths = batch.lengths, batch.target_ids, batch.target_lengths
     encoded = model.encode(batch.sources, lengths)
-    masked = [None] * len(batch)  # the CTC teacher sees all of y
     u_t = None
-    if ctc:
+    if config.use_teacher:
+        # the teacher's view of each target, padded like y_ids
+        seen_ids = y_ids.copy()
+        for i, seen in enumerate(teacher_targets(model, batch.targets, config.lambda_mask, rng)):
+            seen_ids[i, : len(seen)] = seen
+    if isinstance(model, CtcModel):
         rows = lengths
         u_s = model.student_head(encoded)
         if config.use_teacher:
-            u_t = model.teacher_logits(encoded, y_ids, lengths=lengths, target_lengths=y_lengths)
+            u_t = model.teacher_logits(encoded, seen_ids, lengths=lengths, target_lengths=y_lengths)
     else:
         rows = y_lengths + 1
         if config.use_teacher:
-            masked = [mask_target(y, config.lambda_mask, rng) for y in batch.targets]
-            masked_ids = y_ids.copy()
-            for i, m in enumerate(masked):
-                masked_ids[i, : len(m)] = m
-            u_s, u_t = model.student_and_teacher_logits(encoded, y_ids, masked_ids, lengths, y_lengths)
+            u_s, u_t = model.student_and_teacher_logits(encoded, y_ids, seen_ids, lengths, y_lengths)
         else:
             u_s = model.student_head(encoded, y_ids, lengths, y_lengths)
     # each item's real rows weigh 1/len, padding 0, and the items 1/B
     valid = np.arange(u_s.shape[-2]) < rows[:, None]
     weights = np.where(valid, 1.0 / rows[:, None], 0.0) / len(batch)
     l_org, l_em = _sequence_losses(model, u_s, u_t, batch, weights)
-    if config.use_teacher:
-        l_kd = _kd_loss(model, config, u_s, u_t, weights)
-        total = tt.add(tt.add(l_org, l_em), tt.scale(l_kd, config.alpha))
-        breakdown = LossBreakdown(l_org.item(), l_em.item(), l_kd.item(), total.item())
-        teacher = [u_t.data[i, :n] for i, n in enumerate(rows)]
-    else:
-        l_kd = None
-        total = l_org
-        breakdown = LossBreakdown(l_org.item(), 0.0, 0.0, total.item())
-        teacher, masked = [None] * len(batch), [None] * len(batch)
-    return StepOutputs(
-        total=total,
-        breakdown=breakdown,
-        terms=(l_org, l_em, l_kd),
-        student_logits=[u_s.data[i, :n] for i, n in enumerate(rows)],
-        teacher_logits=teacher,
-        masked_targets=masked,
-    )
+    if not config.use_teacher:
+        return StepOutputs(total=l_org, terms=(l_org, None, None))
+    l_kd = _kd_loss(model, config, u_s, u_t, weights)
+    total = tt.add(tt.add(l_org, l_em), tt.scale(l_kd, config.alpha))
+    return StepOutputs(total=total, terms=(l_org, l_em, l_kd))
 
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba 2015)

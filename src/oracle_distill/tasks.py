@@ -25,6 +25,7 @@ across calls.  The benchmark wraps ``gen_ctc_dataset`` and
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,10 @@ class CtcTaskSpec:
             raise ContractError("need 1 <= frames_min <= frames_max")
         if not 0.0 <= self.ambiguity <= 1.0:
             raise ContractError("ambiguity must lie in [0, 1]")
-        if self.noise < 0:
-            raise ContractError("noise must be nonnegative")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ContractError(f"noise must be finite and nonnegative, got {self.noise}")
+        if self.feature_dim < 1:
+            raise ContractError("feature_dim must be positive")
         if self.ambiguity > 0 and self.vocab_size < 6:
             raise ContractError("confusable pairs need vocab_size >= 6")
         if self.vocab_size < 2:

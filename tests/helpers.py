@@ -5,12 +5,15 @@ that the fused one is checked against, the one-instance CTC DP that the
 stacked one is checked against, the path-by-path alignment scan that the
 vectorised one is checked against, the token-by-token dataset generators
 that the one-pass ones are checked against, the distillation-surrogate
-audit, and the reader for the dataset files that ``gen-data`` writes."""
+audit, the recorders that read a training step's logits and masks from
+the model calls it makes, and the reader for the dataset files that
+``gen-data`` writes."""
 
 import itertools
 import math
 
 import numpy as np
+import pytest
 
 from oracle_distill import tensor as T
 from oracle_distill.ctc import (
@@ -29,6 +32,7 @@ from oracle_distill.tasks import (
     COINFLIP_PAIR,
     RESOLVABLE_PAIR,
     AedTaskSpec,
+    Batch,
     CtcTaskSpec,
     Example,
     _split_of,
@@ -338,6 +342,49 @@ def reference_aed_dataset(spec: AedTaskSpec, n: int) -> list[Example]:
         key = " ".join(map(str, x))
         examples.append(Example(x=x, y=tuple(y), split=_split_of(key, spec.seed)))
     return examples
+
+
+# ---------------------------------------------------------------------------
+# a step's logits, read from the model calls it makes
+# ---------------------------------------------------------------------------
+
+
+def record_calls(monkeypatch, obj, name) -> list:
+    """Wrap the method ``name`` of ``obj`` so that each call appends
+    ``(args, result)`` to the list returned."""
+    calls = []
+    method = getattr(obj, name)
+
+    def recorded(*args, **kwargs):
+        result = method(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(obj, name, recorded)
+    return calls
+
+
+def head_logits(model, batch, step):
+    """``step()``, a ``loss_total`` call over ``batch``, and the student's
+    and the teacher's logits of the head calls it made (the last of each),
+    cut to one array of real rows per item: ``(result, student, teacher)``,
+    the teacher None when no teacher head ran."""
+    batch = batch if isinstance(batch, Batch) else Batch(batch)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = {name: record_calls(mp, model, name) if hasattr(model, name) else []
+                 for name in ("student_head", "teacher_logits", "student_and_teacher_logits")}
+        result = step()
+    if calls["student_and_teacher_logits"]:
+        u_s, u_t = calls["student_and_teacher_logits"][-1][1]
+    else:
+        u_s = calls["student_head"][-1][1]
+        u_t = calls["teacher_logits"][-1][1] if calls["teacher_logits"] else None
+    rows = batch.lengths if isinstance(model, CtcModel) else batch.target_lengths + 1
+
+    def cut(u):
+        return None if u is None else [u.data[i, :n] for i, n in enumerate(rows)]
+
+    return result, cut(u_s), cut(u_t)
 
 
 # ---------------------------------------------------------------------------

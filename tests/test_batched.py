@@ -13,7 +13,7 @@ from oracle_distill.config import RunConfig
 from oracle_distill.ctc import min_frames
 from oracle_distill.errors import ContractError, ShapeError
 from oracle_distill.models import MASK, AedModel, CtcModel, ModelConfig
-from oracle_distill.objectives import TrainConfig, loss_total
+from oracle_distill.objectives import TrainConfig, loss_total, teacher_targets
 from oracle_distill.tasks import (
     Batch,
     batch_iter,
@@ -23,7 +23,13 @@ from oracle_distill.tasks import (
     split_examples,
 )
 
-TERMS = ("l_org", "l_em", "l_kd", "l_total")
+from helpers import head_logits
+
+
+def _losses(out):
+    """The loss columns of the metrics row a step writes: each term's
+    value (0.0 for an absent one), then the total's."""
+    return [0.0 if t is None else t.item() for t in out.terms] + [out.total.item()]
 
 
 def _grads(model, out):
@@ -80,15 +86,19 @@ def models_and_batches(draw, aed_teacher_only=False):
 
 
 def _singles(model, batch, train, mask_seed):
+    """Each item's own ``loss_total`` call and the student logits it
+    made."""
     # the batch draws each item's mask in batch order from one stream, so
     # single-item calls sharing one generator draw the same masks
     rng = np.random.default_rng(mask_seed)
-    return [loss_total(model, [item], train, rng) for item in batch]
+    singles = [head_logits(model, [item], lambda item=item: loss_total(model, [item], train, rng))
+               for item in batch]
+    return [(out, student[0]) for out, student, _ in singles]
 
 
 def _mean_grads(model, singles):
     want = {name: np.zeros_like(t.data) for name, t in model.store.items()}
-    for single in singles:
+    for single, _ in singles:
         for name, g in _grads(model, single).items():
             want[name] += g / len(singles)
     return want
@@ -123,17 +133,21 @@ def _tiny_aed(seed, **layers):
 @given(models_and_batches())
 def test_batched_objective_equals_the_mean_of_single_items(case):
     model, train, batch, mask_seed = case
-    out = loss_total(model, batch, train, np.random.default_rng(mask_seed))
+    out, student, _ = head_logits(
+        model, batch, lambda: loss_total(model, batch, train, np.random.default_rng(mask_seed)))
     grads = _grads(model, out)
 
     singles = _singles(model, batch, train, mask_seed)
-    for name in TERMS:
-        got = getattr(out.breakdown, name)
-        want = float(np.mean([getattr(s.breakdown, name) for s in singles]))
-        assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300), name
-    for i, single in enumerate(singles):
-        np.testing.assert_allclose(out.student_logits[i], single.student_logits[0], rtol=0, atol=1e-12)
-        assert out.masked_targets[i] == single.masked_targets[0]
+    for i, got in enumerate(_losses(out)):
+        want = float(np.mean([_losses(s)[i] for s, _ in singles]))
+        assert abs(got - want) <= 1e-12 * max(abs(want), 1e-300), i
+    for got, (_, want) in zip(student, singles):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # the batch's masks are those of single items drawing from one stream
+    targets = [y for _, y in batch]
+    rng = np.random.default_rng(mask_seed)
+    assert teacher_targets(model, targets, train.lambda_mask, np.random.default_rng(mask_seed)) == [
+        teacher_targets(model, [y], train.lambda_mask, rng)[0] for y in targets]
 
     # The batch sums attention over its padded keys in another order than
     # a single item does.  Width-2 layer norms can amplify that round-off
@@ -180,7 +194,7 @@ def test_padding_is_inert(task):
     clean_out = loss_total(model, batch, train, np.random.default_rng(5))
     clean = _grads(model, clean_out)
     dirty_out = loss_total(model, dirty, train, np.random.default_rng(5))
-    assert dirty_out.breakdown == clean_out.breakdown
+    assert _losses(dirty_out) == _losses(clean_out)
     for name, g in _grads(model, dirty_out).items():
         np.testing.assert_array_equal(g, clean[name], err_msg=name)
 
@@ -223,28 +237,31 @@ def _check_joint_pass(model, train, batch, mask_seed, exact):
     product by the row count, which the stack doubles, and for a product
     with at most 3 output columns whose row count is not a multiple of 4
     the kernels sum in different orders."""
-    joint = loss_total(model, batch, train, np.random.default_rng(mask_seed))
+    def step():
+        return loss_total(model, batch, train, np.random.default_rng(mask_seed))
+
+    joint, *joint_logits = head_logits(model, batch, step)
     grads = _grads(model, joint)
 
     def apart():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "student_and_teacher_logits", _two_pass(model))
-            return loss_total(model, batch, train, np.random.default_rng(mask_seed))
+            return head_logits(model, batch, step)
 
-    ref = apart()
+    ref, *ref_logits = apart()
     want = _grads(model, ref)
     pairs = [(a.data, b.data) for a, b in zip(joint.terms, ref.terms)]
-    for side in ("student_logits", "teacher_logits"):
-        pairs += list(zip(getattr(joint, side), getattr(ref, side)))
+    for side, ref_side in zip(joint_logits, ref_logits):
+        pairs += list(zip(side, ref_side))
     scale = max(np.abs(g).max() for g in want.values())
     if exact:
-        assert joint.breakdown == ref.breakdown
+        assert _losses(joint) == _losses(ref)
         assert all(a.tobytes() == b.tobytes() for a, b in pairs)
         tol = 1e-12 * scale
     else:
         for a, b in pairs:
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
-        tol = max(1e-12 * scale, 16 * _ulp_movement(model, lambda: _grads(model, apart()), want))
+        tol = max(1e-12 * scale, 16 * _ulp_movement(model, lambda: _grads(model, apart()[0]), want))
     for name, g in grads.items():
         assert np.abs(g - want[name]).max() <= tol, name
 

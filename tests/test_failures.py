@@ -12,11 +12,13 @@ import pytest
 from oracle_distill import cli
 from oracle_distill.config import RunConfig, config_to_mapping
 from oracle_distill.errors import ContractError, TrainingAbort, VocabularyError
-from oracle_distill import models
+from oracle_distill import harness, models
 from oracle_distill.harness import _acquire_lock, train_run
 from oracle_distill.models import AedModel, ModelConfig, save_checkpoint
 from oracle_distill.objectives import Adam, TrainConfig, loss_total
 from oracle_distill.tensor import Tensor
+
+from helpers import record_calls
 
 
 class TestAtomicAdam:
@@ -140,15 +142,23 @@ def test_end_symbol_in_target_rejected_with_teacher_off():
         loss_total(model, batch, cfg, None)
 
 
-def test_term_views_equal_the_total_breakdown():
-    model, cfg = _aed()
+def test_term_views_equal_the_total_breakdown(monkeypatch):
+    """A metrics row holds the values of the step's terms (0.0 for an
+    absent one) and of its total, which is their weighted sum exactly."""
     batch = [((1, 2, 3), (3, 1)), ((4, 2), (2, 2, 1))]
-    out = loss_total(model, batch, cfg, np.random.default_rng(4))
-    b = out.breakdown
-    assert [t.item() for t in out.terms] == [b.l_org, b.l_em, b.l_kd]
-    assert out.total.item() == b.l_total
-    # the teacher-off total is l_org alone
-    assert loss_total(model, batch, TrainConfig(use_teacher=False), None).total.item() == b.l_org
+    steps = record_calls(monkeypatch, harness, "loss_total")
+    records = []
+    for use_teacher in (True, False):
+        model, cfg = _aed()
+        cfg.use_teacher, cfg.steps, cfg.batch_size = use_teacher, 1, 2
+        records += harness.fit_loop(model, batch, cfg)
+        _, out = steps[-1]
+        l_org, l_em, l_kd = (0.0 if t is None else t.item() for t in out.terms)
+        assert (records[-1].l_org, records[-1].l_em, records[-1].l_kd) == (l_org, l_em, l_kd)
+        assert records[-1].l_total == out.total.item() == l_org + l_em + cfg.alpha * l_kd
+    # the teacher-off total is l_org alone, the same l_org as with the teacher
+    assert out.terms[1:] == (None, None) and out.total is out.terms[0]
+    assert records[1].l_total == records[0].l_org
 
 
 def _aed_checkpoint(tmp_path):
@@ -157,9 +167,9 @@ def _aed_checkpoint(tmp_path):
     return path
 
 
-def _seed_config(tmp_path):
+def _config_file(tmp_path, text):
     path = tmp_path / "run.cfg"
-    path.write_text("seed = -1\nsteps = 2\n")
+    path.write_text(text)
     return path
 
 
@@ -175,8 +185,13 @@ BAD_CLI_INPUTS = {
                         "argument --seed: expected a nonnegative integer, got '-1'"),
     "check-ctc --seed -1": (lambda d: ["check-ctc", "--seed", "-1"], 2,
                             "argument --seed: expected a nonnegative integer, got '-1'"),
-    "seed -1 in a config file": (lambda d: ["train", "--config", str(_seed_config(d)), "--out", str(d / "run")], 2,
-                                 "configuration error: seed must be nonnegative"),
+    "seed -1 in a config file": (
+        lambda d: ["train", "--config", str(_config_file(d, "seed = -1\nsteps = 2\n")),
+                   "--out", str(d / "run")],
+        2, "configuration error: seed must be nonnegative"),
+    "noise nan in a config file": (
+        lambda d: ["gen-data", "--config", str(_config_file(d, "noise = nan\n")), "--out", str(d / "x")],
+        2, "configuration error: noise must be finite and nonnegative, got nan"),
     "alignment dump of an aed checkpoint": (
         lambda d: ["dump", "--checkpoint", str(_aed_checkpoint(d)), "--example-id", "0",
                    "--what", "alignment", "--out", str(d / "dump")], 1,

@@ -26,9 +26,11 @@ from oracle_distill.harness import (
     parse_metrics_csv,
     train_run,
 )
-from oracle_distill.models import build_model, load_checkpoint
-from oracle_distill.objectives import TrainConfig, mask_target
-from oracle_distill.tasks import split_examples
+from oracle_distill.models import MASK, build_model, load_checkpoint
+from oracle_distill.objectives import TrainConfig, loss_total, mask_target
+from oracle_distill.tasks import Batch, split_examples
+
+from helpers import record_calls
 
 
 def tiny_cfg(**kw):
@@ -226,6 +228,57 @@ def test_teacher_evaluate_draws_each_mask_in_split_order(task):
         want.append(model.predict_teacher([ex.x], [tokens])[0])
     assert report["predictions"] == want
     assert report["target_reads_during_predict"] == len(dev)
+
+
+def test_training_and_teacher_evaluation_draw_the_same_masks(monkeypatch):
+    cfg = tiny_cfg(task="aed").resolved()
+    dev = split_examples(generate_dataset(cfg), "dev")
+    model = build_model(cfg.model_config(), seed=0)
+    train_cfg = cfg.train_config()
+    joint = record_calls(monkeypatch, model, "student_and_teacher_logits")
+    predict = record_calls(monkeypatch, model, "predict_teacher")
+    batch = Batch(dev)
+    loss_total(model, batch, train_cfg, np.random.default_rng(7))
+    evaluate(model, dev, "teacher", train_cfg, mask_seed=7)
+    [(args, _)] = joint
+    trained = [tuple(row[:n]) for row, n in zip(args[2].tolist(), batch.target_lengths)]
+    [((_, evaluated), _)] = predict
+    assert trained == evaluated
+    assert any(MASK in m for m in trained) and trained != batch.targets
+
+
+# sha256 of metrics.csv and checkpoint_final.txt after 30 seed-1 steps with
+# a dev evaluation every 10, for each task with the teacher on and off and
+# with the other distillation settings; a change meant to keep what
+# training computes keeps these bytes
+TRAINING_GOLDEN = {
+    "ctc": (dict(task="ctc"),
+            "c9f116a82fa43c203f7ab0eb9082b509b811ac76b25bd443d1119be33795cbe5",
+            "be5ba69fcdc4d6b1b66fc0741ee11146358364e2e7252be8320abacabd425d57"),
+    "aed": (dict(task="aed"),
+            "28d0a8c8c40384382892bf320e78b0acd1c224fc8036a9c31bd033fc275579bc",
+            "e1feba647b4574fa1d8ea04b1070312ba6c33102d8f50086c1dfb8b51db6404f"),
+    "ctc without teacher": (dict(task="ctc", use_teacher=False),
+                            "6fdf0cecaabe3f429154c6a167b92b09e2acd7da702d8249221ba1889a5fcf30",
+                            "7c2e38fa7d3e258bcb86da93110b4bae0a99b23af8e40009ff6a58ddaa8db59c"),
+    "aed without teacher": (dict(task="aed", use_teacher=False),
+                            "72998954f28070f37ce4c504c15cd86732668a377db51b4f00563af16e5c083c",
+                            "4bb12e8fccc6fb8cf4cefdaf642e35e4e9a9cf3eef0f399aba59084f96e50e86"),
+    "ctc kl stopped": (dict(task="ctc", kd_form="kl", stop_teacher_grad=True),
+                       "7ad3ed33dd66d5b71f4eb10757a923a1d08c6ff2c3e8773fbd4978f2b1d4f07e",
+                       "b547f946a9bfd3771fad4abff4002426e78d0e4139101839fac821652e59c06a"),
+    "aed T=2 stopped sort": (dict(task="aed", temperature=2.0, stop_teacher_grad=True, rule="sort"),
+                             "5197ee4aed1f5e341e36898fda209d814ee1c20bea6d6120c047e1c62d3acc93",
+                             "a9e1c2ab885cb544c2cdf9c09a4b96e47d0217f0708c70d96aefc6da01700170"),
+}
+
+
+@pytest.mark.parametrize("case", TRAINING_GOLDEN)
+def test_training_outputs_are_pinned(tmp_path, case):
+    fields_, metrics, checkpoint = TRAINING_GOLDEN[case]
+    train_run(RunConfig(seed=1, steps=30, eval_every=10, **fields_), tmp_path)
+    assert hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == metrics
+    assert hashlib.sha256((tmp_path / "checkpoint_final.txt").read_bytes()).hexdigest() == checkpoint
 
 
 class TestSuites:

@@ -17,10 +17,18 @@ from oracle_distill.models import (
     ModelConfig,
     build_model,
 )
-from oracle_distill.objectives import Adam, TrainConfig, loss_total, mask_target
+from oracle_distill.objectives import Adam, TrainConfig, loss_total, mask_target, teacher_targets
 from oracle_distill.tensor import Tensor, backward, grad_check
 
-from helpers import ReferenceAdam, sum_sq, tie_teacher_head, zero_cross_attention, zero_fusion
+from helpers import (
+    ReferenceAdam,
+    head_logits,
+    record_calls,
+    sum_sq,
+    tie_teacher_head,
+    zero_cross_attention,
+    zero_fusion,
+)
 
 # loss_total with the teacher off: its total is l_org alone
 NO_TEACHER = TrainConfig(use_teacher=False)
@@ -141,15 +149,21 @@ class TestLossEm:
         b = loss_total(model, batch, cfg, np.random.default_rng(0)).terms[1].item()
         assert a == b  # bit-for-bit
 
-    def test_aed_full_masking_feeds_only_mask_tokens(self):
+    def test_aed_full_masking_feeds_only_mask_tokens(self, monkeypatch):
         model, cfg = aed_setup()
         cfg.lambda_mask = 1.0
         rng = np.random.default_rng(5)
         batch = aed_batch(rng, model)
+        targets = [y for _, y in batch]
+        masks = teacher_targets(model, targets, cfg.lambda_mask, np.random.default_rng(1))
+        assert masks == [(MASK,) * len(y) for y in targets]
+        calls = record_calls(monkeypatch, model, "student_and_teacher_logits")
         out = loss_total(model, batch, cfg, np.random.default_rng(1))
-        for masked in out.masked_targets:
-            assert all(t == MASK for t in masked)
-        assert out.breakdown.l_em >= 0.0
+        [(args, _)] = calls
+        masked_ids, target_lengths = args[2], args[4]
+        for row, n in zip(masked_ids, target_lengths):
+            assert (row[:n] == MASK).all()
+        assert out.terms[1].item() >= 0.0
 
     def test_gradient_wrt_teacher_params(self):
         model, cfg = ctc_setup()
@@ -178,7 +192,8 @@ class TestLossKd:
         rng = np.random.default_rng(8)
         batch = ctc_batch(rng, model)
         out = loss_total(model, batch, cfg, np.random.default_rng(0))
-        assert out.breakdown.l_total == out.breakdown.l_org + out.breakdown.l_em
+        l_org, l_em, _ = (t.item() for t in out.terms)
+        assert out.total.item() == l_org + l_em
 
     def test_gradient_both_directions(self):
         model, cfg = ctc_setup()
@@ -219,9 +234,9 @@ class TestLossTotal:
             rng = np.random.default_rng(seed)
             batch = ctc_batch(rng, model, n=3)
             out = loss_total(model, batch, cfg, np.random.default_rng(seed))
-            b = out.breakdown
-            assert abs(b.l_total - (b.l_org + b.l_em + cfg.alpha * b.l_kd)) <= 1e-12
-            assert b.l_org >= 0 and b.l_em >= 0 and b.l_kd >= 0
+            l_org, l_em, l_kd = (t.item() for t in out.terms)
+            assert abs(out.total.item() - (l_org + l_em + cfg.alpha * l_kd)) <= 1e-12
+            assert l_org >= 0 and l_em >= 0 and l_kd >= 0
 
     def test_structural_reduction_doubles_loss(self):
         model, cfg = ctc_setup(seed=8)
@@ -231,8 +246,9 @@ class TestLossTotal:
         rng = np.random.default_rng(12)
         batch = ctc_batch(rng, model)
         out = loss_total(model, batch, cfg, np.random.default_rng(0))
-        assert out.breakdown.l_em == out.breakdown.l_org
-        assert out.breakdown.l_total == 2.0 * out.breakdown.l_org
+        l_org, l_em, _ = (t.item() for t in out.terms)
+        assert l_em == l_org
+        assert out.total.item() == 2.0 * l_org
 
     def test_teacher_disabled_gives_plain_baseline(self):
         model, cfg = ctc_setup(seed=9)
@@ -240,16 +256,19 @@ class TestLossTotal:
         rng = np.random.default_rng(13)
         batch = ctc_batch(rng, model)
         out = loss_total(model, batch, cfg, np.random.default_rng(0))
-        assert out.breakdown.l_em == 0.0 and out.breakdown.l_kd == 0.0
-        assert out.breakdown.l_total == loss_total(model, batch, NO_TEACHER, None).total.item()
+        assert out.terms[1] is None and out.terms[2] is None
+        assert out.total is out.terms[0]
+        assert out.total.item() == loss_total(model, batch, NO_TEACHER, None).total.item()
 
     def test_teacher_recomputed_each_step_from_live_params(self):
         model, cfg = aed_setup(seed=10)
         rng = np.random.default_rng(14)
         batch = aed_batch(rng, model)
-        out1 = loss_total(model, batch, cfg, np.random.default_rng(3))
+        out1, _, teacher = head_logits(
+            model, batch, lambda: loss_total(model, batch, cfg, np.random.default_rng(3)))
+        masks = teacher_targets(model, [y for _, y in batch], cfg.lambda_mask, np.random.default_rng(3))
         # recomputing with the same parameters and masks reproduces the logits
-        for item, masked, logits in zip(batch, out1.masked_targets, out1.teacher_logits):
+        for item, masked, logits in zip(batch, masks, teacher):
             x, y = item
             again = model.teacher_logits(model.encode(x), y, masked)
             np.testing.assert_array_equal(again.data, logits)
@@ -258,7 +277,7 @@ class TestLossTotal:
         backward(out1.total)
         opt.step()
         changed = False
-        for item, masked, logits in zip(batch, out1.masked_targets, out1.teacher_logits):
+        for item, masked, logits in zip(batch, masks, teacher):
             x, y = item
             again = model.teacher_logits(model.encode(x), y, masked)
             changed = changed or not np.array_equal(again.data, logits)
@@ -334,7 +353,7 @@ class TestAdam:
                 opt.zero_grad()
                 backward(out.total)
                 opt.step()
-                losses.append(out.breakdown.l_total)
+                losses.append(out.total.item())
             return losses, [t.data.copy() for t in model.store.tensors()]
 
         l1, p1 = run()

@@ -1,6 +1,7 @@
 """One hyperparameter schema: the run config, the training config, the
 model config and the estimators agree field by field."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -339,3 +340,34 @@ def test_out_of_range_values_are_contract_errors_in_the_estimators(key, value):
 def test_zero_layers_stay_legal():
     cfg = config_from_mapping({"enc_layers": "0", "dec_layers": "0", "fusion_layers": "0"})
     assert cfg.model_config().enc_layers == 0
+
+
+# a NaN passes every comparison-based range check, so each of these knobs
+# is refused by name; the run config carries each field to its schema
+NON_FINITE_OR_NEGATIVE = [
+    (TrainConfig, "alpha", math.nan), (TrainConfig, "alpha", math.inf),
+    (TrainConfig, "temperature", math.nan), (TrainConfig, "temperature", math.inf),
+    (TrainConfig, "lr", math.nan), (TrainConfig, "lr", math.inf),
+    (TrainConfig, "warmup_steps", -5),
+    (CtcTaskSpec, "noise", math.nan), (CtcTaskSpec, "noise", math.inf),
+    (CtcTaskSpec, "feature_dim", 0), (CtcTaskSpec, "feature_dim", -1),
+]
+
+
+@pytest.mark.parametrize("schema, key, value", NON_FINITE_OR_NEGATIVE)
+def test_non_finite_and_negative_knobs_are_refused(schema, key, value):
+    with pytest.raises(ContractError, match=key):
+        schema(**{key: value})
+    with pytest.raises(ConfigError, match=key):
+        config_from_mapping({key: str(value)})
+
+
+@pytest.mark.parametrize("key", ["data_seed", "vocab_size", "len_min", "len_max", "checkpoint_every"])
+@pytest.mark.parametrize("task", ["ctc", "aed"])
+def test_the_sentinel_is_exactly_minus_one(key, task):
+    RunConfig(task=task, **{key: -1}).resolved()
+    for value in (-2, -3):
+        with pytest.raises(ContractError, match=f"{key} must be -1 or nonnegative, got {value}"):
+            RunConfig(task=task, **{key: value}).resolved()
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping({"task": task, key: str(value)})
