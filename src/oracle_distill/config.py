@@ -67,6 +67,11 @@ class RunConfig:
         for name in ("data_seed", "vocab_size", "len_min", "len_max", "checkpoint_every"):
             if getattr(cfg, name) < -1:
                 raise ContractError(f"{name} must be -1 or nonnegative, got {getattr(cfg, name)}")
+        # refused here, before a run makes its output directory
+        if cfg.n_examples < 1:
+            raise ContractError(f"n_examples must be positive, got {cfg.n_examples}")
+        if cfg.eval_every < 0:
+            raise ContractError(f"eval_every must be nonnegative (0: never), got {cfg.eval_every}")
         if cfg.data_seed == -1:
             cfg.data_seed = cfg.seed
         spec = CtcTaskSpec if cfg.task == "ctc" else AedTaskSpec

@@ -334,8 +334,8 @@ def _backward_pass(fwd: _ForwardPass) -> tuple[np.ndarray, np.ndarray]:
     # logits near +-1e308 can drive lp to -inf, and -inf - -inf is NaN
     gamma = np.exp(log_gamma, out=np.zeros_like(log_gamma), where=lattice.cells & ~np.isnan(log_gamma))
 
-    sigma = np.zeros_like(lp)
-    np.add.at(sigma.reshape(-1), lattice.labels, gamma)  # per label, in state order
+    # per label, summed in state order from +0.0
+    sigma = np.bincount(lattice.labels.reshape(-1), gamma.reshape(-1), lp.size).reshape(lp.shape)
     np.divide(sigma, sigma.sum(axis=2, keepdims=True), out=sigma, where=lattice.real)
     grad = np.subtract(np.exp(lp), sigma, out=np.zeros_like(lp), where=lattice.real)
     if fwd.single:

@@ -336,8 +336,8 @@ class SuiteReport:
         return [f"[{status}] {self.name}: {body}"]
 
 
-def _random_ctc_instance(rng, max_t=8, max_l=4, max_k=4):
-    k = int(rng.integers(2, max_k + 1))
+def _random_ctc_instance(rng, max_t=8, max_l=4):
+    k = int(rng.integers(2, 5))
     vocab = Vocab(k)
     while True:
         l = int(rng.integers(1, max_l + 1))
@@ -397,16 +397,16 @@ def grad_check_suite(seed: int = 0) -> SuiteReport:
     rng = np.random.default_rng(seed)
     ctc_errs = []
     for _ in range(50):
-        u, y, vocab = _random_ctc_instance(rng, max_t=6, max_l=3, max_k=4)
+        u, y, vocab = _random_ctc_instance(rng, max_t=6, max_l=3)
         x = Tensor(u, requires_grad=True)
         ctc_errs.append(grad_check(lambda t: ctc_loss_dp(t, y, vocab), x))
 
     kd_errs = []
     for form in ("l2", "kl"):
-        teacher = tt.softmax(Tensor(rng.standard_normal((4, 3))), axis=-1)
+        teacher = tt.softmax(Tensor(rng.standard_normal((4, 3))))
         logits = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         kd_errs.append(
-            grad_check(lambda t: kd_loss_ctc(tt.softmax(t, axis=-1), teacher, form), logits)
+            grad_check(lambda t: kd_loss_ctc(tt.softmax(t), teacher, form), logits)
         )
     # np.max keeps a NaN where the builtin max would drop it and pass
     worst_ctc, worst_kd = float(np.max(ctc_errs)), float(np.max(kd_errs))

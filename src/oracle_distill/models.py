@@ -43,17 +43,15 @@ one, over the memory), and its output joins the residual stream through
 one ``tensor.add``.  The weights stay separate store entries read through
 ``ParamStore.get``.
 
-The greedy loop decodes a batch incrementally and in lockstep (Pope et
-al. 2022): it feeds ``decode_logits`` a ``(B, 1)`` stack of one new token
-per row together with the memory ``lengths`` and a :class:`DecodeCache`,
-which holds the memory it was built for, each decoder layer's
-cross-attention keys and values of ``ln_mem(memory)``, projected once per
-decode, and each layer's self-attention keys and values of the positions
-decoded so far.  A call then costs one position per row, not the whole
-prefix.  Each row stops at its own end symbol or length cap; a stopped row
-is still fed until every row has stopped, and its later tokens are
-dropped.  Without a cache, ``decode_logits`` runs the full prefix, which
-is what teacher-forced training does.
+The decoder runs one way (Pope et al. 2022): ``AedModel.decode_cache``
+projects, once per decode, each decoder layer's cross-attention keys and
+values of ``ln_mem(memory)`` into a :class:`DecodeCache`, and every
+``decode_logits`` call extends the cache by the positions it is given.
+Teacher forcing is one call with the whole prefix.  The greedy loop
+decodes a batch in lockstep, one call per step with a ``(B, 1)`` stack of
+one new token per row, so a step costs one position per row.  Each row
+stops at its own end symbol or length cap; a stopped row is still fed
+until every row has stopped, and its later tokens are dropped.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -149,23 +147,17 @@ AUX_PREFIXES = ("oracle.", "fusion.", "teacher_out.")
 
 @dataclass
 class DecodeCache:
-    """What one incremental decode keeps between ``decode_logits`` calls.
+    """What one decode keeps between ``decode_logits`` calls, from
+    ``AedModel.decode_cache``: ``memory_mask`` hides the memory's padded
+    keys, ``cross_kv`` holds each decoder layer's cross-attention keys and
+    values of ``ln_mem(memory)``, and ``self_kv`` each layer's
+    self-attention keys and values of the ``length`` positions decoded so
+    far, None before the first call.  All are split into heads."""
 
-    Empty until its first call, which binds it to that call's ``memory``
-    and memory ``lengths``, keeps the key mask they give in
-    ``memory_mask``, and projects every decoder layer's cross-attention
-    keys and values of ``ln_mem(memory)`` into ``cross_kv``.  ``self_kv``
-    holds each layer's self-attention keys and values of the ``length``
-    positions decoded so far, grown by concatenation at every call.  All
-    are split into heads.
-    """
-
-    memory: Tensor | None = None
-    lengths: np.ndarray | None = None
-    memory_mask: np.ndarray | None = None
+    memory_mask: np.ndarray | None
+    cross_kv: list
+    self_kv: list
     length: int = 0
-    cross_kv: list = field(default_factory=list)
-    self_kv: list = field(default_factory=list)
 
 
 def is_student_param(name: str) -> bool:
@@ -348,26 +340,20 @@ class _TransformerBase:
         x = tt.add(x, self._attend(f"{prefix}.attn", q, k, v, mask))
         return tt.add(x, self._ffn(f"{prefix}.ffn", self._norm(f"{prefix}.ln2", x)))
 
-    def _cross_block(self, prefix, x, memory, mask=None, memory_mask=None, capture=None,
-                     cache=None, layer=0):
+    def _cross_block(self, prefix, x, memory_kv, mask, memory_mask, capture, self_kv=None, layer=0):
         """One fusion or decoder layer: self-attention over ``x`` (under
-        ``mask`` if given), cross-attention into ``memory`` (under
-        ``memory_mask``), feed-forward.
-
-        With a decode cache, ``x`` holds only the new positions: their keys
-        and values extend the ``layer``'s cached ones, and the memory's keys
-        and values are the cached projections."""
+        ``mask`` if given), cross-attention by the memory's keys and values
+        ``memory_kv`` (under ``memory_mask``), feed-forward.  In a decoder
+        layer, the keys and values of ``x`` extend ``self_kv[layer]``."""
         q, k, v = self._heads(f"{prefix}.self", self._norm(f"{prefix}.ln1", x), "wq", "wk", "wv")
-        if cache is not None:
-            past = cache.self_kv[layer]
+        if self_kv is not None:
+            past = self_kv[layer]
             if past is not None:
                 k, v = tt.concat([past[0], k], axis=-2), tt.concat([past[1], v], axis=-2)
-            cache.self_kv[layer] = (k, v)
+            self_kv[layer] = (k, v)
         x = tt.add(x, self._attend(f"{prefix}.self", q, k, v, mask))
-        query = self._norm(f"{prefix}.ln2", x)
-        k, v = self._memory_kv(prefix, memory) if cache is None else cache.cross_kv[layer]
-        (q,) = self._heads(f"{prefix}.cross", query, "wq")
-        x = tt.add(x, self._attend(f"{prefix}.cross", q, k, v, memory_mask, capture))
+        (q,) = self._heads(f"{prefix}.cross", self._norm(f"{prefix}.ln2", x), "wq")
+        x = tt.add(x, self._attend(f"{prefix}.cross", q, *memory_kv, memory_mask, capture))
         return tt.add(x, self._ffn(f"{prefix}.ffn", self._norm(f"{prefix}.ln3", x)))
 
     def _head(self, prefix, x):
@@ -409,7 +395,8 @@ class _TransformerBase:
         guidance_mask = _key_mask(_valid_cells(guidance_lengths, guidance.shape[:-1]))
         x = rep
         for i in range(self.cfg.fusion_layers):
-            x = self._cross_block(f"fusion.f{i}", x, guidance, mask, guidance_mask, capture)
+            x = self._cross_block(f"fusion.f{i}", x, self._memory_kv(f"fusion.f{i}", guidance), mask,
+                                  guidance_mask, capture)
         return x
 
 
@@ -532,20 +519,18 @@ class AedModel(_TransformerBase):
             return None
         return np.triu(np.full((stop - start, stop), -np.inf), k=start + 1)
 
-    def decode_logits(self, memory: Tensor, prefix_ids, head: str = "seq.out",
-                      cache: DecodeCache | None = None, lengths=None) -> Tensor:
-        """Logits at every given position; position i sees the tokens up to
-        and including its own.
+    def decode_cache(self, memory: Tensor, lengths=None) -> DecodeCache:
+        """A fresh cache for decoding from ``memory``, a padded stack when
+        its ``lengths`` are given."""
+        memory_mask = _key_mask(_valid_cells(lengths, memory.shape[:-1]))
+        cross_kv = [self._memory_kv(f"seq.dec{i}", memory) for i in range(self.cfg.dec_layers)]
+        return DecodeCache(memory_mask, cross_kv, [None] * self.cfg.dec_layers)
 
-        Without a cache (``cache=None``), ``prefix_ids`` is the whole
-        prefix, starting with the start symbol, and the result has a row
-        per prefix position.  With a :class:`DecodeCache`, ``prefix_ids``
-        are only the new tokens, those after the ``cache.length`` already
-        decoded (so a first call's tokens start with the start symbol); the
-        result has one row per new token, and the cache takes in their
-        keys and values.  A cache serves only the ``memory`` and ``lengths``
-        objects of its first call.  A stack of prefixes ``(..., P)``
-        decodes a padded stack of memories whose ``lengths`` are given.
+    def decode_logits(self, cache: DecodeCache, prefix_ids, head: str = "seq.out") -> Tensor:
+        """Logits of the tokens ``prefix_ids`` that follow the
+        ``cache.length`` already decoded, one row per token, each seeing the
+        tokens up to its own; the cache takes in their keys and values.  A
+        first call's tokens start with the start symbol.
 
         ``head`` names the output head.  A tuple of n heads instead splits
         the stack into n blocks of rows along its first axis, head i
@@ -556,7 +541,7 @@ class AedModel(_TransformerBase):
         ids = np.asarray(prefix_ids, dtype=np.int64)
         if ids.ndim < 1:
             raise ShapeError("decoder tokens must be a sequence")
-        start = 0 if cache is None else cache.length
+        start = cache.length
         if start == 0 and (ids.size == 0 or np.any(ids[..., 0] != self.bos)):
             raise ContractError("decoder prefix must start with the start symbol")
         if ids.size == 0:
@@ -565,23 +550,13 @@ class AedModel(_TransformerBase):
             emb = tt.embedding_lookup(self.store.get("seq.tgt_embed"), ids)
         except DomainError:
             raise VocabularyError("decoder prefix token out of range") from None
-        if cache is not None and cache.memory is not None:
-            if cache.memory is not memory or cache.lengths is not lengths:
-                raise ContractError("decode cache was built for a different memory")
-            memory_mask = cache.memory_mask
-        else:
-            memory_mask = _key_mask(_valid_cells(lengths, memory.shape[:-1]))
         stop = start + ids.shape[-1]
         x = tt.add(tt.scale(emb, math.sqrt(self.cfg.d_model)), self._positions(stop, start))
-        if cache is not None and cache.memory is None:
-            cache.memory, cache.lengths, cache.memory_mask = memory, lengths, memory_mask
-            cache.cross_kv = [self._memory_kv(f"seq.dec{i}", memory) for i in range(self.cfg.dec_layers)]
-            cache.self_kv = [None] * self.cfg.dec_layers
         mask = self._causal_mask(start, stop)
         for i in range(self.cfg.dec_layers):
-            x = self._cross_block(f"seq.dec{i}", x, memory, mask, memory_mask, cache=cache, layer=i)
-        if cache is not None:
-            cache.length = stop
+            x = self._cross_block(f"seq.dec{i}", x, cache.cross_kv[i], mask, cache.memory_mask, None,
+                                  cache.self_kv, i)
+        cache.length = stop
         if isinstance(head, str):
             return self._head(head, x)
         if len(head) == 1:
@@ -602,7 +577,7 @@ class AedModel(_TransformerBase):
         prefix = np.concatenate([np.full((*y.shape[:-1], 1), self.bos), y], axis=-1)
         if len(heads) > 1:
             prefix, lengths = np.concatenate([prefix] * len(heads)), np.concatenate([lengths] * len(heads))
-        return self.decode_logits(memory, prefix, head=heads, lengths=lengths)
+        return self.decode_logits(self.decode_cache(memory, lengths), prefix, head=heads)
 
     def student_head(self, memory: Tensor, target, lengths=None, target_lengths=None) -> Tensor:
         """Teacher-forced student logits over len(target) + 1 positions
@@ -642,19 +617,20 @@ class AedModel(_TransformerBase):
 
     def _greedy(self, memory: Tensor, lengths, head: str) -> list[tuple[int, ...]]:
         """Greedy autoregressive decode through ``head`` of every row of a
-        padded ``memory`` in lockstep, one new token per row per cached
-        ``decode_logits`` call.  Row i stops at the end symbol or at its
-        own length limit, twice its source ``lengths[i]`` plus 4 tokens, for
-        any length: positions come from the shared table of ``_positions``.
+        padded ``memory`` in lockstep, one new token per row per
+        ``decode_logits`` call on one cache.  Row i stops at the end symbol
+        or at its own length limit, twice its source ``lengths[i]`` plus 4
+        tokens, for any length: positions come from the shared table of
+        ``_positions``.
         A stopped row is still fed until every row has stopped, and its
         later tokens are dropped."""
         limits = (2 * lengths + 4).tolist()
-        cache = DecodeCache()
+        cache = self.decode_cache(memory, lengths)
         rows = [[] for _ in limits]
         live = range(len(limits))  # the rows still decoding
         nxt = np.full((len(limits), 1), self.bos)
         for _ in range(max(limits)):
-            logits = self.decode_logits(memory, nxt, head=head, cache=cache, lengths=lengths)
+            logits = self.decode_logits(cache, nxt, head=head)
             nxt = logits.data.argmax(axis=-1)
             tokens = nxt.ravel().tolist()
             live = [i for i in live if tokens[i] != self.eos]

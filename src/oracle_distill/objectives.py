@@ -118,7 +118,7 @@ class StepOutputs:
 def cross_entropy(logits: Tensor, targets, weights) -> Tensor:
     """-log softmax probability of the target ids, summed over the
     positions with ``weights`` (shaped like ``targets``)."""
-    picked = tt.pick(tt.log_softmax(logits, axis=-1), targets)
+    picked = tt.pick(tt.log_softmax(logits), targets)
     return tt.sum_all(tt.scale(picked, -np.asarray(weights, dtype=np.float64)))
 
 
@@ -149,14 +149,14 @@ def _sequence_losses(model, u_s: Tensor, u_t, batch: Batch, weights) -> tuple:
 
 def _kd_loss(model, config, u_student: Tensor, u_teacher: Tensor, weights) -> Tensor:
     if isinstance(model, CtcModel):
-        p_s = tt.softmax(u_student, axis=-1)
-        p_t = tt.softmax(u_teacher, axis=-1)
+        p_s = tt.softmax(u_student)
+        p_t = tt.softmax(u_teacher)
         if config.stop_teacher_grad:
             p_t = p_t.detach()
         return kd_loss_ctc(p_s, p_t, config.kd_form, weights)
     inv_t = 1.0 / config.temperature
-    p_s = tt.softmax(tt.scale(u_student, inv_t), axis=-1)
-    p_t = tt.softmax(tt.scale(u_teacher, inv_t), axis=-1)
+    p_s = tt.softmax(tt.scale(u_student, inv_t))
+    p_t = tt.softmax(tt.scale(u_teacher, inv_t))
     if config.stop_teacher_grad:
         p_t = p_t.detach()
     return kl_rows(p_t, p_s, weights)

@@ -398,30 +398,26 @@ def log(a: Tensor) -> Tensor:
     return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Rows sum to one; stabilized by max subtraction along ``axis``."""
+def softmax(a: Tensor) -> Tensor:
+    """Rows along the last axis sum to one; stabilized by max subtraction."""
     a = as_tensor(a)
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
-    out = e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        return (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
+        return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
 
     return _node(out, (a,), bwd)
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+def log_softmax(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ShapeError(f"log_softmax axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     sm = np.exp(out)
 
     def bwd(g):
-        return (g - sm * g.sum(axis=axis, keepdims=True),)
+        return (g - sm * g.sum(axis=-1, keepdims=True),)
 
     return _node(out, (a,), bwd)
 
@@ -476,9 +472,11 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     out = table.data[ids]
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        return (gt,)
+        # one bin per table cell, summing the rows of g in the order of
+        # ids from +0.0
+        width = table.shape[1]
+        cells = (ids.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        return (np.bincount(cells, g.reshape(-1), table.data.size).reshape(table.shape),)
 
     return _node(out, (table,), bwd)
 

@@ -401,7 +401,7 @@ def kd_vs_q_gap(model: CtcModel, x, y) -> dict[str, float]:
     u_t = model.teacher_logits(hidden, y).data
     report = bound_report_from_logits(u_s, u_t, y, model.vocab)
     l2 = kd_loss_ctc(
-        T.softmax(Tensor(u_s), axis=-1), T.softmax(Tensor(u_t), axis=-1), "l2"
+        T.softmax(Tensor(u_s)), T.softmax(Tensor(u_t)), "l2"
     ).item()
     return {"kd_l2": l2, "neg_q": -report.q_value, "gap": abs(l2 - (-report.q_value))}
 

@@ -255,7 +255,7 @@ class TestGradient:
 class TestKdLoss:
     def test_identical_inputs_give_zero(self):
         rng = np.random.default_rng(37)
-        p = T.softmax(Tensor(rng.standard_normal((4, 3))), axis=-1)
+        p = T.softmax(Tensor(rng.standard_normal((4, 3))))
         for form in ("l2", "kl"):
             assert kd_loss_ctc(p, p, form).item() == pytest.approx(0.0, abs=1e-12)
 
@@ -266,21 +266,21 @@ class TestKdLoss:
 
     def test_kl_gradient_wrt_student_logits(self):
         rng = np.random.default_rng(41)
-        teacher = T.softmax(Tensor(rng.standard_normal((3, 4))), axis=-1)
+        teacher = T.softmax(Tensor(rng.standard_normal((3, 4))))
         logits = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
 
         def f(t):
-            return kd_loss_ctc(T.softmax(t, axis=-1), teacher, "kl")
+            return kd_loss_ctc(T.softmax(t), teacher, "kl")
 
         assert grad_check(f, logits) <= 1e-5
 
     def test_l2_gradient_wrt_student_logits(self):
         rng = np.random.default_rng(43)
-        teacher = T.softmax(Tensor(rng.standard_normal((3, 4))), axis=-1)
+        teacher = T.softmax(Tensor(rng.standard_normal((3, 4))))
         logits = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
 
         def f(t):
-            return kd_loss_ctc(T.softmax(t, axis=-1), teacher, "l2")
+            return kd_loss_ctc(T.softmax(t), teacher, "l2")
 
         assert grad_check(f, logits) <= 1e-5
 
@@ -290,7 +290,7 @@ class TestKdLoss:
         tu = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         for form in ("l2", "kl"):
             su.grad = tu.grad = None
-            loss = kd_loss_ctc(T.softmax(su, -1), T.softmax(tu, -1), form)
+            loss = kd_loss_ctc(T.softmax(su), T.softmax(tu), form)
             T.backward(loss)
             assert np.abs(su.grad).max() > 0 and np.abs(tu.grad).max() > 0
 
@@ -298,7 +298,7 @@ class TestKdLoss:
         rng = np.random.default_rng(53)
         su = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         tu = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-        loss = kd_loss_ctc(T.softmax(su, -1), T.softmax(tu, -1).detach(), "l2")
+        loss = kd_loss_ctc(T.softmax(su), T.softmax(tu).detach(), "l2")
         T.backward(loss)
         assert tu.grad is None
 
@@ -306,8 +306,8 @@ class TestKdLoss:
         rng = np.random.default_rng(59)
         for form in ("l2", "kl"):
             for _ in range(50):
-                s = T.softmax(Tensor(rng.standard_normal((3, 4)) * 3), -1)
-                t = T.softmax(Tensor(rng.standard_normal((3, 4)) * 3), -1)
+                s = T.softmax(Tensor(rng.standard_normal((3, 4)) * 3))
+                t = T.softmax(Tensor(rng.standard_normal((3, 4)) * 3))
                 v = kd_loss_ctc(s, t, form).item()
                 assert v >= 0.0
                 if not np.allclose(s.data, t.data):
@@ -325,8 +325,8 @@ class TestKdLoss:
     def test_weighted_rows_of_a_padded_stack_average_the_items(self):
         rng = np.random.default_rng(61)
         lengths = (2, 4)
-        s = T.softmax(Tensor(rng.standard_normal((2, 4, 3))), -1)
-        t = T.softmax(Tensor(rng.standard_normal((2, 4, 3))), -1)
+        s = T.softmax(Tensor(rng.standard_normal((2, 4, 3))))
+        t = T.softmax(Tensor(rng.standard_normal((2, 4, 3))))
         weights = np.array([[1 / n if r < n else 0.0 for r in range(4)] for n in lengths]) / 2
         for form in ("l2", "kl"):
             items = [kd_loss_ctc(Tensor(s.data[i, :n]), Tensor(t.data[i, :n]), form).item()

@@ -14,7 +14,6 @@ from oracle_distill.models import (
     MASK,
     AedModel,
     CtcModel,
-    DecodeCache,
     ModelConfig,
 )
 
@@ -32,7 +31,7 @@ def reference_greedy(model, memory, head, limit):
     """Greedy decode that reruns the whole prefix for every token."""
     prefix = [model.bos]
     for _ in range(limit):
-        nxt = int(np.argmax(model.decode_logits(memory, prefix, head=head).data[-1]))
+        nxt = int(np.argmax(model.decode_logits(model.decode_cache(memory), prefix, head=head).data[-1]))
         if nxt == model.eos:
             break
         prefix.append(nxt)
@@ -72,14 +71,14 @@ def test_cached_rows_equal_the_full_prefix_rows(case, data):
         memory = model.fuse(memory, model.oracle_guidance(masked))
     n = data.draw(st.integers(1, 12))
     prefix = [model.bos] + data.draw(st.lists(st.integers(0, model.eos), min_size=n - 1, max_size=n - 1))
-    full = model.decode_logits(memory, prefix, head=head).data
+    full = model.decode_logits(model.decode_cache(memory), prefix, head=head).data
     # feed the prefix in chunks: one token at a time, as greedy decoding
     # does, or several at once under the causal mask's lower rows
-    cache = DecodeCache()
+    cache = model.decode_cache(memory)
     start = 0
     while start < n:
         stop = data.draw(st.integers(start + 1, n))
-        rows = model.decode_logits(memory, prefix[start:stop], head=head, cache=cache).data
+        rows = model.decode_logits(cache, prefix[start:stop], head=head).data
         assert rows.shape == (stop - start, model.eos + 1)
         np.testing.assert_allclose(rows, full[start:stop], rtol=0, atol=1e-12)
         assert cache.length == stop
@@ -145,7 +144,8 @@ class TestInferenceWithoutTape:
         assert tracked_nodes_during(monkeypatch, lambda: model.predict([(1, 2, 3)])) == 0
         assert model.store.reads_with_prefix(*AUX_PREFIXES) == 0
         # the same calls outside predict do build a graph
-        assert tracked_nodes_during(monkeypatch, lambda: model.decode_logits(model.encode((1, 2)), [model.bos])) > 0
+        decode = lambda: model.decode_logits(model.decode_cache(model.encode((1, 2))), [model.bos])
+        assert tracked_nodes_during(monkeypatch, decode) > 0
 
     def test_teacher_and_ctc_predicts_build_no_node(self, monkeypatch):
         aed = tiny_aed(seed=4)
@@ -175,53 +175,32 @@ class TestInferenceWithoutTape:
 
 
 class TestCacheMisuse:
-    def test_a_cache_serves_only_its_own_memory(self):
-        model = tiny_aed()
-        cache = DecodeCache()
-        model.decode_logits(model.encode((1, 2)), [model.bos], cache=cache)
-        with pytest.raises(ContractError, match="different memory"):
-            model.decode_logits(model.encode((1, 2)), [3], cache=cache)
-        assert cache.length == 1
-
-    def test_a_cache_serves_only_the_lengths_of_its_memory(self):
-        # the cache keeps the key mask of its first call's lengths
-        model = tiny_aed()
-        memory, lengths = model.encode([(1, 2), (3, 0)], [2, 1]), np.array([2, 1])
-        cache = DecodeCache()
-        model.decode_logits(memory, [[model.bos]] * 2, cache=cache, lengths=lengths)
-        with pytest.raises(ContractError, match="different memory"):
-            model.decode_logits(memory, [[3]] * 2, cache=cache, lengths=np.array([2, 2]))
-        model.decode_logits(memory, [[3]] * 2, cache=cache, lengths=lengths)
-        assert cache.length == 2
-
     def test_an_empty_cache_needs_the_start_symbol_first(self):
         model = tiny_aed()
-        cache = DecodeCache()
+        cache = model.decode_cache(model.encode((1, 2)))
         with pytest.raises(ContractError, match="start symbol"):
-            model.decode_logits(model.encode((1, 2)), [3], cache=cache)
-        assert cache.memory is None and cache.length == 0
+            model.decode_logits(cache, [3])
+        assert cache.length == 0 and cache.self_kv == [None, None]
 
     def test_a_token_out_of_range_is_refused_before_the_cache_changes(self):
         model = tiny_aed()
-        memory = model.encode((1, 2))
-        cache = DecodeCache()
+        cache = model.decode_cache(model.encode((1, 2)))
         with pytest.raises(VocabularyError, match="decoder prefix token out of range"):
-            model.decode_logits(memory, [model.bos, model.eos + 1], cache=cache)
-        assert cache.memory is None and cache.length == 0
-        model.decode_logits(memory, [model.bos], cache=cache)
+            model.decode_logits(cache, [model.bos, model.eos + 1])
+        assert cache.length == 0 and cache.self_kv == [None, None]
+        model.decode_logits(cache, [model.bos])
         cross_kv, self_kv = list(cache.cross_kv), list(cache.self_kv)
         for bad in (-1, model.eos + 1):
             with pytest.raises(VocabularyError, match="decoder prefix token out of range"):
-                model.decode_logits(memory, [bad], cache=cache)
-            assert cache.length == 1 and cache.memory is memory
+                model.decode_logits(cache, [bad])
+            assert cache.length == 1
             assert all(a is b for a, b in zip(cache.cross_kv + cache.self_kv, cross_kv + self_kv))
-        model.decode_logits(memory, [model.eos], cache=cache)
+        model.decode_logits(cache, [model.eos])
         assert cache.length == 2
 
     def test_a_call_needs_new_tokens(self):
         model = tiny_aed()
-        memory = model.encode((1,))
-        cache = DecodeCache()
-        model.decode_logits(memory, [model.bos], cache=cache)
+        cache = model.decode_cache(model.encode((1,)))
+        model.decode_logits(cache, [model.bos])
         with pytest.raises(ContractError):
-            model.decode_logits(memory, [], cache=cache)
+            model.decode_logits(cache, [])

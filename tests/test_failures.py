@@ -189,6 +189,14 @@ BAD_CLI_INPUTS = {
         lambda d: ["train", "--config", str(_config_file(d, "seed = -1\nsteps = 2\n")),
                    "--out", str(d / "run")],
         2, "configuration error: seed must be nonnegative"),
+    "no example in a config file": (
+        lambda d: ["train", "--config", str(_config_file(d, "n_examples = 0\nsteps = 2\n")),
+                   "--out", str(d / "run")],
+        2, "configuration error: n_examples must be positive, got 0"),
+    "a negative eval period in a config file": (
+        lambda d: ["train", "--config", str(_config_file(d, "eval_every = -7\nsteps = 2\n")),
+                   "--out", str(d / "run")],
+        2, "configuration error: eval_every must be nonnegative (0: never), got -7"),
     "noise nan in a config file": (
         lambda d: ["gen-data", "--config", str(_config_file(d, "noise = nan\n")), "--out", str(d / "x")],
         2, "configuration error: noise must be finite and nonnegative, got nan"),
@@ -228,8 +236,8 @@ def test_bad_cli_input_exits_with_a_message(case, tmp_path, capsys):
     assert returned == code
     assert message in err
     assert "Traceback" not in err
-    # nothing was trained, dumped or reported
-    assert not (tmp_path / "run" / "metrics.csv").exists() and not (tmp_path / "dump").exists()
+    # nothing was trained, dumped or reported, and no output directory made
+    assert not (tmp_path / "run").exists() and not (tmp_path / "dump").exists()
     assert not (tmp_path / "bc").exists() and not (tmp_path / "x").exists()
 
 

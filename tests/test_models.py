@@ -190,7 +190,7 @@ class TestTeacherHead:
         model.store.peek("teacher_out.b").data[...] = 0.0
         h = model.encode(np.random.default_rng(11).standard_normal((3, 4)))
         logits = model.teacher_logits(h, (1,))
-        post = T.softmax(logits, axis=-1).data
+        post = T.softmax(logits).data
         np.testing.assert_allclose(post, 0.25, atol=1e-12)
 
     def test_gradient_check(self):
@@ -208,22 +208,22 @@ class TestAedDecoder:
         src = (1, 2, 3)
         memory = model.encode(src)
         prefix = [model.bos, 1, 4, 2, 5]
-        base = model.decode_logits(memory, prefix).data
+        base = model.decode_logits(model.decode_cache(memory), prefix).data
         for j in range(1, len(prefix)):
             perturbed = list(prefix)
             perturbed[j] = (perturbed[j] % 5) + 1
-            out = model.decode_logits(memory, perturbed).data
+            out = model.decode_logits(model.decode_cache(memory), perturbed).data
             np.testing.assert_array_equal(out[:j], base[:j])
 
     def test_single_token_prefix(self):
         model = tiny_aed()
-        logits = model.decode_logits(model.encode((1, 2)), [model.bos])
+        logits = model.decode_logits(model.decode_cache(model.encode((1, 2))), [model.bos])
         assert logits.shape == (1, 7)  # 5 tokens + bos + eos
 
     def test_prefix_must_start_with_bos(self):
         model = tiny_aed()
         with pytest.raises(ContractError):
-            model.decode_logits(model.encode((1,)), [1, 2])
+            model.decode_logits(model.decode_cache(model.encode((1,))), [1, 2])
 
     def test_gradient_check(self):
         model = tiny_aed()

@@ -103,7 +103,7 @@ def run_configs(draw):
         ambiguity=draw(unit),
         rule=draw(st.sampled_from(["reverse", "cipher", "sort"])),
         copy_noise=draw(unit),
-        eval_every=draw(st.integers(-1, 1000)),
+        eval_every=draw(st.integers(0, 1000)),
         checkpoint_every=draw(st.integers(-1, 1000)),
         out_dir=draw(st.text("abc/_-.0123", max_size=12)),
     )
@@ -360,6 +360,22 @@ def test_non_finite_and_negative_knobs_are_refused(schema, key, value):
         schema(**{key: value})
     with pytest.raises(ConfigError, match=key):
         config_from_mapping({key: str(value)})
+
+
+REFUSED_BELOW = {"n_examples": "must be positive", "eval_every": r"must be nonnegative \(0: never\)"}
+
+
+@pytest.mark.parametrize("key, value", [("n_examples", 0), ("n_examples", -3), ("eval_every", -1),
+                                        ("eval_every", -7)])
+def test_no_example_and_a_negative_eval_period_are_refused(key, value):
+    with pytest.raises(ContractError, match=f"{key} {REFUSED_BELOW[key]}, got {value}"):
+        RunConfig(**{key: value}).resolved()
+    with pytest.raises(ConfigError, match=key):
+        config_from_mapping({key: str(value)})
+
+
+def test_an_eval_period_of_zero_stays_legal():
+    assert config_from_mapping({"eval_every": "0"}).resolved().eval_every == 0
 
 
 @pytest.mark.parametrize("key", ["data_seed", "vocab_size", "len_min", "len_max", "checkpoint_every"])

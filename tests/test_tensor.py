@@ -187,10 +187,10 @@ class TestBackward:
         x = Tensor(rng.standard_normal((2, 4)))
 
         def loss_of_w1(w):
-            return sum_sq(T.softmax(T.matmul(relu(T.matmul(x, w)), w2), axis=-1))
+            return sum_sq(T.softmax(T.matmul(relu(T.matmul(x, w)), w2)))
 
         def loss_of_w2(w):
-            return sum_sq(T.softmax(T.matmul(relu(T.matmul(x, w1)), w), axis=-1))
+            return sum_sq(T.softmax(T.matmul(relu(T.matmul(x, w1)), w)))
 
         assert grad_check(loss_of_w1, w1) <= 1e-5
         assert grad_check(loss_of_w2, w2) <= 1e-5
@@ -226,8 +226,8 @@ def _fd_cases(rng):
         "scale": lambda t: sum_sq(T.scale(t, -1.7)),
         "log": lambda t: sum_sq(T.log(T.add(T.mul(t, t), 0.5))),
         "relu": lambda t: sum_sq(relu(t)),
-        "softmax": lambda t: sum_sq(T.softmax(t, axis=-1)),
-        "log_softmax": lambda t: sum_sq(T.log_softmax(t, axis=-1)),
+        "softmax": lambda t: sum_sq(T.softmax(t)),
+        "log_softmax": lambda t: sum_sq(T.log_softmax(t)),
         "layer_norm": lambda t: sum_sq(T.mul(unit_layer_norm(t), other)),
         "embedding": lambda t: sum_sq(T.embedding_lookup(t, ids)),
         "concat": lambda t: sum_sq(
@@ -387,6 +387,33 @@ def test_fused_attention_equals_the_single_op_chain_bit_for_bit(case):
     want = _attention_grads(lambda: reference_attention(x, memory, *w, heads, mask), x, memory, w, cotangent)
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def embedding_cases(draw):
+    """A table, ids of one to three axes with repeated rows, and a
+    cotangent for the lookup holding +0.0, -0.0 and maybe a NaN."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(((1,), (6,), (2, 3), (2, 2, 3))))
+    ids = rng.integers(0, rows, size=shape)
+    cotangent = rng.standard_normal((*shape, width))
+    flat = cotangent.reshape(-1)
+    for value in (0.0, -0.0, np.nan)[: draw(st.integers(0, 3))]:
+        flat[draw(st.integers(0, flat.size - 1))] = value
+    if draw(st.booleans()):  # a cell summed only from -0.0
+        cotangent[ids == ids.flat[0]] = -0.0
+    return Tensor(rng.standard_normal((rows, width)), requires_grad=True), ids, cotangent
+
+
+@settings(max_examples=200, deadline=None)
+@given(embedding_cases())
+def test_embedding_backward_scatters_as_add_at_bit_for_bit(case):
+    table, ids, cotangent = case
+    (got,) = T.embedding_lookup(table, ids)._backward(cotangent)
+    want = np.zeros_like(table.data)
+    np.add.at(want, ids, cotangent)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @st.composite

@@ -74,7 +74,8 @@ def unset_defaults(package_sources: list[str], caller_sources: list[str]) -> lis
     Calls match by the called name alone.  A call passes a parameter by its
     keyword or by enough positional arguments (a method's ``self`` or
     ``cls`` is not counted); a ``*`` argument passes every positional one
-    and a ``**`` argument every one."""
+    and a ``**`` argument every one.  A literal equal to the default, such
+    as ``axis=-1`` for ``axis=-1``, sets nothing."""
     calls: dict[str, list[ast.Call]] = {}
     for source in caller_sources:
         for node in ast.walk(ast.parse(source)):
@@ -83,13 +84,23 @@ def unset_defaults(package_sources: list[str], caller_sources: list[str]) -> lis
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
 
-    def passed(call: ast.Call, name: str, position: int | None) -> bool:
-        keywords = {k.arg for k in call.keywords}
-        if name in keywords or None in keywords:  # None: a ** argument
+    def sets(value: ast.expr, default: ast.expr) -> bool:
+        try:
+            return ast.literal_eval(value) != ast.literal_eval(default)
+        except ValueError:  # not a literal
             return True
+
+    def passed(call: ast.Call, name: str, position: int | None, default: ast.expr) -> bool:
+        for k in call.keywords:
+            if k.arg is None:  # a ** argument
+                return True
+            if k.arg == name:
+                return sets(k.value, default)
         if position is None:
             return False
-        return any(isinstance(a, ast.Starred) for a in call.args) or len(call.args) > position
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return True
+        return len(call.args) > position and sets(call.args[position], default)
 
     unset = []
     for source in package_sources:
@@ -99,10 +110,12 @@ def unset_defaults(package_sources: list[str], caller_sources: list[str]) -> lis
             args = node.args
             positional = args.posonlyargs + args.args
             skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
-            defaulted = [(a.arg, i - skip) for i, a in enumerate(positional)][len(positional) - len(args.defaults):]
-            defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-            for param, position in defaulted:
-                if not any(passed(call, param, position) for call in calls.get(node.name, [])):
+            first = len(positional) - len(args.defaults)
+            defaulted = [(a.arg, i - skip, d)
+                         for i, (a, d) in enumerate(zip(positional[first:], args.defaults), first)]
+            defaulted += [(a.arg, None, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for param, position, default in defaulted:
+                if not any(passed(call, param, position, default) for call in calls.get(node.name, [])):
                     unset.append(f"{node.name}({param})")
     return sorted(unset)
 
@@ -112,12 +125,15 @@ def test_checker_finds_a_parameter_no_call_sets():
         "def f(a, b=1, *, c=2):\n    pass\n"
         "def k(*, t=0):\n    pass\n"
         "def g(p=0, q=0):\n    pass\n"
+        "def h(r=-1, s='a', u=None):\n    pass\n"
         "class K:\n"
         "    def __init__(self, z=0):\n        pass\n"
         "    def m(self, x, y=0):\n        pass\n"
     )
-    callers = "f(1, c=3)\nk()\ng(*xs)\ng(**kw)\nK().m(1, 2)\n"
-    assert unset_defaults([package], [callers]) == ["f(b)", "k(t)"]
+    # a literal equal to the default sets nothing; another literal or a
+    # name does
+    callers = "f(1, c=3)\nk()\ng(*xs)\ng(**kw)\nK().m(1, 2)\nh(-1, s='a', u=None)\nh(r=-1, s=a, u=0)\n"
+    assert unset_defaults([package], [callers]) == ["f(b)", "h(r)", "k(t)"]
 
 
 # the sklearn parameter protocol, and the console entry point (argv from sys.argv)
