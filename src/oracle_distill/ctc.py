@@ -43,7 +43,7 @@ from .errors import (
     InfeasibleTargetError,
     ShapeError,
 )
-from .tensor import Tensor, as_tensor, custom_op
+from .tensor import Tensor, as_tensor, custom_op, log_softmax_rows
 from . import tensor as tt
 
 BLANK = 0
@@ -125,12 +125,6 @@ def _as_logits(u) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise ContractError("frame logits must be finite")
     return data
-
-
-def log_softmax_rows(u: np.ndarray) -> np.ndarray:
-    """Log frame posteriors: the log-softmax of each row of ``u``."""
-    shifted = u - u.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def path_log_probs(u: np.ndarray, paths) -> np.ndarray:

@@ -25,12 +25,12 @@ import numpy as np
 from .ctc import (
     Vocab,
     enumerate_alignments,
-    log_softmax_rows,
     path_log_probs,
     validated_inputs,
 )
 from .errors import ContractError, ShapeError
 from .models import CtcModel
+from .tensor import log_softmax_rows
 
 
 @dataclass

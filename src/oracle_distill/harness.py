@@ -212,19 +212,20 @@ def _lock_holder(lock: Path) -> str:
 def train_run(cfg: RunConfig, out_dir: Path, quiet: bool = True) -> TrainResult:
     """Full training run with metrics, checkpoints, plot, and locking."""
     cfg = cfg.resolved()
+    t0 = time.monotonic()
+    # every config view is checked, and the data and model built, before
+    # anything is written, so a refused config leaves no directory behind
+    dataset = generate_dataset(cfg)
+    train_examples = split_examples(dataset, "train")
+    dev_examples = split_examples(dataset, "dev")
+    train_cfg = cfg.train_config()
+    model = build_model(cfg.model_config(), seed=cfg.seed)
+    run_kv = config_to_mapping(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = _acquire_lock(out_dir)
-    t0 = time.monotonic()
     timings: list[tuple[int, float]] = []
     try:
-        dataset = generate_dataset(cfg)
-        train_examples = split_examples(dataset, "train")
-        dev_examples = split_examples(dataset, "dev")
-        train_cfg = cfg.train_config()
-        model = build_model(cfg.model_config(), seed=cfg.seed)
-        run_kv = config_to_mapping(cfg)
-
         collected: list[MetricsRecord] = []
 
         def on_step(step, record, model_):

@@ -47,6 +47,8 @@ The decoder runs one way (Pope et al. 2022): ``AedModel.decode_cache``
 projects, once per decode, each decoder layer's cross-attention keys and
 values of ``ln_mem(memory)`` into a :class:`DecodeCache`, and every
 ``decode_logits`` call extends the cache by the positions it is given.
+Each decoder layer returns its keys and values, and the call stores them
+once, after every layer, so a call that raises leaves the cache unchanged.
 Teacher forcing is one call with the whole prefix.  The greedy loop
 decodes a batch in lockstep, one call per step with a ``(B, 1)`` stack of
 one new token per row, so a step costs one position per row.  Each row
@@ -152,7 +154,8 @@ class DecodeCache:
     keys, ``cross_kv`` holds each decoder layer's cross-attention keys and
     values of ``ln_mem(memory)``, and ``self_kv`` each layer's
     self-attention keys and values of the ``length`` positions decoded so
-    far, None before the first call.  All are split into heads."""
+    far, None before the first call.  All are split into heads.  A
+    ``decode_logits`` call that raises leaves the cache unchanged."""
 
     memory_mask: np.ndarray | None
     cross_kv: list
@@ -340,21 +343,19 @@ class _TransformerBase:
         x = tt.add(x, self._attend(f"{prefix}.attn", q, k, v, mask))
         return tt.add(x, self._ffn(f"{prefix}.ffn", self._norm(f"{prefix}.ln2", x)))
 
-    def _cross_block(self, prefix, x, memory_kv, mask, memory_mask, capture, self_kv=None, layer=0):
+    def _cross_block(self, prefix, x, memory_kv, mask, memory_mask, capture, past=None):
         """One fusion or decoder layer: self-attention over ``x`` (under
         ``mask`` if given), cross-attention by the memory's keys and values
-        ``memory_kv`` (under ``memory_mask``), feed-forward.  In a decoder
-        layer, the keys and values of ``x`` extend ``self_kv[layer]``."""
+        ``memory_kv`` (under ``memory_mask``), feed-forward.  Returns the
+        output and the self-attention keys and values, ``past``'s first if
+        given; it assigns into none of its arguments."""
         q, k, v = self._heads(f"{prefix}.self", self._norm(f"{prefix}.ln1", x), "wq", "wk", "wv")
-        if self_kv is not None:
-            past = self_kv[layer]
-            if past is not None:
-                k, v = tt.concat([past[0], k], axis=-2), tt.concat([past[1], v], axis=-2)
-            self_kv[layer] = (k, v)
+        if past is not None:
+            k, v = tt.concat([past[0], k], axis=-2), tt.concat([past[1], v], axis=-2)
         x = tt.add(x, self._attend(f"{prefix}.self", q, k, v, mask))
         (q,) = self._heads(f"{prefix}.cross", self._norm(f"{prefix}.ln2", x), "wq")
         x = tt.add(x, self._attend(f"{prefix}.cross", q, *memory_kv, memory_mask, capture))
-        return tt.add(x, self._ffn(f"{prefix}.ffn", self._norm(f"{prefix}.ln3", x)))
+        return tt.add(x, self._ffn(f"{prefix}.ffn", self._norm(f"{prefix}.ln3", x))), (k, v)
 
     def _head(self, prefix, x):
         s = self.store
@@ -395,8 +396,8 @@ class _TransformerBase:
         guidance_mask = _key_mask(_valid_cells(guidance_lengths, guidance.shape[:-1]))
         x = rep
         for i in range(self.cfg.fusion_layers):
-            x = self._cross_block(f"fusion.f{i}", x, self._memory_kv(f"fusion.f{i}", guidance), mask,
-                                  guidance_mask, capture)
+            x, _ = self._cross_block(f"fusion.f{i}", x, self._memory_kv(f"fusion.f{i}", guidance), mask,
+                                     guidance_mask, capture)
         return x
 
 
@@ -535,8 +536,8 @@ class AedModel(_TransformerBase):
         ``head`` names the output head.  A tuple of n heads instead splits
         the stack into n blocks of rows along its first axis, head i
         reading block i, and the result is the tuple of their logits.  A
-        token outside 0..end raises ``VocabularyError`` before the cache
-        changes.
+        token outside 0..end raises ``VocabularyError``.  A call that raises
+        leaves the cache unchanged: it changes once, after every layer.
         """
         ids = np.asarray(prefix_ids, dtype=np.int64)
         if ids.ndim < 1:
@@ -552,17 +553,16 @@ class AedModel(_TransformerBase):
             raise VocabularyError("decoder prefix token out of range") from None
         stop = start + ids.shape[-1]
         x = tt.add(tt.scale(emb, math.sqrt(self.cfg.d_model)), self._positions(stop, start))
-        mask = self._causal_mask(start, stop)
-        for i in range(self.cfg.dec_layers):
-            x = self._cross_block(f"seq.dec{i}", x, cache.cross_kv[i], mask, cache.memory_mask, None,
-                                  cache.self_kv, i)
-        cache.length = stop
-        if isinstance(head, str):
-            return self._head(head, x)
-        if len(head) == 1:
-            return (self._head(head[0], x),)
-        n = x.shape[0] // len(head)
-        return tuple(self._head(h, tt.index(x, slice(i * n, i * n + n))) for i, h in enumerate(head))
+        mask, self_kv = self._causal_mask(start, stop), []
+        for i, (cross_kv, past) in enumerate(zip(cache.cross_kv, cache.self_kv)):
+            x, kv = self._cross_block(f"seq.dec{i}", x, cross_kv, mask, cache.memory_mask, None, past)
+            self_kv.append(kv)
+        names = (head,) if isinstance(head, str) else head
+        n = x.shape[0] // len(names)
+        logits = tuple(self._head(h, x if len(names) == 1 else tt.index(x, slice(i * n, i * n + n)))
+                       for i, h in enumerate(names))
+        cache.self_kv, cache.length = self_kv, stop
+        return logits[0] if isinstance(head, str) else logits
 
     def _teacher_forced(self, memory, target, heads, lengths, target_lengths) -> tuple:
         """Logits through each of ``heads`` over the start symbol then

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .ctc import ctc_loss_dp, kd_loss_ctc, kl_rows
+from .ctc import ctc_loss_dp, kd_loss_ctc
 from .errors import ContractError, TrainingAbort
 from .models import MASK, CtcModel
 from .tasks import Batch
@@ -148,18 +148,17 @@ def _sequence_losses(model, u_s: Tensor, u_t, batch: Batch, weights) -> tuple:
 
 
 def _kd_loss(model, config, u_student: Tensor, u_teacher: Tensor, weights) -> Tensor:
-    if isinstance(model, CtcModel):
-        p_s = tt.softmax(u_student)
-        p_t = tt.softmax(u_teacher)
-        if config.stop_teacher_grad:
-            p_t = p_t.detach()
-        return kd_loss_ctc(p_s, p_t, config.kd_form, weights)
-    inv_t = 1.0 / config.temperature
-    p_s = tt.softmax(tt.scale(u_student, inv_t))
-    p_t = tt.softmax(tt.scale(u_teacher, inv_t))
+    """``kd_loss_ctc`` between the two softmaxes: of the frame logits in
+    ``config.kd_form`` for CTC, of the logits over ``config.temperature``
+    in the "kl" form for the encoder-decoder."""
+    form = config.kd_form
+    if not isinstance(model, CtcModel):
+        form, inv_t = "kl", 1.0 / config.temperature
+        u_student, u_teacher = tt.scale(u_student, inv_t), tt.scale(u_teacher, inv_t)
+    p_s, p_t = tt.softmax(u_student), tt.softmax(u_teacher)
     if config.stop_teacher_grad:
         p_t = p_t.detach()
-    return kl_rows(p_t, p_s, weights)
+    return kd_loss_ctc(p_s, p_t, form, weights)
 
 
 def loss_total(model, batch, config: TrainConfig, rng: np.random.Generator) -> StepOutputs:

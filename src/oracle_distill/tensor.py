@@ -410,10 +410,17 @@ def softmax(a: Tensor) -> Tensor:
     return _node(out, (a,), bwd)
 
 
+def log_softmax_rows(u: np.ndarray) -> np.ndarray:
+    """The log-softmax of each row of an array, stabilized by max
+    subtraction: the forward of ``log_softmax`` and the log frame
+    posteriors of ``ctc``."""
+    shifted = u - u.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def log_softmax(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    out = log_softmax_rows(a.data)
     sm = np.exp(out)
 
     def bwd(g):
@@ -482,10 +489,15 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """``parts`` joined along ``axis``; parts that disagree off it, or an
+    axis they lack, raise ``ShapeError`` naming their shapes."""
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat of zero tensors")
-    out = np.concatenate([p.data for p in parts], axis=axis)
+    try:
+        out = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError:
+        raise ShapeError(f"concat along axis {axis} of shapes {[p.shape for p in parts]}") from None
     sizes = [p.data.shape[axis] for p in parts]
 
     def bwd(g):
@@ -576,12 +588,14 @@ def finite_differences(f: Callable[[], Tensor], tensors: Sequence[Tensor]):
         numeric = np.empty(flat.size)
         for i in range(flat.size):
             orig = flat[i]
-            with no_grad():  # only the analytic pass above is replayed
-                flat[i] = orig + FD_STEP
-                fp = f().item()
-                flat[i] = orig - FD_STEP
-                fm = f().item()
-            flat[i] = orig
+            try:
+                with no_grad():  # only the analytic pass above is replayed
+                    flat[i] = orig + FD_STEP
+                    fp = f().item()
+                    flat[i] = orig - FD_STEP
+                    fm = f().item()
+            finally:  # the parameter is restored even when f raises
+                flat[i] = orig
             numeric[i] = (fp - fm) / (2.0 * FD_STEP)
         rel = np.abs(a.reshape(-1) - numeric) / np.maximum(1e-8, np.abs(numeric))
         checked += flat.size

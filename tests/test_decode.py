@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_distill import tensor as T
-from oracle_distill.errors import ContractError, VocabularyError
+from oracle_distill.errors import ContractError, ShapeError, VocabularyError
 from oracle_distill.models import (
     AUX_PREFIXES,
     MASK,
@@ -204,3 +204,35 @@ class TestCacheMisuse:
         model.decode_logits(cache, [model.bos])
         with pytest.raises(ContractError):
             model.decode_logits(cache, [])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 3), st.data())
+def test_a_refused_call_leaves_the_cache_as_it_was(dec_layers, warm, data):
+    model = tiny_aed(seed=data.draw(st.integers(0, 2 ** 16)), dec_layers=dec_layers)
+    token = st.integers(0, model.eos)
+    memory = model.encode([[1, 2, 3], [4, 5, 1]])
+    cache, twin = model.decode_cache(memory), model.decode_cache(memory)
+    if warm:
+        prefix = [[model.bos] + data.draw(st.lists(token, min_size=warm - 1, max_size=warm - 1))] * 2
+        for c in (cache, twin):
+            model.decode_logits(c, prefix)
+    # a first call's row must begin with the start symbol; a later one's may not
+    first = [model.bos] if warm == 0 else []
+    fault = data.draw(st.sampled_from(["rows", "token", "empty"] + ["start"] * (warm == 0)))
+    if fault == "rows":  # three rows of tokens for a memory of two
+        bad = [first + [data.draw(token)] for _ in range(3)]
+    elif fault == "token":
+        bad = [first + [data.draw(token)], first + [data.draw(st.sampled_from([-1, model.eos + 1]))]]
+    elif fault == "empty":
+        bad = np.zeros((2, 0), dtype=np.int64)
+    else:
+        bad = [[data.draw(st.integers(1, model.eos))]] * 2
+    self_kv = list(cache.self_kv)
+    with pytest.raises((ShapeError, VocabularyError, ContractError)):
+        model.decode_logits(cache, bad)
+    assert cache.length == warm
+    assert len(cache.self_kv) == dec_layers and all(a is b for a, b in zip(cache.self_kv, self_kv))
+    step = [first or [data.draw(token)]] * 2
+    assert model.decode_logits(cache, step).data.tobytes() == model.decode_logits(twin, step).data.tobytes()
+    assert cache.length == twin.length == warm + 1

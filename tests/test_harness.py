@@ -124,6 +124,13 @@ class TestTrainRun:
         with pytest.raises(ContractError, match="lock"):
             train_run(tiny_cfg(), out)
 
+    @pytest.mark.parametrize("bad", [dict(frames_min=5, frames_max=2), dict(lr=-1.0), dict(heads=3)])
+    def test_a_refused_config_leaves_no_directory(self, tmp_path, bad):
+        out = tmp_path / "run"
+        with pytest.raises(ContractError):
+            train_run(tiny_cfg(steps=2, **bad), out)
+        assert not out.exists()
+
     def test_lock_released_after_run(self, tmp_path):
         train_run(tiny_cfg(), tmp_path / "run")
         assert not (tmp_path / "run" / ".lock").exists()

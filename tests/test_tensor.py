@@ -75,6 +75,13 @@ class TestForwardValues:
         parts = [T.index(a, (slice(None), slice(0, 2))), T.index(a, (slice(None), slice(2, 4)))]
         np.testing.assert_array_equal(T.concat(parts, axis=1).data, a.data)
 
+    def test_concat_names_parts_that_disagree_off_its_axis(self):
+        parts = [Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2)))]
+        with pytest.raises(ShapeError, match=r"\(2, 3\), \(3, 2\)"):
+            T.concat(parts, axis=1)
+        with pytest.raises(ShapeError):
+            T.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros(3))])
+
     def test_pick(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(T.pick(a, [1, 0]).data, [2.0, 3.0])
@@ -494,6 +501,15 @@ def test_grad_check_exact_for_linear():
     rng = np.random.default_rng(3)
     x = rand_tensor(rng, (4,))
     assert grad_check(T.sum_all, x) <= 1e-10
+
+
+def test_finite_differences_restores_a_parameter_when_the_objective_raises():
+    # the -FD_STEP probe of the first coordinate leaves log's domain
+    x = Tensor([5e-6, 1.0], requires_grad=True)
+    before = x.data.tobytes()
+    with pytest.raises(DomainError):
+        grad_check(lambda t: T.sum_all(T.log(t)), x)
+    assert x.data.tobytes() == before
 
 
 def test_tape_orders_by_execution():
