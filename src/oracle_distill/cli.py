@@ -11,8 +11,10 @@ Each subcommand accepts exactly the flags it reads:
     gen-data     --config --seed --out
 
 ``--seed`` overrides the run config's seed; a suite draws its instances
-from it, 0 by default.  Exit codes: 0 success, 1 suite or run failure,
-2 configuration error.
+from it, 0 by default.  Exit codes: 0 success; 1 suite or run failure, or
+a checkpoint whose run header describes another model than its model
+header; 2 configuration error, a key that the run's task never reads
+included (also in a checkpoint's run header).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import RunConfig, config_from_mapping, load_config
@@ -106,6 +109,20 @@ def _run_config(cfg: RunConfig, seed: int | None) -> RunConfig:
     return cfg.resolved()
 
 
+def _checkpoint_run_config(model, run_kv: dict, seed: int | None) -> RunConfig:
+    """A checkpoint's run header as ``_run_config`` resolves it, once it is
+    known to describe the checkpoint's model: the data it builds is what
+    that model reads."""
+    cfg = _run_config(config_from_mapping(run_kv), seed)
+    built, saved = asdict(cfg.model_config()), asdict(model.cfg)
+    for name, value in built.items():
+        if value != saved[name]:
+            raise CheckpointFormatError(
+                f"the checkpoint's run header gives {name} = {value!r}, its model header {saved[name]!r}"
+            )
+    return cfg
+
+
 def _out_dir(args, cfg: RunConfig | None, default_name: str) -> Path:
     if args.out is not None:
         return Path(args.out)
@@ -141,7 +158,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model, run_kv = load_checkpoint(args.checkpoint)
-    cfg = _run_config(config_from_mapping(run_kv), args.seed)
+    cfg = _checkpoint_run_config(model, run_kv, args.seed)
     dataset = generate_dataset(cfg)
     examples = split_examples(dataset, args.split)
     report = evaluate(model, examples, args.mode, cfg.train_config(), mask_seed=cfg.seed)
@@ -173,7 +190,7 @@ def cmd_dump(args) -> int:
     model, run_kv = load_checkpoint(args.checkpoint)
     if args.what == "alignment" and model.cfg.task != "ctc":
         raise ContractError("alignment dumps need a ctc checkpoint")
-    cfg = _run_config(config_from_mapping(run_kv), args.seed)
+    cfg = _checkpoint_run_config(model, run_kv, args.seed)
     dataset = generate_dataset(cfg)
     examples = split_examples(dataset, "dev")
     if not 0 <= args.example_id < len(examples):
@@ -198,7 +215,7 @@ def cmd_gen_data(args) -> int:
     out = _out_dir(args, cfg, "data")
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"dataset-{cfg.task}-seed{cfg.data_seed}.txt"
-    export_dataset(dataset, path, task=cfg.task)
+    export_dataset(dataset, path)
     counts = {s: len(split_examples(dataset, s)) for s in ("train", "dev", "test")}
     print(f"wrote {path} ({counts})")
     return 0

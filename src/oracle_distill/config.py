@@ -1,7 +1,9 @@
 """Run configuration: a flat, typed key = value text format.
 
 Unknown keys are a hard startup error so that a typo can never silently
-fall back to a default.
+fall back to a default.  So is a key that the run's task never reads, set
+to anything but its default: a ctc run reads no ``rule`` and an aed run no
+``kd_form``, for example (``TASKS`` lists which).
 """
 
 from __future__ import annotations
@@ -12,6 +14,21 @@ from .errors import ConfigError, ContractError
 from .models import ModelConfig
 from .objectives import TrainConfig
 from .tasks import AedTaskSpec, CtcTaskSpec
+
+
+# each task's data spec, and the training and model knobs that it alone
+# reads; a data field is read only by the task whose spec has it
+TASKS = {
+    "ctc": (CtcTaskSpec, ("kd_form",)),
+    "aed": (AedTaskSpec, ("lambda_mask", "temperature", "dec_layers")),
+}
+
+
+def _unread(task: str) -> set[str]:
+    """The run config fields that ``task`` never reads."""
+    read = {f.name for f in fields(TASKS[task][0])}
+    return {name for other, (spec, own) in TASKS.items() if other != task
+            for name in (*own, *(f.name for f in fields(spec)))} - read
 
 
 def _parse_bool(s: str) -> bool:
@@ -64,6 +81,12 @@ class RunConfig:
 
     def resolved(self) -> "RunConfig":
         cfg = RunConfig(**{f.name: getattr(self, f.name) for f in fields(self)})
+        if cfg.task not in TASKS:
+            raise ContractError(f"unknown task {cfg.task!r}")
+        unread = _unread(cfg.task)
+        for f in fields(cfg):
+            if f.name in unread and getattr(cfg, f.name) != f.default:
+                raise ContractError(f"{f.name} = {getattr(cfg, f.name)!r} is not read by task {cfg.task}")
         for name in ("data_seed", "vocab_size", "len_min", "len_max", "checkpoint_every"):
             if getattr(cfg, name) < -1:
                 raise ContractError(f"{name} must be -1 or nonnegative, got {getattr(cfg, name)}")
@@ -74,7 +97,7 @@ class RunConfig:
             raise ContractError(f"eval_every must be nonnegative (0: never), got {cfg.eval_every}")
         if cfg.data_seed == -1:
             cfg.data_seed = cfg.seed
-        spec = CtcTaskSpec if cfg.task == "ctc" else AedTaskSpec
+        spec, _ = TASKS[cfg.task]
         for name in ("vocab_size", "len_min", "len_max"):
             if getattr(cfg, name) == -1:
                 setattr(cfg, name, getattr(spec, name))
@@ -96,8 +119,7 @@ class RunConfig:
 
     def task_spec(self):
         cfg = self.resolved()
-        spec = CtcTaskSpec if cfg.task == "ctc" else AedTaskSpec
-        return cfg._build(spec, seed=cfg.data_seed)
+        return cfg._build(TASKS[cfg.task][0], seed=cfg.data_seed)
 
     def model_config(self) -> ModelConfig:
         return self.resolved()._build(ModelConfig)

@@ -8,7 +8,9 @@ Two independent routes compute the same quantities: an exhaustive
 enumeration over all label paths, scored by ``path_log_probs`` (the trust
 anchor, usable only for tiny instances), and the dynamic-programming
 recursion over the blank-extended target (the one that scales).  Tests
-hold them to 1e-9 agreement.  The enumeration generates and tests every
+hold them to 1e-9 agreement.  The alphabet is the logits' width: K columns
+are the blank and the labels 1..K-1, so no function that takes logits
+takes a ``Vocab``.  The enumeration generates and tests every
 one of the V^T raw paths, as one pass over an array of a byte per path
 frame, not a Python loop over the paths.
 
@@ -141,22 +143,20 @@ def _logsumexp(values) -> float:
     return m + math.log(sum(math.exp(v - m) for v in values))
 
 
-def validated_inputs(u, y, vocab: Vocab) -> tuple[np.ndarray, tuple[int, ...]]:
+def validated_inputs(u, y) -> tuple[np.ndarray, tuple[int, ...]]:
     """Validated T x K logits and target, shared by the oracles and the
-    bound diagnostics: ``ShapeError`` unless the logits are a matrix as
-    wide as ``vocab``, ``ContractError`` unless they are finite.  The DP
-    checks its stacks the same way, in the same order."""
+    bound diagnostics: ``ShapeError`` unless the logits are a matrix,
+    ``ContractError`` unless they are finite, at least two wide, and the
+    target's labels lie in 1..K-1.  The DP checks its stacks the same way,
+    in the same order."""
     data = _as_logits(u)
-    y = _check_target(y, vocab)
-    if data.shape[1] != vocab.size:
-        raise ShapeError("logit width must equal vocab size")
-    return data, y
+    return data, _check_target(y, Vocab(data.shape[1]))
 
 
-def _scored_paths(u, y, vocab: Vocab):
+def _scored_paths(u, y):
     """Validated logits, every path collapsing to ``y``, and their log-probabilities."""
-    data, y = validated_inputs(u, y, vocab)
-    paths = enumerate_alignments(y, data.shape[0], vocab)
+    data, y = validated_inputs(u, y)
+    paths = enumerate_alignments(y, data.shape[0], Vocab(data.shape[1]))
     if not paths:
         raise InfeasibleTargetError(
             f"no length-{data.shape[0]} path collapses to target of length {len(y)}"
@@ -164,9 +164,9 @@ def _scored_paths(u, y, vocab: Vocab):
     return data, paths, path_log_probs(data, paths)
 
 
-def ctc_loss_bruteforce(u, y, vocab: Vocab) -> float:
+def ctc_loss_bruteforce(u, y) -> float:
     """-log sum over enumerated paths of the product of frame posteriors."""
-    return -_logsumexp(list(_scored_paths(u, y, vocab)[2]))
+    return -_logsumexp(list(_scored_paths(u, y)[2]))
 
 
 def _skip_mask(ext: np.ndarray) -> np.ndarray:
@@ -276,7 +276,7 @@ class _ForwardPass(NamedTuple):
         return -float(self.loglik[0]) if self.single else -self.loglik
 
 
-def _forward_pass(u, y, vocab: Vocab, frames) -> _ForwardPass:
+def _forward_pass(u, y, frames) -> _ForwardPass:
     """Validate, take the log-softmax once, run the recursion forward and
     read each item's likelihood; the arguments are those of
     ``ctc_loss_dp``."""
@@ -301,9 +301,8 @@ def _forward_pass(u, y, vocab: Vocab, frames) -> _ForwardPass:
         data = np.where((np.arange(n_frames) < np.array(frames)[:, None])[..., None], data, 0.0)
     if not np.isfinite(data).all():
         raise ContractError("frame logits must be finite")
+    vocab = Vocab(data.shape[2])
     targets = tuple(_check_target(t, vocab) for t in targets)
-    if data.shape[2] != vocab.size:
-        raise ShapeError("logit width must equal vocab size")
     lattice = _lattice(targets, frames, n_frames, vocab.size)
 
     lp = log_softmax_rows(data)
@@ -337,16 +336,16 @@ def _backward_pass(fwd: _ForwardPass) -> tuple[np.ndarray, np.ndarray]:
     return sigma, grad
 
 
-def ctc_forward_backward(u, y, vocab: Vocab) -> ForwardBackward:
+def ctc_forward_backward(u, y) -> ForwardBackward:
     """Both halves of the DP on one T x K instance with target ``y`` (or
     on a B x T x K stack with its B targets, every frame real): the
     recursion forward and on the reversed lattice, then the posterior and
     the gradient."""
-    fwd = _forward_pass(u, y, vocab, None)
+    fwd = _forward_pass(u, y, None)
     return ForwardBackward(fwd.nll(), *_backward_pass(fwd))
 
 
-def ctc_loss_dp(u, y, vocab: Vocab, frames=None) -> Tensor:
+def ctc_loss_dp(u, y, frames=None) -> Tensor:
     """CTC negative log-likelihood via forward recursion: a scalar for one
     T x K instance with target ``y``, or one loss per item of a B x T x K
     stack of instances padded in time, with ``y`` their B targets and
@@ -361,7 +360,7 @@ def ctc_loss_dp(u, y, vocab: Vocab, frames=None) -> Tensor:
     of the DP, so a loss that is never differentiated costs the forward
     half alone.
     """
-    fwd = _forward_pass(u, y, vocab, frames)
+    fwd = _forward_pass(u, y, frames)
 
     def bwd(g):
         return (g[..., None, None] * _backward_pass(fwd)[1],)
@@ -369,11 +368,11 @@ def ctc_loss_dp(u, y, vocab: Vocab, frames=None) -> Tensor:
     return custom_op(fwd.nll(), (as_tensor(u),), bwd)
 
 
-def ctc_bruteforce(u, y, vocab: Vocab) -> tuple[float, np.ndarray]:
+def ctc_bruteforce(u, y) -> tuple[float, np.ndarray]:
     """The enumeration oracle from one scoring of the paths: -log of the
     summed path probabilities, and the path-weighted label frequencies
     (the oracle for the DP's posterior)."""
-    data, paths, logw = _scored_paths(u, y, vocab)
+    data, paths, logw = _scored_paths(u, y)
     total = _logsumexp(list(logw))
     w = np.exp(logw - total)
     sigma = np.zeros_like(data)

@@ -69,18 +69,19 @@ def _normalized(logw: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def bound_report_from_logits(student_logits, teacher_logits, y, vocab: Vocab) -> BoundReport:
+def bound_report_from_logits(student_logits, teacher_logits, y) -> BoundReport:
     """Exact bound arithmetic over the enumerated alignment set; every
     field is a plain float.
 
-    Both logit grids must be finite T x ``vocab.size`` matrices of one
-    shape (``ContractError`` / ``ShapeError`` otherwise), as for the DP.
+    Both logit grids must be finite T x K matrices of one shape, K the
+    blank and the labels (``ContractError`` / ``ShapeError`` otherwise),
+    as for the DP.
     """
-    student_logits, y = validated_inputs(student_logits, y, vocab)
-    teacher_logits, _ = validated_inputs(teacher_logits, y, vocab)
+    student_logits, y = validated_inputs(student_logits, y)
+    teacher_logits, _ = validated_inputs(teacher_logits, y)
     if teacher_logits.shape != student_logits.shape:
         raise ShapeError(f"teacher logits {teacher_logits.shape} vs student {student_logits.shape}")
-    paths = enumerate_alignments(y, student_logits.shape[0], vocab)
+    paths = enumerate_alignments(y, student_logits.shape[0], Vocab(student_logits.shape[1]))
     if not paths:
         raise ContractError("no feasible alignment for this instance")
     lp_student = path_log_probs(student_logits, paths)
@@ -111,7 +112,7 @@ def check_lower_bound(model: CtcModel, x, y) -> BoundReport:
     hidden = model.encode(x)
     u_s = model.student_head(hidden)
     u_t = model.teacher_logits(hidden, y)
-    return bound_report_from_logits(u_s.data, u_t.data, y, model.vocab)
+    return bound_report_from_logits(u_s.data, u_t.data, y)
 
 
 # ---------------------------------------------------------------------------

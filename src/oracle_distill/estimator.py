@@ -2,11 +2,13 @@
 target sequences, score by token accuracy.
 
 Each estimator is a dataclass whose fields are its hyperparameters, named
-and defaulted as in ``RunConfig``.  ``get_params``/``set_params`` read the
-fields, which is the scikit-learn parameter protocol: the classes compose
-with ``sklearn.base.clone`` without importing sklearn here.  ``fit`` sets
-the fitted, trailing-underscore attributes only once training has ended,
-so a failed fit leaves the estimator as it was.
+and defaulted as in ``RunConfig``, save one: ``AedDistiller.alpha`` is 5.0
+where the run config's is 2.0.  Each has only the knobs its task reads.
+``get_params``/``set_params`` read the fields, which is the scikit-learn
+parameter protocol: the classes compose with ``sklearn.base.clone``
+without importing sklearn here.  ``fit`` sets the fitted,
+trailing-underscore attributes only once training has ended, so a failed
+fit leaves the estimator as it was.
 """
 
 from __future__ import annotations

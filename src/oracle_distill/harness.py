@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, config_to_mapping
-from .ctc import Vocab, ctc_bruteforce, ctc_forward_backward, ctc_loss_dp, kd_loss_ctc, min_frames
+from .ctc import ctc_bruteforce, ctc_forward_backward, ctc_loss_dp, kd_loss_ctc, min_frames
 from .diagnostics import BoundReport, check_lower_bound, bound_report_from_logits, repetition_ratio
 from .errors import ContractError
 from .metrics import exact_match_rate, token_error_rate
@@ -339,14 +339,13 @@ class SuiteReport:
 
 def _random_ctc_instance(rng, max_t=8, max_l=4):
     k = int(rng.integers(2, 5))
-    vocab = Vocab(k)
     while True:
         l = int(rng.integers(1, max_l + 1))
         y = tuple(int(t) for t in rng.integers(1, k, size=l))
         if min_frames(y) <= max_t:
             break
     t = int(rng.integers(min_frames(y), max_t + 1))
-    return rng.standard_normal((t, k)) * 2.0, y, vocab
+    return rng.standard_normal((t, k)) * 2.0, y
 
 
 def _check_instance_count(n_instances: int) -> None:
@@ -363,9 +362,9 @@ def check_ctc_suite(n_instances: int = 100, seed: int = 0) -> SuiteReport:
     rng = np.random.default_rng(seed)
     loss_devs, post_devs = [], []
     for _ in range(n_instances):
-        u, y, vocab = _random_ctc_instance(rng)
-        dp, post_dp, _ = ctc_forward_backward(u, y, vocab)
-        bf, post_enum = ctc_bruteforce(u, y, vocab)
+        u, y = _random_ctc_instance(rng)
+        dp, post_dp, _ = ctc_forward_backward(u, y)
+        bf, post_enum = ctc_bruteforce(u, y)
         loss_devs.append(abs(dp - bf))
         post_devs.append(np.abs(post_dp - post_enum).max())
     # np.max keeps a NaN where the builtin max would drop it and pass
@@ -398,9 +397,9 @@ def grad_check_suite(seed: int = 0) -> SuiteReport:
     rng = np.random.default_rng(seed)
     ctc_errs = []
     for _ in range(50):
-        u, y, vocab = _random_ctc_instance(rng, max_t=6, max_l=3)
+        u, y = _random_ctc_instance(rng, max_t=6, max_l=3)
         x = Tensor(u, requires_grad=True)
-        ctc_errs.append(grad_check(lambda t: ctc_loss_dp(t, y, vocab), x))
+        ctc_errs.append(grad_check(lambda t: ctc_loss_dp(t, y), x))
 
     kd_errs = []
     for form in ("l2", "kl"):
@@ -460,7 +459,7 @@ def bound_check_suite(n_instances: int = 200, seed: int = 0, csv_path=None) -> S
     min_slack = float(np.min([r.slack for r in reports]))
 
     u = rng.standard_normal((5, 3)) * 2.0
-    tight = bound_report_from_logits(u, u, (1, 2), Vocab(3))
+    tight = bound_report_from_logits(u, u, (1, 2))
     passed = min_slack >= -1e-9 and abs(tight.slack) <= 1e-9
 
     if csv_path is not None:

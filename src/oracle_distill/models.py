@@ -69,7 +69,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import tensor as tt
-from .ctc import Vocab, greedy_decode
+from .ctc import greedy_decode
 from .errors import CheckpointFormatError, ContractError, DomainError, ShapeError, VocabularyError
 from .tasks import padded_stack
 from .tensor import Tensor
@@ -410,7 +410,6 @@ class CtcModel(_TransformerBase):
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         super().__init__(config, seed)
-        self.vocab = Vocab(config.vocab_size + 1)
         out_dim = config.vocab_size + 1
         self.store.create("seq.in_proj.w", _xavier(self._rng, config.feature_dim, config.d_model))
         self.store.create("seq.in_proj.b", np.zeros(config.d_model))

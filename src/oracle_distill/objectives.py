@@ -134,8 +134,8 @@ def _sequence_losses(model, u_s: Tensor, u_t, batch: Batch, weights) -> tuple:
     n = len(batch)
     if isinstance(model, CtcModel):
         if u_t is None:
-            return tt.mean(ctc_loss_dp(u_s, batch.targets, model.vocab, batch.lengths)), None
-        losses = ctc_loss_dp(tt.concat([u_s, u_t]), batch.targets * 2, model.vocab,
+            return tt.mean(ctc_loss_dp(u_s, batch.targets, batch.lengths)), None
+        losses = ctc_loss_dp(tt.concat([u_s, u_t]), batch.targets * 2,
                              np.concatenate([batch.lengths, batch.lengths]))
         return tt.mean(tt.index(losses, slice(0, n))), tt.mean(tt.index(losses, slice(n, 2 * n)))
     # each target then the end symbol; padded cells, whatever they hold, read as 0

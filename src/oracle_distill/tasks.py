@@ -301,27 +301,22 @@ def batch_iter(dataset: list[Example], batch_size: int, rng: np.random.Generator
 # ---------------------------------------------------------------------------
 
 
-def export_dataset(dataset: list[Example], path, task: str) -> None:
-    """A header line naming the task, then one example per line: split,
-    source, target, tab-separated; floats are written by ``repr``, so the
-    file reads back exactly.  An empty dataset or an unknown task is
-    refused before the file is opened, so an existing file stays as it
-    was."""
-    if task not in ("ctc", "aed"):
-        raise ContractError(f"unknown task {task!r}")
+def export_dataset(dataset: list[Example], path) -> None:
+    """A header line naming the task, read off the examples' sources, then
+    one example per line: split, source, target, tab-separated; floats are
+    written by ``repr``, so the file reads back exactly.  An empty dataset,
+    or one whose sources are of more than one kind or width, is refused
+    before the file is opened, so an existing file stays as it was."""
     if not dataset:
         raise ContractError("empty dataset")
+    # frame matrices make a ctc dataset of their width, token tuples an aed one
+    kinds = {f"ctc feature_dim={ex.x.shape[1]}" if isinstance(ex.x, np.ndarray) else "aed"
+             for ex in dataset}
+    if len(kinds) > 1:
+        raise ContractError(f"a dataset mixes sources of {' and '.join(sorted(kinds))}")
     with open(path, "w", encoding="ascii") as fh:
-        if task == "ctc":
-            dim = dataset[0].x.shape[1]
-            fh.write(f"# oracle-distill dataset v1 task=ctc feature_dim={dim}\n")
-        else:
-            fh.write("# oracle-distill dataset v1 task=aed\n")
+        fh.write(f"# oracle-distill dataset v1 task={kinds.pop()}\n")
         for ex in dataset:
-            if task == "ctc":
-                src = " ".join(repr(float(v)) for v in ex.x.reshape(-1))
-            else:
-                src = " ".join(str(t) for t in ex.x)
+            src = " ".join(map(repr, np.ravel(ex.x).tolist()))
             tgt = " ".join(str(t) for t in ex.y)
             fh.write(f"{ex.split}\t{src}\t{tgt}\n")
-

@@ -214,12 +214,12 @@ def _reference_skip(ext: np.ndarray) -> np.ndarray:
     return skip
 
 
-def reference_ctc_dp(u, y, vocab) -> tuple[float, np.ndarray, np.ndarray]:
+def reference_ctc_dp(u, y) -> tuple[float, np.ndarray, np.ndarray]:
     """The CTC DP one instance at a time, the oracle that the stacked
     ``ctc.ctc_forward_backward`` must match bit for bit, item by item:
     (negative log-likelihood, alignment posterior, softmax(u) - posterior),
     with beta as the forward pass on the time- and state-reversed lattice."""
-    data, y = validated_inputs(u, y, vocab)
+    data, y = validated_inputs(u, y)
     if data.shape[0] < min_frames(y):
         raise InfeasibleTargetError("too few frames for the target")
     lp = log_softmax_rows(data)
@@ -399,7 +399,7 @@ def kd_vs_q_gap(model: CtcModel, x, y) -> dict[str, float]:
     hidden = model.encode(x)
     u_s = model.student_head(hidden).data
     u_t = model.teacher_logits(hidden, y).data
-    report = bound_report_from_logits(u_s, u_t, y, model.vocab)
+    report = bound_report_from_logits(u_s, u_t, y)
     l2 = kd_loss_ctc(
         T.softmax(Tensor(u_s)), T.softmax(Tensor(u_t)), "l2"
     ).item()

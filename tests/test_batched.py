@@ -296,15 +296,15 @@ def test_ctc_objective_makes_one_dp_call(monkeypatch, use_teacher):
     calls = []
     dp = objectives.ctc_loss_dp
 
-    def counted(u, y, vocab, frames):
+    def counted(u, y, frames):
         calls.append((u.shape, len(y), tuple(frames)))
-        return dp(u, y, vocab, frames)
+        return dp(u, y, frames)
 
     monkeypatch.setattr(objectives, "ctc_loss_dp", counted)
     batch = Batch(data[:8])
     out = loss_total(model, batch, train, np.random.default_rng(0))
     stack = 2 * len(batch) if use_teacher else len(batch)
-    assert calls == [((stack, max(batch.lengths), model.vocab.size), stack,
+    assert calls == [((stack, max(batch.lengths), model.cfg.vocab_size + 1), stack,
                       tuple(batch.lengths) * (stack // len(batch)))]
     assert (out.terms[1] is not None) == use_teacher
 

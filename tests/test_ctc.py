@@ -36,9 +36,8 @@ V3 = Vocab(3)  # blank + labels {1, 2}
 
 
 def random_instance(rng, max_t=8, max_l=4, max_k=4):
-    """A feasible random (logits, target, vocab) triple."""
+    """A feasible random (logits, target) pair."""
     k = int(rng.integers(2, max_k + 1))
-    vocab = Vocab(k)
     while True:
         l = int(rng.integers(1, max_l + 1))
         y = tuple(int(t) for t in rng.integers(1, k, size=l))
@@ -46,7 +45,7 @@ def random_instance(rng, max_t=8, max_l=4, max_k=4):
             break
     t = int(rng.integers(min_frames(y), max_t + 1))
     u = rng.standard_normal((t, k)) * 2.0
-    return u, y, vocab
+    return u, y
 
 
 class TestCollapse:
@@ -94,7 +93,7 @@ class TestEnumeration:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        nll = ctc_loss_dp(np.zeros((n_frames, vocab.size)), y, vocab).item()
+        nll = ctc_loss_dp(np.zeros((n_frames, vocab.size)), y).item()
         assert len(paths) == round(math.exp(-nll) * vocab.size ** n_frames) == 21
         assert paths == sorted(paths) and all(collapse(z) == y for z in paths)
         # a byte per raw-path frame for the paths and for each mask over
@@ -108,9 +107,9 @@ class TestEnumeration:
     def test_every_enumerated_path_collapses_back(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            _, y, vocab = random_instance(rng, max_t=6)
+            u, y = random_instance(rng, max_t=6)
             t = min_frames(y) + 1
-            for z in enumerate_alignments(y, t, vocab):
+            for z in enumerate_alignments(y, t, Vocab(u.shape[1])):
                 assert collapse(z) == y
 
 
@@ -139,86 +138,90 @@ class TestBruteForceLoss:
         # oracle: 5 paths, each with probability (1/3)^3
         u = np.zeros((3, 3))
         expected = -math.log(5 * (1 / 3) ** 3)
-        assert abs(ctc_loss_bruteforce(u, (1, 2), V3) - expected) <= 1e-12
+        assert abs(ctc_loss_bruteforce(u, (1, 2)) - expected) <= 1e-12
 
     def test_sharp_logits_reach_zero_loss(self):
         path = (0, 1, 1, 0, 2)
         u = np.full((5, 3), -20.0)
         for t, k in enumerate(path):
             u[t, k] = 20.0
-        assert ctc_loss_bruteforce(u, collapse(path), V3) < 1e-3
+        assert ctc_loss_bruteforce(u, collapse(path)) < 1e-3
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleTargetError):
-            ctc_loss_bruteforce(np.zeros((2, 3)), (1, 1), V3)
+            ctc_loss_bruteforce(np.zeros((2, 3)), (1, 1))
 
 
 class TestDpLoss:
     def test_matches_bruteforce_on_random_instances(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
-            u, y, vocab = random_instance(rng)
-            dp = ctc_loss_dp(u, y, vocab).item()
-            bf = ctc_loss_bruteforce(u, y, vocab)
+            u, y = random_instance(rng)
+            dp = ctc_loss_dp(u, y).item()
+            bf = ctc_loss_bruteforce(u, y)
             assert abs(dp - bf) <= 1e-9
 
     def test_single_forced_frame(self):
         rng = np.random.default_rng(1)
         u = rng.standard_normal((1, 3))
         lp = u - np.log(np.exp(u).sum())
-        assert abs(ctc_loss_dp(u, (1,), V3).item() + lp[0, 1]) <= 1e-12
+        assert abs(ctc_loss_dp(u, (1,)).item() + lp[0, 1]) <= 1e-12
 
     def test_per_frame_shift_invariance(self):
         rng = np.random.default_rng(2)
-        u, y, vocab = random_instance(rng)
+        u, y = random_instance(rng)
         shifted = u + rng.standard_normal((u.shape[0], 1)) * 5.0
-        a = ctc_loss_dp(u, y, vocab).item()
-        b = ctc_loss_dp(shifted, y, vocab).item()
+        a = ctc_loss_dp(u, y).item()
+        b = ctc_loss_dp(shifted, y).item()
         assert abs(a - b) <= 1e-10
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleTargetError):
-            ctc_loss_dp(np.zeros((2, 3)), (1, 1), V3)
+            ctc_loss_dp(np.zeros((2, 3)), (1, 1))
 
-    def test_wrong_width_raises(self):
-        with pytest.raises(ShapeError):
-            ctc_loss_dp(np.zeros((3, 4)), (1,), V3)
+    def test_the_alphabet_is_the_logits_width(self):
+        # three columns are the blank and the labels 1 and 2, in every entry
+        for loss in (ctc_loss_dp, ctc_loss_bruteforce, ctc_forward_backward, ctc_bruteforce):
+            with pytest.raises(ContractError, match=r"target tokens must lie in 1\.\.2"):
+                loss(np.zeros((3, 3)), (3,))
+            with pytest.raises(ContractError, match="the blank plus at least one label"):
+                loss(np.zeros((3, 1)), (1,))
 
 
 class TestPosterior:
     def test_forced_path_is_one_hot(self):
-        sigma = ctc_forward_backward(np.zeros((1, 3)), (1,), V3).posterior
+        sigma = ctc_forward_backward(np.zeros((1, 3)), (1,)).posterior
         np.testing.assert_allclose(sigma, [[0.0, 1.0, 0.0]], atol=1e-15)
 
     def test_uniform_first_frame_marginals(self):
         # 4 of the 5 equally likely paths start with label 1, one with blank
-        sigma = ctc_forward_backward(np.zeros((3, 3)), (1, 2), V3).posterior
+        sigma = ctc_forward_backward(np.zeros((3, 3)), (1, 2)).posterior
         np.testing.assert_allclose(sigma[0], [0.2, 0.8, 0.0], atol=1e-12)
 
     def test_matches_enumeration_marginals(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
-            u, y, vocab = random_instance(rng)
-            dp = ctc_forward_backward(u, y, vocab).posterior
-            enum = ctc_bruteforce(u, y, vocab)[1]
+            u, y = random_instance(rng)
+            dp = ctc_forward_backward(u, y).posterior
+            enum = ctc_bruteforce(u, y)[1]
             np.testing.assert_allclose(dp, enum, atol=1e-9)
 
     def test_rows_are_distributions_supported_on_target_labels(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
-            u, y, vocab = random_instance(rng)
-            sigma = ctc_forward_backward(u, y, vocab).posterior
+            u, y = random_instance(rng)
+            sigma = ctc_forward_backward(u, y).posterior
             np.testing.assert_allclose(sigma.sum(axis=1), 1.0, atol=1e-9)
             assert sigma.min() >= 0.0
-            absent = set(range(1, vocab.size)) - set(y)
+            absent = set(range(1, u.shape[1])) - set(y)
             for k in absent:
                 np.testing.assert_allclose(sigma[:, k], 0.0, atol=1e-15)
 
 
-def dp_grad(u, y, vocab):
+def dp_grad(u, y):
     """d(loss)/d(logits) as ``ctc_loss_dp``'s backward rule leaves it in ``grad``."""
     x = Tensor(u, requires_grad=True)
-    T.backward(ctc_loss_dp(x, y, vocab))
+    T.backward(ctc_loss_dp(x, y))
     return x.grad
 
 
@@ -226,30 +229,30 @@ class TestGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(23)
         for _ in range(15):
-            u, y, vocab = random_instance(rng, max_t=6)
+            u, y = random_instance(rng, max_t=6)
             x = Tensor(u, requires_grad=True)
-            err = grad_check(lambda t: ctc_loss_dp(t, y, vocab), x)
+            err = grad_check(lambda t: ctc_loss_dp(t, y), x)
             assert err <= 1e-5
 
     def test_rows_sum_to_zero(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
-            u, y, vocab = random_instance(rng)
-            g = dp_grad(u, y, vocab)
+            u, y = random_instance(rng)
+            g = dp_grad(u, y)
             np.testing.assert_allclose(g.sum(axis=1), 0.0, atol=1e-10)
 
     def test_near_zero_at_a_saturated_forced_path(self):
         # single frame, softmax pinned to the forced label: both terms match
         u = np.array([[-40.0, 40.0, -40.0]])
-        g = dp_grad(u, (1,), V3)
+        g = dp_grad(u, (1,))
         np.testing.assert_allclose(g, 0.0, atol=1e-10)
 
     def test_backward_registration(self):
         # the rule is the frame posterior minus the alignment posterior
         rng = np.random.default_rng(31)
-        u, y, vocab = random_instance(rng)
-        expected = np.exp(log_softmax_rows(u)) - ctc_forward_backward(u, y, vocab).posterior
-        np.testing.assert_allclose(dp_grad(u, y, vocab), expected, atol=1e-12)
+        u, y = random_instance(rng)
+        expected = np.exp(log_softmax_rows(u)) - ctc_forward_backward(u, y).posterior
+        np.testing.assert_allclose(dp_grad(u, y), expected, atol=1e-12)
 
 
 class TestKdLoss:
@@ -375,30 +378,29 @@ class TestGreedyDecode:
 
 @st.composite
 def feasible_instances(draw, max_t=7, max_k=4):
-    """(logits, target, vocab) with T <= 7, K <= 4 and a feasible target;
+    """(logits, target) with T <= 7, K <= 4 and a feasible target;
     small alphabets make repeated labels common, and T shrinks towards
     min_frames(y)."""
-    vocab = Vocab(draw(st.integers(2, max_k)))
-    y = tuple(draw(st.lists(st.integers(1, vocab.size - 1), min_size=1, max_size=4)))
+    k = draw(st.integers(2, max_k))
+    y = tuple(draw(st.lists(st.integers(1, k - 1), min_size=1, max_size=4)))
     n_frames = min_frames(y) + draw(st.integers(0, max_t - min_frames(y)))
     entries = st.floats(-6.0, 6.0, allow_nan=False)
-    u = np.array(draw(st.lists(entries, min_size=n_frames * vocab.size,
-                               max_size=n_frames * vocab.size)))
-    return u.reshape(n_frames, vocab.size), y, vocab
+    u = np.array(draw(st.lists(entries, min_size=n_frames * k, max_size=n_frames * k)))
+    return u.reshape(n_frames, k), y
 
 
 # repeated labels at the minimum frame count: every path is forced through
 # the blank between the repeats
-REPEATS_AT_MIN_FRAMES = (np.linspace(-2.0, 2.0, 12).reshape(4, 3), (1, 1, 2), Vocab(3))
+REPEATS_AT_MIN_FRAMES = (np.linspace(-2.0, 2.0, 12).reshape(4, 3), (1, 1, 2))
 
 
 @settings(max_examples=40, deadline=None)
 @example(REPEATS_AT_MIN_FRAMES)
 @given(feasible_instances())
 def test_dp_loss_matches_enumeration_property(case):
-    u, y, vocab = case
-    assert ctc_loss_dp(u, y, vocab).item() == pytest.approx(
-        ctc_loss_bruteforce(u, y, vocab), rel=0, abs=1e-9
+    u, y = case
+    assert ctc_loss_dp(u, y).item() == pytest.approx(
+        ctc_loss_bruteforce(u, y), rel=0, abs=1e-9
     )
 
 
@@ -406,9 +408,9 @@ def test_dp_loss_matches_enumeration_property(case):
 @example(REPEATS_AT_MIN_FRAMES)
 @given(feasible_instances())
 def test_dp_posterior_matches_enumeration_property(case):
-    u, y, vocab = case
+    u, y = case
     np.testing.assert_allclose(
-        ctc_forward_backward(u, y, vocab).posterior, ctc_bruteforce(u, y, vocab)[1], rtol=0, atol=1e-9
+        ctc_forward_backward(u, y).posterior, ctc_bruteforce(u, y)[1], rtol=0, atol=1e-9
     )
 
 
@@ -418,24 +420,24 @@ def test_dp_posterior_matches_enumeration_property(case):
 def test_dp_loss_is_invariant_under_time_reversal(case):
     # a path for y read backwards is a path for y reversed, with the same
     # probability; the backward pass runs the forward one on this lattice
-    u, y, vocab = case
-    forward = ctc_loss_dp(u, y, vocab).item()
-    assert ctc_loss_dp(u[::-1], y[::-1], vocab).item() == pytest.approx(forward, rel=0, abs=1e-12)
+    u, y = case
+    forward = ctc_loss_dp(u, y).item()
+    assert ctc_loss_dp(u[::-1], y[::-1]).item() == pytest.approx(forward, rel=0, abs=1e-12)
 
 
 def test_reversed_lattice_needs_the_skip_mask_of_the_reversed_target(monkeypatch):
     # in (1, 1, 2) the jump into the second 1 is barred but the jump into
     # the 2 is allowed; reversed, the 2 comes first and the barred jump
     # moves, so a mask built from the unreversed target gives a wrong beta
-    u, y, vocab = np.linspace(-2.0, 2.0, 18).reshape(6, 3), (1, 1, 2), Vocab(3)
-    oracle = ctc_bruteforce(u, y, vocab)[1]
-    np.testing.assert_allclose(ctc_forward_backward(u, y, vocab).posterior, oracle, rtol=0, atol=1e-9)
+    u, y = np.linspace(-2.0, 2.0, 18).reshape(6, 3), (1, 1, 2)
+    oracle = ctc_bruteforce(u, y)[1]
+    np.testing.assert_allclose(ctc_forward_backward(u, y).posterior, oracle, rtol=0, atol=1e-9)
     unreversed = np.array([BLANK, 1, BLANK, 1, BLANK, 2, BLANK])
     skip_mask = ctc._skip_mask
     monkeypatch.setattr(ctc, "_skip_mask", lambda ext: skip_mask(unreversed))
     # build the lattice again rather than reuse the one cached above
     monkeypatch.setattr(ctc, "_lattice", ctc._lattice.__wrapped__)
-    assert np.abs(ctc_forward_backward(u, y, vocab).posterior - oracle).max() > 1e-3
+    assert np.abs(ctc_forward_backward(u, y).posterior - oracle).max() > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -451,37 +453,37 @@ def padded_stacks(draw):
     """A B x T x K stack of up to 6 feasible instances with their own target
     lengths (repeats common at K <= 3) and frame counts, padded to T, with
     garbage in every padded cell."""
-    vocab = Vocab(draw(st.integers(2, 5)))
+    k = draw(st.integers(2, 5))
     n_items = draw(st.integers(1, 6))
     targets, frames = [], []
     for _ in range(n_items):
-        y = tuple(draw(st.lists(st.integers(1, vocab.size - 1), min_size=1, max_size=4)))
+        y = tuple(draw(st.lists(st.integers(1, k - 1), min_size=1, max_size=4)))
         targets.append(y)
         frames.append(min_frames(y) + draw(st.integers(0, 3)))
     n_frames = max(frames) + draw(st.integers(0, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    u = rng.standard_normal((n_items, n_frames, vocab.size)) * draw(st.sampled_from((0.5, 3.0, 30.0)))
+    u = rng.standard_normal((n_items, n_frames, k)) * draw(st.sampled_from((0.5, 3.0, 30.0)))
     for i, n in enumerate(frames):
-        u[i, n:] = rng.choice(GARBAGE, size=(n_frames - n, vocab.size))
-    return u, targets, frames, vocab
+        u[i, n:] = rng.choice(GARBAGE, size=(n_frames - n, k))
+    return u, targets, frames
 
 
 @settings(max_examples=60, deadline=None)
 @given(padded_stacks())
 def test_stacked_dp_equals_the_one_instance_reference_bit_for_bit(case):
-    u, targets, frames, vocab = case
-    fwd = ctc._forward_pass(u, targets, vocab, frames)
+    u, targets, frames = case
+    fwd = ctc._forward_pass(u, targets, frames)
     nll, (sigma, grad) = fwd.nll(), ctc._backward_pass(fwd)
     x = Tensor(u, requires_grad=True)
-    losses = ctc_loss_dp(x, targets, vocab, frames)
+    losses = ctc_loss_dp(x, targets, frames)
     T.backward(T.sum_all(losses))
     assert losses.data.tobytes() == nll.tobytes()
     for i, (y, n) in enumerate(zip(targets, frames)):
-        ref_nll, ref_sigma, ref_grad = reference_ctc_dp(u[i, :n], y, vocab)
+        ref_nll, ref_sigma, ref_grad = reference_ctc_dp(u[i, :n], y)
         assert np.float64(ref_nll).tobytes() == nll[i].tobytes()
         assert ref_sigma.tobytes() == sigma[i, :n].tobytes()
         assert ref_grad.tobytes() == grad[i, :n].tobytes() == x.grad[i, :n].tobytes()
-        single = ctc_forward_backward(u[i, :n], y, vocab)
+        single = ctc_forward_backward(u[i, :n], y)
         assert np.float64(single.nll).tobytes() == nll[i].tobytes()
         assert single.posterior.tobytes() == ref_sigma.tobytes()
         assert single.grad.tobytes() == ref_grad.tobytes()
@@ -493,12 +495,12 @@ def test_stack_refuses_bad_frame_counts_and_garbage_in_real_rows():
     u = np.zeros((2, 4, 3))
     for frames in ([4], [4, 0], [4, 5]):
         with pytest.raises(ShapeError):
-            ctc_loss_dp(u, [(1,), (2,)], V3, frames)
+            ctc_loss_dp(u, [(1,), (2,)], frames)
     with pytest.raises(ShapeError):
-        ctc_loss_dp(u, [(1,)], V3, [4, 4])
+        ctc_loss_dp(u, [(1,)], [4, 4])
     with pytest.raises(InfeasibleTargetError):
-        ctc_loss_dp(u, [(1,), (2, 2)], V3, [4, 2])
+        ctc_loss_dp(u, [(1,), (2, 2)], [4, 2])
     u[1, 1, 0] = math.nan
-    ctc_loss_dp(u, [(1,), (2,)], V3, [4, 1])  # NaN on a padded row
+    ctc_loss_dp(u, [(1,), (2,)], [4, 1])  # NaN on a padded row
     with pytest.raises(ContractError):
-        ctc_loss_dp(u, [(1,), (2,)], V3, [4, 2])
+        ctc_loss_dp(u, [(1,), (2,)], [4, 2])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracle_distill.cli import main
-from oracle_distill.ctc import Vocab, ctc_loss_dp, min_frames
+from oracle_distill.ctc import ctc_loss_dp, min_frames
 from oracle_distill.diagnostics import (
     bound_report_from_logits,
     check_lower_bound,
@@ -32,7 +32,6 @@ def tiny_ctc(seed=0, d_model=8, vocab_size=3, feature_dim=4):
 
 def random_ctc_instance(rng, max_t=6, max_l=3, max_k=3):
     k = int(rng.integers(2, max_k + 1))
-    vocab = Vocab(k)
     while True:
         l = int(rng.integers(1, max_l + 1))
         y = tuple(int(t) for t in rng.integers(1, k, size=l))
@@ -41,7 +40,7 @@ def random_ctc_instance(rng, max_t=6, max_l=3, max_k=3):
     t = int(rng.integers(min_frames(y), max_t + 1))
     u_s = rng.standard_normal((t, k)) * 2.0
     u_t = rng.standard_normal((t, k)) * 2.0
-    return u_s, u_t, y, vocab
+    return u_s, u_t, y
 
 
 class TestKlDiscrete:
@@ -69,29 +68,29 @@ class TestBoundReport:
     def test_slack_nonnegative_on_random_instances(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            u_s, u_t, y, vocab = random_ctc_instance(rng)
-            r = bound_report_from_logits(u_s, u_t, y, vocab)
+            u_s, u_t, y = random_ctc_instance(rng)
+            r = bound_report_from_logits(u_s, u_t, y)
             assert r.slack >= -1e-9
 
     def test_slack_equals_conditional_kl(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
-            u_s, u_t, y, vocab = random_ctc_instance(rng)
-            r = bound_report_from_logits(u_s, u_t, y, vocab)
+            u_s, u_t, y = random_ctc_instance(rng)
+            r = bound_report_from_logits(u_s, u_t, y)
             assert r.slack == pytest.approx(r.conditional_kl, abs=1e-9)
 
     def test_jensen_equality_when_teacher_matches_student_conditional(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            u_s, _, y, vocab = random_ctc_instance(rng)
-            r = bound_report_from_logits(u_s, u_s, y, vocab)
+            u_s, _, y = random_ctc_instance(rng)
+            r = bound_report_from_logits(u_s, u_s, y)
             assert abs(r.slack) <= 1e-9
 
     def test_q_identities(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
-            u_s, u_t, y, vocab = random_ctc_instance(rng)
-            r = bound_report_from_logits(u_s, u_t, y, vocab)
+            u_s, u_t, y = random_ctc_instance(rng)
+            r = bound_report_from_logits(u_s, u_t, y)
             assert r.q_value <= 1e-12
             assert r.q_value == pytest.approx(r.neg_kl_bound - r.teacher_entropy, abs=1e-9)
             assert r.q_value == pytest.approx(
@@ -99,20 +98,19 @@ class TestBoundReport:
             )
 
     def test_every_field_is_a_plain_float(self):
-        u_s, u_t, y, vocab = random_ctc_instance(np.random.default_rng(6))
-        r = bound_report_from_logits(u_s, u_t, y, vocab)
+        u_s, u_t, y = random_ctc_instance(np.random.default_rng(6))
+        r = bound_report_from_logits(u_s, u_t, y)
         assert all(type(v) is float for v in vars(r).values()), vars(r)
 
     def test_loglik_agrees_with_dp_loss(self):
         rng = np.random.default_rng(5)
-        u_s, u_t, y, vocab = random_ctc_instance(rng)
-        r = bound_report_from_logits(u_s, u_t, y, vocab)
+        u_s, u_t, y = random_ctc_instance(rng)
+        r = bound_report_from_logits(u_s, u_t, y)
         assert r.log_likelihood_student == pytest.approx(
-            -ctc_loss_dp(u_s, y, vocab).item(), abs=1e-9
+            -ctc_loss_dp(u_s, y).item(), abs=1e-9
         )
 
     def test_deterministic_teacher_reads_student_path_logprob(self):
-        vocab = Vocab(2)
         y = (1,)
         rng = np.random.default_rng(6)
         u_s = rng.standard_normal((2, 2))
@@ -120,7 +118,7 @@ class TestBoundReport:
         u_t = np.full((2, 2), -30.0)
         for t, k in enumerate(star):
             u_t[t, k] = 30.0
-        r = bound_report_from_logits(u_s, u_t, y, vocab)
+        r = bound_report_from_logits(u_s, u_t, y)
         lp = u_s - np.log(np.exp(u_s).sum(axis=1, keepdims=True))
         expected = lp[0, 1] + lp[1, 0]
         assert r.q_value == pytest.approx(expected, abs=1e-9)
@@ -141,22 +139,19 @@ class TestBoundReport:
         assert all(np.isfinite(v) for v in out.values())
 
     def test_logits_of_the_wrong_width_are_rejected(self):
-        # 5 columns for a 3-symbol vocabulary: the two extra columns must
-        # not silently take part in the normalisation
+        # the alphabet is the student's width, and the teacher's must match
         rng = np.random.default_rng(12)
         u = rng.standard_normal((3, 5))
         with pytest.raises(ShapeError):
-            bound_report_from_logits(u, u, (1,), Vocab(3))
-        with pytest.raises(ShapeError):
-            bound_report_from_logits(u[:, :3], u, (1,), Vocab(3))
+            bound_report_from_logits(u[:, :3], u, (1,))
 
     def test_non_finite_logits_are_rejected(self):
         good = np.random.default_rng(13).standard_normal((3, 3))
         for bad in (np.full((3, 3), np.nan), np.where(np.eye(3) > 0, np.inf, good)):
             with pytest.raises(ContractError):
-                bound_report_from_logits(bad, good, (1,), Vocab(3))
+                bound_report_from_logits(bad, good, (1,))
             with pytest.raises(ContractError):
-                bound_report_from_logits(good, bad, (1,), Vocab(3))
+                bound_report_from_logits(good, bad, (1,))
 
 
 class TestDumps:

@@ -167,10 +167,23 @@ def _aed_checkpoint(tmp_path):
     return path
 
 
+def _checkpoint(tmp_path, model_cfg: ModelConfig, **run):
+    """A checkpoint of an untrained model with the run header of ``run``."""
+    path = tmp_path / "model.txt"
+    save_checkpoint(models.build_model(model_cfg), path, run_config=config_to_mapping(RunConfig(**run)))
+    return path
+
+
 def _config_file(tmp_path, text):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return path
+
+
+# a knob that the task never reads, set in a config file
+UNREAD_KNOBS = [("ctc", "rule", "sort"), ("ctc", "copy_noise", 0.9), ("ctc", "dec_layers", 7),
+                ("ctc", "lambda_mask", 0.9), ("ctc", "temperature", 4.0),
+                ("aed", "kd_form", "kl"), ("aed", "noise", 2.0), ("aed", "frames_max", 9)]
 
 
 # argv (given a scratch directory), exit code, and a line the message contains
@@ -204,7 +217,28 @@ BAD_CLI_INPUTS = {
         lambda d: ["dump", "--checkpoint", str(_aed_checkpoint(d)), "--example-id", "0",
                    "--what", "alignment", "--out", str(d / "dump")], 1,
         "error: alignment dumps need a ctc checkpoint"),
+    "eval of an aed model under a ctc run header": (
+        lambda d: ["eval", "--checkpoint", str(_checkpoint(d, ModelConfig(task="aed"), task="ctc"))], 1,
+        "error: the checkpoint's run header gives task = 'ctc', its model header 'aed'"),
+    "eval of a ctc model under a run header of another feature width": (
+        lambda d: ["eval", "--checkpoint", str(_checkpoint(d, ModelConfig(), feature_dim=5))], 1,
+        "error: the checkpoint's run header gives feature_dim = 5, its model header 8"),
+    "dump of a ctc model under a run header of another feature width": (
+        lambda d: ["dump", "--checkpoint", str(_checkpoint(d, ModelConfig(), feature_dim=5)),
+                   "--example-id", "0", "--what", "alignment", "--out", str(d / "dump")], 1,
+        "error: the checkpoint's run header gives feature_dim = 5, its model header 8"),
+    "eval of a checkpoint whose run header sets a knob its task never reads": (
+        lambda d: ["eval", "--checkpoint", str(_checkpoint(d, ModelConfig(), rule="sort"))], 2,
+        "configuration error: rule = 'sort' is not read by task ctc"),
 }
+BAD_CLI_INPUTS.update({
+    f"{knob} = {value} on {task}": (
+        lambda d, task=task, knob=knob, value=value: [
+            "train", "--config", str(_config_file(d, f"task = {task}\n{knob} = {value}\n")),
+            "--out", str(d / "run")],
+        2, f"configuration error: {knob} = {value!r} is not read by task {task}")
+    for task, knob, value in UNREAD_KNOBS
+})
 
 # a flag that a command does not read is refused, not ignored
 _UNREAD_FLAGS = [

@@ -2,7 +2,7 @@
 model config and the estimators agree field by field."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_distill import AedDistiller, CtcDistiller, estimator
-from oracle_distill.config import RunConfig, config_from_mapping, config_to_mapping
+from oracle_distill.config import TASKS, RunConfig, config_from_mapping, config_to_mapping
 from oracle_distill.errors import ConfigError, ContractError
 from oracle_distill.metrics import token_error_rate
 from oracle_distill.models import ModelConfig
@@ -65,6 +65,66 @@ def test_zero_heads_in_an_estimator_is_a_contract_error():
         CtcDistiller(heads=0, steps=1).fit(X, [(1,)])
 
 
+SPECS = {"ctc": (CtcTaskSpec, CtcDistiller), "aed": (AedTaskSpec, AedDistiller)}
+
+
+def unread(task: str) -> set[str]:
+    """What the other task's spec and estimator have and this task's lack."""
+    names = lambda *schemas: {f.name for schema in schemas for f in fields(schema)}
+    (other,) = set(SPECS) - {task}
+    return names(*SPECS[other]) - names(*SPECS[task])
+
+
+def test_the_task_table_lists_the_knobs_one_estimator_has():
+    names = lambda cls: {f.name for f in fields(cls)}
+    assert {task: spec for task, (spec, _) in TASKS.items()} == {"ctc": CtcTaskSpec, "aed": AedTaskSpec}
+    assert set(TASKS["ctc"][1]) == names(CtcDistiller) - names(AedDistiller) == {"kd_form"}
+    assert (set(TASKS["aed"][1]) == names(AedDistiller) - names(CtcDistiller)
+            == {"lambda_mask", "temperature", "dec_layers"})
+
+
+# values each field may take in a run config whose other fields are defaults
+FIELD_VALUES = {
+    "seed": st.integers(0, 2 ** 31), "steps": st.integers(1, 10 ** 6), "batch_size": st.integers(1, 64),
+    "lr": st.floats(1e-9, 1.0), "warmup_steps": st.integers(0, 1000), "alpha": st.floats(0.0, 100.0),
+    "lambda_mask": st.floats(0.0, 1.0), "kd_form": st.sampled_from(["l2", "kl"]),
+    "stop_teacher_grad": st.booleans(), "temperature": st.floats(1e-3, 100.0), "use_teacher": st.booleans(),
+    "d_model": st.sampled_from([2, 8, 30, 64]), "enc_layers": st.integers(0, 4),
+    "dec_layers": st.integers(0, 4), "heads": st.sampled_from([1, 2, 4, 8, 16, 32]),
+    "ffn_dim": st.integers(1, 128), "fusion_layers": st.integers(0, 3), "n_examples": st.integers(1, 5000),
+    "data_seed": st.integers(-1, 2 ** 31), "vocab_size": st.sampled_from([-1]) | st.integers(6, 40),
+    "len_min": st.sampled_from([-1]) | st.integers(1, 6), "len_max": st.sampled_from([-1]) | st.integers(3, 20),
+    "frames_min": st.integers(1, 4), "frames_max": st.integers(2, 9), "feature_dim": st.integers(1, 16),
+    "noise": st.floats(0.0, 5.0), "ambiguity": st.floats(0.0, 1.0),
+    "rule": st.sampled_from(["reverse", "cipher", "sort"]), "copy_noise": st.floats(0.0, 1.0),
+    "eval_every": st.integers(0, 1000), "checkpoint_every": st.integers(-1, 1000),
+    "out_dir": st.text("abc/_-.0123", max_size=12),
+}
+
+
+def test_every_run_config_field_but_the_task_has_values():
+    assert set(FIELD_VALUES) == {f.name for f in fields(RunConfig)} - {"task"}
+
+
+@st.composite
+def task_field_values(draw):
+    task = draw(st.sampled_from(sorted(TASKS)))
+    name = draw(st.sampled_from(sorted(FIELD_VALUES)))
+    return task, name, draw(FIELD_VALUES[name])
+
+
+@settings(max_examples=150, deadline=None)
+@given(task_field_values())
+def test_a_field_its_task_never_reads_is_refused_unless_at_its_default(case):
+    task, name, value = case
+    mapping = {"task": task, name: str(value)}
+    if name in unread(task) and value != RunConfig.__dataclass_fields__[name].default:
+        with pytest.raises(ConfigError, match=f"^{name} = .* is not read by task {task}$"):
+            config_from_mapping(mapping)
+    else:
+        assert getattr(config_from_mapping(mapping), name) == value
+
+
 @st.composite
 def run_configs(draw):
     heads = draw(st.integers(1, 4))
@@ -72,7 +132,7 @@ def run_configs(draw):
     len_min = draw(st.integers(1, 5))
     frames_min = draw(st.integers(1, 3))
     explicit_lengths = draw(st.booleans())
-    return RunConfig(
+    cfg = RunConfig(
         task=draw(st.sampled_from(["ctc", "aed"])),
         seed=draw(st.integers(0, 2 ** 31)),
         steps=draw(st.integers(1, 10 ** 6)),
@@ -107,6 +167,8 @@ def run_configs(draw):
         checkpoint_every=draw(st.integers(-1, 1000)),
         out_dir=draw(st.text("abc/_-.0123", max_size=12)),
     )
+    # the other task's knobs stay at their defaults, or the config is refused
+    return replace(cfg, **{f.name: f.default for f in fields(RunConfig) if f.name in unread(cfg.task)})
 
 
 @settings(max_examples=60, deadline=None)
@@ -298,10 +360,13 @@ def test_every_task_spec_field_but_seed_is_a_run_config_field(spec):
     assert {f.name for f in fields(spec)} - {"seed"} <= run_fields
 
 
+# data fields that one task's spec alone has
+OWN_DATA = {"ctc": dict(frames_max=5, feature_dim=3), "aed": dict(rule="sort", copy_noise=0.25)}
+
+
 @pytest.mark.parametrize("task", ["ctc", "aed"])
 def test_task_spec_reads_run_config_fields_by_name(task):
-    cfg = RunConfig(task=task, seed=4, data_seed=9, len_min=2, len_max=3, vocab_size=7,
-                    frames_max=5, feature_dim=3, rule="sort", copy_noise=0.25)
+    cfg = RunConfig(task=task, seed=4, data_seed=9, len_min=2, len_max=3, vocab_size=7, **OWN_DATA[task])
     spec = cfg.task_spec()
     assert spec.seed == 9
     for f in fields(spec):
@@ -338,7 +403,7 @@ def test_out_of_range_values_are_contract_errors_in_the_estimators(key, value):
 
 
 def test_zero_layers_stay_legal():
-    cfg = config_from_mapping({"enc_layers": "0", "dec_layers": "0", "fusion_layers": "0"})
+    cfg = config_from_mapping({"task": "aed", "enc_layers": "0", "dec_layers": "0", "fusion_layers": "0"})
     assert cfg.model_config().enc_layers == 0
 
 

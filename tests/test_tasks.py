@@ -137,7 +137,7 @@ class TestOnePassGeneration:
     @pytest.mark.parametrize("task, rule, seed", sorted(GOLDEN))
     def test_the_exported_file_is_pinned(self, tmp_path, task, rule, seed):
         path = tmp_path / "data.txt"
-        export_dataset(generate_dataset(RunConfig(task=task, seed=seed, rule=rule)), path, task=task)
+        export_dataset(generate_dataset(RunConfig(task=task, seed=seed, rule=rule)), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN[task, rule, seed]
 
     @pytest.mark.parametrize("n", [1, 600])
@@ -250,7 +250,7 @@ class TestExport:
     def test_ctc_roundtrip_is_exact(self, tmp_path):
         data = gen_ctc_dataset(CtcTaskSpec(seed=41), 20)
         path = tmp_path / "data.txt"
-        export_dataset(data, path, task="ctc")
+        export_dataset(data, path)
         task, loaded = import_dataset(path)
         assert task == "ctc"
         for a, b in zip(data, loaded):
@@ -260,7 +260,7 @@ class TestExport:
     def test_aed_roundtrip_is_exact(self, tmp_path):
         data = gen_aed_dataset(AedTaskSpec(seed=43), 25)
         path = tmp_path / "data.txt"
-        export_dataset(data, path, task="aed")
+        export_dataset(data, path)
         task, loaded = import_dataset(path)
         assert task == "aed"
         assert [(e.x, e.y, e.split) for e in loaded] == [(e.x, e.y, e.split) for e in data]
@@ -273,15 +273,22 @@ class TestExport:
 
     @pytest.mark.parametrize("task", ["ctc", "aed"])
     def test_an_empty_dataset_is_refused_before_the_file_is_opened(self, tmp_path, task):
+        # an existing export of either task stays as it was
         path = tmp_path / "data.txt"
-        path.write_text("kept\n")
+        export_dataset(generate_dataset(RunConfig(task=task, n_examples=3)), path)
+        kept = path.read_bytes()
         with pytest.raises(ContractError, match="empty dataset"):
-            export_dataset([], path, task=task)
-        assert path.read_text() == "kept\n"
+            export_dataset([], path)
+        assert path.read_bytes() == kept
 
-    def test_an_unknown_task_is_refused_before_the_file_is_opened(self, tmp_path):
+    def test_a_dataset_of_two_kinds_is_refused_before_the_file_is_opened(self, tmp_path):
+        ctc = gen_ctc_dataset(CtcTaskSpec(seed=41), 3)
+        aed = gen_aed_dataset(AedTaskSpec(seed=41), 3)
+        narrow = gen_ctc_dataset(CtcTaskSpec(seed=41, feature_dim=5), 3)
         path = tmp_path / "data.txt"
         path.write_text("kept\n")
-        with pytest.raises(ContractError, match="unknown task 'aedx'"):
-            export_dataset(gen_ctc_dataset(CtcTaskSpec(seed=41), 3), path, task="aedx")
+        for mixed, kinds in ((ctc + aed, "aed and ctc feature_dim=8"),
+                             (narrow + ctc, "ctc feature_dim=5 and ctc feature_dim=8")):
+            with pytest.raises(ContractError, match=f"a dataset mixes sources of {kinds}$"):
+                export_dataset(mixed, path)
         assert path.read_text() == "kept\n"

@@ -2,9 +2,14 @@
 unused imports, no module reaching into another's private names, no
 defaulted parameter that no call ever sets, no function that nothing
 names, the last two also with the tests left out of the callers, and no
-differentiable op without a finite-difference row."""
+differentiable op without a finite-difference row.  Also the test
+session's own settings, and the benchmark's tracer against the package."""
 
 import ast
+import importlib.util
+import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -402,3 +407,46 @@ def test_every_op_has_a_finite_difference_row():
         (ROOT / "tests" / "test_tensor.py").read_text(encoding="utf-8"),
         {"_fd_cases", "_attention_fd_cases"},
     ) == []
+
+
+PROBE = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_a_failing_property(n):
+    assert n < 10
+
+
+def test_a_passing_test():
+    pass
+"""
+
+
+def test_a_failing_property_fails_alone_under_the_warning_filters(tmp_path):
+    # explaining a failing property imports a module that warns of a
+    # deprecation; as an error, it would end the session inside a hook
+    shutil.copy(ROOT / "pyproject.toml", tmp_path)
+    (tmp_path / "test_probe.py").write_text(PROBE)
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_probe.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout and "INTERNALERROR" not in run.stdout + run.stderr
+
+
+def test_the_benchmark_tracer_installs_and_restores():
+    # the tracer wraps package functions and methods by name, so a rename
+    # in the package fails here rather than only in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracing.install_layers(tracer)
+    originals = {}
+    for owner, attr, old in tracer._patches:
+        originals.setdefault((owner, attr), old)
+    try:
+        assert originals and all(owner.__dict__[attr] is not old for (owner, attr), old in originals.items())
+    finally:
+        tracer.restore()
+    assert all(owner.__dict__[attr] is old for (owner, attr), old in originals.items())
