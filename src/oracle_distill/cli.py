@@ -7,14 +7,16 @@ Each subcommand accepts exactly the flags it reads:
     check-ctc    --instances --seed
     grad-check   --seed
     bound-check  --instances --seed --out
-    dump         --checkpoint --example-id --what --seed --out
+    dump         --checkpoint --example-id --what --out
     gen-data     --config --seed --out
 
 ``--seed`` overrides the run config's seed; a suite draws its instances
-from it, 0 by default.  Exit codes: 0 success; 1 suite or run failure, or
-a checkpoint whose run header describes another model than its model
-header; 2 configuration error, a key that the run's task never reads
-included (also in a checkpoint's run header).
+from it, 0 by default.  ``dump`` has none: a checkpoint's run header holds
+its data seed resolved, and a dump reads no other seed.  Exit codes: 0
+success; 1 suite or run failure, or a checkpoint whose run header
+describes another model than its model header; 2 configuration error, a
+key that the run's task never reads included (also in a checkpoint's run
+header), and so is a config whose data leave the train split empty.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
-# --seed of train, eval, dump and gen-data, and of the three suites
+# --seed of train, eval and gen-data, and of the three suites
 SEED_OVERRIDE = {"type": _nonnegative_int, "help": "override the run config's seed"}
 SUITE_SEED = {"type": _nonnegative_int, "default": 0, "help": "seed of the random instances"}
 
@@ -91,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("--checkpoint", type=Path, required=True)
     p_dump.add_argument("--example-id", type=int, required=True)
     p_dump.add_argument("--what", choices=("alignment", "attention"), required=True)
-    p_dump.add_argument("--seed", **SEED_OVERRIDE)
     p_dump.add_argument("--out", type=Path, help="output directory")
 
     p_gen = command("gen-data", cmd_gen_data, "export the synthetic dataset as text")
@@ -190,7 +191,7 @@ def cmd_dump(args) -> int:
     model, run_kv = load_checkpoint(args.checkpoint)
     if args.what == "alignment" and model.cfg.task != "ctc":
         raise ContractError("alignment dumps need a ctc checkpoint")
-    cfg = _checkpoint_run_config(model, run_kv, args.seed)
+    cfg = _checkpoint_run_config(model, run_kv, None)
     dataset = generate_dataset(cfg)
     examples = split_examples(dataset, "dev")
     if not 0 <= args.example_id < len(examples):

@@ -26,7 +26,8 @@ class EnumerationCapError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A run configuration is malformed or contains unknown keys."""
+    """A run configuration is malformed, contains unknown keys, or asks for
+    a run that cannot be made, such as one whose train split is empty."""
 
 
 class CheckpointFormatError(ValueError):

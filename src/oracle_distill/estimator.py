@@ -3,7 +3,9 @@ target sequences, score by token accuracy.
 
 Each estimator is a dataclass whose fields are its hyperparameters, named
 and defaulted as in ``RunConfig``, save one: ``AedDistiller.alpha`` is 5.0
-where the run config's is 2.0.  Each has only the knobs its task reads.
+where the run config's is 2.0.  ``_DistillerBase`` declares the knobs both
+tasks read, and each estimator adds only those its own task reads.  Every
+field is keyword-only, so no call depends on the order of the fields.
 ``get_params``/``set_params`` read the fields, which is the scikit-learn
 parameter protocol: the classes compose with ``sklearn.base.clone``
 without importing sklearn here.  ``fit`` sets the fitted,
@@ -13,6 +15,7 @@ fit leaves the estimator as it was.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -27,12 +30,17 @@ from .tasks import Example
 
 
 def check_token_sequences(seqs, name: str, vocab_size: int | None = None) -> list[tuple[int, ...]]:
-    """Validate a list of non-empty positive-integer token sequences."""
+    """Validate a list of non-empty positive-integer token sequences.  A
+    token is a Python or numpy integer; a float or a string is refused,
+    not truncated or split into digits."""
     if not hasattr(seqs, "__len__") or len(seqs) == 0:
         raise ContractError(f"{name} must be a non-empty sequence of token sequences")
     out = []
     for i, seq in enumerate(seqs):
-        tokens = tuple(int(t) for t in seq)
+        try:
+            tokens = tuple(operator.index(t) for t in seq)
+        except TypeError:
+            raise ContractError(f"{name}[{i}] must be a sequence of integer token ids") from None
         if len(tokens) == 0:
             raise ContractError(f"{name}[{i}] is empty")
         if any(t < 1 for t in tokens):
@@ -68,10 +76,25 @@ def check_feature_sequences(seqs, name: str) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(eq=False, kw_only=True)
 class _DistillerBase:
-    """The parameter protocol, fit, predict and scoring over the
-    dataclass fields of a subclass, which supplies ``_check_X`` and
-    ``_shape``."""
+    """The hyperparameters both tasks read, and the parameter protocol,
+    fit, predict and scoring over the dataclass fields of a subclass,
+    which supplies ``_check_X`` and ``_shape``."""
+
+    alpha: float = 2.0
+    stop_teacher_grad: bool = False
+    use_teacher: bool = True
+    steps: int = 400
+    batch_size: int = 8
+    lr: float = 3e-3
+    warmup_steps: int = 40
+    d_model: int = 32
+    enc_layers: int = 2
+    heads: int = 2
+    ffn_dim: int = 64
+    fusion_layers: int = 1
+    seed: int = 0
 
     model_ = None  # a class attribute, so not a field: unfitted until fit
 
@@ -133,7 +156,7 @@ class _DistillerBase:
         return evaluate(self.model_, examples, mode, self.train_config_, mask_seed=self.seed)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, kw_only=True)
 class CtcDistiller(_DistillerBase):
     """Frame-sequence labeler trained with oracle-guided self-distillation.
 
@@ -142,20 +165,7 @@ class CtcDistiller(_DistillerBase):
     collapsed greedy decodes using only the student parameters.
     """
 
-    alpha: float = 2.0
     kd_form: str = "l2"
-    stop_teacher_grad: bool = False
-    use_teacher: bool = True
-    steps: int = 400
-    batch_size: int = 8
-    lr: float = 3e-3
-    warmup_steps: int = 40
-    d_model: int = 32
-    enc_layers: int = 2
-    heads: int = 2
-    ffn_dim: int = 64
-    fusion_layers: int = 1
-    seed: int = 0
 
     def _check_X(self, X, fitted: ModelConfig | None):
         X = check_feature_sequences(X, "X")
@@ -172,7 +182,7 @@ class CtcDistiller(_DistillerBase):
         return dict(task="ctc", vocab_size=max(max(t) for t in y), feature_dim=X[0].shape[1])
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, kw_only=True)
 class AedDistiller(_DistillerBase):
     """Token-sequence transducer trained with masked-target guidance.
 
@@ -183,19 +193,7 @@ class AedDistiller(_DistillerBase):
     alpha: float = 5.0
     lambda_mask: float = 0.5
     temperature: float = 1.0
-    stop_teacher_grad: bool = False
-    use_teacher: bool = True
-    steps: int = 400
-    batch_size: int = 8
-    lr: float = 3e-3
-    warmup_steps: int = 40
-    d_model: int = 32
-    enc_layers: int = 2
     dec_layers: int = 2
-    heads: int = 2
-    ffn_dim: int = 64
-    fusion_layers: int = 1
-    seed: int = 0
 
     def _check_X(self, X, fitted: ModelConfig | None):
         return check_token_sequences(X, "X", vocab_size=fitted and fitted.vocab_size)

@@ -19,7 +19,7 @@ import numpy as np
 from .config import RunConfig, config_to_mapping
 from .ctc import ctc_bruteforce, ctc_forward_backward, ctc_loss_dp, kd_loss_ctc, min_frames
 from .diagnostics import BoundReport, check_lower_bound, bound_report_from_logits, repetition_ratio
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .metrics import exact_match_rate, token_error_rate
 from .models import AUX_PREFIXES, CtcModel, ModelConfig, build_model, save_checkpoint
 from .objectives import Adam, TrainConfig, loss_total, teacher_targets
@@ -217,6 +217,10 @@ def train_run(cfg: RunConfig, out_dir: Path, quiet: bool = True) -> TrainResult:
     # anything is written, so a refused config leaves no directory behind
     dataset = generate_dataset(cfg)
     train_examples = split_examples(dataset, "train")
+    if not train_examples:
+        raise ConfigError(
+            f"n_examples = {cfg.n_examples} at data_seed {cfg.data_seed} leaves the train split empty"
+        )
     dev_examples = split_examples(dataset, "dev")
     train_cfg = cfg.train_config()
     model = build_model(cfg.model_config(), seed=cfg.seed)

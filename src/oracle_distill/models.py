@@ -16,12 +16,16 @@ sublayer's input, so zeroing the sublayer's output projection still turns
 it into the identity, which is what the structural reduction tests rely on.
 
 Both models map one source encoding to student logits with
-``student_head`` and to teacher logits with ``teacher_logits``, so the
-objective, the diagnostics and inference share one path per head.  In
-training, the encoder-decoder runs both heads from one teacher-forced
-decoder pass (``student_and_teacher_logits``): the decoder body is shared,
-so it runs once over the ``(2B, ...)`` stack of the encoded sources and
-the fused memory, and each head reads its own B rows.
+``student_head`` and to teacher logits with ``teacher_logits``.  For the
+CTC model these are the one path per head, shared by the objective, the
+diagnostics and inference.  The encoder-decoder's heads take other paths:
+training runs both from one teacher-forced decoder pass
+(``student_and_teacher_logits``; the decoder body is shared, so it runs
+once over the ``(2B, ...)`` stack of the encoded sources and the fused
+memory, and each head reads its own B rows), the objective with the
+teacher off runs ``student_head``, and inference decodes greedily
+(``_greedy``) through ``decode_logits``.  Its ``teacher_logits`` is only
+the two-pass reference that the tests and the benchmark call.
 ``predict`` and ``predict_teacher`` take a list of items and decode them
 all from one padded stack (``tasks.padded_stack``); the encoder-decoder
 greedy decode is one loop over the whole stack, run through either head.

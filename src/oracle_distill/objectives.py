@@ -10,12 +10,12 @@ step; nothing is cached across steps.
 encoder pass over the batch's padded sources (a :class:`tasks.Batch`),
 and returns that graph alone: ``.total`` and ``.terms`` = (l_org, l_em,
 l_kd), whose ``item()`` values are the loss columns of a metrics row.
-Each term is the mean over the items of a per-item loss: a sequence's
-rows are weighted 1/len on its real positions and 0 on padding.  The two
-CTC terms share one DP call over the stack of the student's and the
-teacher's padded frame logits, which reads each item's own frames only;
-l_org and l_em are the means of its two halves.  With
-``use_teacher=False`` l_em and l_kd are None and ``.total`` is l_org.
+The terms themselves are per task, each in one function: ``_ctc_terms``
+(frame posteriors against the whole target) and ``_aed_terms`` (tokens
+against a masked target).  Each term is the mean over the items of a
+per-item loss: a sequence's rows are weighted 1/len on its real positions
+and 0 on padding.  With ``use_teacher=False`` l_em and l_kd are None and
+``.total`` is l_org.
 
 ``teacher_targets`` alone decides what the teacher sees of a target, in
 training and in the teacher-mode evaluation: all of y for CTC, y masked
@@ -122,43 +122,65 @@ def cross_entropy(logits: Tensor, targets, weights) -> Tensor:
     return tt.sum_all(tt.scale(picked, -np.asarray(weights, dtype=np.float64)))
 
 
-def _sequence_losses(model, u_s: Tensor, u_t, batch: Batch, weights) -> tuple:
-    """l_org and l_em (None without the teacher's logits ``u_t``).
-
-    CTC: one DP call over the stack of the student's and the teacher's
-    padded frame logits, which reads each item's own frames; each term is
-    the mean of its half of the per-item losses.  Encoder-decoder: the
-    cross-entropy of each side's teacher-forced logits against the target
-    followed by the end symbol (row weights ``weights``).
-    """
-    n = len(batch)
-    if isinstance(model, CtcModel):
-        if u_t is None:
-            return tt.mean(ctc_loss_dp(u_s, batch.targets, batch.lengths)), None
-        losses = ctc_loss_dp(tt.concat([u_s, u_t]), batch.targets * 2,
-                             np.concatenate([batch.lengths, batch.lengths]))
-        return tt.mean(tt.index(losses, slice(0, n))), tt.mean(tt.index(losses, slice(n, 2 * n)))
-    # each target then the end symbol; padded cells, whatever they hold, read as 0
-    y_ids, y_lengths = batch.target_ids, batch.target_lengths
-    ids = np.zeros(u_s.shape[:-1], dtype=np.int64)
-    np.copyto(ids[:, :-1], y_ids, where=np.arange(y_ids.shape[1]) < y_lengths[:, None])
-    ids[np.arange(n), y_lengths] = model.eos
-    l_org = cross_entropy(u_s, ids, weights)
-    return l_org, None if u_t is None else cross_entropy(u_t, ids, weights)
+def _row_weights(rows, width: int) -> np.ndarray:
+    """Each item's first ``rows`` rows of ``width`` weigh 1/rows, padding
+    0, and the items 1/B."""
+    valid = np.arange(width) < rows[:, None]
+    return np.where(valid, 1.0 / rows[:, None], 0.0) / len(rows)
 
 
-def _kd_loss(model, config, u_student: Tensor, u_teacher: Tensor, weights) -> Tensor:
-    """``kd_loss_ctc`` between the two softmaxes: of the frame logits in
-    ``config.kd_form`` for CTC, of the logits over ``config.temperature``
-    in the "kl" form for the encoder-decoder."""
-    form = config.kd_form
-    if not isinstance(model, CtcModel):
-        form, inv_t = "kl", 1.0 / config.temperature
-        u_student, u_teacher = tt.scale(u_student, inv_t), tt.scale(u_teacher, inv_t)
+def _kd_loss(u_student: Tensor, u_teacher: Tensor, form: str, weights, stop_teacher_grad: bool) -> Tensor:
+    """``kd_loss_ctc`` in ``form`` between the softmaxes of the two
+    logits, the teacher's detached with ``stop_teacher_grad``."""
     p_s, p_t = tt.softmax(u_student), tt.softmax(u_teacher)
-    if config.stop_teacher_grad:
+    if stop_teacher_grad:
         p_t = p_t.detach()
     return kd_loss_ctc(p_s, p_t, form, weights)
+
+
+def _ctc_terms(model, encoded: Tensor, seen_ids, batch: Batch, config: TrainConfig) -> tuple:
+    """(l_org, l_em, l_kd) of a CTC model.  One ``ctc_loss_dp`` call over
+    the ``(2B, T, K)`` stack of the student's and the teacher's padded
+    frame logits (the student's ``(B, T, K)`` alone with the teacher off)
+    reads each item's own frames; l_org and l_em are the means of its two
+    halves, and l_kd compares the frame posteriors in ``config.kd_form``."""
+    lengths = batch.lengths
+    u_s = model.student_head(encoded)
+    if seen_ids is None:
+        return tt.mean(ctc_loss_dp(u_s, batch.targets, lengths)), None, None
+    u_t = model.teacher_logits(encoded, seen_ids, lengths=lengths, target_lengths=batch.target_lengths)
+    n = len(batch)
+    losses = ctc_loss_dp(tt.concat([u_s, u_t]), batch.targets * 2, np.concatenate([lengths, lengths]))
+    l_org, l_em = tt.mean(tt.index(losses, slice(0, n))), tt.mean(tt.index(losses, slice(n, 2 * n)))
+    weights = _row_weights(lengths, u_s.shape[-2])
+    return l_org, l_em, _kd_loss(u_s, u_t, config.kd_form, weights, config.stop_teacher_grad)
+
+
+def _aed_terms(model, encoded: Tensor, seen_ids, batch: Batch, config: TrainConfig) -> tuple:
+    """(l_org, l_em, l_kd) of an encoder-decoder.  One teacher-forced
+    decoder pass over the ``(2B, L, d)`` stack of the encoded sources and
+    the fused memory (``AedModel.student_and_teacher_logits``, over the
+    encoded sources alone with the teacher off) gives both heads' logits;
+    l_org and l_em are their cross-entropies against the target followed
+    by the end symbol, and l_kd the KL between their softmaxes at
+    ``config.temperature``."""
+    lengths, y_ids, y_lengths = batch.lengths, batch.target_ids, batch.target_lengths
+    if seen_ids is None:
+        u_s, u_t = model.student_head(encoded, y_ids, lengths, y_lengths), None
+    else:
+        u_s, u_t = model.student_and_teacher_logits(encoded, y_ids, seen_ids, lengths, y_lengths)
+    # each target then the end symbol; padded cells, whatever they hold, read as 0
+    ids = np.zeros(u_s.shape[:-1], dtype=np.int64)
+    np.copyto(ids[:, :-1], y_ids, where=np.arange(y_ids.shape[1]) < y_lengths[:, None])
+    ids[np.arange(len(batch)), y_lengths] = model.eos
+    weights = _row_weights(y_lengths + 1, u_s.shape[-2])
+    l_org = cross_entropy(u_s, ids, weights)
+    if u_t is None:
+        return l_org, None, None
+    l_em = cross_entropy(u_t, ids, weights)
+    inv_t = 1.0 / config.temperature
+    u_s, u_t = tt.scale(u_s, inv_t), tt.scale(u_t, inv_t)
+    return l_org, l_em, _kd_loss(u_s, u_t, "kl", weights, config.stop_teacher_grad)
 
 
 def loss_total(model, batch, config: TrainConfig, rng: np.random.Generator) -> StepOutputs:
@@ -168,49 +190,25 @@ def loss_total(model, batch, config: TrainConfig, rng: np.random.Generator) -> S
     ``batch`` is a :class:`tasks.Batch`, or the examples or (source,
     target) pairs to build one from.  The teacher sees each target as
     ``teacher_targets`` gives it, so the encoder-decoder's masks are drawn
-    per item, in batch order, from ``rng``.  The total is l_org + l_em +
-    alpha * l_kd, assembled from the terms' own scalars, so the ``item()``
-    values of ``.total`` and ``.terms`` satisfy that sum exactly in float
-    arithmetic.  For CTC, l_org and l_em come from one ``ctc_loss_dp``
-    call over the ``(2B, T, K)`` stack of student and teacher logits
-    (``(B, T, K)``, the student's alone, with the teacher off).  For the
-    encoder-decoder, the student and the teacher logits come from one
-    teacher-forced decoder pass over the ``(2B, L, d)`` stack of the
-    encoded sources and the fused memory
-    (``AedModel.student_and_teacher_logits``), each head reading its own
-    B rows; with the teacher off the pass is over the encoded sources
-    alone.
+    per item, in batch order, from ``rng``.  ``_ctc_terms`` or
+    ``_aed_terms`` builds the terms from the encoding; the total is
+    l_org + l_em + alpha * l_kd, assembled from the terms' own scalars, so
+    the ``item()`` values of ``.total`` and ``.terms`` satisfy that sum
+    exactly in float arithmetic.
     """
     if not isinstance(batch, Batch):
         batch = Batch(batch)
-    lengths, y_ids, y_lengths = batch.lengths, batch.target_ids, batch.target_lengths
-    encoded = model.encode(batch.sources, lengths)
-    u_t = None
+    encoded = model.encode(batch.sources, batch.lengths)
+    seen_ids = None
     if config.use_teacher:
-        # the teacher's view of each target, padded like y_ids
-        seen_ids = y_ids.copy()
+        # the teacher's view of each target, padded like target_ids
+        seen_ids = batch.target_ids.copy()
         for i, seen in enumerate(teacher_targets(model, batch.targets, config.lambda_mask, rng)):
             seen_ids[i, : len(seen)] = seen
-    if isinstance(model, CtcModel):
-        rows = lengths
-        u_s = model.student_head(encoded)
-        if config.use_teacher:
-            u_t = model.teacher_logits(encoded, seen_ids, lengths=lengths, target_lengths=y_lengths)
-    else:
-        rows = y_lengths + 1
-        if config.use_teacher:
-            u_s, u_t = model.student_and_teacher_logits(encoded, y_ids, seen_ids, lengths, y_lengths)
-        else:
-            u_s = model.student_head(encoded, y_ids, lengths, y_lengths)
-    # each item's real rows weigh 1/len, padding 0, and the items 1/B
-    valid = np.arange(u_s.shape[-2]) < rows[:, None]
-    weights = np.where(valid, 1.0 / rows[:, None], 0.0) / len(batch)
-    l_org, l_em = _sequence_losses(model, u_s, u_t, batch, weights)
-    if not config.use_teacher:
-        return StepOutputs(total=l_org, terms=(l_org, None, None))
-    l_kd = _kd_loss(model, config, u_s, u_t, weights)
-    total = tt.add(tt.add(l_org, l_em), tt.scale(l_kd, config.alpha))
-    return StepOutputs(total=total, terms=(l_org, l_em, l_kd))
+    terms = (_ctc_terms if isinstance(model, CtcModel) else _aed_terms)(model, encoded, seen_ids, batch, config)
+    l_org, l_em, l_kd = terms
+    total = l_org if l_em is None else tt.add(tt.add(l_org, l_em), tt.scale(l_kd, config.alpha))
+    return StepOutputs(total=total, terms=terms)
 
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba 2015)

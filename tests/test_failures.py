@@ -206,6 +206,10 @@ BAD_CLI_INPUTS = {
         lambda d: ["train", "--config", str(_config_file(d, "n_examples = 0\nsteps = 2\n")),
                    "--out", str(d / "run")],
         2, "configuration error: n_examples must be positive, got 0"),
+    "one example, which seed 5 deals to no train split": (
+        lambda d: ["train", "--config", str(_config_file(d, "n_examples = 1\nsteps = 2\n")),
+                   "--seed", "5", "--out", str(d / "run")],
+        2, "configuration error: n_examples = 1 at data_seed 5 leaves the train split empty"),
     "a negative eval period in a config file": (
         lambda d: ["train", "--config", str(_config_file(d, "eval_every = -7\nsteps = 2\n")),
                    "--out", str(d / "run")],
@@ -250,6 +254,7 @@ _UNREAD_FLAGS = [
     (["grad-check"], "--out"),
     (["bound-check"], "--config"),
     (["dump", "--checkpoint", "m.txt", "--example-id", "0", "--what", "attention"], "--config"),
+    (["dump", "--checkpoint", "m.txt", "--example-id", "0", "--what", "attention"], "--seed"),
 ]
 BAD_CLI_INPUTS.update({
     f"{argv[0]} {flag}": (lambda d, argv=argv, flag=flag: [*argv, flag, str(d / "x")], 2,

@@ -131,6 +131,12 @@ class TestTrainRun:
             train_run(tiny_cfg(steps=2, **bad), out)
         assert not out.exists()
 
+    def test_an_empty_train_split_is_a_config_error_that_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "run"
+        with pytest.raises(ConfigError, match="^n_examples = 1 at data_seed 4 leaves the train split empty$"):
+            train_run(RunConfig(task="aed", n_examples=1, seed=4, steps=2), out)
+        assert not out.exists()
+
     def test_lock_released_after_run(self, tmp_path):
         train_run(tiny_cfg(), tmp_path / "run")
         assert not (tmp_path / "run" / ".lock").exists()

@@ -231,14 +231,14 @@ def test_a_rebuilt_estimator_holds_the_same_objects(cls, _, changed):
     assert all(again[name] is value for name, value in params.items())
 
 
-# the repr of the estimators before they became dataclasses
+# the knobs both tasks read come first, in one order, then the task's own
 REPRS = [
-    "CtcDistiller(alpha=1.5, kd_form='kl', stop_teacher_grad=False, use_teacher=True, steps=12, "
-    "batch_size=2, lr=0.003, warmup_steps=40, d_model=8, enc_layers=1, heads=2, ffn_dim=16, "
-    "fusion_layers=1, seed=3)",
-    "AedDistiller(alpha=4.0, lambda_mask=0.25, temperature=2.0, stop_teacher_grad=False, "
-    "use_teacher=True, steps=12, batch_size=2, lr=0.003, warmup_steps=40, d_model=8, "
-    "enc_layers=1, dec_layers=1, heads=2, ffn_dim=16, fusion_layers=1, seed=3)",
+    "CtcDistiller(alpha=1.5, stop_teacher_grad=False, use_teacher=True, steps=12, batch_size=2, "
+    "lr=0.003, warmup_steps=40, d_model=8, enc_layers=1, heads=2, ffn_dim=16, fusion_layers=1, "
+    "seed=3, kd_form='kl')",
+    "AedDistiller(alpha=4.0, stop_teacher_grad=False, use_teacher=True, steps=12, batch_size=2, "
+    "lr=0.003, warmup_steps=40, d_model=8, enc_layers=1, heads=2, ffn_dim=16, fusion_layers=1, "
+    "seed=3, lambda_mask=0.25, temperature=2.0, dec_layers=1)",
 ]
 
 
@@ -246,6 +246,31 @@ REPRS = [
 def test_repr_lists_the_hyperparameters_in_order(case, want):
     cls, _, changed = case
     assert repr(cls(steps=12, batch_size=2, seed=3, **SMALL, **changed)) == want
+
+
+@pytest.mark.parametrize("bad", ["12", (1.7,), (np.float64(3.9),)], ids=["string", "float", "numpy float"])
+@pytest.mark.parametrize("side", ["X", "y"])
+def test_a_token_that_is_no_integer_is_refused(side, bad):
+    X, y = _aed_data()
+    (X if side == "X" else y)[0] = bad
+    with pytest.raises(ContractError, match=rf"^{side}\[0\] must be a sequence of integer token ids$"):
+        AedDistiller(steps=1, **SMALL).fit(X, y)
+
+
+def test_numpy_integer_tokens_are_read_as_python_ints():
+    X, y = _aed_data()
+    as_numpy = lambda seqs: [tuple(np.int64(t) for t in seq) for seq in seqs]
+    est = AedDistiller(steps=2, **SMALL).fit(as_numpy(X), as_numpy(y))
+    assert est.predict(as_numpy(X)) == est.predict(X)
+    tokens = estimator.check_token_sequences(as_numpy(y), "y")
+    assert tokens == y and {type(t) for seq in tokens for t in seq} == {int}
+
+
+@pytest.mark.parametrize("cls", [CtcDistiller, AedDistiller])
+def test_every_estimator_field_is_keyword_only(cls):
+    assert all(f.kw_only for f in fields(cls))
+    with pytest.raises(TypeError, match="positional"):
+        cls(1.0)
 
 
 @pytest.mark.parametrize("cls, _, changed", ESTIMATORS)

@@ -3,7 +3,8 @@ unused imports, no module reaching into another's private names, no
 defaulted parameter that no call ever sets, no function that nothing
 names, the last two also with the tests left out of the callers, and no
 differentiable op without a finite-difference row.  Also the test
-session's own settings, and the benchmark's tracer against the package."""
+session's own settings, and the benchmark's tracer against the package
+and against a training run."""
 
 import ast
 import importlib.util
@@ -14,6 +15,9 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from oracle_distill import harness
+from oracle_distill.config import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "oracle_distill"
@@ -434,12 +438,18 @@ def test_a_failing_property_fails_alone_under_the_warning_filters(tmp_path):
     assert "1 failed, 1 passed" in run.stdout and "INTERNALERROR" not in run.stdout + run.stderr
 
 
-def test_the_benchmark_tracer_installs_and_restores():
-    # the tracer wraps package functions and methods by name, so a rename
-    # in the package fails here rather than only in a traced benchmark run
+def _benchmark_tracing():
+    """``perfbench/tracing.py``, loaded by path."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_the_benchmark_tracer_installs_and_restores():
+    # the tracer wraps package functions and methods by name, so a rename
+    # in the package fails here rather than only in a traced benchmark run
+    tracing = _benchmark_tracing()
     tracer = tracing.Tracer()
     tracing.install_layers(tracer)
     originals = {}
@@ -450,3 +460,25 @@ def test_the_benchmark_tracer_installs_and_restores():
     finally:
         tracer.restore()
     assert all(owner.__dict__[attr] is old for (owner, attr), old in originals.items())
+
+
+# the spans a short training run with evaluations and checkpoints opens
+RUN_SPANS = {"tasks.gen_dataset", "tasks.batch_iter", "objectives.loss_total", "models.encode",
+             "tensor.backward", "objectives.Adam.step", "models.save_checkpoint", "harness.evaluate.student",
+             "harness.evaluate.teacher", "models.predict", "models.predict_teacher"}
+TASK_SPANS = {"ctc": {"models.teacher_logits", "ctc.ctc_loss_dp"}, "aed": {"models.decode_logits"}}
+
+
+@pytest.mark.parametrize("task", sorted(TASK_SPANS))
+def test_the_benchmark_tracer_sees_a_training_run(task, tmp_path):
+    # the tracer rebinds module-level names only: a wrapped function that
+    # the package reaches through a table, a default argument or a closure
+    # escapes it, and its span drops out of the benchmark's layer figures
+    tracing = _benchmark_tracing()
+    tracer = tracing.Tracer()
+    tracing.install_layers(tracer)
+    try:
+        harness.train_run(RunConfig(task=task, steps=2, n_examples=40, eval_every=2), tmp_path / "run")
+    finally:
+        tracer.restore()
+    assert RUN_SPANS | TASK_SPANS[task] <= {span[0] for span in tracer.spans}
