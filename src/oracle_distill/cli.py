@@ -169,7 +169,7 @@ def cmd_eval(args) -> int:
     print(f"exact match rate: {report['exact_match']:.4f}")
     print(f"repetition ratio: {report['rep_ratio']:.4f}")
     print(f"aux parameter reads during predict: {report['aux_param_reads_during_predict']}")
-    print(f"target token reads during predict: {report['target_reads_during_predict']}")
+    print(f"targets given to predict: {report['target_reads_during_predict']}")
     return 0
 
 

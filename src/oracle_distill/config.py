@@ -107,22 +107,23 @@ class RunConfig:
 
     # -- derived views ------------------------------------------------------
 
-    def _build(self, schema, **given):
-        """``schema`` with every field not in ``given`` read from here by name."""
-        return schema(
-            **{f.name: getattr(self, f.name) for f in fields(schema) if f.name not in given},
-            **given,
-        )
-
     def train_config(self) -> TrainConfig:
-        return self.resolved()._build(TrainConfig)
+        return from_fields(TrainConfig, vars(self.resolved()))
 
     def task_spec(self):
         cfg = self.resolved()
-        return cfg._build(TASKS[cfg.task][0], seed=cfg.data_seed)
+        return from_fields(TASKS[cfg.task][0], vars(cfg), seed=cfg.data_seed)
 
     def model_config(self) -> ModelConfig:
-        return self.resolved()._build(ModelConfig)
+        return from_fields(ModelConfig, vars(self.resolved()))
+
+
+def from_fields(schema, values: dict, **given):
+    """``schema`` built from ``given`` plus the entries of ``values`` named
+    like its other fields; a field that neither names keeps its default.
+    A run config's views and an estimator's configs are built this way."""
+    return schema(**given, **{f.name: values[f.name] for f in fields(schema)
+                              if f.name in values and f.name not in given})
 
 
 # keyed by the field annotations, which are strings under postponed evaluation

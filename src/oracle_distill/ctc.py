@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -79,7 +80,10 @@ def min_frames(y) -> int:
 
 
 def _check_target(y, vocab: Vocab) -> tuple[int, ...]:
-    y = tuple(int(t) for t in y)
+    try:
+        y = tuple(operator.index(t) for t in y)
+    except TypeError:
+        raise ContractError("target must be a sequence of integer token ids") from None
     if len(y) < 1:
         raise ContractError("target must contain at least one token")
     if any(t == BLANK or not 0 < t < vocab.size for t in y):
@@ -401,28 +405,17 @@ def _weighted_rows(entries: Tensor, weights) -> Tensor:
     return tt.sum_all(tt.scale(entries, weights[..., None]))
 
 
-def kl_rows(teacher: Tensor, student: Tensor, weights=None) -> Tensor:
-    """KL(teacher || student) on floored distributions, row by row, summed
-    with row weights ``weights`` (default: the mean over the rows)."""
-    teacher, student = as_tensor(teacher), as_tensor(student)
-    if teacher.shape != student.shape:
-        raise ShapeError(f"kl rows {teacher.shape} vs {student.shape}")
-    n_labels = teacher.shape[-1]
-    t = _smoothed_rows(teacher, n_labels)
-    s = _smoothed_rows(student, n_labels)
-    return _weighted_rows(tt.mul(t, tt.sub(tt.log(t), tt.log(s))), weights)
-
-
 def kd_loss_ctc(student_posterior: Tensor, teacher_posterior: Tensor, form: str = "l2",
                 weights=None) -> Tensor:
     """Frame-level posterior transfer loss between student and teacher.
 
     ``l2``: the squared Euclidean distance between posterior rows.
-    ``kl``: KL(teacher || student).  Both are the mean over the frames of
-    a T x K matrix, or, with ``weights`` shaped like the posteriors without
-    their last axis, the weighted sum over the rows of a padded stack.
-    Gradients flow into both arguments; detach the teacher posterior
-    before calling to cut its side off.
+    ``kl``: KL(teacher || student) on rows floored at ``EPS_P`` and
+    renormalized.  Both are the mean over the frames of a T x K matrix,
+    or, with ``weights`` shaped like the posteriors without their last
+    axis, the weighted sum over the rows of a padded stack.  Gradients
+    flow into both arguments; detach the teacher posterior before calling
+    to cut its side off.
     """
     s, t = as_tensor(student_posterior), as_tensor(teacher_posterior)
     if s.shape != t.shape:
@@ -433,7 +426,9 @@ def kd_loss_ctc(student_posterior: Tensor, teacher_posterior: Tensor, form: str 
         d = tt.sub(s, t)
         return _weighted_rows(tt.mul(d, d), weights)
     if form == "kl":
-        return kl_rows(t, s, weights)
+        # the teacher's rows first, so the tape records its nodes before the student's
+        t, s = _smoothed_rows(t, s.shape[-1]), _smoothed_rows(s, s.shape[-1])
+        return _weighted_rows(tt.mul(t, tt.sub(tt.log(t), tt.log(s))), weights)
     raise ContractError(f"unknown kd form {form!r}")
 
 

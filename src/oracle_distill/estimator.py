@@ -8,25 +8,28 @@ tasks read, and each estimator adds only those its own task reads.  Every
 field is keyword-only, so no call depends on the order of the fields.
 ``get_params``/``set_params`` read the fields, which is the scikit-learn
 parameter protocol: the classes compose with ``sklearn.base.clone``
-without importing sklearn here.  ``fit`` sets the fitted,
+without importing sklearn here.  ``fit`` builds the model and training
+configs with ``config.from_fields``, as a run config builds its views:
+each hyperparameter sets the schema field of its name, and a field that
+no estimator has keeps its default.  It sets the fitted,
 trailing-underscore attributes only once training has ended, so a failed
 fit leaves the estimator as it was.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import from_fields
 from .ctc import min_frames
 from .errors import ContractError
 from .harness import evaluate, fit_loop
 from .metrics import token_error_rate
 from .models import ModelConfig, build_model
 from .objectives import TrainConfig
-from .tasks import Example
+from .tasks import Example, token_tuple
 
 
 def check_token_sequences(seqs, name: str, vocab_size: int | None = None) -> list[tuple[int, ...]]:
@@ -37,10 +40,7 @@ def check_token_sequences(seqs, name: str, vocab_size: int | None = None) -> lis
         raise ContractError(f"{name} must be a non-empty sequence of token sequences")
     out = []
     for i, seq in enumerate(seqs):
-        try:
-            tokens = tuple(operator.index(t) for t in seq)
-        except TypeError:
-            raise ContractError(f"{name}[{i}] must be a sequence of integer token ids") from None
+        tokens = token_tuple(seq, f"{name}[{i}]")
         if len(tokens) == 0:
             raise ContractError(f"{name}[{i}] is empty")
         if any(t < 1 for t in tokens):
@@ -112,12 +112,6 @@ class _DistillerBase:
             setattr(self, name, value)
         return self
 
-    def _config(self, schema, **inferred):
-        """``schema`` built from ``inferred`` and the hyperparameters that
-        are its fields; the fields an estimator lacks keep their defaults."""
-        params = self.get_params()
-        return schema(**inferred, **{f.name: params[f.name] for f in fields(schema) if f.name in params})
-
     def _pairs(self, X, y) -> tuple[list, list]:
         y = check_token_sequences(y, "y")
         if len(X) != len(y):
@@ -131,8 +125,9 @@ class _DistillerBase:
 
     def fit(self, X, y):
         X, y = self._pairs(self._check_X(X, None), y)
-        model_cfg = self._config(ModelConfig, **self._shape(X, y))
-        train_cfg = self._config(TrainConfig)
+        params = self.get_params()
+        model_cfg = from_fields(ModelConfig, params, **self._shape(X, y))
+        train_cfg = from_fields(TrainConfig, params)
         model = build_model(model_cfg, seed=self.seed)
         examples = [Example(x=x, y=t, split="train") for x, t in zip(X, y)]
         history = fit_loop(model, examples, train_cfg)

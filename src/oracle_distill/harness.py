@@ -77,31 +77,19 @@ def generate_dataset(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-class _CountedTargets:
-    """The examples' reference targets behind a read counter, to prove the
-    student prediction phase never looks at them: ``.y`` is read only
-    through ``get``."""
-
-    def __init__(self, examples):
-        self._examples = examples
-        self.reads = 0
-
-    def get(self, i):
-        self.reads += 1
-        return self._examples[i].y
-
-
 def evaluate(model, examples, mode: str, train_cfg: TrainConfig, mask_seed: int = 0) -> dict:
     """TER, exact match, and repetition ratio for one split, whose
     predictions come from one ``predict`` or ``predict_teacher`` call over
     the whole split.
 
-    ``student`` mode predicts from the sources alone and asserts that no
-    auxiliary parameter and no target token was read while predicting; the
-    targets are read only afterwards, as references.  ``teacher`` mode
-    additionally consumes the targets (masked for the encoder-decoder task,
-    each item's mask drawn in split order from one generator seeded by
-    ``mask_seed``), as a diagnostic upper bound.
+    ``student`` mode predicts from the sources alone, reads the targets
+    only afterwards, as references, and asserts that no auxiliary
+    parameter was read while predicting.  ``teacher`` mode hands the
+    predicting call the targets as well (masked for the encoder-decoder
+    task, each item's mask drawn in split order from one generator seeded
+    by ``mask_seed``), as a diagnostic upper bound.  The report's
+    ``target_reads_during_predict`` counts the targets handed to that
+    call: 0 in student mode, one per example in teacher mode.
     """
     if mode not in ("student", "teacher"):
         raise ContractError(f"unknown eval mode {mode!r}")
@@ -109,32 +97,27 @@ def evaluate(model, examples, mode: str, train_cfg: TrainConfig, mask_seed: int 
     if not examples:
         raise ContractError("empty evaluation split")
     sources = [ex.x for ex in examples]
-    counted = _CountedTargets(examples)
 
     model.store.reset_reads()
     if mode == "student":
         predictions = model.predict(sources)
-        aux_reads = model.store.reads_with_prefix(*AUX_PREFIXES)
-        target_reads = counted.reads
-        if aux_reads or target_reads:
-            raise ContractError(
-                f"student evaluation touched {aux_reads} aux params, {target_reads} targets"
-            )
+        targets_given = 0
     else:
-        targets = [counted.get(i) for i in range(len(examples))]
         rng = np.random.default_rng(mask_seed)
-        targets = teacher_targets(model, targets, train_cfg.lambda_mask, rng)
+        targets = teacher_targets(model, [ex.y for ex in examples], train_cfg.lambda_mask, rng)
         predictions = model.predict_teacher(sources, targets)
-        aux_reads = model.store.reads_with_prefix(*AUX_PREFIXES)
-        target_reads = counted.reads
+        targets_given = len(targets)
+    aux_reads = model.store.reads_with_prefix(*AUX_PREFIXES)
+    if mode == "student" and aux_reads:
+        raise ContractError(f"student evaluation touched {aux_reads} aux params")
 
-    references = [counted.get(i) for i in range(len(examples))]
+    references = [ex.y for ex in examples]
     return {
         "ter": token_error_rate(predictions, references),
         "exact_match": exact_match_rate(predictions, references),
         "rep_ratio": repetition_ratio(predictions) if any(len(p) for p in predictions) else 0.0,
         "aux_param_reads_during_predict": aux_reads,
-        "target_reads_during_predict": target_reads,
+        "target_reads_during_predict": targets_given,
         "predictions": predictions,
     }
 

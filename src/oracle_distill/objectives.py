@@ -40,7 +40,7 @@ from . import tensor as tt
 from .ctc import ctc_loss_dp, kd_loss_ctc
 from .errors import ContractError, TrainingAbort
 from .models import MASK, CtcModel
-from .tasks import Batch
+from .tasks import Batch, token_tuple
 from .tensor import Tensor
 
 
@@ -92,7 +92,7 @@ def mask_target(y, lambda_mask: float, rng: np.random.Generator) -> tuple[int, .
     probability lambda."""
     if not 0.0 <= lambda_mask <= 1.0:
         raise ContractError("lambda_mask must lie in [0, 1]")
-    y = tuple(int(t) for t in y)
+    y = token_tuple(y, "a masked target")
     draws = rng.random(len(y))
     return tuple(MASK if d < lambda_mask else t for t, d in zip(y, draws))
 

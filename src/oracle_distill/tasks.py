@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,12 +247,22 @@ class Batch:
             raise ContractError("empty batch")
         self.examples = examples
         sources, targets = zip(*(_xy(ex) for ex in examples))
-        self.targets = [tuple(int(t) for t in y) for y in targets]
+        self.targets = [token_tuple(y, "a batch target") for y in targets]
         self.sources, self.lengths = padded_stack(sources, "sources")
         self.target_ids, self.target_lengths = padded_stack(self.targets, "targets")
 
     def __len__(self):
         return len(self.examples)
+
+
+def token_tuple(seq, what: str) -> tuple[int, ...]:
+    """``seq`` as a tuple of Python ints.  A token is a Python or numpy
+    integer; a float or a string is refused, not truncated or parsed, with
+    a ``ContractError`` naming the sequence ``what``."""
+    try:
+        return tuple(operator.index(t) for t in seq)
+    except TypeError:
+        raise ContractError(f"{what} must be a sequence of integer token ids") from None
 
 
 def _xy(item):

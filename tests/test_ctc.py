@@ -22,6 +22,7 @@ from oracle_distill.ctc import (
     log_softmax_rows,
     min_frames,
 )
+from oracle_distill.diagnostics import bound_report_from_logits
 from oracle_distill.errors import (
     ContractError,
     EnumerationCapError,
@@ -504,3 +505,28 @@ def test_stack_refuses_bad_frame_counts_and_garbage_in_real_rows():
     ctc_loss_dp(u, [(1,), (2,)], [4, 1])  # NaN on a padded row
     with pytest.raises(ContractError):
         ctc_loss_dp(u, [(1,), (2,)], [4, 2])
+
+
+U3 = np.random.default_rng(5).standard_normal((3, 3))
+
+# every entry point that checks a target, as a function of the target alone
+TARGET_ENTRIES = {
+    "ctc_loss_dp": lambda y: ctc_loss_dp(U3, y).item(),
+    "ctc_forward_backward": lambda y: ctc_forward_backward(U3, y)[0],
+    "enumerate_alignments": lambda y: enumerate_alignments(y, 3, V3),
+    "bound_report": lambda y: bound_report_from_logits(U3, U3[::-1], y).slack,
+}
+
+
+@pytest.mark.parametrize("bad", [(1.7, 2), ("1", "2"), (np.float64(1.0),)],
+                         ids=["float", "string", "numpy float"])
+@pytest.mark.parametrize("entry", sorted(TARGET_ENTRIES))
+def test_a_target_token_that_is_no_integer_is_refused(entry, bad):
+    with pytest.raises(ContractError, match="^target must be a sequence of integer token ids$"):
+        TARGET_ENTRIES[entry](bad)
+
+
+@pytest.mark.parametrize("entry", sorted(TARGET_ENTRIES))
+def test_numpy_integer_target_tokens_read_as_ints(entry):
+    run = TARGET_ENTRIES[entry]
+    assert run((np.int64(1), np.int64(2))) == run(np.array([1, 2])) == run((1, 2))

@@ -12,7 +12,7 @@ from oracle_distill.config import (
     load_config,
     parse_config_text,
 )
-from oracle_distill import harness
+from oracle_distill import cli, harness
 from oracle_distill import tensor as T
 from oracle_distill.errors import ConfigError, ContractError
 from oracle_distill.harness import (
@@ -26,7 +26,7 @@ from oracle_distill.harness import (
     parse_metrics_csv,
     train_run,
 )
-from oracle_distill.models import MASK, build_model, load_checkpoint
+from oracle_distill.models import MASK, build_model, load_checkpoint, save_checkpoint
 from oracle_distill.objectives import TrainConfig, loss_total, mask_target
 from oracle_distill.tasks import Batch, split_examples
 
@@ -241,6 +241,19 @@ def test_teacher_evaluate_draws_each_mask_in_split_order(task):
         want.append(model.predict_teacher([ex.x], [tokens])[0])
     assert report["predictions"] == want
     assert report["target_reads_during_predict"] == len(dev)
+
+
+@pytest.mark.parametrize("mode", ["student", "teacher"])
+def test_cli_eval_prints_the_targets_given_to_predict(mode, tmp_path, capsys):
+    cfg = tiny_cfg(task="aed").resolved()
+    path = tmp_path / "model.txt"
+    save_checkpoint(build_model(cfg.model_config(), seed=0), path, run_config=config_to_mapping(cfg))
+    assert cli.main(["eval", "--checkpoint", str(path), "--split", "dev", "--mode", mode]) == 0
+    n_dev = len(split_examples(generate_dataset(cfg), "dev"))
+    assert n_dev > 1
+    lines = capsys.readouterr().out.splitlines()
+    assert f"split: dev ({n_dev} examples), mode: {mode}" in lines
+    assert f"targets given to predict: {0 if mode == 'student' else n_dev}" in lines
 
 
 def test_training_and_teacher_evaluation_draw_the_same_masks(monkeypatch):

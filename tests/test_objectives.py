@@ -108,6 +108,16 @@ class TestMasking:
         with pytest.raises(ContractError):
             mask_target((1,), 1.5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [(1.7, 2), (1, "2"), (np.float64(3.9),)],
+                             ids=["float", "string", "numpy float"])
+    def test_a_token_that_is_no_integer_is_refused(self, bad):
+        with pytest.raises(ContractError, match="^a masked target must be a sequence of integer token ids$"):
+            mask_target(bad, 0.0, np.random.default_rng(0))
+
+    def test_numpy_integer_tokens_are_read_as_python_ints(self):
+        m = mask_target(np.array([3, 1, 4]), 0.0, np.random.default_rng(0))
+        assert m == (3, 1, 4) and all(type(t) is int for t in m)
+
 
 class TestLossOrg:
     def test_ctc_uniform_logits_match_bruteforce_oracle(self):

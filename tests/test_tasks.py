@@ -245,6 +245,19 @@ class TestBatching:
             assert tuple(batch.sources[i, : batch.lengths[i]]) == ex.x
             assert tuple(batch.target_ids[i, : batch.target_lengths[i]]) == ex.y == batch.targets[i]
 
+    @pytest.mark.parametrize("bad", [(1.9, 2), ("1", "2"), (np.float64(1.0),)],
+                             ids=["float", "string", "numpy float"])
+    def test_a_target_token_that_is_no_integer_is_refused(self, bad):
+        x = np.zeros((4, 2))
+        with pytest.raises(ContractError, match="^a batch target must be a sequence of integer token ids$"):
+            Batch([(x, (1, 2)), (x, bad)])
+
+    def test_numpy_integer_targets_are_read_as_python_ints(self):
+        x = np.zeros((4, 2))
+        batch = Batch([(x, np.array([1, 2])), (x, (np.int64(3),))])
+        assert batch.targets == [(1, 2), (3,)]
+        assert all(type(t) is int for y in batch.targets for t in y)
+
 
 class TestExport:
     def test_ctc_roundtrip_is_exact(self, tmp_path):

@@ -3,8 +3,8 @@ unused imports, no module reaching into another's private names, no
 defaulted parameter that no call ever sets, no function that nothing
 names, the last two also with the tests left out of the callers, and no
 differentiable op without a finite-difference row.  Also the test
-session's own settings, and the benchmark's tracer against the package
-and against a training run."""
+session's own settings, the benchmark's tracer against the package and
+against a training run, and each benchmark workload's own output check."""
 
 import ast
 import importlib.util
@@ -482,3 +482,48 @@ def test_the_benchmark_tracer_sees_a_training_run(task, tmp_path):
     finally:
         tracer.restore()
     assert RUN_SPANS | TASK_SPANS[task] <= {span[0] for span in tracer.spans}
+
+
+def _benchmark(monkeypatch):
+    """``perfbench/workloads.py`` and the ``tracing`` module it imports."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return importlib.import_module("workloads"), importlib.import_module("tracing")
+
+
+# each workload of the benchmark at a few operations
+SHORT_WORKLOADS = {
+    "train-ctc": lambda w, tmp: w.TrainWorkload("ctc", 0, tmp, steps=3),
+    "train-aed": lambda w, tmp: w.TrainWorkload("aed", 0, tmp, steps=3),
+    "decode-aed": lambda w, tmp: w.DecodeWorkload(0, limit=3),
+    "verify": lambda w, tmp: w.VerifyWorkload(0, suites=(
+        ("check_ctc", lambda: harness.check_ctc_suite(4)),
+        ("bound_check", lambda: harness.bound_check_suite(4)),
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORT_WORKLOADS))
+def test_each_benchmark_workload_passes_its_own_output_check(name, tmp_path, monkeypatch):
+    # run_pass counts an operation whose output fails its check as failed,
+    # and the benchmark reports the share of failed operations
+    workloads, tracing = _benchmark(monkeypatch)
+    workload = SHORT_WORKLOADS[name](workloads, tmp_path)
+    workload.setup()
+    result = workload.run_pass(tracing.Tracer())
+    assert result.ops > 0 and result.failed == 0
+
+
+def test_a_student_decode_records_no_graph(monkeypatch):
+    workloads, tracing = _benchmark(monkeypatch)
+    workload = workloads.DecodeWorkload(0, limit=3)
+    tracer = tracing.Tracer()
+    tracing.install_layers(tracer)
+    try:
+        workload.setup()
+        result = workload.run_pass(tracer)
+    finally:
+        tracer.restore()
+    assert result.ops == 6 and result.failed == 0
+    assert len(tracer.intervals("models.predict")) == 3
+    assert tracer.counts["student_decode_nodes"] == 0
+    assert tracer.counts["aux_reads_student_decode"] == 0
