@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,6 +45,7 @@ from .errors import (
     InfeasibleTargetError,
     ShapeError,
 )
+from .tasks import token_tuple
 from .tensor import Tensor, as_tensor, custom_op, log_softmax_rows
 from . import tensor as tt
 
@@ -80,10 +80,7 @@ def min_frames(y) -> int:
 
 
 def _check_target(y, vocab: Vocab) -> tuple[int, ...]:
-    try:
-        y = tuple(operator.index(t) for t in y)
-    except TypeError:
-        raise ContractError("target must be a sequence of integer token ids") from None
+    y = token_tuple(y, "target")
     if len(y) < 1:
         raise ContractError("target must contain at least one token")
     if any(t == BLANK or not 0 < t < vocab.size for t in y):

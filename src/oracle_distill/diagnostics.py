@@ -130,15 +130,20 @@ def frame_posteriors(model: CtcModel, x, y=None) -> dict[str, np.ndarray]:
     return grids
 
 
+def _write_cells(path, header: str, tagged) -> None:
+    """CSV of ``header`` then one ``row,col,value,tag`` line per cell of
+    each ``(tag, matrix)`` of ``tagged``, rows in order; values by ``repr``."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{header}\n")
+        for tag, mat in tagged:
+            for t in range(mat.shape[0]):
+                for k in range(mat.shape[1]):
+                    fh.write(f"{t},{k},{float(mat[t, k])!r},{tag}\n")
+
+
 def dump_alignment(model: CtcModel, x, y, path) -> None:
     """CSV of frame-wise label probabilities, student and teacher modes."""
-    grids = frame_posteriors(model, x, y)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("frame,label,prob,mode\n")
-        for mode, grid in grids.items():
-            for t in range(grid.shape[0]):
-                for k in range(grid.shape[1]):
-                    fh.write(f"{t},{k},{float(grid[t, k])!r},{mode}\n")
+    _write_cells(path, "frame,label,prob,mode", frame_posteriors(model, x, y).items())
 
 
 def fusion_attention(model, x, y) -> list[np.ndarray]:
@@ -153,12 +158,8 @@ def fusion_attention(model, x, y) -> list[np.ndarray]:
 
 
 def dump_attention(model, x, y, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("frame,token,score,layer\n")
-        for layer, mat in enumerate(fusion_attention(model, x, y)):
-            for t in range(mat.shape[0]):
-                for j in range(mat.shape[1]):
-                    fh.write(f"{t},{j},{float(mat[t, j])!r},{layer}\n")
+    """CSV of each fusion layer's cross-attention scores."""
+    _write_cells(path, "frame,token,score,layer", enumerate(fusion_attention(model, x, y)))
 
 
 def repetition_ratio(predictions) -> float:

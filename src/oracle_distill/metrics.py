@@ -36,5 +36,7 @@ def exact_match_rate(predictions, references) -> float:
     predictions, references = list(predictions), list(references)
     if not references:
         raise ContractError("references must be non-empty")
+    if len(predictions) != len(references):
+        raise ContractError("prediction and reference counts differ")
     hits = sum(tuple(p) == tuple(r) for p, r in zip(predictions, references))
     return hits / len(references)

@@ -32,6 +32,14 @@ greedy decode is one loop over the whole stack, run through either head.
 Every ``predict`` and ``predict_teacher`` runs under ``tensor.no_grad``,
 so inference records no graph.
 
+Token input is converted once: a list of sequences by
+``tasks.padded_stack``, and a token array handed to a model method by
+``_ids``, the one int64 cast of token input here; both refuse a float or a
+string token rather than truncate or parse it.  Source, oracle and decoder
+tokens take one embedding path, ``_embed``: the table lookup, the
+sqrt(d_model) scale, and the position encodings from the first new
+position.
+
 Every forward function takes ``(..., T, d)`` inputs: leading axes are
 items of a batch, padded to one length, and a 2-D input is one unpadded
 item.  Batched calls give the lengths of their padded inputs (``lengths``
@@ -168,7 +176,7 @@ class DecodeCache:
 
 
 def is_student_param(name: str) -> bool:
-    return name.startswith("seq.")
+    return not name.startswith(AUX_PREFIXES)
 
 
 def count_params(model) -> dict[str, int]:
@@ -210,12 +218,23 @@ def _key_mask(valid: np.ndarray | None) -> np.ndarray | None:
     return np.where(valid, 0.0, -np.inf)[..., None, None, :]
 
 
-def _token_ids(tokens, lengths, what: str, top: int) -> np.ndarray:
-    """Token ids that must lie in 1..``top`` at every real position, as an
-    int array; padded cells read as 1, so nothing padded reaches a lookup."""
-    ids = np.asarray(tokens, dtype=np.int64)
+def _ids(tokens, what: str) -> np.ndarray:
+    """``tokens`` as an int64 array of at least one axis: the one
+    conversion of the token arrays that a model method is handed.  A float
+    or a string token is refused, not truncated or parsed."""
+    ids = np.asarray(tokens)
     if ids.ndim < 1:
         raise ShapeError(f"{what} tokens must be a sequence")
+    if ids.size and ids.dtype.kind not in "iu":  # not a signed or unsigned integer dtype
+        raise ContractError(f"{what} tokens must be integer ids, got {ids.dtype}")
+    return ids.astype(np.int64, copy=False)
+
+
+def _token_ids(tokens, lengths, what: str, top: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Token ids (``_ids``) that must lie in 1..``top`` at every real
+    position, and ``_valid_cells`` of ``lengths``, the mask of those
+    positions; padded cells read as 1, so nothing padded reaches a lookup."""
+    ids = _ids(tokens, what)
     valid = _valid_cells(lengths, ids.shape)
     if valid is not None:
         ids = np.where(valid, ids, 1)
@@ -224,7 +243,7 @@ def _token_ids(tokens, lengths, what: str, top: int) -> np.ndarray:
         raise VocabularyError(f"{what} token {ids[bad][0]} outside 1..{top}")
     if ids.shape[-1] == 0:
         raise ContractError(f"{what} must be non-empty")
-    return ids
+    return ids, valid
 
 
 @functools.lru_cache(maxsize=8)
@@ -313,6 +332,20 @@ class _TransformerBase:
         rows = 64 if stop <= 64 else 1 << (stop - 1).bit_length()
         return Tensor(sinusoidal_positions(rows, self.cfg.d_model)[start:stop])
 
+    def _embed(self, table: str, ids: np.ndarray, start: int = 0) -> Tensor:
+        """Rows ``ids`` of the embedding ``table``, scaled by sqrt(d_model),
+        plus the encodings of positions ``start`` onward: the one embedding
+        of source, oracle and decoder tokens."""
+        emb = tt.embedding_lookup(self.store.get(table), ids)
+        return tt.add(tt.scale(emb, math.sqrt(self.cfg.d_model)), self._positions(start + ids.shape[-1], start))
+
+    def _encoder(self, x, mask):
+        """The sequence encoder's ``seq.enc*`` blocks over ``x`` under the
+        key ``mask``."""
+        for i in range(self.cfg.enc_layers):
+            x = self._encoder_block(f"seq.enc{i}", x, mask)
+        return x
+
     def _heads(self, prefix, x, *parts):
         """``x`` times each of the named projections of an attention block,
         split into heads: ``(..., heads, T, d / heads)``."""
@@ -372,12 +405,11 @@ class _TransformerBase:
         ``tokens`` may contain MASK; it is rendered as embedding row 0,
         which no real token uses.
         """
-        raw = np.asarray(tokens, dtype=np.int64)
+        raw = _ids(tokens, "oracle")
         masked = raw == MASK
-        ids = _token_ids(np.where(masked, 1, raw), lengths, "oracle", self.cfg.vocab_size)
-        emb = tt.embedding_lookup(self.store.get("oracle.embed"), np.where(masked, 0, ids))
-        x = tt.add(tt.scale(emb, math.sqrt(self.cfg.d_model)), self._positions(ids.shape[-1]))
-        return self._encoder_block("oracle.enc0", x, _key_mask(_valid_cells(lengths, ids.shape)))
+        ids, valid = _token_ids(np.where(masked, 1, raw), lengths, "oracle", self.cfg.vocab_size)
+        x = self._embed("oracle.embed", np.where(masked, 0, ids))
+        return self._encoder_block("oracle.enc0", x, _key_mask(valid))
 
     def _guided(self, rep: Tensor, tokens, lengths, token_lengths) -> Tensor:
         """``fuse`` of ``rep`` with the oracle guidance of ``tokens``;
@@ -438,10 +470,7 @@ class CtcModel(_TransformerBase):
         s = self.store
         x = tt.add(tt.matmul(Tensor(feats), s.get("seq.in_proj.w")), s.get("seq.in_proj.b"))
         x = tt.add(x, self._positions(feats.shape[-2]))
-        mask = _key_mask(valid)
-        for i in range(self.cfg.enc_layers):
-            x = self._encoder_block(f"seq.enc{i}", x, mask)
-        return x
+        return self._encoder(x, _key_mask(valid))
 
     def student_head(self, hidden: Tensor) -> Tensor:
         """Student frame logits from an already-encoded representation."""
@@ -507,13 +536,8 @@ class AedModel(_TransformerBase):
     def encode(self, src_tokens, lengths=None) -> Tensor:
         """Hidden states ``(..., L, d)`` of source tokens ``(..., L)``;
         ``lengths`` gives each item's tokens in a padded stack."""
-        ids = _token_ids(src_tokens, lengths, "source", self.cfg.vocab_size)
-        x = tt.scale(tt.embedding_lookup(self.store.get("seq.src_embed"), ids), math.sqrt(self.cfg.d_model))
-        x = tt.add(x, self._positions(ids.shape[-1]))
-        mask = _key_mask(_valid_cells(lengths, ids.shape))
-        for i in range(self.cfg.enc_layers):
-            x = self._encoder_block(f"seq.enc{i}", x, mask)
-        return x
+        ids, valid = _token_ids(src_tokens, lengths, "source", self.cfg.vocab_size)
+        return self._encoder(self._embed("seq.src_embed", ids), _key_mask(valid))
 
     @staticmethod
     def _causal_mask(start: int, stop: int) -> np.ndarray | None:
@@ -542,20 +566,17 @@ class AedModel(_TransformerBase):
         token outside 0..end raises ``VocabularyError``.  A call that raises
         leaves the cache unchanged: it changes once, after every layer.
         """
-        ids = np.asarray(prefix_ids, dtype=np.int64)
-        if ids.ndim < 1:
-            raise ShapeError("decoder tokens must be a sequence")
+        ids = _ids(prefix_ids, "decoder")
         start = cache.length
         if start == 0 and (ids.size == 0 or np.any(ids[..., 0] != self.bos)):
             raise ContractError("decoder prefix must start with the start symbol")
         if ids.size == 0:
             raise ContractError("no new decoder tokens")
         try:  # the lookup's own range check is the only one
-            emb = tt.embedding_lookup(self.store.get("seq.tgt_embed"), ids)
+            x = self._embed("seq.tgt_embed", ids, start)
         except DomainError:
             raise VocabularyError("decoder prefix token out of range") from None
         stop = start + ids.shape[-1]
-        x = tt.add(tt.scale(emb, math.sqrt(self.cfg.d_model)), self._positions(stop, start))
         mask, self_kv = self._causal_mask(start, stop), []
         for i, (cross_kv, past) in enumerate(zip(cache.cross_kv, cache.self_kv)):
             x, kv = self._cross_block(f"seq.dec{i}", x, cross_kv, mask, cache.memory_mask, None, past)
@@ -576,7 +597,7 @@ class AedModel(_TransformerBase):
         each block as many items as ``target``, and head i reads block i.
         The target ids are validated once, and the prefix and the memory
         ``lengths`` are tiled once per head."""
-        y = _token_ids(target, target_lengths, "target", self.cfg.vocab_size)
+        y, _ = _token_ids(target, target_lengths, "target", self.cfg.vocab_size)
         prefix = np.concatenate([np.full((*y.shape[:-1], 1), self.bos), y], axis=-1)
         if len(heads) > 1:
             prefix, lengths = np.concatenate([prefix] * len(heads)), np.concatenate([lengths] * len(heads))

@@ -40,7 +40,7 @@ from . import tensor as tt
 from .ctc import ctc_loss_dp, kd_loss_ctc
 from .errors import ContractError, TrainingAbort
 from .models import MASK, CtcModel
-from .tasks import Batch, token_tuple
+from .tasks import Batch, padded_stack, token_tuple
 from .tensor import Tensor
 
 
@@ -202,9 +202,7 @@ def loss_total(model, batch, config: TrainConfig, rng: np.random.Generator) -> S
     seen_ids = None
     if config.use_teacher:
         # the teacher's view of each target, padded like target_ids
-        seen_ids = batch.target_ids.copy()
-        for i, seen in enumerate(teacher_targets(model, batch.targets, config.lambda_mask, rng)):
-            seen_ids[i, : len(seen)] = seen
+        seen_ids, _ = padded_stack(teacher_targets(model, batch.targets, config.lambda_mask, rng), "targets")
     terms = (_ctc_terms if isinstance(model, CtcModel) else _aed_terms)(model, encoded, seen_ids, batch, config)
     l_org, l_em, l_kd = terms
     total = l_org if l_em is None else tt.add(tt.add(l_org, l_em), tt.scale(l_kd, config.alpha))

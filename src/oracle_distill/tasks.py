@@ -276,19 +276,24 @@ def _xy(item):
 def padded_stack(seqs, what: str) -> tuple[np.ndarray, np.ndarray]:
     """The sequences stacked on a new leading axis, zero-padded along their
     first axis to the longest, and the length of each: floats for frame
-    matrices, ints for token sequences.  Every row beyond the first axis
-    must agree; ``what`` names the sequences in errors."""
-    seqs = list(seqs)
-    if not seqs:
+    matrices, ints for token sequences.  This is the one conversion of a
+    list of sequences to a padded array: each item is converted once, every
+    row beyond the first axis must agree, and a token item must hold
+    integers, so a float or a string token is refused, not truncated or
+    parsed.  ``what`` names the sequences in errors."""
+    items = [np.asarray(seq) for seq in seqs]
+    if not items:
         raise ContractError(f"no {what} given")
-    lengths = np.array([len(seq) for seq in seqs])
-    tail = np.shape(seqs[0])[1:]
+    lengths = np.array([len(item) for item in items])
+    tail = items[0].shape[1:]
     dtype = np.float64 if tail else np.int64
-    out = np.zeros((len(seqs), int(lengths.max()), *tail), dtype=dtype)
-    for i, (seq, n) in enumerate(zip(seqs, lengths)):
-        if np.shape(seq)[1:] != tail:
-            raise ShapeError(f"{what} item {i} has rows of shape {np.shape(seq)[1:]}, item 0 {tail}")
-        out[i, :n] = seq
+    out = np.zeros((len(items), int(lengths.max()), *tail), dtype=dtype)
+    for i, (item, n) in enumerate(zip(items, lengths)):
+        if item.shape[1:] != tail:
+            raise ShapeError(f"{what} item {i} has rows of shape {item.shape[1:]}, item 0 {tail}")
+        if not tail and item.size and item.dtype.kind not in "iu":  # not a signed or unsigned integer dtype
+            raise ContractError(f"{what} item {i} must hold integer token ids, got {item.tolist()}")
+        out[i, :n] = item
     return out, lengths
 
 

@@ -4,7 +4,8 @@ attention and feed-forward ops are checked against, the per-tensor Adam
 that the fused one is checked against, the one-instance CTC DP that the
 stacked one is checked against, the path-by-path alignment scan that the
 vectorised one is checked against, the token-by-token dataset generators
-that the one-pass ones are checked against, the distillation-surrogate
+that the one-pass ones are checked against, the per-item padding loop
+that ``tasks.padded_stack`` is checked against, the distillation-surrogate
 audit, the recorders that read a training step's logits and masks from
 the model calls it makes, and the reader for the dataset files that
 ``gen-data`` writes."""
@@ -342,6 +343,20 @@ def reference_aed_dataset(spec: AedTaskSpec, n: int) -> list[Example]:
         key = " ".join(map(str, x))
         examples.append(Example(x=x, y=tuple(y), split=_split_of(key, spec.seed)))
     return examples
+
+
+def reference_padded_stack(seqs) -> tuple[np.ndarray, np.ndarray]:
+    """``tasks.padded_stack`` item by item, each item read by ``np.shape``
+    and converted again as it is assigned; it checks nothing, and a float
+    token is truncated into the int array."""
+    seqs = list(seqs)
+    lengths = np.array([len(seq) for seq in seqs])
+    tail = np.shape(seqs[0])[1:]
+    dtype = np.float64 if tail else np.int64
+    out = np.zeros((len(seqs), int(lengths.max()), *tail), dtype=dtype)
+    for i, (seq, n) in enumerate(zip(seqs, lengths)):
+        out[i, :n] = seq
+    return out, lengths
 
 
 # ---------------------------------------------------------------------------

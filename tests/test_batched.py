@@ -1,6 +1,8 @@
 """One graph per batch: the batched objective and batched predictions
 against single-item calls, inert padding, and a tape that does not grow
-with the batch."""
+with the batch, pinned node by node for one step of five configs."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from oracle_distill import tensor as T
 from oracle_distill.config import RunConfig
 from oracle_distill.ctc import min_frames
 from oracle_distill.errors import ContractError, ShapeError
-from oracle_distill.models import MASK, AedModel, CtcModel, ModelConfig
+from oracle_distill.harness import generate_dataset
+from oracle_distill.models import MASK, AedModel, CtcModel, ModelConfig, build_model
 from oracle_distill.objectives import TrainConfig, loss_total, teacher_targets
 from oracle_distill.tasks import (
     Batch,
@@ -216,6 +219,27 @@ def test_tape_grows_by_a_small_constant_per_item(task):
     # an attention sublayer is four nodes, three projections and the core,
     # and a feed-forward sublayer is one
     assert nodes[0] == {"ctc": 69, "aed": 117}[task]
+
+
+@pytest.mark.parametrize("overrides, count, digest", [
+    (dict(task="ctc"), 69, "3a0ca111e2f99ad505ca3e0583a1e712a9af300add4b38bc308d97e319b92d9b"),
+    (dict(task="aed"), 117, "f00ee7d513e885346f676e4ba8ea2c4fb87d155d27e72663c874b747e6e01e2f"),
+    (dict(task="ctc", use_teacher=False), 25, "b951103b2df1da0e40b45cbdacf969af567dd83c22bc1dc9525d7cd5229577c2"),
+    (dict(task="aed", use_teacher=False), 62, "c979686eca78ec07cfdde40486e9ebdb96ce559e60d3b1f7a169bc9c97c32457"),
+    (dict(task="ctc", kd_form="kl", stop_teacher_grad=True), 71,
+     "75a3b11110a3488f7baf6634c8a49b125a812adfdbe1b4fcf6e16114f5f6e1ae"),
+], ids=["ctc", "aed", "ctc no teacher", "aed no teacher", "ctc kl stopped teacher"])
+def test_the_tape_of_a_step_is_pinned(overrides, count, digest):
+    """The (backward rule, shape) of every node of one step's tape, in
+    tape order.  A change that alters the graph on purpose updates the
+    pin and says so."""
+    cfg = RunConfig(seed=1, **overrides).resolved()
+    examples = split_examples(generate_dataset(cfg), "train")[:8]
+    model = build_model(cfg.model_config(), seed=cfg.seed)
+    out = loss_total(model, examples, cfg.train_config(), np.random.default_rng(3))
+    tape = [(node._backward.__qualname__, node.data.shape) for node in T.Tape(out.total).nodes]
+    assert len(tape) == count
+    assert hashlib.sha256(repr(tape).encode()).hexdigest() == digest
 
 
 def _two_pass(model):

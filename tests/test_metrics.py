@@ -49,3 +49,9 @@ def test_exact_match_rate():
     assert exact_match_rate([(1, 2), (3,)], [(1, 2), (4,)]) == 0.5
     with pytest.raises(ContractError):
         exact_match_rate([], [])
+
+
+@pytest.mark.parametrize("predictions", [[(1,), (2,)], []], ids=["one too many", "none"])
+def test_exact_match_rate_refuses_mismatched_counts(predictions):
+    with pytest.raises(ContractError, match="^prediction and reference counts differ$"):
+        exact_match_rate(predictions, [(1,)])

@@ -241,6 +241,38 @@ class TestAedDecoder:
         assert all(0 <= t <= model.eos for t in pred)
 
 
+class TestTokenInput:
+    """Token input is converted in one place per form, and each refuses a
+    float or a string token rather than truncate or parse it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda aed, ctc: aed.predict([(1, 2), (1.9, 2.2)]),
+        lambda aed, ctc: aed.predict([("1", "2")]),
+        lambda aed, ctc: aed.predict_teacher([(1, 2)], [(3.7, 4.1)]),
+        lambda aed, ctc: ctc.predict_teacher([np.zeros((5, 4))], [(2.7, 1.1)]),
+        lambda aed, ctc: aed.decode_logits(aed.decode_cache(aed.encode((1, 2))), [0.6]),
+        lambda aed, ctc: aed.oracle_guidance([1.5, 2.0]),
+        lambda aed, ctc: ctc.oracle_guidance(np.array(["1", "2"])),
+        lambda aed, ctc: aed.encode((1.9, 2)),
+    ], ids=["aed predict float source", "aed predict string source", "aed predict_teacher float target",
+            "ctc predict_teacher float target", "decode_logits float token", "oracle_guidance float",
+            "oracle_guidance string", "aed encode float source"])
+    def test_a_token_that_is_no_integer_is_refused(self, call):
+        with pytest.raises(ContractError, match="integer"):
+            call(tiny_aed(), tiny_ctc())
+
+    def test_numpy_integer_tokens_decode_as_python_ints(self):
+        model = tiny_aed(seed=4)
+        sources = [np.array([1, 2, 3], dtype=np.int32), np.array([4, 5], dtype=np.uint8)]
+        assert model.predict(sources) == model.predict([(1, 2, 3), (4, 5)])
+        targets = [np.array([2, MASK], dtype=np.int16), (np.int64(3),)]
+        assert model.predict_teacher(sources, targets) == model.predict_teacher([(1, 2, 3), (4, 5)], [(2, MASK), (3,)])
+        memory = model.encode(np.array([1, 2], dtype=np.int32))
+        prefix = np.array([model.bos, 4], dtype=np.int8)
+        np.testing.assert_array_equal(model.decode_logits(model.decode_cache(memory), prefix).data,
+                                      model.decode_logits(model.decode_cache(memory), [model.bos, 4]).data)
+
+
 class TestParamAccounting:
     def test_groups_are_disjoint_and_cover_everything(self):
         model = tiny_ctc()

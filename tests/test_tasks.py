@@ -28,7 +28,7 @@ from oracle_distill.tasks import (
     token_embeddings,
 )
 
-from helpers import import_dataset, reference_aed_dataset, reference_ctc_dataset
+from helpers import import_dataset, reference_aed_dataset, reference_ctc_dataset, reference_padded_stack
 
 
 class TestCtcGeneration:
@@ -257,6 +257,37 @@ class TestBatching:
         batch = Batch([(x, np.array([1, 2])), (x, (np.int64(3),))])
         assert batch.targets == [(1, 2), (3,)]
         assert all(type(t) is int for y in batch.targets for t in y)
+
+    @pytest.mark.parametrize("source", [(1.5, 2.0), ("1", "2"), (1.9, "2"), np.array([1.0, 2.0])],
+                             ids=["float", "string", "float and string", "numpy float"])
+    def test_an_aed_source_token_that_is_no_integer_is_refused(self, source):
+        with pytest.raises(ContractError, match="^sources item 1 must hold integer token ids"):
+            Batch([((1, 2), (1,)), (source, (1, 2))])
+
+
+_TOKEN_KINDS = {"tuple": tuple, "list": list, "int64": np.array,
+                "int32": lambda t: np.array(t, dtype=np.int32), "int16": lambda t: np.array(t, dtype=np.int16)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(-1, 40), min_size=1, max_size=8),
+                          st.sampled_from(list(_TOKEN_KINDS))), min_size=1, max_size=8),
+       st.data())
+def test_padded_stack_matches_the_per_item_loop_and_refuses_a_token_that_is_no_integer(drawn, data):
+    items = [_TOKEN_KINDS[kind](tokens) for tokens, kind in drawn]
+    out, lengths = tasks.padded_stack(items, "targets")
+    ref_out, ref_lengths = reference_padded_stack(items)
+    assert out.dtype == ref_out.dtype == np.int64
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(lengths, ref_lengths)
+    # one float or one string token in one item: refused, naming that item
+    i = data.draw(st.integers(0, len(drawn) - 1))
+    tokens = list(drawn[i][0])
+    j = data.draw(st.integers(0, len(tokens) - 1))
+    tokens[j] = data.draw(st.sampled_from([tokens[j] + 0.5, float(tokens[j]), str(tokens[j])]))
+    bad = items[:i] + [tuple(tokens) if drawn[i][1] == "tuple" else tokens] + items[i + 1:]
+    with pytest.raises(ContractError, match=f"^targets item {i} must hold integer token ids"):
+        tasks.padded_stack(bad, "targets")
 
 
 class TestExport:
