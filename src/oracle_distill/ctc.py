@@ -1,8 +1,7 @@
 """Exact CTC machinery: collapse mapping, alignment enumeration, log-space
-forward-backward loss, alignment posteriors, greedy decoding, and the
-frame-level distillation losses.  The analytic gradient is reached only
-through the backward rule of ``ctc_loss_dp``: read ``u.grad`` after
-``tensor.backward``.
+forward-backward loss, alignment posteriors and greedy decoding.  The
+analytic gradient is reached only through the backward rule of
+``ctc_loss_dp``: read ``u.grad`` after ``tensor.backward``.
 
 Two independent routes compute the same quantities: an exhaustive
 enumeration over all label paths, scored by ``path_log_probs`` (the trust
@@ -47,12 +46,8 @@ from .errors import (
 )
 from .tasks import token_tuple
 from .tensor import Tensor, as_tensor, custom_op, log_softmax_rows
-from . import tensor as tt
 
 BLANK = 0
-
-# probability floor inside logs for the KL distillation form
-EPS_P = 1e-12
 
 # refuse exhaustive enumeration beyond this many raw paths
 ENUMERATION_CAP = 10 ** 6
@@ -154,8 +149,11 @@ def validated_inputs(u, y) -> tuple[np.ndarray, tuple[int, ...]]:
     return data, _check_target(y, Vocab(data.shape[1]))
 
 
-def _scored_paths(u, y):
-    """Validated logits, every path collapsing to ``y``, and their log-probabilities."""
+def scored_paths(u, y):
+    """Validated logits, every path collapsing to ``y``, and their
+    log-probabilities: the one scoring of the enumeration that the oracles
+    and the bound report share.  ``InfeasibleTargetError`` when no path
+    collapses to ``y``."""
     data, y = validated_inputs(u, y)
     paths = enumerate_alignments(y, data.shape[0], Vocab(data.shape[1]))
     if not paths:
@@ -167,7 +165,7 @@ def _scored_paths(u, y):
 
 def ctc_loss_bruteforce(u, y) -> float:
     """-log sum over enumerated paths of the product of frame posteriors."""
-    return -_logsumexp(list(_scored_paths(u, y)[2]))
+    return -_logsumexp(list(scored_paths(u, y)[2]))
 
 
 def _skip_mask(ext: np.ndarray) -> np.ndarray:
@@ -373,7 +371,7 @@ def ctc_bruteforce(u, y) -> tuple[float, np.ndarray]:
     """The enumeration oracle from one scoring of the paths: -log of the
     summed path probabilities, and the path-weighted label frequencies
     (the oracle for the DP's posterior)."""
-    data, paths, logw = _scored_paths(u, y)
+    data, paths, logw = scored_paths(u, y)
     total = _logsumexp(list(logw))
     w = np.exp(logw - total)
     sigma = np.zeros_like(data)
@@ -382,51 +380,6 @@ def ctc_bruteforce(u, y) -> tuple[float, np.ndarray]:
             sigma[t, k] += weight
     sigma /= sigma.sum(axis=1, keepdims=True)
     return -total, sigma
-
-
-def _smoothed_rows(p: Tensor, n_labels: int) -> Tensor:
-    # floor entries at EPS_P, renormalized so rows stay exact distributions
-    return tt.scale(tt.add(p, EPS_P), 1.0 / (1.0 + n_labels * EPS_P))
-
-
-def _weighted_rows(entries: Tensor, weights) -> Tensor:
-    """Sum of ``entries`` (rows of ``(..., T, K)``) with row r weighted by
-    ``weights[r]``; by default the mean over the rows of a matrix."""
-    if weights is None:
-        if entries.data.ndim != 2:
-            raise ShapeError(f"unweighted rows must form a T x K matrix, got {entries.shape}")
-        weights = np.full(entries.shape[0], 1.0 / entries.shape[0])
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != entries.shape[:-1]:
-        raise ShapeError(f"row weights {weights.shape} for rows {entries.shape}")
-    return tt.sum_all(tt.scale(entries, weights[..., None]))
-
-
-def kd_loss_ctc(student_posterior: Tensor, teacher_posterior: Tensor, form: str = "l2",
-                weights=None) -> Tensor:
-    """Frame-level posterior transfer loss between student and teacher.
-
-    ``l2``: the squared Euclidean distance between posterior rows.
-    ``kl``: KL(teacher || student) on rows floored at ``EPS_P`` and
-    renormalized.  Both are the mean over the frames of a T x K matrix,
-    or, with ``weights`` shaped like the posteriors without their last
-    axis, the weighted sum over the rows of a padded stack.  Gradients
-    flow into both arguments; detach the teacher posterior before calling
-    to cut its side off.
-    """
-    s, t = as_tensor(student_posterior), as_tensor(teacher_posterior)
-    if s.shape != t.shape:
-        raise ShapeError(f"kd posteriors {s.shape} vs {t.shape}")
-    if s.data.ndim < 2:
-        raise ShapeError("kd posteriors must be T x K")
-    if form == "l2":
-        d = tt.sub(s, t)
-        return _weighted_rows(tt.mul(d, d), weights)
-    if form == "kl":
-        # the teacher's rows first, so the tape records its nodes before the student's
-        t, s = _smoothed_rows(t, s.shape[-1]), _smoothed_rows(s, s.shape[-1])
-        return _weighted_rows(tt.mul(t, tt.sub(tt.log(t), tt.log(s))), weights)
-    raise ContractError(f"unknown kd form {form!r}")
 
 
 def greedy_decode(u) -> tuple[int, ...]:

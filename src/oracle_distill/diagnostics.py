@@ -22,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import (
-    Vocab,
-    enumerate_alignments,
-    path_log_probs,
-    validated_inputs,
-)
+from .ctc import path_log_probs, scored_paths, validated_inputs
 from .errors import ContractError, ShapeError
 from .models import CtcModel
 from .tensor import log_softmax_rows
@@ -73,18 +68,16 @@ def bound_report_from_logits(student_logits, teacher_logits, y) -> BoundReport:
     """Exact bound arithmetic over the enumerated alignment set; every
     field is a plain float.
 
-    Both logit grids must be finite T x K matrices of one shape, K the
-    blank and the labels (``ContractError`` / ``ShapeError`` otherwise),
-    as for the DP.
+    ``ctc.scored_paths`` gives the student's validated logits, the paths
+    and their student log-probabilities, and raises
+    ``InfeasibleTargetError`` when no path collapses to ``y``.  Both logit
+    grids must be finite T x K matrices of one shape, K the blank and the
+    labels (``ContractError`` / ``ShapeError`` otherwise), as for the DP.
     """
-    student_logits, y = validated_inputs(student_logits, y)
+    student_logits, paths, lp_student = scored_paths(student_logits, y)
     teacher_logits, _ = validated_inputs(teacher_logits, y)
     if teacher_logits.shape != student_logits.shape:
         raise ShapeError(f"teacher logits {teacher_logits.shape} vs student {student_logits.shape}")
-    paths = enumerate_alignments(y, student_logits.shape[0], Vocab(student_logits.shape[1]))
-    if not paths:
-        raise ContractError("no feasible alignment for this instance")
-    lp_student = path_log_probs(student_logits, paths)
     lp_teacher = path_log_probs(teacher_logits, paths)
     w = _normalized(lp_teacher)
     p_cond = _normalized(lp_student)
@@ -163,7 +156,8 @@ def dump_attention(model, x, y, path) -> None:
 
 
 def repetition_ratio(predictions) -> float:
-    """Consecutively repeated tokens over total tokens, pooled."""
+    """Consecutively repeated tokens over total tokens, pooled; 0.0 when
+    the predictions hold no tokens."""
     predictions = list(predictions)
     if not predictions:
         raise ContractError("empty prediction set")
@@ -173,6 +167,4 @@ def repetition_ratio(predictions) -> float:
         seq = list(seq)
         total += len(seq)
         repeats += sum(1 for a, b in zip(seq, seq[1:]) if a == b)
-    if total == 0:
-        raise ContractError("predictions contain no tokens")
-    return repeats / total
+    return repeats / total if total else 0.0

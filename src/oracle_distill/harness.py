@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, config_to_mapping
-from .ctc import ctc_bruteforce, ctc_forward_backward, ctc_loss_dp, kd_loss_ctc, min_frames
+from .ctc import ctc_bruteforce, ctc_forward_backward, ctc_loss_dp, min_frames
 from .diagnostics import BoundReport, check_lower_bound, bound_report_from_logits, repetition_ratio
 from .errors import ConfigError, ContractError
 from .metrics import exact_match_rate, token_error_rate
 from .models import AUX_PREFIXES, CtcModel, ModelConfig, build_model, save_checkpoint
-from .objectives import Adam, TrainConfig, loss_total, teacher_targets
+from .objectives import Adam, TrainConfig, kd_loss, loss_total, teacher_targets
 from .tasks import Batch, batch_iter, gen_aed_dataset, gen_ctc_dataset, split_examples
 from .tensor import Tensor, backward, finite_differences, grad_check
 from . import tensor as tt
@@ -115,7 +115,7 @@ def evaluate(model, examples, mode: str, train_cfg: TrainConfig, mask_seed: int 
     return {
         "ter": token_error_rate(predictions, references),
         "exact_match": exact_match_rate(predictions, references),
-        "rep_ratio": repetition_ratio(predictions) if any(len(p) for p in predictions) else 0.0,
+        "rep_ratio": repetition_ratio(predictions),
         "aux_param_reads_during_predict": aux_reads,
         "target_reads_during_predict": targets_given,
         "predictions": predictions,
@@ -392,9 +392,7 @@ def grad_check_suite(seed: int = 0) -> SuiteReport:
     for form in ("l2", "kl"):
         teacher = tt.softmax(Tensor(rng.standard_normal((4, 3))))
         logits = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        kd_errs.append(
-            grad_check(lambda t: kd_loss_ctc(tt.softmax(t), teacher, form), logits)
-        )
+        kd_errs.append(grad_check(lambda t: kd_loss(tt.softmax(t), teacher, form), logits))
     # np.max keeps a NaN where the builtin max would drop it and pass
     worst_ctc, worst_kd = float(np.max(ctc_errs)), float(np.max(kd_errs))
 

@@ -12,9 +12,11 @@ and returns that graph alone: ``.total`` and ``.terms`` = (l_org, l_em,
 l_kd), whose ``item()`` values are the loss columns of a metrics row.
 The terms themselves are per task, each in one function: ``_ctc_terms``
 (frame posteriors against the whole target) and ``_aed_terms`` (tokens
-against a masked target).  Each term is the mean over the items of a
-per-item loss: a sequence's rows are weighted 1/len on its real positions
-and 0 on padding.  With ``use_teacher=False`` l_em and l_kd are None and
+against a masked target).  ``kd_loss`` is the l_kd of both tasks: L2 or
+KL by ``kd_form`` between the CTC frame posteriors, and KL between the
+encoder-decoder's token posteriors at 1/temperature.  Each term is the
+mean over the items of a per-item loss: a sequence's rows are weighted
+1/len on its real positions and 0 on padding.  With ``use_teacher=False`` l_em and l_kd are None and
 ``.total`` is l_org.
 
 ``teacher_targets`` alone decides what the teacher sees of a target, in
@@ -37,11 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tt
-from .ctc import ctc_loss_dp, kd_loss_ctc
-from .errors import ContractError, TrainingAbort
+from .ctc import ctc_loss_dp
+from .errors import ContractError, ShapeError, TrainingAbort
 from .models import MASK, CtcModel
 from .tasks import Batch, padded_stack, token_tuple
-from .tensor import Tensor
+from .tensor import Tensor, as_tensor
+
+# probability floor inside logs for the KL distillation form
+EPS_P = 1e-12
 
 
 @dataclass
@@ -122,20 +127,52 @@ def cross_entropy(logits: Tensor, targets, weights) -> Tensor:
     return tt.sum_all(tt.scale(picked, -np.asarray(weights, dtype=np.float64)))
 
 
+def kd_loss(student_posterior: Tensor, teacher_posterior: Tensor, form: str, weights=None,
+            stop_teacher_grad: bool = False) -> Tensor:
+    """The distillation term l_kd between two posteriors, row by row.
+
+    ``l2``: the squared Euclidean distance between posterior rows.
+    ``kl``: KL(teacher || student) on rows floored at ``EPS_P`` and
+    renormalized.  Both are the mean over the rows of a T x K matrix, or,
+    with ``weights`` shaped like the posteriors without their last axis,
+    the weighted sum over the rows of a padded stack.  Gradients flow into
+    both arguments, unless ``stop_teacher_grad`` detaches the teacher's.
+    """
+    s, t = as_tensor(student_posterior), as_tensor(teacher_posterior)
+    if stop_teacher_grad:
+        t = t.detach()
+    if s.shape != t.shape:
+        raise ShapeError(f"kd posteriors {s.shape} vs {t.shape}")
+    if s.data.ndim < 2:
+        raise ShapeError("kd posteriors must be T x K")
+    if weights is None:
+        if s.data.ndim != 2:
+            raise ShapeError(f"unweighted rows must form a T x K matrix, got {s.shape}")
+        weights = np.full(s.shape[0], 1.0 / s.shape[0])
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != s.shape[:-1]:
+        raise ShapeError(f"row weights {weights.shape} for rows {s.shape}")
+    if form == "l2":
+        d = tt.sub(s, t)
+        entries = tt.mul(d, d)
+    elif form == "kl":
+        # rows floored at EPS_P and renormalized, so they stay exact
+        # distributions; the teacher's first, so the tape records its nodes
+        # before the student's
+        renorm = 1.0 / (1.0 + s.shape[-1] * EPS_P)
+        t = tt.scale(tt.add(t, EPS_P), renorm)
+        s = tt.scale(tt.add(s, EPS_P), renorm)
+        entries = tt.mul(t, tt.sub(tt.log(t), tt.log(s)))
+    else:
+        raise ContractError(f"unknown kd form {form!r}")
+    return tt.sum_all(tt.scale(entries, weights[..., None]))
+
+
 def _row_weights(rows, width: int) -> np.ndarray:
     """Each item's first ``rows`` rows of ``width`` weigh 1/rows, padding
     0, and the items 1/B."""
     valid = np.arange(width) < rows[:, None]
     return np.where(valid, 1.0 / rows[:, None], 0.0) / len(rows)
-
-
-def _kd_loss(u_student: Tensor, u_teacher: Tensor, form: str, weights, stop_teacher_grad: bool) -> Tensor:
-    """``kd_loss_ctc`` in ``form`` between the softmaxes of the two
-    logits, the teacher's detached with ``stop_teacher_grad``."""
-    p_s, p_t = tt.softmax(u_student), tt.softmax(u_teacher)
-    if stop_teacher_grad:
-        p_t = p_t.detach()
-    return kd_loss_ctc(p_s, p_t, form, weights)
 
 
 def _ctc_terms(model, encoded: Tensor, seen_ids, batch: Batch, config: TrainConfig) -> tuple:
@@ -153,7 +190,8 @@ def _ctc_terms(model, encoded: Tensor, seen_ids, batch: Batch, config: TrainConf
     losses = ctc_loss_dp(tt.concat([u_s, u_t]), batch.targets * 2, np.concatenate([lengths, lengths]))
     l_org, l_em = tt.mean(tt.index(losses, slice(0, n))), tt.mean(tt.index(losses, slice(n, 2 * n)))
     weights = _row_weights(lengths, u_s.shape[-2])
-    return l_org, l_em, _kd_loss(u_s, u_t, config.kd_form, weights, config.stop_teacher_grad)
+    l_kd = kd_loss(tt.softmax(u_s), tt.softmax(u_t), config.kd_form, weights, config.stop_teacher_grad)
+    return l_org, l_em, l_kd
 
 
 def _aed_terms(model, encoded: Tensor, seen_ids, batch: Batch, config: TrainConfig) -> tuple:
@@ -180,7 +218,7 @@ def _aed_terms(model, encoded: Tensor, seen_ids, batch: Batch, config: TrainConf
     l_em = cross_entropy(u_t, ids, weights)
     inv_t = 1.0 / config.temperature
     u_s, u_t = tt.scale(u_s, inv_t), tt.scale(u_t, inv_t)
-    return l_org, l_em, _kd_loss(u_s, u_t, "kl", weights, config.stop_teacher_grad)
+    return l_org, l_em, kd_loss(tt.softmax(u_s), tt.softmax(u_t), "kl", weights, config.stop_teacher_grad)
 
 
 def loss_total(model, batch, config: TrainConfig, rng: np.random.Generator) -> StepOutputs:

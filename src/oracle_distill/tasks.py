@@ -255,12 +255,20 @@ class Batch:
         return len(self.examples)
 
 
+def _token_id(t) -> int:
+    # a bool is an int to operator.index, but not to the array forms
+    if isinstance(t, bool):
+        raise TypeError("a bool is not a token id")
+    return operator.index(t)
+
+
 def token_tuple(seq, what: str) -> tuple[int, ...]:
     """``seq`` as a tuple of Python ints.  A token is a Python or numpy
-    integer; a float or a string is refused, not truncated or parsed, with
-    a ``ContractError`` naming the sequence ``what``."""
+    integer; a bool, a float or a string is refused, not read as an id,
+    truncated or parsed, with a ``ContractError`` naming the sequence
+    ``what``."""
     try:
-        return tuple(operator.index(t) for t in seq)
+        return tuple(_token_id(t) for t in seq)
     except TypeError:
         raise ContractError(f"{what} must be a sequence of integer token ids") from None
 
@@ -280,10 +288,14 @@ def padded_stack(seqs, what: str) -> tuple[np.ndarray, np.ndarray]:
     list of sequences to a padded array: each item is converted once, every
     row beyond the first axis must agree, and a token item must hold
     integers, so a float or a string token is refused, not truncated or
-    parsed.  ``what`` names the sequences in errors."""
+    parsed, and a scalar item is refused with a ``ShapeError``.  ``what``
+    names the sequences in errors."""
     items = [np.asarray(seq) for seq in seqs]
     if not items:
         raise ContractError(f"no {what} given")
+    for i, item in enumerate(items):
+        if item.ndim == 0:
+            raise ShapeError(f"{what} item {i} must be a sequence, got {item.tolist()!r}")
     lengths = np.array([len(item) for item in items])
     tail = items[0].shape[1:]
     dtype = np.float64 if tail else np.int64

@@ -20,7 +20,6 @@ from oracle_distill import tensor as T
 from oracle_distill.ctc import (
     BLANK,
     collapse,
-    kd_loss_ctc,
     log_softmax_rows,
     min_frames,
     validated_inputs,
@@ -28,7 +27,7 @@ from oracle_distill.ctc import (
 from oracle_distill.diagnostics import bound_report_from_logits
 from oracle_distill.errors import ContractError, InfeasibleTargetError
 from oracle_distill.models import CtcModel
-from oracle_distill.objectives import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+from oracle_distill.objectives import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, kd_loss
 from oracle_distill.tasks import (
     COINFLIP_PAIR,
     RESOLVABLE_PAIR,
@@ -415,7 +414,7 @@ def kd_vs_q_gap(model: CtcModel, x, y) -> dict[str, float]:
     u_s = model.student_head(hidden).data
     u_t = model.teacher_logits(hidden, y).data
     report = bound_report_from_logits(u_s, u_t, y)
-    l2 = kd_loss_ctc(
+    l2 = kd_loss(
         T.softmax(Tensor(u_s)), T.softmax(Tensor(u_t)), "l2"
     ).item()
     return {"kd_l2": l2, "neg_q": -report.q_value, "gap": abs(l2 - (-report.q_value))}

@@ -18,7 +18,6 @@ from oracle_distill.ctc import (
     ctc_loss_dp,
     enumerate_alignments,
     greedy_decode,
-    kd_loss_ctc,
     log_softmax_rows,
     min_frames,
 )
@@ -29,6 +28,7 @@ from oracle_distill.errors import (
     InfeasibleTargetError,
     ShapeError,
 )
+from oracle_distill.objectives import kd_loss
 from oracle_distill.tensor import Tensor, grad_check
 
 from helpers import reference_alignments, reference_ctc_dp
@@ -261,12 +261,12 @@ class TestKdLoss:
         rng = np.random.default_rng(37)
         p = T.softmax(Tensor(rng.standard_normal((4, 3))))
         for form in ("l2", "kl"):
-            assert kd_loss_ctc(p, p, form).item() == pytest.approx(0.0, abs=1e-12)
+            assert kd_loss(p, p, form).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_l2_hand_value(self):
         s = Tensor([[1.0, 0.0]])
         t = Tensor([[0.0, 1.0]])
-        assert kd_loss_ctc(s, t, "l2").item() == pytest.approx(2.0, abs=1e-15)
+        assert kd_loss(s, t, "l2").item() == pytest.approx(2.0, abs=1e-15)
 
     def test_kl_gradient_wrt_student_logits(self):
         rng = np.random.default_rng(41)
@@ -274,7 +274,7 @@ class TestKdLoss:
         logits = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
 
         def f(t):
-            return kd_loss_ctc(T.softmax(t), teacher, "kl")
+            return kd_loss(T.softmax(t), teacher, "kl")
 
         assert grad_check(f, logits) <= 1e-5
 
@@ -284,7 +284,7 @@ class TestKdLoss:
         logits = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
 
         def f(t):
-            return kd_loss_ctc(T.softmax(t), teacher, "l2")
+            return kd_loss(T.softmax(t), teacher, "l2")
 
         assert grad_check(f, logits) <= 1e-5
 
@@ -294,7 +294,7 @@ class TestKdLoss:
         tu = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         for form in ("l2", "kl"):
             su.grad = tu.grad = None
-            loss = kd_loss_ctc(T.softmax(su), T.softmax(tu), form)
+            loss = kd_loss(T.softmax(su), T.softmax(tu), form)
             T.backward(loss)
             assert np.abs(su.grad).max() > 0 and np.abs(tu.grad).max() > 0
 
@@ -302,7 +302,7 @@ class TestKdLoss:
         rng = np.random.default_rng(53)
         su = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         tu = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-        loss = kd_loss_ctc(T.softmax(su), T.softmax(tu).detach(), "l2")
+        loss = kd_loss(T.softmax(su), T.softmax(tu).detach(), "l2")
         T.backward(loss)
         assert tu.grad is None
 
@@ -312,19 +312,19 @@ class TestKdLoss:
             for _ in range(50):
                 s = T.softmax(Tensor(rng.standard_normal((3, 4)) * 3))
                 t = T.softmax(Tensor(rng.standard_normal((3, 4)) * 3))
-                v = kd_loss_ctc(s, t, form).item()
+                v = kd_loss(s, t, form).item()
                 assert v >= 0.0
                 if not np.allclose(s.data, t.data):
                     assert v > 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            kd_loss_ctc(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), "l2")
+            kd_loss(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), "l2")
 
     def test_unknown_form(self):
         p = Tensor(np.full((1, 2), 0.5))
         with pytest.raises(ContractError):
-            kd_loss_ctc(p, p, "ce")
+            kd_loss(p, p, "ce")
 
     def test_weighted_rows_of_a_padded_stack_average_the_items(self):
         rng = np.random.default_rng(61)
@@ -333,14 +333,14 @@ class TestKdLoss:
         t = T.softmax(Tensor(rng.standard_normal((2, 4, 3))))
         weights = np.array([[1 / n if r < n else 0.0 for r in range(4)] for n in lengths]) / 2
         for form in ("l2", "kl"):
-            items = [kd_loss_ctc(Tensor(s.data[i, :n]), Tensor(t.data[i, :n]), form).item()
+            items = [kd_loss(Tensor(s.data[i, :n]), Tensor(t.data[i, :n]), form).item()
                      for i, n in enumerate(lengths)]
-            got = kd_loss_ctc(s, t, form, weights).item()
+            got = kd_loss(s, t, form, weights).item()
             assert got == pytest.approx(np.mean(items), rel=1e-13)
         with pytest.raises(ShapeError):
-            kd_loss_ctc(s, t, "l2", weights[:, :3])
+            kd_loss(s, t, "l2", weights[:, :3])
         with pytest.raises(ShapeError):
-            kd_loss_ctc(s, t, "l2")
+            kd_loss(s, t, "l2")
 
 
 class TestGreedyDecode:

@@ -242,5 +242,6 @@ class TestRepetitionRatio:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ContractError):
             repetition_ratio([])
-        with pytest.raises(ContractError):
-            repetition_ratio([(), ()])
+
+    def test_predictions_without_tokens_give_zero(self):
+        assert repetition_ratio([(), ()]) == 0.0

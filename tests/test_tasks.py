@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from oracle_distill import tasks
 from oracle_distill.config import RunConfig
 from oracle_distill.ctc import collapse, min_frames
-from oracle_distill.errors import ContractError
+from oracle_distill.errors import ContractError, ShapeError
 from oracle_distill.harness import generate_dataset
-from oracle_distill.models import CtcModel, ModelConfig
+from oracle_distill.models import CtcModel, ModelConfig, _ids
 from oracle_distill.objectives import TrainConfig, loss_total
 from oracle_distill.tasks import (
     AedTaskSpec,
@@ -288,6 +288,39 @@ def test_padded_stack_matches_the_per_item_loop_and_refuses_a_token_that_is_no_i
     bad = items[:i] + [tuple(tokens) if drawn[i][1] == "tuple" else tokens] + items[i + 1:]
     with pytest.raises(ContractError, match=f"^targets item {i} must hold integer token ids"):
         tasks.padded_stack(bad, "targets")
+
+
+# token strategies by kind; only the first two are integer ids
+_TOKENS = {
+    "int": st.integers(-5, 40),
+    "numpy int": st.tuples(st.integers(-5, 40), st.sampled_from([np.int8, np.int32, np.int64])).map(
+        lambda v: v[1](v[0])),
+    "bool": st.booleans(),
+    "numpy bool": st.booleans().map(np.bool_),
+    "float": st.floats(-50, 50),
+    "string": st.integers(0, 40).map(str),
+}
+_TOKEN_FORMS = {
+    "token_tuple": lambda v: tasks.token_tuple(v, "tokens"),
+    "padded_stack": lambda v: tasks.padded_stack([v], "tokens"),
+    "models._ids": lambda v: _ids(v, "tokens"),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(list(_TOKENS)).flatmap(lambda kind: st.tuples(
+    st.just(kind), st.one_of(st.lists(_TOKENS[kind], min_size=1, max_size=6), _TOKENS[kind]))))
+def test_the_three_token_forms_accept_exactly_the_integer_sequences(case):
+    # a sequence of one kind of token, or a bare token of that kind
+    kind, value = case
+    integer = isinstance(value, list) and kind in ("int", "numpy int")
+    for name, form in _TOKEN_FORMS.items():
+        try:
+            form(value)
+        except (ContractError, ShapeError):
+            assert not integer, f"{name} refused {value!r}"
+        else:
+            assert integer, f"{name} accepted {value!r}"
 
 
 class TestExport:

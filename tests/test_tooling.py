@@ -438,6 +438,27 @@ def test_a_failing_property_fails_alone_under_the_warning_filters(tmp_path):
     assert "1 failed, 1 passed" in run.stdout and "INTERNALERROR" not in run.stdout + run.stderr
 
 
+LEAK_PROBE = """
+def test_a_leaked_file(tmp_path):
+    open(tmp_path / "leaked.txt", "w")
+
+
+def test_a_passing_test():
+    pass
+"""
+
+
+def test_a_leaked_file_fails_its_test_under_the_warning_filters(tmp_path):
+    # a file left open warns when it is collected; the filters make that
+    # warning fail the test that leaked it
+    shutil.copy(ROOT / "pyproject.toml", tmp_path)
+    (tmp_path / "test_probe.py").write_text(LEAK_PROBE)
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_probe.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout and "INTERNALERROR" not in run.stdout + run.stderr
+
+
 def _benchmark_tracing():
     """``perfbench/tracing.py``, loaded by path."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
