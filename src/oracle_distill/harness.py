@@ -5,14 +5,19 @@ metrics.csv, a loss-curve SVG, periodic and final checkpoints, and a
 timing.csv.  Everything in metrics.csv is deterministic for a fixed
 config and seed; wall-clock timings live in their own file so reruns stay
 byte-identical.
+
+``SuiteReport`` holds the one verdict rule of the verification suites: a
+suite passes exactly when every value of its clauses lies in the clause's
+closed range, where a NaN never lies.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,9 +63,11 @@ def parse_metrics_csv(path) -> list[MetricsRecord]:
     rows = []
     for line in lines[1:]:
         step, *values = line.split(",")
-        if len(values) != len(fields(MetricsRecord)) - 1:
-            raise ContractError(f"metrics row {line!r} in {path} does not match the header")
-        rows.append(MetricsRecord(int(step), *(float(v) if v else None for v in values)))
+        try:
+            cells = [float(v) if v else None for v, _ in zip(values, fields(MetricsRecord)[1:], strict=True)]
+            rows.append(MetricsRecord(int(step), *cells))
+        except ValueError:  # a wrong width, a step not an int or a cell not a float
+            raise ContractError(f"metrics row {line!r} in {path} does not match the header") from None
     return rows
 
 
@@ -312,11 +319,27 @@ def loss_curve_svg(records) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+class Clause(NamedTuple):
+    """The values a suite measured over its instances and the closed range
+    ``low .. high`` each must lie in.  It prints its worst value to four
+    digits: the largest, or the smallest when it has no upper bound."""
+
+    values: list
+    low: float = -np.inf
+    high: float = np.inf
+
+
 class SuiteReport:
-    name: str
-    passed: bool
-    details: dict = field(default_factory=dict)
+    """A suite's verdict by the module's rule, and its details in print order."""
+
+    def __init__(self, name: str, **details):
+        self.name, self.passed, self.details = name, True, {}
+        for key, value in details.items():
+            if isinstance(value, Clause):
+                values = np.asarray(value.values, dtype=float)
+                self.passed &= bool(np.all((value.low <= values) & (values <= value.high)))
+                value = f"{values.max() if value.high < np.inf else values.min():.3e}"
+            self.details[key] = value
 
     def lines(self) -> list[str]:
         status = "PASS" if self.passed else "FAIL"
@@ -354,15 +377,9 @@ def check_ctc_suite(n_instances: int = 100, seed: int = 0) -> SuiteReport:
         bf, post_enum = ctc_bruteforce(u, y)
         loss_devs.append(abs(dp - bf))
         post_devs.append(np.abs(post_dp - post_enum).max())
-    # np.max keeps a NaN where the builtin max would drop it and pass
-    max_loss_dev, max_post_dev = float(np.max(loss_devs)), float(np.max(post_devs))
-    passed = max_loss_dev <= 1e-9 and max_post_dev <= 1e-9
-    return SuiteReport(
-        "ctc dp vs enumeration",
-        passed,
-        {"instances": n_instances, "max_loss_dev": f"{max_loss_dev:.3e}",
-         "max_posterior_dev": f"{max_post_dev:.3e}"},
-    )
+    return SuiteReport("ctc dp vs enumeration", instances=n_instances,
+                       max_loss_dev=Clause(loss_devs, high=1e-9),
+                       max_posterior_dev=Clause(post_devs, high=1e-9))
 
 
 def full_gradient_report(model, batch, train_cfg: TrainConfig, mask_seed: int = 0) -> dict:
@@ -393,8 +410,6 @@ def grad_check_suite(seed: int = 0) -> SuiteReport:
         teacher = tt.softmax(Tensor(rng.standard_normal((4, 3))))
         logits = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         kd_errs.append(grad_check(lambda t: kd_loss(tt.softmax(t), teacher, form), logits))
-    # np.max keeps a NaN where the builtin max would drop it and pass
-    worst_ctc, worst_kd = float(np.max(ctc_errs)), float(np.max(kd_errs))
 
     model = CtcModel(
         ModelConfig(task="ctc", vocab_size=3, feature_dim=4, d_model=8,
@@ -407,19 +422,10 @@ def grad_check_suite(seed: int = 0) -> SuiteReport:
         batch.append((rng.standard_normal((5, 4)), y))
     train_cfg = TrainConfig(alpha=2.0, kd_form="l2", seed=seed)
     full = full_gradient_report(model, batch, train_cfg, mask_seed=seed)
-
-    passed = worst_ctc <= 1e-5 and worst_kd <= 1e-5 and full["rel_err"] <= 1e-4
-    return SuiteReport(
-        "gradient vs finite differences",
-        passed,
-        {
-            "ctc_rel_err": f"{worst_ctc:.3e}",
-            "kd_rel_err": f"{worst_kd:.3e}",
-            "objective_rel_err": f"{full['rel_err']:.3e}",
-            "worst_param": f"{full['param']}[{full['index']}]",
-            "coordinates": full["coordinates"],
-        },
-    )
+    return SuiteReport("gradient vs finite differences",
+                       ctc_rel_err=Clause(ctc_errs, high=1e-5), kd_rel_err=Clause(kd_errs, high=1e-5),
+                       objective_rel_err=Clause([full["rel_err"]], high=1e-4),
+                       worst_param=f"{full['param']}[{full['index']}]", coordinates=full["coordinates"])
 
 
 def bound_check_suite(n_instances: int = 200, seed: int = 0, csv_path=None) -> SuiteReport:
@@ -440,12 +446,8 @@ def bound_check_suite(n_instances: int = 200, seed: int = 0, csv_path=None) -> S
         t = int(rng.integers(min_frames(y), 7))
         x = rng.standard_normal((t, 3))
         reports.append(check_lower_bound(model, x, y))
-    # np.min keeps a NaN where the builtin min would drop it and pass
-    min_slack = float(np.min([r.slack for r in reports]))
-
     u = rng.standard_normal((5, 3)) * 2.0
     tight = bound_report_from_logits(u, u, (1, 2))
-    passed = min_slack >= -1e-9 and abs(tight.slack) <= 1e-9
 
     if csv_path is not None:
         Path(csv_path).parent.mkdir(parents=True, exist_ok=True)
@@ -456,9 +458,6 @@ def bound_check_suite(n_instances: int = 200, seed: int = 0, csv_path=None) -> S
                     f"{r.log_likelihood_student!r},{r.neg_kl_bound!r},"
                     f"{r.slack!r},{r.teacher_entropy!r}\n"
                 )
-    return SuiteReport(
-        "jensen lower bound",
-        passed,
-        {"instances": n_instances, "min_slack": f"{min_slack:.3e}",
-         "tight_slack": f"{tight.slack:.3e}"},
-    )
+    return SuiteReport("jensen lower bound", instances=n_instances,
+                       min_slack=Clause([r.slack for r in reports], low=-1e-9),
+                       tight_slack=Clause([tight.slack], -1e-9, 1e-9))

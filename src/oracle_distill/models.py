@@ -34,11 +34,11 @@ so inference records no graph.
 
 Token input is converted once: a list of sequences by
 ``tasks.padded_stack``, and a token array handed to a model method by
-``_ids``, the one int64 cast of token input here; both refuse a float or a
-string token rather than truncate or parse it.  Source, oracle and decoder
-tokens take one embedding path, ``_embed``: the table lookup, the
-sqrt(d_model) scale, and the position encodings from the first new
-position.
+``_ids``, the one int64 cast of token input here; both refuse a float, a
+string or a bool token (``tasks.check_integer_ids``) rather than truncate,
+parse or read it as 0 or 1.  Source, oracle and decoder tokens take one
+embedding path, ``_embed``: the table lookup, the sqrt(d_model) scale, and
+the position encodings from the first new position.
 
 Every forward function takes ``(..., T, d)`` inputs: leading axes are
 items of a batch, padded to one length, and a 2-D input is one unpadded
@@ -83,7 +83,7 @@ import numpy as np
 from . import tensor as tt
 from .ctc import greedy_decode
 from .errors import CheckpointFormatError, ContractError, DomainError, ShapeError, VocabularyError
-from .tasks import padded_stack
+from .tasks import check_integer_ids, padded_stack
 from .tensor import Tensor
 
 MASK = -1  # sentinel for masked target tokens; rendered as the oracle's row 0
@@ -220,13 +220,13 @@ def _key_mask(valid: np.ndarray | None) -> np.ndarray | None:
 
 def _ids(tokens, what: str) -> np.ndarray:
     """``tokens`` as an int64 array of at least one axis: the one
-    conversion of the token arrays that a model method is handed.  A float
-    or a string token is refused, not truncated or parsed."""
+    conversion of the token arrays that a model method is handed.  A float,
+    a string or a bool token is refused, not truncated, parsed or read as 0
+    or 1."""
     ids = np.asarray(tokens)
     if ids.ndim < 1:
         raise ShapeError(f"{what} tokens must be a sequence")
-    if ids.size and ids.dtype.kind not in "iu":  # not a signed or unsigned integer dtype
-        raise ContractError(f"{what} tokens must be integer ids, got {ids.dtype}")
+    check_integer_ids(tokens, ids, f"{what} tokens")
     return ids.astype(np.int64, copy=False)
 
 

@@ -255,11 +255,29 @@ class Batch:
         return len(self.examples)
 
 
+# a Python or numpy bool is no token id, though operator.index and
+# np.asarray read a Python one as an int
+_BOOLS = frozenset((bool, np.bool_))
+
+
 def _token_id(t) -> int:
-    # a bool is an int to operator.index, but not to the array forms
-    if isinstance(t, bool):
+    if type(t) in _BOOLS:
         raise TypeError("a bool is not a token id")
     return operator.index(t)
+
+
+def check_integer_ids(tokens, ids: np.ndarray, what: str) -> None:
+    """Refuse ``ids``, the array of ``tokens``, with a ``ContractError``
+    naming ``what``, unless it holds integer token ids: an integer dtype
+    and no bool among the tokens.  An ndarray's dtype tells that already,
+    so only other ``tokens`` are scanned, at their leaves."""
+    if not ids.size:
+        return
+    leaves = (() if isinstance(tokens, np.ndarray) else tokens if ids.ndim == 1
+              else np.asarray(tokens, dtype=object).flat)
+    if ids.dtype.kind not in "iu" or not _BOOLS.isdisjoint(map(type, leaves)):
+        given = np.asarray(tokens, dtype=object).tolist()
+        raise ContractError(f"{what} must hold integer token ids, got {given}")
 
 
 def token_tuple(seq, what: str) -> tuple[int, ...]:
@@ -287,9 +305,11 @@ def padded_stack(seqs, what: str) -> tuple[np.ndarray, np.ndarray]:
     matrices, ints for token sequences.  This is the one conversion of a
     list of sequences to a padded array: each item is converted once, every
     row beyond the first axis must agree, and a token item must hold
-    integers, so a float or a string token is refused, not truncated or
-    parsed, and a scalar item is refused with a ``ShapeError``.  ``what``
-    names the sequences in errors."""
+    integer ids (``check_integer_ids``), so a float, a string or a bool
+    token is refused, not truncated, parsed or read as 0 or 1, and a scalar
+    item is refused with a ``ShapeError``.  ``what`` names the sequences in
+    errors."""
+    seqs = list(seqs)
     items = [np.asarray(seq) for seq in seqs]
     if not items:
         raise ContractError(f"no {what} given")
@@ -300,11 +320,11 @@ def padded_stack(seqs, what: str) -> tuple[np.ndarray, np.ndarray]:
     tail = items[0].shape[1:]
     dtype = np.float64 if tail else np.int64
     out = np.zeros((len(items), int(lengths.max()), *tail), dtype=dtype)
-    for i, (item, n) in enumerate(zip(items, lengths)):
+    for i, (seq, item, n) in enumerate(zip(seqs, items, lengths)):
         if item.shape[1:] != tail:
             raise ShapeError(f"{what} item {i} has rows of shape {item.shape[1:]}, item 0 {tail}")
-        if not tail and item.size and item.dtype.kind not in "iu":  # not a signed or unsigned integer dtype
-            raise ContractError(f"{what} item {i} must hold integer token ids, got {item.tolist()}")
+        if not tail:
+            check_integer_ids(seq, item, f"{what} item {i}")
         out[i, :n] = item
     return out, lengths
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracle_distill.config import (
     RunConfig,
@@ -17,6 +18,8 @@ from oracle_distill import tensor as T
 from oracle_distill.errors import ConfigError, ContractError
 from oracle_distill.harness import (
     METRICS_HEADER,
+    Clause,
+    SuiteReport,
     bound_check_suite,
     check_ctc_suite,
     evaluate,
@@ -398,6 +401,10 @@ class TestSuites:
             "worst_param": "oracle.enc0.ffn.w1[101]",
             "coordinates": 2136,
         }
+        assert report.lines() == [
+            "[PASS] gradient vs finite differences: ctc_rel_err=1.589e-07, kd_rel_err=3.306e-09, "
+            "objective_rel_err=2.524e-07, worst_param=oracle.enc0.ffn.w1[101], coordinates=2136"
+        ]
 
     def test_ctc_suite_details_at_the_cli_defaults(self):
         report = check_ctc_suite()
@@ -432,12 +439,44 @@ class TestSvg:
         assert svg.startswith("<svg") and svg.endswith("</svg>")
 
 
+# finite floats without a negative zero, whose print could differ from +0's
+_MEASURED = st.floats(-1e3, 1e3).map(lambda v: v + 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_MEASURED, min_size=1, max_size=6), st.data())
+def test_a_suite_passes_exactly_when_every_clause_value_lies_in_its_range(values, data):
+    hi, lo, one = max(values), min(values), values[0]
+    # a worst value on its bound holds; ceilings print the largest value,
+    # floors the smallest, a two-sided clause its signed value, and plain
+    # details print as given, in order
+    report = SuiteReport("suite", instances=len(values), ceiling=Clause(values, high=hi), note="n[1]",
+                         floor=Clause(values, low=lo), both=Clause([one], -abs(one), abs(one)))
+    assert report.passed
+    assert report.lines() == [f"[PASS] suite: instances={len(values)}, ceiling={hi:.3e}, note=n[1], "
+                              f"floor={lo:.3e}, both={one:.3e}"]
+    # one step past a bound, or a NaN at any position, fails the suite
+    i = data.draw(st.integers(0, len(values)))
+    with_nan = values[:i] + [math.nan] + values[i:]
+    for bad in (Clause([*values, np.nextafter(hi, np.inf)], high=hi),
+                Clause([*values, np.nextafter(lo, -np.inf)], low=lo),
+                Clause([np.nextafter(abs(one), np.inf)], -abs(one), abs(one)),
+                Clause([np.nextafter(-abs(one), -np.inf)], -abs(one), abs(one)),
+                Clause(with_nan, high=hi), Clause(with_nan, low=lo)):
+        assert not SuiteReport("suite", good=Clause(values, high=hi), bad=bad).passed
+
+
 def test_metrics_header_is_versioned_contract():
     assert METRICS_HEADER == "step,l_org,l_em,l_kd,l_total,ter_student,ter_teacher,rep_ratio"
 
 
-def test_metrics_row_of_the_wrong_width_is_refused(tmp_path):
+@pytest.mark.parametrize("row", ["1,0.5,0.5,0.5,1.5,,", "1,0.5,0.5,x,1.5,,,", "1.5,0.5,0.5,0.5,1.5,,,"],
+                         ids=["short-row", "non-number-cell", "fractional-step"])
+def test_metrics_row_of_the_wrong_width_is_refused(tmp_path, row):
+    # a short row, a cell that is not a number and a step that is not an
+    # integer are each refused, naming the row and the file
     path = tmp_path / "metrics.csv"
-    path.write_text(f"{METRICS_HEADER}\n1,0.5,0.5,0.5,1.5,,\n")
-    with pytest.raises(ContractError, match="does not match the header"):
+    path.write_text(f"{METRICS_HEADER}\n{row}\n")
+    with pytest.raises(ContractError, match="does not match the header") as refused:
         parse_metrics_csv(path)
+    assert repr(row) in str(refused.value) and str(path) in str(refused.value)

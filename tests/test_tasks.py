@@ -307,11 +307,21 @@ _TOKEN_FORMS = {
 }
 
 
+# integer ids with one Python or numpy bool among them, which np.asarray
+# would read as 0 or 1 in an integer dtype
+_INTS_AND_A_BOOL = st.tuples(
+    st.lists(st.one_of(_TOKENS["int"], _TOKENS["numpy int"]), min_size=1, max_size=5),
+    st.one_of(_TOKENS["bool"], _TOKENS["numpy bool"]), st.integers(0, 5),
+).map(lambda v: ("ints and a bool", v[0][:v[2]] + [v[1]] + v[0][v[2]:]))
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from(list(_TOKENS)).flatmap(lambda kind: st.tuples(
-    st.just(kind), st.one_of(st.lists(_TOKENS[kind], min_size=1, max_size=6), _TOKENS[kind]))))
+@given(st.one_of(st.sampled_from(list(_TOKENS)).flatmap(lambda kind: st.tuples(
+    st.just(kind), st.one_of(st.lists(_TOKENS[kind], min_size=1, max_size=6), _TOKENS[kind]))),
+    _INTS_AND_A_BOOL))
 def test_the_three_token_forms_accept_exactly_the_integer_sequences(case):
-    # a sequence of one kind of token, or a bare token of that kind
+    # a sequence of one kind of token, or a bare token of that kind, or
+    # integer ids with a bool among them
     kind, value = case
     integer = isinstance(value, list) and kind in ("int", "numpy int")
     for name, form in _TOKEN_FORMS.items():

@@ -459,6 +459,26 @@ def test_a_leaked_file_fails_its_test_under_the_warning_filters(tmp_path):
     assert "1 failed, 1 passed" in run.stdout and "INTERNALERROR" not in run.stdout + run.stderr
 
 
+MARKER_PROBE = """
+import pytest
+
+
+@pytest.mark.slwo
+def test_a_misspelled_marker():
+    pass
+"""
+
+
+def test_an_unregistered_marker_fails_under_the_strict_settings(tmp_path):
+    # a mistyped marker stops collection instead of warning
+    shutil.copy(ROOT / "pyproject.toml", tmp_path)
+    (tmp_path / "test_probe.py").write_text(MARKER_PROBE)
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_probe.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode != 0, run.stdout + run.stderr
+    assert "'slwo' not found in `markers` configuration option" in run.stdout + run.stderr
+
+
 def _benchmark_tracing():
     """``perfbench/tracing.py``, loaded by path."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
