@@ -270,12 +270,16 @@ def check_integer_ids(tokens, ids: np.ndarray, what: str) -> None:
     """Refuse ``ids``, the array of ``tokens``, with a ``ContractError``
     naming ``what``, unless it holds integer token ids: an integer dtype
     and no bool among the tokens.  An ndarray's dtype tells that already,
-    so only other ``tokens`` are scanned, at their leaves."""
+    so only other ``tokens`` are scanned, at their leaves; a leaf that is
+    a 0-d array counts by its dtype, since a bool one reads as 0 or 1."""
     if not ids.size:
         return
     leaves = (() if isinstance(tokens, np.ndarray) else tokens if ids.ndim == 1
-              else np.asarray(tokens, dtype=object).flat)
-    if ids.dtype.kind not in "iu" or not _BOOLS.isdisjoint(map(type, leaves)):
+              else np.asarray(tokens, dtype=object).ravel())
+    kinds = set(map(type, leaves))
+    if np.ndarray in kinds:
+        kinds.update(t.dtype.type for t in leaves if type(t) is np.ndarray)
+    if ids.dtype.kind not in "iu" or not _BOOLS.isdisjoint(kinds):
         given = np.asarray(tokens, dtype=object).tolist()
         raise ContractError(f"{what} must hold integer token ids, got {given}")
 

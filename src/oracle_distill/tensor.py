@@ -34,6 +34,25 @@ two of them: ``project_heads`` is a projection split into heads, and
 ``attention`` takes head-split queries, keys and values through the masked
 softmax to the merged heads' output projection.  ``feed_forward`` is the
 whole position-wise feed-forward sublayer, ``relu(x @ w1 + b1) @ w2 + b2``.
+
+``finite_differences`` checks analytic gradients against central
+differences, two evaluations of the objective per coordinate, and each
+coordinate's pair is independent of every other.  So its coordinates,
+laid end to end tensor by tensor, are cut into contiguous shares, one per
+CPU in ``os.sched_getaffinity(0)`` but each of at least ``FD_MIN_SHARE``
+= 64 coordinates, and every share after the first is computed by a forked
+child while the calling process computes the first.  The minimum is sized
+from measurements on a 2-core host: a forked share costs one fork, pipe,
+exit and reap round trip of 1.2-1.5 ms in a process that has run the
+three exactness suites, and a coordinate costs at least about 47 us, two
+evaluations of the cheapest objective the package checks (the CTC rule
+on 6 x 4 logits); so a share's work is at least twice its fork, and a
+check of fewer than 128 coordinates stays in one process.  Without
+``os.fork`` there is one share.  The result is bit-identical to one
+share's: a child runs the same code on the same parameter values, copied
+by the fork, and sends each difference as its raw float64 bytes, and the
+calling process scores the differences in the same tensor-by-tensor
+order.
 """
 
 from __future__ import annotations
@@ -41,6 +60,8 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import os
+import signal
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,6 +77,10 @@ LAYER_NORM_EPS = 1e-5
 
 # central-difference step of ``finite_differences``
 FD_STEP = 1e-5
+
+# fewest coordinates in a share of ``finite_differences``, sized from the
+# fork round trip as the module docstring says
+FD_MIN_SHARE = 64
 
 
 @contextlib.contextmanager
@@ -565,16 +590,117 @@ def pick(a: Tensor, ids) -> Tensor:
     return _node(np.take_along_axis(a.data, at, axis=-1)[..., 0], (a,), bwd)
 
 
+def _shares(n: int) -> list[tuple[int, int]]:
+    """``n`` coordinates cut into contiguous (start, stop) shares: one per
+    CPU this process may run on, but only as many as leave every share at
+    least ``FD_MIN_SHARE`` coordinates, and one share without ``os.fork``."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    count = max(1, min(cpus, n // FD_MIN_SHARE))
+    bounds = [n * s // count for s in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _differences(f: Callable[[], Tensor], coords) -> np.ndarray:
+    """The central differences of ``f`` at each (flat data, index) of
+    ``coords``; every coordinate is restored, also when ``f`` raises."""
+    numeric = np.empty(len(coords))
+    for j, (flat, i) in enumerate(coords):
+        orig = flat[i]
+        try:
+            with no_grad():  # only the analytic pass is replayed
+                flat[i] = orig + FD_STEP
+                fp = f().item()
+                flat[i] = orig - FD_STEP
+                fm = f().item()
+        finally:
+            flat[i] = orig
+        numeric[j] = (fp - fm) / (2.0 * FD_STEP)
+    return numeric
+
+
+def _fork_share(f: Callable[[], Tensor], coords) -> tuple[int, int] | None:
+    """A forked child that writes ``_differences(f, coords)`` as raw
+    float64 bytes to a pipe and exits: (its pid, the pipe's read end), or
+    None when no child can be made."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        # the child leaves by os._exit on every path: it must not return
+        # into its copy of the caller, and a failure reads as status 1
+        status = 1
+        try:
+            os.close(r)
+            data = _differences(f, coords).tobytes()
+            with open(w, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, r
+
+
+def _reap(pid: int, r: int) -> np.ndarray | None:
+    """What the child ``pid`` wrote to ``r``, once it has exited, or None
+    when it failed."""
+    with open(r, "rb") as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    return None if status else np.frombuffer(data)
+
+
+def _central_differences(f: Callable[[], Tensor], coords) -> np.ndarray:
+    """``_differences(f, coords)``, its shares (``_shares``) after the
+    first each computed by a forked child while this process computes the
+    first.  A share whose child fails, or could not be forked, is computed
+    here after all children are reaped, so it raises what ``f`` raises; if
+    the first share raises, the children are killed and reaped first."""
+    shares = _shares(len(coords))
+    children = []
+    try:
+        for lo, hi in shares[1:]:
+            children.append(_fork_share(f, coords[lo:hi]))
+        parts = [_differences(f, coords[slice(*shares[0])])]
+    except BaseException:
+        for child in children:
+            if child is not None:
+                os.kill(child[0], signal.SIGKILL)
+        raise
+    finally:
+        done = [None if child is None else _reap(*child) for child in children]
+    for (lo, hi), part in zip(shares[1:], done):
+        parts.append(_differences(f, coords[lo:hi]) if part is None else part)
+    return np.concatenate(parts)
+
+
 def finite_differences(f: Callable[[], Tensor], tensors: Sequence[Tensor]):
     """Worst relative error of the analytic gradient of the deterministic
     scalar ``f()`` over every coordinate of ``tensors``, whose ``grad`` is
     cleared before and after.
 
     A coordinate's error is |analytic - numeric| / max(1e-8, |numeric|),
-    numeric by central differences.  The scan goes tensor by tensor, and
-    only a strictly larger error (or a NaN) replaces the worst.  Returns
-    (worst error, position of its tensor, its flat index, coordinates
-    checked); position and index are None when no error exceeds 0.
+    numeric by central differences.  The coordinates, tensor by tensor,
+    are cut into contiguous shares, one per CPU of ``os.sched_getaffinity``
+    but each of at least ``FD_MIN_SHARE`` = 64, since a forked share costs
+    a round trip of 1.2-1.5 ms and a coordinate at least about 47 us (see
+    the module docstring); every share after the first is computed by a
+    forked child (``_central_differences``).  A child runs the same code
+    on the same values and sends its differences as raw float64 bytes, so
+    the result is bit-identical to that of one share.  The scan then goes
+    tensor by tensor, and only a strictly larger error (or a NaN) replaces
+    the worst.  Returns (worst error, position of its tensor, its flat
+    index, coordinates checked); position and index are None when no error
+    exceeds 0.  When ``f`` raises at some coordinate, the exception of the
+    first such coordinate propagates, as from a scan in one process, and
+    every parameter keeps its value.
     """
     for x in tensors:
         x.grad = None
@@ -582,28 +708,18 @@ def finite_differences(f: Callable[[], Tensor], tensors: Sequence[Tensor]):
     analytic = [np.zeros_like(x.data) if x.grad is None else x.grad for x in tensors]
     for x in tensors:
         x.grad = None
-    worst, at, checked = 0.0, (None, None), 0
-    for pos, (x, a) in enumerate(zip(tensors, analytic)):
-        flat = x.data.reshape(-1)
-        numeric = np.empty(flat.size)
-        for i in range(flat.size):
-            orig = flat[i]
-            try:
-                with no_grad():  # only the analytic pass above is replayed
-                    flat[i] = orig + FD_STEP
-                    fp = f().item()
-                    flat[i] = orig - FD_STEP
-                    fm = f().item()
-            finally:  # the parameter is restored even when f raises
-                flat[i] = orig
-            numeric[i] = (fp - fm) / (2.0 * FD_STEP)
-        rel = np.abs(a.reshape(-1) - numeric) / np.maximum(1e-8, np.abs(numeric))
-        checked += flat.size
+    flats = [x.data.reshape(-1) for x in tensors]
+    numeric = _central_differences(f, [(flat, i) for flat in flats for i in range(flat.size)])
+    worst, at, start = 0.0, (None, None), 0
+    for pos, (flat, a) in enumerate(zip(flats, analytic)):
+        num = numeric[start:start + flat.size]
+        start += flat.size
+        rel = np.abs(a.reshape(-1) - num) / np.maximum(1e-8, np.abs(num))
         if rel.size:
             i = int(np.argmax(rel))  # the first of the largest, or the first NaN
             if rel[i] > worst or np.isnan(rel[i]):
                 worst, at = float(rel[i]), (pos, i)
-    return worst, *at, checked
+    return worst, *at, start
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor) -> float:

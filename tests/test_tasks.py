@@ -307,11 +307,11 @@ _TOKEN_FORMS = {
 }
 
 
-# integer ids with one Python or numpy bool among them, which np.asarray
-# would read as 0 or 1 in an integer dtype
+# integer ids with one Python or numpy bool, or 0-d bool array, among
+# them, which np.asarray would read as 0 or 1 in an integer dtype
 _INTS_AND_A_BOOL = st.tuples(
     st.lists(st.one_of(_TOKENS["int"], _TOKENS["numpy int"]), min_size=1, max_size=5),
-    st.one_of(_TOKENS["bool"], _TOKENS["numpy bool"]), st.integers(0, 5),
+    st.one_of(_TOKENS["bool"], _TOKENS["numpy bool"], st.booleans().map(np.array)), st.integers(0, 5),
 ).map(lambda v: ("ints and a bool", v[0][:v[2]] + [v[1]] + v[0][v[2]:]))
 
 
@@ -331,6 +331,13 @@ def test_the_three_token_forms_accept_exactly_the_integer_sequences(case):
             assert not integer, f"{name} refused {value!r}"
         else:
             assert integer, f"{name} accepted {value!r}"
+
+
+@pytest.mark.parametrize("name", sorted(_TOKEN_FORMS))
+def test_a_0d_bool_array_among_int_tokens_is_refused(name):
+    # its type is ndarray, not bool, and np.asarray reads it as 0 or 1
+    with pytest.raises(ContractError, match="integer token ids"):
+        _TOKEN_FORMS[name]([2, np.array(False), 3])
 
 
 class TestExport:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -510,6 +512,77 @@ def test_finite_differences_restores_a_parameter_when_the_objective_raises():
     with pytest.raises(DomainError):
         grad_check(lambda t: T.sum_all(T.log(t)), x)
     assert x.data.tobytes() == before
+
+
+def _on_cpus(monkeypatch, n):
+    """``finite_differences`` as if this process could run on n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cubes_with_one_wrong_gradient(a, b, calls):
+    """(sum a^3 + sum b^3) / 3, whose rule is wrong at b[30]; each call in
+    this process appends to ``calls``."""
+    def f():
+        calls.append(None)
+        value = (np.sum(a.data ** 3) + np.sum(b.data ** 3)) / 3.0
+
+        def bwd(g):
+            gb = b.data ** 2 * g
+            gb[30] *= 1.001
+            return a.data ** 2 * g, gb
+
+        return T.custom_op(value, (a, b), bwd)
+
+    return f
+
+
+@pytest.mark.parametrize("fork", ["forks", "cannot fork"])
+def test_a_split_scan_gives_the_result_of_one_share(fork, monkeypatch):
+    # 3 FD_MIN_SHARE coordinates on two CPUs make two shares, cut inside
+    # a; the wrong coordinate lies in b, in the share after the first
+    rng = np.random.default_rng(5)
+    a, b = rand_tensor(rng, (2 * T.FD_MIN_SHARE,)), rand_tensor(rng, (T.FD_MIN_SHARE,))
+    n = a.size + b.size
+    calls = []
+    _on_cpus(monkeypatch, 1)
+    one_share = T.finite_differences(_cubes_with_one_wrong_gradient(a, b, calls), [a, b])
+    assert len(calls) == 1 + 2 * n
+    if fork == "cannot fork":
+        def no_fork():
+            raise OSError("no fork")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    _on_cpus(monkeypatch, 2)
+    calls.clear()
+    split = T.finite_differences(_cubes_with_one_wrong_gradient(a, b, calls), [a, b])
+    assert split == one_share and split[1:] == (1, 30, n) and split[0] > 1e-4
+    # the analytic pass and the first share ran here, the rest in a child
+    # unless none could be forked
+    assert len(calls) == 1 + 2 * (n if fork == "cannot fork" else n // 2)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("at", [5, -5])
+def test_a_split_scan_raises_what_one_share_raises(at, monkeypatch):
+    # the -FD_STEP probe of x[at] leaves log's domain, in the first share
+    # or in a child's
+    x = Tensor(np.full(3 * T.FD_MIN_SHARE, 2.0), requires_grad=True)
+    x.data[at] = 5e-6
+    before = x.data.tobytes()
+    raised = []
+    for cpus in (1, 2):
+        _on_cpus(monkeypatch, cpus)
+        with pytest.raises(DomainError) as info:
+            grad_check(lambda t: T.sum_all(T.log(t)), x)
+        raised.append((type(info.value), str(info.value)))
+        assert x.data.tobytes() == before
+        _no_child_left()
+    assert raised[0] == raised[1]
 
 
 def test_tape_orders_by_execution():

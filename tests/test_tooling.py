@@ -459,6 +459,34 @@ def test_a_leaked_file_fails_its_test_under_the_warning_filters(tmp_path):
     assert "1 failed, 1 passed" in run.stdout and "INTERNALERROR" not in run.stdout + run.stderr
 
 
+CHILD_PROBE = """
+import os
+
+
+def test_a_child_left_unreaped():
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # exited, not reaped
+
+
+def test_a_passing_test():
+    pass
+"""
+
+
+def test_a_child_process_left_unreaped_fails_its_test(tmp_path):
+    # the autouse fixture of tests/conftest.py fails the test after which
+    # a child process is left, running or exited
+    shutil.copy(ROOT / "pyproject.toml", tmp_path)
+    shutil.copy(ROOT / "tests" / "conftest.py", tmp_path)
+    (tmp_path / "test_probe.py").write_text(CHILD_PROBE)
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_probe.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "2 passed, 1 error" in run.stdout and "left a child process unreaped (pid" in run.stdout
+
+
 MARKER_PROBE = """
 import pytest
 
