@@ -2,6 +2,7 @@
 optimizer step, checkpoint writes, the output-directory lock and target
 validation."""
 
+import errno
 import os
 import subprocess
 import sys
@@ -121,6 +122,33 @@ class TestLock:
         (tmp_path / ".lock").touch()
         with pytest.raises(ContractError, match="holder unknown"):
             _acquire_lock(tmp_path)
+
+    def test_a_pid_that_cannot_be_written_leaves_no_lock(self, tmp_path, monkeypatch):
+        real_fdopen = os.fdopen
+
+        class FullDisk:
+            """The lock file, whose write fails as on a full disk."""
+
+            def __init__(self, fd, *args, **kwargs):
+                self.fh = real_fdopen(fd, *args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        cfg = RunConfig(task="ctc", steps=2, n_examples=40)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness.os, "fdopen", FullDisk)
+            with pytest.raises(OSError) as info:
+                train_run(cfg, tmp_path / "run")
+        assert info.value.errno == errno.ENOSPC
+        assert not (tmp_path / "run" / ".lock").exists()
+        assert len(train_run(cfg, tmp_path / "run").records) == 2
 
 
 def _aed():

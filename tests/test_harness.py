@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -420,6 +421,46 @@ class TestSuites:
             "[PASS] jensen lower bound: instances=200, "
             "min_slack=0.000e+00, tight_slack=-4.441e-16"
         ]
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+            "3fb282757e89aaa0272645df439864396b1dbdd9b4cbd592f9ba28ff07aabf6b"
+        )
+
+
+# what each suite prints at its CLI defaults
+GOLDEN_SUITE_LINES = {
+    "check-ctc": ["[PASS] ctc dp vs enumeration: instances=100, "
+                  "max_loss_dev=1.776e-15, max_posterior_dev=1.110e-15"],
+    "grad-check": ["[PASS] gradient vs finite differences: ctc_rel_err=1.240e-06, kd_rel_err=8.277e-10, "
+                   "objective_rel_err=3.669e-06, worst_param=oracle.enc0.ffn.w2[90], coordinates=2136"],
+    "bound-check": ["[PASS] jensen lower bound: instances=200, min_slack=0.000e+00, tight_slack=-4.441e-16"],
+}
+
+
+@pytest.mark.parametrize("split", ["1 cpu", "3 cpus", "cannot fork"])
+@pytest.mark.parametrize("suite", sorted(GOLDEN_SUITE_LINES))
+def test_the_suites_print_their_golden_lines_under_every_split(suite, split, tmp_path, monkeypatch, capsys):
+    # on 3 CPUs each suite's one large map (check-ctc's 100 instances,
+    # grad-check's 2136 objective coordinates, bound-check's 200
+    # instances) tries two forks; every other map stays in one process
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(None)
+        if split == "cannot fork":
+            raise OSError("no fork")
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1 if split == "1 cpu" else 3)),
+                        raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    out = ["--out", str(tmp_path)] if suite == "bound-check" else []
+    assert cli.main([suite, *out]) == 0
+    csv = tmp_path / "bound_report.csv"
+    notes = [f"report: {csv}"] if suite == "bound-check" else []
+    assert capsys.readouterr().out.splitlines() == GOLDEN_SUITE_LINES[suite] + notes
+    assert len(forks) == (0 if split == "1 cpu" else 2)
+    if suite == "bound-check":
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
             "3fb282757e89aaa0272645df439864396b1dbdd9b4cbd592f9ba28ff07aabf6b"
         )
