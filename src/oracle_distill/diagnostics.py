@@ -13,6 +13,10 @@ teacher's conditional path posterior.  Note the student path probability
 inside the bound is NOT renormalized over the alignment set, while the
 conditional KL reported alongside uses the renormalized form; the two
 quantities differ by exactly the student log-likelihood.
+
+The functions that read a model (``check_lower_bound``,
+``frame_posteriors``, ``fusion_attention``) read only the values of its
+outputs, so they run under ``tensor.no_grad`` and record no graph.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 from .ctc import path_log_probs, scored_paths, validated_inputs
 from .errors import ContractError, ShapeError
 from .models import CtcModel
-from .tensor import log_softmax_rows
+from .tensor import log_softmax_rows, no_grad
 
 
 @dataclass
@@ -100,11 +104,12 @@ def bound_report_from_logits(student_logits, teacher_logits, y) -> BoundReport:
     )
 
 
+@no_grad()
 def check_lower_bound(model: CtcModel, x, y) -> BoundReport:
     """Bound report for a frame-classifier model on one instance."""
     hidden = model.encode(x)
     u_s = model.student_head(hidden)
-    u_t = model.teacher_logits(hidden, y)
+    u_t = model.teacher_logits(hidden, model.oracle_guidance(y))
     return bound_report_from_logits(u_s.data, u_t.data, y)
 
 
@@ -113,12 +118,13 @@ def check_lower_bound(model: CtcModel, x, y) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
+@no_grad()
 def frame_posteriors(model: CtcModel, x, y=None) -> dict[str, np.ndarray]:
     """Frame-level softmax grids; the teacher grid needs the target."""
     hidden = model.encode(x)
     grids = {"student": np.exp(log_softmax_rows(model.student_head(hidden).data))}
     if y is not None:
-        u_t = model.teacher_logits(hidden, y)
+        u_t = model.teacher_logits(hidden, model.oracle_guidance(y))
         grids["teacher"] = np.exp(log_softmax_rows(u_t.data))
     return grids
 
@@ -139,6 +145,7 @@ def dump_alignment(model: CtcModel, x, y, path) -> None:
     _write_cells(path, "frame,label,prob,mode", frame_posteriors(model, x, y).items())
 
 
+@no_grad()
 def fusion_attention(model, x, y) -> list[np.ndarray]:
     """Cross-attention score matrices of the fusion module, one per layer.
 

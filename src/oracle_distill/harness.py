@@ -20,10 +20,21 @@ at least about 0.05 ms, so a share's work outweighs its fork, and a suite
 of fewer than 64 instances stays in one process.  The report and
 ``bound_report.csv`` are assembled in instance order by the calling
 process, bit-identical to a serial loop's.
+
+grad-check's full-objective clause (``full_gradient_report``) follows
+the three stages of ``objectives.loss_total``: the source encoding, the
+oracle guidance and ``loss_terms``.  Each tensor belongs to the first
+stage that reads it, found from the ``ParamStore`` read counters of one
+pass of each stage; a tensor that no stage reads belongs to the last.  A
+run of tensors of one stage is scanned by re-running that stage and the
+ones after it on the earlier stages' fixed outputs, so the grad-check
+model's 2136 coordinates cost 2419 guidance and 1218 encoder passes
+instead of 4273 of each, and the report is bit-identical to one scan's.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from dataclasses import dataclass, fields
@@ -38,7 +49,7 @@ from .diagnostics import check_lower_bound, bound_report_from_logits, repetition
 from .errors import ConfigError, ContractError
 from .metrics import exact_match_rate, token_error_rate
 from .models import AUX_PREFIXES, CtcModel, ModelConfig, build_model, save_checkpoint
-from .objectives import Adam, TrainConfig, kd_loss, loss_total, teacher_targets
+from .objectives import Adam, TrainConfig, kd_loss, loss_terms, loss_total, teacher_targets, teacher_view
 from .shares import share_map
 from .tasks import Batch, batch_iter, gen_aed_dataset, gen_ctc_dataset, split_examples
 from .tensor import Tensor, backward, finite_differences, grad_check
@@ -410,15 +421,69 @@ def check_ctc_suite(n_instances: int = 100, seed: int = 0) -> SuiteReport:
                        max_posterior_dev=Clause(devs[:, 1], high=1e-9))
 
 
+def _run_counting_reads(store, f):
+    """``f()`` and the names of the parameters it read from ``store``,
+    whose read counters it resets first."""
+    store.reset_reads()
+    return f(), set(store.reads)
+
+
 def full_gradient_report(model, batch, train_cfg: TrainConfig, mask_seed: int = 0) -> dict:
     """Finite-difference check of the combined objective over every
-    parameter coordinate of the model, by ``tensor.finite_differences``."""
+    parameter coordinate of the model, by ``tensor.finite_differences``,
+    re-running only the stages of ``loss_total`` that a tensor reaches.
+
+    Each stage (the encoding, the oracle guidance, ``loss_terms``) runs
+    once without a graph, its ``ParamStore`` reads counted apart; a tensor
+    belongs to the first stage that reads it, and one that no stage reads
+    to the last.  The store order is cut into maximal runs of one stage,
+    and each run is one ``finite_differences`` scan of its stage's
+    objective: ``loss_total`` for the encoding's tensors, ``loss_terms`` of
+    the fixed encoding and a live guidance for the guidance's, and
+    ``loss_terms`` of both fixed for the rest.  The teacher's masks are
+    drawn once from ``default_rng(mask_seed)``, as every evaluation of
+    ``loss_total`` here draws them.  A stage whose inputs and parameters
+    are unchanged gives the same bits, and the runs' results are folded in
+    order by the scan's own rule (only a strictly larger error, or a NaN,
+    replaces the worst), so the report is that of one scan over every
+    tensor, exceptions included.  Every tensor's ``grad`` is None after.
+    """
     names, tensors = zip(*model.store.items())
     batch = Batch(batch)
-    rel_err, pos, index, checked = finite_differences(
-        lambda: loss_total(model, batch, train_cfg, np.random.default_rng(mask_seed)).total, tensors
+    seen = teacher_view(model, batch, train_cfg, np.random.default_rng(mask_seed))
+
+    def guide():
+        return None if seen is None else model.oracle_guidance(*seen)
+
+    with tt.no_grad():
+        encoded, read_encode = _run_counting_reads(model.store,
+                                                   lambda: model.encode(batch.sources, batch.lengths))
+        guidance, read_guide = _run_counting_reads(model.store, guide)
+        _, read_terms = _run_counting_reads(
+            model.store, lambda: loss_terms(model, encoded, guidance, batch, train_cfg))
+    stage_of = {}
+    for stage, read in enumerate((read_encode, read_guide, read_terms)):
+        for name in read:
+            stage_of.setdefault(name, stage)
+    stage_objective = (
+        lambda: loss_total(model, batch, train_cfg, np.random.default_rng(mask_seed)).total,
+        lambda: loss_terms(model, encoded, guide(), batch, train_cfg).total,
+        lambda: loss_terms(model, encoded, guidance, batch, train_cfg).total,
     )
-    return {"rel_err": rel_err, "param": None if pos is None else names[pos], "index": index,
+    last = len(stage_objective) - 1
+    worst, at, checked = 0.0, (None, None), 0
+    try:
+        for stage, run in itertools.groupby(range(len(names)), lambda i: stage_of.get(names[i], last)):
+            run = list(run)
+            rel_err, pos, index, n = finite_differences(stage_objective[stage], [tensors[i] for i in run])
+            if rel_err > worst or np.isnan(rel_err):
+                worst, at = rel_err, (run[pos], index)
+            checked += n
+    finally:
+        for t in tensors:
+            t.grad = None
+    pos, index = at
+    return {"rel_err": worst, "param": None if pos is None else names[pos], "index": index,
             "coordinates": checked}
 
 

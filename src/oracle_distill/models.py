@@ -16,21 +16,23 @@ sublayer's input, so zeroing the sublayer's output projection still turns
 it into the identity, which is what the structural reduction tests rely on.
 
 Both models map one source encoding to student logits with
-``student_head`` and to teacher logits with ``teacher_logits``.  For the
-CTC model these are the one path per head, shared by the objective, the
-diagnostics and inference.  The encoder-decoder's heads take other paths:
-training runs both from one teacher-forced decoder pass
-(``student_and_teacher_logits``; the decoder body is shared, so it runs
-once over the ``(2B, ...)`` stack of the encoded sources and the fused
-memory, and each head reads its own B rows), the objective with the
-teacher off runs ``student_head``, and inference decodes greedily
-(``_greedy``) through ``decode_logits``.  Its ``teacher_logits`` is only
-the two-pass reference that the tests and the benchmark call.
-``predict`` and ``predict_teacher`` take a list of items and decode them
-all from one padded stack (``tasks.padded_stack``); the encoder-decoder
-greedy decode is one loop over the whole stack, run through either head.
-Every ``predict`` and ``predict_teacher`` runs under ``tensor.no_grad``,
-so inference records no graph.
+``student_head``, and one source encoding and the ``oracle_guidance`` of
+the (masked) target to teacher logits with ``teacher_logits``; every
+teacher path takes the guidance already computed and joins it to the
+encoding through ``fuse``.  For the CTC model these are the one path per
+head, shared by the objective, the diagnostics and inference.  The
+encoder-decoder's heads take other paths: training runs both from one
+teacher-forced decoder pass (``student_and_teacher_logits``; the decoder
+body is shared, so it runs once over the ``(2B, ...)`` stack of the
+encoded sources and the fused memory, and each head reads its own B
+rows), the objective with the teacher off runs ``student_head``, and
+inference decodes greedily (``_greedy``) through ``decode_logits``.  Its
+``teacher_logits`` is only the two-pass reference that the tests and the
+benchmark call.  ``predict`` and ``predict_teacher`` take a list of items
+and decode them all from one padded stack (``tasks.padded_stack``); the
+encoder-decoder greedy decode is one loop over the whole stack, run
+through either head.  Every ``predict`` and ``predict_teacher`` runs
+under ``tensor.no_grad``, so inference records no graph.
 
 Token input is converted once: a list of sequences by
 ``tasks.padded_stack``, and a token array handed to a model method by
@@ -411,12 +413,6 @@ class _TransformerBase:
         x = self._embed("oracle.embed", np.where(masked, 0, ids))
         return self._encoder_block("oracle.enc0", x, _key_mask(valid))
 
-    def _guided(self, rep: Tensor, tokens, lengths, token_lengths) -> Tensor:
-        """``fuse`` of ``rep`` with the oracle guidance of ``tokens``;
-        ``lengths`` and ``token_lengths`` are those of padded stacks."""
-        guidance = self.oracle_guidance(tokens, token_lengths)
-        return self.fuse(rep, guidance, lengths=lengths, guidance_lengths=token_lengths)
-
     def fuse(self, rep: Tensor, guidance: Tensor, capture=None, lengths=None,
              guidance_lengths=None) -> Tensor:
         """Combine the sequence model's representation with oracle guidance.
@@ -476,11 +472,13 @@ class CtcModel(_TransformerBase):
         """Student frame logits from an already-encoded representation."""
         return self._head("seq.out", hidden)
 
-    def teacher_logits(self, hidden: Tensor, tokens, lengths=None, target_lengths=None) -> Tensor:
-        """Teacher frame logits from an already-encoded representation;
-        ``lengths`` are the frames of a padded ``hidden``, and
-        ``target_lengths`` those of the padded ``tokens``."""
-        return self._head("teacher_out", self._guided(hidden, tokens, lengths, target_lengths))
+    def teacher_logits(self, hidden: Tensor, guidance: Tensor, lengths=None, target_lengths=None) -> Tensor:
+        """Teacher frame logits from an already-encoded representation and
+        the ``oracle_guidance`` of the targets; ``lengths`` are the frames
+        of a padded ``hidden``, and ``target_lengths`` those of the padded
+        targets."""
+        return self._head("teacher_out", self.fuse(hidden, guidance, lengths=lengths,
+                                                   guidance_lengths=target_lengths))
 
     @tt.no_grad()
     def predict(self, sources) -> list[tuple[int, ...]]:
@@ -493,7 +491,8 @@ class CtcModel(_TransformerBase):
     def predict_teacher(self, sources, targets) -> list[tuple[int, ...]]:
         """Collapsed greedy decodes of frame matrices with their targets."""
         feats, lengths, tokens, target_lengths = _padded_pairs(sources, targets)
-        logits = self.teacher_logits(self.encode(feats, lengths), tokens, lengths, target_lengths)
+        guidance = self.oracle_guidance(tokens, target_lengths)
+        logits = self.teacher_logits(self.encode(feats, lengths), guidance, lengths, target_lengths)
         return _collapsed_rows(logits, lengths)
 
 
@@ -610,13 +609,14 @@ class AedModel(_TransformerBase):
         ``target``."""
         return self._teacher_forced(memory, target, ("seq.out",), lengths, target_lengths)[0]
 
-    def teacher_logits(self, memory: Tensor, target, masked_target, lengths=None,
+    def teacher_logits(self, memory: Tensor, target, guidance: Tensor, lengths=None,
                        target_lengths=None) -> Tensor:
-        """Teacher-forced logits attending to the fused memory.
+        """Teacher-forced logits attending to the memory fused with
+        ``guidance``, the ``oracle_guidance`` of the masked target.
 
         The decoder body is shared with the student; only the fusion
         modules, oracle encoder, and output head are auxiliary.  The
-        lengths are as for ``student_head``; ``masked_target`` is padded
+        lengths are as for ``student_head``; the masked target is padded
         like ``target``.
 
         No package code calls it: training runs both heads through
@@ -624,10 +624,10 @@ class AedModel(_TransformerBase):
         that ``tests/test_batched.py`` checks the joint pass against, and
         ``perfbench/tracing.py`` wraps it by name.
         """
-        fused = self._guided(memory, masked_target, lengths, target_lengths)
+        fused = self.fuse(memory, guidance, lengths=lengths, guidance_lengths=target_lengths)
         return self._teacher_forced(fused, target, ("teacher_out",), lengths, target_lengths)[0]
 
-    def student_and_teacher_logits(self, memory: Tensor, target, masked_target, lengths,
+    def student_and_teacher_logits(self, memory: Tensor, target, guidance: Tensor, lengths,
                                    target_lengths) -> tuple[Tensor, Tensor]:
         """``student_head`` and ``teacher_logits`` of a padded batch, from
         one decoder pass over the ``(2B, ...)`` stack of ``memory`` and the
@@ -635,7 +635,7 @@ class AedModel(_TransformerBase):
         in which a matrix product over the doubled row count sums."""
         if memory.data.ndim < 3 or lengths is None:
             raise ShapeError(f"a joint decoder pass needs a padded batch and its lengths, got {memory.shape}")
-        fused = self._guided(memory, masked_target, lengths, target_lengths)
+        fused = self.fuse(memory, guidance, lengths=lengths, guidance_lengths=target_lengths)
         return self._teacher_forced(tt.concat([memory, fused]), target, ("seq.out", "teacher_out"),
                                     lengths, target_lengths)
 
@@ -677,7 +677,8 @@ class AedModel(_TransformerBase):
         """Greedy decodes of a list of sources with access to their
         (masked) targets via fusion."""
         ids, lengths, tokens, target_lengths = _padded_pairs(sources, masked_targets)
-        fused = self._guided(self.encode(ids, lengths), tokens, lengths, target_lengths)
+        guidance = self.oracle_guidance(tokens, target_lengths)
+        fused = self.fuse(self.encode(ids, lengths), guidance, lengths=lengths, guidance_lengths=target_lengths)
         return self._greedy(fused, lengths, "teacher_out")
 
 

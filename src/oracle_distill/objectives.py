@@ -6,18 +6,31 @@ a distillation bridge between the two output distributions, weighted by
 ``alpha``.  The teacher is recomputed from the live parameters at every
 step; nothing is cached across steps.
 
-``loss_total`` builds all three terms of a batch as one graph, from one
-encoder pass over the batch's padded sources (a :class:`tasks.Batch`),
-and returns that graph alone: ``.total`` and ``.terms`` = (l_org, l_em,
+``loss_total`` builds all three terms of a batch as one graph and
+returns that graph alone: ``.total`` and ``.terms`` = (l_org, l_em,
 l_kd), whose ``item()`` values are the loss columns of a metrics row.
-The terms themselves are per task, each in one function: ``_ctc_terms``
-(frame posteriors against the whole target) and ``_aed_terms`` (tokens
-against a masked target).  ``kd_loss`` is the l_kd of both tasks: L2 or
-KL by ``kd_form`` between the CTC frame posteriors, and KL between the
+It is the composition of three stages, each of which reads its own
+parameters:
+
+1. ``model.encode`` of the batch's padded sources (a :class:`tasks.Batch`);
+2. ``model.oracle_guidance`` of the teacher's view of the targets
+   (``teacher_view``), None with the teacher off;
+3. ``loss_terms`` of the encoding and the guidance: fusion, both heads,
+   the three terms and the total.
+
+A stage whose inputs and parameters are unchanged gives the same bits, so
+``harness.full_gradient_report`` puts each parameter in the group of the
+first stage that reads it and, for a perturbed parameter, re-runs only
+its stage and the ones after it.
+
+The terms are per task, each in one function: ``_ctc_terms`` (frame
+posteriors against the whole target) and ``_aed_terms`` (tokens against a
+masked target).  ``kd_loss`` is the l_kd of both tasks: L2 or KL by
+``kd_form`` between the CTC frame posteriors, and KL between the
 encoder-decoder's token posteriors at 1/temperature.  Each term is the
 mean over the items of a per-item loss: a sequence's rows are weighted
-1/len on its real positions and 0 on padding.  With ``use_teacher=False`` l_em and l_kd are None and
-``.total`` is l_org.
+1/len on its real positions and 0 on padding.  With
+``use_teacher=False`` l_em and l_kd are None and ``.total`` is l_org.
 
 ``teacher_targets`` alone decides what the teacher sees of a target, in
 training and in the teacher-mode evaluation: all of y for CTC, y masked
@@ -175,7 +188,7 @@ def _row_weights(rows, width: int) -> np.ndarray:
     return np.where(valid, 1.0 / rows[:, None], 0.0) / len(rows)
 
 
-def _ctc_terms(model, encoded: Tensor, seen_ids, batch: Batch, config: TrainConfig) -> tuple:
+def _ctc_terms(model, encoded: Tensor, guidance, batch: Batch, config: TrainConfig) -> tuple:
     """(l_org, l_em, l_kd) of a CTC model.  One ``ctc_loss_dp`` call over
     the ``(2B, T, K)`` stack of the student's and the teacher's padded
     frame logits (the student's ``(B, T, K)`` alone with the teacher off)
@@ -183,9 +196,9 @@ def _ctc_terms(model, encoded: Tensor, seen_ids, batch: Batch, config: TrainConf
     halves, and l_kd compares the frame posteriors in ``config.kd_form``."""
     lengths = batch.lengths
     u_s = model.student_head(encoded)
-    if seen_ids is None:
+    if guidance is None:
         return tt.mean(ctc_loss_dp(u_s, batch.targets, lengths)), None, None
-    u_t = model.teacher_logits(encoded, seen_ids, lengths=lengths, target_lengths=batch.target_lengths)
+    u_t = model.teacher_logits(encoded, guidance, lengths=lengths, target_lengths=batch.target_lengths)
     n = len(batch)
     losses = ctc_loss_dp(tt.concat([u_s, u_t]), batch.targets * 2, np.concatenate([lengths, lengths]))
     l_org, l_em = tt.mean(tt.index(losses, slice(0, n))), tt.mean(tt.index(losses, slice(n, 2 * n)))
@@ -194,7 +207,7 @@ def _ctc_terms(model, encoded: Tensor, seen_ids, batch: Batch, config: TrainConf
     return l_org, l_em, l_kd
 
 
-def _aed_terms(model, encoded: Tensor, seen_ids, batch: Batch, config: TrainConfig) -> tuple:
+def _aed_terms(model, encoded: Tensor, guidance, batch: Batch, config: TrainConfig) -> tuple:
     """(l_org, l_em, l_kd) of an encoder-decoder.  One teacher-forced
     decoder pass over the ``(2B, L, d)`` stack of the encoded sources and
     the fused memory (``AedModel.student_and_teacher_logits``, over the
@@ -203,10 +216,10 @@ def _aed_terms(model, encoded: Tensor, seen_ids, batch: Batch, config: TrainConf
     by the end symbol, and l_kd the KL between their softmaxes at
     ``config.temperature``."""
     lengths, y_ids, y_lengths = batch.lengths, batch.target_ids, batch.target_lengths
-    if seen_ids is None:
+    if guidance is None:
         u_s, u_t = model.student_head(encoded, y_ids, lengths, y_lengths), None
     else:
-        u_s, u_t = model.student_and_teacher_logits(encoded, y_ids, seen_ids, lengths, y_lengths)
+        u_s, u_t = model.student_and_teacher_logits(encoded, y_ids, guidance, lengths, y_lengths)
     # each target then the end symbol; padded cells, whatever they hold, read as 0
     ids = np.zeros(u_s.shape[:-1], dtype=np.int64)
     np.copyto(ids[:, :-1], y_ids, where=np.arange(y_ids.shape[1]) < y_lengths[:, None])
@@ -221,30 +234,42 @@ def _aed_terms(model, encoded: Tensor, seen_ids, batch: Batch, config: TrainConf
     return l_org, l_em, kd_loss(tt.softmax(u_s), tt.softmax(u_t), "kl", weights, config.stop_teacher_grad)
 
 
+def teacher_view(model, batch: Batch, config: TrainConfig, rng: np.random.Generator):
+    """The targets of ``batch`` as the teacher sees them
+    (``teacher_targets``, masks drawn per item, in batch order, from
+    ``rng``) as a padded stack and its lengths, the input of
+    ``model.oracle_guidance``; None with the teacher off."""
+    if not config.use_teacher:
+        return None
+    return padded_stack(teacher_targets(model, batch.targets, config.lambda_mask, rng), "targets")
+
+
+def loss_terms(model, encoded: Tensor, guidance, batch: Batch, config: TrainConfig) -> StepOutputs:
+    """The third stage of ``loss_total``: the terms of ``batch`` from its
+    encoding and the oracle guidance (None with the teacher off), by
+    ``_ctc_terms`` or ``_aed_terms``, and the total l_org + l_em + alpha *
+    l_kd, assembled from the terms' own scalars, so the ``item()`` values
+    of ``.total`` and ``.terms`` satisfy that sum exactly in float
+    arithmetic."""
+    terms = (_ctc_terms if isinstance(model, CtcModel) else _aed_terms)(model, encoded, guidance, batch, config)
+    l_org, l_em, l_kd = terms
+    total = l_org if l_em is None else tt.add(tt.add(l_org, l_em), tt.scale(l_kd, config.alpha))
+    return StepOutputs(total=total, terms=terms)
+
+
 def loss_total(model, batch, config: TrainConfig, rng: np.random.Generator) -> StepOutputs:
-    """All three loss terms of a batch as one graph, from one shared
-    encoder pass.
+    """All three loss terms of a batch as one graph: the source encoding,
+    the oracle guidance of ``teacher_view`` and ``loss_terms`` of both.
 
     ``batch`` is a :class:`tasks.Batch`, or the examples or (source,
-    target) pairs to build one from.  The teacher sees each target as
-    ``teacher_targets`` gives it, so the encoder-decoder's masks are drawn
-    per item, in batch order, from ``rng``.  ``_ctc_terms`` or
-    ``_aed_terms`` builds the terms from the encoding; the total is
-    l_org + l_em + alpha * l_kd, assembled from the terms' own scalars, so
-    the ``item()`` values of ``.total`` and ``.terms`` satisfy that sum
-    exactly in float arithmetic.
+    target) pairs to build one from.
     """
     if not isinstance(batch, Batch):
         batch = Batch(batch)
     encoded = model.encode(batch.sources, batch.lengths)
-    seen_ids = None
-    if config.use_teacher:
-        # the teacher's view of each target, padded like target_ids
-        seen_ids, _ = padded_stack(teacher_targets(model, batch.targets, config.lambda_mask, rng), "targets")
-    terms = (_ctc_terms if isinstance(model, CtcModel) else _aed_terms)(model, encoded, seen_ids, batch, config)
-    l_org, l_em, l_kd = terms
-    total = l_org if l_em is None else tt.add(tt.add(l_org, l_em), tt.scale(l_kd, config.alpha))
-    return StepOutputs(total=total, terms=terms)
+    seen = teacher_view(model, batch, config, rng)
+    guidance = None if seen is None else model.oracle_guidance(*seen)
+    return loss_terms(model, encoded, guidance, batch, config)
 
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba 2015)

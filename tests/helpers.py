@@ -412,7 +412,7 @@ def kd_vs_q_gap(model: CtcModel, x, y) -> dict[str, float]:
     asserted: the surrogate is an approximation by design."""
     hidden = model.encode(x)
     u_s = model.student_head(hidden).data
-    u_t = model.teacher_logits(hidden, y).data
+    u_t = model.teacher_logits(hidden, model.oracle_guidance(y)).data
     report = bound_report_from_logits(u_s, u_t, y)
     l2 = kd_loss(
         T.softmax(Tensor(u_s)), T.softmax(Tensor(u_t)), "l2"

@@ -222,12 +222,12 @@ def test_tape_grows_by_a_small_constant_per_item(task):
 
 
 @pytest.mark.parametrize("overrides, count, digest", [
-    (dict(task="ctc"), 69, "3a0ca111e2f99ad505ca3e0583a1e712a9af300add4b38bc308d97e319b92d9b"),
+    (dict(task="ctc"), 69, "eeb29dcfcbca402c6854dd83552f1e1251bebe2b1b6997e858a13de8bb79391d"),
     (dict(task="aed"), 117, "f00ee7d513e885346f676e4ba8ea2c4fb87d155d27e72663c874b747e6e01e2f"),
     (dict(task="ctc", use_teacher=False), 25, "b951103b2df1da0e40b45cbdacf969af567dd83c22bc1dc9525d7cd5229577c2"),
     (dict(task="aed", use_teacher=False), 62, "c979686eca78ec07cfdde40486e9ebdb96ce559e60d3b1f7a169bc9c97c32457"),
     (dict(task="ctc", kd_form="kl", stop_teacher_grad=True), 71,
-     "75a3b11110a3488f7baf6634c8a49b125a812adfdbe1b4fcf6e16114f5f6e1ae"),
+     "4b9f4fc699810e4dedacc429640454e99122f5cc51a5091e5c929a4a6d2af63c"),
 ], ids=["ctc", "aed", "ctc no teacher", "aed no teacher", "ctc kl stopped teacher"])
 def test_the_tape_of_a_step_is_pinned(overrides, count, digest):
     """The (backward rule, shape) of every node of one step's tape, in
@@ -246,9 +246,9 @@ def _two_pass(model):
     """``model.student_and_teacher_logits`` as separate ``student_head`` and
     ``teacher_logits`` calls, two decoder passes in that order."""
 
-    def two_pass(memory, target, masked_target, lengths, target_lengths):
+    def two_pass(memory, target, guidance, lengths, target_lengths):
         return (model.student_head(memory, target, lengths, target_lengths),
-                model.teacher_logits(memory, target, masked_target, lengths, target_lengths))
+                model.teacher_logits(memory, target, guidance, lengths, target_lengths))
 
     return two_pass
 
@@ -308,7 +308,7 @@ def test_one_decoder_pass_serves_both_heads_of_any_model(case):
 def test_a_joint_pass_needs_a_batch():
     model = AedModel(ModelConfig(task="aed", vocab_size=2, d_model=4), seed=0)
     with pytest.raises(ShapeError, match="padded batch"):
-        model.student_and_teacher_logits(model.encode((1, 2)), (1,), (MASK,), None, None)
+        model.student_and_teacher_logits(model.encode((1, 2)), (1,), model.oracle_guidance((MASK,)), None, None)
 
 
 @pytest.mark.parametrize("use_teacher", [True, False])

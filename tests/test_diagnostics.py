@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracle_distill import tensor as T
 from oracle_distill.cli import main
 from oracle_distill.ctc import ctc_loss_dp, min_frames
 from oracle_distill.diagnostics import (
@@ -210,6 +211,25 @@ class TestDumps:
         assert mat.max() < 0.6
         entropy = -(mat * np.log(mat)).sum(axis=1).mean()
         assert entropy >= 0.85 * math.log(len(y))
+
+
+@pytest.mark.parametrize("read", [check_lower_bound, frame_posteriors, fusion_attention],
+                         ids=["check_lower_bound (a bound-check instance)", "frame_posteriors",
+                              "fusion_attention"])
+def test_a_diagnostic_records_no_graph(read, monkeypatch):
+    # the diagnostics read only values, so no tape node is worth building
+    nodes = []
+    make_node = T._node
+
+    def counted(data, parents, backward):
+        out = make_node(data, parents, backward)
+        if out._backward is not None:
+            nodes.append(backward)
+        return out
+
+    monkeypatch.setattr(T, "_node", counted)
+    read(tiny_ctc(seed=3), np.random.default_rng(3).standard_normal((4, 4)), (1, 2))
+    assert nodes == []
 
 
 def test_attention_dump_of_a_short_aed_run_is_pinned(tmp_path):

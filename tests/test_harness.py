@@ -14,7 +14,7 @@ from oracle_distill.config import (
     load_config,
     parse_config_text,
 )
-from oracle_distill import cli, harness
+from oracle_distill import cli, harness, objectives
 from oracle_distill import tensor as T
 from oracle_distill.errors import ConfigError, ContractError
 from oracle_distill.harness import (
@@ -30,8 +30,8 @@ from oracle_distill.harness import (
     parse_metrics_csv,
     train_run,
 )
-from oracle_distill.models import MASK, build_model, load_checkpoint, save_checkpoint
-from oracle_distill.objectives import TrainConfig, loss_total, mask_target
+from oracle_distill.models import MASK, CtcModel, ModelConfig, build_model, load_checkpoint, save_checkpoint
+from oracle_distill.objectives import TrainConfig, loss_total, mask_target, teacher_targets
 from oracle_distill.tasks import Batch, split_examples
 
 from helpers import record_calls
@@ -265,13 +265,13 @@ def test_training_and_teacher_evaluation_draw_the_same_masks(monkeypatch):
     dev = split_examples(generate_dataset(cfg), "dev")
     model = build_model(cfg.model_config(), seed=0)
     train_cfg = cfg.train_config()
-    joint = record_calls(monkeypatch, model, "student_and_teacher_logits")
+    guided = record_calls(monkeypatch, model, "oracle_guidance")
     predict = record_calls(monkeypatch, model, "predict_teacher")
     batch = Batch(dev)
     loss_total(model, batch, train_cfg, np.random.default_rng(7))
+    [((masked_ids, _), _)] = guided
     evaluate(model, dev, "teacher", train_cfg, mask_seed=7)
-    [(args, _)] = joint
-    trained = [tuple(row[:n]) for row, n in zip(args[2].tolist(), batch.target_lengths)]
+    trained = [tuple(row[:n]) for row, n in zip(masked_ids.tolist(), batch.target_lengths)]
     [((_, evaluated), _)] = predict
     assert trained == evaluated
     assert any(MASK in m for m in trained) and trained != batch.targets
@@ -439,9 +439,11 @@ GOLDEN_SUITE_LINES = {
 @pytest.mark.parametrize("split", ["1 cpu", "3 cpus", "cannot fork"])
 @pytest.mark.parametrize("suite", sorted(GOLDEN_SUITE_LINES))
 def test_the_suites_print_their_golden_lines_under_every_split(suite, split, tmp_path, monkeypatch, capsys):
-    # on 3 CPUs each suite's one large map (check-ctc's 100 instances,
-    # grad-check's 2136 objective coordinates, bound-check's 200
-    # instances) tries two forks; every other map stays in one process
+    # on 3 CPUs each large map tries two forks: check-ctc's 100 instances,
+    # bound-check's 200 instances, and three of the four runs of
+    # grad-check's 2136 objective coordinates (the encoder's 608, the
+    # oracle's 600, fusion and teacher head's 892; the student head's 36
+    # are too few to split); every other map stays in one process
     forks = []
     real_fork = os.fork
 
@@ -459,11 +461,227 @@ def test_the_suites_print_their_golden_lines_under_every_split(suite, split, tmp
     csv = tmp_path / "bound_report.csv"
     notes = [f"report: {csv}"] if suite == "bound-check" else []
     assert capsys.readouterr().out.splitlines() == GOLDEN_SUITE_LINES[suite] + notes
-    assert len(forks) == (0 if split == "1 cpu" else 2)
+    assert len(forks) == (0 if split == "1 cpu" else 6 if suite == "grad-check" else 2)
     if suite == "bound-check":
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
             "3fb282757e89aaa0272645df439864396b1dbdd9b4cbd592f9ba28ff07aabf6b"
         )
+
+
+# ---------------------------------------------------------------------------
+# the staged full-objective scan
+# ---------------------------------------------------------------------------
+
+
+def _gradient_case(task, use_teacher, seed):
+    """A small model, a batch of two items of unequal lengths, so that
+    padding is exercised, and its train config: the encoder-decoder's with
+    lambda_mask 0.5 and temperature 2, so that masked and real tokens both
+    reach the oracle and the KL bridge is scaled."""
+    rng = np.random.default_rng(seed)
+    if task == "ctc":
+        model = build_model(ModelConfig(task="ctc", vocab_size=2, feature_dim=3, d_model=4, enc_layers=1,
+                                        heads=2, ffn_dim=4), seed=seed)
+        batch = [(rng.standard_normal((t, 3)), tuple(int(v) for v in rng.integers(1, 3, size=n)))
+                 for t, n in ((5, 2), (3, 1))]
+        train = TrainConfig(alpha=2.0, kd_form=("l2", "kl")[seed % 2], use_teacher=use_teacher, seed=seed)
+    else:
+        model = build_model(ModelConfig(task="aed", vocab_size=3, d_model=4, enc_layers=1, dec_layers=1,
+                                        heads=2, ffn_dim=4), seed=seed)
+
+        def tokens(n):
+            return tuple(int(v) for v in rng.integers(1, 4, size=n))
+
+        batch = [(tokens(3), tokens(3)), (tokens(2), tokens(2))]
+        train = TrainConfig(alpha=5.0, kd_form="kl", lambda_mask=0.5, temperature=2.0, use_teacher=use_teacher,
+                            seed=seed)
+    return model, batch, train
+
+
+class _ScanRecorder:
+    """Records, for every ``finite_differences`` scan that ``harness``
+    makes, the analytic gradients of its tensors as the scan's own backward
+    pass leaves them, and the numeric differences its share map returns."""
+
+    def __init__(self, monkeypatch):
+        self.analytic, self.numeric, self.tensors = [], [], ()
+        scan, backward, share_map = harness.finite_differences, T.backward, T.share_map
+
+        def recorded_scan(f, tensors):
+            self.tensors = tensors
+            return scan(f, tensors)
+
+        def recorded_backward(loss):
+            backward(loss)
+            self.analytic += [(np.zeros_like(t.data) if t.grad is None else t.grad).tobytes()
+                              for t in self.tensors]
+
+        def recorded_share_map(*args):
+            rows = share_map(*args)
+            self.numeric.append(rows.tobytes())
+            return rows
+
+        monkeypatch.setattr(harness, "finite_differences", recorded_scan)
+        monkeypatch.setattr(T, "backward", recorded_backward)
+        monkeypatch.setattr(T, "share_map", recorded_share_map)
+        self.scan = recorded_scan
+
+    def take(self) -> tuple[bytes, bytes]:
+        """The analytic and the numeric values recorded so far, each laid
+        end to end in scan order, and a fresh record."""
+        taken = b"".join(self.analytic), b"".join(self.numeric)
+        self.analytic, self.numeric = [], []
+        return taken
+
+
+def _one_scan(recorder, model, batch, train, mask_seed) -> dict:
+    """The report of one ``finite_differences`` scan of ``loss_total`` over
+    every tensor of ``model``."""
+    names, tensors = zip(*model.store.items())
+    rel_err, pos, index, checked = recorder.scan(
+        lambda: loss_total(model, Batch(batch), train, np.random.default_rng(mask_seed)).total, tensors)
+    return {"rel_err": rel_err, "param": None if pos is None else names[pos], "index": index,
+            "coordinates": checked}
+
+
+def _param_bytes(model) -> dict:
+    return {name: t.data.tobytes() for name, t in model.store.items()}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("task, use_teacher", [("ctc", True), ("ctc", False), ("aed", True), ("aed", False)],
+                         ids=["ctc", "ctc no teacher", "aed", "aed no teacher"])
+def test_the_staged_gradient_report_is_one_scan_bit_for_bit(task, use_teacher, seed, monkeypatch):
+    model, batch, train = _gradient_case(task, use_teacher, seed)
+    if task == "aed" and use_teacher:
+        masked = teacher_targets(model, [y for _, y in batch], train.lambda_mask, np.random.default_rng(seed))
+        seen = [t for y in masked for t in y]
+        assert MASK in seen and any(t != MASK for t in seen)
+    before = _param_bytes(model)
+    recorder = _ScanRecorder(monkeypatch)
+    staged = harness.full_gradient_report(model, batch, train, mask_seed=seed)
+    staged_values = recorder.take()
+    # the staged scan leaves no gradient behind, as one scan does
+    assert all(t.grad is None for t in model.store.tensors())
+    assert _param_bytes(model) == before
+    one = _one_scan(recorder, model, batch, train, seed)
+    assert staged == one and repr(staged["rel_err"]) == repr(one["rel_err"])
+    assert staged_values == recorder.take()
+    assert staged["coordinates"] == sum(t.size for t in model.store.tensors())
+    assert _param_bytes(model) == before
+
+
+# the first tensor of each run of one stage, in store order
+RUN_HEADS = {
+    ("ctc", True): ["seq.in_proj.w", "seq.out.w", "oracle.embed", "fusion.f0.ln1.g"],
+    ("ctc", False): ["seq.in_proj.w", "seq.out.w"],
+    ("aed", True): ["seq.src_embed", "seq.tgt_embed", "seq.enc0.ln1.g", "seq.dec0.ln1.g", "oracle.embed",
+                    "fusion.f0.ln1.g"],
+    ("aed", False): ["seq.src_embed", "seq.tgt_embed", "seq.enc0.ln1.g", "seq.dec0.ln1.g"],
+}
+
+
+def _scan_with_errors(monkeypatch, model, errors) -> list:
+    """Stand in for the scan of each run: the i-th scan reports
+    ``errors[i]`` at index i of its first tensor (nothing when 0).
+    Returns the first tensor's name of each run, as the runs come."""
+    names = {id(t): name for name, t in model.store.items()}
+    heads = []
+
+    def scan(f, tensors):
+        heads.append(names[id(tensors[0])])
+        i = len(heads) - 1
+        where = (None, None) if errors[i] == 0 else (0, i)
+        return errors[i], *where, sum(t.size for t in tensors)
+
+    monkeypatch.setattr(harness, "finite_differences", scan)
+    return heads
+
+
+@pytest.mark.parametrize("task, use_teacher", sorted(RUN_HEADS))
+def test_the_report_cuts_the_store_into_runs_of_one_stage(task, use_teacher, monkeypatch):
+    # a tensor no stage reads (the teacher's, with the teacher off) goes
+    # with the last stage, so it joins the run of the heads before it
+    model, batch, train = _gradient_case(task, use_teacher, 0)
+    heads = _scan_with_errors(monkeypatch, model, [0.0] * 6)
+    report = harness.full_gradient_report(model, batch, train)
+    assert heads == RUN_HEADS[task, use_teacher]
+    assert report == {"rel_err": 0.0, "param": None, "index": None,
+                      "coordinates": sum(t.size for t in model.store.tensors())}
+
+
+@pytest.mark.parametrize("errors, worst", [
+    ([0.5, 0.5, 0.2, 0.0], 0),  # a tie keeps the first
+    ([0.1, math.nan, 0.7, math.nan], 3),  # a NaN replaces even a NaN
+    ([math.nan, 0.2, 0.9, 0.0], 0),  # nothing replaces a NaN but a NaN
+    ([0.0, 0.0, 1e-3, 2e-3], 3),
+])
+def test_the_runs_fold_by_the_rule_of_one_scan(errors, worst, monkeypatch):
+    model, batch, train = _gradient_case("ctc", True, 0)
+    heads = _scan_with_errors(monkeypatch, model, errors)
+    report = harness.full_gradient_report(model, batch, train)
+    assert (report["param"], report["index"]) == (heads[worst], worst)
+    assert repr(report["rel_err"]) == repr(errors[worst])
+
+
+def test_a_gradient_report_ignores_and_clears_stale_gradients():
+    # each stage's backward pass writes gradients outside its own run of
+    # tensors, so the report clears every tensor's gradient at the end
+    model, batch, train = _gradient_case("ctc", True, 0)
+    clean = harness.full_gradient_report(model, batch, train)
+    for t in model.store.tensors():
+        t.grad = np.ones_like(t.data)
+    assert harness.full_gradient_report(model, batch, train) == clean
+    assert all(t.grad is None for t in model.store.tensors())
+
+
+@pytest.mark.parametrize("task", ["ctc", "aed"])
+def test_a_staged_gradient_report_raises_what_one_scan_raises(task, monkeypatch):
+    # the objective fails while a coordinate of the last run (fusion and
+    # the teacher head) is perturbed, after the encoder's and the oracle's
+    # runs have been scanned
+    model, batch, train = _gradient_case(task, True, 1)
+    before = _param_bytes(model)
+    probe = model.store.peek("fusion.f0.ln1.b").data
+    kd = objectives.kd_loss
+
+    def kd_failing_off_the_point(*args, **kwargs):
+        if probe[1] != 0.0:
+            raise ValueError(f"fusion.f0.ln1.b[1] moved to {float(probe[1])!r}")
+        return kd(*args, **kwargs)
+
+    monkeypatch.setattr(objectives, "kd_loss", kd_failing_off_the_point)
+    recorder = _ScanRecorder(monkeypatch)
+    outcomes = []
+    for report in (lambda: harness.full_gradient_report(model, batch, train, mask_seed=1),
+                   lambda: _one_scan(recorder, model, batch, train, 1)):
+        with pytest.raises(ValueError) as raised:
+            report()
+        outcomes.append(str(raised.value))
+        assert _param_bytes(model) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert outcomes[0] == outcomes[1] == f"fusion.f0.ln1.b[1] moved to {T.FD_STEP!r}"
+
+
+def test_grad_check_encodes_and_guides_only_in_the_runs_that_need_it(monkeypatch):
+    # on one CPU every evaluation runs here.  One pass of each stage sorts
+    # the tensors; the encoder's 608 coordinates then re-run the whole
+    # objective (1 + 2 * 608 evaluations) and the oracle's 600 the
+    # guidance (1 + 2 * 600).  One scan over all 2136 coordinates would
+    # make 4273 of each.
+    calls = {"encode": 0, "oracle_guidance": 0}
+    for name in calls:
+        method = getattr(CtcModel, name)
+
+        def counted(*args, _method=method, _name=name, **kwargs):
+            calls[_name] += 1
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(CtcModel, name, counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert grad_check_suite().passed
+    assert calls == {"encode": 1 + 1217, "oracle_guidance": 1 + 1217 + 1201}
 
 
 class TestSvg:

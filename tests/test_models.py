@@ -182,14 +182,14 @@ class TestTeacherHead:
         rng = np.random.default_rng(10)
         x = rng.standard_normal((5, 4))
         h = model.encode(x)
-        assert model.teacher_logits(h, (1, 2)).shape == model.student_head(h).shape
+        assert model.teacher_logits(h, model.oracle_guidance((1, 2))).shape == model.student_head(h).shape
 
     def test_zero_weight_head_gives_uniform_posteriors(self):
         model = tiny_ctc()
         model.store.peek("teacher_out.w").data[...] = 0.0
         model.store.peek("teacher_out.b").data[...] = 0.0
         h = model.encode(np.random.default_rng(11).standard_normal((3, 4)))
-        logits = model.teacher_logits(h, (1,))
+        logits = model.teacher_logits(h, model.oracle_guidance((1,)))
         post = T.softmax(logits).data
         np.testing.assert_allclose(post, 0.25, atol=1e-12)
 
@@ -198,7 +198,7 @@ class TestTeacherHead:
         rng = np.random.default_rng(12)
         x = rng.standard_normal((3, 4))
         w = model.store.peek("teacher_out.w")
-        assert grad_check(lambda _: sum_sq(model.teacher_logits(model.encode(x), (1, 2))), w) <= 1e-5
+        assert grad_check(lambda _: sum_sq(model.teacher_logits(model.encode(x), model.oracle_guidance((1, 2)))), w) <= 1e-5
 
 
 class TestAedDecoder:

@@ -167,10 +167,9 @@ class TestLossEm:
         targets = [y for _, y in batch]
         masks = teacher_targets(model, targets, cfg.lambda_mask, np.random.default_rng(1))
         assert masks == [(MASK,) * len(y) for y in targets]
-        calls = record_calls(monkeypatch, model, "student_and_teacher_logits")
+        calls = record_calls(monkeypatch, model, "oracle_guidance")
         out = loss_total(model, batch, cfg, np.random.default_rng(1))
-        [(args, _)] = calls
-        masked_ids, target_lengths = args[2], args[4]
+        [((masked_ids, target_lengths), _)] = calls
         for row, n in zip(masked_ids, target_lengths):
             assert (row[:n] == MASK).all()
         assert out.terms[1].item() >= 0.0
@@ -280,7 +279,7 @@ class TestLossTotal:
         # recomputing with the same parameters and masks reproduces the logits
         for item, masked, logits in zip(batch, masks, teacher):
             x, y = item
-            again = model.teacher_logits(model.encode(x), y, masked)
+            again = model.teacher_logits(model.encode(x), y, model.oracle_guidance(masked))
             np.testing.assert_array_equal(again.data, logits)
         # after an update the same recomputation must change
         opt = Adam(model.store.tensors(), lr=1e-2)
@@ -289,7 +288,7 @@ class TestLossTotal:
         changed = False
         for item, masked, logits in zip(batch, masks, teacher):
             x, y = item
-            again = model.teacher_logits(model.encode(x), y, masked)
+            again = model.teacher_logits(model.encode(x), y, model.oracle_guidance(masked))
             changed = changed or not np.array_equal(again.data, logits)
         assert changed
 
