@@ -49,13 +49,16 @@ for a source or memory, ``target_lengths`` for target-side tokens);
 padded cells are never read, and attention masks every padded key from
 those lengths, so each item's valid rows come out as they would alone.
 Attention runs all heads as one axis of its stacks, ``(..., heads, T,
-d / heads)``: a sublayer is one ``tensor.project_heads`` node per
-projection and one ``tensor.attention`` node for the rest.  A
-feed-forward sublayer is one ``tensor.feed_forward`` node.  A sublayer's
-input is one ``tensor.layer_norm`` node (cross-attention has a second
-one, over the memory), and its output joins the residual stream through
-one ``tensor.add``.  The weights stay separate store entries read through
-``ParamStore.get``.
+d / heads)``.  Each pre-norm residual sublayer is one tape node: a
+self-attention sublayer is one ``tensor.self_attention_sublayer``, a
+cross-attention sublayer one ``tensor.cross_attention_sublayer`` and a
+feed-forward sublayer one ``tensor.feed_forward_sublayer``, each taking
+the residual stream and returning it with the sublayer's output added.
+So an encoder block is two nodes and a fusion or decoder layer three.
+The cross-attention keys and values of a memory are three nodes of their
+own, ``tensor.layer_norm`` by ``ln_mem`` and one ``tensor.project_heads``
+per projection, computed once per memory (``_memory_kv``).  The weights
+stay separate store entries read through ``ParamStore.get``.
 
 The decoder runs one way (Pope et al. 2022): ``AedModel.decode_cache``
 projects, once per decode, each decoder layer's cross-attention keys and
@@ -63,8 +66,10 @@ values of ``ln_mem(memory)`` into a :class:`DecodeCache`, and every
 ``decode_logits`` call extends the cache by the positions it is given.
 Each decoder layer returns its keys and values, and the call stores them
 once, after every layer, so a call that raises leaves the cache unchanged.
-Teacher forcing is one call with the whole prefix.  The greedy loop
-decodes a batch in lockstep, one call per step with a ``(B, 1)`` stack of
+The cached keys and values are arrays with no gradient, so only a cache's
+first call may record a graph.  Teacher forcing is one call with the whole
+prefix.  The greedy loop runs under ``tensor.no_grad`` and decodes a batch
+in lockstep, one call per step with a ``(B, 1)`` stack of
 one new token per row, so a step costs one position per row.  Each row
 stops at its own end symbol or length cap; a stopped row is still fed
 until every row has stopped, and its later tokens are dropped.
@@ -169,7 +174,12 @@ class DecodeCache:
     values of ``ln_mem(memory)``, and ``self_kv`` each layer's
     self-attention keys and values of the ``length`` positions decoded so
     far, None before the first call.  All are split into heads.  A
-    ``decode_logits`` call that raises leaves the cache unchanged."""
+    ``decode_logits`` call that raises leaves the cache unchanged.
+
+    ``self_kv`` holds arrays, which take no gradient.  So a call that
+    continues a cache (``length`` > 0) while the tape is recording raises
+    ``ContractError`` before the cache changes: its graph would silently
+    miss the path through the earlier calls."""
 
     memory_mask: np.ndarray | None
     cross_kv: list
@@ -348,53 +358,44 @@ class _TransformerBase:
             x = self._encoder_block(f"seq.enc{i}", x, mask)
         return x
 
-    def _heads(self, prefix, x, *parts):
-        """``x`` times each of the named projections of an attention block,
-        split into heads: ``(..., heads, T, d / heads)``."""
+    def _params(self, prefix, *names):
+        """The parameters ``{prefix}.{name}`` of each of ``names``, in order."""
         s = self.store
-        return [tt.project_heads(x, s.get(f"{prefix}.{part}"), self.cfg.heads) for part in parts]
+        return [s.get(f"{prefix}.{name}") for name in names]
 
     def _memory_kv(self, prefix, memory):
-        """Cross-attention keys and values of a layer's normed memory."""
-        return self._heads(f"{prefix}.cross", self._norm(f"{prefix}.ln_mem", memory), "wk", "wv")
+        """Cross-attention keys and values of a layer's normed memory, split
+        into heads."""
+        normed = tt.layer_norm(memory, *self._params(f"{prefix}.ln_mem", "g", "b"))
+        return [tt.project_heads(normed, w, self.cfg.heads) for w in self._params(f"{prefix}.cross", "wk", "wv")]
 
-    def _attend(self, prefix, q, k, v, mask=None, capture=None):
-        """Scaled dot-product attention of head-split queries over head-split
-        keys and values, every head at once as an axis of the stacks, then
-        the merged heads' output projection: one ``tensor.attention`` node.
-        ``mask`` is added to the scores; ``capture`` takes the attention
-        weights averaged over the heads."""
-        out, weights = tt.attention(q, k, v, self.store.get(f"{prefix}.wo"), mask)
-        if capture is not None:
-            capture.append(weights.mean(axis=-3))
-        return out
+    def _self_attention(self, norm, attn, x, mask, past=None):
+        """The self-attention sublayer ``attn`` over ``x`` normed by ``norm``:
+        the output and the keys and values, ``past``'s first."""
+        params = [*self._params(norm, "g", "b"), *self._params(attn, "wq", "wk", "wv", "wo")]
+        return tt.self_attention_sublayer(x, *params, self.cfg.heads, mask, past)
 
-    def _ffn(self, prefix, x):
-        s = self.store
-        return tt.feed_forward(x, *(s.get(f"{prefix}.{part}") for part in ("w1", "b1", "w2", "b2")))
-
-    def _norm(self, prefix, x):
-        s = self.store
-        return tt.layer_norm(x, gain=s.get(f"{prefix}.g"), bias=s.get(f"{prefix}.b"))
+    def _feed_forward(self, norm, ffn, x):
+        """The feed-forward sublayer ``ffn`` over ``x`` normed by ``norm``."""
+        return tt.feed_forward_sublayer(x, *self._params(norm, "g", "b"), *self._params(ffn, "w1", "b1", "w2", "b2"))
 
     def _encoder_block(self, prefix, x, mask=None):
-        q, k, v = self._heads(f"{prefix}.attn", self._norm(f"{prefix}.ln1", x), "wq", "wk", "wv")
-        x = tt.add(x, self._attend(f"{prefix}.attn", q, k, v, mask))
-        return tt.add(x, self._ffn(f"{prefix}.ffn", self._norm(f"{prefix}.ln2", x)))
+        x, _, _ = self._self_attention(f"{prefix}.ln1", f"{prefix}.attn", x, mask)
+        return self._feed_forward(f"{prefix}.ln2", f"{prefix}.ffn", x)
 
     def _cross_block(self, prefix, x, memory_kv, mask, memory_mask, capture, past=None):
         """One fusion or decoder layer: self-attention over ``x`` (under
         ``mask`` if given), cross-attention by the memory's keys and values
         ``memory_kv`` (under ``memory_mask``), feed-forward.  Returns the
         output and the self-attention keys and values, ``past``'s first if
-        given; it assigns into none of its arguments."""
-        q, k, v = self._heads(f"{prefix}.self", self._norm(f"{prefix}.ln1", x), "wq", "wk", "wv")
-        if past is not None:
-            k, v = tt.concat([past[0], k], axis=-2), tt.concat([past[1], v], axis=-2)
-        x = tt.add(x, self._attend(f"{prefix}.self", q, k, v, mask))
-        (q,) = self._heads(f"{prefix}.cross", self._norm(f"{prefix}.ln2", x), "wq")
-        x = tt.add(x, self._attend(f"{prefix}.cross", q, *memory_kv, memory_mask, capture))
-        return tt.add(x, self._ffn(f"{prefix}.ffn", self._norm(f"{prefix}.ln3", x))), (k, v)
+        given; it assigns into none of its arguments.  ``capture`` takes
+        the cross-attention weights averaged over the heads."""
+        x, k, v = self._self_attention(f"{prefix}.ln1", f"{prefix}.self", x, mask, past)
+        x, weights = tt.cross_attention_sublayer(x, *self._params(prefix, "ln2.g", "ln2.b", "cross.wq"),
+                                                 *memory_kv, *self._params(prefix, "cross.wo"), memory_mask)
+        if capture is not None:
+            capture.append(weights.mean(axis=-3))
+        return self._feed_forward(f"{prefix}.ln3", f"{prefix}.ffn", x), (k, v)
 
     def _head(self, prefix, x):
         s = self.store
@@ -564,6 +565,13 @@ class AedModel(_TransformerBase):
         reading block i, and the result is the tuple of their logits.  A
         token outside 0..end raises ``VocabularyError``.  A call that raises
         leaves the cache unchanged: it changes once, after every layer.
+
+        Only a first call records a graph: the cached keys and values are
+        arrays with no path to the parameters, so a recorded call that
+        continued the cache would silently lose the gradient through the
+        earlier calls.  Such a call raises ``ContractError``; continue a
+        cache under ``tensor.no_grad``, as ``_greedy`` does, or decode the
+        whole prefix in one call, as teacher forcing does.
         """
         ids = _ids(prefix_ids, "decoder")
         start = cache.length
@@ -575,6 +583,9 @@ class AedModel(_TransformerBase):
             x = self._embed("seq.tgt_embed", ids, start)
         except DomainError:
             raise VocabularyError("decoder prefix token out of range") from None
+        if start and x.requires_grad:
+            raise ContractError("a call that continues a decode must run under tensor.no_grad: "
+                                "the cached keys and values keep no gradient path to the earlier calls")
         stop = start + ids.shape[-1]
         mask, self_kv = self._causal_mask(start, stop), []
         for i, (cross_kv, past) in enumerate(zip(cache.cross_kv, cache.self_kv)):

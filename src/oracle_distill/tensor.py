@@ -23,17 +23,27 @@ heads), and the last one or two axes are what the op is about.  Broadcasting
 is deliberately restricted: a number with a tensor, in ``add`` only; ``add``
 of a tensor whose shape is a suffix of the other's (a bias row, a position
 table), repeated over the leading axes; ``matmul``, ``project_heads`` and
-``feed_forward`` of a stack by weight matrices; and the constant arrays of
-``scale`` and of the ``attention`` mask, which broadcast to the shape of
-the tracked operand (the attention scores).  Everything else requires
-exact shape agreement.  ``layer_norm`` adds ``LAYER_NORM_EPS`` = 1e-5 to
-the variance.
+the sublayers of a stack by weight matrices; and the constant arrays of
+``scale`` and of an attention mask, which broadcast to the shape of the
+tracked operand (the attention scores).  Everything else requires exact
+shape agreement.  ``layer_norm`` adds ``LAYER_NORM_EPS`` = 1e-5 to the
+variance.
 
-A transformer's sublayers are fused ops, each one tape node.  Attention is
-two of them: ``project_heads`` is a projection split into heads, and
-``attention`` takes head-split queries, keys and values through the masked
-softmax to the merged heads' output projection.  ``feed_forward`` is the
-whole position-wise feed-forward sublayer, ``relu(x @ w1 + b1) @ w2 + b2``.
+A transformer's pre-norm residual sublayer ``x + f(layer_norm(x))`` is one
+op and one tape node: ``self_attention_sublayer``,
+``cross_attention_sublayer`` (whose keys and values come from
+``project_heads``, once per memory) and ``feed_forward_sublayer``.  Each
+checks every operand's shape before any product.  Its forward evaluates
+the numpy expressions of the chain of single-op nodes it replaces, in the
+chain's order: the norm, one product per projection, the attention core
+(``_attention_rows``) or the feed-forward net (``_feed_forward_rows``),
+then the residual ``+``.  Its backward applies the chain's rules and sums
+what the chain's nodes would have summed in the order ``backward`` would
+have: the normed input's projection gradients as ``(v + k) + q``, and
+the node's parents listed in the order the chain's rules reach them, the
+input first for the residual and again after the weights for the norm.
+So a sublayer's input gathers its gradient with those of its other
+consumers exactly as through the chain, and both give the same bits.
 
 ``finite_differences`` checks analytic gradients against central
 differences, two evaluations of the objective per coordinate, and each
@@ -261,6 +271,125 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(x @ w, (a, b), bwd)
 
 
+def _split_heads(y: np.ndarray, heads: int) -> np.ndarray:
+    """``(..., T, m)`` as ``(..., heads, T, m / heads)``, each head's
+    columns one slice of the new heads axis; a view."""
+    return y.reshape(*y.shape[:-1], heads, y.shape[-1] // heads).swapaxes(-3, -2)
+
+
+def _merge_heads(o: np.ndarray) -> np.ndarray:
+    """``(..., heads, T, dh)`` as ``(..., T, heads * dh)``, the inverse of
+    ``_split_heads``."""
+    *lead, h, t, dh = o.shape
+    return o.swapaxes(-3, -2).reshape(*lead, t, h * dh)
+
+
+def _refuse(op: str, **operands) -> ShapeError:
+    """The ``ShapeError`` of ``op``, naming the shapes of its operands."""
+    return ShapeError(f"{op} of " + ", ".join(f"{name} {np.shape(a)}" for name, a in operands.items()))
+
+
+def _check_mask(mask, shape: tuple, op: str) -> None:
+    """Refuse an attention ``mask`` that does not broadcast to the scores'
+    ``shape``."""
+    try:
+        fits = np.broadcast_shapes(np.shape(mask), shape) == shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ShapeError(f"{op} mask {np.shape(mask)} for scores {shape}")
+
+
+def _layer_norm_rows(a: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple:
+    """``layer_norm`` of an array: the output and the backward rule, which
+    maps the output's gradient to those of ``a``, ``gain`` and ``bias``."""
+    # np.add.reduce(...) / n is what ndarray.mean and .var compute, bit
+    # for bit, without their Python-level wrappers, which cost a visible
+    # share of a training step at one call per sublayer
+    n = a.shape[-1]
+    rowsum = np.add.reduce
+    centered = a - rowsum(a, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(rowsum(centered * centered, axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
+    normed = centered * inv
+
+    def bwd(g):
+        gn = g * gain
+        gm = rowsum(gn, axis=-1, keepdims=True) / n
+        gy = rowsum(gn * normed, axis=-1, keepdims=True) / n
+        return (
+            (gn - gm - normed * gy) * inv,
+            rowsum((g * normed).reshape(-1, n), axis=0),
+            rowsum(g.reshape(-1, n), axis=0),
+        )
+
+    return normed * gain + bias, bwd
+
+
+def _attention_rows(q: np.ndarray, k: np.ndarray, v: np.ndarray, w: np.ndarray, mask) -> tuple:
+    """Scaled dot-product attention of head-split arrays, then the merged
+    heads' output projection: ``merge(softmax(q kᵀ / sqrt(dh) + mask) v) @
+    w``.  Returns the output, the attention weights P and the backward
+    rule, which maps the output's gradient to those of q, k, v and w.
+
+    The rule is the softmax one, ``dS = P * (dP - rowsum(dP * P))`` (Dao et
+    al. 2022), evaluated with the same numpy expressions, in the same
+    order, as a chain of single-op nodes (transpose, matmul, scale,
+    softmax, matmul, head merge, matmul), so both give the same bits.
+    The operands' shapes are the caller's to check."""
+    c = 1.0 / math.sqrt(q.shape[-1])
+    scores = (q @ k.swapaxes(-1, -2)) * c
+    if mask is not None:
+        scores = scores + mask
+    # np.maximum.reduce and np.add.reduce are what ndarray.max and .sum
+    # compute, bit for bit, without their Python-level wrappers
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
+    merged = _merge_heads(p @ v)
+
+    def bwd(g):
+        d_merged, d_w = _by_weight_grads(merged, w, g)
+        d_o = _split_heads(d_merged, q.shape[-3])
+        d_p = d_o @ v.swapaxes(-1, -2)
+        d_v = p.swapaxes(-1, -2) @ d_o
+        d_s = (p * (d_p - np.add.reduce(d_p * p, axis=-1, keepdims=True))) * c
+        return d_s @ k, (q.swapaxes(-1, -2) @ d_s).swapaxes(-1, -2), d_v, d_w
+
+    return _by_weight(merged, w), p, bwd
+
+
+def _feed_forward_rows(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+                      b2: np.ndarray) -> tuple:
+    """A position-wise feed-forward net of an array, ``relu(x @ w1 + b1) @
+    w2 + b2``.  Returns the output and the backward rule, which maps the
+    output's gradient to those of x, w1, b1, w2 and b2.
+
+    Forward and backward do the same arithmetic, in the same order, as a
+    chain of single-op nodes (matmul, add, relu, matmul, add), so both
+    give the same bits.  The relu is ``np.where(pre > 0.0, pre, 0.0)``,
+    NaN and -0.0 included, and its rule is ``g * (pre > 0.0)``.  The
+    operands' shapes are the caller's to check."""
+    # every array written in place below is a fresh product of this call
+    pre = _by_weight(x, w1)
+    pre += b1
+    mask = pre > 0.0
+    # np.where(mask, pre, 0.0) bit for bit: fmax maps NaN to 0.0, and
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it
+    # is; the two branch-free passes cost a fifth of one select by a
+    # random mask
+    hidden = np.fmax(pre, 0.0, out=pre)
+    hidden += 0.0
+
+    def bwd(g):
+        d_pre, d_w2 = _by_weight_grads(hidden, w2, g)
+        d_pre *= mask
+        d_x, d_w1 = _by_weight_grads(x, w1, d_pre)
+        return d_x, d_w1, d_pre.reshape(-1, *b1.shape).sum(axis=0), d_w2, g.reshape(-1, *b2.shape).sum(axis=0)
+
+    out = _by_weight(hidden, w2)
+    out += b2
+    return out, bwd
+
+
 def project_heads(x: Tensor, w: Tensor, heads: int) -> Tensor:
     """``x @ w`` split into heads: ``(..., T, k)`` times one ``k x m``
     weight gives ``(..., heads, T, m / heads)``, each head's columns one
@@ -272,101 +401,117 @@ def project_heads(x: Tensor, w: Tensor, heads: int) -> Tensor:
         raise ShapeError(f"project_heads {x.shape} @ {w.shape}")
     if heads < 1 or wd.shape[1] % heads:
         raise ShapeError(f"cannot split {wd.shape[1]} columns into {heads} heads")
-    y = _by_weight(xd, wd)
-    shape = y.shape
-    out = y.reshape(*shape[:-1], heads, shape[-1] // heads).swapaxes(-3, -2)
-    return _node(out, (x, w), lambda g: _by_weight_grads(xd, wd, g.swapaxes(-3, -2).reshape(shape)))
+    return _node(_split_heads(_by_weight(xd, wd), heads), (x, w),
+                 lambda g: _by_weight_grads(xd, wd, _merge_heads(g)))
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, mask=None) -> tuple[Tensor, np.ndarray]:
-    """Scaled dot-product attention over head-split stacks, then the merged
-    heads' output projection, as one node:
-    ``merge(softmax(q kᵀ / sqrt(dh) + mask) v) @ wo``.
+def self_attention_sublayer(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+                            wo: Tensor, heads: int, mask, past) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """A pre-norm residual self-attention sublayer as one node: ``x +
+    attention(q, k, v)`` with ``q``, ``k`` and ``v`` the ``layer_norm`` of
+    ``x`` (by ``gain`` and ``bias``) times ``wq``, ``wk`` and ``wv``, each
+    split into ``heads``, and ``wo`` the output projection.
 
-    ``q`` is ``(..., heads, Tq, dh)``, ``k`` and ``v`` are ``(..., heads,
-    Tk, dh)`` with the same leading axes, and ``wo`` is ``heads * dh x m``;
-    the output is ``(..., Tq, m)``.  ``mask`` is an untracked constant added
-    to the scores, broadcasting to ``(..., heads, Tq, Tk)``: 0 keeps a key,
-    ``-inf`` gives it weight exactly 0.  Every query must keep a key.
-    Returns the output and the attention weights P, an array.
-
-    The backward rule is the softmax one, ``dS = P * (dP - rowsum(dP * P))``
-    (Dao et al. 2022), evaluated with the same numpy expressions, in the
-    same order, as the chain of single-op nodes it fuses (transpose,
-    matmul, scale, softmax, matmul, head merge, matmul), so both give the
-    same bits.
+    ``x`` is ``(..., T, d)``; ``wq``, ``wk`` and ``wv`` are ``d x m`` and
+    ``wo`` is ``m x d``.  ``past`` is None or the head-split keys and
+    values ``(..., heads, P, m / heads)`` of P earlier positions, arrays
+    that come before this call's own and take no gradient.  ``mask`` is
+    an untracked constant added to the scores, broadcasting to ``(...,
+    heads, T, P + T)``.  Returns the output and the head-split keys and
+    values, ``past``'s first, as arrays.
     """
-    q, k, v, wo = (as_tensor(t) for t in (q, k, v, wo))
-    qd, kd, vd, w = q.data, k.data, v.data, wo.data
-    if (qd.ndim < 3 or kd.shape != vd.shape or kd.shape[:-2] != qd.shape[:-2]
-            or kd.shape[-1] != qd.shape[-1] or w.shape[0] != qd.shape[-3] * qd.shape[-1]):
-        raise ShapeError(f"attention of q {q.shape}, k {k.shape}, v {v.shape}, wo {wo.shape}")
-    c = 1.0 / math.sqrt(qd.shape[-1])
-    scores = (qd @ kd.swapaxes(-1, -2)) * c
+    xd, w = x.data, wq.data
+    shape = xd.shape
+    if (len(shape) < 2 or gain.shape != shape[-1:] or bias.shape != shape[-1:] or w.ndim != 2
+            or w.shape[0] != shape[-1] or wk.shape != w.shape or wv.shape != w.shape or heads < 1
+            or w.shape[1] % heads or wo.shape != (w.shape[1], shape[-1])):
+        raise _refuse(f"self_attention_sublayer of {heads} heads", x=xd, gain=gain.data, bias=bias.data, wq=w,
+                      wk=wk.data, wv=wv.data, wo=wo.data)
+    *lead, t, _ = shape
+    seen = 0
+    if past is not None:
+        seen = past[0].shape[-2]
+        if not past[0].shape == past[1].shape == (*lead, heads, seen, w.shape[1] // heads):
+            raise _refuse(f"self_attention_sublayer of {heads} heads", x=xd, wq=w, past_k=past[0],
+                          past_v=past[1])
     if mask is not None:
-        try:
-            fits = np.broadcast_shapes(np.shape(mask), scores.shape) == scores.shape
-        except ValueError:
-            fits = False
-        if not fits:
-            raise ShapeError(f"attention mask {np.shape(mask)} for scores {scores.shape}")
-        scores = scores + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    p = e / e.sum(axis=-1, keepdims=True)
-    o = p @ vd
-    *lead, h, t, dh = o.shape
-    merged = o.swapaxes(-3, -2).reshape(*lead, t, h * dh)
+        _check_mask(mask, (*lead, heads, t, seen + t), "self_attention_sublayer")
+    normed, norm_bwd = _layer_norm_rows(xd, gain.data, bias.data)
+    q, k, v = (_split_heads(_by_weight(normed, p.data), heads) for p in (wq, wk, wv))
+    if past is not None:
+        k, v = np.concatenate([past[0], k], axis=-2), np.concatenate([past[1], v], axis=-2)
+    out, _, attend_bwd = _attention_rows(q, k, v, wo.data, mask)
 
     def bwd(g):
-        d_merged, d_wo = _by_weight_grads(merged, w, g)
-        d_o = d_merged.reshape(*lead, t, h, dh).swapaxes(-3, -2)
-        d_p = d_o @ vd.swapaxes(-1, -2)
-        d_v = p.swapaxes(-1, -2) @ d_o
-        d_s = (p * (d_p - (d_p * p).sum(axis=-1, keepdims=True))) * c
-        return d_s @ kd, (qd.swapaxes(-1, -2) @ d_s).swapaxes(-1, -2), d_v, d_wo
+        d_q, d_k, d_v, d_wo = attend_bwd(g)
+        d_nv, d_wv = _by_weight_grads(normed, wv.data, _merge_heads(d_v[..., seen:, :]))
+        d_nk, d_wk = _by_weight_grads(normed, wk.data, _merge_heads(d_k[..., seen:, :]))
+        d_nq, d_wq = _by_weight_grads(normed, w, _merge_heads(d_q))
+        return (g, d_wo, d_wv, d_wk, d_wq, *norm_bwd((d_nv + d_nk) + d_nq))
 
-    return _node(_by_weight(merged, w), (q, k, v, wo), bwd), p
+    return _node(xd + out, (x, wo, wv, wk, wq, x, gain, bias), bwd), k, v
 
 
-def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """A position-wise feed-forward sublayer as one node:
-    ``relu(x @ w1 + b1) @ w2 + b2``.
+def cross_attention_sublayer(x: Tensor, gain: Tensor, bias: Tensor, wq: Tensor, k: Tensor, v: Tensor,
+                             wo: Tensor, mask) -> tuple[Tensor, np.ndarray]:
+    """A pre-norm residual cross-attention sublayer as one node: ``x +
+    attention(q, k, v)`` with ``q`` the ``layer_norm`` of ``x`` (by
+    ``gain`` and ``bias``) times ``wq``, split into as many heads as ``k``
+    has, and ``wo`` the output projection.
+
+    ``x`` is ``(..., T, d)``, ``wq`` is ``d x m``, the keys and values
+    ``k`` and ``v`` are ``(..., heads, S, m / heads)`` and ``wo`` is ``m x
+    d``.  ``mask`` is an untracked constant added to the scores,
+    broadcasting to ``(..., heads, T, S)``.  Returns the output and the
+    attention weights, an array.
+    """
+    xd, w, kd = x.data, wq.data, k.data
+    shape = xd.shape
+    if (len(shape) < 2 or gain.shape != shape[-1:] or bias.shape != shape[-1:] or w.ndim != 2
+            or w.shape[0] != shape[-1] or kd.ndim != len(shape) + 1 or v.shape != kd.shape
+            or kd.shape[:-3] != shape[:-2] or kd.shape[-3] * kd.shape[-1] != w.shape[1]
+            or wo.shape != (w.shape[1], shape[-1])):
+        raise _refuse("cross_attention_sublayer", x=xd, gain=gain.data, bias=bias.data, wq=w, k=kd,
+                      v=v.data, wo=wo.data)
+    heads = kd.shape[-3]
+    if mask is not None:
+        _check_mask(mask, (*shape[:-2], heads, shape[-2], kd.shape[-2]), "cross_attention_sublayer")
+    normed, norm_bwd = _layer_norm_rows(xd, gain.data, bias.data)
+    out, weights, attend_bwd = _attention_rows(_split_heads(_by_weight(normed, w), heads), kd, v.data,
+                                              wo.data, mask)
+
+    def bwd(g):
+        d_q, d_k, d_v, d_wo = attend_bwd(g)
+        d_n, d_wq = _by_weight_grads(normed, w, _merge_heads(d_q))
+        return (g, d_k, d_v, d_wo, d_wq, *norm_bwd(d_n))
+
+    return _node(xd + out, (x, k, v, wo, wq, x, gain, bias), bwd), weights
+
+
+def feed_forward_sublayer(x: Tensor, gain: Tensor, bias: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                          b2: Tensor) -> Tensor:
+    """A pre-norm residual feed-forward sublayer as one node: ``x +
+    relu(n @ w1 + b1) @ w2 + b2`` with ``n`` the ``layer_norm`` of ``x``
+    (by ``gain`` and ``bias``).
 
     ``x`` is ``(..., T, d)``, ``w1`` is ``d x f``, ``b1`` has ``f``
-    entries, ``w2`` is ``f x m`` and ``b2`` has ``m`` entries; the output
-    is ``(..., T, m)``.  Forward and backward do the same arithmetic, in
-    the same order, as the chain of single-op nodes it fuses (matmul, add,
-    relu, matmul, add), so both give the same bits.  The relu is
-    ``np.where(pre > 0.0, pre, 0.0)``, NaN and -0.0 included, and its rule
-    is ``g * (pre > 0.0)``.
+    entries, ``w2`` is ``f x d`` and ``b2`` has ``d`` entries.
     """
-    x, w1, b1, w2, b2 = (as_tensor(t) for t in (x, w1, b1, w2, b2))
-    xd, w, v = x.data, w1.data, w2.data
-    if (xd.ndim < 2 or w.ndim != 2 or v.ndim != 2 or xd.shape[-1] != w.shape[0]
-            or b1.shape != w.shape[1:] or v.shape[0] != w.shape[1] or b2.shape != v.shape[1:]):
-        raise ShapeError(f"feed_forward of x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, "
-                         f"w2 {w2.shape}, b2 {b2.shape}")
-    # every array written in place below is a fresh product of this op
-    pre = _by_weight(xd, w)
-    pre += b1.data
-    mask = pre > 0.0
-    # np.where(mask, pre, 0.0) bit for bit: fmax maps NaN to 0.0, and
-    # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it
-    # is; the two branch-free passes cost a fifth of one select by a
-    # random mask
-    hidden = np.fmax(pre, 0.0, out=pre)
-    hidden += 0.0
+    xd, w, u = x.data, w1.data, w2.data
+    shape = xd.shape
+    if (len(shape) < 2 or gain.shape != shape[-1:] or bias.shape != shape[-1:] or w.ndim != 2 or u.ndim != 2
+            or w.shape[0] != shape[-1] or b1.shape != w.shape[1:] or u.shape != (w.shape[1], shape[-1])
+            or b2.shape != shape[-1:]):
+        raise _refuse("feed_forward_sublayer", x=xd, gain=gain.data, bias=bias.data, w1=w, b1=b1.data, w2=u,
+                      b2=b2.data)
+    normed, norm_bwd = _layer_norm_rows(xd, gain.data, bias.data)
+    out, ffn_bwd = _feed_forward_rows(normed, w, b1.data, u, b2.data)
 
     def bwd(g):
-        d_pre, d_w2 = _by_weight_grads(hidden, v, g)
-        d_pre *= mask
-        d_x, d_w1 = _by_weight_grads(xd, w, d_pre)
-        return (d_x, d_w1, d_pre.reshape(-1, *b1.shape).sum(axis=0), d_w2,
-                g.reshape(-1, *b2.shape).sum(axis=0))
+        d_n, d_w1, d_b1, d_w2, d_b2 = ffn_bwd(g)
+        return (g, d_w1, d_b1, d_w2, d_b2, *norm_bwd(d_n))
 
-    out = _by_weight(hidden, v)
-    out += b2.data
-    return _node(out, (x, w1, b1, w2, b2), bwd)
+    return _node(xd + out, (x, w1, b1, w2, b2, x, gain, bias), bwd)
 
 
 def add(a: Tensor, b) -> Tensor:
@@ -459,30 +604,10 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     it adds no mul/add nodes to the tape.
     """
     a = as_tensor(a)
-    width = a.shape[-1:]
     for name, p in (("gain", gain), ("bias", bias)):
-        if p.shape != width:
+        if p.shape != a.shape[-1:]:
             raise ShapeError(f"layer_norm {name} {p.shape} for input {a.shape}")
-    # np.add.reduce(...) / n is what ndarray.mean and .var compute, bit
-    # for bit, without their Python-level wrappers, which cost a visible
-    # share of a training step at one call per sublayer
-    n = width[0]
-    rowsum = np.add.reduce
-    centered = a.data - rowsum(a.data, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(rowsum(centered * centered, axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
-    normed = centered * inv
-    out = normed * gain.data + bias.data
-
-    def bwd(g):
-        gn = g * gain.data
-        gm = rowsum(gn, axis=-1, keepdims=True) / n
-        gy = rowsum(gn * normed, axis=-1, keepdims=True) / n
-        return (
-            (gn - gm - normed * gy) * inv,
-            rowsum((g * normed).reshape(-1, n), axis=0),
-            rowsum(g.reshape(-1, n), axis=0),
-        )
-
+    out, bwd = _layer_norm_rows(a.data, gain.data, bias.data)
     return _node(out, (a, gain, bias), bwd)
 
 
@@ -509,22 +634,22 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _node(out, (table,), bwd)
 
 
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """``parts`` joined along ``axis``; parts that disagree off it, or an
-    axis they lack, raise ``ShapeError`` naming their shapes."""
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """``parts`` stacked along their first axis; parts that disagree off
+    it, or have no axis, raise ``ShapeError`` naming their shapes."""
     parts = [as_tensor(p) for p in parts]
     if not parts:
         raise ShapeError("concat of zero tensors")
     try:
-        out = np.concatenate([p.data for p in parts], axis=axis)
+        out = np.concatenate([p.data for p in parts])
     except ValueError:
-        raise ShapeError(f"concat along axis {axis} of shapes {[p.shape for p in parts]}") from None
-    sizes = [p.data.shape[axis] for p in parts]
+        raise ShapeError(f"concat of shapes {[p.shape for p in parts]}") from None
+    sizes = [p.data.shape[0] for p in parts]
 
     def bwd(g):
         # split points are worked out here, so a forward pass that is never
         # replayed (inference) does not pay for np.cumsum
-        return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
+        return tuple(np.split(g, np.cumsum(sizes)[:-1]))
 
     return _node(out, tuple(parts), bwd)
 

@@ -1,6 +1,7 @@
 """Helpers that only the tests use: the ablations behind the paper's
-structural reduction checks, the chains of single ops that the fused
-attention and feed-forward ops are checked against, the per-tensor Adam
+structural reduction checks, the attention and feed-forward nodes whose
+chains the sublayer ops are checked against, and the chains of single ops
+that those nodes are checked against in turn, the per-tensor Adam
 that the fused one is checked against, the one-instance CTC DP that the
 stacked one is checked against, the path-by-path alignment scan that the
 vectorised one is checked against, the token-by-token dataset generators
@@ -25,7 +26,7 @@ from oracle_distill.ctc import (
     validated_inputs,
 )
 from oracle_distill.diagnostics import bound_report_from_logits
-from oracle_distill.errors import ContractError, InfeasibleTargetError
+from oracle_distill.errors import ContractError, InfeasibleTargetError, ShapeError
 from oracle_distill.models import CtcModel
 from oracle_distill.objectives import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, kd_loss
 from oracle_distill.tasks import (
@@ -111,10 +112,30 @@ def _masked_softmax(a: Tensor, mask) -> Tensor:
     return T._node(out, (a,), lambda g: (out * (g - (g * out).sum(axis=-1, keepdims=True)),))
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, mask=None) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product attention over head-split stacks, then the merged
+    heads' output projection, as one node: ``merge(softmax(q kᵀ / sqrt(dh)
+    + mask) v) @ wo``, by ``tensor._attention_rows``.
+
+    ``q`` is ``(..., heads, Tq, dh)``, ``k`` and ``v`` are ``(..., heads,
+    Tk, dh)`` with the same leading axes, and ``wo`` is ``heads * dh x m``.
+    Returns the output and the attention weights, an array.  It is the
+    attention node of the chains the sublayer ops are checked against, and
+    ``reference_attention`` checks it in turn."""
+    q, k, v, wo = (T.as_tensor(t) for t in (q, k, v, wo))
+    qd, kd = q.data, k.data
+    if (qd.ndim < 3 or kd.shape != v.shape or kd.shape[:-2] != qd.shape[:-2]
+            or kd.shape[-1] != qd.shape[-1] or wo.shape[0] != qd.shape[-3] * qd.shape[-1]):
+        raise ShapeError(f"attention of q {q.shape}, k {k.shape}, v {v.shape}, wo {wo.shape}")
+    T._check_mask(mask, (*qd.shape[:-1], kd.shape[-2]), "attention")
+    out, weights, bwd = T._attention_rows(qd, kd, v.data, wo.data, mask)
+    return T._node(out, (q, k, v, wo), bwd), weights
+
+
 def reference_attention(x: Tensor, memory: Tensor, wq, wk, wv, wo, heads: int, mask=None):
     """An attention sublayer as the chain of single-op nodes that
-    ``tensor.project_heads`` and ``tensor.attention`` replace: the oracle
-    they must match bit for bit, forward and backward.
+    ``tensor.project_heads`` and ``attention`` replace: the oracle they
+    must match bit for bit, forward and backward.
 
     Queries are ``x`` projected by ``wq``, keys and values ``memory`` by
     ``wk`` and ``wv`` (in that order), each split into heads; then
@@ -139,11 +160,20 @@ def relu(a: Tensor) -> Tensor:
     return T._node(np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """A position-wise feed-forward net as one node, ``relu(x @ w1 + b1) @
+    w2 + b2``, by ``tensor._feed_forward_rows``: the feed-forward node of
+    the chain the feed-forward sublayer op is checked against, which
+    ``reference_feed_forward`` checks in turn."""
+    x, w1, b1, w2, b2 = (T.as_tensor(t) for t in (x, w1, b1, w2, b2))
+    out, bwd = T._feed_forward_rows(x.data, w1.data, b1.data, w2.data, b2.data)
+    return T._node(out, (x, w1, b1, w2, b2), bwd)
+
+
 def reference_feed_forward(x: Tensor, w1, b1, w2, b2) -> Tensor:
-    """A feed-forward sublayer as the chain of single-op nodes that
-    ``tensor.feed_forward`` replaces: ``matmul``, ``add``, ``relu``,
-    ``matmul``, ``add``, the oracle it must match bit for bit, forward
-    and backward."""
+    """A feed-forward net as the chain of single-op nodes that
+    ``feed_forward`` replaces: ``matmul``, ``add``, ``relu``, ``matmul``,
+    ``add``, the oracle it must match bit for bit, forward and backward."""
     return T.add(T.matmul(relu(T.add(T.matmul(x, w1), b1)), w2), b2)
 
 

@@ -216,18 +216,19 @@ def test_tape_grows_by_a_small_constant_per_item(task):
     # one graph whatever the batch: the CTC terms share one DP node, and
     # the encoder-decoder's two heads one decoder pass
     assert nodes == [nodes[0]] * 8
-    # an attention sublayer is four nodes, three projections and the core,
-    # and a feed-forward sublayer is one
-    assert nodes[0] == {"ctc": 69, "aed": 117}[task]
+    # every pre-norm residual sublayer is one node, norm and residual
+    # included; a cross-attention memory's norm and key and value
+    # projections are three more
+    assert nodes[0] == {"ctc": 38, "aed": 66}[task]
 
 
 @pytest.mark.parametrize("overrides, count, digest", [
-    (dict(task="ctc"), 69, "eeb29dcfcbca402c6854dd83552f1e1251bebe2b1b6997e858a13de8bb79391d"),
-    (dict(task="aed"), 117, "f00ee7d513e885346f676e4ba8ea2c4fb87d155d27e72663c874b747e6e01e2f"),
-    (dict(task="ctc", use_teacher=False), 25, "b951103b2df1da0e40b45cbdacf969af567dd83c22bc1dc9525d7cd5229577c2"),
-    (dict(task="aed", use_teacher=False), 62, "c979686eca78ec07cfdde40486e9ebdb96ce559e60d3b1f7a169bc9c97c32457"),
-    (dict(task="ctc", kd_form="kl", stop_teacher_grad=True), 71,
-     "4b9f4fc699810e4dedacc429640454e99122f5cc51a5091e5c929a4a6d2af63c"),
+    (dict(task="ctc"), 38, "2251398f58e7b66975288e61963d762d14ac81aac1fe590eb6c027d04087a792"),
+    (dict(task="aed"), 66, "cbccd79936e51dd6036b725098873dc792d1b5538fd933a93b3e7c01550beaef"),
+    (dict(task="ctc", use_teacher=False), 11, "938ac7ecd656609cbbdfa3aad22c972024fa279bebdb5290ed762b9ff5768328"),
+    (dict(task="aed", use_teacher=False), 28, "22271f1d7cac4fa97d36bc5c2876372eda14c6684c0952db74acc1da95c18474"),
+    (dict(task="ctc", kd_form="kl", stop_teacher_grad=True), 40,
+     "2b7f8a3638f2a28c61ce8334f9bf077d83562f7fcc5f6b13b77ad9b65183443f"),
 ], ids=["ctc", "aed", "ctc no teacher", "aed no teacher", "ctc kl stopped teacher"])
 def test_the_tape_of_a_step_is_pinned(overrides, count, digest):
     """The (backward rule, shape) of every node of one step's tape, in

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_distill import tensor as T
+from oracle_distill.config import RunConfig
 from oracle_distill.errors import ContractError, ShapeError, VocabularyError
 from oracle_distill.models import (
     AUX_PREFIXES,
@@ -15,6 +16,7 @@ from oracle_distill.models import (
     AedModel,
     CtcModel,
     ModelConfig,
+    build_model,
 )
 
 HEADS = ("seq.out", "teacher_out")
@@ -73,16 +75,18 @@ def test_cached_rows_equal_the_full_prefix_rows(case, data):
     prefix = [model.bos] + data.draw(st.lists(st.integers(0, model.eos), min_size=n - 1, max_size=n - 1))
     full = model.decode_logits(model.decode_cache(memory), prefix, head=head).data
     # feed the prefix in chunks: one token at a time, as greedy decoding
-    # does, or several at once under the causal mask's lower rows
+    # does, or several at once under the causal mask's lower rows; a call
+    # that continues a cache records no graph
     cache = model.decode_cache(memory)
     start = 0
-    while start < n:
-        stop = data.draw(st.integers(start + 1, n))
-        rows = model.decode_logits(cache, prefix[start:stop], head=head).data
-        assert rows.shape == (stop - start, model.eos + 1)
-        np.testing.assert_allclose(rows, full[start:stop], rtol=0, atol=1e-12)
-        assert cache.length == stop
-        start = stop
+    with T.no_grad():
+        while start < n:
+            stop = data.draw(st.integers(start + 1, n))
+            rows = model.decode_logits(cache, prefix[start:stop], head=head).data
+            assert rows.shape == (stop - start, model.eos + 1)
+            np.testing.assert_allclose(rows, full[start:stop], rtol=0, atol=1e-12)
+            assert cache.length == stop
+            start = stop
 
 
 @settings(max_examples=40, deadline=None)
@@ -190,20 +194,37 @@ class TestCacheMisuse:
         assert cache.length == 0 and cache.self_kv == [None, None]
         model.decode_logits(cache, [model.bos])
         cross_kv, self_kv = list(cache.cross_kv), list(cache.self_kv)
-        for bad in (-1, model.eos + 1):
-            with pytest.raises(VocabularyError, match="decoder prefix token out of range"):
-                model.decode_logits(cache, [bad])
-            assert cache.length == 1
-            assert all(a is b for a, b in zip(cache.cross_kv + cache.self_kv, cross_kv + self_kv))
-        model.decode_logits(cache, [model.eos])
+        with T.no_grad():
+            for bad in (-1, model.eos + 1):
+                with pytest.raises(VocabularyError, match="decoder prefix token out of range"):
+                    model.decode_logits(cache, [bad])
+                assert cache.length == 1
+                assert all(a is b for a, b in zip(cache.cross_kv + cache.self_kv, cross_kv + self_kv))
+            model.decode_logits(cache, [model.eos])
         assert cache.length == 2
 
     def test_a_call_needs_new_tokens(self):
         model = tiny_aed()
         cache = model.decode_cache(model.encode((1,)))
-        model.decode_logits(cache, [model.bos])
-        with pytest.raises(ContractError):
-            model.decode_logits(cache, [])
+        with T.no_grad():
+            model.decode_logits(cache, [model.bos])
+            with pytest.raises(ContractError):
+                model.decode_logits(cache, [])
+
+    def test_a_recorded_call_may_not_continue_a_cache(self):
+        # the cached keys and values take no gradient, so a graph recorded
+        # through them would miss the path through the earlier calls
+        model = tiny_aed()
+        cache = model.decode_cache(model.encode((1, 2)))
+        model.decode_logits(cache, [model.bos, 3])
+        self_kv = list(cache.self_kv)
+        with pytest.raises(ContractError, match="no_grad"):
+            model.decode_logits(cache, [4])
+        assert cache.length == 2
+        assert len(cache.self_kv) == 2 and all(a is b for a, b in zip(cache.self_kv, self_kv))
+        with T.no_grad():
+            model.decode_logits(cache, [4])
+        assert cache.length == 3
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,26 +234,50 @@ def test_a_refused_call_leaves_the_cache_as_it_was(dec_layers, warm, data):
     token = st.integers(0, model.eos)
     memory = model.encode([[1, 2, 3], [4, 5, 1]])
     cache, twin = model.decode_cache(memory), model.decode_cache(memory)
-    if warm:
-        prefix = [[model.bos] + data.draw(st.lists(token, min_size=warm - 1, max_size=warm - 1))] * 2
-        for c in (cache, twin):
-            model.decode_logits(c, prefix)
-    # a first call's row must begin with the start symbol; a later one's may not
-    first = [model.bos] if warm == 0 else []
-    fault = data.draw(st.sampled_from(["rows", "token", "empty"] + ["start"] * (warm == 0)))
-    if fault == "rows":  # three rows of tokens for a memory of two
-        bad = [first + [data.draw(token)] for _ in range(3)]
-    elif fault == "token":
-        bad = [first + [data.draw(token)], first + [data.draw(st.sampled_from([-1, model.eos + 1]))]]
-    elif fault == "empty":
-        bad = np.zeros((2, 0), dtype=np.int64)
-    else:
-        bad = [[data.draw(st.integers(1, model.eos))]] * 2
-    self_kv = list(cache.self_kv)
-    with pytest.raises((ShapeError, VocabularyError, ContractError)):
-        model.decode_logits(cache, bad)
-    assert cache.length == warm
-    assert len(cache.self_kv) == dec_layers and all(a is b for a, b in zip(cache.self_kv, self_kv))
-    step = [first or [data.draw(token)]] * 2
-    assert model.decode_logits(cache, step).data.tobytes() == model.decode_logits(twin, step).data.tobytes()
-    assert cache.length == twin.length == warm + 1
+    with T.no_grad():
+        if warm:
+            prefix = [[model.bos] + data.draw(st.lists(token, min_size=warm - 1, max_size=warm - 1))] * 2
+            for c in (cache, twin):
+                model.decode_logits(c, prefix)
+        # a first call's row must begin with the start symbol; a later one's may not
+        first = [model.bos] if warm == 0 else []
+        fault = data.draw(st.sampled_from(["rows", "token", "empty"] + ["start"] * (warm == 0)))
+        if fault == "rows":  # three rows of tokens for a memory of two
+            bad = [first + [data.draw(token)] for _ in range(3)]
+        elif fault == "token":
+            bad = [first + [data.draw(token)], first + [data.draw(st.sampled_from([-1, model.eos + 1]))]]
+        elif fault == "empty":
+            bad = np.zeros((2, 0), dtype=np.int64)
+        else:
+            bad = [[data.draw(st.integers(1, model.eos))]] * 2
+        self_kv = list(cache.self_kv)
+        with pytest.raises((ShapeError, VocabularyError, ContractError)):
+            model.decode_logits(cache, bad)
+        assert cache.length == warm
+        assert len(cache.self_kv) == dec_layers and all(a is b for a, b in zip(cache.self_kv, self_kv))
+        step = [first or [data.draw(token)]] * 2
+        assert model.decode_logits(cache, step).data.tobytes() == model.decode_logits(twin, step).data.tobytes()
+        assert cache.length == twin.length == warm + 1
+
+
+def test_a_cached_greedy_step_creates_a_pinned_number_of_tensors(monkeypatch):
+    """A timing-free guard of the one-node sublayers: every ``decode_logits``
+    call of a default encoder-decoder's greedy decode creates 12 tensors.
+    They are 4 for the embedding (lookup, scale, position rows, sum), one
+    per sublayer of each of the 2 decoder layers and 2 for the output head
+    (product, bias)."""
+    cfg = RunConfig(task="aed", seed=1).resolved()
+    model = build_model(cfg.model_config(), seed=cfg.seed)
+    assert (model.cfg.dec_layers, model.cfg.d_model) == (2, 32)
+    created = []
+    decode = AedModel.decode_logits
+
+    def counted(self, *args, **kwargs):
+        first = next(T._serial)
+        out = decode(self, *args, **kwargs)
+        created.append(next(T._serial) - first - 1)
+        return out
+
+    monkeypatch.setattr(AedModel, "decode_logits", counted)
+    model.predict([(1, 2, 3), (4, 5)])
+    assert len(created) > 2 and created == [12] * len(created)

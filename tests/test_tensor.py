@@ -1,3 +1,4 @@
+import contextlib
 import os
 
 import numpy as np
@@ -9,7 +10,7 @@ from oracle_distill import tensor as T
 from oracle_distill.errors import ContractError, DomainError, ShapeError
 from oracle_distill.tensor import Tensor, backward, grad_check
 
-from helpers import reference_attention, reference_feed_forward, relu, sum_sq
+from helpers import attention, feed_forward, reference_attention, reference_feed_forward, relu, sum_sq
 
 
 def rand_tensor(rng, shape, scale=1.0):
@@ -74,13 +75,13 @@ class TestForwardValues:
     def test_concat_index_roundtrip(self):
         rng = np.random.default_rng(1)
         a = Tensor(rng.standard_normal((3, 4)))
-        parts = [T.index(a, (slice(None), slice(0, 2))), T.index(a, (slice(None), slice(2, 4)))]
-        np.testing.assert_array_equal(T.concat(parts, axis=1).data, a.data)
+        parts = [T.index(a, slice(0, 1)), T.index(a, slice(1, 3))]
+        np.testing.assert_array_equal(T.concat(parts).data, a.data)
 
     def test_concat_names_parts_that_disagree_off_its_axis(self):
         parts = [Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2)))]
         with pytest.raises(ShapeError, match=r"\(2, 3\), \(3, 2\)"):
-            T.concat(parts, axis=1)
+            T.concat(parts)
         with pytest.raises(ShapeError):
             T.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros(3))])
 
@@ -132,13 +133,13 @@ class TestForwardValues:
         q = Tensor(np.array([[[1.0], [0.0]]]))
         k = Tensor(np.array([[[1.0], [50.0], [1.0]]]))
         v = Tensor(np.array([[[2.0], [9.0], [4.0]]]))
-        out, weights = T.attention(q, k, v, Tensor(np.eye(1)), mask=np.array([0.0, -np.inf, 0.0]))
+        out, weights = attention(q, k, v, Tensor(np.eye(1)), mask=np.array([0.0, -np.inf, 0.0]))
         np.testing.assert_array_equal(weights, [[[0.5, 0.0, 0.5], [0.5, 0.0, 0.5]]])
         np.testing.assert_array_equal(out.data, [[3.0], [3.0]])
         with pytest.raises(ShapeError):
-            T.attention(q, k, v, Tensor(np.eye(1)), mask=np.zeros(2))
+            attention(q, k, v, Tensor(np.eye(1)), mask=np.zeros(2))
         with pytest.raises(ShapeError):
-            T.attention(q, k, T.index(v, (slice(None), slice(0, 2))), Tensor(np.eye(1)))
+            attention(q, k, T.index(v, (slice(None), slice(0, 2))), Tensor(np.eye(1)))
 
     def test_index(self):
         a = Tensor(np.arange(12.0).reshape(2, 3, 2))
@@ -240,7 +241,7 @@ def _fd_cases(rng):
         "layer_norm": lambda t: sum_sq(T.mul(unit_layer_norm(t), other)),
         "embedding": lambda t: sum_sq(T.embedding_lookup(t, ids)),
         "concat": lambda t: sum_sq(
-            T.concat([T.index(t, (slice(None), slice(0, 2))), T.index(t, (slice(None), slice(2, 4)))], axis=1)
+            T.concat([T.index(t, slice(0, 2)), T.index(t, slice(2, 3))])
         ),
         "index": lambda t: sum_sq(T.index(t, (slice(None), slice(1, 3)))),
         "index_row": lambda t: sum_sq(T.mul(T.index(t, 1), T.index(other, 2))),
@@ -290,9 +291,45 @@ def _fd_cases(rng):
         weight = away_from_zero((*x.shape[:-1], 3))
         for i, name in ((0, "x"), (1, "w1"), (4, "b2")):
             def f(t, i=i, args=args, weight=weight):
-                return T.sum_all(T.mul(T.feed_forward(*args[:i], t, *args[i + 1:]), weight))
+                return T.sum_all(T.mul(feed_forward(*args[:i], t, *args[i + 1:]), weight))
 
             cases[f"feed_forward{tag}_{name}"] = (f, args[i])
+    # the three sublayer ops, each differentiated by every operand, on a
+    # stack of two items of three rows of width 4 and two heads under a
+    # key mask, plus causal self-attention of two rows that continue two
+    # earlier positions; scaled weights and a linear loss, as for the
+    # feed-forward rows
+    def norm():
+        return [Tensor(away_from_zero(4).data * 0.25 + 1.0, requires_grad=True), rand_tensor(rng, (4,), 0.5)]
+
+    key_mask = np.zeros((2, 1, 1, 3))
+    key_mask[1, ..., -1] = -np.inf  # item 1 is padded by a key
+    self_args = [rand_tensor(rng, (2, 3, 4), 0.5), *norm(), *(rand_tensor(rng, (4, 4), 0.3) for _ in range(4))]
+    rows_args = [rand_tensor(rng, (1, 2, 4), 0.5), *self_args[1:]]
+    causal = np.triu(np.full((2, 4), -np.inf), k=3)
+    past = tuple(rng.standard_normal((1, 2, 2, 2)) * 0.5 for _ in range(2))
+    cross_args = [rand_tensor(rng, (2, 3, 4), 0.5), *norm(), rand_tensor(rng, (4, 4), 0.3),
+                  rand_tensor(rng, (2, 2, 3, 2), 0.5), rand_tensor(rng, (2, 2, 3, 2), 0.5), rand_tensor(rng, (4, 4), 0.3)]
+    ffn_args = [rand_tensor(rng, (2, 3, 4), 0.5), *norm(), rand_tensor(rng, (4, 5), 0.5), rand_tensor(rng, (5,)),
+                rand_tensor(rng, (5, 4), 0.5), rand_tensor(rng, (4,))]
+    attend = ("x", "gain", "bias", "wq", "wk", "wv", "wo")
+    sublayers = {
+        "self_attention_sublayer": (attend, self_args,
+                                    lambda *a: T.self_attention_sublayer(*a, 2, key_mask, None)[0]),
+        "self_attention_sublayer_past": (attend, rows_args,
+                                         lambda *a: T.self_attention_sublayer(*a, 2, causal, past)[0]),
+        "cross_attention_sublayer": (("x", "gain", "bias", "wq", "k", "v", "wo"), cross_args,
+                                     lambda *a: T.cross_attention_sublayer(*a, key_mask)[0]),
+        "feed_forward_sublayer": (("x", "gain", "bias", "w1", "b1", "w2", "b2"), ffn_args,
+                                  T.feed_forward_sublayer),
+    }
+    for op, (names, args, build) in sublayers.items():
+        weight = away_from_zero(args[0].shape)
+        for i, name in enumerate(names):
+            def f(t, i=i, args=args, build=build, weight=weight):
+                return T.sum_all(T.mul(build(*args[:i], t, *args[i + 1:]), weight))
+
+            cases[f"{op}_{name}"] = (f, args[i])
     return cases
 
 
@@ -301,7 +338,7 @@ def _attention_fd_cases(rng, away_from_zero):
     input: a padded stack of two items under a key mask with padded query
     rows, a one-row ``(1, 1)`` decode step, and unbatched 3-D heads."""
     def fused(q, k, v, wo, mask, weight):
-        return sum_sq(T.mul(T.attention(q, k, v, wo, mask)[0], weight))
+        return sum_sq(T.mul(attention(q, k, v, wo, mask)[0], weight))
 
     cases = {}
     x, w = rand_tensor(rng, (2, 3, 4)), rand_tensor(rng, (4, 4))
@@ -390,7 +427,7 @@ def test_fused_attention_equals_the_single_op_chain_bit_for_bit(case):
 
     def fused():
         q, k, v = (T.project_heads(src, p, heads) for src, p in ((x, wq), (memory, wk), (memory, wv)))
-        return T.attention(q, k, v, wo, mask)
+        return attention(q, k, v, wo, mask)
 
     got = _attention_grads(fused, x, memory, w, cotangent)
     want = _attention_grads(lambda: reference_attention(x, memory, *w, heads, mask), x, memory, w, cotangent)
@@ -465,7 +502,7 @@ def test_fused_feed_forward_equals_the_single_op_chain_bit_for_bit(case):
                 return np.where(y == 0.0, -0.0, y)
 
             mp.setattr(T, "_by_weight", negative_zero_product)
-        for build in (T.feed_forward, reference_feed_forward):
+        for build in (feed_forward, reference_feed_forward):
             for p in inputs:
                 p.grad = None
             out = build(*inputs)
@@ -475,20 +512,193 @@ def test_fused_feed_forward_equals_the_single_op_chain_bit_for_bit(case):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _no_product(monkeypatch):
+    """Make every weight product and norm fail, so a test sees whether an
+    op checked its operands before computing anything."""
+    def fail(*args):
+        raise AssertionError("a product ran before the shapes were checked")
+
+    monkeypatch.setattr(T, "_by_weight", fail)
+    monkeypatch.setattr(T, "_layer_norm_rows", fail)
+
+
 @pytest.mark.parametrize("operand, shape", [
     ("x", (3,)), ("w1", (3, 5)), ("b1", (4,)), ("b1", (1, 5)),
     ("w2", (4, 3)), ("b2", (2,)), ("b2", (1, 3)),
+    ("gain", (3,)), ("bias", (1, 4)), ("w2", (5, 3)),
 ])
 def test_feed_forward_refuses_a_mismatched_operand_before_any_product(operand, shape, monkeypatch):
-    shapes = {"x": (2, 3, 4), "w1": (4, 5), "b1": (5,), "w2": (5, 3), "b2": (3,)}
+    shapes = {"x": (2, 3, 4), "gain": (4,), "bias": (4,), "w1": (4, 5), "b1": (5,), "w2": (5, 4), "b2": (4,)}
     shapes[operand] = shape
+    _no_product(monkeypatch)
+    with pytest.raises(ShapeError, match="feed_forward_sublayer"):
+        T.feed_forward_sublayer(*(Tensor(np.ones(s)) for s in shapes.values()))
 
-    def no_product(*args):
-        raise AssertionError("a product ran before the shapes were checked")
 
-    monkeypatch.setattr(T, "_by_weight", no_product)
-    with pytest.raises(ShapeError, match="feed_forward"):
-        T.feed_forward(*(Tensor(np.ones(s)) for s in shapes.values()))
+# operands of a self-attention and a cross-attention sublayer of three
+# heads of width 2 over a stack of two items of three rows of width 4,
+# the cross-attention one into five keys; then refused replacements
+SELF_SHAPES = {"x": (2, 3, 4), "gain": (4,), "bias": (4,), "wq": (4, 6), "wk": (4, 6), "wv": (4, 6), "wo": (6, 4)}
+CROSS_SHAPES = {"x": (2, 3, 4), "gain": (4,), "bias": (4,), "wq": (4, 6), "k": (2, 3, 5, 2), "v": (2, 3, 5, 2),
+                "wo": (6, 4)}
+
+
+@pytest.mark.parametrize("change", [
+    {"x": (3,)}, {"gain": (3,)}, {"bias": (1, 4)}, {"wq": (3, 6)}, {"wk": (4, 3)}, {"wv": (6,)},
+    {"wo": (6, 3)}, {"wo": (4, 4)}, {"heads": 4}, {"heads": 0}, {"mask": (2, 1, 1, 4)},
+    {"past": ((2, 3, 1, 2), (2, 3, 2, 2))}, {"past": ((1, 3, 1, 2),) * 2}, {"past": ((2, 2, 1, 3),) * 2},
+], ids=repr)
+def test_self_attention_refuses_a_mismatched_operand_before_any_product(change, monkeypatch):
+    shapes = dict(SELF_SHAPES, **{k: v for k, v in change.items() if k in SELF_SHAPES})
+    past = change.get("past")
+    past = None if past is None else tuple(np.ones(s) for s in past)
+    mask = np.zeros(change["mask"]) if "mask" in change else np.zeros((2, 1, 1, 3))
+    _no_product(monkeypatch)
+    with pytest.raises(ShapeError, match="self_attention_sublayer"):
+        T.self_attention_sublayer(*(Tensor(np.ones(s)) for s in shapes.values()), change.get("heads", 3), mask, past)
+
+
+@pytest.mark.parametrize("change", [
+    {"x": (3, 4, 4)}, {"x": (3,)}, {"gain": (5,)}, {"bias": (4, 1)}, {"wq": (4, 5)}, {"wq": (3, 6)},
+    {"k": (2, 3, 5, 3)}, {"v": (2, 3, 4, 2)}, {"k": (3, 5, 2), "v": (3, 5, 2)},
+    {"k": (3, 3, 5, 2), "v": (3, 3, 5, 2)}, {"wo": (6, 5)}, {"wo": (5, 4)}, {"mask": (2, 1, 1, 4)},
+], ids=repr)
+def test_cross_attention_refuses_a_mismatched_operand_before_any_product(change, monkeypatch):
+    shapes = dict(CROSS_SHAPES, **{k: v for k, v in change.items() if k in CROSS_SHAPES})
+    mask = np.zeros(change.get("mask", (2, 1, 1, 5)))
+    _no_product(monkeypatch)
+    with pytest.raises(ShapeError, match="cross_attention_sublayer"):
+        T.cross_attention_sublayer(*(Tensor(np.ones(s)) for s in shapes.values()), mask)
+
+
+@st.composite
+def sublayer_inputs(draw):
+    """What every sublayer op takes: an input of one row or of a stack of
+    one to three items of up to four rows, maybe holding a NaN; its norm's
+    gain and bias; a number of heads and their width; and three
+    cotangents for the input's consumers."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    lead = draw(st.sampled_from(((), (1,), (2,), (3,))))
+    x = rng.standard_normal((*lead, draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+    if draw(st.booleans()):
+        x.reshape(-1)[draw(st.integers(0, x.size - 1))] = np.nan
+    d = x.shape[-1]
+    norm = [Tensor(rng.standard_normal(d) + 1.0, requires_grad=True), Tensor(rng.standard_normal(d), requires_grad=True)]
+    heads, width = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return rng, Tensor(x, requires_grad=True), norm, heads, width, [rng.standard_normal(x.shape) for _ in range(3)]
+
+
+def _key_mask(rng, lead, keys):
+    """A mask hiding each item's padded keys, or None for one unpadded
+    item."""
+    if not lead:
+        return None
+    lengths = rng.integers(1, keys + 1, size=lead)
+    return np.where(np.arange(keys) < lengths[..., None], 0.0, -np.inf)[..., None, None, :]
+
+
+def _sublayer_results(build, x0, leaves, cotangents):
+    """The op's output and other results, then the gradient of ``x0`` and
+    of each of ``leaves``, from a loss in which the op's input is also
+    read by one node built before the op and one built after it, so that
+    its gradient gathers from three consumers; no gradients when the tape
+    is not recording."""
+    for p in (x0, *leaves):
+        p.grad = None
+    x = T.scale(x0, 1.0)
+    before = T.mul(x, Tensor(cotangents[1]))
+    out, *extra = build(x)
+    after = T.mul(x, Tensor(cotangents[2]))
+    loss = T.add(T.add(T.sum_all(T.mul(out, Tensor(cotangents[0]))), T.sum_all(before)), T.sum_all(after))
+    if loss.requires_grad:
+        backward(loss)
+    return [out.data, *(e.data if isinstance(e, Tensor) else e for e in extra),
+            *(p.grad for p in (x0, *leaves))]
+
+
+def _same_bits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or (a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
+def _after(past: np.ndarray, k: Tensor) -> Tensor:
+    """The constant ``past`` then ``k`` along the positions axis, one node,
+    as the chain joined cached keys and values to a call's own."""
+    seen = past.shape[-2]
+    return T._node(np.concatenate([past, k.data], axis=-2), (k,), lambda g: (g[..., seen:, :],))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sublayer_inputs(), st.data())
+def test_self_attention_sublayer_equals_the_op_chain_bit_for_bit(inputs, data):
+    """Against ``layer_norm``, one ``project_heads`` per projection, a
+    join after any earlier keys and values, ``attention`` and ``add``,
+    recording or not, under no mask, a padded-key mask or a causal
+    mask."""
+    rng, x0, norm, heads, width, cotangents = inputs
+    *lead, t, d = x0.shape
+    seen = data.draw(st.integers(0, 3))
+    past = tuple(rng.standard_normal((*lead, heads, seen, width)) for _ in range(2)) if seen else None
+    kind = data.draw(st.sampled_from(("none", "keys", "causal")))
+    mask = {"none": None, "keys": _key_mask(rng, tuple(lead), seen + t),
+            "causal": np.triu(np.full((t, seen + t), -np.inf), k=seen + 1)}[kind]
+    w = [Tensor(rng.standard_normal(shape), requires_grad=True)
+         for shape in ((d, heads * width),) * 3 + ((heads * width, d),)]
+
+    def reference(x):
+        n = T.layer_norm(x, *norm)
+        q, k, v = (T.project_heads(n, p, heads) for p in w[:3])
+        if past is not None:
+            k, v = _after(past[0], k), _after(past[1], v)
+        out, _ = attention(q, k, v, w[3], mask)
+        return T.add(x, out), k, v
+
+    with T.no_grad() if data.draw(st.booleans()) else contextlib.nullcontext():
+        got = _sublayer_results(lambda x: T.self_attention_sublayer(x, *norm, *w, heads, mask, past),
+                                x0, [*norm, *w], cotangents)
+        want = _sublayer_results(reference, x0, [*norm, *w], cotangents)
+    _same_bits(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sublayer_inputs(), st.data())
+def test_cross_attention_sublayer_equals_the_op_chain_bit_for_bit(inputs, data):
+    """Against ``layer_norm``, ``project_heads``, ``attention`` and
+    ``add``, under no mask or a padded-key mask, the attention weights
+    included."""
+    rng, x0, norm, heads, width, cotangents = inputs
+    *lead, t, d = x0.shape
+    keys = data.draw(st.integers(1, 5))
+    mask = _key_mask(rng, tuple(lead), keys) if data.draw(st.booleans()) else None
+    kv = [Tensor(rng.standard_normal((*lead, heads, keys, width)), requires_grad=True) for _ in range(2)]
+    wq, wo = (Tensor(rng.standard_normal(shape), requires_grad=True)
+              for shape in ((d, heads * width), (heads * width, d)))
+
+    def reference(x):
+        out, weights = attention(T.project_heads(T.layer_norm(x, *norm), wq, heads), *kv, wo, mask)
+        return T.add(x, out), weights
+
+    leaves = [*norm, wq, *kv, wo]
+    got = _sublayer_results(lambda x: T.cross_attention_sublayer(x, *norm, wq, *kv, wo, mask), x0, leaves,
+                            cotangents)
+    _same_bits(got, _sublayer_results(reference, x0, leaves, cotangents))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sublayer_inputs(), st.integers(1, 4))
+def test_feed_forward_sublayer_equals_the_op_chain_bit_for_bit(inputs, hidden):
+    """Against ``layer_norm``, ``feed_forward`` and ``add``."""
+    rng, x0, norm, _, _, cotangents = inputs
+    d = x0.shape[-1]
+    ffn = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in ((d, hidden), (hidden,), (hidden, d), (d,))]
+
+    def reference(x):
+        return (T.add(x, feed_forward(T.layer_norm(x, *norm), *ffn)),)
+
+    leaves = [*norm, *ffn]
+    got = _sublayer_results(lambda x: (T.feed_forward_sublayer(x, *norm, *ffn),), x0, leaves, cotangents)
+    _same_bits(got, _sublayer_results(reference, x0, leaves, cotangents))
 
 
 @pytest.mark.parametrize("seed", range(20))
