@@ -44,7 +44,7 @@ from .errors import (
     InfeasibleTargetError,
     ShapeError,
 )
-from .tasks import token_tuple
+from .tasks import check_integers, token_tuple
 from .tensor import Tensor, as_tensor, custom_op, log_softmax_rows
 
 BLANK = 0
@@ -293,6 +293,7 @@ def _forward_pass(u, y, frames) -> _ForwardPass:
     if frames is None:
         frames = (n_frames,) * n_items
     else:
+        check_integers(frames, np.asarray(frames), "frame counts", "integers")
         frames = tuple(int(n) for n in frames)
         if len(frames) != n_items or not all(1 <= n <= n_frames for n in frames):
             raise ShapeError(f"frame counts {frames} for a stack of shape {data.shape}")
@@ -348,7 +349,8 @@ def ctc_loss_dp(u, y, frames=None) -> Tensor:
     """CTC negative log-likelihood via forward recursion: a scalar for one
     T x K instance with target ``y``, or one loss per item of a B x T x K
     stack of instances padded in time, with ``y`` their B targets and
-    ``frames`` their frame counts (default: all T).  Only an item's own
+    ``frames`` their integer frame counts (default: all T; a float or a
+    bool is refused, not truncated or read as 0 or 1).  Only an item's own
     frames are read: padded rows may hold anything, and their gradient
     rows are zero.  A single instance is a stack of one, returned without
     the stack axis.

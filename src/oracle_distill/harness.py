@@ -10,26 +10,30 @@ byte-identical.
 suite passes exactly when every value of its clauses lies in the clause's
 closed range, where a NaN never lies.
 
-check-ctc and bound-check first draw all their instances, in the order
-their one generator always drew them, then map their measure over them by
-``shares.share_map``: contiguous shares, one per CPU but each of at least
-``SUITE_MIN_SHARE`` = 32 instances, every share after the first computed
-by a forked child.  On a 2-core host a fork round trip takes 1.2-1.5 ms
-and an instance 0.34 ms (check-ctc) or 0.38 ms (bound-check) on average,
-at least about 0.05 ms, so a share's work outweighs its fork, and a suite
-of fewer than 64 instances stays in one process.  The report and
-``bound_report.csv`` are assembled in instance order by the calling
+check-ctc, bound-check and grad-check's CTC-rule clause first draw all
+their instances, in the order their one generator always drew them, then
+map their measure over them by ``shares.share_map``: contiguous shares,
+one per CPU but each of at least a minimum count of instances, every
+share after the first computed by a forked child.  On a 2-core host a
+fork round trip takes 1.2-1.5 ms.  A check-ctc instance takes 0.34 ms on
+average and at least about 0.05 ms, a bound-check instance 0.38 ms on
+average, so their minimum, ``SUITE_MIN_SHARE``, is 32: a share's work
+outweighs its fork, and a suite of fewer than 64 instances stays in one
+process.  A CTC-rule check takes about 1.1 ms on average and at least
+about 0.3 ms, so ``CTC_RULE_MIN_SHARE`` is 16: a share averages about
+18 ms, and even 16 of the cheapest checks cover three forks.  The reports
+and ``bound_report.csv`` are assembled in instance order by the calling
 process, bit-identical to a serial loop's.
 
 grad-check's full-objective clause (``full_gradient_report``) follows
-the three stages of ``objectives.loss_total``: the source encoding, the
-oracle guidance and ``loss_terms``.  Each tensor belongs to the first
-stage that reads it, found from the ``ParamStore`` read counters of one
-pass of each stage; a tensor that no stage reads belongs to the last.  A
-run of tensors of one stage is scanned by re-running that stage and the
-ones after it on the earlier stages' fixed outputs, so the grad-check
-model's 2136 coordinates cost 2419 guidance and 1218 encoder passes
-instead of 4273 of each, and the report is bit-identical to one scan's.
+the two independent branches that ``objectives.loss_terms`` combines:
+the source encoding and the oracle guidance.  Each tensor is marked by
+the branches that read it, found from the ``ParamStore`` read counters of
+one pass of each.  A run of tensors of one mark is scanned through
+``loss_terms`` with each branch the run reaches re-run live and the other
+branches' outputs held fixed, so the grad-check model's 2136
+coordinates cost 1202 guidance and 1218 encoder passes instead of 4273 of
+each, and the report is bit-identical to one scan's.
 """
 
 from __future__ import annotations
@@ -388,9 +392,11 @@ def _random_ctc_instance(rng, max_t=8, max_l=4):
     return rng.standard_normal((t, k)) * 2.0, y
 
 
-# fewest instances in a share of check-ctc or bound-check, sized from the
-# fork round trip as the module docstring says
+# fewest instances in a share of check-ctc or bound-check, and of
+# grad-check's CTC-rule clause, sized from the fork round trip as the
+# module docstring says
 SUITE_MIN_SHARE = 32
+CTC_RULE_MIN_SHARE = 16
 
 
 def _check_instance_count(n_instances: int) -> None:
@@ -431,51 +437,50 @@ def _run_counting_reads(store, f):
 def full_gradient_report(model, batch, train_cfg: TrainConfig, mask_seed: int = 0) -> dict:
     """Finite-difference check of the combined objective over every
     parameter coordinate of the model, by ``tensor.finite_differences``,
-    re-running only the stages of ``loss_total`` that a tensor reaches.
+    re-running only the branches of the objective that a tensor reaches.
 
-    Each stage (the encoding, the oracle guidance, ``loss_terms``) runs
-    once without a graph, its ``ParamStore`` reads counted apart; a tensor
-    belongs to the first stage that reads it, and one that no stage reads
-    to the last.  The store order is cut into maximal runs of one stage,
-    and each run is one ``finite_differences`` scan of its stage's
-    objective: ``loss_total`` for the encoding's tensors, ``loss_terms`` of
-    the fixed encoding and a live guidance for the guidance's, and
-    ``loss_terms`` of both fixed for the rest.  The teacher's masks are
-    drawn once from ``default_rng(mask_seed)``, as every evaluation of
-    ``loss_total`` here draws them.  A stage whose inputs and parameters
-    are unchanged gives the same bits, and the runs' results are folded in
-    order by the scan's own rule (only a strictly larger error, or a NaN,
-    replaces the worst), so the report is that of one scan over every
-    tensor, exceptions included.  Every tensor's ``grad`` is None after.
+    The objective is ``loss_terms`` of two independent branches: the
+    encoding of the sources and the oracle guidance of the targets as the
+    teacher sees them, whose masks are drawn once from
+    ``default_rng(mask_seed)``, as every evaluation of ``loss_total`` would
+    draw them.  Each branch runs once without a graph, its ``ParamStore``
+    reads counted apart, which marks each tensor by the branches that read
+    it: the encoding, the guidance, both or neither.  The store order is
+    cut into maximal runs of one mark, and each run is one
+    ``finite_differences`` scan of ``loss_terms`` in which each branch
+    that reads the run's tensors runs live and every other branch is its
+    fixed output.  A branch whose inputs and parameters are unchanged
+    gives the same bits, and the runs' results are folded in order by the
+    scan's own rule (only a strictly larger error, or a NaN, replaces the
+    worst), so the report is that of one scan over every tensor,
+    exceptions included.  Every tensor's ``grad`` is None after.
     """
     names, tensors = zip(*model.store.items())
     batch = Batch(batch)
     seen = teacher_view(model, batch, train_cfg, np.random.default_rng(mask_seed))
 
+    def encode():
+        return model.encode(batch.sources, batch.lengths)
+
     def guide():
         return None if seen is None else model.oracle_guidance(*seen)
 
     with tt.no_grad():
-        encoded, read_encode = _run_counting_reads(model.store,
-                                                   lambda: model.encode(batch.sources, batch.lengths))
+        encoded, read_encode = _run_counting_reads(model.store, encode)
         guidance, read_guide = _run_counting_reads(model.store, guide)
-        _, read_terms = _run_counting_reads(
-            model.store, lambda: loss_terms(model, encoded, guidance, batch, train_cfg))
-    stage_of = {}
-    for stage, read in enumerate((read_encode, read_guide, read_terms)):
-        for name in read:
-            stage_of.setdefault(name, stage)
-    stage_objective = (
-        lambda: loss_total(model, batch, train_cfg, np.random.default_rng(mask_seed)).total,
-        lambda: loss_terms(model, encoded, guide(), batch, train_cfg).total,
-        lambda: loss_terms(model, encoded, guidance, batch, train_cfg).total,
-    )
-    last = len(stage_objective) - 1
+
+    def branches(i):
+        return names[i] in read_encode, names[i] in read_guide
+
+    def objective(live_encode, live_guide):
+        return lambda: loss_terms(model, encode() if live_encode else encoded,
+                                  guide() if live_guide else guidance, batch, train_cfg).total
+
     worst, at, checked = 0.0, (None, None), 0
     try:
-        for stage, run in itertools.groupby(range(len(names)), lambda i: stage_of.get(names[i], last)):
+        for live, run in itertools.groupby(range(len(names)), branches):
             run = list(run)
-            rel_err, pos, index, n = finite_differences(stage_objective[stage], [tensors[i] for i in run])
+            rel_err, pos, index, n = finite_differences(objective(*live), [tensors[i] for i in run])
             if rel_err > worst or np.isnan(rel_err):
                 worst, at = rel_err, (run[pos], index)
             checked += n
@@ -487,16 +492,22 @@ def full_gradient_report(model, batch, train_cfg: TrainConfig, mask_seed: int = 
             "coordinates": checked}
 
 
+def _ctc_rule_error(instance) -> float:
+    """One instance of grad-check's CTC-rule clause: the worst relative
+    error of the CTC loss's analytic gradient in its frame logits."""
+    u, y = instance
+    return grad_check(lambda t: ctc_loss_dp(t, y), Tensor(u, requires_grad=True))
+
+
 def grad_check_suite(seed: int = 0) -> SuiteReport:
     """Analytic gradients against central differences at three levels:
-    the CTC loss rule on 50 random instances, both distillation forms, and
-    the full objective, whose worst relative error may reach 1e-4."""
+    the CTC loss rule on 50 random instances, mapped by ``share_map``,
+    both distillation forms, and the full objective
+    (``full_gradient_report``), whose worst relative error may reach
+    1e-4."""
     rng = np.random.default_rng(seed)
-    ctc_errs = []
-    for _ in range(50):
-        u, y = _random_ctc_instance(rng, max_t=6, max_l=3)
-        x = Tensor(u, requires_grad=True)
-        ctc_errs.append(grad_check(lambda t: ctc_loss_dp(t, y), x))
+    instances = [_random_ctc_instance(rng, max_t=6, max_l=3) for _ in range(50)]
+    ctc_errs = share_map(_ctc_rule_error, instances, 1, CTC_RULE_MIN_SHARE)[:, 0]
 
     kd_errs = []
     for form in ("l2", "kl"):

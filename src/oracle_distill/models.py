@@ -37,7 +37,7 @@ under ``tensor.no_grad``, so inference records no graph.
 Token input is converted once: a list of sequences by
 ``tasks.padded_stack``, and a token array handed to a model method by
 ``_ids``, the one int64 cast of token input here; both refuse a float, a
-string or a bool token (``tasks.check_integer_ids``) rather than truncate,
+string or a bool token (``tasks.check_integers``) rather than truncate,
 parse or read it as 0 or 1.  Source, oracle and decoder tokens take one
 embedding path, ``_embed``: the table lookup, the sqrt(d_model) scale, and
 the position encodings from the first new position.
@@ -90,7 +90,7 @@ import numpy as np
 from . import tensor as tt
 from .ctc import greedy_decode
 from .errors import CheckpointFormatError, ContractError, DomainError, ShapeError, VocabularyError
-from .tasks import check_integer_ids, padded_stack
+from .tasks import check_integers, padded_stack
 from .tensor import Tensor
 
 MASK = -1  # sentinel for masked target tokens; rendered as the oracle's row 0
@@ -210,11 +210,13 @@ def _xavier(rng, fan_in: int, fan_out: int) -> np.ndarray:
 
 def _valid_cells(lengths, shape) -> np.ndarray | None:
     """Where a padded array of ``shape`` (leading item axes, then
-    positions) holds real positions, from one length per item; None
+    positions) holds real positions, from one integer length per item (a
+    float or a bool is refused, not rounded or read as 0 or 1); None
     without ``lengths``, for an unpadded input."""
     if lengths is None:
         return None
-    lengths = np.asarray(lengths)
+    given, lengths = lengths, np.asarray(lengths)
+    check_integers(given, lengths, "lengths", "integers")
     if lengths.shape != tuple(shape[:-1]):
         raise ShapeError(f"lengths of shape {lengths.shape} for a padded input of shape {tuple(shape)}")
     if lengths.size and (lengths.min() < 1 or lengths.max() > shape[-1]):
@@ -238,7 +240,7 @@ def _ids(tokens, what: str) -> np.ndarray:
     ids = np.asarray(tokens)
     if ids.ndim < 1:
         raise ShapeError(f"{what} tokens must be a sequence")
-    check_integer_ids(tokens, ids, f"{what} tokens")
+    check_integers(tokens, ids, f"{what} tokens")
     return ids.astype(np.int64, copy=False)
 
 

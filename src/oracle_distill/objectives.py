@@ -9,19 +9,17 @@ step; nothing is cached across steps.
 ``loss_total`` builds all three terms of a batch as one graph and
 returns that graph alone: ``.total`` and ``.terms`` = (l_org, l_em,
 l_kd), whose ``item()`` values are the loss columns of a metrics row.
-It is the composition of three stages, each of which reads its own
-parameters:
+It is ``loss_terms`` (fusion, both heads, the three terms and the total)
+of two independent branches, each of which reads its own parameters:
 
-1. ``model.encode`` of the batch's padded sources (a :class:`tasks.Batch`);
-2. ``model.oracle_guidance`` of the teacher's view of the targets
-   (``teacher_view``), None with the teacher off;
-3. ``loss_terms`` of the encoding and the guidance: fusion, both heads,
-   the three terms and the total.
+- ``model.encode`` of the batch's padded sources (a :class:`tasks.Batch`);
+- ``model.oracle_guidance`` of the teacher's view of the targets
+  (``teacher_view``), None with the teacher off.
 
-A stage whose inputs and parameters are unchanged gives the same bits, so
-``harness.full_gradient_report`` puts each parameter in the group of the
-first stage that reads it and, for a perturbed parameter, re-runs only
-its stage and the ones after it.
+A branch whose inputs and parameters are unchanged gives the same bits,
+so ``harness.full_gradient_report`` marks each parameter by the branches
+that read it and, for a perturbed parameter, re-runs only those branches
+and ``loss_terms``.
 
 The terms are per task, each in one function: ``_ctc_terms`` (frame
 posteriors against the whole target) and ``_aed_terms`` (tokens against a
@@ -236,17 +234,21 @@ def _aed_terms(model, encoded: Tensor, guidance, batch: Batch, config: TrainConf
 
 def teacher_view(model, batch: Batch, config: TrainConfig, rng: np.random.Generator):
     """The targets of ``batch`` as the teacher sees them
-    (``teacher_targets``, masks drawn per item, in batch order, from
-    ``rng``) as a padded stack and its lengths, the input of
-    ``model.oracle_guidance``; None with the teacher off."""
+    (``teacher_targets``) as a padded stack and its lengths, the input of
+    ``model.oracle_guidance``; None with the teacher off.  A CTC teacher
+    sees the whole targets, the batch's own ``target_ids`` and
+    ``target_lengths``; the encoder-decoder's masks are drawn per item, in
+    batch order, from ``rng``."""
     if not config.use_teacher:
         return None
+    if isinstance(model, CtcModel):
+        return batch.target_ids, batch.target_lengths
     return padded_stack(teacher_targets(model, batch.targets, config.lambda_mask, rng), "targets")
 
 
 def loss_terms(model, encoded: Tensor, guidance, batch: Batch, config: TrainConfig) -> StepOutputs:
-    """The third stage of ``loss_total``: the terms of ``batch`` from its
-    encoding and the oracle guidance (None with the teacher off), by
+    """The terms of ``batch`` from its encoding and the oracle guidance
+    (None with the teacher off), the two branches of ``loss_total``, by
     ``_ctc_terms`` or ``_aed_terms``, and the total l_org + l_em + alpha *
     l_kd, assembled from the terms' own scalars, so the ``item()`` values
     of ``.total`` and ``.terms`` satisfy that sum exactly in float

@@ -21,7 +21,15 @@ suites; a share's work should outweigh that:
 - ``harness.SUITE_MIN_SHARE`` = 32 instances of a verification suite:
   check-ctc's take 0.34 ms on average and at least about 0.05 ms,
   bound-check's 0.38 ms on average, so a share averages about 11 ms and
-  even 32 of the cheapest instances cover one fork.
+  even 32 of the cheapest instances cover one fork;
+- ``harness.CTC_RULE_MIN_SHARE`` = 16 checks of grad-check's CTC-rule
+  clause: one takes about 1.1 ms on average and at least about 0.3 ms,
+  so a share averages about 18 ms and even 16 of the cheapest checks
+  cover three forks.
+
+A measure may itself call ``share_map``, as each CTC-rule check's
+finite-difference scan does: in a child that call is one share, and in
+the calling process a map too small to split forks nothing.
 
 The result is bit-identical to one share's: a child runs the same code on
 the same values, copied by the fork, and sends its rows as their raw

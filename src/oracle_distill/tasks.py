@@ -266,22 +266,23 @@ def _token_id(t) -> int:
     return operator.index(t)
 
 
-def check_integer_ids(tokens, ids: np.ndarray, what: str) -> None:
-    """Refuse ``ids``, the array of ``tokens``, with a ``ContractError``
-    naming ``what``, unless it holds integer token ids: an integer dtype
-    and no bool among the tokens.  An ndarray's dtype tells that already,
-    so only other ``tokens`` are scanned, at their leaves; a leaf that is
-    a 0-d array counts by its dtype, since a bool one reads as 0 or 1."""
-    if not ids.size:
+def check_integers(values, array: np.ndarray, what: str, kind: str = "integer token ids") -> None:
+    """Refuse ``array``, the array of ``values`` (token ids, lengths or
+    frame counts), with a ``ContractError`` saying that ``what`` must hold
+    ``kind``, unless it holds integers: an integer dtype and no bool among
+    the values.  An ndarray's dtype tells that already, so only other
+    ``values`` are scanned, at their leaves; a leaf that is a 0-d array
+    counts by its dtype, since a bool one reads as 0 or 1."""
+    if not array.size:
         return
-    leaves = (() if isinstance(tokens, np.ndarray) else tokens if ids.ndim == 1
-              else np.asarray(tokens, dtype=object).ravel())
-    kinds = set(map(type, leaves))
-    if np.ndarray in kinds:
-        kinds.update(t.dtype.type for t in leaves if type(t) is np.ndarray)
-    if ids.dtype.kind not in "iu" or not _BOOLS.isdisjoint(kinds):
-        given = np.asarray(tokens, dtype=object).tolist()
-        raise ContractError(f"{what} must hold integer token ids, got {given}")
+    leaves = (() if isinstance(values, np.ndarray) else values if array.ndim == 1
+              else np.asarray(values, dtype=object).ravel())
+    types = set(map(type, leaves))
+    if np.ndarray in types:
+        types.update(t.dtype.type for t in leaves if type(t) is np.ndarray)
+    if array.dtype.kind not in "iu" or not _BOOLS.isdisjoint(types):
+        given = np.asarray(values, dtype=object).tolist()
+        raise ContractError(f"{what} must hold {kind}, got {given}")
 
 
 def token_tuple(seq, what: str) -> tuple[int, ...]:
@@ -309,7 +310,7 @@ def padded_stack(seqs, what: str) -> tuple[np.ndarray, np.ndarray]:
     matrices, ints for token sequences.  This is the one conversion of a
     list of sequences to a padded array: each item is converted once, every
     row beyond the first axis must agree, and a token item must hold
-    integer ids (``check_integer_ids``), so a float, a string or a bool
+    integer ids (``check_integers``), so a float, a string or a bool
     token is refused, not truncated, parsed or read as 0 or 1, and a scalar
     item is refused with a ``ShapeError``.  ``what`` names the sequences in
     errors."""
@@ -328,7 +329,7 @@ def padded_stack(seqs, what: str) -> tuple[np.ndarray, np.ndarray]:
         if item.shape[1:] != tail:
             raise ShapeError(f"{what} item {i} has rows of shape {item.shape[1:]}, item 0 {tail}")
         if not tail:
-            check_integer_ids(seq, item, f"{what} item {i}")
+            check_integers(seq, item, f"{what} item {i}")
         out[i, :n] = item
     return out, lengths
 

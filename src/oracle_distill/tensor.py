@@ -56,10 +56,11 @@ on a 2-core host: a forked share costs a round trip of 1.2-1.5 ms, and a
 coordinate at least about 47 us, two evaluations of the cheapest
 objective the package checks (the CTC rule on 6 x 4 logits); so a share's
 work is at least twice its fork, and a check of fewer than 128
-coordinates stays in one process.  The result is bit-identical to one
-share's: a child sends each difference as its raw float64 bytes, and the
-calling process scores the differences in the same tensor-by-tensor
-order.
+coordinates stays in one process.  Each of grad-check's CTC-rule checks
+has at most 24 coordinates, so the harness maps the checks themselves
+across the CPUs instead.  The result is bit-identical to one share's: a
+child sends each difference as its raw float64 bytes, and the calling
+process scores the differences in the same tensor-by-tensor order.
 """
 
 from __future__ import annotations

@@ -507,6 +507,20 @@ def test_stack_refuses_bad_frame_counts_and_garbage_in_real_rows():
         ctc_loss_dp(u, [(1,), (2,)], [4, 2])
 
 
+@pytest.mark.parametrize("frames", [[4, 2.9], [4, True], np.array([4.0, 2.0]), [4, np.bool_(True)]],
+                         ids=["float", "bool", "float array", "numpy bool"])
+def test_a_frame_count_that_is_no_integer_is_refused(frames):
+    # a float is not truncated to a frame count, nor a bool read as 1
+    with pytest.raises(ContractError, match=r"^frame counts must hold integers, got "):
+        ctc_loss_dp(np.zeros((2, 4, 3)), [(1,), (2,)], frames)
+
+
+def test_numpy_integer_frame_counts_read_as_ints():
+    u = np.random.default_rng(6).standard_normal((2, 4, 3))
+    assert (ctc_loss_dp(u, [(1,), (2,)], np.array([4, 2], dtype=np.int8)).data.tobytes()
+            == ctc_loss_dp(u, [(1,), (2,)], [4, 2]).data.tobytes())
+
+
 U3 = np.random.default_rng(5).standard_normal((3, 3))
 
 # every entry point that checks a target, as a function of the target alone

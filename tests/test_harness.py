@@ -16,6 +16,7 @@ from oracle_distill.config import (
 )
 from oracle_distill import cli, harness, objectives
 from oracle_distill import tensor as T
+from oracle_distill.ctc import ctc_loss_dp
 from oracle_distill.errors import ConfigError, ContractError
 from oracle_distill.harness import (
     METRICS_HEADER,
@@ -366,6 +367,8 @@ class TestSuites:
             calls.append(1)
             return math.nan if len(calls) == nan_call else 0.0
 
+        # on one CPU every check runs, and is counted, in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(harness, "grad_check", nan_on_one_call)
         monkeypatch.setattr(harness, "full_gradient_report",
                             lambda *args, **kw: {"rel_err": 0.0, "param": None, "index": None,
@@ -436,14 +439,12 @@ GOLDEN_SUITE_LINES = {
 }
 
 
-@pytest.mark.parametrize("split", ["1 cpu", "3 cpus", "cannot fork"])
-@pytest.mark.parametrize("suite", sorted(GOLDEN_SUITE_LINES))
-def test_the_suites_print_their_golden_lines_under_every_split(suite, split, tmp_path, monkeypatch, capsys):
-    # on 3 CPUs each large map tries two forks: check-ctc's 100 instances,
-    # bound-check's 200 instances, and three of the four runs of
-    # grad-check's 2136 objective coordinates (the encoder's 608, the
-    # oracle's 600, fusion and teacher head's 892; the student head's 36
-    # are too few to split); every other map stays in one process
+SPLITS = ["1 cpu", "3 cpus", "cannot fork"]
+
+
+def _split(monkeypatch, split) -> list:
+    """Simulate 1 or 3 CPUs, or 3 on which ``os.fork`` fails; returns the
+    list that gets one entry per fork tried."""
     forks = []
     real_fork = os.fork
 
@@ -456,16 +457,48 @@ def test_the_suites_print_their_golden_lines_under_every_split(suite, split, tmp
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1 if split == "1 cpu" else 3)),
                         raising=False)
     monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("split", SPLITS)
+@pytest.mark.parametrize("suite", sorted(GOLDEN_SUITE_LINES))
+def test_the_suites_print_their_golden_lines_under_every_split(suite, split, tmp_path, monkeypatch, capsys):
+    # on 3 CPUs each large map tries two forks: check-ctc's 100 instances,
+    # bound-check's 200 instances, grad-check's 50 CTC-rule checks, and
+    # three of the four runs of its 2136 objective coordinates (the
+    # encoder's 608, the oracle's 600, fusion and teacher head's 892; the
+    # student head's 36 are too few to split); every other map stays in
+    # one process
+    forks = _split(monkeypatch, split)
     out = ["--out", str(tmp_path)] if suite == "bound-check" else []
     assert cli.main([suite, *out]) == 0
     csv = tmp_path / "bound_report.csv"
     notes = [f"report: {csv}"] if suite == "bound-check" else []
     assert capsys.readouterr().out.splitlines() == GOLDEN_SUITE_LINES[suite] + notes
-    assert len(forks) == (0 if split == "1 cpu" else 6 if suite == "grad-check" else 2)
+    assert len(forks) == (0 if split == "1 cpu" else 8 if suite == "grad-check" else 2)
     if suite == "bound-check":
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
             "3fb282757e89aaa0272645df439864396b1dbdd9b4cbd592f9ba28ff07aabf6b"
         )
+
+
+@pytest.mark.parametrize("split", SPLITS)
+def test_every_ctc_rule_value_is_the_serial_loops_under_every_split(split, monkeypatch):
+    # the loop that checked the CTC rule one instance at a time, drawing
+    # each just before its check
+    rng = np.random.default_rng(0)
+    serial = []
+    for _ in range(50):
+        u, y = harness._random_ctc_instance(rng, max_t=6, max_l=3)
+        serial.append(T.grad_check(lambda t: ctc_loss_dp(t, y), T.Tensor(u, requires_grad=True)))
+    forks = _split(monkeypatch, split)
+    monkeypatch.setattr(harness, "full_gradient_report",
+                        lambda *args, **kw: {"rel_err": 0.0, "param": None, "index": None, "coordinates": 0})
+    monkeypatch.setattr(harness, "SuiteReport", lambda name, **details: details)
+    details = grad_check_suite()
+    assert np.asarray(details["ctc_rel_err"].values).tobytes() == np.array(serial).tobytes()
+    # three shares of at least 16 checks on 3 CPUs
+    assert len(forks) == (0 if split == "1 cpu" else 2)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +604,7 @@ def test_the_staged_gradient_report_is_one_scan_bit_for_bit(task, use_teacher, s
     assert _param_bytes(model) == before
 
 
-# the first tensor of each run of one stage, in store order
+# the first tensor of each run of one mark, in store order
 RUN_HEADS = {
     ("ctc", True): ["seq.in_proj.w", "seq.out.w", "oracle.embed", "fusion.f0.ln1.g"],
     ("ctc", False): ["seq.in_proj.w", "seq.out.w"],
@@ -600,8 +633,9 @@ def _scan_with_errors(monkeypatch, model, errors) -> list:
 
 @pytest.mark.parametrize("task, use_teacher", sorted(RUN_HEADS))
 def test_the_report_cuts_the_store_into_runs_of_one_stage(task, use_teacher, monkeypatch):
-    # a tensor no stage reads (the teacher's, with the teacher off) goes
-    # with the last stage, so it joins the run of the heads before it
+    # a tensor no branch reads (the heads', and the teacher's with the
+    # teacher off) is marked neither, so the teacher's join the run of the
+    # heads before them
     model, batch, train = _gradient_case(task, use_teacher, 0)
     heads = _scan_with_errors(monkeypatch, model, [0.0] * 6)
     report = harness.full_gradient_report(model, batch, train)
@@ -625,7 +659,7 @@ def test_the_runs_fold_by_the_rule_of_one_scan(errors, worst, monkeypatch):
 
 
 def test_a_gradient_report_ignores_and_clears_stale_gradients():
-    # each stage's backward pass writes gradients outside its own run of
+    # each run's backward pass writes gradients outside its own run of
     # tensors, so the report clears every tensor's gradient at the end
     model, batch, train = _gradient_case("ctc", True, 0)
     clean = harness.full_gradient_report(model, batch, train)
@@ -665,9 +699,9 @@ def test_a_staged_gradient_report_raises_what_one_scan_raises(task, monkeypatch)
 
 
 def test_grad_check_encodes_and_guides_only_in_the_runs_that_need_it(monkeypatch):
-    # on one CPU every evaluation runs here.  One pass of each stage sorts
-    # the tensors; the encoder's 608 coordinates then re-run the whole
-    # objective (1 + 2 * 608 evaluations) and the oracle's 600 the
+    # on one CPU every evaluation runs here.  One pass of each branch
+    # marks the tensors; the encoder's 608 coordinates then re-run the
+    # encoding (1 + 2 * 608 evaluations) and the oracle's 600 the
     # guidance (1 + 2 * 600).  One scan over all 2136 coordinates would
     # make 4273 of each.
     calls = {"encode": 0, "oracle_guidance": 0}
@@ -681,7 +715,7 @@ def test_grad_check_encodes_and_guides_only_in_the_runs_that_need_it(monkeypatch
         monkeypatch.setattr(CtcModel, name, counted)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert grad_check_suite().passed
-    assert calls == {"encode": 1 + 1217, "oracle_guidance": 1 + 1217 + 1201}
+    assert calls == {"encode": 1 + 1217, "oracle_guidance": 1 + 1201}
 
 
 class TestSvg:

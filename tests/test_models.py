@@ -261,6 +261,26 @@ class TestTokenInput:
         with pytest.raises(ContractError, match="integer"):
             call(tiny_aed(), tiny_ctc())
 
+    # each takes one item padded to 3 positions, of which ``lengths`` are real
+    @pytest.mark.parametrize("call", [
+        lambda ctc, lengths: ctc.encode(np.ones((1, 3, 4)), lengths),
+        lambda ctc, lengths: ctc.oracle_guidance(np.ones((1, 3), dtype=int), lengths),
+        lambda ctc, lengths: ctc.fuse(Tensor(np.ones((1, 3, 8))), Tensor(np.ones((1, 2, 8))), lengths=lengths),
+        lambda ctc, lengths: ctc.fuse(Tensor(np.ones((1, 2, 8))), Tensor(np.ones((1, 3, 8))),
+                                      guidance_lengths=lengths),
+    ], ids=["encode", "oracle_guidance", "fuse lengths", "fuse guidance_lengths"])
+    @pytest.mark.parametrize("lengths", [[2.5], [True], np.array([2.0]), [np.bool_(True)]],
+                             ids=["float", "bool", "float array", "numpy bool"])
+    def test_a_length_that_is_no_integer_is_refused(self, call, lengths):
+        # a float is not rounded up to a real position, nor a bool read as 1
+        with pytest.raises(ContractError, match=r"^lengths must hold integers, got "):
+            call(tiny_ctc(), lengths)
+
+    def test_numpy_integer_lengths_read_as_ints(self):
+        model, feats = tiny_ctc(), np.random.default_rng(2).standard_normal((1, 3, 4))
+        np.testing.assert_array_equal(model.encode(feats, np.array([2], dtype=np.int8)).data,
+                                      model.encode(feats, [2]).data)
+
     def test_numpy_integer_tokens_decode_as_python_ints(self):
         model = tiny_aed(seed=4)
         sources = [np.array([1, 2, 3], dtype=np.int32), np.array([4, 5], dtype=np.uint8)]

@@ -17,7 +17,8 @@ from oracle_distill.models import (
     ModelConfig,
     build_model,
 )
-from oracle_distill.objectives import Adam, TrainConfig, loss_total, mask_target, teacher_targets
+from oracle_distill.objectives import Adam, TrainConfig, loss_total, mask_target, teacher_targets, teacher_view
+from oracle_distill.tasks import Batch, padded_stack
 from oracle_distill.tensor import Tensor, backward, grad_check
 
 from helpers import (
@@ -291,6 +292,25 @@ class TestLossTotal:
             again = model.teacher_logits(model.encode(x), y, model.oracle_guidance(masked))
             changed = changed or not np.array_equal(again.data, logits)
         assert changed
+
+    def test_the_ctc_teacher_sees_the_batchs_own_padded_targets(self):
+        # a CTC teacher reads all of y: the batch's padded targets serve it
+        # as they are, and nothing is drawn from the generator
+        model, cfg = ctc_setup(seed=4)
+        batch = Batch(ctc_batch(np.random.default_rng(4), model, n=3))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        ids, lengths = teacher_view(model, batch, cfg, rng)
+        assert ids is batch.target_ids and lengths is batch.target_lengths
+        assert rng.bit_generator.state == state
+        # the encoder-decoder's teacher sees each target masked, in order
+        model, cfg = aed_setup(seed=4)
+        batch = Batch(aed_batch(np.random.default_rng(4), model, n=3))
+        ids, lengths = teacher_view(model, batch, cfg, np.random.default_rng(0))
+        masked = teacher_targets(model, batch.targets, cfg.lambda_mask, np.random.default_rng(0))
+        assert masked != batch.targets
+        np.testing.assert_array_equal(ids, padded_stack(masked, "targets")[0])
+        np.testing.assert_array_equal(lengths, batch.target_lengths)
 
     def test_empty_batch_rejected(self):
         model, cfg = ctc_setup()
