@@ -2,11 +2,14 @@
 recompute it replaces, per-row stopping in a batch, and inference without
 a tape."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_distill import harness, tasks
 from oracle_distill import tensor as T
 from oracle_distill.config import RunConfig
 from oracle_distill.errors import ContractError, ShapeError, VocabularyError
@@ -281,3 +284,37 @@ def test_a_cached_greedy_step_creates_a_pinned_number_of_tensors(monkeypatch):
     monkeypatch.setattr(AedModel, "decode_logits", counted)
     model.predict([(1, 2, 3), (4, 5)])
     assert len(created) > 2 and created == [12] * len(created)
+
+
+# sha256 of the bytes of every decode_logits result, call after call, of the
+# one-source greedy decodes below, per head
+ONE_SOURCE_DECODE_GOLDEN = {
+    "student": "ea061530bc76c168fd76f6c2d6b2e421fa3f370449299b849e70dd177e88c8ba",
+    "teacher": "a685fe97bc04992615ae9767e606e5b36de60f97c33e312aae6a53d381b4a727",
+}
+
+
+@pytest.mark.parametrize("mode", ["student", "teacher"])
+def test_one_source_greedy_decodes_are_pinned(mode, monkeypatch):
+    """The one-row path, byte for byte: the seed-0 encoder-decoder decodes
+    the first five seed-0 dev sources one at a time, as the decode-aed
+    benchmark does (``harness.evaluate`` of one example, teacher masks from
+    seed 0), so every cached step is one ``(1, 1, d)`` row.  The training
+    pins decode the dev split as one stack and never take this path."""
+    cfg = RunConfig(task="aed", seed=0).resolved()
+    examples = tasks.split_examples(harness.generate_dataset(cfg), "dev")[:5]
+    model = build_model(cfg.model_config(), seed=0)
+    digest, shapes = hashlib.sha256(), set()
+    decode = AedModel.decode_logits
+
+    def recorded(self, *args, **kwargs):
+        out = decode(self, *args, **kwargs)
+        digest.update(out.data.tobytes())
+        shapes.add(out.shape)
+        return out
+
+    monkeypatch.setattr(AedModel, "decode_logits", recorded)
+    for ex in examples:
+        harness.evaluate(model, [ex], mode, cfg.train_config(), mask_seed=0)
+    assert shapes == {(1, 1, model.eos + 1)}
+    assert digest.hexdigest() == ONE_SOURCE_DECODE_GOLDEN[mode]
