@@ -340,11 +340,12 @@ class _TransformerBase:
 
     def _positions(self, stop: int, start: int = 0) -> Tensor:
         """Position encodings of positions ``start`` .. ``stop - 1``, for any
-        ``stop``: rows of the shared ``(rows, d_model)`` table, ``rows`` the
-        least power of two at least 64 and ``stop``.  Tables grow by powers
-        of two, so a decode that adds a position per step reuses one table."""
+        ``stop``: an untracked view of rows of the shared read-only
+        ``(rows, d_model)`` table, ``rows`` the least power of two at least
+        64 and ``stop``.  Tables grow by powers of two, so a decode that
+        adds a position per step reuses one table."""
         rows = 64 if stop <= 64 else 1 << (stop - 1).bit_length()
-        return Tensor(sinusoidal_positions(rows, self.cfg.d_model)[start:stop])
+        return tt.constant(sinusoidal_positions(rows, self.cfg.d_model)[start:stop])
 
     def _embed(self, table: str, ids: np.ndarray, start: int = 0) -> Tensor:
         """Rows ``ids`` of the embedding ``table``, scaled by sqrt(d_model),
@@ -564,7 +565,8 @@ class AedModel(_TransformerBase):
 
         ``head`` names the output head.  A tuple of n heads instead splits
         the stack into n blocks of rows along its first axis, head i
-        reading block i, and the result is the tuple of their logits.  A
+        reading block i, and the result is the tuple of their logits; n
+        must divide the rows, or the call raises ``ShapeError``.  A
         token outside 0..end raises ``VocabularyError``.  A call that raises
         leaves the cache unchanged: it changes once, after every layer.
 
@@ -581,6 +583,9 @@ class AedModel(_TransformerBase):
             raise ContractError("decoder prefix must start with the start symbol")
         if ids.size == 0:
             raise ContractError("no new decoder tokens")
+        names = (head,) if isinstance(head, str) else head
+        if not names or ids.shape[0] % len(names):
+            raise ShapeError(f"{ids.shape[0]} rows do not split into one block per head of {len(names)}")
         try:  # the lookup's own range check is the only one
             x = self._embed("seq.tgt_embed", ids, start)
         except DomainError:
@@ -593,7 +598,6 @@ class AedModel(_TransformerBase):
         for i, (cross_kv, past) in enumerate(zip(cache.cross_kv, cache.self_kv)):
             x, kv = self._cross_block(f"seq.dec{i}", x, cross_kv, mask, cache.memory_mask, None, past)
             self_kv.append(kv)
-        names = (head,) if isinstance(head, str) else head
         n = x.shape[0] // len(names)
         logits = tuple(self._head(h, x if len(names) == 1 else tt.index(x, slice(i * n, i * n + n)))
                        for i, h in enumerate(names))

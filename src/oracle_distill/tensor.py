@@ -4,7 +4,7 @@ Every value that participates in training is a :class:`Tensor` wrapping a
 numpy float64 array.  An op's result owns the array the op computed, or
 is a view of it (the heads of ``project_heads``) or of its input
 (``index``), with no copy; only ``Tensor(...)`` and ``custom_op`` copy
-what they are given.  Operations build an implicit computation graph;
+what they are given, and ``constant`` wraps an array nobody writes.  Operations build an implicit computation graph;
 :func:`backward` replays it in reverse execution order and accumulates
 gradients into the ``grad`` field of every leaf that was created with
 ``requires_grad=True``.  Gradients accumulate across repeated
@@ -16,7 +16,11 @@ untracked tensors with no parents and no backward rule, whatever their
 inputs, so inference builds no graph that nobody will replay.  The mode
 is one module flag, restored on exit even when the block raises, and
 blocks nest.  ``backward`` on a result computed under it raises
-``ContractError``, as on any loss that depends on no tracked tensor.
+``ContractError``, as on any loss that depends on no tracked tensor.  No
+op builds an array that only its backward rule reads: the rule computes
+it (the relu mask of ``_feed_forward_rows``, the softmax of
+``log_softmax``), so an op that no graph records pays for its forward
+alone.
 
 Every op works on stacks: leading axes are batch axes (items, attention
 heads), and the last one or two axes are what the op is about.  Broadcasting
@@ -27,7 +31,13 @@ the sublayers of a stack by weight matrices; and the constant arrays of
 ``scale`` and of an attention mask, which broadcast to the shape of the
 tracked operand (the attention scores).  Everything else requires exact
 shape agreement.  ``layer_norm`` adds ``LAYER_NORM_EPS`` = 1e-5 to the
-variance.
+variance.  Of one row (a one-item decode step) it takes the two row sums
+as Python floats and divides, adds and takes the root in Python, which
+rounds as numpy's float64 does, so the row gets the bits it would get in
+a stack; a numpy call on a 1-element array costs more than the row's
+arithmetic.  Row reductions call ``np.add.reduce`` and
+``np.maximum.reduce``, what ``.sum``, ``.mean`` and ``.max`` compute, bit
+for bit, without their Python-level wrappers.
 
 A transformer's pre-norm residual sublayer ``x + f(layer_norm(x))`` is one
 op and one tape node: ``self_attention_sublayer``,
@@ -161,6 +171,13 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
+
+
+def constant(data: np.ndarray) -> Tensor:
+    """An untracked tensor over the float64 array ``data`` itself, not a
+    copy: for an array that nobody writes, such as a read-only table that
+    every model shares."""
+    return _node(data, (), None)
 
 
 def custom_op(data, parents: Sequence[Tensor], backward) -> Tensor:
@@ -309,8 +326,15 @@ def _layer_norm_rows(a: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> tuple
     # share of a training step at one call per sublayer
     n = a.shape[-1]
     rowsum = np.add.reduce
-    centered = a - rowsum(a, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(rowsum(centered * centered, axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
+    if a.size == n and n:
+        # one row, a decode step: its statistics as Python floats, which
+        # round as float64 arrays do, spare five numpy calls on 1-element
+        # arrays that cost more than the row's arithmetic
+        centered = a - rowsum(a, axis=-1).item() / n
+        inv = 1.0 / math.sqrt(rowsum(centered * centered, axis=-1).item() / n + LAYER_NORM_EPS)
+    else:
+        centered = a - rowsum(a, axis=-1, keepdims=True) / n
+        inv = 1.0 / np.sqrt(rowsum(centered * centered, axis=-1, keepdims=True) / n + LAYER_NORM_EPS)
     normed = centered * inv
 
     def bwd(g):
@@ -367,22 +391,23 @@ def _feed_forward_rows(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.nda
     Forward and backward do the same arithmetic, in the same order, as a
     chain of single-op nodes (matmul, add, relu, matmul, add), so both
     give the same bits.  The relu is ``np.where(pre > 0.0, pre, 0.0)``,
-    NaN and -0.0 included, and its rule is ``g * (pre > 0.0)``.  The
+    NaN and -0.0 included, and its rule is ``g * (pre > 0.0)``, with the
+    mask read as ``hidden > 0.0``, which is the same at every value.  The
     operands' shapes are the caller's to check."""
     # every array written in place below is a fresh product of this call
     pre = _by_weight(x, w1)
     pre += b1
-    mask = pre > 0.0
-    # np.where(mask, pre, 0.0) bit for bit: fmax maps NaN to 0.0, and
-    # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it
-    # is; the two branch-free passes cost a fifth of one select by a
+    # np.where(pre > 0.0, pre, 0.0) bit for bit: fmax maps NaN to 0.0,
+    # and adding 0.0 turns -0.0 into 0.0 and leaves every other value as
+    # it is; the two branch-free passes cost a fifth of one select by a
     # random mask
     hidden = np.fmax(pre, 0.0, out=pre)
     hidden += 0.0
 
     def bwd(g):
         d_pre, d_w2 = _by_weight_grads(hidden, w2, g)
-        d_pre *= mask
+        # positive where pre is, and 0.0 where pre is NaN, ±0.0 or negative
+        d_pre *= hidden > 0.0
         d_x, d_w1 = _by_weight_grads(x, w1, d_pre)
         return d_x, d_w1, d_pre.reshape(-1, *b1.shape).sum(axis=0), d_w2, g.reshape(-1, *b2.shape).sum(axis=0)
 
@@ -568,11 +593,11 @@ def log(a: Tensor) -> Tensor:
 def softmax(a: Tensor) -> Tensor:
     """Rows along the last axis sum to one; stabilized by max subtraction."""
     a = as_tensor(a)
-    e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
-    out = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(a.data - np.maximum.reduce(a.data, axis=-1, keepdims=True))
+    out = e / np.add.reduce(e, axis=-1, keepdims=True)
 
     def bwd(g):
-        return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
+        return (out * (g - np.add.reduce(g * out, axis=-1, keepdims=True)),)
 
     return _node(out, (a,), bwd)
 
@@ -581,17 +606,16 @@ def log_softmax_rows(u: np.ndarray) -> np.ndarray:
     """The log-softmax of each row of an array, stabilized by max
     subtraction: the forward of ``log_softmax`` and the log frame
     posteriors of ``ctc``."""
-    shifted = u - u.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = u - np.maximum.reduce(u, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def log_softmax(a: Tensor) -> Tensor:
     a = as_tensor(a)
     out = log_softmax_rows(a.data)
-    sm = np.exp(out)
 
     def bwd(g):
-        return (g - sm * g.sum(axis=-1, keepdims=True),)
+        return (g - np.exp(out) * np.add.reduce(g, axis=-1, keepdims=True),)
 
     return _node(out, (a,), bwd)
 
@@ -685,12 +709,12 @@ def index(a: Tensor, key) -> Tensor:
 def mean(a: Tensor) -> Tensor:
     a = as_tensor(a)
     n = a.data.size
-    return _node(np.asarray(a.data.mean()), (a,), lambda g: (np.full_like(a.data, float(g) / n),))
+    return _node(np.add.reduce(a.data, axis=None) / n, (a,), lambda g: (np.full_like(a.data, float(g) / n),))
 
 
 def sum_all(a: Tensor) -> Tensor:
     a = as_tensor(a)
-    return _node(np.asarray(a.data.sum()), (a,), lambda g: (np.full_like(a.data, float(g)),))
+    return _node(np.add.reduce(a.data, axis=None), (a,), lambda g: (np.full_like(a.data, float(g)),))
 
 
 def pick(a: Tensor, ids) -> Tensor:

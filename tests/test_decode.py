@@ -206,6 +206,23 @@ class TestCacheMisuse:
             model.decode_logits(cache, [model.eos])
         assert cache.length == 2
 
+    @pytest.mark.parametrize("rows, heads", [(5, HEADS), (3, HEADS), (1, HEADS), (2, ())])
+    def test_heads_that_do_not_split_the_rows_are_refused_before_the_cache_changes(self, rows, heads):
+        model = tiny_aed()
+        cache = model.decode_cache(model.encode([[1, 2, 3]] * rows))
+        with pytest.raises(ShapeError, match="block per head"):
+            model.decode_logits(cache, [[model.bos]] * rows, head=heads)
+        assert cache.length == 0 and cache.self_kv == [None, None]
+
+    def test_heads_read_one_block_of_rows_each(self):
+        model = tiny_aed()
+        sources = [[1, 2, 3], [4, 5, 1]] * 2
+        student, teacher = model.decode_logits(model.decode_cache(model.encode(sources)),
+                                               [[model.bos]] * 4, head=HEADS)
+        one = model.decode_logits(model.decode_cache(model.encode(sources[:2])), [[model.bos]] * 2)
+        assert student.shape == teacher.shape == (2, 1, model.eos + 1)
+        np.testing.assert_allclose(student.data, one.data, rtol=0, atol=1e-12)
+
     def test_a_call_needs_new_tokens(self):
         model = tiny_aed()
         cache = model.decode_cache(model.encode((1,)))

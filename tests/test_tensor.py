@@ -1,5 +1,6 @@
 import contextlib
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -323,13 +324,31 @@ def _fd_cases(rng):
         "feed_forward_sublayer": (("x", "gain", "bias", "w1", "b1", "w2", "b2"), ffn_args,
                                   T.feed_forward_sublayer),
     }
+    weights = {op: away_from_zero(args[0].shape) for op, (_, args, _) in sublayers.items()}
+    # one row, a one-item decode step, whose norm statistics take the
+    # one-row path: the first row of a stacked case alone, with its row of
+    # the loss weights, for the feed-forward sublayer and the affine norm
+    ffn_row = [Tensor(ffn_args[0].data[:1, :1], requires_grad=True), *ffn_args[1:]]
+    sublayers["feed_forward_sublayer_row"] = (sublayers["feed_forward_sublayer"][0], ffn_row, T.feed_forward_sublayer)
+    weights["feed_forward_sublayer_row"] = Tensor(weights["feed_forward_sublayer"].data[:1, :1])
     for op, (names, args, build) in sublayers.items():
-        weight = away_from_zero(args[0].shape)
         for i, name in enumerate(names):
-            def f(t, i=i, args=args, build=build, weight=weight):
+            def f(t, i=i, args=args, build=build, weight=weights[op]):
                 return T.sum_all(T.mul(build(*args[:i], t, *args[i + 1:]), weight))
 
             cases[f"{op}_{name}"] = (f, args[i])
+    one_row, one_row_weight = Tensor(m.data[None, :1], requires_grad=True), Tensor(other.data[None, :1])
+
+    def row_layer_norm(t, g, b):
+        return sum_sq(T.mul(T.layer_norm(t, gain=g, bias=b), one_row_weight))
+
+    # a read-only table added to a stack, as the position encodings are
+    table = rng.standard_normal((3, 4))
+    table.flags.writeable = False
+    cases["add_constant_table"] = (lambda t: sum_sq(T.add(t, T.constant(table))), s3)
+    cases["layer_norm_row_input"] = (lambda t: row_layer_norm(t, gain, shift), one_row)
+    cases["layer_norm_row_gain"] = (lambda g: row_layer_norm(one_row, g, shift), gain)
+    cases["layer_norm_row_bias"] = (lambda b: row_layer_norm(one_row, gain, b), shift)
     return cases
 
 
@@ -460,6 +479,65 @@ def test_embedding_backward_scatters_as_add_at_bit_for_bit(case):
     want = np.zeros_like(table.data)
     np.add.at(want, ids, cotangent)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# values at the edges of float64: both infinities, NaN, both zeros, the
+# smallest and largest subnormals, and values near 1e-300 and 1e+300
+EDGE_VALUES = (np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, -1e-300,
+               1e300, -1e300, 1.7976931348623157e308)
+
+
+@st.composite
+def norm_row_cases(draw):
+    """One row of width 1 to 5 that may hold any float64, edge values
+    included, in the shape of an unbatched row, a one-row item or a
+    one-item decode step; a stack of two or three rows holding it, whose
+    other rows are moderate values that raise no warning; a gain and a
+    bias; and a cotangent per stack row."""
+    n = draw(st.integers(1, 5))
+    moderate = st.floats(-10.0, 10.0)
+    row = draw(st.lists(st.one_of(st.sampled_from(EDGE_VALUES), st.floats(), moderate), min_size=n, max_size=n))
+    rows = draw(st.integers(2, 3))
+    stack = np.array([draw(st.lists(moderate, min_size=n, max_size=n)) for _ in range(rows)])
+    at = draw(st.integers(0, rows - 1))
+    stack[at] = row
+    gain, bias, cotangent = (np.array(draw(st.lists(moderate, min_size=size, max_size=size))).reshape(-1, n)
+                             for size in (n, n, rows * n))
+    shape = draw(st.sampled_from(((n,), (1, n), (1, 1, n))))
+    return stack, at, shape, gain[0], bias[0], cotangent
+
+
+def _norm_results(x, gain, bias, cotangent):
+    """The ``layer_norm`` output and input gradient of ``x``, and the
+    category and text of every warning the two raised."""
+    t = Tensor(x, requires_grad=True)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = T.layer_norm(t, Tensor(gain), Tensor(bias))
+        grad = out._backward(cotangent)[0]
+    return out.data, grad, [(w.category, str(w.message)) for w in caught]
+
+
+def _same_bits_but_nan_signs(got, want):
+    """Equal bytes at every position that is not NaN in either, and NaN at
+    the same positions: a NaN's sign bit follows numpy's multiply kernel,
+    not the arithmetic."""
+    nan = np.isnan(want)
+    assert got.shape == want.shape and (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(norm_row_cases())
+def test_one_row_normalises_as_its_row_in_a_stack(case):
+    """The one-row statistics give the stacked path's bits: output and
+    input gradient, with the same warnings."""
+    stack, at, shape, gain, bias, cotangent = case
+    want = _norm_results(stack, gain, bias, cotangent)
+    got = _norm_results(stack[at].reshape(shape), gain, bias, cotangent[at].reshape(shape))
+    for g, w in zip(got[:2], want[:2]):
+        _same_bits_but_nan_signs(g, w[at].reshape(shape))
+    assert got[2] == want[2]
 
 
 @st.composite
@@ -686,19 +764,33 @@ def test_cross_attention_sublayer_equals_the_op_chain_bit_for_bit(inputs, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(sublayer_inputs(), st.integers(1, 4))
-def test_feed_forward_sublayer_equals_the_op_chain_bit_for_bit(inputs, hidden):
-    """Against ``layer_norm``, ``feed_forward`` and ``add``."""
+@given(sublayer_inputs(), st.integers(1, 4), st.data())
+def test_feed_forward_sublayer_equals_the_op_chain_bit_for_bit(inputs, hidden, data):
+    """Against ``layer_norm``, the single-op chain of a feed-forward net
+    (``reference_feed_forward``, whose relu reads its mask from the
+    pre-activations) and ``add``.  Some hidden units get a pre-activation
+    of exactly +0.0, -0.0 or NaN at every row: a zero column of ``w1``
+    plus a bias of 0.0, -0.0 or NaN, with the weight products giving
+    their zeros as -0.0 or not."""
     rng, x0, norm, _, _, cotangents = inputs
     d = x0.shape[-1]
     ffn = [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in ((d, hidden), (hidden,), (hidden, d), (d,))]
+    for j in data.draw(st.sets(st.integers(0, hidden - 1))):
+        ffn[0].data[:, j] = 0.0
+        ffn[1].data[j] = data.draw(st.sampled_from((0.0, -0.0, np.nan)))
 
     def reference(x):
-        return (T.add(x, feed_forward(T.layer_norm(x, *norm), *ffn)),)
+        return (T.add(x, reference_feed_forward(T.layer_norm(x, *norm), *ffn)),)
 
     leaves = [*norm, *ffn]
-    got = _sublayer_results(lambda x: (T.feed_forward_sublayer(x, *norm, *ffn),), x0, leaves, cotangents)
-    _same_bits(got, _sublayer_results(reference, x0, leaves, cotangents))
+    with pytest.MonkeyPatch.context() as mp:
+        if data.draw(st.booleans()):
+            # numpy's matmul sums from +0.0, so only a product whose zeros
+            # are -0.0 lets a -0.0 bias reach the relu as -0.0
+            by_weight = T._by_weight
+            mp.setattr(T, "_by_weight", lambda a, w: np.where(by_weight(a, w) == 0.0, -0.0, by_weight(a, w)))
+        got = _sublayer_results(lambda x: (T.feed_forward_sublayer(x, *norm, *ffn),), x0, leaves, cotangents)
+        _same_bits(got, _sublayer_results(reference, x0, leaves, cotangents))
 
 
 @pytest.mark.parametrize("seed", range(20))
