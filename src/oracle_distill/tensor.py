@@ -4,9 +4,10 @@ Every value that participates in training is a :class:`Tensor` wrapping a
 numpy float64 array.  An op's result owns the array the op computed, or
 is a view of it (the heads of ``project_heads``) or of its input
 (``index``), with no copy; only ``Tensor(...)`` and ``custom_op`` copy
-what they are given, and ``constant`` wraps an array nobody writes.  Operations build an implicit computation graph;
-:func:`backward` replays it in reverse execution order and accumulates
-gradients into the ``grad`` field of every leaf that was created with
+what they are given, and ``constant`` wraps an array that nobody writes.
+Operations build an implicit computation graph; :func:`backward` replays
+it in reverse execution order and accumulates gradients into the
+``grad`` field of every leaf that was created with
 ``requires_grad=True``.  Gradients accumulate across repeated
 backward calls until explicitly zeroed, which is what lets several loss
 terms sum their contributions into shared parameters.

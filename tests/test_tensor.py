@@ -563,6 +563,20 @@ def feed_forward_cases(draw):
     return inputs, rng.standard_normal((*lead, t, m)), draw(st.booleans())
 
 
+def _negative_zero_products(mp):
+    """Make every weight product give its zeros as -0.0, in every path
+    alike: numpy's matmul sums from +0.0, so ``x @ w1 + b1`` is never
+    -0.0, and only such a product lets a -0.0 bias reach the relu as a
+    -0.0 pre-activation."""
+    by_weight = T._by_weight
+
+    def negative_zero_product(a, w):
+        y = by_weight(a, w)
+        return np.where(y == 0.0, -0.0, y)
+
+    mp.setattr(T, "_by_weight", negative_zero_product)
+
+
 @settings(max_examples=200, deadline=None)
 @given(feed_forward_cases())
 def test_fused_feed_forward_equals_the_single_op_chain_bit_for_bit(case):
@@ -570,16 +584,7 @@ def test_fused_feed_forward_equals_the_single_op_chain_bit_for_bit(case):
     results = []
     with pytest.MonkeyPatch.context() as mp:
         if negative_zeros:
-            # numpy's matmul sums from +0.0, so x @ w1 + b1 is never -0.0;
-            # a product whose zeros are -0.0 makes the -0.0 biases reach
-            # the relu as -0.0 pre-activations, in both paths alike
-            by_weight = T._by_weight
-
-            def negative_zero_product(a, w):
-                y = by_weight(a, w)
-                return np.where(y == 0.0, -0.0, y)
-
-            mp.setattr(T, "_by_weight", negative_zero_product)
+            _negative_zero_products(mp)
         for build in (feed_forward, reference_feed_forward):
             for p in inputs:
                 p.grad = None
@@ -785,10 +790,7 @@ def test_feed_forward_sublayer_equals_the_op_chain_bit_for_bit(inputs, hidden, d
     leaves = [*norm, *ffn]
     with pytest.MonkeyPatch.context() as mp:
         if data.draw(st.booleans()):
-            # numpy's matmul sums from +0.0, so only a product whose zeros
-            # are -0.0 lets a -0.0 bias reach the relu as -0.0
-            by_weight = T._by_weight
-            mp.setattr(T, "_by_weight", lambda a, w: np.where(by_weight(a, w) == 0.0, -0.0, by_weight(a, w)))
+            _negative_zero_products(mp)
         got = _sublayer_results(lambda x: (T.feed_forward_sublayer(x, *norm, *ffn),), x0, leaves, cotangents)
         _same_bits(got, _sublayer_results(reference, x0, leaves, cotangents))
 
