@@ -438,6 +438,7 @@ def full_gradient_report(model, batch, train_cfg: TrainConfig, mask_seed: int = 
     """Finite-difference check of the combined objective over every
     parameter coordinate of the model, by ``tensor.finite_differences``,
     re-running only the branches of the objective that a tensor reaches.
+    ``batch`` is a :class:`tasks.Batch` or its items, as for ``loss_total``.
 
     The objective is ``loss_terms`` of two independent branches: the
     encoding of the sources and the oracle guidance of the targets as the
@@ -456,7 +457,8 @@ def full_gradient_report(model, batch, train_cfg: TrainConfig, mask_seed: int = 
     exceptions included.  Every tensor's ``grad`` is None after.
     """
     names, tensors = zip(*model.store.items())
-    batch = Batch(batch)
+    if not isinstance(batch, Batch):
+        batch = Batch(batch)
     seen = teacher_view(model, batch, train_cfg, np.random.default_rng(mask_seed))
 
     def encode():

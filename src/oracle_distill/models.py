@@ -63,16 +63,18 @@ stay separate store entries read through ``ParamStore.get``.
 The decoder runs one way (Pope et al. 2022): ``AedModel.decode_cache``
 projects, once per decode, each decoder layer's cross-attention keys and
 values of ``ln_mem(memory)`` into a :class:`DecodeCache`, and every
-``decode_logits`` call extends the cache by the positions it is given.
-Each decoder layer returns its keys and values, and the call stores them
-once, after every layer, so a call that raises leaves the cache unchanged.
-The cached keys and values are arrays with no gradient, so only a cache's
-first call may record a graph.  Teacher forcing is one call with the whole
-prefix.  The greedy loop runs under ``tensor.no_grad`` and decodes a batch
-in lockstep, one call per step with a ``(B, 1)`` stack of
-one new token per row, so a step costs one position per row.  Each row
-stops at its own end symbol or length cap; a stopped row is still fed
-until every row has stopped, and its later tokens are dropped.
+``decode_logits`` call extends the cache by the positions it is given and
+reads them through one output head.  Each decoder layer returns its keys
+and values, and the call stores them once, after the head, so a call that
+raises leaves the cache unchanged.  The cached keys and values are arrays
+with no gradient, so only a cache's first call may record a graph.
+Teacher forcing runs the decoder body (``_decoder_rows``) once over the
+whole prefix, and its caller applies the heads.  The greedy loop runs
+under ``tensor.no_grad`` and decodes a batch in lockstep, one call per
+step with a ``(B, 1)`` stack of one new token per row, so a step costs one
+position per row.  Each row stops at its own end symbol or length cap; a
+stopped row is still fed until every row has stopped, and its later tokens
+are dropped.
 """
 
 from __future__ import annotations
@@ -140,8 +142,9 @@ class ParamStore:
         return t
 
     def get(self, name: str) -> Tensor:
+        t = self._tensors[name]  # an unknown name raises before it is counted
         self.reads[name] += 1
-        return self._tensors[name]
+        return t
 
     def peek(self, name: str) -> Tensor:
         """Access without counting a read (checkpointing, optimizers)."""
@@ -467,9 +470,7 @@ class CtcModel(_TransformerBase):
         valid = _valid_cells(lengths, feats.shape[:-1])
         if valid is not None:
             feats = np.where(valid[..., None], feats, 0.0)
-        s = self.store
-        x = tt.add(tt.matmul(Tensor(feats), s.get("seq.in_proj.w")), s.get("seq.in_proj.b"))
-        x = tt.add(x, self._positions(feats.shape[-2]))
+        x = tt.add(self._head("seq.in_proj", Tensor(feats)), self._positions(feats.shape[-2]))
         return self._encoder(x, _key_mask(valid))
 
     def student_head(self, hidden: Tensor) -> Tensor:
@@ -557,35 +558,15 @@ class AedModel(_TransformerBase):
         cross_kv = [self._memory_kv(f"seq.dec{i}", memory) for i in range(self.cfg.dec_layers)]
         return DecodeCache(memory_mask, cross_kv, [None] * self.cfg.dec_layers)
 
-    def decode_logits(self, cache: DecodeCache, prefix_ids, head: str = "seq.out") -> Tensor:
-        """Logits of the tokens ``prefix_ids`` that follow the
-        ``cache.length`` already decoded, one row per token, each seeing the
-        tokens up to its own; the cache takes in their keys and values.  A
-        first call's tokens start with the start symbol.
-
-        ``head`` names the output head.  A tuple of n heads instead splits
-        the stack into n blocks of rows along its first axis, head i
-        reading block i, and the result is the tuple of their logits; n
-        must divide the rows, or the call raises ``ShapeError``.  A
-        token outside 0..end raises ``VocabularyError``.  A call that raises
-        leaves the cache unchanged: it changes once, after every layer.
-
-        Only a first call records a graph: the cached keys and values are
-        arrays with no path to the parameters, so a recorded call that
-        continued the cache would silently lose the gradient through the
-        earlier calls.  Such a call raises ``ContractError``; continue a
-        cache under ``tensor.no_grad``, as ``_greedy`` does, or decode the
-        whole prefix in one call, as teacher forcing does.
-        """
+    def _decoder_rows(self, cache: DecodeCache, prefix_ids) -> tuple[Tensor, list, int]:
+        """``decode_logits`` short of its head: the output rows, and the keys,
+        values and length for the cache to take, which it leaves unchanged."""
         ids = _ids(prefix_ids, "decoder")
         start = cache.length
         if start == 0 and (ids.size == 0 or np.any(ids[..., 0] != self.bos)):
             raise ContractError("decoder prefix must start with the start symbol")
         if ids.size == 0:
             raise ContractError("no new decoder tokens")
-        names = (head,) if isinstance(head, str) else head
-        if not names or ids.shape[0] % len(names):
-            raise ShapeError(f"{ids.shape[0]} rows do not split into one block per head of {len(names)}")
         try:  # the lookup's own range check is the only one
             x = self._embed("seq.tgt_embed", ids, start)
         except DomainError:
@@ -598,33 +579,46 @@ class AedModel(_TransformerBase):
         for i, (cross_kv, past) in enumerate(zip(cache.cross_kv, cache.self_kv)):
             x, kv = self._cross_block(f"seq.dec{i}", x, cross_kv, mask, cache.memory_mask, None, past)
             self_kv.append(kv)
-        n = x.shape[0] // len(names)
-        logits = tuple(self._head(h, x if len(names) == 1 else tt.index(x, slice(i * n, i * n + n)))
-                       for i, h in enumerate(names))
-        cache.self_kv, cache.length = self_kv, stop
-        return logits[0] if isinstance(head, str) else logits
+        return x, self_kv, stop
 
-    def _teacher_forced(self, memory, target, heads, lengths, target_lengths) -> tuple:
-        """Logits through each of ``heads`` over the start symbol then
-        ``target``, one row per target token plus one for the end, from
-        one decoder pass.
+    def decode_logits(self, cache: DecodeCache, prefix_ids, head: str = "seq.out") -> Tensor:
+        """Logits through the output ``head`` of the tokens ``prefix_ids``
+        that follow the ``cache.length`` already decoded, one row per token,
+        each seeing the tokens up to its own; the cache takes in their keys
+        and values.  A first call's tokens start with the start symbol, and
+        a token outside 0..end raises ``VocabularyError``.  A call that
+        raises, an unknown head included, leaves the cache unchanged: it
+        changes once, after the head.
 
-        ``memory`` stacks one block of items per head along its first axis,
-        each block as many items as ``target``, and head i reads block i.
-        The target ids are validated once, and the prefix and the memory
-        ``lengths`` are tiled once per head."""
+        Only a first call records a graph: the cached keys and values are
+        arrays with no path to the parameters, so a recorded call that
+        continued the cache would silently lose the gradient through the
+        earlier calls.  Such a call raises ``ContractError``; continue a
+        cache under ``tensor.no_grad``, as ``_greedy`` does, or decode the
+        whole prefix in one call, as teacher forcing does.
+        """
+        x, self_kv, length = self._decoder_rows(cache, prefix_ids)
+        logits = self._head(head, x)
+        cache.self_kv, cache.length = self_kv, length
+        return logits
+
+    def _teacher_forced(self, memory, target, lengths, target_lengths, copies: int = 1) -> Tensor:
+        """Decoder rows over the start symbol then ``target``, one per
+        target token plus one for the end, from one pass over ``memory``, a
+        stack of ``copies`` blocks of as many items as ``target``: the ids
+        are validated once, the prefix and ``lengths`` tiled per block."""
         y, _ = _token_ids(target, target_lengths, "target", self.cfg.vocab_size)
         prefix = np.concatenate([np.full((*y.shape[:-1], 1), self.bos), y], axis=-1)
-        if len(heads) > 1:
-            prefix, lengths = np.concatenate([prefix] * len(heads)), np.concatenate([lengths] * len(heads))
-        return self.decode_logits(self.decode_cache(memory, lengths), prefix, head=heads)
+        if copies > 1:
+            prefix, lengths = np.concatenate([prefix] * copies), np.concatenate([lengths] * copies)
+        return self._decoder_rows(self.decode_cache(memory, lengths), prefix)[0]
 
     def student_head(self, memory: Tensor, target, lengths=None, target_lengths=None) -> Tensor:
         """Teacher-forced student logits over len(target) + 1 positions
         (incl. end) from an already-encoded source; ``lengths`` are those
         of a padded ``memory``, ``target_lengths`` those of the padded
         ``target``."""
-        return self._teacher_forced(memory, target, ("seq.out",), lengths, target_lengths)[0]
+        return self._head("seq.out", self._teacher_forced(memory, target, lengths, target_lengths))
 
     def teacher_logits(self, memory: Tensor, target, guidance: Tensor, lengths=None,
                        target_lengths=None) -> Tensor:
@@ -642,19 +636,22 @@ class AedModel(_TransformerBase):
         ``perfbench/tracing.py`` wraps it by name.
         """
         fused = self.fuse(memory, guidance, lengths=lengths, guidance_lengths=target_lengths)
-        return self._teacher_forced(fused, target, ("teacher_out",), lengths, target_lengths)[0]
+        return self._head("teacher_out", self._teacher_forced(fused, target, lengths, target_lengths))
 
     def student_and_teacher_logits(self, memory: Tensor, target, guidance: Tensor, lengths,
                                    target_lengths) -> tuple[Tensor, Tensor]:
         """``student_head`` and ``teacher_logits`` of a padded batch, from
         one decoder pass over the ``(2B, ...)`` stack of ``memory`` and the
-        fused memory.  Each row is that of the two calls, up to the order
-        in which a matrix product over the doubled row count sums."""
+        fused memory, rows 0:B read by the student head and B:2B by the
+        teacher's.  Each row is that of the two calls, up to the order in
+        which a matrix product over the doubled row count sums."""
         if memory.data.ndim < 3 or lengths is None:
             raise ShapeError(f"a joint decoder pass needs a padded batch and its lengths, got {memory.shape}")
         fused = self.fuse(memory, guidance, lengths=lengths, guidance_lengths=target_lengths)
-        return self._teacher_forced(tt.concat([memory, fused]), target, ("seq.out", "teacher_out"),
-                                    lengths, target_lengths)
+        x = self._teacher_forced(tt.concat([memory, fused]), target, lengths, target_lengths, copies=2)
+        b = memory.shape[0]
+        return (self._head("seq.out", tt.index(x, slice(0, b))),
+                self._head("teacher_out", tt.index(x, slice(b, 2 * b))))
 
     def _greedy(self, memory: Tensor, lengths, head: str) -> list[tuple[int, ...]]:
         """Greedy autoregressive decode through ``head`` of every row of a

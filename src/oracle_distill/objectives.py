@@ -30,9 +30,12 @@ mean over the items of a per-item loss: a sequence's rows are weighted
 1/len on its real positions and 0 on padding.  With
 ``use_teacher=False`` l_em and l_kd are None and ``.total`` is l_org.
 
-``teacher_targets`` alone decides what the teacher sees of a target, in
-training and in the teacher-mode evaluation: all of y for CTC, y masked
-by ``mask_target`` for the encoder-decoder.
+The teacher sees all of y for CTC and y masked by ``mask_target`` for
+the encoder-decoder.  ``teacher_targets`` decides this for a list of
+targets, as the teacher-mode evaluation hands them over, and
+``teacher_view`` for a batch in training: a CTC teacher reads the batch's
+own padded ``target_ids``, and the encoder-decoder's masks come from
+``teacher_targets``.
 
 One optimizer updates the student (``seq.``) and the auxiliary
 (``oracle.``, ``fusion.``, ``teacher_out.``) parameters together.

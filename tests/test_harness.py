@@ -631,6 +631,14 @@ def _scan_with_errors(monkeypatch, model, errors) -> list:
     return heads
 
 
+@pytest.mark.parametrize("task", ["ctc", "aed"])
+def test_a_gradient_report_takes_a_batch_or_its_items(task):
+    # as loss_total does
+    model, pairs, train = _gradient_case(task, True, 0)
+    report = harness.full_gradient_report(model, pairs, train)
+    assert harness.full_gradient_report(model, Batch(pairs), train) == report
+
+
 @pytest.mark.parametrize("task, use_teacher", sorted(RUN_HEADS))
 def test_the_report_cuts_the_store_into_runs_of_one_stage(task, use_teacher, monkeypatch):
     # a tensor no branch reads (the heads', and the teacher's with the
